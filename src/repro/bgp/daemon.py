@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.bgp.decision import decide
+from repro.bgp.decision import RouteComparison, decide
 from repro.bgp.fsm import BGPState, SessionFSM
 from repro.bgp.messages import (
+    BGPDecodeError,
     BGPKeepalive,
     BGPMessage,
     BGPNotification,
@@ -87,6 +88,8 @@ class _PeerState:
         self.remote_router_id = IPv4Address(0)
         self.open_sent = False
         self.last_heard = 0.0
+        # prefix -> attributes of the selected route as they sit in the
+        # Loc-RIB; the export rewrite happens in _flush.
         self.pending_announce: Dict[IPv4Prefix, PathAttributes] = {}
         self.pending_withdraw: Set[IPv4Prefix] = set()
         self.flush_scheduled = False
@@ -110,6 +113,12 @@ class BGPDaemon:
         self._channel_to_peer: Dict[int, str] = {}
         self._installed: Set[IPv4Prefix] = set()
         self._local_routes: Dict[IPv4Prefix, RIBRoute] = {}
+        # Work counters, see stats().
+        self.decisions = 0
+        self.selection_changes = 0
+        self.exports = 0
+        self.fib_installs = 0
+        self.fib_withdrawals = 0
         for prefix in config.networks:
             route = RIBRoute(
                 prefix=prefix,
@@ -196,7 +205,14 @@ class BGPDaemon:
         state.last_heard = self._now()
         rest = data
         while rest:
-            message, rest = decode_bgp_stream(rest)
+            try:
+                message, rest = decode_bgp_stream(rest)
+            except BGPDecodeError as error:
+                # Malformed bytes end the session, as RFC 4271 section 6
+                # has it; they must not unwind the event loop.
+                self._send(state, BGPNotification(code=error.code))
+                self._teardown(state, f"malformed message: {error}")
+                return
             self._dispatch(state, message)
 
     def _dispatch(self, state: _PeerState, message: BGPMessage) -> None:
@@ -315,40 +331,46 @@ class BGPDaemon:
 
     def _reprocess(self, prefixes: Set[IPv4Prefix]) -> None:
         """Re-run the decision process for the given prefixes."""
-        for prefix in sorted(prefixes, key=lambda p: p.key()):
+        # Sessions neither come up nor go down inside this call, so the
+        # established peers are gathered once for every prefix below.
+        established = [s for s in self.peers.values() if s.fsm.established]
+        lookups = [state.adj_rib_in.get for state in established]
+        ordered = (sorted(prefixes, key=IPv4Prefix.key)
+                   if len(prefixes) > 1 else prefixes)
+        max_paths = self.config.max_paths
+        for prefix in ordered:
             candidates: List[RIBRoute] = []
             local = self._local_routes.get(prefix)
             if local is not None:
                 candidates.append(local)
-            for state in self.peers.values():
-                if not state.fsm.established:
-                    continue
-                route = state.adj_rib_in.get(prefix)
+            for lookup in lookups:
+                route = lookup(prefix)
                 if route is not None:
                     candidates.append(route)
-            outcome = decide(candidates, max_paths=self.config.max_paths)
-            changed = self.loc_rib.set_selection(
-                prefix, outcome.best, outcome.multipath
-            )
-            if not changed:
+            outcome = decide(candidates, max_paths=max_paths)
+            self.decisions += 1
+            if not self.loc_rib.set_selection(
+                    prefix, outcome.best, outcome.multipath):
                 continue
-            self._program_fib(prefix)
-            self._propagate(prefix)
+            self.selection_changes += 1
+            self._program_fib(prefix, outcome)
+            self._propagate(prefix, outcome.best, established)
 
-    def _program_fib(self, prefix: IPv4Prefix) -> None:
-        """Install/withdraw the prefix in the simulated router's FIB."""
+    def _program_fib(self, prefix: IPv4Prefix, outcome: RouteComparison) -> None:
+        """Install/withdraw the new selection in the simulated router's FIB."""
         if not self.config.install_routes or self.sim is None:
             return
-        best = self.loc_rib.best(prefix)
+        best = outcome.best
         if best is None:
             if prefix in self._installed:
                 self.sim.cm.withdraw_route(self.router_name, prefix)
                 self._installed.discard(prefix)
+                self.fib_withdrawals += 1
             return
         if best.is_local:
             return  # connected route; the data plane already has it
         next_hops: List[Tuple[int, IPv4Address]] = []
-        for route in self.loc_rib.multipath(prefix):
+        for route in outcome.multipath:
             peer = self.peers.get(route.peer_name)
             if peer is None:
                 continue
@@ -357,20 +379,17 @@ class BGPDaemon:
             return
         self.sim.cm.install_route(self.router_name, prefix, next_hops)
         self._installed.add(prefix)
+        self.fib_installs += 1
 
-    def _propagate(self, prefix: IPv4Prefix) -> None:
+    def _propagate(self, prefix: IPv4Prefix, best: Optional[RIBRoute],
+                   established: List[_PeerState]) -> None:
         """Queue announcements/withdrawals of the new best to all peers."""
-        best = self.loc_rib.best(prefix)
-        for state in self.peers.values():
-            if not state.fsm.established:
-                continue
+        for state in established:
             if best is None:
                 self._queue_withdraw(state, prefix)
-                continue
-            self._queue_announce(state, prefix, best)
-        for state in self.peers.values():
-            if state.fsm.established:
-                self._schedule_flush(state)
+            else:
+                self._queue_announce(state, prefix, best)
+            self._schedule_flush(state)
 
     def _queue_announce(self, state: _PeerState, prefix: IPv4Prefix,
                         best: RIBRoute) -> None:
@@ -386,23 +405,36 @@ class BGPDaemon:
         ):
             self._queue_withdraw(state, prefix)
             return
-        exported = state.config.export_policy.apply(
-            prefix, best.attributes, self.config.asn
-        )
-        if exported is None:
+        if not state.config.export_policy.permits(prefix):
             self._queue_withdraw(state, prefix)
             return
-        advertised = exported.with_prepended(self.config.asn).with_next_hop(
-            state.config.local_address
-        )
+        # Most queued announcements are overwritten or torn down before
+        # the flush, so only the route's own attributes are recorded
+        # here; _flush rewrites the survivors.
         state.pending_withdraw.discard(prefix)
-        state.pending_announce[prefix] = advertised
+        state.pending_announce[prefix] = best.attributes
 
     def _queue_withdraw(self, state: _PeerState, prefix: IPv4Prefix) -> None:
         # Only meaningful if we actually advertised it (or are about to).
+        # The Adj-RIB-Out changes in _flush and _teardown only, so this
+        # test answers now what it would answer at the flush.
         state.pending_announce.pop(prefix, None)
         if state.adj_rib_out.advertised(prefix) is not None:
             state.pending_withdraw.add(prefix)
+
+    def _export(self, state: _PeerState,
+                attributes: PathAttributes) -> PathAttributes:
+        """What a peer is told about a route: the export policy's extra
+        prepends, the eBGP prepend of our own AS and next-hop-self."""
+        self.exports += 1
+        copies = 1 + state.config.export_policy.prepend_count
+        return PathAttributes(
+            origin=attributes.origin,
+            as_path=(self.config.asn,) * copies + attributes.as_path,
+            next_hop=state.config.local_address,
+            med=attributes.med,
+            local_pref=attributes.local_pref,
+        )
 
     def _schedule_flush(self, state: _PeerState) -> None:
         if state.flush_scheduled:
@@ -424,14 +456,14 @@ class BGPDaemon:
 
         withdrawals = [
             prefix
-            for prefix in sorted(state.pending_withdraw, key=lambda p: p.key())
+            for prefix in sorted(state.pending_withdraw, key=IPv4Prefix.key)
             if state.adj_rib_out.record_withdraw(prefix)
         ]
         state.pending_withdraw.clear()
 
         groups: Dict[PathAttributes, List[IPv4Prefix]] = {}
-        for prefix in sorted(state.pending_announce, key=lambda p: p.key()):
-            attrs = state.pending_announce[prefix]
+        for prefix in sorted(state.pending_announce, key=IPv4Prefix.key):
+            attrs = self._export(state, state.pending_announce[prefix])
             if state.adj_rib_out.record_announce(prefix, attrs):
                 groups.setdefault(attrs, []).append(prefix)
         state.pending_announce.clear()
@@ -508,6 +540,11 @@ class BGPDaemon:
             "loc_rib": len(self.loc_rib),
             "updates_sent": sum(s.updates_sent for s in self.peers.values()),
             "updates_received": sum(s.updates_received for s in self.peers.values()),
+            "decisions": self.decisions,
+            "selection_changes": self.selection_changes,
+            "exports": self.exports,
+            "fib_installs": self.fib_installs,
+            "fib_withdrawals": self.fib_withdrawals,
         }
 
     # -- plumbing -------------------------------------------------------------------------------

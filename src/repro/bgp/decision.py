@@ -20,9 +20,10 @@ routes tie on AS-path length and all get installed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.bgp.rib import RIBRoute
+if TYPE_CHECKING:  # pragma: no cover - rib imports preference_key from here
+    from repro.bgp.rib import RIBRoute
 
 DEFAULT_LOCAL_PREF = 100
 
@@ -40,7 +41,11 @@ class RouteComparison:
 
 
 def preference_key(route: RIBRoute) -> tuple:
-    """Sort key: smaller is better (steps 1-5 of the ladder)."""
+    """Sort key: smaller is better (steps 1-5 of the ladder).
+
+    Every :class:`~repro.bgp.rib.RIBRoute` carries its own as
+    ``route.preference``.
+    """
     attrs = route.attributes
     local_pref = attrs.local_pref if attrs.local_pref is not None else DEFAULT_LOCAL_PREF
     med = attrs.med if attrs.med is not None else 0
@@ -69,10 +74,15 @@ def decide(candidates: Iterable[RIBRoute], max_paths: int = 1) -> RouteCompariso
     pool: List[RIBRoute] = list(candidates)
     if not pool:
         return RouteComparison(best=None, multipath=())
+    if len(pool) == 1:
+        return RouteComparison(best=pool[0], multipath=(pool[0],))
 
-    pool.sort(key=lambda route: (preference_key(route), tie_break_key(route)))
-    best = pool[0]
-    best_pref = preference_key(best)
-    equal_cost = [route for route in pool if preference_key(route) == best_pref]
-    multipath = tuple(equal_cost[:max_paths])
-    return RouteComparison(best=best, multipath=multipath)
+    # The winners are the candidates at the minimum preference key,
+    # ordered among themselves by the final tie-break (a stable sort,
+    # so full ties keep candidate order).
+    best_key = min([route.preference for route in pool])
+    equal_cost = [route for route in pool if route.preference == best_key]
+    if len(equal_cost) > 1:
+        equal_cost.sort(key=tie_break_key)
+    return RouteComparison(best=equal_cost[0],
+                           multipath=tuple(equal_cost[:max_paths]))

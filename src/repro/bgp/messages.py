@@ -42,9 +42,36 @@ FLAG_EXTENDED = 0x10
 
 AS_SEQUENCE = 2
 
+# NOTIFICATION error codes (RFC 4271 section 4.5).
+ERR_HEADER = 1
+ERR_OPEN = 2
+ERR_UPDATE = 3
+
+_LENGTH_TYPE = struct.Struct("!HB")   # header after the marker
+_U16 = struct.Struct("!H")
+_ATTR_U8 = struct.Struct("!BBBB")     # flags, code, length 1, one octet
+_ATTR_U32 = struct.Struct("!BBBI")    # flags, code, length 4, one word
+_ATTR_HEADER = struct.Struct("!BBB")
+_ATTR_HEADER_EXT = struct.Struct("!BBH")  # FLAG_EXTENDED: two-byte length
+_U32 = struct.Struct("!I")
+_OPEN_BODY = struct.Struct("!BHH4sB")
+_NOTIFICATION_HEAD = struct.Struct("!BB")
+
 
 class BGPDecodeError(ValueError):
-    """Raised when bytes cannot be parsed as a BGP message."""
+    """Raised when bytes cannot be parsed as a BGP message.
+
+    The only exception the decoders let out, whatever the input.
+    ``code`` is the NOTIFICATION error code a speaker answers with.
+    """
+
+    def __init__(self, reason: str, code: int = ERR_HEADER):
+        super().__init__(reason)
+        self.code = code
+
+
+def _malformed_update(reason: str) -> BGPDecodeError:
+    return BGPDecodeError(reason, code=ERR_UPDATE)
 
 
 class Origin(enum.IntEnum):
@@ -95,32 +122,26 @@ class PathAttributes:
 
     def encode(self) -> bytes:
         """Serialise to the RFC 4271 path-attribute list."""
-        chunks: List[bytes] = []
-
-        def attr(flags: int, code: int, body: bytes) -> bytes:
-            if len(body) > 255:
-                return struct.pack("!BBH", flags | FLAG_EXTENDED, code, len(body)) + body
-            return struct.pack("!BBB", flags, code, len(body)) + body
-
-        chunks.append(
-            attr(FLAG_TRANSITIVE, ATTR_ORIGIN, struct.pack("!B", int(self.origin)))
-        )
-        if self.as_path:
-            segment = struct.pack("!BB", AS_SEQUENCE, len(self.as_path))
-            segment += b"".join(struct.pack("!H", asn) for asn in self.as_path)
+        chunks = [_ATTR_U8.pack(FLAG_TRANSITIVE, ATTR_ORIGIN, 1, self.origin)]
+        hops = len(self.as_path)
+        # One AS_SEQUENCE segment, packed in one call.
+        segment = (struct.pack(f"!BB{hops}H", AS_SEQUENCE, hops, *self.as_path)
+                   if hops else b"")
+        if len(segment) > 255:
+            chunks.append(_ATTR_HEADER_EXT.pack(
+                FLAG_TRANSITIVE | FLAG_EXTENDED, ATTR_AS_PATH, len(segment)))
         else:
-            segment = b""
-        chunks.append(attr(FLAG_TRANSITIVE, ATTR_AS_PATH, segment))
+            chunks.append(_ATTR_HEADER.pack(
+                FLAG_TRANSITIVE, ATTR_AS_PATH, len(segment)))
+        chunks.append(segment)
         if self.next_hop is not None:
-            chunks.append(attr(FLAG_TRANSITIVE, ATTR_NEXT_HOP, self.next_hop.packed()))
+            chunks.append(_ATTR_U32.pack(
+                FLAG_TRANSITIVE, ATTR_NEXT_HOP, 4, int(self.next_hop)))
         if self.med is not None:
-            chunks.append(
-                attr(FLAG_OPTIONAL, ATTR_MED, struct.pack("!I", self.med))
-            )
+            chunks.append(_ATTR_U32.pack(FLAG_OPTIONAL, ATTR_MED, 4, self.med))
         if self.local_pref is not None:
-            chunks.append(
-                attr(FLAG_TRANSITIVE, ATTR_LOCAL_PREF, struct.pack("!I", self.local_pref))
-            )
+            chunks.append(_ATTR_U32.pack(
+                FLAG_TRANSITIVE, ATTR_LOCAL_PREF, 4, self.local_pref))
         return b"".join(chunks)
 
     @classmethod
@@ -133,45 +154,53 @@ class PathAttributes:
         local_pref: Optional[int] = None
 
         offset = 0
-        while offset < len(data):
-            if offset + 3 > len(data):
-                raise BGPDecodeError("truncated path attribute header")
-            flags = data[offset]
-            code = data[offset + 1]
+        end = len(data)
+        while offset < end:
+            if offset + 3 > end:
+                raise _malformed_update("truncated path attribute header")
+            flags, code, length = _ATTR_HEADER.unpack_from(data, offset)
+            body_start = offset + 3
             if flags & FLAG_EXTENDED:
-                if offset + 4 > len(data):
-                    raise BGPDecodeError("truncated extended attribute length")
-                (length,) = struct.unpack_from("!H", data, offset + 2)
+                if offset + 4 > end:
+                    raise _malformed_update("truncated extended attribute length")
+                (length,) = _U16.unpack_from(data, offset + 2)
                 body_start = offset + 4
-            else:
-                length = data[offset + 2]
-                body_start = offset + 3
-            body = data[body_start : body_start + length]
-            if len(body) != length:
-                raise BGPDecodeError("truncated attribute body")
             offset = body_start + length
+            if offset > end:
+                raise _malformed_update("truncated attribute body")
 
             if code == ATTR_ORIGIN:
-                origin = Origin(body[0])
+                if length != 1 or data[body_start] > Origin.INCOMPLETE:
+                    raise _malformed_update("bad ORIGIN attribute")
+                origin = Origin(data[body_start])
             elif code == ATTR_AS_PATH:
                 path: List[int] = []
-                seg_offset = 0
-                while seg_offset < len(body):
-                    seg_type, count = struct.unpack_from("!BB", body, seg_offset)
+                seg_offset = body_start
+                while seg_offset < offset:
+                    if seg_offset + 2 > offset:
+                        raise _malformed_update("truncated AS_PATH segment header")
+                    seg_type = data[seg_offset]
+                    count = data[seg_offset + 1]
                     seg_offset += 2
                     if seg_type != AS_SEQUENCE:
-                        raise BGPDecodeError(f"unsupported AS segment type {seg_type}")
-                    for __ in range(count):
-                        (asn,) = struct.unpack_from("!H", body, seg_offset)
-                        path.append(asn)
-                        seg_offset += 2
+                        raise _malformed_update(
+                            f"unsupported AS segment type {seg_type}")
+                    if seg_offset + 2 * count > offset:
+                        raise _malformed_update("truncated AS_PATH segment")
+                    path += struct.unpack_from(f"!{count}H", data, seg_offset)
+                    seg_offset += 2 * count
                 as_path = tuple(path)
-            elif code == ATTR_NEXT_HOP:
-                next_hop = IPv4Address.from_bytes(body)
-            elif code == ATTR_MED:
-                (med,) = struct.unpack("!I", body)
-            elif code == ATTR_LOCAL_PREF:
-                (local_pref,) = struct.unpack("!I", body)
+            elif code in (ATTR_NEXT_HOP, ATTR_MED, ATTR_LOCAL_PREF):
+                if length != 4:
+                    raise _malformed_update(
+                        f"attribute {code} needs 4 bytes, got {length}")
+                (word,) = _U32.unpack_from(data, body_start)
+                if code == ATTR_NEXT_HOP:
+                    next_hop = IPv4Address(word)
+                elif code == ATTR_MED:
+                    med = word
+                else:
+                    local_pref = word
             # Unknown attributes are silently skipped (optional transit).
         return cls(
             origin=origin,
@@ -188,27 +217,27 @@ class PathAttributes:
 
 def encode_prefix(prefix: IPv4Prefix) -> bytes:
     """NLRI encoding: length byte + the minimum prefix octets."""
-    octets = (prefix.length + 7) // 8
-    return bytes([prefix.length]) + prefix.network.packed()[:octets]
+    network, length = prefix.key()
+    octets = (length + 7) >> 3
+    return bytes((length,)) + (network >> (32 - 8 * octets)).to_bytes(octets, "big")
 
 
 def decode_prefixes(data: bytes) -> List[IPv4Prefix]:
     """Parse a run of NLRI-encoded prefixes."""
     prefixes: List[IPv4Prefix] = []
     offset = 0
-    while offset < len(data):
+    end = len(data)
+    while offset < end:
         length = data[offset]
         if length > 32:
-            raise BGPDecodeError(f"prefix length {length} > 32")
-        octets = (length + 7) // 8
-        raw = data[offset + 1 : offset + 1 + octets]
-        if len(raw) != octets:
-            raise BGPDecodeError("truncated NLRI prefix")
-        padded = raw + b"\x00" * (4 - octets)
-        prefixes.append(
-            IPv4Prefix.from_network(IPv4Address.from_bytes(padded), length)
-        )
-        offset += 1 + octets
+            raise _malformed_update(f"prefix length {length} > 32")
+        octets = (length + 7) >> 3
+        start = offset + 1
+        offset = start + octets
+        if offset > end:
+            raise _malformed_update("truncated NLRI prefix")
+        network = int.from_bytes(data[start:offset], "big") << (32 - 8 * octets)
+        prefixes.append(IPv4Prefix.from_network(network, length))
     return prefixes
 
 
@@ -224,10 +253,9 @@ class BGPMessage:
     def encode(self) -> bytes:
         """Serialise header + body."""
         payload = self.body()
-        header = BGP_MARKER + struct.pack(
-            "!HB", BGP_HEADER_LEN + len(payload), self.msg_type
-        )
-        return header + payload
+        return (BGP_MARKER
+                + _LENGTH_TYPE.pack(BGP_HEADER_LEN + len(payload), self.msg_type)
+                + payload)
 
 
 @dataclass
@@ -241,8 +269,7 @@ class BGPOpen(BGPMessage):
     bgp_id: IPv4Address = field(default_factory=lambda: IPv4Address(0))
 
     def body(self) -> bytes:
-        return struct.pack(
-            "!BHH4sB",
+        return _OPEN_BODY.pack(
             self.version,
             self.asn,
             self.hold_time,
@@ -252,9 +279,11 @@ class BGPOpen(BGPMessage):
 
     @classmethod
     def decode_body(cls, data: bytes) -> "BGPOpen":
-        version, asn, hold_time, bgp_id_raw, opt_len = struct.unpack_from("!BHH4sB", data)
+        if len(data) < _OPEN_BODY.size:
+            raise BGPDecodeError("truncated OPEN", code=ERR_OPEN)
+        version, asn, hold_time, bgp_id_raw, opt_len = _OPEN_BODY.unpack_from(data)
         if version != BGP_VERSION:
-            raise BGPDecodeError(f"unsupported BGP version {version}")
+            raise BGPDecodeError(f"unsupported BGP version {version}", code=ERR_OPEN)
         return cls(
             version=version,
             asn=asn,
@@ -273,29 +302,36 @@ class BGPUpdate(BGPMessage):
     nlri: List[IPv4Prefix] = field(default_factory=list)
 
     def body(self) -> bytes:
-        withdrawn_bytes = b"".join(encode_prefix(p) for p in self.withdrawn)
+        withdrawn_bytes = b"".join(map(encode_prefix, self.withdrawn))
         attr_bytes = self.attributes.encode() if self.attributes is not None else b""
-        nlri_bytes = b"".join(encode_prefix(p) for p in self.nlri)
-        return (
-            struct.pack("!H", len(withdrawn_bytes))
-            + withdrawn_bytes
-            + struct.pack("!H", len(attr_bytes))
-            + attr_bytes
-            + nlri_bytes
-        )
+        return b"".join((
+            _U16.pack(len(withdrawn_bytes)),
+            withdrawn_bytes,
+            _U16.pack(len(attr_bytes)),
+            attr_bytes,
+            *map(encode_prefix, self.nlri),
+        ))
 
     @classmethod
     def decode_body(cls, data: bytes) -> "BGPUpdate":
-        (withdrawn_len,) = struct.unpack_from("!H", data)
-        offset = 2
-        withdrawn = decode_prefixes(data[offset : offset + withdrawn_len])
-        offset += withdrawn_len
-        (attr_len,) = struct.unpack_from("!H", data, offset)
-        offset += 2
-        attr_bytes = data[offset : offset + attr_len]
-        offset += attr_len
-        attributes = PathAttributes.decode(attr_bytes) if attr_bytes else None
-        nlri = decode_prefixes(data[offset:])
+        end = len(data)
+        if end < 4:
+            raise _malformed_update("truncated UPDATE")
+        (withdrawn_len,) = _U16.unpack_from(data)
+        attrs_at = 2 + withdrawn_len
+        if attrs_at + 2 > end:
+            raise _malformed_update("withdrawn routes overrun the UPDATE")
+        (attr_len,) = _U16.unpack_from(data, attrs_at)
+        nlri_at = attrs_at + 2 + attr_len
+        if nlri_at > end:
+            raise _malformed_update("path attributes overrun the UPDATE")
+        withdrawn = decode_prefixes(data[2:attrs_at])
+        attributes = (
+            PathAttributes.decode(data[attrs_at + 2 : nlri_at]) if attr_len else None
+        )
+        nlri = decode_prefixes(data[nlri_at:])
+        if nlri and attributes is None:
+            raise _malformed_update("NLRI without path attributes")
         return cls(withdrawn=withdrawn, attributes=attributes, nlri=nlri)
 
     def __str__(self) -> str:
@@ -324,11 +360,13 @@ class BGPNotification(BGPMessage):
     data: bytes = b""
 
     def body(self) -> bytes:
-        return struct.pack("!BB", self.code, self.subcode) + self.data
+        return _NOTIFICATION_HEAD.pack(self.code, self.subcode) + self.data
 
     @classmethod
     def decode_body(cls, data: bytes) -> "BGPNotification":
-        code, subcode = struct.unpack_from("!BB", data)
+        if len(data) < 2:
+            raise BGPDecodeError("truncated NOTIFICATION")
+        code, subcode = _NOTIFICATION_HEAD.unpack_from(data)
         return cls(code=code, subcode=subcode, data=data[2:])
 
 
@@ -344,9 +382,9 @@ def decode_bgp_stream(data: bytes) -> Tuple[BGPMessage, bytes]:
     """Parse the first BGP message from a byte stream; returns (msg, rest)."""
     if len(data) < BGP_HEADER_LEN:
         raise BGPDecodeError("truncated BGP header")
-    if data[:16] != BGP_MARKER:
+    if not data.startswith(BGP_MARKER):
         raise BGPDecodeError("bad BGP marker")
-    length, msg_type = struct.unpack_from("!HB", data, 16)
+    length, msg_type = _LENGTH_TYPE.unpack_from(data, 16)
     if length < BGP_HEADER_LEN or length > len(data):
         raise BGPDecodeError(f"bad BGP length {length}")
     body = data[BGP_HEADER_LEN:length]

@@ -62,6 +62,15 @@ class ExportPolicy:
     allow_only: Optional[List[IPv4Prefix]] = None
     prepend_count: int = 0  # extra copies of our own ASN (TE knob)
 
+    def permits(self, prefix: IPv4Prefix) -> bool:
+        """The filter half: whether the prefix may be advertised at all."""
+        if any(denied.overlaps(prefix) for denied in self.deny_prefixes):
+            return False
+        if self.allow_only is not None:
+            if not any(allowed.overlaps(prefix) for allowed in self.allow_only):
+                return False
+        return True
+
     def apply(
         self, prefix: IPv4Prefix, attributes: PathAttributes, own_asn: int
     ) -> Optional[PathAttributes]:
@@ -70,11 +79,8 @@ class ExportPolicy:
         The mandatory eBGP prepend of our own ASN happens in the daemon
         — ``prepend_count`` adds extra copies beyond it.
         """
-        if any(denied.overlaps(prefix) for denied in self.deny_prefixes):
+        if not self.permits(prefix):
             return None
-        if self.allow_only is not None:
-            if not any(allowed.overlaps(prefix) for allowed in self.allow_only):
-                return None
         rewritten = attributes
         for __ in range(self.prepend_count):
             rewritten = rewritten.with_prepended(own_asn)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.bgp.decision import preference_key
 from repro.bgp.messages import PathAttributes
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 
@@ -30,6 +31,13 @@ class RIBRoute:
     attributes: PathAttributes
     peer_name: str = ""
     peer_router_id: IPv4Address = field(default_factory=lambda: IPv4Address(0))
+    #: :func:`~repro.bgp.decision.preference_key` of this route.  It
+    #: depends on the frozen fields alone, so it is worked out once here
+    #: instead of in every decision the route takes part in.
+    preference: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "preference", preference_key(self))
 
     @property
     def is_local(self) -> bool:
@@ -51,6 +59,10 @@ class AdjRIBIn:
     def __init__(self, peer_name: str):
         self.peer_name = peer_name
         self._routes: Dict[IPv4Prefix, RIBRoute] = {}
+        #: ``get(prefix)`` -- this peer's route for a prefix, if any.
+        #: The dict's own method: the decision process probes every
+        #: peer's table for every prefix it reconsiders.
+        self.get = self._routes.get
 
     def update(self, route: RIBRoute) -> None:
         """Store/replace the peer's route for a prefix."""
@@ -60,13 +72,9 @@ class AdjRIBIn:
         """Remove the peer's route; True when one existed."""
         return self._routes.pop(prefix, None) is not None
 
-    def get(self, prefix: IPv4Prefix) -> Optional[RIBRoute]:
-        """This peer's route for a prefix, if any."""
-        return self._routes.get(prefix)
-
     def prefixes(self) -> List[IPv4Prefix]:
         """All prefixes this peer advertised, sorted."""
-        return sorted(self._routes, key=lambda p: p.key())
+        return sorted(self._routes, key=IPv4Prefix.key)
 
     def routes(self) -> List[RIBRoute]:
         """All routes, sorted by prefix."""
@@ -115,7 +123,7 @@ class LocRIB:
 
     def prefixes(self) -> List[IPv4Prefix]:
         """All selected prefixes, sorted."""
-        return sorted(self._best, key=lambda p: p.key())
+        return sorted(self._best, key=IPv4Prefix.key)
 
     def __len__(self) -> int:
         return len(self._best)
@@ -148,7 +156,7 @@ class AdjRIBOut:
 
     def prefixes(self) -> List[IPv4Prefix]:
         """Everything currently advertised, sorted."""
-        return sorted(self._advertised, key=lambda p: p.key())
+        return sorted(self._advertised, key=IPv4Prefix.key)
 
     def clear(self) -> None:
         """Forget all advertisements (session reset)."""

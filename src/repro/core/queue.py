@@ -4,6 +4,13 @@ The queue is the heart of the DES half of the engine.  It orders events
 by ``(time, priority, seq)`` and supports O(log n) push/pop plus O(1)
 cancellation (cancelled events are dropped when they surface).
 
+Heap entries are ``(time, priority, seq, event)`` tuples, i.e. the
+event's :meth:`~repro.core.events.Event.sort_key` with the event
+behind it: the heap makes about ten comparisons per event, and tuples
+of numbers compare in C where ``Event.__lt__`` built two tuples in
+Python each time.  ``seq`` is unique per queue, so a comparison never
+reaches the event itself.
+
 The live count is maintained exactly: push/pop adjust it directly and
 :meth:`Event.cancel` notifies the owning queue, so ``len(queue)`` is
 O(1) instead of a heap scan.  When cancelled entries outnumber live
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.errors import SchedulingError
 from repro.core.events import Event
@@ -35,7 +42,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._pushed = 0
         self._popped = 0
         self._cancelled_seen = 0
@@ -55,7 +62,8 @@ class EventQueue:
         """
         event.seq = next(self._seq)
         event.queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(
+            self._heap, (event.time, event.priority, event.seq, event))
         self._pushed += 1
         if event.cancelled:
             self._cancelled_pending += 1
@@ -69,7 +77,7 @@ class EventQueue:
         Cancelled events encountered on the way are discarded silently.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             event.queue = None
             if event.cancelled:
                 self._cancelled_seen += 1
@@ -83,7 +91,7 @@ class EventQueue:
     def peek(self) -> Optional[Event]:
         """The earliest live event without removing it, or None."""
         while self._heap:
-            event = self._heap[0]
+            event = self._heap[0][3]
             if event.cancelled:
                 heapq.heappop(self._heap)
                 event.queue = None
@@ -109,12 +117,13 @@ class EventQueue:
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over live events in firing order (non-destructive)."""
-        return iter(sorted(e for e in self._heap if not e.cancelled))
+        return iter([entry[3] for entry in sorted(self._heap)
+                     if not entry[3].cancelled])
 
     def clear(self) -> None:
         """Drop every pending event."""
-        for event in self._heap:
-            event.queue = None
+        for entry in self._heap:
+            entry[3].queue = None
         self._heap.clear()
         self._live = 0
         self._cancelled_pending = 0
@@ -127,12 +136,13 @@ class EventQueue:
         a long quiescent period.
         """
         live = []
-        for event in self._heap:
+        for entry in self._heap:
+            event = entry[3]
             if event.cancelled:
                 event.queue = None
                 self._cancelled_seen += 1
             else:
-                live.append(event)
+                live.append(entry)
         heapq.heapify(live)
         self._heap = live
         self._cancelled_pending = 0

@@ -40,6 +40,11 @@ class FIBEntry:
             raise DataPlaneError(f"FIB entry for {self.prefix} has no next hops")
 
 
+def _as_prefix(prefix: "IPv4Prefix | str") -> IPv4Prefix:
+    """Prefixes are immutable: one handed in is used as it is."""
+    return prefix if type(prefix) is IPv4Prefix else IPv4Prefix(prefix)
+
+
 class FIB:
     """Longest-prefix-match forwarding table with ECMP entries."""
 
@@ -69,11 +74,12 @@ class FIB:
                 normalized.append(hop)
             else:
                 port, gateway = hop
-                normalized.append(
-                    NextHop(port=port, gateway=IPv4Address(gateway) if gateway is not None else None)
-                )
-        normalized.sort(key=lambda h: (h.port, int(h.gateway) if h.gateway else 0))
-        entry = FIBEntry(prefix=IPv4Prefix(prefix), next_hops=tuple(normalized))
+                if gateway is not None and type(gateway) is not IPv4Address:
+                    gateway = IPv4Address(gateway)
+                normalized.append(NextHop(port=port, gateway=gateway))
+        if len(normalized) > 1:
+            normalized.sort(key=lambda h: (h.port, int(h.gateway) if h.gateway else 0))
+        entry = FIBEntry(prefix=_as_prefix(prefix), next_hops=tuple(normalized))
         self._trie.insert(entry.prefix, entry)
         self.installs += 1
         self.version += 1
@@ -81,7 +87,7 @@ class FIB:
 
     def withdraw(self, prefix: "IPv4Prefix | str") -> bool:
         """Remove the entry for ``prefix``; True when present."""
-        removed = self._trie.delete(IPv4Prefix(prefix))
+        removed = self._trie.delete(_as_prefix(prefix))
         if removed:
             self.withdrawals += 1
             self.version += 1
@@ -95,7 +101,7 @@ class FIB:
 
     def get(self, prefix: "IPv4Prefix | str") -> Optional[FIBEntry]:
         """Exact-match lookup."""
-        return self._trie.get(IPv4Prefix(prefix))
+        return self._trie.get(_as_prefix(prefix))
 
     def entries(self) -> List[FIBEntry]:
         """Every entry, in (network, length) order."""

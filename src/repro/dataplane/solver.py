@@ -116,6 +116,14 @@ def progressive_filling(
         if increment < 0:
             increment = 0.0
 
+        # A flow whose remaining demand set the increment is satisfied
+        # this round.  That is decided on the gap *before* the raise:
+        # ``rate + (demand - rate)`` may round an ulp short of
+        # ``demand``, and an ulp at Gb/s scale is far above EPSILON, so
+        # testing only the raised rate can leave the round with nothing
+        # frozen and strand every link-less flow at this fill level.
+        satisfied = {i for i in active
+                     if demands[i] - rates[i] <= increment + EPSILON}
         for i in active:
             rates[i] += increment
         for link in range(num_links):
@@ -127,7 +135,7 @@ def progressive_filling(
 
         frozen: List[int] = []
         for i in active:
-            if rates[i] >= demands[i] - EPSILON:
+            if i in satisfied or rates[i] >= demands[i] - EPSILON:
                 rates[i] = demands[i]
                 if alive[i]:
                     alive[i] = False

@@ -22,6 +22,9 @@ _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:\-]){5}[0-9a-fA-F]{2}$")
 MAX_IPV4 = 0xFFFFFFFF
 MAX_MAC = 0xFFFFFFFFFFFF
 
+# Netmask for each prefix length 0-32.
+_MASKS = tuple((MAX_IPV4 << (32 - length)) & MAX_IPV4 for length in range(33))
+
 
 @total_ordering
 class IPv4Address:
@@ -63,7 +66,9 @@ class IPv4Address:
         """Build an address from its 4-byte wire representation."""
         if len(data) != 4:
             raise AddressError(f"IPv4 address needs 4 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
+        self = cls.__new__(cls)
+        self._value = int.from_bytes(data, "big")  # 4 bytes: always in range
+        return self
 
     def __int__(self) -> int:
         return self._value
@@ -123,12 +128,13 @@ class IPv4Prefix:
     ``IPv4Prefix("10.1.2.3/16")`` normalises to ``10.1.0.0/16``.
     """
 
-    __slots__ = ("_network", "_length")
+    __slots__ = ("_network", "_length", "_hash")
 
     def __init__(self, prefix: "str | IPv4Prefix", length: "int | None" = None):
         if isinstance(prefix, IPv4Prefix):
             self._network = prefix._network
             self._length = prefix._length
+            self._hash = prefix._hash
             return
         if isinstance(prefix, str) and length is None:
             if "/" not in prefix:
@@ -143,13 +149,31 @@ class IPv4Prefix:
             address = IPv4Address(prefix)  # type: ignore[arg-type]
         if length is None or not 0 <= length <= 32:
             raise AddressError(f"prefix length out of range: {length!r}")
+        self._set(int(address), length)
+
+    def _set(self, value: int, length: int) -> None:
+        """Store the masked network, the length and their hash."""
         self._length = length
-        self._network = int(address) & self.mask_int()
+        self._network = value & _MASKS[length]
+        # Prefixes key every RIB, FIB and pending-set dict, so the hash
+        # is computed once here; its value stays that of the tuple.
+        self._hash = hash((self._network, length))
 
     @classmethod
     def from_network(cls, network: "IPv4Address | int", length: int) -> "IPv4Prefix":
-        """Build a prefix from a network address and a length."""
-        return cls(str(IPv4Address(network)) + f"/{length}")
+        """Build a prefix from a network address and a length.
+
+        Host bits of ``network`` are masked off; integers are used as
+        they are (this is the codecs' constructor, no text involved).
+        """
+        value = network if type(network) is int else int(IPv4Address(network))
+        if not 0 <= value <= MAX_IPV4:
+            raise AddressError(f"IPv4 integer out of range: {value!r}")
+        if not isinstance(length, int) or not 0 <= length <= 32:
+            raise AddressError(f"prefix length out of range: {length!r}")
+        self = cls.__new__(cls)
+        self._set(value, length)
+        return self
 
     @property
     def network(self) -> IPv4Address:
@@ -163,9 +187,7 @@ class IPv4Prefix:
 
     def mask_int(self) -> int:
         """The netmask as a 32-bit integer."""
-        if self._length == 0:
-            return 0
-        return (MAX_IPV4 << (32 - self._length)) & MAX_IPV4
+        return _MASKS[self._length]
 
     @property
     def netmask(self) -> IPv4Address:
@@ -224,7 +246,8 @@ class IPv4Prefix:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Prefix):
-            return (self._network, self._length) == (other._network, other._length)
+            return (self._network == other._network
+                    and self._length == other._length)
         if isinstance(other, str):
             try:
                 return self == IPv4Prefix(other)
@@ -238,7 +261,7 @@ class IPv4Prefix:
         return self.key() < other.key()
 
     def __hash__(self) -> int:
-        return hash((self._network, self._length))
+        return self._hash
 
 
 @total_ordering

@@ -64,8 +64,8 @@ class PrefixTrie:
         """Remove ``prefix``. Returns True when something was removed."""
         path: list[Tuple[_TrieNode, int]] = []
         node = self._root
-        network = int(prefix.network)
-        for depth in range(prefix.length):
+        network, length = prefix.key()
+        for depth in range(length):
             bit = (network >> (31 - depth)) & 1
             child = node.children[bit]
             if child is None:
@@ -166,8 +166,8 @@ class PrefixTrie:
 
     def _descend(self, prefix: IPv4Prefix) -> Optional[_TrieNode]:
         node = self._root
-        network = int(prefix.network)
-        for depth in range(prefix.length):
+        network, length = prefix.key()
+        for depth in range(length):
             bit = (network >> (31 - depth)) & 1
             child = node.children[bit]
             if child is None:
@@ -177,8 +177,8 @@ class PrefixTrie:
 
     def _descend_create(self, prefix: IPv4Prefix) -> _TrieNode:
         node = self._root
-        network = int(prefix.network)
-        for depth in range(prefix.length):
+        network, length = prefix.key()
+        for depth in range(length):
             bit = (network >> (31 - depth)) & 1
             child = node.children[bit]
             if child is None:

@@ -355,6 +355,8 @@ class ScenarioRunner:
         quotient = exp.network.realloc.quotient
         if quotient is not None:
             reg.set_stats("quotient", quotient.stats())
+        if "bgp" in scenario_result.diagnostics:
+            reg.set_stats("bgp", scenario_result.diagnostics["bgp"])
 
     # -- internals ---------------------------------------------------------
 
@@ -374,6 +376,13 @@ class ScenarioRunner:
                     "reason": getattr(exp.network, "symmetry_note",
                                       None) or "unavailable",
                 }
+        if exp.bgp_daemons:
+            # Every daemon's counters, summed over the fabric.
+            totals: Dict[str, int] = {}
+            for daemon in exp.bgp_daemons.values():
+                for key, value in daemon.stats().items():
+                    totals[key] = totals.get(key, 0) + value
+            diagnostics["bgp"] = totals
         return diagnostics
 
     # Protocols whose runs the quotient layer can compress: no control

@@ -105,3 +105,43 @@ class TestTrafficOverBgp:
         new_aggs = [n for n in flow.path.node_names() if n.startswith("a0_")]
         assert new_aggs and new_aggs[0] != used_agg
         assert flow.rate_bps > 0
+
+
+class TestGoldenPin:
+    """One small BGP failure scenario pinned to literals (recorded at
+    the PR-11 seed, before flush-time export): a daemon change that
+    moves a byte on the wire, an event in the schedule or a FIB
+    operation shows up here, not only in a timing."""
+
+    @staticmethod
+    def _spec():
+        from repro.scenarios import (ProtocolRecipe, TopologyRecipe,
+                                     generate_scenario)
+        return generate_scenario(
+            7, pattern="k-random-links",
+            topology=TopologyRecipe("fattree", {"k": 4, "device": "router"}),
+            protocol=ProtocolRecipe("bgp", {"max_paths": 2}),
+            duration=40.0, name="bgp-golden")
+
+    def test_result_fingerprint(self):
+        from repro.scenarios import ScenarioRunner
+        result = ScenarioRunner().run(self._spec())
+        assert result.fingerprint() == "e3b1a9083e846bf0"
+        assert (result.events_fired, result.recomputations) == (1125, 90)
+
+    def test_wire_schedule_and_fib_counts(self):
+        from repro.scenarios import ScenarioRunner
+        exp, __ = ScenarioRunner().materialize(self._spec())
+        exp.run(until=40.0)
+        stats = exp.sim.cm.stats()
+        assert {key: stats[key] for key in (
+            "deliveries", "control_bytes",
+            "route_installs", "route_withdrawals")} == {
+                "deliveries": 630, "control_bytes": 26140,
+                "route_installs": 285, "route_withdrawals": 0}
+        assert exp.sim.queue.stats["pushed"] == 1253
+        # The daemons' own counters agree with the Connection Manager's.
+        totals = [daemon.stats() for daemon in exp.bgp_daemons.values()]
+        assert sum(s["fib_installs"] for s in totals) == 285
+        assert sum(s["updates_sent"] for s in totals) == 438
+        assert sum(s["decisions"] for s in totals) == 462

@@ -1,6 +1,8 @@
 """Property tests: every wire codec round-trips arbitrary valid values."""
 
-from hypothesis import given, settings, strategies as st
+import struct
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bgp.messages import (
     BGPKeepalive,
@@ -82,6 +84,74 @@ def test_bgp_update_roundtrip(withdrawn, attrs, nlri):
     assert decoded.withdrawn == withdrawn
     assert decoded.nlri == nlri
     assert decoded.attributes == attrs
+
+
+# AS paths up to the 255 hops one segment can count.  From 127 hops on
+# the AS_PATH body passes 255 bytes and takes the extended-length form.
+long_path_attrs = st.builds(
+    PathAttributes,
+    origin=st.sampled_from(list(Origin)),
+    as_path=st.lists(asns, max_size=255).map(tuple),
+    next_hop=st.one_of(st.none(), ipv4),
+    med=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+    local_pref=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+)
+
+
+def seed_encode_attributes(attrs):
+    """``PathAttributes.encode`` as it stood before the int-native codec
+    (one ``struct.pack`` per AS hop, address via ``packed()``): the
+    reference the rewritten encoder must match byte for byte."""
+    def attr(flags, code, body):
+        if len(body) > 255:
+            return struct.pack("!BBH", flags | 0x10, code, len(body)) + body
+        return struct.pack("!BBB", flags, code, len(body)) + body
+
+    chunks = [attr(0x40, 1, struct.pack("!B", int(attrs.origin)))]
+    segment = b""
+    if attrs.as_path:
+        segment = struct.pack("!BB", 2, len(attrs.as_path))
+        segment += b"".join(struct.pack("!H", asn) for asn in attrs.as_path)
+    chunks.append(attr(0x40, 2, segment))
+    if attrs.next_hop is not None:
+        chunks.append(attr(0x40, 3, attrs.next_hop.packed()))
+    if attrs.med is not None:
+        chunks.append(attr(0x80, 4, struct.pack("!I", attrs.med)))
+    if attrs.local_pref is not None:
+        chunks.append(attr(0x40, 5, struct.pack("!I", attrs.local_pref)))
+    return b"".join(chunks)
+
+
+def seed_encode_prefix(prefix):
+    """``encode_prefix`` before the int-native codec."""
+    octets = (prefix.length + 7) // 8
+    return bytes([prefix.length]) + prefix.network.packed()[:octets]
+
+
+@given(
+    st.lists(prefix_st, max_size=30),
+    st.one_of(st.none(), long_path_attrs),
+    st.lists(prefix_st, max_size=30),
+)
+@example([], PathAttributes(as_path=tuple(range(1, 127))), [])   # 254-byte body
+@example([], PathAttributes(as_path=tuple(range(1, 128))), [])   # 256: extended
+@example([], PathAttributes(as_path=tuple(range(1, 256))), [])   # 255 hops
+@settings(max_examples=200, deadline=None)
+def test_bgp_update_wire_is_unchanged_and_roundtrips(withdrawn, attrs, nlri):
+    if attrs is None:
+        nlri = []  # NLRI needs attributes; a withdraw-only UPDATE has neither
+    message = BGPUpdate(withdrawn=withdrawn, attributes=attrs, nlri=nlri)
+    wire = message.encode()
+
+    attr_bytes = seed_encode_attributes(attrs) if attrs is not None else b""
+    withdrawn_bytes = b"".join(seed_encode_prefix(p) for p in withdrawn)
+    body = (struct.pack("!H", len(withdrawn_bytes)) + withdrawn_bytes
+            + struct.pack("!H", len(attr_bytes)) + attr_bytes
+            + b"".join(seed_encode_prefix(p) for p in nlri))
+    assert wire == b"\xff" * 16 + struct.pack("!HB", 19 + len(body), 2) + body
+
+    decoded = decode_bgp_message(wire)
+    assert decoded == message
 
 
 @given(st.integers(min_value=0, max_value=255),

@@ -31,6 +31,50 @@ def test_queue_pops_in_total_order(items):
     assert popped == sorted(popped)
 
 
+# Few distinct values, so equal times and equal priorities are common.
+coarse_triples = st.tuples(st.sampled_from((0.0, 0.5, 0.5000000000000001, 1.0, 7.25)),
+                           st.sampled_from((0, 10, 20)),
+                           st.integers(min_value=0, max_value=3))
+
+
+@given(coarse_triples, coarse_triples)
+@settings(max_examples=300, deadline=None)
+def test_event_less_than_is_the_sort_key_order(left, right):
+    events = []
+    for time, priority, seq in (left, right):
+        event = CallbackEvent(time, lambda: None, priority=priority)
+        event.seq = seq
+        events.append(event)
+    a, b = events
+    assert (a < b) == (a.sort_key() < b.sort_key())
+    assert (b < a) == (b.sort_key() < a.sort_key())
+
+
+@given(st.lists(coarse_triples, max_size=40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_queue_iterates_and_pops_by_sort_key_with_ties(items, data):
+    """The heap orders (time, priority, seq) entries, not events: ties
+    on time and priority fall back to push order, cancelled events are
+    skipped, and iteration previews exactly what pop will deliver."""
+    queue = EventQueue()
+    pushed = [queue.push(CallbackEvent(time, lambda: None, priority=priority))
+              for time, priority, __ in items]
+    assert [event.seq for event in pushed] == list(range(len(pushed)))
+    for event in pushed:
+        if data.draw(st.booleans()):
+            event.cancel()
+    expected = sorted((event for event in pushed if not event.cancelled),
+                      key=lambda event: event.sort_key())
+    assert list(queue) == expected
+    assert len(queue) == len(expected)
+    popped = []
+    while queue:
+        assert queue.peek() is expected[len(popped)]
+        popped.append(queue.pop())
+    assert popped == expected
+    assert queue.pop() is None
+
+
 @given(st.lists(times, min_size=1, max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_simulation_time_never_decreases(event_times):

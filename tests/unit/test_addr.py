@@ -115,6 +115,37 @@ class TestIPv4Prefix:
     def test_from_network(self):
         assert str(IPv4Prefix.from_network(IPv4Address("10.1.0.0"), 16)) == "10.1.0.0/16"
 
+    @pytest.mark.parametrize("length", range(33))
+    def test_from_network_equals_the_text_constructor(self, length):
+        # Dirty host bits in every octet; from_network masks them the
+        # way the text constructor does, and hashes to the same value
+        # (the tuple's), so no dict or set anywhere changes its order.
+        for value in (0xFFFFFFFF, 0xC0A8FE37, 0x0A010203, 0x80000001, 0):
+            built = IPv4Prefix.from_network(value, length)
+            parsed = IPv4Prefix(f"{IPv4Address(value)}/{length}")
+            assert built == parsed and parsed == built
+            assert (built.key(), str(built)) == (parsed.key(), str(parsed))
+            assert hash(built) == hash(parsed) == hash(built.key())
+            assert built == IPv4Prefix.from_network(IPv4Address(value), length)
+            assert IPv4Prefix(built) == built and hash(IPv4Prefix(built)) == hash(built)
+
+    @pytest.mark.parametrize("network,length", [
+        (0, 33), (0, -1), (0, 24.0), (0, "24"), (0, None),
+        (-1, 24), (1 << 32, 24),
+    ])
+    def test_from_network_rejects_out_of_range(self, network, length):
+        with pytest.raises(AddressError):
+            IPv4Prefix.from_network(network, length)
+
+    def test_equality_against_other_types(self):
+        prefix = IPv4Prefix("10.0.0.0/24")
+        assert prefix != IPv4Prefix("10.0.0.0/25")
+        assert prefix != IPv4Prefix("10.0.1.0/24")
+        assert prefix != "not a prefix"
+        assert prefix != (prefix.key())
+        assert prefix != 167772160
+        assert len({prefix, IPv4Prefix("10.0.0.9/24"), "10.0.0.0/24"}) == 2
+
     def test_sort_order(self):
         prefixes = [
             IPv4Prefix("10.1.0.0/16"),

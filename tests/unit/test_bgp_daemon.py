@@ -155,7 +155,83 @@ class TestWithdrawals:
         assert d2.loc_rib.best(IPv4Prefix("10.9.0.0/24")) is None
 
 
+class TestMalformedInput:
+    """Hostile bytes end the session with a NOTIFICATION; they never
+    unwind the event loop."""
+
+    @staticmethod
+    def _notifications(sim):
+        from repro.bgp.messages import (BGPDecodeError, BGPNotification,
+                                        decode_bgp_stream)
+        seen = []
+
+        def observe(chan, receiver, data):
+            while data:
+                try:
+                    message, data = decode_bgp_stream(data)
+                except BGPDecodeError:
+                    return  # the hostile bytes this test injects
+                if isinstance(message, BGPNotification):
+                    seen.append((receiver.name, message.code))
+
+        sim.cm.add_observer(observe)
+        return seen
+
+    @pytest.mark.parametrize("wire,code", [
+        (b"\x00" * 19, 1),                                    # bad marker
+        (b"\xff" * 16 + b"\x00\x17\x02" + b"\x00\x09\x00\x00", 3),  # lengths overrun
+        (b"\xff" * 16 + b"\x00\x1e\x02\x00\x00\x00\x03"
+         b"\x40\x01\x00" + b"\x18\x0a\x09\x00", 3),              # empty ORIGIN
+    ])
+    def test_notification_and_teardown(self, wire, code):
+        sim, net, d1, d2, channel = build_pair()
+        sim.run(until=1.0)
+        seen = self._notifications(sim)
+        learned = IPv4Prefix("10.1.0.0/24")
+        assert d2.loc_rib.best(learned) is not None
+        channel.send(d1, wire)
+        sim.run(until=1.5)  # must not raise
+        assert ("bgpd-r1", code) in seen
+        # d2 dropped the session and everything learned over it ...
+        assert d2.peers["r1"].fsm.history[-1].event.startswith("malformed")
+        assert d2.loc_rib.best(learned) is None
+        assert net.get_node("r2").fib.lookup("10.1.0.5") is None
+        # ... and the ordinary retry timer brings it back.
+        sim.run(until=12.0)
+        assert d2.session_state("r1") is BGPState.ESTABLISHED
+        assert d2.loc_rib.best(learned) is not None
+
+    def test_good_messages_before_the_bad_one_still_count(self):
+        from repro.bgp.messages import BGPUpdate, PathAttributes
+        sim, net, d1, d2, channel = build_pair()
+        sim.run(until=1.0)
+        good = BGPUpdate(
+            attributes=PathAttributes(as_path=(65001,),
+                                      next_hop=IPv4Address("172.16.0.1")),
+            nlri=[IPv4Prefix("10.7.0.0/24")]).encode()
+        before = d2.stats()["updates_received"]
+        channel.send(d1, good + b"garbage")
+        sim.run(until=1.5)
+        assert d2.stats()["updates_received"] == before + 1
+        assert d2.session_state("r1") is not BGPState.ESTABLISHED
+
+
 class TestStats:
+    def test_counters_follow_the_pipeline(self):
+        sim, net, d1, d2, __ = build_pair()
+        sim.run(until=1.0)
+        stats = d1.stats()
+        # One learned prefix: decided once, selected, installed, and
+        # d1's own prefix exported once to its only peer.
+        assert stats["decisions"] == 1
+        assert stats["selection_changes"] == 1
+        assert stats["fib_installs"] == sim.cm.stats()["route_installs"] // 2 == 1
+        assert stats["fib_withdrawals"] == 0
+        assert stats["exports"] == 1
+        d1.peer_down("r2")
+        assert d1.stats()["fib_withdrawals"] == 1
+        assert d1.stats()["decisions"] == 2
+
     def test_stats_shape(self):
         sim, net, d1, d2, __ = build_pair()
         sim.run(until=1.0)

@@ -1,5 +1,8 @@
 """Unit tests: BGP message wire format (RFC 4271)."""
 
+import random
+import struct
+
 import pytest
 
 from repro.bgp.messages import (
@@ -178,8 +181,114 @@ class TestNotificationAndStream:
 
     def test_keepalive_with_body_rejected(self):
         wire = bytearray(BGPKeepalive().encode())
-        import struct
         wire[16:18] = struct.pack("!H", BGP_HEADER_LEN + 1)
         wire.append(0)
         with pytest.raises(BGPDecodeError):
             decode_bgp_message(bytes(wire))
+
+
+def _update_wire(attr_bytes, nlri=b"\x18\x0a\x01\x02"):
+    """An UPDATE carrying raw attribute bytes (no withdrawals)."""
+    body = struct.pack("!H", 0) + struct.pack("!H", len(attr_bytes)) + attr_bytes + nlri
+    return BGP_MARKER + struct.pack("!HB", BGP_HEADER_LEN + len(body), 2) + body
+
+
+class TestDecoderFailsClosed:
+    """Whatever the bytes, the only exception out of the decoder is
+    :class:`BGPDecodeError` — the daemon answers it with a NOTIFICATION."""
+
+    GOOD = PathAttributes(as_path=(65001,),
+                          next_hop=IPv4Address("10.0.0.1")).encode()
+
+    @pytest.mark.parametrize("attr_bytes", [
+        b"\x40\x01\x00",                      # ORIGIN with an empty body
+        b"\x40\x01\x01\xc4",                  # ORIGIN 196
+        b"\x40\x01\x02\x00\x00",              # ORIGIN two bytes long
+        b"\x40\x02\x01\x02",                  # AS_PATH: half a segment header
+        b"\x40\x02\x04\x02\x03\xfd\xe9",      # AS_PATH: 3 hops announced, 1 present
+        b"\x40\x02\x04\x01\x01\xfd\xe9",      # AS_SET segment
+        b"\x40\x03\x03\x0a\x00\x00",          # NEXT_HOP three bytes
+        b"\x40\x03\x05\x0a\x00\x00\x01\x00",  # NEXT_HOP five bytes
+        b"\x80\x04\x02\x00\x05",              # MED two bytes
+        b"\x40\x05\x00",                      # LOCAL_PREF empty
+        b"\x40\x01",                          # attribute header cut short
+        b"\x50\x02\x01",                      # extended length cut short
+        b"\x40\x02\x09\x02\x01\xfd\xe9",      # body shorter than its length
+    ])
+    def test_malformed_attributes(self, attr_bytes):
+        with pytest.raises(BGPDecodeError) as caught:
+            decode_bgp_message(_update_wire(attr_bytes))
+        assert caught.value.code == 3
+
+    def test_the_well_formed_twin_decodes(self):
+        decoded = decode_bgp_message(_update_wire(self.GOOD))
+        assert decoded.attributes.as_path == (65001,)
+        assert decoded.nlri == [IPv4Prefix("10.1.2.0/24")]
+
+    def test_nlri_without_attributes(self):
+        with pytest.raises(BGPDecodeError):
+            decode_bgp_message(_update_wire(b""))
+
+    @pytest.mark.parametrize("lengths", [
+        b"\x00\x09\x00\x00",   # withdrawn length runs past the body
+        b"\x00\x00\x00\x09",   # attribute length runs past the body
+        b"\x00",               # not even the two length fields
+    ])
+    def test_update_lengths_overrun(self, lengths):
+        wire = BGP_MARKER + struct.pack("!HB", BGP_HEADER_LEN + len(lengths), 2) + lengths
+        with pytest.raises(BGPDecodeError) as caught:
+            decode_bgp_message(wire)
+        assert caught.value.code == 3
+
+    @pytest.mark.parametrize("msg_type,body,code", [
+        (1, b"\x04\xfd\xe9", 2),   # OPEN cut short
+        (3, b"\x06", 1),           # NOTIFICATION without a subcode
+        (9, b"", 1),               # unknown type
+    ])
+    def test_short_bodies_of_other_types(self, msg_type, body, code):
+        wire = BGP_MARKER + struct.pack("!HB", BGP_HEADER_LEN + len(body), msg_type) + body
+        with pytest.raises(BGPDecodeError) as caught:
+            decode_bgp_message(wire)
+        assert caught.value.code == code
+
+    def test_seeded_mutation_fuzz(self):
+        """24 000 byte-mutated UPDATEs (flip, truncate, insert; the
+        header length repaired on most so the mutation reaches the body
+        parsers): each decodes or raises BGPDecodeError, nothing else."""
+        rng = random.Random(20260928)
+
+        def prefix():
+            return IPv4Prefix.from_network(rng.getrandbits(32), rng.randint(0, 32))
+
+        outcomes = {"decoded": 0, 1: 0, 2: 0, 3: 0}
+        for __ in range(24_000):
+            update = BGPUpdate(
+                withdrawn=[prefix() for __ in range(rng.randrange(4))],
+                attributes=PathAttributes(
+                    origin=Origin(rng.randrange(3)),
+                    as_path=tuple(rng.randrange(1, 65536) for __ in
+                                  range(rng.choice((0, 1, 3, 8, 130)))),
+                    next_hop=IPv4Address(rng.getrandbits(32)),
+                    med=rng.choice((None, 5)),
+                    local_pref=rng.choice((None, 100))),
+                nlri=[prefix() for __ in range(rng.randrange(1, 5))])
+            wire = bytearray(update.encode())
+            for __ in range(rng.randint(1, 3)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    wire[rng.randrange(len(wire))] = rng.randrange(256)
+                elif kind == 1 and len(wire) > BGP_HEADER_LEN + 1:
+                    del wire[rng.randrange(BGP_HEADER_LEN, len(wire)):]
+                else:
+                    wire.insert(rng.randrange(len(wire)), rng.randrange(256))
+            if rng.random() < 0.8:
+                wire[16:18] = struct.pack("!H", len(wire))
+            try:
+                decode_bgp_message(bytes(wire))
+            except BGPDecodeError as error:
+                outcomes[error.code] += 1
+            else:
+                outcomes["decoded"] += 1
+        # The corpus reaches both the header checks and the UPDATE body.
+        assert outcomes[1] > 1000 and outcomes[3] > 1000, outcomes
+        assert outcomes["decoded"] > 1000, outcomes

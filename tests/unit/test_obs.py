@@ -21,6 +21,7 @@ from repro.obs import (
     disable_tracing,
     enable_tracing,
     maybe_enable_from_env,
+    metrics,
     span,
     spans_to_jsonl,
     top_spans,
@@ -308,19 +309,29 @@ class TestScenarioDeterminism:
     """The acceptance clause: fingerprints bit-for-bit identical with
     tracing on and off."""
 
-    def _run(self, seed=0):
-        from repro.scenarios import (ScenarioRunner, generate_scenario,
-                                     result_fingerprint)
+    def _result(self, seed=0, bgp=False):
+        from repro.scenarios import (ProtocolRecipe, ScenarioRunner,
+                                     TopologyRecipe, generate_scenario)
+        routed = {}
+        if bgp:
+            routed = dict(
+                topology=TopologyRecipe("fattree",
+                                        {"k": 4, "device": "router"}),
+                protocol=ProtocolRecipe("bgp", {"max_paths": 2}))
         spec = generate_scenario(seed, pattern="k-random-links",
-                                 duration=30.0)
-        result = ScenarioRunner().run(spec)
-        return result_fingerprint(result.to_dict())
+                                 duration=30.0, **routed)
+        return ScenarioRunner().run(spec)
 
-    def test_fingerprint_unmoved_by_tracing(self):
-        baseline = self._run()
+    def _run(self, seed=0, bgp=False):
+        from repro.scenarios import result_fingerprint
+        return result_fingerprint(self._result(seed, bgp).to_dict())
+
+    @pytest.mark.parametrize("bgp", [False, True], ids=["ospf-wan", "bgp-fattree"])
+    def test_fingerprint_unmoved_by_tracing(self, bgp):
+        baseline = self._run(bgp=bgp)
         enable_tracing()
         try:
-            traced = self._run()
+            traced = self._run(bgp=bgp)
         finally:
             disable_tracing()
         assert traced == baseline
@@ -328,6 +339,25 @@ class TestScenarioDeterminism:
         names = {sp.name for sp in TRACER.spans()}
         assert "scenario.run" in names
         assert "scenario.simulate" in names
+
+    def test_bgp_daemon_counters_reach_diagnostics_and_metrics(self):
+        result = self._result(bgp=True)
+        totals = result.diagnostics["bgp"]
+        for key in ("decisions", "selection_changes", "exports",
+                    "fib_installs"):
+            assert totals[key] > 0, key
+        assert totals["fib_withdrawals"] >= 0
+        # Each is a count of the stage before it surviving.
+        assert totals["selection_changes"] <= totals["decisions"]
+        assert (totals["fib_installs"] + totals["fib_withdrawals"]
+                <= totals["selection_changes"])
+        gauges = metrics().snapshot()["gauges"]
+        assert {k: gauges[f"bgp.{k}"] for k in totals} == totals
+        # Counters ride in diagnostics, so they never reach a fingerprint.
+        from repro.scenarios import result_fingerprint
+        record = result.to_dict()
+        assert result_fingerprint(record) == result_fingerprint(
+            {**record, "diagnostics": {}})
 
     def test_virtual_clock_uninstalled_after_run(self):
         enable_tracing()
