@@ -14,8 +14,8 @@ replaces all three with numpy state:
   :class:`~repro.dataplane.realloc.ReallocEngine` keeps **across
   recomputes**.  Stable components only patch demands, rates and
   capacities in place; rows are re-interned only when a flow is
-  re-walked, and the whole state resets only on ``topo_epoch`` bumps /
-  path-cache invalidation (full recomputes).
+  re-walked, and the whole state is discarded only on ``topo_epoch``
+  bumps / path-cache invalidation (full recomputes).
 * :func:`bottleneck_filling_arrays` — the vectorized kernel.  It
   replays the heap kernel's float arithmetic in *batches*: per round
   it recomputes every live saturation key ``(capacity − frozen_load)
@@ -27,11 +27,17 @@ replaces all three with numpy state:
   the heap's order, and runs of equal addends commute, so the float
   trajectory — and therefore the allocation — is bit-for-bit the heap
   kernel's (pinned by ``tests/property/test_kernel_parity.py``).
-* :class:`AccrualBatch` — one vectorized byte-accrual pass per rate
-  timeline segment: ``rate · dt / 8`` elementwise, then ``np.add.at``
-  scatters into gathered host/port/direction counter buffers in the
-  scalar loop's visit order, keeping every counter bit-identical to
-  the per-flow loop.
+* :class:`LiveView` — the one flow→direction incidence derived from
+  the padded rows per *mirror generation* (rebuilt only after an
+  intern or drop): component search, solves, host-rate rebuilds and
+  byte accrual all read it instead of re-deriving it.
+* The **sealed accrual timeline** (:meth:`ArraysState.seal` /
+  :meth:`ArraysState.replay`) — byte accrual is *sealed* against the
+  live view and a copy of the rate vector whenever rates or incidence
+  are about to change, and *replayed* — counters gathered from the
+  objects once, every sealed segment scattered with ``np.add.at`` in
+  the scalar loop's visit order, written back once — only when
+  somebody reads or competes for a counter.
 
 Everything degrades gracefully without numpy: ``HAVE_NUMPY`` gates the
 kernel registry entry and the engine falls back to ``"heap"``.
@@ -315,6 +321,60 @@ class LinkArrays:
         return slot
 
 
+#: Sealed segments the timeline holds before it replays on its own.
+#: Sized from the memory budget, not a setting: a segment pins one
+#: live view plus a rate vector, and horsebench read ``peak_rss_mb``
+#: on ``dataplane_churn`` +6.0 % at 64 (the bound is 10 %), +1.8 % at
+#: 16 and +0.2 % at 4, with ``wall_s_per_sim_s`` inside its spread at
+#: all three — a replay's fixed gather/write-back (~0.3 ms there) is
+#: already under 3 % of the body at 16.
+SEGMENT_BOUND = 16
+
+
+class LiveView:
+    """The live rows of one mirror generation, flow-id ascending.
+
+    The fid order is what makes every vectorized pass replay the
+    scalar loops' visit order bit-for-bit.  ``hop_dir``/``hop_flow``
+    are the flow-major hop stream (direction slot, position in this
+    view) *including duplicates* — what byte accrual and the load
+    refresh visit; ``hop_first`` marks each flow's first crossing of a
+    direction, the deduplicated stream the solver sees.  Sealed
+    accrual segments hold the view (and so ``flows``, the objects —
+    flow slots are reused after a drop, direction and host slots live
+    as long as the mirror).  The streams are index-width integers: every
+    pass indexes with them, and numpy converts a narrower index array
+    on each use, which costs more than the ~20 KB a view it saves.
+    """
+
+    __slots__ = ("fids", "slots", "flows", "hop_dir", "hop_flow",
+                 "hop_first", "src_host", "dst_host", "any_entries")
+
+    def __init__(self, state: "ArraysState") -> None:
+        np = _np
+        count = len(state.slot_of)
+        fids = np.fromiter(state.slot_of.keys(), dtype=np.int64, count=count)
+        slots = np.fromiter(state.slot_of.values(), dtype=np.int64,
+                            count=count)
+        order = np.argsort(fids)           # unique keys: kind moot
+        self.fids = fids[order]
+        self.slots = slots = slots[order]
+        objs = state.objs
+        self.flows = [objs[slot] for slot in slots.tolist()]
+        fa = state.flows
+        rows = fa.path[slots]
+        lens = fa.path_len[slots]
+        mask = np.arange(rows.shape[1]) < lens[:, None]
+        self.hop_dir = rows[mask].astype(np.intp)
+        self.hop_flow = np.repeat(np.arange(count), lens)
+        self.hop_first = fa.path_first[slots][mask]
+        self.src_host = fa.src_host[slots].astype(np.intp)
+        self.dst_host = fa.dst_host[slots].astype(np.intp)
+        # Flows walking installed flow-table entries need per-entry
+        # last_used_at stamps only the scalar accrual loop maintains.
+        self.any_entries = bool(fa.has_entries[slots].any())
+
+
 class ArraysState:
     """The engine-persisted SoA mirror of the cached walks.
 
@@ -335,24 +395,12 @@ class ArraysState:
         self._top = 0                           # slot high-water mark
         self.hosts: List["Host"] = []
         self._host_slot: Dict[int, int] = {}    # id(host) -> slot
-        self._live_cache = None  # (fids, slots), fid-ascending
+        self._view: Optional[LiveView] = None
+        # The sealed accrual timeline: (view, rates, dts) in time order.
+        self.sealed: List[tuple] = []
         # Counters for benchmarks and tests.
         self.interned = 0
         self.dropped = 0
-        self.resets = 0
-
-    def reset(self) -> None:
-        """Drop every interned row (full recompute / cache flush)."""
-        self.flows = FlowArrays()
-        self.links = LinkArrays()
-        self.slot_of = {}
-        self.objs = []
-        self._free = []
-        self._top = 0
-        self.hosts = []
-        self._host_slot = {}
-        self._live_cache = None
-        self.resets += 1
 
     # -- interning --------------------------------------------------------
 
@@ -368,6 +416,9 @@ class ArraysState:
                     dirs: Sequence["LinkDirection"]) -> int:
         """(Re-)intern one delivered flow's row; returns its slot."""
         fa = self.flows
+        # A re-intern changes a row without changing the live set, so
+        # the view goes stale either way.
+        self._view = None
         slot = self.slot_of.get(fid)
         if slot is None:
             if self._free:
@@ -378,7 +429,6 @@ class ArraysState:
                 if slot >= fa.cap:
                     fa.grow_rows(slot + 1)
             self.slot_of[fid] = slot
-            self._live_cache = None
         while len(self.objs) <= slot:
             self.objs.append(None)
         self.objs[slot] = flow
@@ -411,7 +461,7 @@ class ArraysState:
             self.flows.has_entries[slot] = False
             self.objs[slot] = None
             self._free.append(slot)
-            self._live_cache = None
+            self._view = None
             self.dropped += 1
 
     def patch_capacity(self, link) -> None:
@@ -423,90 +473,55 @@ class ArraysState:
 
     def zero_rate(self, fid: int) -> None:
         """Mirror ``flow.rate_bps = 0`` done outside a recompute
-        (``stop_flow``), so a pre-recompute accrual flush adds 0."""
+        (``stop_flow``, which seals first), so later segments add 0."""
         slot = self.slot_of.get(fid)
         if slot is not None:
             self.flows.rate[slot] = 0.0
 
-    # -- live-set views ---------------------------------------------------
+    # -- the live-row view ------------------------------------------------
 
-    def live_sorted(self):
-        """``(fids, slots)`` arrays over every live row, fid-ascending.
-
-        Cached between intern/drop events — the fid order is what makes
-        every vectorized rebuild below replay the scalar loops' visit
-        order bit-for-bit.
-        """
-        cached = self._live_cache
-        if cached is None:
-            np = _np
-            count = len(self.slot_of)
-            fids = np.fromiter(self.slot_of.keys(), dtype=np.int64,
-                               count=count)
-            slots = np.fromiter(self.slot_of.values(), dtype=np.int64,
-                                count=count)
-            order = np.argsort(fids)       # unique keys: kind moot
-            cached = self._live_cache = (fids[order], slots[order])
-        return cached
+    def view(self) -> LiveView:
+        """The incidence view of the current mirror generation."""
+        view = self._view
+        if view is None:
+            view = self._view = LiveView(self)
+        return view
 
     def host_rates(self):
         """Per-host ``(rx, tx)`` rate sums over live flows in fid order
         — the scalar host-rate rebuild's exact add order."""
         np = _np
-        __, slots = self.live_sorted()
-        fa = self.flows
-        rates = fa.rate[slots]
+        view = self.view()
+        rates = self.flows.rate[view.slots]
         rx = np.zeros(len(self.hosts))
         tx = np.zeros(len(self.hosts))
-        np.add.at(rx, fa.dst_host[slots], rates)
-        np.add.at(tx, fa.src_host[slots], rates)
+        np.add.at(rx, view.dst_host, rates)
+        np.add.at(tx, view.src_host, rates)
         return rx, tx
-
-    def accruing(self):
-        """``(flows, slots, any_entries)`` for live flows with a
-        positive rate, in fid order — the scalar accruing rebuild."""
-        __, slots = self.live_sorted()
-        fa = self.flows
-        sel = slots[fa.rate[slots] > 0.0]
-        objs = self.objs
-        flows = [objs[slot] for slot in sel.tolist()]
-        return flows, sel, bool(fa.has_entries[sel].any())
 
     def components(self, seeds: Sequence["LinkDirection"]):
         """Partition the live flow/direction graph reachable from
         *seeds* (scalar-BFS seed order) into connected components.
 
-        Returns ``(components, touched)``: per component the
-        ``(fids, slots)`` pair in fid-ascending order — the exact
-        membership and order the scalar BFS produces (both walk the
+        Returns ``(components, touched)``: per component a boolean
+        membership mask over the view's (fid-ascending) positions —
+        the exact membership the scalar BFS produces (both walk the
         same delivered-flow incidence) — plus every direction visited,
         including seed directions no live flow crosses (their stale
-        loads still get zeroed).
+        loads still get zeroed).  The search propagates boolean masks
+        over the view's hop stream until the component stops growing:
+        flows crossing a reached direction, then every direction those
+        flows cross.
         """
         np = _np
-        fids_sorted, slots_sorted = self.live_sorted()
-        fa = self.flows
-        rows = fa.path[slots_sorted]
-        lens = fa.path_len[slots_sorted]
-        mask = np.arange(rows.shape[1]) < lens[:, None]
-        hop_dir = rows[mask]                       # flow-major stream
-        hop_flow = np.repeat(np.arange(slots_sorted.size), lens)
+        view = self.view()
+        hop_dir, hop_flow = view.hop_dir, view.hop_flow
+        num_flows = view.fids.size
         num_dirs = len(self.links.objs)
-        # direction -> member flows CSR.  Within-direction order is
-        # irrelevant here (components are membership sets; each gets
-        # sorted on emit), so the faster default sort is fine.
-        order = np.argsort(hop_dir)
-        flows_by_dir = hop_flow[order]
-        start = np.zeros(num_dirs + 1, dtype=np.int64)
-        if hop_dir.size:
-            np.cumsum(np.bincount(hop_dir, minlength=num_dirs),
-                      out=start[1:])
         visited = np.zeros(num_dirs, dtype=bool)
-        in_comp = np.zeros(slots_sorted.size, dtype=bool)
         components = []
         touched: List["LinkDirection"] = []
         dir_slot_of = self.links.slot_of
-        dir_objs = self.links.objs
         for seed in seeds:
             dslot = dir_slot_of.get(seed)
             if dslot is None:
@@ -515,65 +530,50 @@ class ArraysState:
                 continue
             if visited[dslot]:
                 continue
-            visited[dslot] = True
-            frontier = np.array([dslot], dtype=np.int64)
-            added = []
-            scratch_flow = np.zeros(slots_sorted.size, dtype=bool)
-            scratch_dir = np.zeros(num_dirs, dtype=bool)
-            while frontier.size:
-                # Expand frontier directions to their member flows.
-                counts = start[frontier + 1] - start[frontier]
-                total = int(counts.sum())
-                if total:
-                    ends = np.cumsum(counts)
-                    idx = (np.repeat(start[frontier] - (ends - counts),
-                                     counts) + np.arange(total))
-                    member = flows_by_dir[idx]
-                    scratch_flow[member] = True
-                    scratch_flow &= ~in_comp
-                    fresh = np.nonzero(scratch_flow)[0]
-                    scratch_flow[fresh] = False
-                else:
-                    fresh = frontier[:0]
-                if not fresh.size:
+            reached = np.zeros(num_dirs, dtype=bool)
+            reached[dslot] = True
+            comp = np.zeros(num_flows, dtype=bool)
+            size = 0
+            while True:
+                comp[hop_flow[reached[hop_dir]]] = True
+                grown = int(np.count_nonzero(comp))
+                if grown == size:
                     break
-                in_comp[fresh] = True
-                added.append(fresh)
-                # Expand fresh flows to their unvisited directions.
-                cand = rows[fresh][mask[fresh]]
-                scratch_dir[cand] = True
-                scratch_dir &= ~visited
-                cand = np.nonzero(scratch_dir)[0]
-                scratch_dir[cand] = False
-                visited[cand] = True
-                frontier = cand
-            if added:
-                sel = np.sort(np.concatenate(added))
-                components.append((fids_sorted[sel], slots_sorted[sel]))
+                size = grown
+                reached[hop_dir[comp[hop_flow]]] = True
+            visited |= reached
+            if size:
+                components.append(comp)
+        dir_objs = self.links.objs
         for dslot in np.nonzero(visited)[0].tolist():
             touched.append(dir_objs[dslot])
         return components, touched
 
     # -- solving ----------------------------------------------------------
 
-    def solve_component(self, slots):
-        """Solve one component given its flow slots (component fid order).
+    def solve_component(self, comp):
+        """Solve one component given its membership mask over the view.
 
-        Returns ``(rates, dirs, loads)``: the per-flow rate vector plus
-        the component's touched directions and their refreshed loads
+        Returns ``(members, rates, dirs, loads)``: the members' view
+        positions (component fid order) and rate vector, plus the
+        component's touched directions and their refreshed loads
         (``np.add.at`` over the raw hop incidence in flow-major order —
         the scalar refresh loop's exact visit order).
         """
         np = _np
-        fa = self.flows
-        demands = fa.demand[slots]
-        rows = fa.path[slots]
-        lens = fa.path_len[slots]
-        raw_mask = np.arange(rows.shape[1]) < lens[:, None]
-        first_mask = raw_mask & fa.path_first[slots]
-        counts = first_mask.sum(axis=1)
-        entry_flow = np.repeat(np.arange(slots.size), counts)
-        entry_global = rows[first_mask]
+        view = self.view()
+        members = np.nonzero(comp)[0]
+        slots = view.slots[members]
+        demands = self.flows.demand[slots]
+        # The component's slice of the view's hop stream, renumbered to
+        # component-local flow positions.
+        keep = comp[view.hop_flow]
+        local = np.cumsum(comp) - 1
+        raw_flow = local[view.hop_flow[keep]]
+        raw_global = view.hop_dir[keep]
+        first = view.hop_first[keep]
+        entry_flow = raw_flow[first]
+        entry_global = raw_global[first]
         num_dirs = len(self.links.objs)
         # Dense-intern directions in first-appearance order along the
         # flow-major entry stream — the scalar instance builder's
@@ -581,8 +581,7 @@ class ArraysState:
         # the identical instance.  (value·n + position) stabilizes the
         # default sort, which beats both np.unique and stable argsort.
         total = entry_global.size
-        order = np.argsort(entry_global.astype(np.int64) * total
-                           + np.arange(total))
+        order = np.argsort(entry_global * total + np.arange(total))
         sorted_vals = entry_global[order]
         boundary = np.empty(sorted_vals.size, dtype=bool)
         if boundary.size:
@@ -597,130 +596,93 @@ class ArraysState:
         entry_link = rank[entry_global]
         caps = self.links.capacity[uniq[appearance]]
         rates = _batch_fill(demands, caps, entry_flow, entry_link)
-        fa.rate[slots] = rates
+        self.flows.rate[slots] = rates
         # Per-direction load refresh over the *raw* incidence
         # (duplicated hops count twice, as in the scalar loop; the
         # dense numbering here is arbitrary — only the per-direction
         # add order matters, and that is the flow-major stream).
-        raw_flow = np.repeat(np.arange(slots.size), lens)
-        raw_global = rows[raw_mask]
         uniq_raw = np.nonzero(np.bincount(raw_global,
                                           minlength=num_dirs))[0]
         rank[uniq_raw] = np.arange(uniq_raw.size)
         loads = np.zeros(uniq_raw.size)
         np.add.at(loads, rank[raw_global], rates[raw_flow])
         dirs = [self.links.objs[i] for i in uniq_raw.tolist()]
-        return rates, dirs, loads
+        return members, rates, dirs, loads
 
-    def gather_slots(self, fids: Sequence[int]):
-        """Slot vector for a component's flow ids (already in fid order)."""
-        return _np.fromiter((self.slot_of[fid] for fid in fids),
-                            dtype=_np.int64, count=len(fids))
+    # -- the sealed accrual timeline ---------------------------------------
+
+    def seal(self, dts: Sequence[float]) -> None:
+        """Close the elapsed segments ``dts`` against the current rates
+        and incidence, which are about to change.
+
+        Sealing the whole live set rather than the ``rate > 0`` subset
+        is exact — ``x + 0.0 == x`` for the non-negative counters — and
+        is what lets accrual share the view the component search built.
+        """
+        view = self.view()
+        if view.fids.size:
+            self.sealed.append((view, self.flows.rate[view.slots], dts))
+
+    def replay(self) -> None:
+        """Apply the sealed segments to the byte counters, in order.
+
+        Each counter family is gathered from the objects once and
+        written back once; in between every segment scatters ``rate ·
+        dt / 8`` through ``np.add.at``, which is unbuffered and applies
+        in index order — per counter the adds land in the order the
+        per-flow loop (fid-ascending, hops in path order) makes them,
+        segment after segment, so no bit can move.
+        """
+        np = _np
+        sealed, self.sealed = self.sealed, []
+        dirs, hosts = self.links.objs, self.hosts
+        carried = np.fromiter((d.bytes_carried for d in dirs),
+                              dtype=np.float64, count=len(dirs))
+        port_tx = np.fromiter((d.src_port.tx_bytes for d in dirs),
+                              dtype=np.float64, count=len(dirs))
+        port_rx = np.fromiter((d.dst_port.rx_bytes for d in dirs),
+                              dtype=np.float64, count=len(dirs))
+        host_tx = np.fromiter((h.tx_bytes for h in hosts),
+                              dtype=np.float64, count=len(hosts))
+        host_rx = np.fromiter((h.rx_bytes for h in hosts),
+                              dtype=np.float64, count=len(hosts))
+        for view, rates, dts in sealed:
+            for dt in dts:
+                moved = rates * dt / 8.0
+                for flow, amount in zip(view.flows, moved.tolist()):
+                    flow.delivered_bytes += amount
+                np.add.at(host_tx, view.src_host, moved)
+                np.add.at(host_rx, view.dst_host, moved)
+                per_hop = moved[view.hop_flow]
+                np.add.at(carried, view.hop_dir, per_hop)
+                np.add.at(port_tx, view.hop_dir, per_hop)
+                np.add.at(port_rx, view.hop_dir, per_hop)
+        for direction, total, tx, rx in zip(dirs, carried.tolist(),
+                                            port_tx.tolist(),
+                                            port_rx.tolist()):
+            direction.bytes_carried = total
+            direction.src_port.tx_bytes = tx
+            direction.dst_port.rx_bytes = rx
+        for host, tx, rx in zip(hosts, host_tx.tolist(), host_rx.tolist()):
+            host.tx_bytes = tx
+            host.rx_bytes = rx
 
     @property
     def stats(self) -> dict:
         return {
             "interned": self.interned,
             "dropped": self.dropped,
-            "resets": self.resets,
             "live_flows": len(self.slot_of),
             "live_dirs": len(self.links.objs),
         }
 
 
-class AccrualBatch:
-    """One recompute's accruing set, prepared for vectorized flushes.
-
-    Built after every recompute from the accruing flows (fid order);
-    each :meth:`flush` replays one rate-timeline segment: the scalar
-    loop's ``rate * dt / 8.0`` per flow, scattered into flow, host,
-    direction and port byte counters through ``np.add.at`` in the
-    scalar loop's visit order — bit-identical counters, O(numpy)
-    instead of O(flows × hops) Python.
-
-    Only eligible accruing sets get a batch (no flow-table entries on
-    any accruing path — those need per-entry ``last_used_at`` stamps —
-    and no active quotient); the network falls back to the scalar loop
-    otherwise.
-    """
-
-    __slots__ = ("state", "flows", "slots", "hop_flow", "hop_dir", "dirs",
-                 "src_idx", "src_hosts", "dst_idx", "dst_hosts")
-
-    def __init__(self, state: ArraysState, flows: List["FluidFlow"],
-                 slots=None) -> None:
-        np = _np
-        self.state = state
-        self.flows = flows
-        if slots is None:
-            slots = np.fromiter((state.slot_of[f.id] for f in flows),
-                                dtype=np.int64, count=len(flows))
-        self.slots = slots
-        fa = state.flows
-        rows = fa.path[slots]
-        lens = fa.path_len[slots]
-        mask = np.arange(rows.shape[1]) < lens[:, None]
-        self.hop_flow = np.repeat(np.arange(slots.size), lens)
-        num_dirs = len(state.links.objs)
-        hop_global = rows[mask]
-        uniq = np.nonzero(np.bincount(hop_global, minlength=num_dirs))[0]
-        rank = np.zeros(num_dirs, dtype=np.int64)
-        rank[uniq] = np.arange(uniq.size)
-        self.hop_dir = rank[hop_global]
-        self.dirs = [state.links.objs[i] for i in uniq.tolist()]
-        num_hosts = len(state.hosts)
-        src = fa.src_host[slots]
-        dst = fa.dst_host[slots]
-        hrank = np.zeros(num_hosts, dtype=np.int64)
-        uniq_src = np.nonzero(np.bincount(src, minlength=num_hosts))[0]
-        hrank[uniq_src] = np.arange(uniq_src.size)
-        self.src_idx = hrank[src]
-        uniq_dst = np.nonzero(np.bincount(dst, minlength=num_hosts))[0]
-        hrank[uniq_dst] = np.arange(uniq_dst.size)
-        self.dst_idx = hrank[dst]
-        self.src_hosts = [state.hosts[i] for i in uniq_src.tolist()]
-        self.dst_hosts = [state.hosts[i] for i in uniq_dst.tolist()]
-
-    def flush(self, dt: float) -> None:
-        """Accrue one piecewise-constant segment of length ``dt``."""
-        np = _np
-        transferred = self.state.flows.rate[self.slots] * dt / 8.0
-        for flow, amount in zip(self.flows, transferred.tolist()):
-            flow.delivered_bytes += amount
-        buf = np.fromiter((h.tx_bytes for h in self.src_hosts),
-                          dtype=np.float64, count=len(self.src_hosts))
-        np.add.at(buf, self.src_idx, transferred)
-        for host, value in zip(self.src_hosts, buf.tolist()):
-            host.tx_bytes = value
-        buf = np.fromiter((h.rx_bytes for h in self.dst_hosts),
-                          dtype=np.float64, count=len(self.dst_hosts))
-        np.add.at(buf, self.dst_idx, transferred)
-        for host, value in zip(self.dst_hosts, buf.tolist()):
-            host.rx_bytes = value
-        per_hop = transferred[self.hop_flow]
-        dirs = self.dirs
-        buf = np.fromiter((d.bytes_carried for d in dirs),
-                          dtype=np.float64, count=len(dirs))
-        np.add.at(buf, self.hop_dir, per_hop)
-        for direction, value in zip(dirs, buf.tolist()):
-            direction.bytes_carried = value
-        buf = np.fromiter((d.src_port.tx_bytes for d in dirs),
-                          dtype=np.float64, count=len(dirs))
-        np.add.at(buf, self.hop_dir, per_hop)
-        for direction, value in zip(dirs, buf.tolist()):
-            direction.src_port.tx_bytes = value
-        buf = np.fromiter((d.dst_port.rx_bytes for d in dirs),
-                          dtype=np.float64, count=len(dirs))
-        np.add.at(buf, self.hop_dir, per_hop)
-        for direction, value in zip(dirs, buf.tolist()):
-            direction.dst_port.rx_bytes = value
-
-
 __all__ = [
     "HAVE_NUMPY",
-    "AccrualBatch",
+    "SEGMENT_BOUND",
     "ArraysState",
     "FlowArrays",
     "LinkArrays",
+    "LiveView",
     "bottleneck_filling_arrays",
 ]

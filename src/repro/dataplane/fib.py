@@ -48,13 +48,22 @@ def _as_prefix(prefix: "IPv4Prefix | str") -> IPv4Prefix:
 class FIB:
     """Longest-prefix-match forwarding table with ECMP entries."""
 
-    def __init__(self) -> None:
+    def __init__(self, owner=None) -> None:
         self._trie = PrefixTrie()
         self.installs = 0
         self.withdrawals = 0
         # Bumped on every mutation; the incremental reallocation engine
         # uses it to spot routers whose forwarding changed.
         self.version = 0
+        self._owner = owner  # the Router folding version into fwd_epoch
+
+    def _bump(self) -> None:
+        """Every mutation lands here: the version moves (and with it
+        the owner's ``fwd_epoch``) and the owner is registered as
+        touched with its network."""
+        self.version += 1
+        if self._owner is not None:
+            self._owner.touched()
 
     def install(
         self,
@@ -82,7 +91,7 @@ class FIB:
         entry = FIBEntry(prefix=_as_prefix(prefix), next_hops=tuple(normalized))
         self._trie.insert(entry.prefix, entry)
         self.installs += 1
-        self.version += 1
+        self._bump()
         return entry
 
     def withdraw(self, prefix: "IPv4Prefix | str") -> bool:
@@ -90,7 +99,7 @@ class FIB:
         removed = self._trie.delete(_as_prefix(prefix))
         if removed:
             self.withdrawals += 1
-            self.version += 1
+            self._bump()
         return removed
 
     def lookup(self, dst: "IPv4Address | str | int") -> Optional[FIBEntry]:
@@ -113,7 +122,7 @@ class FIB:
     def clear(self) -> None:
         """Flush the table."""
         self._trie.clear()
-        self.version += 1
+        self._bump()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FIB entries={len(self)}>"

@@ -63,13 +63,22 @@ class FlowEntry:
 class FlowTable:
     """A priority-ordered flow table."""
 
-    def __init__(self) -> None:
+    def __init__(self, owner=None) -> None:
         self._entries: List[FlowEntry] = []
         self.lookups = 0
         self.misses = 0
         # Bumped on every mutation; the network uses it to decide when
         # a previously-missed flow deserves a fresh PACKET_IN.
         self.version = 0
+        self._owner = owner  # the Switch folding version into fwd_epoch
+
+    def _bump(self) -> None:
+        """Every mutation lands here: the version moves (and with it
+        the owner's ``fwd_epoch``) and the owner is registered as
+        touched with its network."""
+        self.version += 1
+        if self._owner is not None:
+            self._owner.touched()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -94,7 +103,7 @@ class FlowTable:
             ]
         self._entries.append(entry)
         self._entries.sort(key=FlowEntry.sort_key)
-        self.version += 1
+        self._bump()
         return entry
 
     def delete(self, match: Match, strict: bool = False,
@@ -121,7 +130,7 @@ class FlowTable:
             (removed if hit else kept).append(entry)
         self._entries = kept
         if removed:
-            self.version += 1
+            self._bump()
         return removed
 
     def match_five_tuple(
@@ -171,13 +180,13 @@ class FlowTable:
             (expired if hard_hit or idle_hit else kept).append(entry)
         self._entries = kept
         if expired:
-            self.version += 1
+            self._bump()
         return expired
 
     def clear(self) -> None:
         """Flush the table."""
         self._entries.clear()
-        self.version += 1
+        self._bump()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FlowTable entries={len(self._entries)} lookups={self.lookups}>"

@@ -15,6 +15,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.core.errors import TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dataplane.network import Network
     from repro.dataplane.node import Node, Port
 
 GBPS = 1_000_000_000
@@ -94,9 +95,13 @@ class Link:
         # path_epoch changes when the link's reachability flips (up or
         # down — cached paths crossing or blocked by it are stale),
         # cap_epoch when the capacity the solver sees changes (paths
-        # stay valid but rates must be re-solved).
+        # stay valid but rates must be re-solved).  Both setters also
+        # register the link as touched on its network (set, with the
+        # insertion position, by Network.add_link).
         self.path_epoch = 0
         self.cap_epoch = 0
+        self.network: Optional["Network"] = None
+        self._net_index = -1
         self.forward = LinkDirection(self, port_a, port_b)
         self.reverse = LinkDirection(self, port_b, port_a)
         port_a.link = self
@@ -112,6 +117,7 @@ class Link:
         if value != self._up:
             self._up = value
             self.path_epoch += 1
+            self._touched()
 
     @property
     def capacity_bps(self) -> float:
@@ -124,6 +130,13 @@ class Link:
         if value != self._capacity_bps:
             self._capacity_bps = value
             self.cap_epoch += 1
+            self._touched()
+
+    def _touched(self) -> None:
+        network = self.network
+        if network is not None:
+            network._touched_links.add(self)
+            network.realloc.epoch_notifications += 1
 
     def direction_from(self, port: "Port") -> LinkDirection:
         """The direction whose source is ``port``."""

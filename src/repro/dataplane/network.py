@@ -38,6 +38,7 @@ from repro.dataplane.link import Link, LinkDirection
 from repro.dataplane.node import ForwardingDecision, Node
 from repro.dataplane.router import Router
 from repro.dataplane.switch import Switch
+from repro.netproto.addr import AddressError, IPv4Address
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.simulation import Simulation
@@ -65,25 +66,31 @@ class Network:
         # engine answers with one full recompute, since cached walk
         # outcomes can depend on state no per-entity epoch witnesses.
         self.topo_epoch = 0
+        # Name-sorted node lists by class (plus the host-by-IP index),
+        # dropped when topo_epoch moves past _sorted_epoch.
+        self._sorted_epoch = -1
+        self._sorted: dict = {}
+        # Dirt is pushed, not polled: every mutation that bumps a
+        # node's fwd_epoch or a link's path/cap epoch registers its
+        # owner here, and the realloc engine compares epochs only for
+        # these (see ReallocEngine._scan_epochs).
+        self._touched_nodes: set = set()
+        self._touched_links: set = set()
         # The incremental reallocation engine (PR 2) and its master
         # switch; False forces every recompute down the full path
         # (benchmarks A/B against it, and it is the paranoia fallback).
         self.realloc = ReallocEngine(self)
         self.incremental_realloc = True
-        # Flows currently accruing bytes (active + delivered + rate>0),
-        # maintained by the realloc engine so accrue() does not scan
-        # every flow ever created.
+        # Flows that may be accruing bytes (a superset of active +
+        # delivered + rate>0, in flow-id order), maintained by the
+        # realloc engine so the scalar accrual loop does not scan every
+        # flow ever created.
         self._accruing: List[FluidFlow] = []
         # The rate timeline: piecewise-constant (dt, now) segments
-        # recorded since the last flush.  All pending segments share
-        # one rate vector — any code that changes a rate flushes first
-        # — so recompute storms integrate in one batch instead of
-        # visiting every flow per event.
+        # elapsed since the last seal.  All pending segments share one
+        # rate vector and incidence — any code that changes either
+        # seals first — so recompute storms with no dirt cost an append.
         self._pending_accrual: List[tuple] = []
-        # Vectorized accrual pass over the accruing set, rebuilt by the
-        # realloc engine when the arrays kernel is live (None otherwise
-        # — the scalar loop runs instead).
-        self._accrual_batch = None
         # Minimum spacing between reallocations, in simulated seconds.
         # 0 recomputes at every distinct change instant (exact).  A few
         # milliseconds models FIB/TCAM programming latency and lets a
@@ -100,6 +107,7 @@ class Network:
         if node.name in self.nodes:
             raise TopologyError(f"duplicate node name {node.name!r}")
         node.network = self
+        node._net_index = len(self.nodes)
         self.nodes[node.name] = node
         self.topo_epoch += 1
         return node
@@ -144,6 +152,8 @@ class Network:
         pa = self._pick_port(a, port_a)
         pb = self._pick_port(b, port_b)
         link = Link(pa, pb, capacity_bps=capacity_bps, delay=delay)
+        link.network = self
+        link._net_index = len(self.links)
         self.links.append(link)
         self.topo_epoch += 1
         return link
@@ -162,33 +172,45 @@ class Network:
             raise TopologyError(f"port {node.name}:{port.number} already wired")
         return port
 
+    def _nodes_of(self, cls) -> list:
+        """The name-sorted nodes of one class, cached until the topology
+        next grows.  The list is shared: internal callers iterate,
+        never mutate."""
+        if self._sorted_epoch != self.topo_epoch:
+            self._sorted_epoch = self.topo_epoch
+            self._sorted = {}
+        nodes = self._sorted.get(cls)
+        if nodes is None:
+            nodes = self._sorted[cls] = sorted(
+                (n for n in self.nodes.values() if isinstance(n, cls)),
+                key=lambda n: n.name)
+        return nodes
+
     def hosts(self) -> List[Host]:
         """All hosts, sorted by name."""
-        return sorted(
-            (n for n in self.nodes.values() if isinstance(n, Host)),
-            key=lambda n: n.name,
-        )
+        return list(self._nodes_of(Host))
 
     def switches(self) -> List[Switch]:
         """All switches, sorted by name."""
-        return sorted(
-            (n for n in self.nodes.values() if isinstance(n, Switch)),
-            key=lambda n: n.name,
-        )
+        return list(self._nodes_of(Switch))
 
     def routers(self) -> List[Router]:
         """All routers, sorted by name."""
-        return sorted(
-            (n for n in self.nodes.values() if isinstance(n, Router)),
-            key=lambda n: n.name,
-        )
+        return list(self._nodes_of(Router))
 
     def host_by_ip(self, ip) -> Optional[Host]:
         """Find the host owning an IP, if any."""
-        for host in self.hosts():
-            if host.ip == ip:
-                return host
-        return None
+        try:
+            key = int(IPv4Address(ip))
+        except AddressError:
+            return None
+        hosts = self._nodes_of(Host)
+        by_ip = self._sorted.get("host_by_ip")
+        if by_ip is None:
+            by_ip = self._sorted["host_by_ip"] = {}
+            for host in hosts:
+                by_ip.setdefault(int(host.ip), host)
+        return by_ip.get(key)
 
     def graph(self) -> "nx.Graph":
         """A networkx view of the topology (for controllers and tests)."""
@@ -253,13 +275,14 @@ class Network:
         """Deactivate a flow now and trigger reallocation."""
         if not flow.active:
             return
-        self.accrue(self.now)
+        self._defer_accrue(self.now)
+        self._seal_accrual()
         flow.active = False
         flow.rate_bps = 0.0
         state = self.realloc._arrays
         if state is not None:
-            # Keep the SoA mirror's rate in lockstep so a later flush
-            # of deferred segments adds exactly 0 for this flow.
+            # Keep the SoA mirror's rate in lockstep so segments sealed
+            # from here on add exactly 0 for this flow.
             state.zero_rate(flow.id)
         self.realloc.mark_flow_dirty(flow)
         self.invalidate_routing()
@@ -371,9 +394,9 @@ class Network:
         everything — same code path, everything marked dirty.
         """
         # Record the accrual segment but defer the counter work: the
-        # realloc engine flushes the timeline only when rates can
+        # realloc engine seals the timeline only when rates can
         # actually change (see ReallocEngine._recompute), so recompute
-        # storms with no dirt skip the per-flow byte loop entirely.
+        # storms with no dirt skip accrual entirely.
         self._defer_accrue(now)
         self.recomputations += 1
         self._routing_epoch += 1
@@ -417,9 +440,9 @@ class Network:
         """Integrate flow rates into byte counters up to ``now``.
 
         Public contract unchanged: counters are current on return.
-        Internally the work is a rate-timeline append plus a flush;
-        :meth:`recompute` appends without flushing and lets the realloc
-        engine flush only when rates can change.
+        This is a *read point* of the accrual timeline — the elapsed
+        segment is sealed like any other and the whole sealed timeline
+        replayed; :meth:`recompute` and :meth:`stop_flow` only seal.
         """
         self._defer_accrue(now)
         self._flush_accrual()
@@ -443,23 +466,23 @@ class Network:
             return
         self._pending_accrual.append((dt, now))
 
-    def _flush_accrual(self) -> None:
-        """Replay the pending rate-timeline segments into the counters.
+    def _seal_accrual(self) -> None:
+        """Close the pending segments against the current rates and
+        incidence; callers are about to change one or the other.
 
-        Every pending segment was recorded against the current rate
-        vector (rate changes always flush first), so the vectorized
-        pass may collapse them; the scalar pass replays them one by
-        one to keep per-entry ``last_used_at`` stamps exact.
+        With the arrays mirror live the segments are sealed for a later
+        vectorized replay.  Otherwise — no mirror, or live flows carry
+        flow-table entries whose ``last_used_at`` stamps are per-hop
+        scalar state — they are applied here by the per-flow loop,
+        after whatever is still sealed so segment order is preserved.
         """
         if not self._pending_accrual:
             return
         segments = self._pending_accrual
         self._pending_accrual = []
-        batch = self._accrual_batch
-        if batch is not None:
-            for dt, __ in segments:
-                batch.flush(dt)
+        if self.realloc.seal_accrual([dt for dt, __ in segments]):
             return
+        self.realloc.replay_accrual()
         for dt, seg_now in segments:
             for flow in self._accruing:
                 if (not flow.active or flow.path is None
@@ -479,11 +502,17 @@ class Network:
                     entry.byte_count += transferred
                     entry.last_used_at = seg_now
 
+    def _flush_accrual(self) -> None:
+        """A read point: seal what is pending, replay what is sealed."""
+        self._seal_accrual()
+        self.realloc.replay_accrual()
+
     def finalize_accounting(self) -> None:
         """Materialize any active quotient state back onto concrete
-        flows and flush deferred byte accrual (no-ops otherwise).
-        Callers reading per-flow bytes after a run (the scenario
-        runner, result extraction) go through this.
+        flows and bring the byte counters current with everything
+        accrued so far (no-ops otherwise).  Callers reading per-flow
+        bytes after a run (the scenario runner, result extraction) go
+        through this.
         """
         self._flush_accrual()
         quotient = self.realloc.quotient
@@ -512,6 +541,9 @@ class Network:
         the action list to concrete ports and hands the result here.
         """
         sim = self._require_sim()
+        # Packet bytes land on port counters the accrual timeline also
+        # writes, and float adds do not commute: sealed segments first.
+        self.realloc.replay_accrual()
         many = len(outputs) > 1
         for port_no, out_packet in outputs:
             port = origin.ports.get(port_no)
@@ -529,6 +561,7 @@ class Network:
             )
 
     def _packet_arrives(self, peer_port, packet: "Packet") -> None:
+        self.realloc.replay_accrual()
         peer_port.rx_packets += 1
         peer_port.rx_bytes += packet.size
         self.inject_packet(peer_port.node, peer_port.number, packet)

@@ -84,10 +84,13 @@ class Node:
         self.name = name
         self.ports: Dict[int, Port] = {}
         self.network: Optional["Network"] = None
+        self._net_index = -1  # insertion position in the network
         # Version epoch of this node's forwarding behaviour; bumped on
         # any mutation that could change a forward_flow() outcome.  The
         # incremental reallocation engine compares epochs to decide
-        # which cached flow paths to re-walk.
+        # which cached flow paths to re-walk.  Every site that moves
+        # fwd_epoch (here, in subclasses, in the tables they own) also
+        # calls touched(), so the engine need not poll every node.
         self._fwd_epoch = 0
         # Administrative state: a down node neither forwards fluid
         # flows nor processes packet events (node failure injection).
@@ -104,6 +107,7 @@ class Node:
         if value != self._up:
             self._up = value
             self._fwd_epoch += 1
+            self.touched()
 
     @property
     def fwd_epoch(self) -> int:
@@ -117,6 +121,18 @@ class Node:
     def bump_fwd_epoch(self) -> None:
         """Record an out-of-band forwarding-state change."""
         self._fwd_epoch += 1
+        self.touched()
+
+    def touched(self) -> None:
+        """Register with the attached network that ``fwd_epoch`` moved.
+
+        A node not attached yet registers nothing: attaching bumps
+        ``Network.topo_epoch``, which forces a full recompute anyway.
+        """
+        network = self.network
+        if network is not None:
+            network._touched_nodes.add(self)
+            network.realloc.epoch_notifications += 1
 
     def add_port(self, number: "int | None" = None) -> Port:
         """Create a new port; auto-numbers when ``number`` is None."""

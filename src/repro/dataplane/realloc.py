@@ -10,10 +10,14 @@ monotonic ``fwd_epoch`` (folding in flow-table, group-table and FIB
 versions plus up/down state) and every link a ``path_epoch`` /
 ``cap_epoch`` pair.  The engine caches each flow's walked path together
 with a reverse dependency index (node → flows whose walk visited it,
-link → flows whose walk crossed or was blocked by it).  A recompute
-scans the epochs — O(nodes + links), far below O(flows × hops) — and
-re-walks only the flows reachable from a changed entity, plus flows
-that explicitly started or stopped.
+link → flows whose walk crossed or was blocked by it).  Every mutation
+that bumps an epoch also registers its owner as *touched* on the
+network, so a recompute compares epochs only for those — O(what
+changed), not O(nodes + links) — and re-walks only the flows reachable
+from a changed entity, plus flows that explicitly started or stopped.
+The epochs and the seen-epoch maps remain the definition of "changed"
+(a notification without an epoch change is a no-op) and what a full
+recompute resynchronises.
 
 **Scoped re-solve.**  Rates only change inside the connected
 component(s) of the flow/link sharing graph that a dirty flow or a
@@ -39,17 +43,23 @@ unconnected port, say).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.dataplane import arrays as _arrays
 from repro.dataplane import solver as _solver
 from repro.dataplane.flow import FluidFlow, PathStatus
+from repro.dataplane.host import Host
 from repro.dataplane.solver import EPSILON
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.link import LinkDirection
     from repro.dataplane.network import Network
+
+
+#: Sort key: a node's or link's position in its network's insertion order.
+_net_index = attrgetter("_net_index")
 
 
 class _CachedWalk:
@@ -105,12 +115,19 @@ class ReallocEngine:
         self._pending: Dict[int, FluidFlow] = {}
         # Optional symmetry quotient layer (see repro.symmetry.quotient).
         self.quotient = None
+        # Cached walks that did not deliver, kept by _index/_unindex so
+        # all_delivered() need not scan the flows.
+        self.undelivered = 0
         # Counters for benchmarks and tests.
         self.full_recomputes = 0
         self.incremental_recomputes = 0
         self.flows_walked = 0
         self.components_solved = 0
         self.flows_solved = 0
+        self.accrual_segments = 0
+        self.accrual_replays = 0
+        self.epoch_notifications = 0
+        self.entities_scanned = 0
 
     @property
     def kernel(self) -> str:
@@ -142,15 +159,55 @@ class ReallocEngine:
         """Drop all cached state (next recompute is full)."""
         if self.quotient is not None:
             self.quotient.materialize()
+        # Flows keep their rates until that recompute; with the mirror
+        # gone the network accrues them on the scalar path meanwhile.
+        self._clear_cache()
+        self._seen_topo_epoch = None
+        self._pending.clear()
+
+    def _clear_cache(self) -> None:
         self._cache.clear()
         self._node_flows.clear()
         self._link_flows.clear()
         self._dir_flows.clear()
-        self._seen_topo_epoch = None
-        self._pending.clear()
-        if self._arrays is not None:
-            self._arrays.reset()
-        self.network._accrual_batch = None
+        self.undelivered = 0
+        self._drop_mirror()
+
+    def _drop_mirror(self) -> None:
+        """Discard the struct-of-arrays mirror (the next arrays-kernel
+        recompute interns a fresh one).  Sealed segments index its
+        direction and host slots, so they are replayed first."""
+        self.replay_accrual()
+        self._arrays = None
+
+    def all_delivered(self) -> bool:
+        """Whether some flow is running and every running flow's walk
+        delivered — the cache holds exactly the active flows after a
+        recompute, and ``flow.path`` is only ever assigned from it."""
+        return bool(self._cache) and not self.undelivered
+
+    # -- the sealed accrual timeline ---------------------------------------
+
+    def seal_accrual(self, dts: List[float]) -> bool:
+        """Seal elapsed segments against the mirror's current rates and
+        incidence; False when they must take the scalar path instead
+        (no mirror, or live flows carrying flow-table entries)."""
+        state = self._arrays
+        if state is None or state.view().any_entries:
+            return False
+        state.seal(dts)
+        self.accrual_segments += len(dts)
+        if len(state.sealed) >= _arrays.SEGMENT_BOUND:
+            self.replay_accrual()
+        return True
+
+    def replay_accrual(self) -> None:
+        """Bring the byte counters current with the sealed timeline."""
+        state = self._arrays
+        if state is not None and state.sealed:
+            with span("realloc.accrue", segments=len(state.sealed)):
+                state.replay()
+            self.accrual_replays += 1
 
     # -- the recompute ----------------------------------------------------
 
@@ -167,32 +224,30 @@ class ReallocEngine:
             self._seen_topo_epoch = net.topo_epoch
             full = True
 
-        # Any path below here may change flow rates, so deferred byte
-        # accrual must be brought current first (the pending segments
-        # were integrated against the *old* rate vector).  The one
-        # exception — an incremental recompute that finds no dirt at
-        # all — returns early below, leaving accrual deferred: that is
-        # the rate-epoch short-circuit for recompute storms.
+        # Any path below here may change flow rates or incidence, so
+        # the pending accrual segments are sealed against the *old*
+        # state first.  The one exception — an incremental recompute
+        # that finds no dirt at all — returns early below, leaving them
+        # pending: that is the rate-epoch short-circuit for recompute
+        # storms.
         if full or self.quotient is not None:
-            net._flush_accrual()
+            net._seal_accrual()
 
         cap_dirty_links: List = []
         if full:
             if self.quotient is not None:
                 self.quotient.materialize()
             self.full_recomputes += 1
-            self._cache.clear()
-            self._node_flows.clear()
-            self._link_flows.clear()
-            self._dir_flows.clear()
-            if self._arrays is not None:
-                self._arrays.reset()
+            self._clear_cache()
             dirty = {flow.id: flow for flow in net.flows if flow.active}
+            # Resync: every epoch is seen, nothing is left touched.
             for name, node in net.nodes.items():
                 self._seen_node_epoch[name] = node.fwd_epoch
             for link in net.links:
                 self._seen_link_path_epoch[link.id] = link.path_epoch
                 self._seen_link_cap_epoch[link.id] = link.cap_epoch
+            net._touched_nodes.clear()
+            net._touched_links.clear()
         else:
             self.incremental_recomputes += 1
             dirty, cap_dirty_links = self._scan_epochs()
@@ -207,17 +262,18 @@ class ReallocEngine:
                 quotient.materialize()
             elif quotient is None and not dirty and not cap_dirty_links:
                 # Nothing changed: no walk, no solve, no rate change —
-                # and no accrual flush needed (rates are unchanged, so
-                # pending segments stay mergeable).
+                # and nothing to seal (rates are unchanged, so pending
+                # segments stay mergeable).
                 self._pending.clear()
                 return
-            net._flush_accrual()
+            net._seal_accrual()
         self._pending.clear()
 
         # Resolve the solver kernel for this recompute and keep the
         # struct-of-arrays mirror in lockstep with the cache (created
-        # lazily, bulk-interning surviving walks; dropped when the
-        # kernel switches away so it cannot go stale).
+        # lazily — after every full recompute or forget(), empty; after
+        # a kernel switch, bulk-interning surviving walks — and dropped
+        # when the kernel switches away so it cannot go stale).
         effective = self.effective_kernel()
         if effective == "arrays":
             state = self._arrays
@@ -228,9 +284,7 @@ class ReallocEngine:
                         state.intern_flow(fid, cached.flow, cached.dirs)
         else:
             state = None
-            if self._arrays is not None:
-                self._arrays = None
-                net._accrual_batch = None
+            self._drop_mirror()
         self._solve_kernel = effective
 
         # Re-walk dirty flows (in id order, for deterministic PACKET_IN
@@ -293,10 +347,11 @@ class ReallocEngine:
                 with span("realloc.solve",
                           components=len(arr_components),
                           kernel=effective) as sp:
-                    for fids, slots in arr_components:
+                    solved = self.flows_solved
+                    for comp in arr_components:
                         comp_loads.append(
-                            self._solve_component_arrays(fids, slots))
-                    sp.set(flows=sum(len(f) for f, __ in arr_components))
+                            self._solve_component_arrays(comp))
+                    sp.set(flows=self.flows_solved - solved)
         else:
             visited: Set[int] = set()  # id() of LinkDirection
             touched_dirs = []
@@ -357,24 +412,19 @@ class ReallocEngine:
         # identical floating-point sums.  The SoA mirror holds exactly
         # the delivered flows, so the arrays path gathers both from it
         # (same fid order, same per-host add order).
-        for host in net.hosts():
+        for host in net._nodes_of(Host):
             host.rx_rate_bps = 0.0
             host.tx_rate_bps = 0.0
-        net._accrual_batch = None
         if state is not None:
             rx, tx = state.host_rates()
             for host, rx_rate, tx_rate in zip(state.hosts, rx.tolist(),
                                               tx.tolist()):
                 host.rx_rate_bps = rx_rate
                 host.tx_rate_bps = tx_rate
-            accruing, accruing_slots, any_entries = state.accruing()
-            net._accruing = accruing
-            # Vectorized accrual needs per-entry last_used_at stamps
-            # that only the scalar loop maintains, so flows carrying
-            # flow-table entries keep the whole set on the scalar path.
-            if accruing and not any_entries:
-                net._accrual_batch = _arrays.AccrualBatch(
-                    state, accruing, accruing_slots)
+            # The scalar accrual loop (taken while live flows carry
+            # flow-table entries) skips zero rates itself, so the live
+            # list — a superset in the same fid order — serves as is.
+            net._accruing = state.view().flows
         else:
             accruing: List[FluidFlow] = []
             for fid in sorted(self._cache):
@@ -397,32 +447,46 @@ class ReallocEngine:
         """Incremental dirt detection: pending flows + epoch changes.
 
         Returns (dirty flows by id, capacity-dirty links); updates the
-        seen-epoch maps as it goes.
+        seen-epoch maps as it goes.  Only entities whose mutation
+        points registered them as touched are compared, in the order a
+        poll of everything would meet them (node insertion order, then
+        ``net.links`` order).
         """
         net = self.network
         dirty = dict(self._pending)
         cap_dirty_links: List = []
-        for name, node in net.nodes.items():
-            epoch = node.fwd_epoch
-            if self._seen_node_epoch.get(name) != epoch:
-                self._seen_node_epoch[name] = epoch
-                for fid in self._node_flows.get(name, ()):
-                    if fid not in dirty:
-                        dirty[fid] = self._cache[fid].flow
-        for link in net.links:
-            path_epoch = link.path_epoch
-            if self._seen_link_path_epoch.get(link.id) != path_epoch:
-                self._seen_link_path_epoch[link.id] = path_epoch
-                for fid in self._link_flows.get(link.id, ()):
-                    if fid not in dirty:
-                        dirty[fid] = self._cache[fid].flow
-            cap_epoch = link.cap_epoch
-            if self._seen_link_cap_epoch.get(link.id) != cap_epoch:
-                self._seen_link_cap_epoch[link.id] = cap_epoch
-                cap_dirty_links.append(link)
+        if net._touched_nodes:
+            nodes = sorted(net._touched_nodes, key=_net_index)
+            net._touched_nodes.clear()
+            self.entities_scanned += len(nodes)
+            for node in nodes:
+                name = node.name
+                epoch = node.fwd_epoch
+                if self._seen_node_epoch.get(name) != epoch:
+                    self._seen_node_epoch[name] = epoch
+                    for fid in self._node_flows.get(name, ()):
+                        if fid not in dirty:
+                            dirty[fid] = self._cache[fid].flow
+        if net._touched_links:
+            links = sorted(net._touched_links, key=_net_index)
+            net._touched_links.clear()
+            self.entities_scanned += len(links)
+            for link in links:
+                path_epoch = link.path_epoch
+                if self._seen_link_path_epoch.get(link.id) != path_epoch:
+                    self._seen_link_path_epoch[link.id] = path_epoch
+                    for fid in self._link_flows.get(link.id, ()):
+                        if fid not in dirty:
+                            dirty[fid] = self._cache[fid].flow
+                cap_epoch = link.cap_epoch
+                if self._seen_link_cap_epoch.get(link.id) != cap_epoch:
+                    self._seen_link_cap_epoch[link.id] = cap_epoch
+                    cap_dirty_links.append(link)
         return dirty, cap_dirty_links
 
     def _index(self, fid: int, entry: _CachedWalk) -> None:
+        if not entry.delivered:
+            self.undelivered += 1
         for name in entry.node_deps:
             self._node_flows.setdefault(name, set()).add(fid)
         for link_id in entry.link_deps:
@@ -431,6 +495,8 @@ class ReallocEngine:
             self._dir_flows.setdefault(direction, set()).add(fid)
 
     def _unindex(self, fid: int, entry: _CachedWalk) -> None:
+        if not entry.delivered:
+            self.undelivered -= 1
         for name in entry.node_deps:
             flows = self._node_flows.get(name)
             if flows is not None:
@@ -486,36 +552,25 @@ class ReallocEngine:
         for pos, entry in enumerate(entries):
             entry.flow.rate_bps = rates[pos]
 
-    def _solve_component_arrays(self, comp, slots=None):
+    def _solve_component_arrays(self, comp):
         """Solve one component on the struct-of-arrays mirror.
 
         Same instance the scalar builder would produce (the mirror's
         first-occurrence marks reproduce its per-flow dedup, and
         :meth:`ArraysState.solve_component` interns directions in the
         identical first-appearance order), so the allocation is
-        bit-for-bit the heap kernel's.  ``comp`` is the component's fid
-        list; ``slots`` the matching slot vector when the caller got
-        the component from :meth:`ArraysState.components` (which reads
-        the mirror, so every member is interned by construction).
-        Returns the component's ``(dirs, loads)`` for the caller's
-        load refresh.
+        bit-for-bit the heap kernel's.  ``comp`` is the component's
+        membership mask over the mirror's live view, as
+        :meth:`ArraysState.components` yields it.  Returns the
+        component's ``(dirs, loads)`` for the caller's load refresh.
         """
-        self.components_solved += 1
-        self.flows_solved += len(comp)
         state = self._arrays
-        if slots is None:
-            for fid in comp:
-                # Normally interned at walk time; this covers a kernel
-                # switched to "arrays" mid-run (bulk-intern happens on
-                # state creation, walks keep it current thereafter).
-                if fid not in state.slot_of:
-                    cached = self._cache[fid]
-                    state.intern_flow(fid, cached.flow, cached.dirs)
-            slots = state.gather_slots(comp)
-        rates, dirs, loads = state.solve_component(slots)
-        objs = state.objs
-        for slot, rate in zip(slots.tolist(), rates.tolist()):
-            objs[slot].rate_bps = rate
+        members, rates, dirs, loads = state.solve_component(comp)
+        self.components_solved += 1
+        self.flows_solved += len(members)
+        flows = state.view().flows
+        for pos, rate in zip(members.tolist(), rates.tolist()):
+            flows[pos].rate_bps = rate
         return dirs, loads
 
     @property
@@ -528,6 +583,11 @@ class ReallocEngine:
             "flows_walked": self.flows_walked,
             "components_solved": self.components_solved,
             "flows_solved": self.flows_solved,
+            "accrual_segments": self.accrual_segments,
+            "accrual_replays": self.accrual_replays,
+            "epoch_notifications": self.epoch_notifications,
+            "entities_scanned": self.entities_scanned,
+            "undelivered": self.undelivered,
             "kernel": self._kernel,
         }
         if self._arrays is not None:

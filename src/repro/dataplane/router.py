@@ -31,7 +31,7 @@ class Router(Node):
     def __init__(self, name: str, router_id: "IPv4Address | str | None" = None):
         super().__init__(name)
         self.router_id = IPv4Address(router_id) if router_id is not None else None
-        self.fib = FIB()
+        self.fib = FIB(owner=self)
         # Per-router hash seed: deterministic, but different per device.
         self.hash_seed = zlib.crc32(name.encode())
         self.interface_addrs: dict[int, IPv4Address] = {}

@@ -39,8 +39,8 @@ class Switch(Node):
     def __init__(self, name: str, dpid: "int | None" = None, num_ports: int = 0):
         super().__init__(name)
         self.dpid = dpid if dpid is not None else next(_dpid_counter)
-        self.table = FlowTable()
-        self.groups = GroupTable()
+        self.table = FlowTable(owner=self)
+        self.groups = GroupTable(owner=self)
         self._agent = None  # set by SwitchAgent.attach()
         for __ in range(num_ports):
             self.add_port()
@@ -62,7 +62,7 @@ class Switch(Node):
             self._agent = value
             # Attaching/detaching a controller changes what a table
             # miss means (MISS vs DROP), i.e. the forwarding outcome.
-            self._fwd_epoch += 1
+            self.bump_fwd_epoch()
 
     def forward_flow(self, flow_key: "FiveTuple", in_port: "int | None",
                      macs=None):

@@ -66,29 +66,38 @@ class Group:
 class GroupTable:
     """The per-switch group table."""
 
-    def __init__(self) -> None:
+    def __init__(self, owner=None) -> None:
         self._groups: Dict[int, Group] = {}
         self.version = 0
+        self._owner = owner  # the Switch folding version into fwd_epoch
+
+    def _bump(self) -> None:
+        """Every mutation lands here: the version moves (and with it
+        the owner's ``fwd_epoch``) and the owner is registered as
+        touched with its network."""
+        self.version += 1
+        if self._owner is not None:
+            self._owner.touched()
 
     def add(self, group: Group) -> None:
         """Insert a group; re-adding an existing id is an error (spec)."""
         if group.group_id in self._groups:
             raise DataPlaneError(f"group {group.group_id} already exists")
         self._groups[group.group_id] = group
-        self.version += 1
+        self._bump()
 
     def modify(self, group: Group) -> None:
         """Replace an existing group's type/buckets."""
         if group.group_id not in self._groups:
             raise DataPlaneError(f"group {group.group_id} does not exist")
         self._groups[group.group_id] = group
-        self.version += 1
+        self._bump()
 
     def delete(self, group_id: int) -> bool:
         """Remove a group; True when it existed."""
         removed = self._groups.pop(group_id, None) is not None
         if removed:
-            self.version += 1
+            self._bump()
         return removed
 
     def get(self, group_id: int) -> Optional[Group]:

@@ -274,7 +274,7 @@ class ScenarioRunner:
         outcomes.sort(key=lambda o: (o.at, o.label))
 
         exp.network.on_reallocation.append(
-            lambda now: self._check_recovery(exp, outcomes, now))
+            self._check_recovery(exp, outcomes))
         return exp, outcomes
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
@@ -472,30 +472,34 @@ class ScenarioRunner:
         exp.flows.extend(flows)
 
     @staticmethod
-    def _check_recovery(exp: Experiment,
-                        outcomes: List[InjectionOutcome],
-                        now: float) -> None:
-        """Reallocation hook: when every flow that should be running is
-        delivered, any still-open disruption at or before ``now`` has
-        recovered.
+    def _check_recovery(exp: Experiment, outcomes: List[InjectionOutcome]):
+        """The reallocation hook: when every flow that should be
+        running is delivered, any still-open disruption at or before
+        ``now`` has recovered.
 
         An instant with no active flows proves nothing (a blackholed
         network looks identical to a healthy one once traffic ends),
         so recovery is only ever concluded from delivered traffic —
         a disruption never observed healed stays unrecovered.
+
+        Both questions are O(1) per call: the realloc engine counts its
+        undelivered cached walks, and ``outcomes`` is sorted by ``at``
+        with every outcome up to ``now`` closed together, so the open
+        ones are always the suffix behind a cursor.
         """
-        active = exp.network.active_flows()
-        if not active:
-            return
-        healthy = all(
-            flow.path is not None and flow.path.delivered
-            for flow in active
-        )
-        if not healthy:
-            return
-        for outcome in outcomes:
-            if outcome.recovered_at is None and outcome.at <= now + _EPS:
-                outcome.recovered_at = now
+        engine = exp.network.realloc
+        cursor = 0
+
+        def check(now: float) -> None:
+            nonlocal cursor
+            if cursor == len(outcomes) or not engine.all_delivered():
+                return
+            while (cursor < len(outcomes)
+                   and outcomes[cursor].at <= now + _EPS):
+                outcomes[cursor].recovered_at = now
+                cursor += 1
+
+        return check
 
     @staticmethod
     def _convergence(exp: Experiment,

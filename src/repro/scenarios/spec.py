@@ -38,15 +38,22 @@ from repro.topology.topo import Topo
 from repro.traffic import patterns
 
 
-#: Version of the serialized spec schema.  v1 was the PR 1 shape; v2
-#: added the ``slos`` assertion list; v3 added the traffic ``flows``
-#: list (explicit per-flow [src, dst, rate_bps] entries — the
-#: traffic-matrix families); v4 adds the "static" protocol kind, the
-#: "graphml" topology kind, and the ``symmetry`` sim_params knob
-#: (quotient simulation — fingerprint-covered via the spec hash like
-#: every sim_params field).  Older spec files load fine — the new
-#: fields default off.
-SPEC_SCHEMA_VERSION = 4
+#: Every version of the serialized spec schema, oldest first — the one
+#: table of what each added.  Versions only ever add: a file of any
+#: listed version loads (fields it predates default off; a file with no
+#: ``schema_version`` key is v1), and ``from_dict`` rejects a version
+#: beyond the newest rather than silently dropping what it cannot know.
+SPEC_SCHEMA_VERSIONS: Dict[int, str] = {
+    1: "the PR 1 shape (no version stamp, no slos)",
+    2: "the `slos` assertion list and the version stamp",
+    3: "the traffic `flows` list: explicit per-flow "
+       "[src, dst, rate_bps] entries (the traffic-matrix families)",
+    4: 'the "static" protocol kind, the "graphml" topology kind and '
+       "the `symmetry` sim_params knob (quotient simulation — "
+       "fingerprint-covered via the spec hash like every sim_params "
+       "field)",
+}
+SPEC_SCHEMA_VERSION = max(SPEC_SCHEMA_VERSIONS)
 
 
 def _fattree(**params) -> Topo:
@@ -293,8 +300,18 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        # Accepts any schema version to date: v1 files simply have no
-        # "slos" (or "schema_version") key.
+        # Accepts any schema version to date (SPEC_SCHEMA_VERSIONS): v1
+        # files simply have no "slos" (or "schema_version") key.
+        version = data.get("schema_version", 1)
+        if type(version) is not int or version < 1:
+            raise ConfigurationError(
+                f"spec schema_version must be an integer >= 1, got "
+                f"{version!r} (this build reads versions 1 to "
+                f"{SPEC_SCHEMA_VERSION})")
+        if version > SPEC_SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"spec schema_version {version} is newer than this "
+                f"build reads (versions 1 to {SPEC_SCHEMA_VERSION})")
         unknown = sorted(set(data) - cls.KNOWN_KEYS)
         if unknown:
             raise ConfigurationError(

@@ -12,9 +12,14 @@ of parity are pinned here:
 * **Engine level** — the arrays kernel runs off a struct-of-arrays
   mirror of fluid state that persists across recomputes.  Driving an
   arrays-kernel network and a heap-kernel network through the same
-  random churn must yield bit-identical rates at every step, and a
-  ``forget()`` (drop the persisted mirror, re-intern from scratch)
-  must reproduce the persisted state's rates exactly.
+  random churn must yield bit-identical rates *and byte counters*
+  (flow, direction, port, host) at every step — across every replay
+  trigger of the sealed accrual timeline: stats samples, ``forget()``,
+  packets competing for a port counter, a freed flow slot reused under
+  sealed segments, more rate changes than the segment bound with no
+  read in between — and a ``forget()`` (drop the persisted mirror,
+  re-intern from scratch) must reproduce the persisted state's rates
+  exactly.
 * **Scenario level** — full scenario fingerprints (delivered bytes,
   events, recomputations, injection outcomes) are equal across all
   three kernels and across symmetry on/off.
@@ -33,10 +38,14 @@ from repro.core.config import SimulationConfig
 from repro.core.errors import ConfigurationError
 from repro.core.simulation import Simulation
 from repro.dataplane import solver
-from repro.dataplane.arrays import HAVE_NUMPY
+from repro.dataplane.arrays import HAVE_NUMPY, SEGMENT_BOUND
 from repro.dataplane.flow import FluidFlow
+from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.fluid import max_min_allocation, validate_allocation
 from repro.dataplane.network import Network
+from repro.dataplane.stats import StatsCollector
+from repro.openflow.actions import ActionOutput
+from repro.openflow.match import Match
 from repro.scenarios import (
     LinkFail,
     ProtocolRecipe,
@@ -163,7 +172,13 @@ def test_all_kernels_reach_the_maxmin_allocation(clean, messy, ties):
 
 
 def build_leaf_spine(kernel):
-    """2 spines, 3 edge routers, 2 hosts per edge, ECMP uplinks."""
+    """2 spines, 3 edge routers, 2 hosts per edge, ECMP uplinks.
+
+    The last host hangs off an OpenFlow switch with two static
+    entries, so its flows carry flow-table entries: while one is live,
+    accrual takes the scalar per-entry path, and the sealed timeline
+    must be replayed ahead of it.
+    """
     sim = Simulation(SimulationConfig(kernel=kernel))
     net = Network(f"parity-{kernel}")
     sim.attach_network(net)
@@ -177,6 +192,14 @@ def build_leaf_spine(kernel):
                                 f"10.0.{e_idx}.{h_idx + 1}",
                                 gateway=f"10.0.{e_idx}.254")
             hosts.append(host)
+            if (e_idx, h_idx) == (2, 1):
+                switch = net.add_switch("sw")
+                net.add_link(host, switch, capacity_bps=GBPS)
+                for in_port, out_port in ((1, 2), (2, 1)):
+                    switch.table.add(FlowEntry(
+                        match=Match(in_port=in_port),
+                        actions=[ActionOutput(out_port)]))
+                host = switch
             links.append(net.add_link(host, edge, capacity_bps=GBPS))
             edge.fib.install(f"10.0.{e_idx}.{h_idx + 1}/32",
                              [(h_idx + 1, None)])
@@ -192,10 +215,10 @@ def build_leaf_spine(kernel):
     for spine in spines:
         for e_idx in range(3):
             spine.fib.install(f"10.0.{e_idx}.0/24", [(e_idx + 1, None)])
-    return sim, net, hosts, links
+    return sim, net, hosts, links, edges, switch
 
 
-_churn_ops = st.one_of(
+_rate_ops = st.one_of(
     st.tuples(st.just("start_flow"), st.integers(0, 5), st.integers(0, 5),
               st.sampled_from(CLEAN_DEMANDS + (1.7e8, 2e9))),
     st.tuples(st.just("stop_flow"), st.integers(0, 31)),
@@ -203,21 +226,87 @@ _churn_ops = st.one_of(
     st.tuples(st.just("restore_link"), st.integers(0, 11)),
     st.tuples(st.just("degrade"), st.integers(0, 11),
               st.floats(0.1, 1.0)),
-    st.tuples(st.just("advance"), st.floats(0.001, 0.05)),
+    # Re-point an edge router's route to another edge at one uplink or
+    # both: flows change path (their mirror rows are re-interned) while
+    # the live set stays what it was.
+    st.tuples(st.just("reroute"), st.integers(0, 2), st.integers(0, 2),
+              st.sampled_from(((3,), (4,), (3, 4)))),
+    # A packet through Network.transmit: its bytes land on port
+    # counters the accrual timeline also writes.
+    st.tuples(st.just("packet"), st.integers(0, 31)),
 )
+
+_churn_ops = st.one_of(
+    _rate_ops,
+    st.tuples(st.just("advance"), st.floats(0.001, 0.05)),
+    st.tuples(st.just("sample")),     # StatsCollector.sample_now()
+    st.tuples(st.just("forget")),     # realloc.forget(), mid-run
+    # Several rate changes inside one run window: nothing reads a
+    # counter in between, so segments pile up sealed (past the bound
+    # when the batch is long enough) and freed flow slots get reused
+    # underneath them.
+    st.tuples(st.just("batch"),
+              st.lists(_rate_ops, min_size=2, max_size=SEGMENT_BOUND + 8)),
+)
+
+# Pinned histories for the replay triggers random draws rarely line up.
+# Adding x to a counter B rounds x to B's ulp, so while a counter stays
+# inside one binade its adds commute and a wrong order goes unseen:
+# every history below starts its flows inside the batch, where the
+# counters are a few addends old and cross a binade at almost each add.
+# More rate changes than the segment bound between two reads.
+_PAST_THE_BOUND = [
+    ("batch", [("start_flow", 0, 2, 1.7e8), ("start_flow", 1, 4, 1e9),
+               ("start_flow", 3, 5, 2.5e8)]
+     + [("degrade", link % 12, 0.31 + 0.037 * link)
+        for link in range(SEGMENT_BOUND + 6)]),
+]
+# Stop-then-start reuses the freed flow slot while the segment sealed
+# at the stop is still pending; packets compete for port counters
+# between the rate changes; a reroute re-interns a live flow's row.
+_SLOT_REUSE = [
+    ("batch", [("start_flow", 0, 2, 1.7e8), ("start_flow", 1, 3, 1e9),
+               ("packet", 0), ("start_flow", 0, 3, 2e9), ("packet", 1),
+               ("degrade", 0, 0.37), ("packet", 0),
+               ("stop_flow", 0), ("packet", 1), ("degrade", 1, 0.73),
+               ("packet", 2), ("start_flow", 4, 0, 2e9),
+               ("reroute", 0, 1, (3,)), ("packet", 1),
+               ("degrade", 6, 0.59), ("stop_flow", 1), ("packet", 2),
+               ("start_flow", 2, 5, 1.7e8), ("reroute", 0, 1, (4,)),
+               ("degrade", 4, 0.83), ("stop_flow", 4),
+               ("degrade", 7, 0.47)]),
+    ("sample",), ("forget",), ("advance", 0.0213), ("packet", 2),
+    ("degrade", 0, 0.91),
+]
+# A flow carrying flow-table entries (host 5 sits behind the switch)
+# arrives while vectorized segments are sealed: the scalar per-entry
+# pass that takes over must land after them, and hand back after it.
+_ENTRIES_UNDER_SEALED = [
+    ("batch", [("start_flow", 0, 2, 1.7e8), ("start_flow", 1, 3, 1e9),
+               ("degrade", 0, 0.37), ("degrade", 1, 0.73),
+               ("degrade", 6, 0.59), ("start_flow", 2, 5, 2e9),
+               ("degrade", 7, 0.47), ("degrade", 0, 0.91),
+               ("stop_flow", 2), ("degrade", 1, 0.67),
+               ("degrade", 6, 0.29)]),
+]
 
 
 class _Driver:
     """Applies one op stream to one network (indices make the same
     sequence replay identically on differently-kernelled networks)."""
 
+    STEP = 1.37e-4   # not round: no byte amount comes out exact
+
     def __init__(self, kernel):
-        self.sim, self.net, self.hosts, self.links = build_leaf_spine(kernel)
+        (self.sim, self.net, self.hosts, self.links,
+         self.edges, self.switch) = build_leaf_spine(kernel)
+        self.stats = StatsCollector(self.net)
         self.flows = []
         self.t = 0.0
         self.flow_seq = 0
 
-    def apply(self, op):
+    def mutate(self, op):
+        """Perform one op at the current simulated instant."""
         kind = op[0]
         if kind == "start_flow":
             __, src, dst, demand = op
@@ -225,7 +314,7 @@ class _Driver:
                 flow = FluidFlow(self.hosts[src], self.hosts[dst],
                                  demand_bps=demand,
                                  src_port=41000 + self.flow_seq,
-                                 start_time=self.t)
+                                 start_time=self.net.now)
                 self.flow_seq += 1
                 self.net.flows.append(flow)
                 self.flows.append(flow)
@@ -243,19 +332,65 @@ class _Driver:
             link = self.links[op[1]]
             link.set_capacity(link.nominal_capacity_bps * op[2])
             self.net.invalidate_routing()
-        self.t += op[1] if kind == "advance" else 1e-4
+        elif kind == "reroute":
+            __, edge, other, ports = op
+            if edge != other:
+                self.edges[edge].fib.install(
+                    f"10.0.{other}.0/24", [(port, None) for port in ports])
+                self.net.invalidate_routing()
+        elif kind == "packet":
+            if self.flows:
+                flow = self.flows[op[1] % len(self.flows)]
+                self.net.transmit(flow.src, [(1, flow.first_packet())])
+        elif kind == "sample":
+            self.stats.sample_now()
+        elif kind == "forget":
+            self.net.realloc.forget()
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "batch":
+            for nth, sub in enumerate(op[1]):
+                # Unequal gaps: equal rates over equal intervals would
+                # make neighbouring segments' addends commute exactly.
+                self.t += self.STEP * (1 + nth % 3)
+                self.sim.scheduler.at(self.t,
+                                      lambda sub=sub: self.mutate(sub))
+        elif kind == "advance":
+            self.t += op[1]
+        else:
+            self.mutate(op)
+        self.t += self.STEP
         self.sim.run(until=self.t)
+
+    def byte_counters(self):
+        """Every counter the accrual timeline writes, in a fixed order."""
+        out = [flow.delivered_bytes for flow in self.flows]
+        for link in self.links:
+            for direction in (link.forward, link.reverse):
+                out += [direction.bytes_carried, direction.src_port.tx_bytes,
+                        direction.dst_port.rx_bytes]
+        for host in self.hosts:
+            out += [host.tx_bytes, host.rx_bytes]
+        for entry in self.switch.table.entries():
+            out += [entry.byte_count, entry.last_used_at]
+        return out
 
 
 @needs_numpy
 @given(st.lists(_churn_ops, min_size=1, max_size=30))
+@example(_PAST_THE_BOUND)
+@example(_SLOT_REUSE)
+@example(_ENTRIES_UNDER_SEALED)
 @settings(max_examples=40, deadline=None)
 def test_arrays_engine_matches_heap_under_churn(ops):
     """Persisted-intern parity: the struct-of-arrays state the arrays
-    kernel keeps across recomputes produces bit-identical rates to the
-    heap engine at every step of a random churn sequence — and
-    dropping it (``forget``) and re-interning from scratch reproduces
-    the persisted rates exactly."""
+    kernel keeps across recomputes produces bit-identical rates and
+    byte counters to the heap engine at every step of a random churn
+    sequence — the heap engine accrues flow by flow at every rate
+    change, the arrays engine seals and replays — and dropping it
+    (``forget``) and re-interning from scratch reproduces the
+    persisted rates exactly."""
     arr = _Driver("arrays")
     heap = _Driver("heap")
     assert arr.net.realloc.effective_kernel() == "arrays"
@@ -269,7 +404,8 @@ def test_arrays_engine_matches_heap_under_churn(ops):
             where = f"step {step} op {op} flow {fa.name}"
             assert fa.active == fb.active, where
             assert fa.rate_bps == fb.rate_bps, where  # bit-for-bit
-            assert fa.delivered_bytes == fb.delivered_bytes, where
+        assert arr.byte_counters() == heap.byte_counters(), (
+            f"step {step} op {op}")
         for la, lb in zip(arr.links, heap.links):
             for da, db in ((la.forward, lb.forward),
                            (la.reverse, lb.reverse)):

@@ -309,9 +309,35 @@ class TestScenarioDeterminism:
     """The acceptance clause: fingerprints bit-for-bit identical with
     tracing on and off."""
 
-    def _result(self, seed=0, bgp=False):
+    def _churn_spec(self, seed):
+        """``dataplane_churn``-shaped input at k=4: static ECMP, short
+        flows arriving and leaving, a flap storm — recomputes, sealed
+        accrual segments and replays, no control plane."""
+        import random
+        from repro.scenarios import (ProtocolRecipe, ScenarioSpec,
+                                     TopologyRecipe, TrafficRecipe)
+        from repro.scenarios.generators import flap_storm
+
+        topology = TopologyRecipe("fattree", {"k": 4, "device": "router"})
+        topo = topology.build()
+        rng = random.Random(seed)
+        matrix = []
+        for __ in range(40):
+            src, dst = rng.sample(topo.hosts(), 2)
+            matrix.append([src, dst, rng.uniform(1e6, 40e6)])
+        return ScenarioSpec(
+            name="churn", seed=seed, duration=12.0, topology=topology,
+            protocol=ProtocolRecipe("static", {"ecmp": True}),
+            traffic=TrafficRecipe(pattern="matrix", flows=matrix,
+                                  start_time=1.0, duration=4.0, stagger=5.0),
+            injections=flap_storm(topo, links=3, start=2.0, spread=2.0,
+                                  period=2.0, cycles=2, rng=rng))
+
+    def _result(self, seed=0, bgp=False, churn=False):
         from repro.scenarios import (ProtocolRecipe, ScenarioRunner,
                                      TopologyRecipe, generate_scenario)
+        if churn:
+            return ScenarioRunner().run(self._churn_spec(seed))
         routed = {}
         if bgp:
             routed = dict(
@@ -322,16 +348,18 @@ class TestScenarioDeterminism:
                                  duration=30.0, **routed)
         return ScenarioRunner().run(spec)
 
-    def _run(self, seed=0, bgp=False):
+    def _run(self, seed=0, **kind):
         from repro.scenarios import result_fingerprint
-        return result_fingerprint(self._result(seed, bgp).to_dict())
+        return result_fingerprint(self._result(seed, **kind).to_dict())
 
-    @pytest.mark.parametrize("bgp", [False, True], ids=["ospf-wan", "bgp-fattree"])
-    def test_fingerprint_unmoved_by_tracing(self, bgp):
-        baseline = self._run(bgp=bgp)
-        enable_tracing()
+    @pytest.mark.parametrize("kind", [{}, {"bgp": True}, {"churn": True}],
+                             ids=["ospf-wan", "bgp-fattree",
+                                  "dataplane-churn"])
+    def test_fingerprint_unmoved_by_tracing(self, kind):
+        baseline = self._run(**kind)
+        assert maybe_enable_from_env({"REPRO_OBS": "1"}) is True
         try:
-            traced = self._run(bgp=bgp)
+            traced = self._run(**kind)
         finally:
             disable_tracing()
         assert traced == baseline
@@ -339,6 +367,25 @@ class TestScenarioDeterminism:
         names = {sp.name for sp in TRACER.spans()}
         assert "scenario.run" in names
         assert "scenario.simulate" in names
+        if "churn" in kind:
+            # Counter work shows where it now happens: one span per
+            # replay of the sealed accrual timeline.
+            replays = [sp for sp in TRACER.spans()
+                       if sp.name == "realloc.accrue"]
+            assert replays and all(sp.attrs["segments"] >= 1
+                                   for sp in replays)
+
+    def test_realloc_counters_reach_diagnostics_and_metrics(self):
+        result = self._result(churn=True)
+        stats = result.diagnostics["realloc"]
+        assert stats["accrual_segments"] > stats["accrual_replays"] > 0
+        assert stats["epoch_notifications"] >= stats["entities_scanned"] > 0
+        assert stats["undelivered"] == 0      # every flow has ended
+        gauges = metrics().snapshot()["gauges"]
+        for key in ("accrual_segments", "accrual_replays",
+                    "epoch_notifications", "entities_scanned",
+                    "undelivered"):
+            assert gauges[f"realloc.{key}"] == stats[key], key
 
     def test_bgp_daemon_counters_reach_diagnostics_and_metrics(self):
         result = self._result(bgp=True)

@@ -276,3 +276,67 @@ class TestSpecSlos:
         assert spec.spec_hash() == base
         spec.seed = 99
         assert spec.spec_hash() != base
+
+
+# One file per past schema version, as that version wrote it (see
+# ``SPEC_SCHEMA_VERSIONS`` in spec.py): every one must keep loading.
+_V1_FILE = {
+    "name": "v1", "seed": 3, "duration": 20.0,
+    "topology": {"kind": "wan", "params": {}},
+    "protocol": {"kind": "ospf", "params": {"hello_interval": 1.0}},
+    "traffic": {"pattern": "permutation", "rate_bps": 2e8,
+                "start_time": 1.0, "duration": 15.0, "stagger": 0.0,
+                "stride": 1, "pairs": []},
+    "injections": [{"kind": "link-fail", "at": 5.0,
+                    "node_a": "r1", "node_b": "r2"}],
+    "sim_params": {},
+}
+_V2_FILE = dict(_V1_FILE, name="v2", schema_version=2,
+                slos=[{"kind": "converged_within", "seconds": 20.0}])
+_V3_FILE = dict(_V2_FILE, name="v3", schema_version=3,
+                traffic=dict(_V1_FILE["traffic"], pattern="matrix",
+                             flows=[["h1", "h2", 1e6], ["h2", "h1", 2e6]]))
+_V4_FILE = dict(_V3_FILE, name="v4", schema_version=4,
+                topology={"kind": "graphml",
+                          "params": {"path": "tests/data/ring4.graphml"}},
+                protocol={"kind": "static", "params": {"ecmp": True}},
+                sim_params={"symmetry": True})
+
+
+class TestSpecSchemaVersions:
+    def test_version_table_is_contiguous_up_to_current(self):
+        from repro.scenarios.spec import (
+            SPEC_SCHEMA_VERSION,
+            SPEC_SCHEMA_VERSIONS,
+        )
+
+        assert sorted(SPEC_SCHEMA_VERSIONS) == list(
+            range(1, SPEC_SCHEMA_VERSION + 1))
+
+    @pytest.mark.parametrize("data", [_V1_FILE, _V2_FILE, _V3_FILE, _V4_FILE],
+                             ids=["v1", "v2", "v3", "v4"])
+    def test_every_past_version_loads(self, data):
+        spec = ScenarioSpec.from_dict(json.loads(json.dumps(data)))
+        assert spec.name == data["name"]
+        assert len(spec.slos) == len(data.get("slos", []))
+        assert spec.traffic.flows == data["traffic"].get("flows", [])
+        assert spec.protocol.kind == data["protocol"]["kind"]
+        assert spec.topology.kind == data["topology"]["kind"]
+        assert spec.sim_params == data["sim_params"]
+        # What it re-serializes is the current version, loadable again.
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    def test_newer_version_rejected_naming_both(self):
+        from repro.scenarios import SPEC_SCHEMA_VERSION
+
+        data = dict(_V4_FILE, schema_version=SPEC_SCHEMA_VERSION + 1)
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioSpec.from_dict(data)
+        message = str(excinfo.value)
+        assert f"schema_version {SPEC_SCHEMA_VERSION + 1}" in message
+        assert f"1 to {SPEC_SCHEMA_VERSION}" in message
+
+    @pytest.mark.parametrize("version", [0, -1, "4", 4.0, True, None])
+    def test_malformed_version_rejected(self, version):
+        with pytest.raises(ConfigurationError, match="schema_version"):
+            ScenarioSpec.from_dict(dict(_V4_FILE, schema_version=version))
