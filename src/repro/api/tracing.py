@@ -111,7 +111,7 @@ def _summarise_ospf(data: bytes) -> str:
     except Exception:
         return "<undecodable>"
     if isinstance(message, OSPFHello):
-        return f"HELLO neighbors={len(message.neighbors)}"
+        return f"HELLO neighbors={len(message.neighbor_ids)}"
     if isinstance(message, OSPFLinkStateUpdate):
         return f"LS_UPDATE lsas={len(message.lsas)}"
     return type(message).__name__

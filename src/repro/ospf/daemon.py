@@ -20,8 +20,10 @@ from repro.core.errors import ControlPlaneError
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 from repro.ospf.lsdb import LinkStateDatabase
 from repro.ospf.packets import (
+    TYPE_HELLO,
     LSALink,
     LSAPrefix,
+    OSPFDecodeError,
     OSPFHello,
     OSPFLinkStateUpdate,
     RouterLSA,
@@ -62,6 +64,7 @@ class _NeighborState:
 
     def __init__(self, config: OSPFPeerConfig):
         self.config = config
+        self.router_id = int(config.peer_router_id)
         self.channel: Optional["ControlChannel"] = None
         self.heard = False        # we received their hello
         self.full = False         # they listed us -> adjacency up
@@ -75,6 +78,7 @@ class OSPFDaemon:
         self.router_name = router_name
         self.name = f"ospfd-{router_name}"
         self.config = config
+        self._router_id = int(config.router_id)
         self.sim: Optional["Simulation"] = None
         self.lsdb = LinkStateDatabase()
         self.neighbors: Dict[str, _NeighborState] = {}
@@ -85,6 +89,10 @@ class OSPFDaemon:
         self.spf_runs = 0
         self.hellos_sent = 0
         self.lsus_sent = 0
+        self.lsas_received = 0
+        self.lsas_accepted = 0
+        self.lsa_bodies_parsed = 0
+        self.decode_errors = 0
 
     # -- wiring -----------------------------------------------------------------
 
@@ -120,12 +128,10 @@ class OSPFDaemon:
 
     def _hello_round(self) -> None:
         heard_ids = [
-            state.config.peer_router_id
-            for state in self.neighbors.values()
-            if state.heard
+            state.router_id for state in self.neighbors.values() if state.heard
         ]
         hello = OSPFHello(
-            router_id=self.config.router_id,
+            router_id=self._router_id,
             hello_interval=self.config.hello_interval,
             dead_interval=self.config.dead_interval,
             neighbors=heard_ids,
@@ -163,18 +169,24 @@ class OSPFDaemon:
         peer_name = self._channel_to_neighbor.get(channel.id)
         if peer_name is None:
             return
+        try:
+            message = decode_ospf_message(data)
+        except OSPFDecodeError:
+            # Dropped before it can refresh the dead timer: garbage
+            # must not keep an adjacency alive.
+            self.decode_errors += 1
+            return
         state = self.neighbors[peer_name]
         state.last_heard = self._now()
-        message = decode_ospf_message(data)
-        if isinstance(message, OSPFHello):
+        if message.msg_type == TYPE_HELLO:
             self._handle_hello(state, message)
-        elif isinstance(message, OSPFLinkStateUpdate):
+        else:
             self._handle_lsu(state, message)
 
     def _handle_hello(self, state: _NeighborState, hello: OSPFHello) -> None:
         newly_heard = not state.heard
         state.heard = True
-        two_way = any(n == self.config.router_id for n in hello.neighbors)
+        two_way = self._router_id in hello.neighbor_ids
         if two_way and not state.full:
             state.full = True
             self._originate_lsa()
@@ -187,12 +199,13 @@ class OSPFDaemon:
 
     def _handle_lsu(self, state: _NeighborState, update: OSPFLinkStateUpdate) -> None:
         accepted: List[RouterLSA] = []
+        self.lsas_received += len(update.lsas)
         for lsa in update.lsas:
-            if lsa.advertising_router == self.config.router_id:
+            if lsa.originator == self._router_id:
                 # Someone floods our own (possibly stale) LSA back;
                 # re-originate with a higher sequence if it is newer
                 # than what we think we have.
-                ours = self.lsdb.get(self.config.router_id)
+                ours = self.lsdb.get(self._router_id)
                 if ours is not None and lsa.newer_than(ours):
                     self._sequence = lsa.sequence
                     self._originate_lsa()
@@ -200,6 +213,7 @@ class OSPFDaemon:
             if self.lsdb.consider(lsa):
                 accepted.append(lsa)
         if accepted:
+            self.lsas_accepted += len(accepted)
             self._flood(accepted, exclude=state.config.peer_name)
             self._schedule_spf()
 
@@ -230,14 +244,14 @@ class OSPFDaemon:
         lsas = self.lsdb.all_lsas()
         if not lsas or state.channel is None:
             return
-        update = OSPFLinkStateUpdate(router_id=self.config.router_id, lsas=lsas)
+        update = OSPFLinkStateUpdate(router_id=self._router_id, lsas=lsas)
         self.lsus_sent += 1
         state.channel.send(self, update.encode())
 
     def _flood(self, lsas: List[RouterLSA], exclude: str = "") -> None:
         if not lsas:
             return
-        update = OSPFLinkStateUpdate(router_id=self.config.router_id, lsas=lsas)
+        update = OSPFLinkStateUpdate(router_id=self._router_id, lsas=lsas)
         data = update.encode()
         for name, state in self.neighbors.items():
             if name == exclude or not state.full or state.channel is None:
@@ -258,22 +272,29 @@ class OSPFDaemon:
     def _run_spf(self) -> None:
         self._spf_scheduled = False
         self.spf_runs += 1
+        self.lsa_bodies_parsed += sum(
+            1 for lsa in self.lsdb.all_lsas() if not lsa.body_parsed)
         result = shortest_paths(self.lsdb, self.config.router_id)
 
-        hop_by_router_id: Dict[int, _NeighborState] = {
-            int(state.config.peer_router_id): state
+        hop_by_router_id: Dict[int, Tuple[int, IPv4Address]] = {
+            state.router_id:
+                (state.config.local_port, state.config.peer_address)
             for state in self.neighbors.values()
             if state.full
         }
+        # Many prefixes share one first-hop set; its next-hop list is
+        # built once.
+        hops_by_set: Dict[frozenset, List[Tuple[int, IPv4Address]]] = {}
         desired: Dict[IPv4Prefix, List[Tuple[int, IPv4Address]]] = {}
         for prefix, (__, first_hop_ids) in result.prefix_routes.items():
-            next_hops = []
-            for router_id in sorted(first_hop_ids):
-                state = hop_by_router_id.get(router_id)
-                if state is not None:
-                    next_hops.append(
-                        (state.config.local_port, state.config.peer_address)
-                    )
+            key = frozenset(first_hop_ids)
+            next_hops = hops_by_set.get(key)
+            if next_hops is None:
+                next_hops = hops_by_set[key] = [
+                    hop_by_router_id[router_id]
+                    for router_id in sorted(first_hop_ids)
+                    if router_id in hop_by_router_id
+                ]
             if next_hops:
                 desired[prefix] = next_hops
 
@@ -301,11 +322,15 @@ class OSPFDaemon:
         """Counters for tests and benches."""
         return {
             "neighbors": len(self.neighbors),
-            "full": len(self.full_neighbors()),
+            "full": sum(1 for state in self.neighbors.values() if state.full),
             "lsdb": len(self.lsdb),
             "spf_runs": self.spf_runs,
             "hellos_sent": self.hellos_sent,
             "lsus_sent": self.lsus_sent,
+            "lsas_received": self.lsas_received,
+            "lsas_accepted": self.lsas_accepted,
+            "lsa_bodies_parsed": self.lsa_bodies_parsed,
+            "decode_errors": self.decode_errors,
             "routes": len(self._installed),
         }
 

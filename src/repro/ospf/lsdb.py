@@ -13,11 +13,13 @@ class LinkStateDatabase:
 
     def __init__(self) -> None:
         self._lsas: Dict[int, RouterLSA] = {}
-        self.version = 0  # bumped on every accepted change, for SPF caching
+        self.version = 0  # bumped on every accepted change
+        self._sorted: List[RouterLSA] = []
+        self._sorted_version = 0
 
     def consider(self, lsa: RouterLSA) -> bool:
         """Insert if newer than the stored copy; True when accepted."""
-        key = int(lsa.advertising_router)
+        key = lsa.originator
         current = self._lsas.get(key)
         if current is not None and not lsa.newer_than(current):
             return False
@@ -37,8 +39,16 @@ class LinkStateDatabase:
         return removed
 
     def all_lsas(self) -> List[RouterLSA]:
-        """Every LSA, ordered by advertising router for determinism."""
-        return [self._lsas[key] for key in sorted(self._lsas)]
+        """Every LSA, ordered by advertising router for determinism.
+
+        The list is built once per ``version`` and shared between
+        callers, who must not change it.
+        """
+        if self._sorted_version != self.version:
+            lsas = self._lsas
+            self._sorted = [lsas[key] for key in sorted(lsas)]
+            self._sorted_version = self.version
+        return self._sorted
 
     def __len__(self) -> int:
         return len(self._lsas)

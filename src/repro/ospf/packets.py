@@ -8,14 +8,29 @@ Types: HELLO(1), LS_UPDATE(4).
 
 The Router-LSA carries the originator's point-to-point links
 (neighbor router id + cost) and its stub prefixes (network, length,
-cost), with a 32-bit sequence number for newness comparison.
+cost), with a 32-bit sequence number for newness comparison::
+
+    originator(4) | sequence(4) | n_links(2) | n_prefixes(2)
+    n_links    x  neighbor_id(4) | cost(2)
+    n_prefixes x  network(4) | length(1) | cost(2)
+
+Flooding hands a router the same LSA once per neighbour and all but the
+first copy lose the sequence compare, so the decoder reads an LSA the
+way a real ``ospfd`` does: the fixed part decides, the body is parsed
+when somebody asks for it.  A decoded LSA keeps the bytes it arrived as
+and is re-flooded as those bytes.  Router ids are integers inside the
+codec; ``IPv4Address``/``IPv4Prefix`` objects appear where a caller
+reads ``advertising_router``, ``links``, ``prefixes`` or ``neighbors``.
+
+Whatever the input, decoding either returns a message or raises
+:class:`OSPFDecodeError`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 
@@ -23,7 +38,12 @@ OSPF_VERSION = 2
 TYPE_HELLO = 1
 TYPE_LS_UPDATE = 4
 
-HEADER = struct.Struct("!BBH4s")
+HEADER = struct.Struct("!BBHI")
+_HELLO_FIXED = struct.Struct("!HHH")
+_LSU_COUNT = struct.Struct("!H")
+_LSA_FIXED = struct.Struct("!IIHH")
+_LINK = struct.Struct("!IH")
+_PREFIX = struct.Struct("!IBH")
 
 
 class OSPFDecodeError(ValueError):
@@ -37,16 +57,6 @@ class LSALink:
     neighbor_id: IPv4Address
     cost: int = 1
 
-    _STRUCT = struct.Struct("!4sH")
-
-    def encode(self) -> bytes:
-        return self._STRUCT.pack(self.neighbor_id.packed(), self.cost)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "LSALink":
-        raw_id, cost = cls._STRUCT.unpack(data[: cls._STRUCT.size])
-        return cls(neighbor_id=IPv4Address.from_bytes(raw_id), cost=cost)
-
 
 @dataclass(frozen=True)
 class LSAPrefix:
@@ -55,149 +65,268 @@ class LSAPrefix:
     prefix: IPv4Prefix
     cost: int = 0
 
-    _STRUCT = struct.Struct("!4sBH")
 
-    def encode(self) -> bytes:
-        return self._STRUCT.pack(
-            self.prefix.network.packed(), self.prefix.length, self.cost
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "LSAPrefix":
-        raw_net, length, cost = cls._STRUCT.unpack(data[: cls._STRUCT.size])
-        return cls(
-            prefix=IPv4Prefix.from_network(IPv4Address.from_bytes(raw_net), length),
-            cost=cost,
-        )
-
-
-@dataclass(frozen=True)
 class RouterLSA:
-    """A router's link-state advertisement."""
+    """A router's link-state advertisement.
 
-    advertising_router: IPv4Address
-    sequence: int
-    links: Tuple[LSALink, ...] = ()
-    prefixes: Tuple[LSAPrefix, ...] = ()
+    ``originator`` is the advertising router as an integer (the LSDB
+    key); ``advertising_router`` is the same as an address.  An LSA
+    decoded from the wire holds its byte extent and nothing else until
+    ``links``, ``prefixes`` or :meth:`neighbor_costs` is read.
+    """
 
-    _FIXED = struct.Struct("!4sIHH")
+    __slots__ = ("originator", "sequence", "_wire", "_prefixes_at",
+                 "_links", "_prefixes", "_neighbor_costs")
 
-    def encode(self) -> bytes:
-        head = self._FIXED.pack(
-            self.advertising_router.packed(),
-            self.sequence,
-            len(self.links),
-            len(self.prefixes),
-        )
-        parts = [head]
-        parts.extend(link.encode() for link in self.links)
-        parts.extend(prefix.encode() for prefix in self.prefixes)
-        return b"".join(parts)
+    def __init__(self, advertising_router: "IPv4Address | int", sequence: int,
+                 links: Iterable[LSALink] = (),
+                 prefixes: Iterable[LSAPrefix] = ()):
+        self.originator = int(advertising_router)
+        self.sequence = sequence
+        self._links: Optional[Tuple[LSALink, ...]] = tuple(links)
+        self._prefixes: Optional[Tuple[LSAPrefix, ...]] = tuple(prefixes)
+        self._neighbor_costs: Optional[Tuple[Tuple[int, int], ...]] = tuple(
+            (int(link.neighbor_id), link.cost) for link in self._links)
+        self._wire: Optional[bytes] = None
+        self._prefixes_at = 0
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["RouterLSA", bytes]:
-        raw_id, sequence, n_links, n_prefixes = cls._FIXED.unpack_from(data)
-        offset = cls._FIXED.size
-        links = []
-        for __ in range(n_links):
-            links.append(LSALink.decode(data[offset:]))
-            offset += LSALink._STRUCT.size
-        prefixes = []
-        for __ in range(n_prefixes):
-            prefixes.append(LSAPrefix.decode(data[offset:]))
-            offset += LSAPrefix._STRUCT.size
-        lsa = cls(
-            advertising_router=IPv4Address.from_bytes(raw_id),
-            sequence=sequence,
-            links=tuple(links),
-            prefixes=tuple(prefixes),
-        )
-        return lsa, data[offset:]
+    def decode(cls, data: bytes, offset: int = 0) -> Tuple["RouterLSA", int]:
+        """Read the LSA at ``offset``; returns it and the offset after it.
+
+        Only the fixed part is unpacked.  The body is checked — it fits
+        in ``data`` and no prefix length exceeds 32 — and kept as bytes.
+        """
+        try:
+            originator, sequence, n_links, n_prefixes = _LSA_FIXED.unpack_from(
+                data, offset)
+        except struct.error:
+            raise OSPFDecodeError("truncated LSA header") from None
+        prefixes_at = offset + _LSA_FIXED.size + _LINK.size * n_links
+        end = prefixes_at + _PREFIX.size * n_prefixes
+        if end > len(data):
+            raise OSPFDecodeError(
+                f"LSA of {n_links} links and {n_prefixes} prefixes runs "
+                f"past the message")
+        # Every seventh byte from the first length byte on is a length.
+        if n_prefixes and max(data[prefixes_at + 4:end:_PREFIX.size]) > 32:
+            raise OSPFDecodeError("LSA prefix length exceeds 32")
+        lsa = cls.__new__(cls)
+        lsa.originator = originator
+        lsa.sequence = sequence
+        lsa._wire = data[offset:end]
+        lsa._prefixes_at = prefixes_at - offset
+        lsa._links = lsa._prefixes = lsa._neighbor_costs = None
+        return lsa, end
+
+    def encode(self) -> bytes:
+        """The LSA's wire bytes: the extent it was decoded from, or the
+        encoding of a locally built LSA (made once)."""
+        wire = self._wire
+        if wire is None:
+            parts = [_LSA_FIXED.pack(self.originator, self.sequence,
+                                     len(self._links), len(self._prefixes))]
+            parts.extend(_LINK.pack(neighbor, cost)
+                         for neighbor, cost in self._neighbor_costs)
+            parts.extend(
+                _PREFIX.pack(int(stub.prefix.network), stub.prefix.length,
+                             stub.cost)
+                for stub in self._prefixes)
+            wire = self._wire = b"".join(parts)
+        return wire
+
+    @property
+    def body_parsed(self) -> bool:
+        """False while a decoded LSA is still only its bytes."""
+        return self._neighbor_costs is not None
+
+    def _parse_body(self) -> None:
+        wire = self._wire
+        self._neighbor_costs = tuple(
+            _LINK.iter_unpack(wire[_LSA_FIXED.size:self._prefixes_at]))
+        from_network = IPv4Prefix.from_network
+        self._prefixes = tuple(
+            LSAPrefix(from_network(network, length), cost)
+            for network, length, cost
+            in _PREFIX.iter_unpack(wire[self._prefixes_at:]))
+
+    def neighbor_costs(self) -> Tuple[Tuple[int, int], ...]:
+        """``(neighbor router id, cost)`` per link, as integers (SPF's view)."""
+        if self._neighbor_costs is None:
+            self._parse_body()
+        return self._neighbor_costs
+
+    @property
+    def advertising_router(self) -> IPv4Address:
+        return IPv4Address(self.originator)
+
+    @property
+    def links(self) -> Tuple[LSALink, ...]:
+        links = self._links
+        if links is None:
+            links = self._links = tuple(
+                LSALink(IPv4Address(neighbor), cost)
+                for neighbor, cost in self.neighbor_costs())
+        return links
+
+    @property
+    def prefixes(self) -> Tuple[LSAPrefix, ...]:
+        if self._prefixes is None:
+            self._parse_body()
+        return self._prefixes
 
     def newer_than(self, other: "RouterLSA") -> bool:
         """Sequence-number comparison (no wraparound handling needed for
         experiment-length runs)."""
         return self.sequence > other.sequence
 
+    def _fields(self):
+        return (self.originator, self.sequence, self.links, self.prefixes)
 
-@dataclass
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RouterLSA):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"RouterLSA(advertising_router={self.advertising_router!r}, "
+                f"sequence={self.sequence}, links={self.links!r}, "
+                f"prefixes={self.prefixes!r})")
+
+
 class OSPFHello:
-    """The hello: intervals and the neighbors we have heard from."""
+    """The hello: intervals and the neighbors we have heard from.
 
-    router_id: IPv4Address
-    hello_interval: float = 2.0
-    dead_interval: float = 8.0
-    neighbors: List[IPv4Address] = field(default_factory=list)
+    ``neighbor_ids`` holds the heard router ids as integers;
+    ``neighbors`` is the same list as addresses.
+    """
+
+    __slots__ = ("_router_id", "hello_interval", "dead_interval",
+                 "neighbor_ids")
+    msg_type = TYPE_HELLO
+
+    def __init__(self, router_id: "IPv4Address | int",
+                 hello_interval: float = 2.0, dead_interval: float = 8.0,
+                 neighbors: Iterable["IPv4Address | int"] = ()):
+        self._router_id = int(router_id)
+        self.hello_interval = hello_interval
+        self.dead_interval = dead_interval
+        self.neighbor_ids = tuple(int(n) for n in neighbors)
+
+    @property
+    def router_id(self) -> IPv4Address:
+        return IPv4Address(self._router_id)
+
+    @property
+    def neighbors(self) -> List[IPv4Address]:
+        return [IPv4Address(n) for n in self.neighbor_ids]
 
     def encode(self) -> bytes:
-        body = struct.pack(
-            "!HHH",
-            int(self.hello_interval * 10),  # tenths of seconds on the wire
-            int(self.dead_interval * 10),
-            len(self.neighbors),
-        )
-        body += b"".join(n.packed() for n in self.neighbors)
-        header = HEADER.pack(
-            OSPF_VERSION, TYPE_HELLO, HEADER.size + len(body), self.router_id.packed()
-        )
-        return header + body
+        count = len(self.neighbor_ids)
+        return b"".join((
+            HEADER.pack(OSPF_VERSION, TYPE_HELLO,
+                        HEADER.size + _HELLO_FIXED.size + 4 * count,
+                        self._router_id),
+            _HELLO_FIXED.pack(
+                int(self.hello_interval * 10),  # tenths of seconds on the wire
+                int(self.dead_interval * 10),
+                count),
+            struct.pack(f"!{count}I", *self.neighbor_ids),
+        ))
 
     @classmethod
-    def decode_body(cls, router_id: IPv4Address, body: bytes) -> "OSPFHello":
-        hello_tenths, dead_tenths, count = struct.unpack_from("!HHH", body)
-        offset = 6
-        neighbors = []
-        for __ in range(count):
-            neighbors.append(IPv4Address.from_bytes(body[offset : offset + 4]))
-            offset += 4
-        return cls(
-            router_id=router_id,
-            hello_interval=hello_tenths / 10.0,
-            dead_interval=dead_tenths / 10.0,
-            neighbors=neighbors,
-        )
+    def decode_body(cls, router_id: int, data: bytes,
+                    offset: int = 0) -> "OSPFHello":
+        """Parse the hello body that starts at ``offset`` of ``data``."""
+        try:
+            hello_tenths, dead_tenths, count = _HELLO_FIXED.unpack_from(
+                data, offset)
+        except struct.error:
+            raise OSPFDecodeError("truncated hello") from None
+        offset += _HELLO_FIXED.size
+        if len(data) != offset + 4 * count:
+            raise OSPFDecodeError(
+                f"hello lists {count} neighbors in {len(data) - offset} bytes")
+        hello = cls.__new__(cls)
+        hello._router_id = router_id
+        hello.hello_interval = hello_tenths / 10.0
+        hello.dead_interval = dead_tenths / 10.0
+        hello.neighbor_ids = struct.unpack_from(f"!{count}I", data, offset)
+        return hello
+
+    def __repr__(self) -> str:
+        return (f"OSPFHello(router_id={self.router_id!r}, "
+                f"hello_interval={self.hello_interval}, "
+                f"dead_interval={self.dead_interval}, "
+                f"neighbors={self.neighbors!r})")
 
 
-@dataclass
 class OSPFLinkStateUpdate:
     """A flood unit: one or more LSAs."""
 
-    router_id: IPv4Address
-    lsas: List[RouterLSA] = field(default_factory=list)
+    __slots__ = ("_router_id", "lsas")
+    msg_type = TYPE_LS_UPDATE
+
+    def __init__(self, router_id: "IPv4Address | int",
+                 lsas: Iterable[RouterLSA] = ()):
+        self._router_id = int(router_id)
+        self.lsas = list(lsas)
+
+    @property
+    def router_id(self) -> IPv4Address:
+        return IPv4Address(self._router_id)
 
     def encode(self) -> bytes:
-        body = struct.pack("!H", len(self.lsas))
-        body += b"".join(lsa.encode() for lsa in self.lsas)
-        header = HEADER.pack(
-            OSPF_VERSION, TYPE_LS_UPDATE, HEADER.size + len(body),
-            self.router_id.packed(),
-        )
-        return header + body
+        body = b"".join([lsa.encode() for lsa in self.lsas])
+        return b"".join((
+            HEADER.pack(OSPF_VERSION, TYPE_LS_UPDATE,
+                        HEADER.size + _LSU_COUNT.size + len(body),
+                        self._router_id),
+            _LSU_COUNT.pack(len(self.lsas)),
+            body,
+        ))
 
     @classmethod
-    def decode_body(cls, router_id: IPv4Address, body: bytes) -> "OSPFLinkStateUpdate":
-        (count,) = struct.unpack_from("!H", body)
-        rest = body[2:]
+    def decode_body(cls, router_id: int, data: bytes,
+                    offset: int = 0) -> "OSPFLinkStateUpdate":
+        """Parse the LS update body that starts at ``offset`` of ``data``."""
+        try:
+            (count,) = _LSU_COUNT.unpack_from(data, offset)
+        except struct.error:
+            raise OSPFDecodeError("truncated LS update") from None
+        offset += _LSU_COUNT.size
         lsas = []
+        decode_lsa = RouterLSA.decode
         for __ in range(count):
-            lsa, rest = RouterLSA.decode(rest)
+            lsa, offset = decode_lsa(data, offset)
             lsas.append(lsa)
-        return cls(router_id=router_id, lsas=lsas)
+        if offset != len(data):
+            raise OSPFDecodeError(
+                f"{len(data) - offset} trailing bytes after the last LSA")
+        update = cls.__new__(cls)
+        update._router_id = router_id
+        update.lsas = lsas
+        return update
+
+    def __repr__(self) -> str:
+        return (f"OSPFLinkStateUpdate(router_id={self.router_id!r}, "
+                f"lsas={self.lsas!r})")
 
 
 def decode_ospf_message(data: bytes):
     """Parse one OSPF-lite message (hello or LS update)."""
     if len(data) < HEADER.size:
         raise OSPFDecodeError("truncated OSPF header")
-    version, msg_type, length, raw_id = HEADER.unpack_from(data)
+    version, msg_type, length, router_id = HEADER.unpack_from(data)
     if version != OSPF_VERSION:
         raise OSPFDecodeError(f"unsupported OSPF version {version}")
     if length != len(data):
         raise OSPFDecodeError(f"bad OSPF length {length} != {len(data)}")
-    router_id = IPv4Address.from_bytes(raw_id)
-    body = data[HEADER.size :]
     if msg_type == TYPE_HELLO:
-        return OSPFHello.decode_body(router_id, body)
+        return OSPFHello.decode_body(router_id, data, HEADER.size)
     if msg_type == TYPE_LS_UPDATE:
-        return OSPFLinkStateUpdate.decode_body(router_id, body)
+        return OSPFLinkStateUpdate.decode_body(router_id, data, HEADER.size)
     raise OSPFDecodeError(f"unknown OSPF message type {msg_type}")

@@ -34,18 +34,23 @@ class SPFResult:
 
 def shortest_paths(lsdb: LinkStateDatabase, root_id: IPv4Address) -> SPFResult:
     """Compute ECMP shortest paths from ``root_id`` over the LSDB."""
-    # Build the bidirectionally-confirmed adjacency map.
+    # Build the bidirectionally-confirmed adjacency map: one pass to
+    # collect every advertised (router, neighbor) pair, one to keep the
+    # links whose reverse pair was advertised too.
+    lsas = lsdb.all_lsas()
+    advertised = {
+        (lsa.originator, neighbor)
+        for lsa in lsas
+        for neighbor, __ in lsa.neighbor_costs()
+    }
     adjacency: Dict[int, List[Tuple[int, int]]] = {}
-    for lsa in lsdb.all_lsas():
-        me = int(lsa.advertising_router)
-        for link in lsa.links:
-            neighbor = int(link.neighbor_id)
-            neighbor_lsa = lsdb.get(neighbor)
-            if neighbor_lsa is None:
-                continue
-            if not any(int(back.neighbor_id) == me for back in neighbor_lsa.links):
-                continue  # not confirmed in both directions
-            adjacency.setdefault(me, []).append((neighbor, link.cost))
+    for lsa in lsas:
+        me = lsa.originator
+        confirmed = [
+            link for link in lsa.neighbor_costs() if (link[0], me) in advertised
+        ]
+        if confirmed:
+            adjacency[me] = confirmed
 
     root = int(root_id)
     distance: Dict[int, float] = {root: 0.0}
@@ -76,21 +81,22 @@ def shortest_paths(lsdb: LinkStateDatabase, root_id: IPv4Address) -> SPFResult:
                 first_hops.setdefault(neighbor, set()).update(extra)
 
     result = SPFResult(router_distance=dict(distance))
-    for lsa in lsdb.all_lsas():
-        router = int(lsa.advertising_router)
-        if router not in distance:
+    prefix_routes = result.prefix_routes
+    for lsa in lsas:
+        router = lsa.originator
+        # Our own prefixes are connected routes; an unreached router's
+        # prefixes have no first hop.
+        if router == root or router not in distance:
             continue
+        hops = first_hops.get(router)
+        if not hops:
+            continue
+        base = distance[router]
         for stub in lsa.prefixes:
-            total = distance[router] + stub.cost
-            hops = first_hops.get(router, set())
-            if router == root:
-                # Our own prefixes are connected routes; skip.
-                continue
-            if not hops:
-                continue
-            existing = result.prefix_routes.get(stub.prefix)
+            total = base + stub.cost
+            existing = prefix_routes.get(stub.prefix)
             if existing is None or total < existing[0] - 1e-12:
-                result.prefix_routes[stub.prefix] = (total, set(hops))
+                prefix_routes[stub.prefix] = (total, set(hops))
             elif abs(total - existing[0]) <= 1e-12:
                 existing[1].update(hops)
     return result

@@ -355,8 +355,9 @@ class ScenarioRunner:
         quotient = exp.network.realloc.quotient
         if quotient is not None:
             reg.set_stats("quotient", quotient.stats())
-        if "bgp" in scenario_result.diagnostics:
-            reg.set_stats("bgp", scenario_result.diagnostics["bgp"])
+        for protocol in ("bgp", "ospf"):
+            if protocol in scenario_result.diagnostics:
+                reg.set_stats(protocol, scenario_result.diagnostics[protocol])
 
     # -- internals ---------------------------------------------------------
 
@@ -376,13 +377,15 @@ class ScenarioRunner:
                     "reason": getattr(exp.network, "symmetry_note",
                                       None) or "unavailable",
                 }
-        if exp.bgp_daemons:
-            # Every daemon's counters, summed over the fabric.
-            totals: Dict[str, int] = {}
-            for daemon in exp.bgp_daemons.values():
-                for key, value in daemon.stats().items():
-                    totals[key] = totals.get(key, 0) + value
-            diagnostics["bgp"] = totals
+        for protocol, daemons in (("bgp", exp.bgp_daemons),
+                                  ("ospf", exp.ospf_daemons)):
+            if daemons:
+                # Every daemon's counters, summed over the fabric.
+                totals: Dict[str, int] = {}
+                for daemon in daemons.values():
+                    for key, value in daemon.stats().items():
+                        totals[key] = totals.get(key, 0) + value
+                diagnostics[protocol] = totals
         return diagnostics
 
     # Protocols whose runs the quotient layer can compress: no control

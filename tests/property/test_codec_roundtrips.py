@@ -26,6 +26,7 @@ from repro.openflow.actions import ActionOutput, decode_actions, encode_actions
 from repro.openflow.constants import FlowModCommand
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, PacketIn, decode_message
+import ospf_reference as ospf_ref
 from repro.ospf.packets import (
     LSALink,
     LSAPrefix,
@@ -264,9 +265,28 @@ router_lsas = st.builds(
     RouterLSA,
     advertising_router=ipv4,
     sequence=st.integers(min_value=0, max_value=2**32 - 1),
-    links=st.lists(lsa_links, max_size=8).map(tuple),
-    prefixes=st.lists(lsa_prefixes, max_size=8).map(tuple),
+    links=st.lists(lsa_links, max_size=12).map(tuple),
+    prefixes=st.lists(lsa_prefixes, max_size=12).map(tuple),
 )
+
+
+def reference_lsa(lsa):
+    """``lsa`` rebuilt from the pre-PR-14 eager classes."""
+    return ospf_ref.RouterLSA(
+        advertising_router=lsa.advertising_router,
+        sequence=lsa.sequence,
+        links=tuple(ospf_ref.LSALink(link.neighbor_id, link.cost)
+                    for link in lsa.links),
+        prefixes=tuple(ospf_ref.LSAPrefix(stub.prefix, stub.cost)
+                       for stub in lsa.prefixes),
+    )
+
+
+def lsa_fields(lsa):
+    """What an LSA says, whichever class holds it."""
+    return (lsa.advertising_router, lsa.sequence,
+            [(link.neighbor_id, link.cost) for link in lsa.links],
+            [(stub.prefix, stub.cost) for stub in lsa.prefixes])
 
 
 @given(ipv4, st.lists(ipv4, max_size=10))
@@ -284,3 +304,72 @@ def test_ospf_lsu_roundtrip(router_id, lsas):
     update = OSPFLinkStateUpdate(router_id=router_id, lsas=lsas)
     decoded = decode_ospf_message(update.encode())
     assert decoded.lsas == lsas
+
+
+@given(ipv4, st.floats(min_value=0.1, max_value=6000.0),
+       st.floats(min_value=0.1, max_value=6000.0), st.lists(ipv4, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_ospf_hello_wire_is_unchanged(router_id, hello_interval,
+                                      dead_interval, neighbors):
+    """The int-native hello codec against the pre-PR-14 one."""
+    wire = OSPFHello(router_id, hello_interval, dead_interval,
+                     neighbors).encode()
+    assert wire == ospf_ref.OSPFHello(router_id, hello_interval,
+                                      dead_interval, neighbors).encode()
+    new, old = decode_ospf_message(wire), ospf_ref.decode_ospf_message(wire)
+    assert (new.router_id, new.hello_interval, new.dead_interval,
+            new.neighbors) == (old.router_id, old.hello_interval,
+                               old.dead_interval, old.neighbors)
+    assert all(type(n) is IPv4Address for n in new.neighbors)
+
+
+@given(ipv4, st.lists(router_lsas, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_ospf_lsu_wire_is_unchanged_and_forwarded_as_it_arrived(router_id,
+                                                                lsas):
+    """Encoder bytes equal the old encoder's (prefixes are generated
+    from unmasked integers, so dirty host bits are covered), the lazy
+    decoder agrees with the eager one field by field, and what was
+    decoded is re-encoded as exactly the bytes it came from — without
+    parsing a body."""
+    wire = OSPFLinkStateUpdate(router_id=router_id, lsas=lsas).encode()
+    assert wire == ospf_ref.OSPFLinkStateUpdate(
+        router_id=router_id, lsas=[reference_lsa(lsa) for lsa in lsas]).encode()
+
+    decoded = decode_ospf_message(wire)
+    assert OSPFLinkStateUpdate(decoded.router_id, decoded.lsas).encode() == wire
+    assert not any(lsa.body_parsed for lsa in decoded.lsas)
+
+    eager = ospf_ref.decode_ospf_message(wire)
+    assert decoded.router_id == eager.router_id
+    assert ([lsa_fields(lsa) for lsa in decoded.lsas]
+            == [lsa_fields(lsa) for lsa in eager.lsas])
+    assert decoded.lsas == lsas
+
+
+u16 = st.integers(min_value=0, max_value=0xFFFF)
+u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+raw_lsas = st.tuples(
+    u32, u32, st.lists(st.tuples(u32, u16), max_size=12),
+    st.lists(st.tuples(u32, st.integers(min_value=0, max_value=32), u16),
+             max_size=12))
+
+
+@given(u32, st.lists(raw_lsas, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_ospf_lsu_from_foreign_bytes(router_id, raw):
+    """An LSU packed by hand, host bits of its prefixes left dirty as a
+    foreign speaker might: both decoders read the same fields (masked),
+    and the new one forwards the bytes untouched."""
+    body = b"".join(
+        struct.pack("!IIHH", originator, sequence, len(links), len(stubs))
+        + b"".join(struct.pack("!IH", *link) for link in links)
+        + b"".join(struct.pack("!IBH", *stub) for stub in stubs)
+        for originator, sequence, links, stubs in raw)
+    wire = struct.pack("!BBHIH", 2, 4, 10 + len(body), router_id,
+                       len(raw)) + body
+    decoded = decode_ospf_message(wire)
+    assert OSPFLinkStateUpdate(decoded.router_id, decoded.lsas).encode() == wire
+    eager = ospf_ref.decode_ospf_message(wire)
+    assert ([lsa_fields(lsa) for lsa in decoded.lsas]
+            == [lsa_fields(lsa) for lsa in eager.lsas])

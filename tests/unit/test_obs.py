@@ -333,17 +333,19 @@ class TestScenarioDeterminism:
             injections=flap_storm(topo, links=3, start=2.0, spread=2.0,
                                   period=2.0, cycles=2, rng=rng))
 
-    def _result(self, seed=0, bgp=False, churn=False):
+    def _result(self, seed=0, bgp=False, ospf=False, churn=False):
         from repro.scenarios import (ProtocolRecipe, ScenarioRunner,
                                      TopologyRecipe, generate_scenario)
         if churn:
             return ScenarioRunner().run(self._churn_spec(seed))
         routed = {}
-        if bgp:
+        if bgp or ospf:
             routed = dict(
                 topology=TopologyRecipe("fattree",
                                         {"k": 4, "device": "router"}),
-                protocol=ProtocolRecipe("bgp", {"max_paths": 2}))
+                protocol=(ProtocolRecipe("bgp", {"max_paths": 2}) if bgp
+                          else ProtocolRecipe("ospf", {"hello_interval": 1.0,
+                                                       "dead_interval": 4.0})))
         spec = generate_scenario(seed, pattern="k-random-links",
                                  duration=30.0, **routed)
         return ScenarioRunner().run(spec)
@@ -352,8 +354,9 @@ class TestScenarioDeterminism:
         from repro.scenarios import result_fingerprint
         return result_fingerprint(self._result(seed, **kind).to_dict())
 
-    @pytest.mark.parametrize("kind", [{}, {"bgp": True}, {"churn": True}],
-                             ids=["ospf-wan", "bgp-fattree",
+    @pytest.mark.parametrize("kind", [{}, {"bgp": True}, {"ospf": True},
+                                      {"churn": True}],
+                             ids=["ospf-wan", "bgp-fattree", "ospf-fattree",
                                   "dataplane-churn"])
     def test_fingerprint_unmoved_by_tracing(self, kind):
         baseline = self._run(**kind)
@@ -401,6 +404,23 @@ class TestScenarioDeterminism:
         gauges = metrics().snapshot()["gauges"]
         assert {k: gauges[f"bgp.{k}"] for k in totals} == totals
         # Counters ride in diagnostics, so they never reach a fingerprint.
+        from repro.scenarios import result_fingerprint
+        record = result.to_dict()
+        assert result_fingerprint(record) == result_fingerprint(
+            {**record, "diagnostics": {}})
+
+    def test_ospf_daemon_counters_reach_diagnostics_and_metrics(self):
+        result = self._result(ospf=True)
+        totals = result.diagnostics["ospf"]
+        for key in ("spf_runs", "hellos_sent", "lsus_sent", "lsas_received",
+                    "lsas_accepted", "lsa_bodies_parsed"):
+            assert totals[key] > 0, key
+        # Each is a count of the stage before it surviving.
+        assert (totals["lsa_bodies_parsed"] <= totals["lsas_accepted"]
+                < totals["lsas_received"])
+        assert totals["decode_errors"] == 0
+        gauges = metrics().snapshot()["gauges"]
+        assert {k: gauges[f"ospf.{k}"] for k in totals} == totals
         from repro.scenarios import result_fingerprint
         record = result.to_dict()
         assert result_fingerprint(record) == result_fingerprint(

@@ -74,6 +74,87 @@ class TestPackets:
         assert lsa("1.1.1.1", 5).newer_than(lsa("1.1.1.1", 4))
         assert not lsa("1.1.1.1", 4).newer_than(lsa("1.1.1.1", 4))
 
+    def test_decoded_lsa_is_header_first(self):
+        sent = lsa("2.2.2.2", 7, links=[("1.1.1.1", 4)],
+                   prefixes=[("10.2.0.0/24", 3)])
+        update = OSPFLinkStateUpdate(router_id=rid("1.1.1.1"), lsas=[sent])
+        (got,) = decode_ospf_message(update.encode()).lsas
+        assert (got.originator, got.sequence) == (int(rid("2.2.2.2")), 7)
+        assert not got.body_parsed          # newness needs no body
+        assert got.encode() == sent.encode()  # re-flooded as it arrived
+        assert not got.body_parsed
+        assert got.neighbor_costs() == ((int(rid("1.1.1.1")), 4),)
+        assert got.body_parsed
+        assert got == sent and hash(got) == hash(sent)
+        assert got.advertising_router == rid("2.2.2.2")
+
+    def test_dirty_host_bits_are_masked_on_read_and_kept_on_the_wire(self):
+        clean = OSPFLinkStateUpdate(
+            router_id=rid("1.1.1.1"),
+            lsas=[lsa("2.2.2.2", 1, prefixes=[("10.2.0.0/16", 0)])]).encode()
+        dirty = bytearray(clean)
+        dirty[-5] = 0x63                       # 10.2.0.99/16
+        (got,) = decode_ospf_message(bytes(dirty)).lsas
+        assert got.prefixes[0].prefix == IPv4Prefix("10.2.0.0/16")
+        assert got.encode() == bytes(dirty[10:])
+
+
+def _lsu_wire():
+    return OSPFLinkStateUpdate(
+        router_id=rid("1.1.1.1"),
+        lsas=[lsa("1.1.1.1", 3, links=[("2.2.2.2", 1)],
+                  prefixes=[("10.1.0.0/24", 0)]),
+              lsa("2.2.2.2", 7, links=[("1.1.1.1", 4)])]).encode()
+
+
+def _hello_wire():
+    return OSPFHello(router_id=rid("1.1.1.1"),
+                     neighbors=[rid("2.2.2.2"), rid("3.3.3.3")]).encode()
+
+
+def _relength(wire):
+    """``wire`` with its header length field made true again."""
+    return wire[:2] + len(wire).to_bytes(2, "big") + wire[4:]
+
+
+def _patched(wire, at, value):
+    out = bytearray(wire)
+    out[at:at + len(value)] = value
+    return bytes(out)
+
+
+# header 8 | LSU count 2 | LSA fixed 12 (n_links at +8, n_prefixes at +10)
+MALFORMED = {
+    "empty": b"",
+    "truncated header": _hello_wire()[:5],
+    "hello cut inside the fixed part": _relength(_hello_wire()[:11]),
+    "hello cut inside a neighbor": _relength(_hello_wire()[:-2]),
+    "hello count past the buffer": _patched(_hello_wire(), 12, b"\x00\x09"),
+    "hello trailing bytes": _relength(_hello_wire() + b"\x00" * 4),
+    "lsu without a count": _relength(_lsu_wire()[:9]),
+    "lsu cut inside an LSA header": _relength(_lsu_wire()[:15]),
+    "lsu cut inside an LSA body": _relength(_lsu_wire()[:-3]),
+    "lsu count past the buffer": _patched(_lsu_wire(), 8, b"\x00\x03"),
+    "lsa link count past the buffer": _patched(_lsu_wire(), 18, b"\xff\xff"),
+    "lsa prefix count past the buffer": _patched(_lsu_wire(), 20, b"\x0f\x00"),
+    "lsu trailing bytes": _relength(_lsu_wire() + b"\x00"),
+    "prefix length 99": _patched(_lsu_wire(), 10 + 12 + 6 + 4, b"\x63"),
+    "unknown type": _patched(_hello_wire(), 1, b"\x07"),
+}
+
+
+class TestMalformedInput:
+    """Whatever the bytes, the decoder's only exception is its own."""
+
+    def test_fixtures_are_well_formed_before_the_damage(self):
+        assert len(decode_ospf_message(_lsu_wire()).lsas) == 2
+        assert len(decode_ospf_message(_hello_wire()).neighbors) == 2
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_rejected_with_decode_error(self, shape):
+        with pytest.raises(OSPFDecodeError):
+            decode_ospf_message(MALFORMED[shape])
+
 
 class TestLSDB:
     def test_consider_accepts_newer_only(self):
@@ -209,6 +290,27 @@ class TestDaemon:
         sim.run(until=3.0)
         # Convergence needs only a few SPF runs despite many LSA events.
         assert d1.spf_runs <= 4
+
+    def test_garbage_is_dropped_counted_and_keeps_nothing_alive(self):
+        sim, net, d1, d2, channel = wire_pair(hello=0.5, dead=2.0)
+        sim.run(until=3.0)
+        assert d1.full_neighbors() == ["r2"]
+        # r2 falls silent at t=3 except for one malformed packet of
+        # every shape a second later.  None may unwind the run, and
+        # none may count as having heard from r2: the adjacency dies on
+        # the first dead check after 3 + dead_interval, as if nothing
+        # had been sent.
+        d2.neighbors["r1"].channel = None
+        silent_since = d1.neighbors["r2"].last_heard
+        sim.scheduler.after(1.0, lambda: [
+            channel.send(d2, wire) for wire in MALFORMED.values()])
+        sim.run(until=4.5)
+        assert d1.decode_errors == len(MALFORMED)
+        assert d1.neighbors["r2"].last_heard == silent_since
+        assert d1.full_neighbors() == ["r2"]
+        sim.run(until=silent_since + 2.0 + 1.01)   # next dead check
+        assert d1.full_neighbors() == []
+        assert net.get_node("r1").fib.lookup("10.2.0.9") is None
 
     def test_neighbor_down_reoriginates(self):
         sim, net, d1, d2, __ = wire_pair()
