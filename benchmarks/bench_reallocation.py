@@ -6,10 +6,12 @@ flows; the workload then churns flows (stop one, start one, each at
 its own instant, each triggering a reallocation).  Pre-PR-2 every such
 event re-walked all N paths and re-solved the global max-min
 allocation; the incremental engine re-walks only the dirty flow and
-re-solves the affected component with the dense array kernel.
+re-solves the affected component.  The baseline is that full
+walk-and-solve per event, on the scalar ``heap`` kernel.
 
-The kernel axis (PR 10) drives the same churn shape through each
-solver kernel (``reference``/``heap``/``arrays``, see
+The kernel axis (PR 10) drives the same churn shape through both
+``kernel`` values (``heap`` and ``auto``, which is the vectorized
+arrays kernel whenever numpy imports; see
 :mod:`repro.dataplane.solver`) on a k=8 fat-tree under static
 routing — one oversubscribed connected component, the struct-of-arrays
 kernel's target workload — and emits ``BENCH_kernels.json``.
@@ -26,8 +28,7 @@ Knobs:
 * ``REPRO_BENCH_REALLOC_EVENTS`` — churn events per measurement
   (default ``30``)
 * ``REPRO_BENCH_KERNEL_FLOWS`` — flow counts for the kernel axis
-  (default ``1000,10000``; ``reference`` only runs below 2000 flows —
-  it is quadratic)
+  (default ``1000,10000``)
 
 Run:  pytest benchmarks/bench_reallocation.py --benchmark-only
 """
@@ -81,9 +82,9 @@ def build_fabric(num_flows: int, incremental: bool):
     net = Network("bench-leaf-spine")
     sim.attach_network(net)
     if not incremental:
-        # The baseline is the pre-PR-2 path: full re-walk every event
-        # plus the original round-based filling arithmetic.
-        net.realloc.kernel = "reference"
+        # The baseline: full re-walk and re-solve every event, on the
+        # scalar kernel.
+        net.realloc.kernel = "heap"
 
     spines = [net.add_router(f"s{i}") for i in range(NUM_SPINES)]
     hosts = []
@@ -215,14 +216,6 @@ def kernel_flow_counts():
     return [int(part) for part in raw.split(",") if part.strip()]
 
 
-def kernels_for(num_flows: int):
-    # reference is quadratic in the component size; 10k flows in one
-    # fat-tree component would take minutes per event.
-    if num_flows < 2000:
-        return ["reference", "heap", "arrays"]
-    return ["heap", "arrays"]
-
-
 def build_fattree(num_flows: int, kernel: str):
     """A k=8 fat-tree under static single-path routing, N flows."""
     Link.reset_ids()
@@ -264,11 +257,9 @@ def kernel_churn(sim, net, hosts, flows, rng, events: int):
     return net
 
 
-@pytest.mark.parametrize("kernel", ["reference", "heap", "arrays"])
+@pytest.mark.parametrize("kernel", ["heap", "auto"])
 @pytest.mark.parametrize("num_flows", kernel_flow_counts())
 def test_kernel_churn(benchmark, num_flows, kernel):
-    if kernel not in kernels_for(num_flows):
-        pytest.skip(f"{kernel} kernel skipped at {num_flows} flows")
     sim, net, hosts, flows, rng = build_fattree(num_flows, kernel)
     events = churn_events()
     start = time.perf_counter()
@@ -279,7 +270,7 @@ def test_kernel_churn(benchmark, num_flows, kernel):
     net.finalize_accounting()
     aggregate = net.aggregate_rx_rate()
     assert aggregate > 0
-    if kernel == "arrays":
+    if net.realloc.effective_kernel() == "arrays":
         assert net.realloc.stats.get("arrays", {}).get("live_flows", 0) > 0
     _kernel_results[(num_flows, kernel)] = {
         "wall_s": wall,
@@ -297,42 +288,27 @@ def test_kernel_report(benchmark):
     rows = []
     payload = {"flow_counts": sizes, "fattree_k": FATTREE_K, "cases": {}}
     for size in sizes:
-        per_kernel = {k: _kernel_results.get((size, k))
-                      for k in kernels_for(size)}
-        heap = per_kernel.get("heap")
-        arrays = per_kernel.get("arrays")
+        heap = _kernel_results.get((size, "heap"))
+        arrays = _kernel_results.get((size, "auto"))
         if heap is None or arrays is None:
             continue
         # Equivalence: arrays must match heap bit-for-bit (same
         # arithmetic, same order — the speedup may not come from
-        # computing something different); reference uses different
-        # (round-based) arithmetic, so it is held to a tight relative
-        # tolerance instead.
+        # computing something different).
         assert arrays["aggregate_bps"] == heap["aggregate_bps"], (
             f"arrays kernel aggregate diverged at {size} flows")
         assert arrays["delivered_bytes"] == heap["delivered_bytes"], (
             f"arrays kernel delivered bytes diverged at {size} flows")
-        reference = per_kernel.get("reference")
-        if reference is not None:
-            assert reference["aggregate_bps"] == pytest.approx(
-                heap["aggregate_bps"], rel=1e-9)
-            assert reference["delivered_bytes"] == pytest.approx(
-                heap["delivered_bytes"], rel=1e-9)
         speedup = heap["wall_s"] / arrays["wall_s"]
-        case = {
+        payload["cases"][str(size)] = {
             "events": heap["events"],
             "heap_wall_s": heap["wall_s"],
             "arrays_wall_s": arrays["wall_s"],
             "events_per_s_arrays": arrays["events"] / arrays["wall_s"],
             "speedup": speedup,
         }
-        if reference is not None:
-            case["reference_wall_s"] = reference["wall_s"]
-        payload["cases"][str(size)] = case
-        ref_ms = (f"{reference['wall_s'] * 1e3:>8.1f}"
-                  if reference is not None else f"{'-':>8}")
         rows.append(
-            f"{size:>7} {heap['events']:>7} {ref_ms} "
+            f"{size:>7} {heap['events']:>7} "
             f"{heap['wall_s'] * 1e3:>9.1f} {arrays['wall_s'] * 1e3:>10.1f} "
             f"{heap['wall_s'] * 1e3 / heap['events']:>10.2f} "
             f"{arrays['wall_s'] * 1e3 / arrays['events']:>10.2f} "
@@ -345,7 +321,7 @@ def test_kernel_report(benchmark):
                 f"{size}-flow kernel speedup {speedup:.2f}x < 5x")
     record_rows(
         "kernels",
-        f"{'flows':>7} {'events':>7} {'ref_ms':>8} {'heap_ms':>9} "
+        f"{'flows':>7} {'events':>7} {'heap_ms':>9} "
         f"{'arrays_ms':>10} {'heap_ms/ev':>10} {'arr_ms/ev':>10} "
         f"{'speedup':>8}",
         rows,

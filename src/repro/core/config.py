@@ -57,12 +57,11 @@ class SimulationConfig:
         either way (pinned by the quotient==concrete property test).
     kernel:
         Max-min solver kernel (see :mod:`repro.dataplane.solver`):
-        ``"auto"`` (default — the vectorized ``arrays`` kernel when
-        numpy is importable and no quotient layer is attached, else
-        ``heap``), ``"reference"`` (round-based progressive filling),
-        ``"heap"`` (event-ordered scalar) or ``"arrays"`` (vectorized
-        struct-of-arrays).  All kernels produce bit-for-bit identical
-        scenario results (pinned by the kernel-parity property tests).
+        ``"auto"`` (default — the vectorized struct-of-arrays kernel
+        whenever numpy imports, with or without ``symmetry``, else the
+        scalar one) or ``"heap"`` (force the event-ordered scalar
+        kernel).  Both produce bit-for-bit identical scenario results
+        (pinned by the kernel-parity property tests).
     """
 
     fti_increment: float = 0.001
@@ -78,7 +77,7 @@ class SimulationConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsense values."""
-        from repro.dataplane.solver import KERNEL_CHOICES, canonical_kernel
+        from repro.dataplane.solver import check_kernel
 
         if self.fti_increment <= 0:
             raise ConfigurationError("fti_increment must be > 0")
@@ -90,10 +89,4 @@ class SimulationConfig:
             raise ConfigurationError("stats_interval must be > 0")
         if self.max_events < 0:
             raise ConfigurationError("max_events must be >= 0")
-        try:
-            canonical_kernel(self.kernel)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; "
-                f"valid kernels: {', '.join(KERNEL_CHOICES)}"
-            ) from None
+        check_kernel(self.kernel)

@@ -21,15 +21,7 @@ from repro.dataplane.switch import Switch
 from repro.dataplane.router import Router
 from repro.dataplane.flow import FluidFlow, PathResult, PathStatus
 from repro.dataplane.fluid import max_min_allocation, validate_allocation
-from repro.dataplane.solver import (
-    KERNEL_CHOICES,
-    MaxMinSolver,
-    available_kernels,
-    canonical_kernel,
-    get_kernel,
-    register_kernel,
-    resolve_kernel,
-)
+from repro.dataplane.solver import KERNEL_CHOICES
 from repro.dataplane.network import Network
 from repro.dataplane.stats import StatsCollector, Sample
 
@@ -52,12 +44,6 @@ __all__ = [
     "max_min_allocation",
     "validate_allocation",
     "KERNEL_CHOICES",
-    "MaxMinSolver",
-    "available_kernels",
-    "canonical_kernel",
-    "get_kernel",
-    "register_kernel",
-    "resolve_kernel",
     "Network",
     "StatsCollector",
     "Sample",

@@ -39,8 +39,9 @@ replaces all three with numpy state:
   the scalar loop's visit order, written back once — only when
   somebody reads or competes for a counter.
 
-Everything degrades gracefully without numpy: ``HAVE_NUMPY`` gates the
-kernel registry entry and the engine falls back to ``"heap"``.
+Everything degrades gracefully without numpy: ``HAVE_NUMPY`` is the
+engine's one selection rule (``ReallocEngine.effective_kernel``) — no
+numpy, no mirror, and every recompute runs the scalar ``"heap"`` kernel.
 """
 
 from __future__ import annotations
@@ -202,11 +203,13 @@ def bottleneck_filling_arrays(
     link_members: Sequence[Sequence[int]],
     flow_links: Sequence[Sequence[int]],
 ) -> List[float]:
-    """Vectorized bottleneck filling; facade signature, list in/out.
+    """Vectorized bottleneck filling over a plain (unweighted)
+    instance, list in/out.
 
     Bit-for-bit equal to
     :func:`repro.dataplane.solver.bottleneck_filling` on the same
-    instance (same contract: ``flow_links`` deduplicated per flow,
+    instance with every multiplicity one (``flow_links`` here holds
+    bare link indices; same contract: deduplicated per flow,
     ``link_members`` restricted to flows with demand above
     ``EPSILON``).  ``link_members`` itself is not consulted — the
     alive counts are derived from the incidence and the demand mask,

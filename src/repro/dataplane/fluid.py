@@ -38,40 +38,131 @@ the id-keyed dicts and sets of the original implementation:
   link's member set, removing the O(rounds × links × flows) set churn
   of the original progressive filling.
 
-The kernels themselves live in :mod:`repro.dataplane.solver` (the
-unified facade: ``reference``, ``heap`` and ``arrays`` behind one
-registry); this module keeps the mapping-level API
-(:func:`max_min_allocation`, :func:`validate_allocation`) and, for one
-release, deprecation shims for the old direct kernel imports
-(``fluid.progressive_filling`` / ``fluid.bottleneck_filling``).
+The engine's own kernels live in :mod:`repro.dataplane.solver` (the
+scalar ``heap`` kernel) and :mod:`repro.dataplane.arrays` (the
+vectorized one).  This module is the **oracle** they are tested
+against: the mapping-level :func:`max_min_allocation`, the round-based
+:func:`progressive_filling` it runs — the pre-PR-2 arithmetic,
+preserved operation for operation, quadratic with distinct demands and
+never selected by the engine — and :func:`validate_allocation`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Hashable, List, Mapping, Sequence
 
 from repro.dataplane.solver import EPSILON
-from repro.dataplane.solver import progressive_filling as _progressive_filling
 
-__all__ = ["EPSILON", "max_min_allocation", "validate_allocation"]
-
-_DEPRECATED_KERNELS = ("progressive_filling", "bottleneck_filling")
+__all__ = ["EPSILON", "max_min_allocation", "progressive_filling",
+           "validate_allocation"]
 
 
-def __getattr__(name: str):
-    # PEP 562 shims: the kernels moved to repro.dataplane.solver.
-    if name in _DEPRECATED_KERNELS:
-        warnings.warn(
-            f"repro.dataplane.fluid.{name} is deprecated; import it from "
-            "repro.dataplane.solver (or use solver.get_kernel())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.dataplane import solver
+def progressive_filling(
+    demands: Sequence[float],
+    residuals: List[float],
+    capacities: Sequence[float],
+    link_members: Sequence[Sequence[int]],
+    flow_links: Sequence[Sequence[int]],
+) -> List[float]:
+    """Array-kernel progressive filling over interned flow/link indices.
 
-        return getattr(solver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    Parameters
+    ----------
+    demands:
+        per-flow demand, indexed 0..F-1.
+    residuals:
+        per-link residual capacity, indexed 0..L-1.  **Mutated in
+        place** (callers pass a fresh copy).
+    capacities:
+        per-link original capacity (for the saturation epsilon scale).
+    link_members:
+        per-link array of member flow indices (only flows with demand
+        above ``EPSILON``; duplicates must be pre-deduplicated).
+    flow_links:
+        per-flow array of link indices on its path (deduplicated).
+
+    Returns
+    -------
+    list
+        per-flow allocated rate.
+    """
+    num_flows = len(demands)
+    num_links = len(residuals)
+    rates = [0.0] * num_flows
+    # Zero-demand flows are born frozen at 0.
+    alive = [demands[i] > EPSILON for i in range(num_flows)]
+    active = [i for i in range(num_flows) if alive[i]]
+    live = [len(members) for members in link_members]
+
+    # Each round raises all active flows by the largest uniform
+    # increment any constraint allows, then freezes the flows that hit
+    # their constraint.  Every round freezes at least one flow, so the
+    # loop runs at most F times.
+    while active:
+        increment = min(demands[i] - rates[i] for i in active)
+        limiting: List[int] = []
+        for link in range(num_links):
+            count = live[link]
+            if count == 0:
+                continue
+            share = residuals[link] / count
+            if share < increment - EPSILON:
+                increment = share
+                limiting = [link]
+            elif share <= increment + EPSILON:
+                limiting.append(link)
+        if increment < 0:
+            increment = 0.0
+
+        # A flow whose remaining demand set the increment is satisfied
+        # this round.  That is decided on the gap *before* the raise:
+        # ``rate + (demand - rate)`` may round an ulp short of
+        # ``demand``, and an ulp at Gb/s scale is far above EPSILON, so
+        # testing only the raised rate can leave the round with nothing
+        # frozen and strand every link-less flow at this fill level.
+        satisfied = {i for i in active
+                     if demands[i] - rates[i] <= increment + EPSILON}
+        for i in active:
+            rates[i] += increment
+        for link in range(num_links):
+            count = live[link]
+            if count:
+                residuals[link] -= increment * count
+                if residuals[link] < 0:
+                    residuals[link] = 0.0
+
+        frozen: List[int] = []
+        for i in active:
+            if i in satisfied or rates[i] >= demands[i] - EPSILON:
+                rates[i] = demands[i]
+                if alive[i]:
+                    alive[i] = False
+                    frozen.append(i)
+        for link in limiting:
+            if residuals[link] <= EPSILON * max(1.0, capacities[link]):
+                for i in link_members[link]:
+                    if alive[i]:
+                        alive[i] = False
+                        frozen.append(i)
+        if not frozen:
+            # Zero-increment round with nothing freezing would spin
+            # forever; freeze the flows on the tightest link outright.
+            if limiting:
+                for link in limiting:
+                    for i in link_members[link]:
+                        if alive[i]:
+                            alive[i] = False
+                            frozen.append(i)
+            else:
+                for i in active:
+                    alive[i] = False
+                    frozen.append(i)
+        for i in frozen:
+            for link in flow_links[i]:
+                live[link] -= 1
+        active = [i for i in active if alive[i]]
+
+    return rates
 
 
 def max_min_allocation(
@@ -134,8 +225,8 @@ def max_min_allocation(
                 link_members[pos].append(flow_pos)
         flow_links.append(links_here)
 
-    rates = _progressive_filling(demands, residuals, capacities,
-                                 link_members, flow_links)
+    rates = progressive_filling(demands, residuals, capacities,
+                                link_members, flow_links)
     return {flow_id: rates[pos] for pos, flow_id in enumerate(flow_ids)}
 
 

@@ -24,10 +24,11 @@ component(s) of the flow/link sharing graph that a dirty flow or a
 capacity change touches.  The engine seeds a BFS with the old and new
 link directions of every re-walked flow (and the directions of
 capacity-changed links), partitions the reachable flows into
-components, and re-solves each component independently with a dense array kernel from
-the :mod:`repro.dataplane.solver` registry (``reference``/``heap``/
-``arrays``, selected by the engine's ``kernel`` knob), splicing
-unchanged rates through untouched components.
+components, and re-solves each component independently — on the
+struct-of-arrays mirror (:mod:`repro.dataplane.arrays`) whenever numpy
+imports, with the scalar kernel of :mod:`repro.dataplane.solver`
+otherwise or when ``kernel="heap"`` forces it — splicing unchanged
+rates through untouched components.
 
 A *full* recompute runs through the same partition-and-solve code with
 every active flow marked dirty, so the incremental path is bit-for-bit
@@ -94,14 +95,11 @@ class ReallocEngine:
 
     def __init__(self, network: "Network") -> None:
         self.network = network
-        # Requested solver kernel (see repro.dataplane.solver):
-        # "auto" resolves per recompute — "arrays" when numpy is
-        # importable and no quotient layer is attached, else "heap".
-        # Legacy names ("bottleneck", "legacy") canonicalize on set.
+        # Requested solver kernel: "auto" or "heap" (see
+        # effective_kernel for the rule).
         self._kernel = "auto"
-        self._solve_kernel = "heap"  # resolved per recompute
-        # The persisted struct-of-arrays mirror (created lazily the
-        # first time a recompute resolves to the arrays kernel).
+        # The persisted struct-of-arrays mirror (created lazily by the
+        # first recompute that runs the arrays kernel without one).
         self._arrays: Optional[_arrays.ArraysState] = None
         self._cache: Dict[int, _CachedWalk] = {}
         self._node_flows: Dict[str, Set[int]] = {}
@@ -131,17 +129,19 @@ class ReallocEngine:
 
     @property
     def kernel(self) -> str:
-        """The requested solver kernel (canonical name)."""
+        """The requested solver kernel (``"auto"`` or ``"heap"``)."""
         return self._kernel
 
     @kernel.setter
     def kernel(self, name: str) -> None:
-        self._kernel = _solver.canonical_kernel(name)
+        self._kernel = _solver.check_kernel(name)
 
     def effective_kernel(self) -> str:
-        """The kernel the next recompute will actually run."""
-        return _solver.resolve_kernel(
-            self._kernel, quotient=self.quotient is not None)
+        """The kernel concrete recomputes run: ``arrays`` whenever
+        numpy imports, ``heap`` otherwise or when forced."""
+        if self._kernel == "heap" or not _arrays.HAVE_NUMPY:
+            return "heap"
+        return "arrays"
 
     def enable_quotient(self, symmetry_map=None) -> None:
         """Attach the symmetry quotient layer (SimulationConfig.symmetry)."""
@@ -269,11 +269,11 @@ class ReallocEngine:
             net._seal_accrual()
         self._pending.clear()
 
-        # Resolve the solver kernel for this recompute and keep the
-        # struct-of-arrays mirror in lockstep with the cache (created
-        # lazily — after every full recompute or forget(), empty; after
-        # a kernel switch, bulk-interning surviving walks — and dropped
-        # when the kernel switches away so it cannot go stale).
+        # Keep the struct-of-arrays mirror in lockstep with the cache
+        # (created lazily — after every full recompute or forget(),
+        # empty; after a kernel switch or a quotient materialize,
+        # bulk-interning surviving walks — and dropped when the kernel
+        # switches away so it cannot go stale).
         effective = self.effective_kernel()
         if effective == "arrays":
             state = self._arrays
@@ -285,7 +285,6 @@ class ReallocEngine:
         else:
             state = None
             self._drop_mirror()
-        self._solve_kernel = effective
 
         # Re-walk dirty flows (in id order, for deterministic PACKET_IN
         # ordering), collecting the seed directions of the re-solve.
@@ -513,7 +512,7 @@ class ReallocEngine:
                     del self._dir_flows[direction]
 
     def _solve_component(self, comp: List[int]) -> None:
-        """Max-min solve one component with the dense array kernel.
+        """Max-min solve one component with the scalar kernel.
 
         The instance is built deterministically: flows in id order,
         directions interned in first-appearance order along those
@@ -526,12 +525,12 @@ class ReallocEngine:
         dir_index: Dict[int, int] = {}  # id() of LinkDirection -> dense
         capacities: List[float] = []
         link_members: List[List[int]] = []
-        flow_links: List[List[int]] = []
+        flow_links: List[List[tuple]] = []
         for pos, entry in enumerate(entries):
             demand = entry.flow.demand_bps
             demands.append(demand)
             member = demand > EPSILON
-            links_here: List[int] = []
+            links_here: List[tuple] = []  # the all-ones instance
             seen_here: Set[int] = set()
             for direction in entry.dirs:
                 dense = dir_index.get(id(direction))
@@ -543,12 +542,12 @@ class ReallocEngine:
                 if dense in seen_here:
                     continue
                 seen_here.add(dense)
-                links_here.append(dense)
+                links_here.append((dense, 1))
                 if member:
                     link_members[dense].append(pos)
             flow_links.append(links_here)
-        kernel = _solver.get_kernel(self._solve_kernel)
-        rates = kernel.solve(demands, capacities, link_members, flow_links)
+        rates = _solver.bottleneck_filling(demands, capacities,
+                                           link_members, flow_links)
         for pos, entry in enumerate(entries):
             entry.flow.rate_bps = rates[pos]
 
@@ -588,7 +587,7 @@ class ReallocEngine:
             "epoch_notifications": self.epoch_notifications,
             "entities_scanned": self.entities_scanned,
             "undelivered": self.undelivered,
-            "kernel": self._kernel,
+            "kernel": self.effective_kernel(),
         }
         if self._arrays is not None:
             stats["arrays"] = self._arrays.stats

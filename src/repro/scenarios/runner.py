@@ -403,13 +403,6 @@ class ScenarioRunner:
             exp.network.symmetry_note = (
                 f"protocol {kind!r} is not quotientable; running concrete")
             return
-        if exp.sim.config.kernel == "arrays":
-            # The quotient layer replays the scalar heap kernel at
-            # class level; an *explicit* arrays request wins (results
-            # are bit-identical either way — kernel parity is pinned).
-            exp.network.symmetry_note = (
-                "kernel 'arrays' requested explicitly; running concrete")
-            return
         symmetry_map = SymmetryMap.from_topo(
             topo, pins=injection_pins(spec.injections))
         exp.network.symmetry_map = symmetry_map

@@ -260,19 +260,10 @@ class ScenarioSpec:
                     f"ends (duration {self.duration})")
         for slo in self.slos:
             slo.validate()
-        kernel = self.sim_params.get("kernel")
-        if kernel is not None:
-            from repro.dataplane.solver import (
-                KERNEL_CHOICES,
-                canonical_kernel,
-            )
+        if "kernel" in self.sim_params:
+            from repro.dataplane.solver import check_kernel
 
-            try:
-                canonical_kernel(kernel)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"unknown sim_params kernel {kernel!r}; valid "
-                    f"kernels: {', '.join(KERNEL_CHOICES)}") from None
+            check_kernel(self.sim_params["kernel"])
 
     # -- serialization -----------------------------------------------------
 

@@ -11,11 +11,11 @@ Two layers:
   fail to split, and every runtime decision re-checks uniformity).
 * :mod:`repro.symmetry.quotient` — the runtime quotient layer the
   reallocation engine drives: joint flow/link-direction refinement
-  over the cached forwarding walks, a class-level replay of the
-  bottleneck-filling kernel that reproduces the concrete float
-  arithmetic bit-for-bit, class-level byte accrual, and copy-on-write
-  materialization back to concrete flows whenever anything
-  symmetry-breaking happens.
+  over the cached forwarding walks, class-level solves that hand the
+  engine's own scalar kernel a smaller, multiplicity-weighted instance
+  (reproducing the concrete float arithmetic bit-for-bit), class-level
+  byte accrual, and copy-on-write materialization back to concrete
+  flows whenever anything symmetry-breaking happens.
 """
 
 from repro.symmetry.refine import (

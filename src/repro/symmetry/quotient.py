@@ -14,10 +14,13 @@ of a direction class is crossed by the same per-class flow counts.
 While the partition holds, a reallocation whose only dirt is
 class-closed capacity change (every affected direction class uniform
 at its new capacity — e.g. an SRLG degrading a whole pod tier) takes
-the **fast path**: a class-level connected-component walk plus
-:func:`quotient_bottleneck_filling`, a replay of the concrete
-bottleneck-filling kernel over class representatives.  Byte accrual
-runs per *class* accumulator instead of per flow.
+the **fast path**: a class-level connected-component walk plus one
+call of the engine's scalar kernel,
+:func:`repro.dataplane.solver.bottleneck_filling`, on the *folded*
+instance — rows are flow classes, links are direction-class
+representatives, and each entry carries how many member flows cross
+the representative.  The quotient has no kernel of its own.  Byte
+accrual runs per *class* accumulator instead of per flow.
 
 Anything else — a flow starting or stopping, a forwarding-state or
 reachability change, a capacity change that splits a class —
@@ -26,6 +29,11 @@ reachability change, a capacity change that splits a class —
 concrete engine handles the event exactly as it would without
 symmetry, and the next rebuild re-compresses whatever symmetry is
 left, with the divergent region falling into singleton classes).
+Those concrete recomputes run whichever kernel the engine's one rule
+picks (the arrays mirror whenever numpy imports): the quotient drops
+the mirror when it takes over, since class-level rate and capacity
+changes never reach it, and the engine re-interns it from the cached
+walks after a materialize.
 
 Bit-for-bit contract
 --------------------
@@ -33,10 +41,10 @@ Bit-for-bit contract
 The fast path reproduces the concrete engine's floating-point results
 exactly, not approximately:
 
-* the kernel replay performs the *same sequential additions* on a
-  representative link's ``frozen_load`` that the concrete kernel
-  performs on every member link — one two-operand ``+= rate`` per
-  crossing member flow, in non-decreasing water-level order (runs of
+* the kernel performs on a representative link's ``frozen_load`` the
+  *same sequential additions* the all-ones instance performs on every
+  member link — one two-operand ``+= rate`` per crossing member
+  flow, in non-decreasing water-level order (runs of
   equal addends commute, so per-event batching is exact); a plain
   ``count * rate`` multiplication would **not** be (``fl(k*v)`` is
   not ``k`` sequential adds);
@@ -62,7 +70,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.dataplane.solver import EPSILON, quotient_bottleneck_filling
+from repro.dataplane.solver import EPSILON, bottleneck_filling
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -148,6 +156,9 @@ class QuotientState:
     def _rebuild(self, now: float) -> None:
         self.rebuilds += 1
         engine = self.engine
+        # The delivered_bytes seed colours are read off the flow
+        # objects, which lag the sealed accrual timeline.
+        engine.replay_accrual()
         cache = engine._cache
         dir_flows = engine._dir_flows
 
@@ -278,6 +289,9 @@ class QuotientState:
         self.flow_classes = flow_classes
         self.dir_classes = dir_classes
         self._dir_class_of = dir_class_of
+        # Class-level rate and capacity changes never reach the arrays
+        # mirror; the engine re-interns it after materialize().
+        engine._drop_mirror()
         self.active = True
         self.reason = None
         self._snapshot = {
@@ -305,7 +319,11 @@ class QuotientState:
             rate = fc.rate
             delivered = fc.delivered
             for flow in fc.flows:
-                flow.rate_bps = rate
+                # A flow stop_flow() just zeroed keeps its 0 (it is
+                # evicted by the recompute that follows) but did earn
+                # the class's bytes up to the stop.
+                if flow.active:
+                    flow.rate_bps = rate
                 flow.delivered_bytes = delivered
         # Rebuild direction loads, host rates and the accruing set the
         # way a concrete recompute does (fid order), so the values are
@@ -407,7 +425,6 @@ class QuotientState:
         demands: List[float] = []
         local: Dict[int, int] = {}
         capacities: List[float] = []
-        alive: List[int] = []
         link_members: List[List[int]] = []
         flow_links: List[List[Tuple[int, int]]] = []
         for pos, fc in enumerate(fcs):
@@ -420,15 +437,13 @@ class QuotientState:
                     loc = len(capacities)
                     local[dci] = loc
                     capacities.append(self.dir_classes[dci].capacity)
-                    alive.append(0)
                     link_members.append([])
                 links_here.append((loc, count))
                 if member:
-                    alive[loc] += count
                     link_members[loc].append(pos)
             flow_links.append(links_here)
-        rates = quotient_bottleneck_filling(
-            demands, capacities, alive, link_members, flow_links)
+        rates = bottleneck_filling(demands, capacities, link_members,
+                                   flow_links)
         for pos, fc in enumerate(fcs):
             fc.rate = rates[pos]
 

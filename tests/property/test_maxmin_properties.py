@@ -85,7 +85,11 @@ def test_bottleneck_kernel_matches_progressive_filling(instance):
                     link_members[dense].append(pos)
         flow_links.append(links_here)
 
-    rates = bottleneck_filling(dense_demands, caps, link_members, flow_links)
+    # The kernel's instances are multiplicity-weighted; a concrete
+    # one is all ones.
+    rates = bottleneck_filling(dense_demands, caps, link_members,
+                               [[(link, 1) for link in links]
+                                for links in flow_links])
     for pos, flow in enumerate(flow_ids):
         scale = max(1.0, demands[flow])
         assert abs(rates[pos] - reference[flow]) < 1e-6 * scale

@@ -25,6 +25,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.injections import injection_from_dict
+from repro.scenarios.runner import ScenarioRunner
 from repro.topology.fattree import FatTreeTopo
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -221,6 +222,49 @@ class TestTimeStructure:
                                            rate_bps=3e8, start_time=1.0,
                                            duration=15.0),
                      seed=seed, name=f"sym-random-{seed}")
+
+
+class TestConcreteStateAfterMaterialize:
+    """The fingerprint covers bytes and counts; this pins the concrete
+    *objects* a materialize leaves behind."""
+
+    @staticmethod
+    def _final_state(symmetry):
+        spec = ScenarioSpec(
+            name="sym-stopped", seed=7, duration=10.0,
+            topology=TopologyRecipe(*FATTREE4),
+            protocol=ProtocolRecipe("static", {}),
+            # Pod-shifted flows leaving in staggered waves: every stop
+            # lands while the quotient holds the rates.
+            traffic=TrafficRecipe(pattern="stride", stride=4,
+                                  rate_bps=600_000_000.0, start_time=1.0,
+                                  duration=4.0, stagger=2.0),
+            sim_params={"symmetry": symmetry})
+        exp, __ = ScenarioRunner().materialize(spec)
+        exp.run(until=spec.duration)
+        net = exp.network
+        net.finalize_accounting()
+        return (
+            [(flow.active, flow.rate_bps, flow.delivered_bytes)
+             for flow in net.flows],
+            [(host.rx_rate_bps, host.tx_rate_bps) for host in net.hosts()],
+            [direction.current_load_bps
+             for direction in net._all_directions()],
+            net.realloc.quotient,
+        )
+
+    def test_stopped_flows_keep_their_zero_rate(self):
+        # materialize() used to write the class rate back onto member
+        # flows stop_flow() had just zeroed; they were then evicted
+        # from the cache holding 250-600 Mb/s while inactive.
+        flows, hosts, loads, __ = self._final_state(symmetry=False)
+        q_flows, q_hosts, q_loads, quotient = self._final_state(symmetry=True)
+        assert quotient.materializations > 0
+        assert len(flows) == 16
+        assert all(state[:2] == (False, 0.0) for state in flows)
+        assert q_flows == flows      # exact, per flow
+        assert q_hosts == hosts
+        assert q_loads == loads
 
 
 class TestProtocolGating:

@@ -384,6 +384,9 @@ class TestScenarioDeterminism:
         assert stats["accrual_segments"] > stats["accrual_replays"] > 0
         assert stats["epoch_notifications"] >= stats["entities_scanned"] > 0
         assert stats["undelivered"] == 0      # every flow has ended
+        # What ran, not the requested spelling ("auto").
+        from repro.dataplane.arrays import HAVE_NUMPY
+        assert stats["kernel"] == ("arrays" if HAVE_NUMPY else "heap")
         gauges = metrics().snapshot()["gauges"]
         for key in ("accrual_segments", "accrual_replays",
                     "epoch_notifications", "entities_scanned",
