@@ -277,7 +277,7 @@ class Experiment:
         for app in apps or []:
             controller.add_app(app)
         for switch in self.network.switches():
-            agent = SwitchAgent(switch)
+            agent = SwitchAgent(switch, matches=controller.matches)
             channel = self.sim.cm.open_channel(
                 controller, agent, latency=channel_latency,
                 label=f"of-{switch.name}",

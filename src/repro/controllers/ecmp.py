@@ -18,11 +18,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.controllers.topology_view import TopologyView
 from repro.netproto.hashing import ecmp_hash, five_tuple_hash
-from repro.netproto.packet import FiveTuple, Packet
+from repro.netproto.packet import FiveTuple, Packet, PacketDecodeError
 from repro.openflow.actions import ActionOutput
 from repro.openflow.controller import ControllerApp, Datapath
 from repro.openflow.match import Match
-from repro.openflow.messages import PacketIn
+from repro.openflow.messages import FlowRemoved, PacketIn
 
 
 class FiveTupleEcmpApp(ControllerApp):
@@ -43,7 +43,10 @@ class FiveTupleEcmpApp(ControllerApp):
         self.placements: Dict[FiveTuple, List[str]] = {}
 
     def on_packet_in(self, dp: Datapath, message: PacketIn) -> None:
-        packet = Packet.decode(message.data)
+        try:
+            packet = Packet.decode(message.data)
+        except PacketDecodeError:
+            return  # not a frame we can route
         flow = packet.five_tuple()
         if flow is None:
             return  # non-IP traffic is not our business
@@ -60,6 +63,25 @@ class FiveTupleEcmpApp(ControllerApp):
         self.placements[flow] = path
         self.flows_placed += 1
 
+    def on_flow_removed(self, dp: Datapath, message: FlowRemoved) -> None:
+        """Entries of a flow are gone: forget where it was placed, so
+        its next miss is placed afresh instead of being taken for a
+        miss that raced the installs."""
+        flow = message.match.five_tuple()
+        if flow is not None:
+            self.forget_flow(flow)
+
+    def forget_flow(self, flow: FiveTuple) -> None:
+        """Drop everything remembered about ``flow``'s placement."""
+        self.placements.pop(flow, None)
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "flows_placed": self.flows_placed,
+            "entries_installed": self.entries_installed,
+            "path_dag_builds": self.topology.path_dag_builds,
+        }
+
     def select_path(self, flow: FiveTuple, src_switch: str,
                     dst_switch: str) -> Optional[List[str]]:
         """Hash the five-tuple over the equal-cost path set."""
@@ -70,8 +92,10 @@ class FiveTupleEcmpApp(ControllerApp):
         return paths[index]
 
     def install_path(self, flow: FiveTuple, path: List[str],
-                     last_hop_port: int) -> None:
-        """Install exact-match entries on every switch of the path."""
+                     last_hop_port: int,
+                     priority: "int | None" = None) -> None:
+        """Install exact-match entries on every switch of the path (at
+        the app's ECMP priority unless told otherwise)."""
         match = Match.exact_five_tuple(flow)
         for position, switch_name in enumerate(path):
             dp = self.controller.datapath_by_name(switch_name)
@@ -87,6 +111,6 @@ class FiveTupleEcmpApp(ControllerApp):
             dp.flow_mod(
                 match=match,
                 actions=[ActionOutput(out_port)],
-                priority=self.priority,
+                priority=self.priority if priority is None else priority,
                 idle_timeout=self.idle_timeout,
             )

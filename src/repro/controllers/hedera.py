@@ -26,9 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 from repro.controllers.ecmp import FiveTupleEcmpApp
 from repro.controllers.topology_view import TopologyView
 from repro.netproto.packet import FiveTuple
-from repro.openflow.actions import ActionOutput
 from repro.openflow.controller import Datapath
-from repro.openflow.match import Match
 from repro.openflow.messages import StatsReply
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -135,24 +133,20 @@ class GlobalFirstFit:
     def place(self, src_switch: str, dst_switch: str,
               demand: float) -> Optional[List[str]]:
         """First equal-cost path with headroom, reserving it; or None."""
-        for path in self.topology.equal_cost_paths(src_switch, dst_switch):
-            if self._fits(path, demand):
-                self._reserve(path, demand)
+        reserved = self._reserved
+        topology = self.topology
+        for path, links in zip(
+            topology.equal_cost_paths(src_switch, dst_switch),
+            topology.equal_cost_links(src_switch, dst_switch),
+        ):
+            for link in links:
+                if not reserved.get(link, 0.0) + demand <= 1.0 + 1e-9:
+                    break
+            else:
+                for link in links:
+                    reserved[link] = reserved.get(link, 0.0) + demand
                 return path
         return None
-
-    def _links(self, path: List[str]):
-        return zip(path, path[1:])
-
-    def _fits(self, path: List[str], demand: float) -> bool:
-        return all(
-            self._reserved.get(link, 0.0) + demand <= 1.0 + 1e-9
-            for link in self._links(path)
-        )
-
-    def _reserve(self, path: List[str], demand: float) -> None:
-        for link in self._links(path):
-            self._reserved[link] = self._reserved.get(link, 0.0) + demand
 
     def reserved_on(self, a: str, b: str) -> float:
         """Current reservation on the directed link a -> b."""
@@ -225,34 +219,37 @@ class HederaApp(FiveTupleEcmpApp):
         if poll is None or message.xid not in poll.outstanding:
             return
         poll.outstanding.discard(message.xid)
-        for entry in message.flow_stats:
-            flow = self._flow_from_match(entry.match)
+        # Header-first: the reply hands out (match extent, byte count)
+        # pairs, and the controller's match table turns an extent it has
+        # seen before into its flow with two lookups.
+        match_at = self.controller.matches.from_wire
+        flow_bytes = poll.flow_bytes
+        for extent, byte_count in message.flow_bytes():
+            flow = match_at(extent).five_tuple()
             if flow is None:
                 continue
             # Edge switches see each flow twice (ingress at the source
             # edge, egress at the destination edge); keep the max.
-            poll.flow_bytes[flow] = max(
-                poll.flow_bytes.get(flow, 0), entry.byte_count
-            )
+            if byte_count > flow_bytes.get(flow, -1):
+                flow_bytes[flow] = byte_count
         if not poll.outstanding:
             self._round = None
             self._schedule_round(poll)
 
-    @staticmethod
-    def _flow_from_match(match: Match) -> Optional[FiveTuple]:
-        if (
-            match.nw_src is None or match.nw_dst is None
-            or match.nw_src.length != 32 or match.nw_dst.length != 32
-            or match.nw_proto is None
-        ):
-            return None
-        return FiveTuple(
-            src_ip=match.nw_src.network,
-            dst_ip=match.nw_dst.network,
-            protocol=match.nw_proto,
-            src_port=match.tp_src or 0,
-            dst_port=match.tp_dst or 0,
-        )
+    def forget_flow(self, flow: FiveTuple) -> None:
+        super().forget_flow(flow)
+        self.large_placements.pop(flow, None)
+        # New entries count from zero; a kept total would read as a
+        # negative delta at the next poll.
+        self._last_bytes.pop(flow, None)
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            **super().stats(),
+            "polls": self.polls,
+            "rounds": self.scheduling_rounds,
+            "large_flow_moves": self.large_flow_moves,
+        }
 
     # -- scheduling ---------------------------------------------------------------
 
@@ -260,47 +257,51 @@ class HederaApp(FiveTupleEcmpApp):
         """Demand estimation + Global First Fit over the polled flows."""
         self.scheduling_rounds += 1
 
-        active: List[FiveTuple] = []
-        for flow, byte_count in sorted(
-            poll.flow_bytes.items(), key=lambda item: item[0].as_tuple()
+        # (sort key, flow) pairs throughout: a flow's as_tuple() is
+        # computed once per round and orders both lists below (keys are
+        # unique, so no comparison ever reaches a flow object).
+        active: List[Tuple[tuple, FiveTuple]] = []
+        for key, flow, byte_count in sorted(
+            (flow.as_tuple(), flow, byte_count)
+            for flow, byte_count in poll.flow_bytes.items()
         ):
             delta = byte_count - self._last_bytes.get(flow, 0)
             self._last_bytes[flow] = byte_count
             rate_bps = delta * 8.0 / self.poll_interval
             self.measured_rates[flow] = rate_bps
             if delta > 0:
-                active.append(flow)
+                active.append((key, flow))
 
         if not active:
             return
 
         pairs: List[Tuple[str, str]] = []
-        located: List[FiveTuple] = []
-        for flow in active:
-            src = self.topology.locate_ip(flow.src_ip)
-            dst = self.topology.locate_ip(flow.dst_ip)
+        located: List[tuple] = []  # (key, flow, src location, dst location)
+        locate = self.topology.locate_ip
+        for key, flow in active:
+            src = locate(flow.src_ip)
+            dst = locate(flow.dst_ip)
             if src is None or dst is None:
                 continue
             pairs.append((src.host_name, dst.host_name))
-            located.append(flow)
+            located.append((key, flow, src, dst))
         demands = estimate_demands(pairs)
 
         # Deterministic large-flow order: biggest demand first, then key.
-        large: List[Tuple[FiveTuple, float]] = []
+        large: List[tuple] = []
         occurrence: Dict[Tuple[str, str], int] = {}
-        for flow, pair in zip(located, pairs):
+        for (key, flow, src, dst), pair in zip(located, pairs):
             index = occurrence.get(pair, 0)
             occurrence[pair] = index + 1
             demand = demands[(pair[0], pair[1], index)]
             if demand >= self.large_flow_fraction:
-                large.append((flow, demand))
-        large.sort(key=lambda item: (-item[1], item[0].as_tuple()))
+                large.append((-demand, key, flow, src, dst))
+        large.sort()
 
         self.gff.reset()
-        for flow, demand in large:
-            src = self.topology.locate_ip(flow.src_ip)
-            dst = self.topology.locate_ip(flow.dst_ip)
-            path = self.gff.place(src.switch_name, dst.switch_name, demand)
+        for neg_demand, __, flow, src, dst in large:
+            path = self.gff.place(src.switch_name, dst.switch_name,
+                                  -neg_demand)
             if path is None:
                 continue  # stays on its current (ECMP or previous) path
             if self.large_placements.get(flow) == path:
@@ -312,20 +313,5 @@ class HederaApp(FiveTupleEcmpApp):
     def install_large(self, flow: FiveTuple, path: List[str],
                       last_hop_port: int) -> None:
         """Pin a large flow: path-wide entries above the ECMP priority."""
-        match = Match.exact_five_tuple(flow)
-        for position, switch_name in enumerate(path):
-            dp = self.controller.datapath_by_name(switch_name)
-            if dp is None:
-                continue
-            if position + 1 < len(path):
-                out_port = self.topology.port_toward(switch_name, path[position + 1])
-            else:
-                out_port = last_hop_port
-            if out_port is None:
-                continue
-            self.entries_installed += 1
-            dp.flow_mod(
-                match=match,
-                actions=[ActionOutput(out_port)],
-                priority=self.large_priority,
-            )
+        self.install_path(flow, path, last_hop_port,
+                          priority=self.large_priority)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.netproto.packet import Packet
+from repro.netproto.packet import Packet, PacketDecodeError
 from repro.openflow.actions import ActionOutput
 from repro.openflow.constants import PortNo
 from repro.openflow.controller import ControllerApp, Datapath
@@ -36,7 +36,10 @@ class LearningSwitchApp(ControllerApp):
         self.installs = 0
 
     def on_packet_in(self, dp: Datapath, message: PacketIn) -> None:
-        packet = Packet.decode(message.data)
+        try:
+            packet = Packet.decode(message.data)
+        except PacketDecodeError:
+            return  # nothing to learn from a frame that does not parse
         src_key = (dp.name, int(packet.eth.src))
         self.mac_tables[src_key] = message.in_port
 

@@ -43,6 +43,13 @@ class TopologyView:
         self._hosts_by_ip: Dict[int, HostLocation] = {}
         self._hosts_by_mac: Dict[int, HostLocation] = {}
         self._path_cache: Dict[Tuple[str, str], List[List[str]]] = {}
+        self._links_cache: Dict[Tuple[str, str], List[tuple]] = {}
+        self._hops: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        # Per source switch, hop distances from one BFS (see _distances),
+        # over a plain-dict copy of the fabric made at the first BFS.
+        self._dist_cache: Dict[str, Dict[str, int]] = {}
+        self._neighbors: Dict[str, Tuple[str, ...]] = {}
+        self.path_dag_builds = 0
 
         switch_names = {s.name for s in network.switches()}
         for link in network.links:
@@ -94,26 +101,73 @@ class TopologyView:
         return self._ports.get((from_switch, to_switch))
 
     def equal_cost_paths(self, src_switch: str, dst_switch: str) -> List[List[str]]:
-        """All shortest switch-level paths, deterministically ordered.
+        """All shortest switch-level paths, deterministically ordered
+        (``sorted(nx.all_shortest_paths(...))``; empty when there is
+        none).  Cached; the returned list is shared — read, do not
+        mutate.
 
-        Cached: the fat-tree demo asks for the same pairs once per
-        flow, and path enumeration dominates otherwise.
+        Every destination's set is unwound from its source's predecessor
+        DAG, which one BFS per *source* labels — not one per pair.
         """
         key = (src_switch, dst_switch)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        if src_switch == dst_switch:
-            paths = [[src_switch]]
-        else:
-            try:
-                paths = sorted(
-                    nx.all_shortest_paths(self._switch_graph, src_switch, dst_switch)
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                paths = []
-        self._path_cache[key] = paths
+        paths = self._path_cache.get(key)
+        if paths is None:
+            dist = self._distances(src_switch)
+            adjacency = self._neighbors  # filled by the first _distances
+
+            def unwind(node: str) -> List[List[str]]:
+                if node == src_switch:
+                    return [[node]]
+                before = dist[node] - 1
+                return [path + [node]
+                        for pred in adjacency[node] if dist[pred] == before
+                        for path in unwind(pred)]
+
+            paths = sorted(unwind(dst_switch)) if dst_switch in dist else []
+            self._path_cache[key] = paths
         return paths
+
+    def equal_cost_links(self, src_switch: str, dst_switch: str) -> List[tuple]:
+        """The directed ``(a, b)`` hops of each path of
+        :meth:`equal_cost_paths`, in the same order — what a placement
+        heuristic walks once per candidate per flow.  A fabric has far
+        fewer hops than paths, so every path refers to one shared tuple
+        per hop."""
+        key = (src_switch, dst_switch)
+        links = self._links_cache.get(key)
+        if links is None:
+            shared = self._hops.setdefault
+            links = self._links_cache[key] = [
+                tuple(shared(hop, hop) for hop in zip(path, path[1:]))
+                for path in self.equal_cost_paths(src_switch, dst_switch)]
+        return links
+
+    def _distances(self, src: str) -> Dict[str, int]:
+        """Hop distance from ``src`` to every switch it reaches (empty
+        for an unknown switch).  The labels *are* the predecessor DAG of
+        the shortest paths from ``src``: u precedes v when they are
+        adjacent and ``dist[u] == dist[v] - 1``.  Built on the first
+        question about a source, never in set-up."""
+        dist = self._dist_cache.get(src)
+        if dist is None:
+            self.path_dag_builds += 1
+            if not self._neighbors:
+                self._neighbors = {node: tuple(around) for node, around
+                                   in self._switch_graph.adjacency()}
+            adjacency = self._neighbors
+            dist = self._dist_cache[src] = {src: 0} if src in adjacency else {}
+            level = list(dist)
+            depth = 0
+            while level:
+                depth += 1
+                reached = []
+                for node in level:
+                    for neighbor in adjacency[node]:
+                        if neighbor not in dist:
+                            dist[neighbor] = depth
+                            reached.append(neighbor)
+                level = reached
+        return dist
 
     def graph(self) -> "nx.Graph":
         """The raw switch-level graph (read-only by convention)."""

@@ -37,7 +37,10 @@ replaces all three with numpy state:
   are about to change, and *replayed* — counters gathered from the
   objects once, every sealed segment scattered with ``np.add.at`` in
   the scalar loop's visit order, written back once — only when
-  somebody reads or competes for a counter.
+  somebody reads or competes for a counter.  Flow-table entries a
+  flow's walk matched are one more incidence target of the same
+  timeline (``byte_count`` by the same scatter, ``last_used_at`` = the
+  end of the entry's last positive-rate segment).
 
 Everything degrades gracefully without numpy: ``HAVE_NUMPY`` is the
 engine's one selection rule (``ReallocEngine.effective_kernel``) — no
@@ -246,7 +249,7 @@ class FlowArrays:
     """
 
     __slots__ = ("demand", "rate", "src_host", "dst_host", "path",
-                 "path_len", "path_first", "has_entries", "cap", "width")
+                 "path_len", "path_first", "cap", "width")
 
     def __init__(self, cap: int = 64, width: int = 8) -> None:
         np = _np
@@ -259,9 +262,6 @@ class FlowArrays:
         self.path = np.zeros((cap, width), dtype=np.int32)
         self.path_len = np.zeros(cap, dtype=np.int32)
         self.path_first = np.zeros((cap, width), dtype=bool)
-        # Walk installed flow-table entries: such flows need per-entry
-        # last_used_at stamps, so they keep accrual on the scalar path.
-        self.has_entries = np.zeros(cap, dtype=bool)
 
     def grow_rows(self, need: int) -> None:
         np = _np
@@ -274,9 +274,6 @@ class FlowArrays:
             col = np.zeros(new_cap, dtype=np.int32)
             col[: self.cap] = getattr(self, name)
             setattr(self, name, col)
-        entries = np.zeros(new_cap, dtype=bool)
-        entries[: self.cap] = self.has_entries
-        self.has_entries = entries
         path = np.zeros((new_cap, self.width), dtype=np.int32)
         path[: self.cap] = self.path
         self.path = path
@@ -348,10 +345,17 @@ class LiveView:
     as long as the mirror).  The streams are index-width integers: every
     pass indexes with them, and numpy converts a narrower index array
     on each use, which costs more than the ~20 KB a view it saves.
+
+    ``ent_idx``/``ent_flow`` are the same kind of stream for the
+    flow-table entries the flows' walks matched — flow-major, entries
+    in path order, the per-flow loop's visit order — indexing
+    ``ent_objs``, the view's own table of those entries (an entry
+    shared by several flows appears once).
     """
 
     __slots__ = ("fids", "slots", "flows", "hop_dir", "hop_flow",
-                 "hop_first", "src_host", "dst_host", "any_entries")
+                 "hop_first", "src_host", "dst_host", "ent_objs",
+                 "ent_idx", "ent_flow")
 
     def __init__(self, state: "ArraysState") -> None:
         np = _np
@@ -373,9 +377,23 @@ class LiveView:
         self.hop_first = fa.path_first[slots][mask]
         self.src_host = fa.src_host[slots].astype(np.intp)
         self.dst_host = fa.dst_host[slots].astype(np.intp)
-        # Flows walking installed flow-table entries need per-entry
-        # last_used_at stamps only the scalar accrual loop maintains.
-        self.any_entries = bool(fa.has_entries[slots].any())
+        self.ent_objs: list = []
+        index: List[int] = []
+        counts: List[int] = []
+        if state.entry_rows:
+            ents, seen = state.ents, {}
+            for slot in slots.tolist():
+                row = ents[slot]
+                counts.append(len(row))
+                for entry in row:
+                    pos = seen.get(id(entry))
+                    if pos is None:
+                        pos = seen[id(entry)] = len(self.ent_objs)
+                        self.ent_objs.append(entry)
+                    index.append(pos)
+        self.ent_idx = np.array(index, dtype=np.intp)
+        self.ent_flow = np.repeat(np.arange(len(counts)),
+                                  np.array(counts, dtype=np.intp))
 
 
 class ArraysState:
@@ -394,12 +412,18 @@ class ArraysState:
         self.links = LinkArrays()
         self.slot_of: Dict[int, int] = {}      # flow id -> slot
         self.objs: List[Optional["FluidFlow"]] = []   # slot -> flow
+        # slot -> the flow-table entries its walk matched, path order;
+        # entry_rows counts the slots where that is not empty, so views
+        # of a network without flow tables skip the entry stream.
+        self.ents: List[Sequence] = []
+        self.entry_rows = 0
         self._free: List[int] = []
         self._top = 0                           # slot high-water mark
         self.hosts: List["Host"] = []
         self._host_slot: Dict[int, int] = {}    # id(host) -> slot
         self._view: Optional[LiveView] = None
-        # The sealed accrual timeline: (view, rates, dts) in time order.
+        # The sealed accrual timeline: (view, rates, [(dt, now)]) in
+        # time order.
         self.sealed: List[tuple] = []
         # Counters for benchmarks and tests.
         self.interned = 0
@@ -416,8 +440,11 @@ class ArraysState:
         return slot
 
     def intern_flow(self, fid: int, flow: "FluidFlow",
-                    dirs: Sequence["LinkDirection"]) -> int:
-        """(Re-)intern one delivered flow's row; returns its slot."""
+                    dirs: Sequence["LinkDirection"],
+                    entries: Sequence[tuple] = ()) -> int:
+        """(Re-)intern one delivered flow's row — its hops and the
+        ``(switch, flow-table entry)`` pairs its walk matched; returns
+        its slot."""
         fa = self.flows
         # A re-intern changes a row without changing the live set, so
         # the view goes stale either way.
@@ -434,15 +461,17 @@ class ArraysState:
             self.slot_of[fid] = slot
         while len(self.objs) <= slot:
             self.objs.append(None)
+            self.ents.append(())
         self.objs[slot] = flow
+        matched = [entry for __, entry in entries]
+        self.entry_rows += bool(matched) - bool(self.ents[slot])
+        self.ents[slot] = matched
         hops = len(dirs)
         if hops > fa.width:
             fa.grow_width(hops)
         fa.demand[slot] = flow.demand_bps
         fa.rate[slot] = flow.rate_bps
         fa.path_len[slot] = hops
-        fa.has_entries[slot] = bool(flow.path is not None
-                                    and flow.path.entries)
         row = fa.path[slot]
         first = fa.path_first[slot]
         seen = set()
@@ -461,8 +490,9 @@ class ArraysState:
         if slot is not None:
             self.flows.path_len[slot] = 0
             self.flows.rate[slot] = 0.0
-            self.flows.has_entries[slot] = False
             self.objs[slot] = None
+            self.entry_rows -= bool(self.ents[slot])
+            self.ents[slot] = ()
             self._free.append(slot)
             self._view = None
             self.dropped += 1
@@ -614,9 +644,9 @@ class ArraysState:
 
     # -- the sealed accrual timeline ---------------------------------------
 
-    def seal(self, dts: Sequence[float]) -> None:
-        """Close the elapsed segments ``dts`` against the current rates
-        and incidence, which are about to change.
+    def seal(self, segments: Sequence[tuple]) -> None:
+        """Close the elapsed ``(dt, now)`` segments against the current
+        rates and incidence, which are about to change.
 
         Sealing the whole live set rather than the ``rate > 0`` subset
         is exact — ``x + 0.0 == x`` for the non-negative counters — and
@@ -624,7 +654,7 @@ class ArraysState:
         """
         view = self.view()
         if view.fids.size:
-            self.sealed.append((view, self.flows.rate[view.slots], dts))
+            self.sealed.append((view, self.flows.rate[view.slots], segments))
 
     def replay(self) -> None:
         """Apply the sealed segments to the byte counters, in order.
@@ -634,7 +664,12 @@ class ArraysState:
         dt / 8`` through ``np.add.at``, which is unbuffered and applies
         in index order — per counter the adds land in the order the
         per-flow loop (fid-ascending, hops in path order) makes them,
-        segment after segment, so no bit can move.
+        segment after segment, so no bit can move.  Flow-table entries
+        are gathered per sealed view (each view carries its own entry
+        table): ``byte_count`` by the same scatter, and ``last_used_at``
+        takes the end time of every segment in which a flow crossing
+        the entry had a positive rate — segments are in time order, so
+        the last such assignment is the per-flow loop's last stamp.
         """
         np = _np
         sealed, self.sealed = self.sealed, []
@@ -649,8 +684,16 @@ class ArraysState:
                               dtype=np.float64, count=len(hosts))
         host_rx = np.fromiter((h.rx_bytes for h in hosts),
                               dtype=np.float64, count=len(hosts))
-        for view, rates, dts in sealed:
-            for dt in dts:
+        for view, rates, segments in sealed:
+            ents = view.ent_objs
+            if ents:
+                ent_bytes = np.fromiter((e.byte_count for e in ents),
+                                        dtype=np.float64, count=len(ents))
+                ent_used = np.fromiter((e.last_used_at for e in ents),
+                                       dtype=np.float64, count=len(ents))
+                ent_idx = view.ent_idx
+                ent_busy = ent_idx[rates[view.ent_flow] > 0]
+            for dt, seg_now in segments:
                 moved = rates * dt / 8.0
                 for flow, amount in zip(view.flows, moved.tolist()):
                     flow.delivered_bytes += amount
@@ -660,6 +703,14 @@ class ArraysState:
                 np.add.at(carried, view.hop_dir, per_hop)
                 np.add.at(port_tx, view.hop_dir, per_hop)
                 np.add.at(port_rx, view.hop_dir, per_hop)
+                if ents:
+                    np.add.at(ent_bytes, ent_idx, moved[view.ent_flow])
+                    ent_used[ent_busy] = seg_now
+            if ents:
+                for entry, count, used in zip(ents, ent_bytes.tolist(),
+                                              ent_used.tolist()):
+                    entry.byte_count = count
+                    entry.last_used_at = used
         for direction, total, tx, rx in zip(dirs, carried.tolist(),
                                             port_tx.tolist(),
                                             port_rx.tolist()):

@@ -83,8 +83,7 @@ class Network:
         self.incremental_realloc = True
         # Flows that may be accruing bytes (a superset of active +
         # delivered + rate>0, in flow-id order), maintained by the
-        # realloc engine so the scalar accrual loop does not scan every
-        # flow ever created.
+        # realloc engine for its mirror-less scalar accrual.
         self._accruing: List[FluidFlow] = []
         # The rate timeline: piecewise-constant (dt, now) segments
         # elapsed since the last seal.  All pending segments share one
@@ -275,7 +274,7 @@ class Network:
         """Deactivate a flow now and trigger reallocation."""
         if not flow.active:
             return
-        self._defer_accrue(self.now)
+        self.mark_accrual(self.now)
         self._seal_accrual()
         flow.active = False
         flow.rate_bps = 0.0
@@ -397,7 +396,7 @@ class Network:
         # realloc engine seals the timeline only when rates can
         # actually change (see ReallocEngine._recompute), so recompute
         # storms with no dirt skip accrual entirely.
-        self._defer_accrue(now)
+        self.mark_accrual(now)
         self.recomputations += 1
         self._routing_epoch += 1
         self._last_recompute = now
@@ -444,11 +443,15 @@ class Network:
         segment is sealed like any other and the whole sealed timeline
         replayed; :meth:`recompute` and :meth:`stop_flow` only seal.
         """
-        self._defer_accrue(now)
+        self.mark_accrual(now)
         self._flush_accrual()
 
-    def _defer_accrue(self, now: float) -> None:
-        """Record one piecewise-constant rate segment ending at ``now``.
+    def mark_accrual(self, now: float) -> None:
+        """Record one piecewise-constant rate segment ending at ``now``
+        without bringing any counter current — what :meth:`accrue`
+        does first, and all an observer of *rates* (the stats sampler)
+        needs: the segment boundary is part of the float arithmetic of
+        every byte counter, the replay is not.
 
         Quotient mode never defers: class-level accrual is already one
         batched pass, and the quotient owns the counter bookkeeping.
@@ -468,39 +471,10 @@ class Network:
 
     def _seal_accrual(self) -> None:
         """Close the pending segments against the current rates and
-        incidence; callers are about to change one or the other.
-
-        With the arrays mirror live the segments are sealed for a later
-        vectorized replay.  Otherwise — no mirror, or live flows carry
-        flow-table entries whose ``last_used_at`` stamps are per-hop
-        scalar state — they are applied here by the per-flow loop,
-        after whatever is still sealed so segment order is preserved.
-        """
-        if not self._pending_accrual:
-            return
-        segments = self._pending_accrual
-        self._pending_accrual = []
-        if self.realloc.seal_accrual([dt for dt, __ in segments]):
-            return
-        self.realloc.replay_accrual()
-        for dt, seg_now in segments:
-            for flow in self._accruing:
-                if (not flow.active or flow.path is None
-                        or not flow.path.delivered):
-                    continue
-                if flow.rate_bps <= 0:
-                    continue
-                transferred = flow.rate_bps * dt / 8.0  # bits -> bytes
-                flow.delivered_bytes += transferred
-                flow.src.tx_bytes += transferred
-                flow.dst.rx_bytes += transferred
-                for hop in flow.path.hops:
-                    hop.bytes_carried += transferred
-                    hop.src_port.tx_bytes += transferred
-                    hop.dst_port.rx_bytes += transferred
-                for __, entry in flow.path.entries:
-                    entry.byte_count += transferred
-                    entry.last_used_at = seg_now
+        incidence; callers are about to change one or the other."""
+        if self._pending_accrual:
+            segments, self._pending_accrual = self._pending_accrual, []
+            self.realloc.seal_accrual(segments)
 
     def _flush_accrual(self) -> None:
         """A read point: seal what is pending, replay what is sealed."""
@@ -531,6 +505,9 @@ class Network:
         origin = self.get_node(node) if isinstance(node, str) else node
         if not origin.up:
             return  # a failed node sinks everything
+        # A switch stamps the entry the packet hits; the sealed timeline
+        # stamps entries too, with earlier times, so it goes first.
+        self.realloc.replay_accrual()
         outputs = origin.handle_packet(in_port, packet, self.now)
         self.transmit(origin, outputs)
 

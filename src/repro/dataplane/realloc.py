@@ -90,6 +90,30 @@ class _CachedWalk:
         return self.result.delivered
 
 
+def _accrue_scalar(flows: List[FluidFlow], segments: List[tuple]) -> None:
+    """Integrate ``flows``' rates over ``(dt, now)`` segments, object by
+    object: what the sealed timeline replays in bulk, in the same visit
+    order (flow id, hops and entries in path order)."""
+    for dt, seg_now in segments:
+        for flow in flows:
+            if (not flow.active or flow.path is None
+                    or not flow.path.delivered):
+                continue
+            if flow.rate_bps <= 0:
+                continue
+            transferred = flow.rate_bps * dt / 8.0  # bits -> bytes
+            flow.delivered_bytes += transferred
+            flow.src.tx_bytes += transferred
+            flow.dst.rx_bytes += transferred
+            for hop in flow.path.hops:
+                hop.bytes_carried += transferred
+                hop.src_port.tx_bytes += transferred
+                hop.dst_port.rx_bytes += transferred
+            for __, entry in flow.path.entries:
+                entry.byte_count += transferred
+                entry.last_used_at = seg_now
+
+
 class ReallocEngine:
     """Owns the dirty-set logic and the scoped max-min re-solve."""
 
@@ -160,7 +184,7 @@ class ReallocEngine:
         if self.quotient is not None:
             self.quotient.materialize()
         # Flows keep their rates until that recompute; with the mirror
-        # gone the network accrues them on the scalar path meanwhile.
+        # gone seal_accrual integrates them object by object meanwhile.
         self._clear_cache()
         self._seen_topo_epoch = None
         self._pending.clear()
@@ -188,18 +212,20 @@ class ReallocEngine:
 
     # -- the sealed accrual timeline ---------------------------------------
 
-    def seal_accrual(self, dts: List[float]) -> bool:
-        """Seal elapsed segments against the mirror's current rates and
-        incidence; False when they must take the scalar path instead
-        (no mirror, or live flows carrying flow-table entries)."""
+    def seal_accrual(self, segments: List[tuple]) -> None:
+        """Close the elapsed ``(dt, now)`` segments against the current
+        rates and incidence: sealed on the mirror for a later vectorized
+        replay, or — no mirror: numpy is missing, the ``heap`` kernel is
+        forced, or :meth:`forget` dropped it — applied here by the
+        scalar loop, the accrual of the scalar kernel."""
         state = self._arrays
-        if state is None or state.view().any_entries:
-            return False
-        state.seal(dts)
-        self.accrual_segments += len(dts)
+        if state is None:
+            _accrue_scalar(self.network._accruing, segments)
+            return
+        state.seal(segments)
+        self.accrual_segments += len(segments)
         if len(state.sealed) >= _arrays.SEGMENT_BOUND:
             self.replay_accrual()
-        return True
 
     def replay_accrual(self) -> None:
         """Bring the byte counters current with the sealed timeline."""
@@ -281,7 +307,8 @@ class ReallocEngine:
                 state = self._arrays = _arrays.ArraysState()
                 for fid, cached in self._cache.items():
                     if cached.delivered:
-                        state.intern_flow(fid, cached.flow, cached.dirs)
+                        state.intern_flow(fid, cached.flow, cached.dirs,
+                                          cached.result.entries)
         else:
             state = None
             self._drop_mirror()
@@ -317,7 +344,7 @@ class ReallocEngine:
             self._index(fid, entry)
             if entry.delivered:
                 if state is not None:
-                    state.intern_flow(fid, flow, entry.dirs)
+                    state.intern_flow(fid, flow, entry.dirs, result.entries)
                 for direction in entry.dirs:
                     seed(direction)
             else:
@@ -420,8 +447,8 @@ class ReallocEngine:
                                               tx.tolist()):
                 host.rx_rate_bps = rx_rate
                 host.tx_rate_bps = tx_rate
-            # The scalar accrual loop (taken while live flows carry
-            # flow-table entries) skips zero rates itself, so the live
+            # What the scalar accrual would visit if the mirror went
+            # away (forget()): it skips zero rates itself, so the live
             # list — a superset in the same fid order — serves as is.
             net._accruing = state.view().flows
         else:

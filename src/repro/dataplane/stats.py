@@ -61,7 +61,10 @@ class StatsCollector:
         """Take one sample immediately (also used by the timer)."""
         network = self.network
         now = network.now
-        network.accrue(now)
+        # A sample reads rates, never byte counters: it closes the rate
+        # segment (counters integrate over the same boundaries as ever)
+        # and leaves the replay to whoever next reads a counter.
+        network.mark_accrual(now)
         sample = Sample(
             time=now,
             aggregate_rx_bps=network.aggregate_rx_rate(),

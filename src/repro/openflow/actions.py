@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.netproto.addr import IPv4Address, MACAddress
-from repro.openflow.constants import PortNo
+from repro.openflow.constants import OFDecodeError, PortNo
 
 ACTION_OUTPUT = 0
 ACTION_SET_DL_SRC = 4
@@ -22,6 +22,12 @@ ACTION_SET_NW_SRC = 6
 ACTION_SET_NW_DST = 7
 ACTION_GROUP = 22  # OF 1.1+ OFPAT_GROUP
 ACTION_DROP = 0xFFFF  # local marker, never a real wire code in OF 1.0
+
+_TLV = struct.Struct("!HH")
+_OUTPUT = struct.Struct("!HHIH2x")
+_OUTPUT_BODY = struct.Struct("!IH2x")
+_GROUP = struct.Struct("!HHI")
+_U32 = struct.Struct("!I")
 
 
 class Action:
@@ -48,7 +54,7 @@ class ActionOutput(Action):
     type_code = ACTION_OUTPUT
 
     def encode(self) -> bytes:
-        return struct.pack("!HHIH2x", ACTION_OUTPUT, 12, self.port, self.max_len)
+        return _OUTPUT.pack(ACTION_OUTPUT, 12, self.port, self.max_len)
 
     def __str__(self) -> str:
         try:
@@ -80,9 +86,9 @@ class ActionSetField(Action):
         code = self._FIELD_CODES[self.field]
         if self.field.startswith("dl_"):
             body = self.value.packed() + b"\x00" * 6  # pad to 8
-            return struct.pack("!HH", code, 4 + len(body)) + body
+            return _TLV.pack(code, 4 + len(body)) + body
         body = self.value.packed() + b"\x00" * 4
-        return struct.pack("!HH", code, 4 + len(body)) + body
+        return _TLV.pack(code, 4 + len(body)) + body
 
     def __str__(self) -> str:
         return f"set_{self.field}:{self.value}"
@@ -97,7 +103,7 @@ class ActionGroup(Action):
     type_code = ACTION_GROUP
 
     def encode(self) -> bytes:
-        return struct.pack("!HHI", ACTION_GROUP, 8, self.group_id)
+        return _GROUP.pack(ACTION_GROUP, 8, self.group_id)
 
     def __str__(self) -> str:
         return f"group:{self.group_id}"
@@ -121,34 +127,52 @@ def encode_actions(actions: List[Action]) -> bytes:
     return b"".join(action.encode() for action in actions)
 
 
-def decode_actions(data: bytes) -> List[Action]:
-    """Parse a wire-form action list."""
+_SET_FIELDS = {
+    ACTION_SET_DL_SRC: ("dl_src", 6, MACAddress),
+    ACTION_SET_DL_DST: ("dl_dst", 6, MACAddress),
+    ACTION_SET_NW_SRC: ("nw_src", 4, IPv4Address),
+    ACTION_SET_NW_DST: ("nw_dst", 4, IPv4Address),
+}
+
+
+def decode_actions(data: bytes, start: int = 0,
+                   end: "int | None" = None) -> List[Action]:
+    """Parse the wire-form action list ``data[start:end]``.
+
+    The TLVs must tile the extent exactly and each body must be at
+    least as long as its type needs (longer is padding, as encoded);
+    anything else is an :class:`OFDecodeError`.
+    """
+    if end is None:
+        end = len(data)
     actions: List[Action] = []
-    offset = 0
-    while offset + 4 <= len(data):
-        code, length = struct.unpack_from("!HH", data, offset)
-        if length < 4 or offset + length > len(data):
-            raise ValueError(f"bad action TLV at offset {offset}")
-        body = data[offset + 4 : offset + length]
+    offset = start
+    while offset + 4 <= end:
+        code, length = _TLV.unpack_from(data, offset)
+        if length < 4 or offset + length > end:
+            raise OFDecodeError(f"bad action TLV at offset {offset - start}")
+        body = offset + 4
+        room = length - 4
         if code == ACTION_OUTPUT:
-            port, max_len = struct.unpack("!IH2x", body)
+            if room != _OUTPUT_BODY.size:
+                raise OFDecodeError("bad OUTPUT action length")
+            port, max_len = _OUTPUT_BODY.unpack_from(data, body)
             actions.append(ActionOutput(port=port, max_len=max_len))
-        elif code == ACTION_SET_DL_SRC:
-            actions.append(ActionSetField("dl_src", MACAddress.from_bytes(body[:6])))
-        elif code == ACTION_SET_DL_DST:
-            actions.append(ActionSetField("dl_dst", MACAddress.from_bytes(body[:6])))
-        elif code == ACTION_SET_NW_SRC:
-            actions.append(ActionSetField("nw_src", IPv4Address.from_bytes(body[:4])))
-        elif code == ACTION_SET_NW_DST:
-            actions.append(ActionSetField("nw_dst", IPv4Address.from_bytes(body[:4])))
         elif code == ACTION_GROUP:
-            (group_id,) = struct.unpack("!I", body[:4])
-            actions.append(ActionGroup(group_id=group_id))
+            if room < 4:
+                raise OFDecodeError("truncated GROUP action")
+            actions.append(ActionGroup(_U32.unpack_from(data, body)[0]))
+        elif code in _SET_FIELDS:
+            field, width, kind = _SET_FIELDS[code]
+            if room < width:
+                raise OFDecodeError(f"truncated set_{field} action")
+            actions.append(ActionSetField(
+                field, kind(int.from_bytes(data[body:body + width], "big"))))
         else:
-            raise ValueError(f"unknown action type {code}")
+            raise OFDecodeError(f"unknown action type {code}")
         offset += length
-    if offset != len(data):
-        raise ValueError("trailing bytes after action list")
+    if offset != end:
+        raise OFDecodeError("trailing bytes after action list")
     return actions
 
 

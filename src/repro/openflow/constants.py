@@ -14,6 +14,14 @@ OFP_DEFAULT_PRIORITY = 0x8000
 OFP_FLOW_PERMANENT = 0  # idle/hard timeout value meaning "never expire"
 
 
+class OFDecodeError(ValueError):
+    """The one error every OpenFlow decoder raises on malformed bytes.
+
+    Lives here (not in ``messages``) because the match, action and
+    bucket codecs raise it too, and ``messages`` imports those.
+    """
+
+
 class MsgType(enum.IntEnum):
     """OpenFlow message type codes (ofp_type)."""
 

@@ -16,11 +16,17 @@ connected switch agent and dispatches events to the apps, Ryu-style:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.openflow.actions import Action
-from repro.openflow.constants import FlowModCommand, MsgType, OFP_NO_BUFFER, StatsType
-from repro.openflow.match import Match
+from repro.openflow.constants import (
+    FlowModCommand,
+    OFDecodeError,
+    OFP_NO_BUFFER,
+    StatsType,
+)
+from repro.openflow.match import Match, MatchInterner
 from repro.openflow.messages import (
     BarrierRequest,
     EchoReply,
@@ -36,7 +42,8 @@ from repro.openflow.messages import (
     PacketOut,
     StatsReply,
     StatsRequest,
-    decode_message_stream,
+    counts_by_type,
+    decode_messages,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,6 +67,7 @@ class Datapath:
 
     def send(self, message: OFMessage) -> None:
         """Send a raw OpenFlow message to this switch."""
+        self.controller.sent[type(message)] += 1
         self.channel.send(self.controller, message.encode())
 
     def flow_mod(
@@ -166,6 +174,10 @@ class ControllerApp:
     def on_flow_removed(self, dp: Datapath, message: FlowRemoved) -> None:
         """A FLOW_REMOVED arrived."""
 
+    def stats(self) -> Dict[str, int]:
+        """Counters for diagnostics and benches (none by default)."""
+        return {}
+
 
 class Controller:
     """An emulated SDN controller process."""
@@ -175,9 +187,20 @@ class Controller:
         self.sim: Optional["Simulation"] = None
         self.apps: List[ControllerApp] = []
         self.datapaths: Dict[int, Datapath] = {}  # keyed by channel id
+        self._by_name: Dict[str, Datapath] = {}
+        # One parse per distinct match extent; the experiment hands the
+        # same table to this controller's switch agents.
+        self.matches = MatchInterner()
         self._xid = 0
         self.packet_ins = 0
         self.stats_replies = 0
+        self.decode_errors = 0
+        self.sent: Dict[type, int] = defaultdict(int)  # by message class
+        self.received: Dict[type, int] = defaultdict(int)
+        # FLOW stats entries that reached the apps and were read
+        # header-first vs materialised into FlowStatsEntry objects.
+        self.stats_entries_header_first = 0
+        self.stats_entries_materialised = 0
 
     # -- wiring ---------------------------------------------------------------------
 
@@ -191,6 +214,7 @@ class Controller:
         """Register the channel to one switch agent (called by the API)."""
         datapath = Datapath(self, channel, switch_name)
         self.datapaths[channel.id] = datapath
+        self._by_name.setdefault(switch_name, datapath)
         return datapath
 
     def start(self, sim: "Simulation") -> None:
@@ -205,16 +229,25 @@ class Controller:
     # -- channel input -----------------------------------------------------------------
 
     def receive(self, channel: "ControlChannel", data: bytes, metadata: Any) -> None:
-        """Handle switch -> controller bytes."""
+        """Handle switch -> controller bytes (possibly several messages).
+
+        The whole delivery is decoded before any of it is dispatched: a
+        delivery with a malformed message anywhere in it is counted and
+        dropped, and no app hears of it.
+        """
         datapath = self.datapaths.get(channel.id)
         if datapath is None:
             return
-        rest = data
-        while rest:
-            message, rest = decode_message_stream(rest)
+        try:
+            messages = decode_messages(data, self.matches)
+        except OFDecodeError:
+            self.decode_errors += 1
+            return
+        for message in messages:
             self._dispatch(datapath, message)
 
     def _dispatch(self, dp: Datapath, message: OFMessage) -> None:
+        self.received[type(message)] += 1
         if isinstance(message, Hello):
             return
         if isinstance(message, FeaturesReply):
@@ -229,8 +262,13 @@ class Controller:
                 app.on_packet_in(dp, message)
         elif isinstance(message, StatsReply):
             self.stats_replies += 1
+            entries = message.flow_entries_held
             for app in self.apps:
                 app.on_stats_reply(dp, message)
+            if message.flow_entries_held:
+                self.stats_entries_header_first += entries
+            else:
+                self.stats_entries_materialised += entries
         elif isinstance(message, FlowRemoved):
             for app in self.apps:
                 app.on_flow_removed(dp, message)
@@ -256,10 +294,24 @@ class Controller:
 
     def datapath_by_name(self, switch_name: str) -> Optional[Datapath]:
         """Find a datapath by its switch's name."""
-        for datapath in self.datapaths.values():
-            if datapath.name == switch_name:
-                return datapath
-        return None
+        return self._by_name.get(switch_name)
+
+    def stats(self) -> Dict[str, int]:
+        """Counters for diagnostics and benches: messages by type each
+        way, decode errors, the match table's hits and misses, and how
+        FLOW stats entries were read."""
+        stats = {
+            "datapaths": len(self.datapaths),
+            "packet_ins": self.packet_ins,
+            "stats_replies": self.stats_replies,
+            "decode_errors": self.decode_errors,
+            "match_intern_hits": self.matches.hits,
+            "match_intern_misses": self.matches.misses,
+            "stats_entries_header_first": self.stats_entries_header_first,
+            "stats_entries_materialised": self.stats_entries_materialised,
+        }
+        stats.update(counts_by_type(self.sent, self.received))
+        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Controller {self.name} dps={len(self.datapaths)} apps={len(self.apps)}>"

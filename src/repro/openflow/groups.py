@@ -21,7 +21,9 @@ from repro.core.errors import DataPlaneError
 from repro.netproto.hashing import ecmp_hash, five_tuple_hash
 from repro.netproto.packet import FiveTuple
 from repro.openflow.actions import Action, decode_actions, encode_actions
-from repro.openflow.constants import GroupType
+from repro.openflow.constants import GroupType, OFDecodeError
+
+_BUCKET_HEAD = struct.Struct("!H2x")
 
 
 @dataclass(frozen=True)
@@ -32,17 +34,19 @@ class Bucket:
 
     def encode(self) -> bytes:
         wire_actions = encode_actions(list(self.actions))
-        return struct.pack("!H2x", 4 + len(wire_actions)) + wire_actions
+        return _BUCKET_HEAD.pack(4 + len(wire_actions)) + wire_actions
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["Bucket", bytes]:
-        if len(data) < 4:
-            raise ValueError("truncated bucket")
-        (length,) = struct.unpack_from("!H", data)
-        if length < 4 or length > len(data):
-            raise ValueError(f"bad bucket length {length}")
-        actions = decode_actions(data[4:length])
-        return cls(actions=tuple(actions)), data[length:]
+    def from_wire(cls, data: bytes, start: int, end: int) -> Tuple["Bucket", int]:
+        """Parse the bucket at ``data[start:]`` (it must end by ``end``);
+        returns (bucket, offset just past it)."""
+        if end - start < 4:
+            raise OFDecodeError("truncated bucket")
+        (length,) = _BUCKET_HEAD.unpack_from(data, start)
+        if length < 4 or start + length > end:
+            raise OFDecodeError(f"bad bucket length {length}")
+        stop = start + length
+        return cls(actions=tuple(decode_actions(data, start + 4, stop))), stop
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,22 @@ A :class:`Match` is a set of header-field constraints; ``None`` means
 wildcarded.  It both matches simulated traffic (fluid flows and packet
 events) and round-trips through a binary encoding closely modelled on
 OF 1.0's ``ofp_match`` (a wildcard bitmap followed by fixed fields).
+
+A match is immutable and compared by value, which is what lets the
+codec do each piece of work once: an instance serialises once (the
+bytes are kept on it), and a :class:`MatchInterner` parses each distinct
+36-byte extent once and hands every later occurrence the same object.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.netproto.addr import IPv4Address, IPv4Prefix, MACAddress
+from repro.netproto.addr import IPv4Prefix, MACAddress
 from repro.netproto.packet import FiveTuple
+from repro.openflow.constants import OFDecodeError
 
 # Wildcard bits (set bit = field is wildcarded), mirroring ofp_flow_wildcards.
 WC_IN_PORT = 1 << 0
@@ -38,8 +44,12 @@ WC_ALL = (
     | (32 << WC_NW_DST_SHIFT)
 )
 
-_MATCH_STRUCT = struct.Struct("!II6s6sHBBHH4s4s")
+# wildcards, in_port, dl_src (hi16, lo32), dl_dst (hi16, lo32), dl_type,
+# nw_proto, pad, tp_src, tp_dst, nw_src, nw_dst — integers throughout.
+_MATCH_STRUCT = struct.Struct("!IIHIHIHBxHHII")
 MATCH_LEN = _MATCH_STRUCT.size
+
+_UNSET = object()  # "not computed yet" for cached values that may be None
 
 
 @dataclass(frozen=True)
@@ -207,10 +217,49 @@ class Match:
                 score += prefix.length
         return score
 
+    def __hash__(self) -> int:
+        # Same fields ``__eq__`` compares; kept on the instance because
+        # flow tables key entries by match and re-hash it on every add.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash((
+                self.in_port, self.dl_src, self.dl_dst, self.dl_type,
+                self.nw_src, self.nw_dst, self.nw_proto, self.tp_src,
+                self.tp_dst))
+            return value
+
+    def five_tuple(self) -> Optional[FiveTuple]:
+        """The IPv4 flow this match pins down, or None.
+
+        Defined when ``nw_src`` and ``nw_dst`` are host (/32) prefixes
+        and ``nw_proto`` is set; a wildcarded port reads as 0.  Computed
+        once per instance.
+        """
+        flow = self.__dict__.get("_flow", _UNSET)
+        if flow is _UNSET:
+            flow = None
+            src, dst = self.nw_src, self.nw_dst
+            if (src is not None and dst is not None and src.length == 32
+                    and dst.length == 32 and self.nw_proto is not None):
+                flow = FiveTuple(
+                    src_ip=src.network,
+                    dst_ip=dst.network,
+                    protocol=self.nw_proto,
+                    src_port=self.tp_src or 0,
+                    dst_port=self.tp_dst or 0,
+                )
+            self.__dict__["_flow"] = flow
+        return flow
+
     # -- wire codec --------------------------------------------------------
 
     def encode(self) -> bytes:
-        """Serialise to the fixed-size binary ofp_match layout."""
+        """The fixed-size binary ofp_match layout; built on first use."""
+        try:
+            return self.__dict__["_wire"]
+        except KeyError:
+            pass
         wildcards = 0
         if self.in_port is None:
             wildcards |= WC_IN_PORT
@@ -226,68 +275,67 @@ class Match:
             wildcards |= WC_TP_SRC
         if self.tp_dst is None:
             wildcards |= WC_TP_DST
-        src_wild = 32 if self.nw_src is None else 32 - self.nw_src.length
-        dst_wild = 32 if self.nw_dst is None else 32 - self.nw_dst.length
+        nw_src, nw_dst = self.nw_src, self.nw_dst
+        src_wild = 32 if nw_src is None else 32 - nw_src.length
+        dst_wild = 32 if nw_dst is None else 32 - nw_dst.length
         wildcards |= src_wild << WC_NW_SRC_SHIFT
         wildcards |= dst_wild << WC_NW_DST_SHIFT
-        return _MATCH_STRUCT.pack(
+        dl_src = 0 if self.dl_src is None else int(self.dl_src)
+        dl_dst = 0 if self.dl_dst is None else int(self.dl_dst)
+        wire = self.__dict__["_wire"] = _MATCH_STRUCT.pack(
             wildcards,
             self.in_port or 0,
-            (self.dl_src or MACAddress(0)).packed(),
-            (self.dl_dst or MACAddress(0)).packed(),
+            dl_src >> 32, dl_src & 0xFFFFFFFF,
+            dl_dst >> 32, dl_dst & 0xFFFFFFFF,
             self.dl_type or 0,
             self.nw_proto or 0,
-            0,  # pad
             self.tp_src or 0,
             self.tp_dst or 0,
-            (self.nw_src.network if self.nw_src else IPv4Address(0)).packed(),
-            (self.nw_dst.network if self.nw_dst else IPv4Address(0)).packed(),
+            0 if nw_src is None else nw_src.key()[0],
+            0 if nw_dst is None else nw_dst.key()[0],
         )
+        return wire
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["Match", bytes]:
-        """Parse a match; returns (match, remaining bytes)."""
-        if len(data) < MATCH_LEN:
-            raise ValueError("truncated ofp_match")
+    def from_wire(cls, data: bytes, offset: int = 0) -> "Match":
+        """Parse the match at ``data[offset:]``.
+
+        Values under a set wildcard bit are ignored (so are undefined
+        wildcard bits and the pad byte); truncation is the one way a
+        match can be malformed.
+        """
+        if len(data) - offset < MATCH_LEN:
+            raise OFDecodeError("truncated ofp_match")
         (
-            wildcards,
-            in_port,
-            dl_src_raw,
-            dl_dst_raw,
-            dl_type,
-            nw_proto,
-            __,
-            tp_src,
-            tp_dst,
-            nw_src_raw,
-            nw_dst_raw,
-        ) = _MATCH_STRUCT.unpack(data[:MATCH_LEN])
+            wildcards, in_port, src_hi, src_lo, dst_hi, dst_lo, dl_type,
+            nw_proto, tp_src, tp_dst, nw_src, nw_dst,
+        ) = _MATCH_STRUCT.unpack_from(data, offset)
         src_wild = (wildcards >> WC_NW_SRC_SHIFT) & 0x3F
         dst_wild = (wildcards >> WC_NW_DST_SHIFT) & 0x3F
-        match = cls(
+        match = cls.__new__(cls)
+        # Frozen dataclass: fields go in through the instance dict.  A
+        # /0 prefix reads as the wildcard here as in __post_init__.
+        match.__dict__.update(
             in_port=None if wildcards & WC_IN_PORT else in_port,
-            dl_src=None if wildcards & WC_DL_SRC else MACAddress.from_bytes(dl_src_raw),
-            dl_dst=None if wildcards & WC_DL_DST else MACAddress.from_bytes(dl_dst_raw),
+            dl_src=(None if wildcards & WC_DL_SRC
+                    else MACAddress(src_hi << 32 | src_lo)),
+            dl_dst=(None if wildcards & WC_DL_DST
+                    else MACAddress(dst_hi << 32 | dst_lo)),
             dl_type=None if wildcards & WC_DL_TYPE else dl_type,
-            nw_src=(
-                None
-                if src_wild >= 32
-                else IPv4Prefix.from_network(
-                    IPv4Address.from_bytes(nw_src_raw), 32 - src_wild
-                )
-            ),
-            nw_dst=(
-                None
-                if dst_wild >= 32
-                else IPv4Prefix.from_network(
-                    IPv4Address.from_bytes(nw_dst_raw), 32 - dst_wild
-                )
-            ),
+            nw_src=(None if src_wild >= 32
+                    else IPv4Prefix.from_network(nw_src, 32 - src_wild)),
+            nw_dst=(None if dst_wild >= 32
+                    else IPv4Prefix.from_network(nw_dst, 32 - dst_wild)),
             nw_proto=None if wildcards & WC_NW_PROTO else nw_proto,
             tp_src=None if wildcards & WC_TP_SRC else tp_src,
             tp_dst=None if wildcards & WC_TP_DST else tp_dst,
         )
-        return match, data[MATCH_LEN:]
+        return match
+
+    @classmethod
+    def decode(cls, data: bytes) -> Tuple["Match", bytes]:
+        """Parse a match; returns (match, remaining bytes)."""
+        return cls.from_wire(data), data[MATCH_LEN:]
 
     def __str__(self) -> str:
         parts = []
@@ -305,3 +353,39 @@ class Match:
             if value is not None:
                 parts.append(f"{label}={value}")
         return "Match(" + ", ".join(parts) + ")" if parts else "Match(*)"
+
+
+class MatchInterner:
+    """Extent -> :class:`Match`: a 36-byte match extent parses once.
+
+    The key is the whole extent, so two extents that differ only in
+    ignored bits get two (equal) objects, and an interned match is
+    exactly what :meth:`Match.from_wire` returns for those bytes.  One
+    table is shared by the controller and the switch agents of an
+    experiment — a match sent down a five-switch path is parsed at the
+    first and looked up at the other four.  Bounded: a full table is
+    emptied, never grown.
+    """
+
+    BOUND = 4096
+
+    __slots__ = ("_table", "hits", "misses")
+
+    def __init__(self) -> None:
+        self._table: Dict[bytes, Match] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def from_wire(self, data: bytes, offset: int = 0) -> Match:
+        """:meth:`Match.from_wire`, through the table."""
+        extent = data[offset:offset + MATCH_LEN]
+        match = self._table.get(extent)
+        if match is None:
+            match = Match.from_wire(extent)
+            self.misses += 1
+            if len(self._table) >= self.BOUND:
+                self._table.clear()
+            self._table[extent] = match
+        else:
+            self.hits += 1
+        return match

@@ -13,20 +13,22 @@ what drives the hybrid clock into FTI mode.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, TYPE_CHECKING
+from collections import defaultdict
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.errors import ControlPlaneError
-from repro.netproto.packet import Packet
+from repro.netproto.packet import Packet, PacketDecodeError
 from repro.openflow.actions import ActionOutput
 from repro.openflow.constants import (
+    ErrorType,
     FlowModCommand,
     GroupModCommand,
-    MsgType,
+    OFDecodeError,
     PortNo,
     StatsType,
 )
 from repro.openflow.groups import Group
-from repro.openflow.match import Match
+from repro.openflow.match import Match, MatchInterner
 from repro.openflow.messages import (
     AggregateStats,
     BarrierReply,
@@ -38,7 +40,6 @@ from repro.openflow.messages import (
     FeaturesRequest,
     FlowMod,
     FlowRemoved,
-    FlowStatsEntry,
     GroupMod,
     Hello,
     OFMessage,
@@ -48,8 +49,11 @@ from repro.openflow.messages import (
     PortStatsEntry,
     StatsReply,
     StatsRequest,
-    decode_message_stream,
+    counts_by_type,
+    decode_messages,
 )
+
+_MATCH_ALL = Match()
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.connection_manager import ControlChannel
@@ -60,14 +64,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class SwitchAgent:
     """Bridges one simulated switch to its OpenFlow controller."""
 
-    def __init__(self, switch: "Switch"):
+    def __init__(self, switch: "Switch",
+                 matches: "MatchInterner | None" = None):
         self.switch = switch
         self.name = f"agent-{switch.name}"
         self.channel: Optional["ControlChannel"] = None
         self.sim: Optional["Simulation"] = None
         self.connected = False
+        # The experiment passes its controller's table, so a match sent
+        # down a path is parsed by the first agent on it only.
+        self.matches = matches if matches is not None else MatchInterner()
         self.packet_ins_sent = 0
         self.flow_mods_applied = 0
+        self.decode_errors = 0
+        self.sent: Dict[type, int] = defaultdict(int)  # by message class
+        self.received: Dict[type, int] = defaultdict(int)
         self._xid = 0
         switch.agent = self
 
@@ -82,8 +93,21 @@ class SwitchAgent:
         self.channel = channel
 
     def tick(self, now: float) -> None:
-        """Periodic upkeep: expire timed-out flow entries."""
-        expired = self.switch.table.expire(now)
+        """Periodic upkeep: expire timed-out flow entries.
+
+        Almost always one float compare: the table knows the earliest
+        time any of its entries could expire.  Only when that time has
+        come are the byte counters — and with them every entry's
+        ``last_used_at`` — brought current, so idleness is judged on
+        what the flows did up to ``now``, not up to the last time
+        somebody happened to read a counter.
+        """
+        table = self.switch.table
+        if not table.expiry_due(now):
+            return
+        if self.sim is not None and self.sim.network is not None:
+            self.sim.network.accrue(now)
+        expired = table.expire(now)
         for entry in expired:
             self._send(
                 FlowRemoved(
@@ -101,13 +125,24 @@ class SwitchAgent:
     # -- channel input ----------------------------------------------------------
 
     def receive(self, channel: "ControlChannel", data: bytes, metadata: Any) -> None:
-        """Handle controller -> switch bytes (possibly several messages)."""
-        rest = data
-        while rest:
-            message, rest = decode_message_stream(rest)
+        """Handle controller -> switch bytes (possibly several messages).
+
+        The whole delivery is decoded before any of it is applied: if a
+        message anywhere in it is malformed, nothing is — no flow-mod
+        ahead of the bad one reaches the table — and the controller gets
+        an ``ErrorMsg`` (bad request) back.
+        """
+        try:
+            messages = decode_messages(data, self.matches)
+        except OFDecodeError:
+            self.decode_errors += 1
+            self._send(ErrorMsg(err_type=ErrorType.BAD_REQUEST))
+            return
+        for message in messages:
             self._dispatch(message)
 
     def _dispatch(self, message: OFMessage) -> None:
+        self.received[type(message)] += 1
         if isinstance(message, Hello):
             self._send(Hello(xid=message.xid))
         elif isinstance(message, FeaturesRequest):
@@ -127,7 +162,7 @@ class SwitchAgent:
             self._send(BarrierReply(xid=message.xid))
         else:
             self._send(
-                ErrorMsg(xid=message.xid, err_type=1, err_code=0,
+                ErrorMsg(xid=message.xid, err_type=ErrorType.BAD_REQUEST,
                          data=type(message).__name__.encode())
             )
 
@@ -226,7 +261,12 @@ class SwitchAgent:
     def _apply_packet_out(self, message: PacketOut) -> None:
         if not message.data or self.sim is None or self.sim.network is None:
             return
-        packet = Packet.decode(message.data)
+        try:
+            packet = Packet.decode(message.data)
+        except PacketDecodeError:
+            self._send(ErrorMsg(xid=message.xid,
+                                err_type=ErrorType.BAD_REQUEST))
+            return
         in_port = message.in_port
         outputs: List = []
         for action in message.actions:
@@ -249,20 +289,15 @@ class SwitchAgent:
             # estimation to see fresh byte counts.
             self.sim.network.accrue(now)
         if request.stats_type is StatsType.FLOW:
-            entries = [
-                FlowStatsEntry(
-                    match=entry.match,
-                    priority=entry.priority,
-                    duration_sec=entry.duration(now),
-                    packet_count=entry.packet_count,
-                    byte_count=int(entry.byte_count),
-                    cookie=entry.cookie,
-                )
-                for entry in self.switch.table.entries()
-                if request.match.subsumes(entry.match)
-            ]
-            return StatsReply(xid=request.xid, stats_type=StatsType.FLOW,
-                              flow_stats=entries)
+            entries = self.switch.table.entries()
+            wanted = request.match
+            if wanted != _MATCH_ALL:  # the all-wildcard match subsumes all
+                entries = [e for e in entries if wanted.subsumes(e.match)]
+            return StatsReply.for_flow_rows(request.xid, (
+                (entry.match, entry.priority, entry.duration(now),
+                 entry.cookie, entry.packet_count, int(entry.byte_count))
+                for entry in entries
+            ))
         if request.stats_type is StatsType.PORT:
             wanted = request.port_no
             ports = [
@@ -313,7 +348,29 @@ class SwitchAgent:
     def _send(self, message: OFMessage) -> None:
         if self.channel is None:
             return
+        self.sent[type(message)] += 1
         self.channel.send(self, message.encode())
+
+    def stats(self) -> Dict[str, int]:
+        """Counters for diagnostics and benches: messages by type each
+        way, decode errors, and the flow table's own (lookups answered
+        by the five-tuple index vs by an ordered scan, expiry checks vs
+        the sweeps they let through)."""
+        table = self.switch.table
+        stats = {
+            "entries": len(table),
+            "packet_ins_sent": self.packet_ins_sent,
+            "flow_mods_applied": self.flow_mods_applied,
+            "decode_errors": self.decode_errors,
+            "table_lookups": table.lookups,
+            "table_misses": table.misses,
+            "table_index_hits": table.index_hits,
+            "table_scans": table.scans,
+            "expiry_checks": table.expiry_checks,
+            "expiry_sweeps": table.expiry_sweeps,
+        }
+        stats.update(counts_by_type(self.sent, self.received))
+        return stats
 
     def _next_xid(self) -> int:
         self._xid += 1

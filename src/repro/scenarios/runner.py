@@ -233,6 +233,15 @@ def result_fingerprint(result_dict: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _summed_stats(sources, prefix: str = "") -> Dict[str, int]:
+    """``stats()`` of every source, summed key by key."""
+    totals: Dict[str, int] = {}
+    for source in sources:
+        for key, value in source.stats().items():
+            totals[prefix + key] = totals.get(prefix + key, 0) + value
+    return totals
+
+
 def _reset_process_counters() -> None:
     """Zero every process-global id counter a scenario's results could
     observe, so runs are independent of process history."""
@@ -355,7 +364,7 @@ class ScenarioRunner:
         quotient = exp.network.realloc.quotient
         if quotient is not None:
             reg.set_stats("quotient", quotient.stats())
-        for protocol in ("bgp", "ospf"):
+        for protocol in ("bgp", "ospf", "openflow"):
             if protocol in scenario_result.diagnostics:
                 reg.set_stats(protocol, scenario_result.diagnostics[protocol])
 
@@ -381,11 +390,15 @@ class ScenarioRunner:
                                   ("ospf", exp.ospf_daemons)):
             if daemons:
                 # Every daemon's counters, summed over the fabric.
-                totals: Dict[str, int] = {}
-                for daemon in daemons.values():
-                    for key, value in daemon.stats().items():
-                        totals[key] = totals.get(key, 0) + value
-                diagnostics[protocol] = totals
+                diagnostics[protocol] = _summed_stats(daemons.values())
+        if exp.controller is not None:
+            # The same for the OpenFlow endpoints: every agent's
+            # counters summed, the controller's, and its apps'.
+            diagnostics["openflow"] = {
+                **_summed_stats(exp.agents, "agent_"),
+                **_summed_stats([exp.controller], "controller_"),
+                **_summed_stats(exp.controller.apps, "app_"),
+            }
         return diagnostics
 
     # Protocols whose runs the quotient layer can compress: no control

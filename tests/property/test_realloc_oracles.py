@@ -315,3 +315,104 @@ def test_push_misses_nothing_under_switch_churn(ops):
         if driver.net.recomputations:
             assert unseen_epochs(driver.net) == [], op
     assert driver.net.realloc.full_recomputes <= 1
+
+
+# ---------------------------------------------------------------------------
+# (c) accrual: flow-table entries on the sealed timeline vs the per-flow loop
+# ---------------------------------------------------------------------------
+
+
+def scalar_seal(engine, segments):
+    """The per-flow loop of the pre-PR-16 ``Network._seal_accrual`` —
+    what ran whenever a live flow walked flow-table entries — verbatim,
+    after whatever was still sealed so segment order is preserved."""
+    engine.replay_accrual()
+    for dt, seg_now in segments:
+        for flow in engine.network._accruing:
+            if (not flow.active or flow.path is None
+                    or not flow.path.delivered):
+                continue
+            if flow.rate_bps <= 0:
+                continue
+            transferred = flow.rate_bps * dt / 8.0  # bits -> bytes
+            flow.delivered_bytes += transferred
+            flow.src.tx_bytes += transferred
+            flow.dst.rx_bytes += transferred
+            for hop in flow.path.hops:
+                hop.bytes_carried += transferred
+                hop.src_port.tx_bytes += transferred
+                hop.dst_port.rx_bytes += transferred
+            for __, entry in flow.path.entries:
+                entry.byte_count += transferred
+                entry.last_used_at = seg_now
+
+
+def _hedera_entry_counters(monkeypatch, oracle):
+    """Every switch's entry counters at every stats reply of a k=4
+    Hedera run with a flow that stops mid-run and a link that fails,
+    then every byte counter at the end — as hex."""
+    from repro.api import Experiment
+    from repro.controllers import HederaApp
+    from repro.dataplane.flow import FluidFlow
+    from repro.dataplane.link import Link
+    from repro.dataplane.node import reset_auto_macs
+    from repro.dataplane.realloc import ReallocEngine
+    from repro.dataplane.switch import reset_dpids
+    from repro.openflow.switch_agent import SwitchAgent
+    from repro.topology import FatTreeTopo
+
+    Link.reset_ids()
+    FluidFlow.reset_ids()
+    reset_auto_macs()
+    reset_dpids()
+    if oracle:
+        monkeypatch.setattr(ReallocEngine, "seal_accrual", scalar_seal)
+    snapshots = []
+    answer = SwitchAgent._stats_reply
+
+    def answer_and_snapshot(agent, request):
+        reply = answer(agent, request)   # brings the counters current
+        snapshots.append((agent.name, agent._now().hex(), [
+            (entry.priority, entry.match.encode(), entry.byte_count.hex(),
+             entry.last_used_at.hex(), entry.packet_count)
+            for entry in agent.switch.table.entries()]))
+        return reply
+
+    monkeypatch.setattr(SwitchAgent, "_stats_reply", answer_and_snapshot)
+    exp = Experiment("entry-accrual",
+                     config=SimulationConfig(stats_interval=0.5, seed=2))
+    exp.load_topo(FatTreeTopo(k=4))
+    exp.network.recompute_min_interval = 0.005
+    exp.use_controller(apps=[HederaApp(exp.topology_view(),
+                                       poll_interval=5.0, hash_seed=2)])
+    exp.add_demo_traffic(rate_bps=1e9, duration=30.0)
+    hosts = [host.name for host in exp.network.hosts()]
+    exp.add_flow(hosts[1], hosts[-2], 3e8, start_time=2.0, duration=9.0)
+    exp.fail_link("a0_0", "c0_0", at=12.0)
+    exp.add_stats(interval=0.5)
+    exp.run(until=32.0)
+    network = exp.network
+    network.finalize_accounting()
+    closing = (
+        [flow.delivered_bytes.hex() for flow in network.flows],
+        [(d.bytes_carried.hex(), d.src_port.tx_bytes.hex(),
+          d.dst_port.rx_bytes.hex()) for d in network._all_directions()],
+        [(entry.byte_count.hex(), entry.last_used_at.hex())
+         for switch in network.switches()
+         for entry in switch.table.entries()])
+    return snapshots, closing, network.realloc.stats
+
+
+def test_entry_counters_equal_the_per_flow_loop(monkeypatch):
+    timeline, closing, stats = _hedera_entry_counters(monkeypatch, False)
+    monkeypatch.undo()
+    loop, loop_closing, loop_stats = _hedera_entry_counters(monkeypatch, True)
+    assert len(timeline) == 8 * 6            # 8 edge switches, 6 polls
+    assert any(float.fromhex(count) > 0 and float.fromhex(used) > 0
+               for __, __, entries in timeline
+               for __, __, count, used, __ in entries)
+    assert timeline == loop
+    assert closing == loop_closing
+    # The timeline really was the path taken, and the loop the oracle's.
+    assert stats["accrual_segments"] > 0 and stats["accrual_replays"] > 0
+    assert loop_stats["accrual_segments"] == loop_stats["accrual_replays"] == 0

@@ -291,3 +291,79 @@ class TestHederaApp:
         exp.run(until=13.0)
         assert app.measured_rates
         assert max(app.measured_rates.values()) > 1e8
+
+
+class TestIdleTimeouts:
+    """Entries with an idle timeout under reactive ECMP."""
+
+    @staticmethod
+    def _exp(idle_timeout):
+        exp = Experiment("idle")
+        exp.load_topo(FatTreeTopo(k=4))
+        app = FiveTupleEcmpApp(exp.topology_view(), idle_timeout=idle_timeout)
+        exp.use_controller(apps=[app])
+        hosts = [host.name for host in exp.network.hosts()]
+        removed = []
+        exp.sim.cm.add_observer(
+            lambda channel, receiver, data:
+            removed.append(channel.label) if data[1] == 11 else None)
+        return exp, app, hosts, removed
+
+    def test_an_active_flow_never_idles_out(self):
+        """Nothing reads a counter here (no stats sampler), so the only
+        thing keeping ``last_used_at`` fresh is the expiry check itself
+        bringing accrual current before it judges idleness.  At the
+        parent the entries expired at t=6 and the flow delivered
+        74 995 000 bytes."""
+        exp, app, hosts, removed = self._exp(idle_timeout=5)
+        flow = exp.add_flow(hosts[0], hosts[-1], 100e6, duration=30.0)
+        exp.run(until=30.0)
+        exp.network.finalize_accounting()
+        assert removed == []
+        # 30 s at 100 Mb/s, less the 0.4 ms before the path was installed.
+        assert flow.delivered_bytes == 374_995_000.0
+        agents = [agent.stats() for agent in exp.agents]
+        # Tables on the path swept once per timeout, not once per tick;
+        # the others never.
+        assert sum(a["expiry_checks"] for a in agents) == 20 * 30
+        assert 0 < sum(a["expiry_sweeps"] for a in agents) <= 5 * 6
+
+    def test_a_flow_whose_entries_timed_out_is_placed_again(self):
+        """The same five-tuple comes back after its entries idled out:
+        the FLOW_REMOVED made the app forget the placement, so the new
+        miss is answered.  At the parent it was taken for a miss racing
+        the first install and ignored — the flow was black-holed."""
+        from repro.dataplane.flow import FluidFlow
+        exp, app, hosts, removed = self._exp(idle_timeout=2)
+        src, dst = (exp.network.get_node(hosts[0]),
+                    exp.network.get_node(hosts[-1]))
+        flows = [FluidFlow(src, dst, 100e6, src_port=5000,
+                           start_time=start, end_time=start + 5.0)
+                 for start in (0.0, 20.0)]
+        for flow in flows:
+            exp.network.add_flow(flow)
+        assert flows[0].key == flows[1].key
+        exp.run(until=19.0)
+        assert len(removed) == 5 and app.placements == {}
+        exp.run(until=26.0)
+        exp.network.finalize_accounting()
+        assert app.flows_placed == 2 and flows[1].key in app.placements
+        assert [flow.delivered_bytes for flow in flows] == pytest.approx(
+            [62_495_000.0] * 2)
+
+    def test_hedera_forgets_a_removed_flows_pin_and_byte_total(self):
+        from repro.openflow.match import Match
+        from repro.openflow.messages import FlowRemoved
+        exp = Experiment("forget")
+        exp.load_topo(FatTreeTopo(k=4))
+        app = HederaApp(exp.topology_view(), poll_interval=5.0)
+        exp.use_controller(apps=[app])
+        exp.add_demo_traffic(rate_bps=1e9, duration=12.0)
+        exp.run(until=11.0)
+        flow = next(iter(app.large_placements))
+        assert flow in app.placements and flow in app._last_bytes
+        app.on_flow_removed(None, FlowRemoved(
+            match=Match.exact_five_tuple(flow)))
+        assert flow not in app.placements
+        assert flow not in app.large_placements
+        assert flow not in app._last_bytes

@@ -333,12 +333,18 @@ class TestScenarioDeterminism:
             injections=flap_storm(topo, links=3, start=2.0, spread=2.0,
                                   period=2.0, cycles=2, rng=rng))
 
-    def _result(self, seed=0, bgp=False, ospf=False, churn=False):
+    def _result(self, seed=0, bgp=False, ospf=False, churn=False,
+                sdn=False):
         from repro.scenarios import (ProtocolRecipe, ScenarioRunner,
                                      TopologyRecipe, generate_scenario)
         if churn:
             return ScenarioRunner().run(self._churn_spec(seed))
         routed = {}
+        if sdn:
+            routed = dict(
+                topology=TopologyRecipe("fattree",
+                                        {"k": 4, "device": "switch"}),
+                protocol=ProtocolRecipe("sdn", {}))
         if bgp or ospf:
             routed = dict(
                 topology=TopologyRecipe("fattree",
@@ -355,9 +361,9 @@ class TestScenarioDeterminism:
         return result_fingerprint(self._result(seed, **kind).to_dict())
 
     @pytest.mark.parametrize("kind", [{}, {"bgp": True}, {"ospf": True},
-                                      {"churn": True}],
+                                      {"churn": True}, {"sdn": True}],
                              ids=["ospf-wan", "bgp-fattree", "ospf-fattree",
-                                  "dataplane-churn"])
+                                  "dataplane-churn", "sdn-fattree"])
     def test_fingerprint_unmoved_by_tracing(self, kind):
         baseline = self._run(**kind)
         assert maybe_enable_from_env({"REPRO_OBS": "1"}) is True
@@ -424,6 +430,33 @@ class TestScenarioDeterminism:
         assert totals["decode_errors"] == 0
         gauges = metrics().snapshot()["gauges"]
         assert {k: gauges[f"ospf.{k}"] for k in totals} == totals
+        from repro.scenarios import result_fingerprint
+        record = result.to_dict()
+        assert result_fingerprint(record) == result_fingerprint(
+            {**record, "diagnostics": {}})
+
+    def test_openflow_counters_reach_diagnostics_and_metrics(self):
+        result = self._result(sdn=True)
+        totals = result.diagnostics["openflow"]
+        for key in ("agent_rx_flow_mod", "agent_tx_packet_in",
+                    "agent_flow_mods_applied", "agent_table_lookups",
+                    "agent_expiry_checks", "controller_rx_packet_in",
+                    "controller_tx_flow_mod", "controller_match_intern_hits",
+                    "controller_match_intern_misses", "app_flows_placed",
+                    "app_entries_installed", "app_path_dag_builds"):
+            assert totals[key] > 0, key
+        # Both ends counted the same messages; nothing was malformed,
+        # no table had anything to sweep or anything but exact entries.
+        assert totals["agent_rx_flow_mod"] == totals["controller_tx_flow_mod"]
+        assert totals["controller_rx_packet_in"] == totals["agent_tx_packet_in"]
+        assert (totals["agent_flow_mods_applied"]
+                == totals["app_entries_installed"])
+        for key in ("agent_decode_errors", "controller_decode_errors",
+                    "agent_expiry_sweeps", "agent_table_scans"):
+            assert totals[key] == 0, key
+        assert totals["agent_table_index_hits"] == totals["agent_table_lookups"]
+        gauges = metrics().snapshot()["gauges"]
+        assert {k: gauges[f"openflow.{k}"] for k in totals} == totals
         from repro.scenarios import result_fingerprint
         record = result.to_dict()
         assert result_fingerprint(record) == result_fingerprint(
