@@ -78,9 +78,10 @@ def build_fabric(num_flows: int, incremental: bool):
     reset_auto_macs()
     reset_dpids()
 
-    sim = Simulation(SimulationConfig(incremental_realloc=incremental))
+    sim = Simulation(SimulationConfig())
     net = Network("bench-leaf-spine")
     sim.attach_network(net)
+    net.incremental_realloc = incremental
     if not incremental:
         # The baseline: full re-walk and re-solve every event, on the
         # scalar kernel.
@@ -188,10 +189,12 @@ def test_reallocation_report(benchmark):
             f"{inc['wall_s'] * 1e3 / inc['events']:>9.2f} "
             f"{speedup:>8.2f}x"
         )
-        if size >= 10_000:
-            # The PR-2 acceptance floor (with slack for noisy CI boxes;
-            # the recorded table carries the real measurement).
-            assert speedup >= 5.0, f"{size}-flow churn speedup {speedup:.2f}x < 5x"
+        # The PR-2 acceptance floor (with slack for noisy CI boxes;
+        # the recorded table carries the real measurement) — and a
+        # lower one at the 1k-flow size CI runs, where it reads ~30x.
+        floor = 5.0 if size >= 10_000 else 2.0
+        assert speedup >= floor, (
+            f"{size}-flow churn speedup {speedup:.2f}x < {floor:g}x")
     record_rows(
         "reallocation",
         f"{'flows':>7} {'events':>7} {'full_ms':>10} {'incr_ms':>12} "

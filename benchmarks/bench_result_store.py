@@ -43,8 +43,9 @@ APPEND_SAMPLE = 2000
 #: path: one fsync per batch).
 POPULATE_BATCH = 10_000
 
-#: The comparison gates only bind at analytics scale; a 2k-record
-#: smoke run records the ratios without asserting them.
+#: The 10x/5x comparison gates only bind at analytics scale; below it
+#: (a 2k-record smoke run, CI's 20k) the columnar report only has to
+#: beat the JSONL one.
 GATE_MIN_RECORDS = 100_000
 
 
@@ -222,10 +223,10 @@ def test_store_bench_report(benchmark):
         payload["report_speedup"] = speedup
         rows.append(f"{'report':>8} {'speedup':>9} {n:>9} "
                     f"{'':>10} {speedup:>11.1f}x")
-        if n >= GATE_MIN_RECORDS:
-            assert speedup >= 10.0, (
-                f"columnar report speedup {speedup:.1f}x < 10x "
-                f"at {n} records")
+        floor = 10.0 if n >= GATE_MIN_RECORDS else 1.0
+        assert speedup >= floor, (
+            f"columnar report speedup {speedup:.1f}x < {floor:g}x "
+            f"at {n} records")
     if "disk_jsonl" in _figures and "disk_columnar" in _figures:
         ratio = _figures["disk_jsonl"] / max(1, _figures["disk_columnar"])
         payload["disk_ratio"] = ratio

@@ -15,35 +15,12 @@ Every bench appends its table rows to ``benchmarks/results/*.txt`` so
 the numbers survive the run (EXPERIMENTS.md quotes them).
 """
 
-import datetime
 import json
 import os
 import pathlib
-import subprocess
 from typing import List
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Bumped when the stamp envelope below changes shape.
-BENCH_SCHEMA_VERSION = 1
-
-
-def _git_commit() -> str:
-    """The commit this bench run measures: CI's SHA when available,
-    else the local HEAD, else "unknown" (e.g. a tarball checkout)."""
-    sha = os.environ.get("GITHUB_SHA")
-    if sha:
-        return sha
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).parent,
-            capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    if out.returncode != 0:
-        return "unknown"
-    return out.stdout.strip() or "unknown"
 
 
 def bench_sizes() -> List[int]:
@@ -81,22 +58,11 @@ def record_rows(name: str, header: str, rows: List[str]) -> None:
 
 def record_json(name: str, payload: dict) -> None:
     """Persist machine-readable benchmark output next to the text
-    table — ``benchmarks/results/BENCH_<name>.json``.  CI uploads
-    these as artifacts, and ``benchmarks/trajectory.py`` folds them
-    into the commit-over-commit perf trajectory, so every payload is
-    stamped self-describing: schema version, bench name, the measured
-    git commit, and an ISO-8601 UTC timestamp."""
+    table — ``benchmarks/results/BENCH_<name>.json``, which CI uploads
+    as an artifact.  The committed perf trajectory is
+    ``horsebench/baseline.json``; floors that compare two designs
+    inside one commit are asserts in the bench that measures them."""
     RESULTS_DIR.mkdir(exist_ok=True)
-    stamped = {
-        "bench_schema_version": BENCH_SCHEMA_VERSION,
-        "bench": name,
-        "git_commit": _git_commit(),
-        "recorded_at": datetime.datetime.now(
-            datetime.timezone.utc).isoformat(timespec="seconds"),
-    }
-    # Payload keys win on collision: a bench that stamps its own
-    # provenance knows better than the envelope.
-    stamped.update(payload)
     path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {path}")

@@ -92,14 +92,80 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import os
+import shlex
+import socket
 import sys
 import time
-from typing import List, Optional
+from typing import List
+
+from repro import __version__
+from repro.api import Experiment, setup_bgp_for_routers
+from repro.api.demo import DemoSettings, run_full_demonstration
+from repro.baseline import PacketLevelEmulator
+from repro.core import SimulationConfig
+from repro.core.errors import ConfigurationError, SimulationError
+from repro.fleet import (
+    TRANSPORTS,
+    FleetExecutor,
+    ProtocolError,
+    parse_address,
+    recv_message,
+    resume_coordinator,
+    send_message,
+    worker_main,
+)
+from repro.fleet.bench import run_protocol_bench
+from repro.obs import (
+    TRACER,
+    enable_tracing,
+    maybe_enable_from_env,
+    metrics,
+    top_spans,
+    top_spans_report,
+    write_chrome_trace,
+    write_spans_jsonl,
+)
+from repro.results import (
+    ResultStore,
+    convert_store,
+    diff_stores,
+    slo_from_kv,
+    write_csv_rows,
+)
+from repro.scenarios import (
+    TRAFFIC_FAMILIES,
+    Campaign,
+    ProtocolRecipe,
+    ScenarioRunner,
+    ScenarioSpec,
+    SearchConfig,
+    TopologyRecipe,
+    generate_scenario,
+    leaderboard,
+    leaderboard_digest,
+    leaderboard_report,
+    load_search_config,
+    run_search,
+    worst_spec,
+)
+from repro.scenarios.generators import PATTERNS
+from repro.scenarios.search import STRATEGIES
+from repro.scenarios.spec import PROTOCOL_KINDS, TOPOLOGY_BUILDERS
+from repro.symmetry import SymmetryMap, symmetry_map_for_spec
+from repro.topology import FatTreeTopo
+from repro.traffic import permutation_pairs
+
+_STORE_FORMATS = ("jsonl", "columnar")
+
+
+def _emit_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.api.demo import DemoSettings, run_full_demonstration
-
     settings = DemoSettings(
         k=args.k,
         duration=args.duration,
@@ -120,9 +186,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.api import Experiment, setup_bgp_for_routers
-    from repro.core import SimulationConfig
-
     exp = Experiment("fig1", config=SimulationConfig(
         fti_increment=args.fti_increment,
         des_fallback_timeout=args.des_timeout,
@@ -150,11 +213,6 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    from repro.api.demo import DemoSettings, run_full_demonstration
-    from repro.baseline import PacketLevelEmulator
-    from repro.topology import FatTreeTopo
-    from repro.traffic import permutation_pairs
-
     sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     print(f"{'k':>2} {'horse_s':>9} {'baseline_s':>11} {'ratio':>7}")
     for k in sizes:
@@ -206,42 +264,33 @@ def _parse_slos(raw_slos: "List[str] | None"):
     ``min_delivered_fraction=0.9``, ``max_control_messages=5000``, and
     ``expr=<metric expression>`` (everything after the first ``=`` is
     the expression).  Kinds and value coercions come from the one
-    registry in :mod:`repro.results.slo`.
+    registry in :mod:`repro.results.slo`, which also words the error
+    for an unknown kind or an unusable (or missing) value.
     """
-    from repro.core.errors import ConfigurationError
-    from repro.results import SLO_KINDS, slo_from_kv
-
     slos = []
     for raw in raw_slos or []:
-        if "=" not in raw:
-            raise SystemExit(
-                f"bad SLO {raw!r}; expected kind=value with kind one of "
-                f"{sorted(SLO_KINDS)}")
-        kind, value = raw.split("=", 1)
-        try:
-            slo = slo_from_kv(kind.strip(), value.strip())
-            slo.validate()
-        except ConfigurationError as exc:
-            raise SystemExit(f"bad SLO {raw!r}: {exc}")
+        kind, _, value = raw.partition("=")
+        slo = slo_from_kv(kind.strip(), value.strip())
+        slo.validate()
         slos.append(slo)
     return slos
+
+
+def _recipes_from_args(args: argparse.Namespace):
+    """The (topology, protocol) recipes of the family options."""
+    topology = TopologyRecipe(args.topo, _parse_kv_params(args.topo_param))
+    protocol = None
+    if args.protocol is not None:
+        protocol = ProtocolRecipe(args.protocol,
+                                  _parse_kv_params(args.protocol_param))
+    return topology, protocol
 
 
 def _build_generated_spec(args: argparse.Namespace, seed: int):
     """The scenario a (generator options, seed) pair describes —
     shared by ``scenario run``, ``scenario sweep`` and the ``campaign``
     commands so a sweep line reproduces exactly."""
-    from repro.scenarios import (
-        ProtocolRecipe,
-        TopologyRecipe,
-        generate_scenario,
-    )
-
-    topology = TopologyRecipe(args.topo, _parse_kv_params(args.topo_param))
-    protocol = None
-    if args.protocol is not None:
-        protocol = ProtocolRecipe(args.protocol,
-                                  _parse_kv_params(args.protocol_param))
+    topology, protocol = _recipes_from_args(args)
     spec = generate_scenario(
         seed,
         pattern=args.pattern,
@@ -249,78 +298,72 @@ def _build_generated_spec(args: argparse.Namespace, seed: int):
         protocol=protocol,
         duration=args.duration,
         pattern_params=_parse_kv_params(args.pattern_param),
-        traffic_family=getattr(args, "traffic_family", None),
-        traffic_params=_parse_kv_params(getattr(args, "traffic_param",
-                                                None)),
+        traffic_family=args.traffic_family,
+        traffic_params=_parse_kv_params(args.traffic_param),
     )
-    spec.slos = _parse_slos(getattr(args, "slo", None))
+    spec.slos = _parse_slos(args.slo)
     return spec
 
 
-def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    from repro.scenarios import ScenarioRunner, ScenarioSpec
+def _load_spec(path: str, extra_slos):
+    """A scenario spec file; ``extra_slos`` (the CLI-given ones)
+    compose with whatever the file carries."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        spec = ScenarioSpec.from_json(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        # What a malformed file raises before any validation runs.
+        raise ConfigurationError(
+            f"cannot load scenario spec {path!r}: {exc!r}") from exc
+    spec.slos = list(spec.slos) + extra_slos
+    return spec
 
+
+def _spec_from_args(args: argparse.Namespace):
+    """The spec-or-seed option group -> one scenario."""
     if args.spec is not None:
-        from repro.core.errors import SimulationError
+        return _load_spec(args.spec, _parse_slos(args.slo))
+    return _build_generated_spec(args, args.seed)
 
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError,
-                SimulationError) as exc:
-            raise SystemExit(
-                f"cannot load scenario spec {args.spec!r}: {exc!r}")
-        # CLI-given SLOs compose with whatever the spec file carries.
-        spec.slos = list(spec.slos) + _parse_slos(args.slo)
-    else:
-        spec = _build_generated_spec(args, args.seed)
+
+def _cmd_scenario_run(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args)
     if args.save_spec:
         with open(args.save_spec, "w", encoding="utf-8") as handle:
             handle.write(spec.to_json() + "\n")
     result = ScenarioRunner().run(spec)
     if args.json:
-        import json as _json
-
-        print(_json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        return 0 if result.slos_ok else 1
-    print(result.summary())
-    for outcome in result.injections:
-        recovery = (f"{outcome.recovery_seconds:.3f}s"
-                    if outcome.recovery_seconds is not None
-                    else "not recovered")
-        print(f"  {outcome.label:<44} recovery {recovery}")
-    for verdict in result.slos:
-        observed = ("" if verdict.observed is None
-                    else f" observed={verdict.observed:g}")
-        print(f"  SLO {verdict.slo:<40} {verdict.status}{observed}")
-    print(f"wall {result.wall_seconds:.3f}s, "
-          f"{result.events_fired} events, "
-          f"{result.recomputations} reallocations")
+        _emit_json(result.to_dict())
+    else:
+        print(result.summary())
+        for outcome in result.injections:
+            recovery = (f"{outcome.recovery_seconds:.3f}s"
+                        if outcome.recovery_seconds is not None
+                        else "not recovered")
+            print(f"  {outcome.label:<44} recovery {recovery}")
+        for verdict in result.slos:
+            observed = ("" if verdict.observed is None
+                        else f" observed={verdict.observed:g}")
+            print(f"  SLO {verdict.slo:<40} {verdict.status}{observed}")
+        print(f"wall {result.wall_seconds:.3f}s, "
+              f"{result.events_fired} events, "
+              f"{result.recomputations} reallocations")
     return 0 if result.slos_ok else 1
 
 
 def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
-    from repro.scenarios import Campaign
-
-    seeds = range(args.seed_base, args.seed_base + args.count)
-    campaign = Campaign.seed_sweep(
-        lambda seed: _build_generated_spec(args, seed),
-        seeds, workers=args.workers,
-    )
-    outcome = campaign.run()
+    outcome = _campaign_from_args(args).run()
     # Non-zero when any SLO failed OR any scenario crashed: the
     # fault-isolated workers keep the sweep running, but a crash must
     # not read as success to a calling script.
     ok = outcome.slo_failures == 0 and outcome.failed_count == 0
     if args.json:
-        import json as _json
-
-        print(_json.dumps([r.to_dict() for r in outcome.results],
-                          indent=2, sort_keys=True))
-        return 0 if ok else 1
-    print(outcome.summary())
-    print("reproduce any line: repro scenario run --seed <seed> "
-          + _generator_options_string(args))
+        _emit_json([r.to_dict() for r in outcome.results])
+    else:
+        print(outcome.summary())
+        print("reproduce any line: repro scenario run --seed <seed> "
+              + _generator_options_string(args))
     return 0 if ok else 1
 
 
@@ -331,18 +374,15 @@ def _generator_options_string(args: argparse.Namespace) -> str:
              f"--duration {args.duration:g}"]
     if args.protocol is not None:
         parts.append(f"--protocol {args.protocol}")
-    if getattr(args, "traffic_family", None) is not None:
+    if args.traffic_family is not None:
         parts.append(f"--traffic-family {args.traffic_family}")
     for flag, pairs in (("--pattern-param", args.pattern_param),
                         ("--topo-param", args.topo_param),
                         ("--protocol-param", args.protocol_param),
-                        ("--traffic-param",
-                         getattr(args, "traffic_param", None))):
+                        ("--traffic-param", args.traffic_param)):
         for pair in pairs or []:
             parts.append(f"{flag} {pair}")
-    import shlex
-
-    for slo in getattr(args, "slo", None) or []:
+    for slo in args.slo or []:
         parts.append(f"--slo {shlex.quote(slo)}")
     return " ".join(parts)
 
@@ -350,32 +390,9 @@ def _generator_options_string(args: argparse.Namespace) -> str:
 def _cmd_trace_run(args: argparse.Namespace) -> int:
     """Run one scenario with the span tracer armed and export the
     timeline as Chrome trace-event JSON (loadable in Perfetto /
-    chrome://tracing), plus a text top-spans report."""
-    from repro.obs import (
-        TRACER,
-        enable_tracing,
-        metrics,
-        top_spans,
-        top_spans_report,
-        write_chrome_trace,
-        write_spans_jsonl,
-    )
-    from repro.scenarios import ScenarioRunner, ScenarioSpec
-
-    if args.spec is not None:
-        from repro.core.errors import SimulationError
-
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError,
-                SimulationError) as exc:
-            raise SystemExit(
-                f"cannot load scenario spec {args.spec!r}: {exc!r}")
-        spec.slos = list(spec.slos) + _parse_slos(args.slo)
-    else:
-        spec = _build_generated_spec(args, args.seed)
-
+    chrome://tracing), plus a text top-spans report.  Exit code as
+    ``scenario run``: non-zero when an SLO failed."""
+    spec = _spec_from_args(args)
     enable_tracing(args.capacity)
     TRACER.clear()
     result = ScenarioRunner().run(spec)
@@ -385,9 +402,7 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     if args.jsonl:
         write_spans_jsonl(args.jsonl, spans)
     if args.json:
-        import json as _json
-
-        print(_json.dumps({
+        _emit_json({
             "result": result.to_dict(),
             "fingerprint": result.fingerprint(),
             "trace": args.out,
@@ -395,33 +410,20 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
             "spans_dropped": TRACER.dropped,
             "top_spans": top_spans(spans)[:args.top],
             "metrics": snapshot,
-        }, indent=2, sort_keys=True))
-        return 0
-    print(result.summary())
-    print(f"trace: {args.out} ({len(spans)} span(s), "
-          f"{TRACER.dropped} dropped)")
-    if args.jsonl:
-        print(f"spans jsonl: {args.jsonl}")
-    print()
-    print(top_spans_report(spans, args.top))
-    return 0
-
-
-def _open_store(path: str, must_exist: bool, readonly: bool = False,
-                format: "str | None" = None):
-    from repro.core.errors import SimulationError
-    from repro.results import ResultStore
-
-    try:
-        return ResultStore(path, create=not must_exist, readonly=readonly,
-                           format=format)
-    except (OSError, SimulationError) as exc:
-        raise SystemExit(f"cannot open result store {path!r}: {exc}")
+        })
+    else:
+        print(result.summary())
+        print(f"trace: {args.out} ({len(spans)} span(s), "
+              f"{TRACER.dropped} dropped)")
+        if args.jsonl:
+            print(f"spans jsonl: {args.jsonl}")
+        print()
+        print(top_spans_report(spans, args.top))
+    return 0 if result.slos_ok else 1
 
 
 def _campaign_from_args(args: argparse.Namespace):
-    from repro.scenarios import Campaign
-
+    """The sweep option group -> a Campaign over its seed range."""
     seeds = range(args.seed_base, args.seed_base + args.count)
     return Campaign.seed_sweep(
         lambda seed: _build_generated_spec(args, seed),
@@ -433,11 +435,9 @@ def _announce_fleet_address(address) -> None:
     """Print the line a worker pastes to join.  The bind address may
     be the listen wildcard, which is not a dialable destination — the
     printed command substitutes this machine's hostname."""
-    import socket as _socket
-
     host, port = address[0], address[1]
     if host in ("0.0.0.0", "::"):
-        host = _socket.gethostname()
+        host = socket.gethostname()
     print(f"fleet coordinator listening on {address[0]}:{port} "
           f"-- join with:")
     print(f"  repro fleet join {host}:{port}")
@@ -446,23 +446,19 @@ def _announce_fleet_address(address) -> None:
 
 def _fleet_executor_from_args(args: argparse.Namespace):
     """The ``--fleet N`` option family -> a FleetExecutor (or None)."""
-    fleet_workers = getattr(args, "fleet", None)
-    if not fleet_workers:
+    if not args.fleet:
         return None
-    from repro.fleet import FleetExecutor
-
-    transport = getattr(args, "transport", "multiprocessing")
     # The tcp transport launches nothing: workers join from outside,
     # so they need a reachable listener and the address printed.
-    external = transport == "tcp"
+    external = args.transport == "tcp"
     return FleetExecutor(
-        workers=fleet_workers,
-        transport=transport,
-        chunk_size=getattr(args, "chunk_size", None),
-        lease_timeout=getattr(args, "lease_timeout", None) or 30.0,
+        workers=args.fleet,
+        transport=args.transport,
+        chunk_size=args.chunk_size,
+        lease_timeout=args.lease_timeout or 30.0,
         host="0.0.0.0" if external else "127.0.0.1",
-        port=getattr(args, "fleet_port", 0) or 0,
-        wait_timeout=getattr(args, "wait_timeout", None),
+        port=args.fleet_port,
+        wait_timeout=args.wait_timeout,
         on_listening=_announce_fleet_address if external else None,
     )
 
@@ -484,65 +480,32 @@ def _campaign_stats_exit_code(stats, store) -> int:
     return code
 
 
-def _emit_campaign_stats(stats, as_json: bool) -> bool:
-    """Print run stats; True means JSON went out (suppress any
-    trailing human-oriented hint lines)."""
+def _emit_campaign_stats(stats, as_json: bool) -> None:
     if as_json:
-        import dataclasses
-        import json as _json
-
-        print(_json.dumps(dataclasses.asdict(stats), indent=2,
-                          sort_keys=True))
-        return True
-    print(stats.summary())
-    return False
+        _emit_json(dataclasses.asdict(stats))
+    else:
+        print(stats.summary())
 
 
 def _cmd_topo_classes(args: argparse.Namespace) -> int:
-    from repro.core.errors import SimulationError
-    from repro.symmetry import SymmetryMap, symmetry_map_for_spec
-
     if args.spec is not None:
-        from repro.scenarios import ScenarioSpec
-
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError,
-                SimulationError) as exc:
-            raise SystemExit(
-                f"cannot load scenario spec {args.spec!r}: {exc!r}")
-        symmetry_map = symmetry_map_for_spec(spec)
+        symmetry_map = symmetry_map_for_spec(_load_spec(args.spec, []))
     else:
-        from repro.scenarios import TopologyRecipe
-
         recipe = TopologyRecipe(args.topo, _parse_kv_params(args.topo_param))
-        try:
-            topo = recipe.build()
-        except SimulationError as exc:
-            raise SystemExit(f"cannot build topology: {exc}")
-        symmetry_map = SymmetryMap.from_topo(topo)
+        symmetry_map = SymmetryMap.from_topo(recipe.build())
     print(symmetry_map.describe(max_members=args.max_members))
     return 0
 
 
 def _cmd_topo_import(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.core.errors import SimulationError
-    from repro.scenarios import TopologyRecipe
-
     params = {"path": args.file}
     if args.hosts_per_node != 1:
         params["hosts_per_node"] = args.hosts_per_node
     if args.device != "router":
         params["device"] = args.device
     recipe = TopologyRecipe("graphml", params)
-    try:
-        topo = recipe.build()  # validate before emitting anything
-    except SimulationError as exc:
-        raise SystemExit(f"cannot import {args.file!r}: {exc}")
-    text = _json.dumps(recipe.to_dict(), indent=2, sort_keys=True)
+    topo = recipe.build()  # validate before emitting anything
+    text = json.dumps(recipe.to_dict(), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -555,8 +518,9 @@ def _cmd_topo_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace, resume: bool = False) -> int:
-    store = _open_store(args.store, must_exist=resume,
-                        format=getattr(args, "store_format", None))
+    # A resume has no --store-format: the store says what it is.
+    store = ResultStore(args.store, create=not resume,
+                        format=None if resume else args.store_format)
     campaign = _campaign_from_args(args)
     if not resume and len(store) > 0:
         raise SystemExit(
@@ -577,14 +541,13 @@ def _cmd_campaign_run(args: argparse.Namespace, resume: bool = False) -> int:
                 f"'campaign run' with a fresh store)")
     stats = campaign.run(
         store=store,
-        retry_errors=getattr(args, "retry_errors", False),
+        retry_errors=resume and args.retry_errors,
         executor=_fleet_executor_from_args(args))
-    code = _campaign_stats_exit_code(stats, store)
-    if _emit_campaign_stats(stats, args.json):
-        return code
-    print("inspect:  repro campaign report --store " + args.store)
-    print("gate:     repro campaign check --store " + args.store)
-    return code
+    _emit_campaign_stats(stats, args.json)
+    if not args.json:
+        print("inspect:  repro campaign report --store " + args.store)
+        print("gate:     repro campaign check --store " + args.store)
+    return _campaign_stats_exit_code(stats, store)
 
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
@@ -592,14 +555,12 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    from repro.results import write_csv_rows
-
     # Read-only: report must be safe to run against a live sweep.
     # store.aggregate() rolls up straight off metric columns when the
     # store is columnar; JSONL stores stream records as before.  The
     # CSV rides iter_csv_rows(), which columnar stores serve from the
     # index/metrics/SLO columns without decompressing healthy payloads.
-    store = _open_store(args.store, must_exist=True, readonly=True)
+    store = ResultStore(args.store, create=False, readonly=True)
     aggregate = store.aggregate()
     print(aggregate.report())
     if args.csv:
@@ -611,7 +572,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 def _cmd_campaign_check(args: argparse.Namespace) -> int:
     """The regression gate: exit 0 iff every persisted SLO verdict
     passed and no scenario errored."""
-    store = _open_store(args.store, must_exist=True, readonly=True)
+    store = ResultStore(args.store, create=False, readonly=True)
     aggregate = store.aggregate()
     if aggregate.records == 0:
         # A gate needs evidence: an empty store (sweep died before its
@@ -640,28 +601,21 @@ def _cmd_campaign_check(args: argparse.Namespace) -> int:
 def _cmd_campaign_diff(args: argparse.Namespace) -> int:
     """A/B store comparison; non-zero exit on any divergence (the
     controller-testing gate)."""
-    from repro.results import diff_stores
-
-    store_a = _open_store(args.store_a, must_exist=True, readonly=True)
-    store_b = _open_store(args.store_b, must_exist=True, readonly=True)
+    store_a = ResultStore(args.store_a, create=False, readonly=True)
+    store_b = ResultStore(args.store_b, create=False, readonly=True)
     if len(store_a) == 0 and len(store_b) == 0:
         # Same philosophy as `campaign check`: a gate needs evidence,
         # and two empty stores compared nothing.
         message = (f"both {args.store_a!r} and {args.store_b!r} hold no "
                    f"records — nothing was compared")
         if args.json:
-            import json as _json
-
-            print(_json.dumps({"identical": False, "error": message},
-                              indent=2, sort_keys=True))
+            _emit_json({"identical": False, "error": message})
         else:
             print(f"diff FAILED: {message}")
         return 1
     diff = diff_stores(store_a, store_b)
     if args.json:
-        import json as _json
-
-        print(_json.dumps(diff.to_dict(), indent=2, sort_keys=True))
+        _emit_json(diff.to_dict())
     else:
         print(diff.report())
     return 0 if diff.identical else 1
@@ -669,15 +623,12 @@ def _cmd_campaign_diff(args: argparse.Namespace) -> int:
 
 def _cmd_store_merge(args: argparse.Namespace) -> int:
     """Concatenate shard stores into one, dedup by (spec_hash, seed)."""
-    target = _open_store(args.target, must_exist=False,
-                         format=getattr(args, "store_format", None))
-    sources = [_open_store(path, must_exist=True, readonly=True)
+    target = ResultStore(args.target, format=args.store_format)
+    sources = [ResultStore(path, create=False, readonly=True)
                for path in args.sources]
     merged = target.merge_from(sources)
     if args.compact:
         target.compact()
-    from repro import __version__
-
     target.record_provenance({
         "transport": "merge",
         "merged": merged,
@@ -693,14 +644,8 @@ def _cmd_store_convert(args: argparse.Namespace) -> int:
     """Rewrite a store in the other on-disk format.  The record set,
     dedup state and canonical digest are preserved bit-for-bit; only
     the bytes on disk change."""
-    from repro.core.errors import SimulationError
-    from repro.results import convert_store
-
-    source = _open_store(args.source, must_exist=True, readonly=True)
-    try:
-        target = convert_store(source, args.target, args.to)
-    except (OSError, SimulationError) as exc:
-        raise SystemExit(f"cannot convert {args.source!r}: {exc}")
+    source = ResultStore(args.source, create=False, readonly=True)
+    target = convert_store(source, args.target, args.to)
     print(f"converted {len(target)} record(s): {args.source} "
           f"({source.storage_format}) -> {args.target} "
           f"({target.storage_format})")
@@ -711,23 +656,15 @@ def _cmd_store_convert(args: argparse.Namespace) -> int:
 def _cmd_fleet_bench(args: argparse.Namespace) -> int:
     """Measure fleet protocol overhead with synthetic records — no
     simulation runs, so records/s isolates framing + ingest + merge."""
-    from repro.core.errors import SimulationError
-    from repro.fleet.bench import run_protocol_bench
-
-    try:
-        stats = run_protocol_bench(
-            records=args.records,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            store_format=args.store_format,
-            store_path=args.store,
-        )
-    except SimulationError as exc:
-        raise SystemExit(f"fleet bench failed: {exc}")
+    stats = run_protocol_bench(
+        records=args.records,
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+        store_format=args.store_format,
+        store_path=args.store,
+    )
     if args.json:
-        import json as _json
-
-        print(_json.dumps(stats, indent=2, sort_keys=True))
+        _emit_json(stats)
         return 0
     print(f"fleet protocol bench: {stats['records']} record(s), "
           f"{stats['workers']} worker(s), "
@@ -742,12 +679,7 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
 
 
 def _search_config_from_args(args: argparse.Namespace):
-    from repro.scenarios import ProtocolRecipe, SearchConfig, TopologyRecipe
-
-    protocol = None
-    if args.protocol is not None:
-        protocol = ProtocolRecipe(args.protocol,
-                                  _parse_kv_params(args.protocol_param))
+    topology, protocol = _recipes_from_args(args)
     return SearchConfig(
         family=args.pattern,
         strategy=args.strategy,
@@ -757,7 +689,7 @@ def _search_config_from_args(args: argparse.Namespace):
         elites=args.elites,
         seed=args.seed,
         duration=args.duration,
-        topology=TopologyRecipe(args.topo, _parse_kv_params(args.topo_param)),
+        topology=topology,
         protocol=protocol,
         pattern_params=_parse_kv_params(args.pattern_param),
         traffic_family=args.traffic_family,
@@ -771,14 +703,6 @@ def _emit_leaderboard(store, config, args,
     optionally save the worst spec for replay.  Exit 0 only when the
     leaderboard holds at least one healthy (non-errored) scenario — a
     search that measured nothing must not read as success."""
-    from repro.core.errors import SimulationError
-    from repro.scenarios import (
-        leaderboard,
-        leaderboard_digest,
-        leaderboard_report,
-        worst_spec,
-    )
-
     # run/resume already ranked the store for their digest — reuse
     # those entries instead of a second full-store pass.
     if stats is not None and stats.entries:
@@ -787,8 +711,6 @@ def _emit_leaderboard(store, config, args,
         entries = leaderboard(store, config)
     healthy = any(entry.value is not None for entry in entries)
     if args.json:
-        import json as _json
-
         payload = {
             "config": config.to_dict(),
             "digest": leaderboard_digest(entries),
@@ -797,21 +719,16 @@ def _emit_leaderboard(store, config, args,
         }
         if stats is not None:
             payload["stats"] = stats.to_dict()
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        _emit_json(payload)
     else:
         if stats is not None:
             print(stats.summary())
         print(leaderboard_report(entries, config, top=args.top))
     if args.save_worst:
-        try:
-            spec_dict = worst_spec(store, entries)
-        except SimulationError as exc:
-            print(f"cannot save worst spec: {exc}")
-            return 1
-        import json as _json
-
+        # No healthy entry -> worst_spec raises and main() reports it.
+        spec_dict = worst_spec(store, entries)
         with open(args.save_worst, "w", encoding="utf-8") as handle:
-            handle.write(_json.dumps(spec_dict, indent=2, sort_keys=True)
+            handle.write(json.dumps(spec_dict, indent=2, sort_keys=True)
                          + "\n")
         if not args.json:
             print(f"worst spec -> {args.save_worst}  (replay: "
@@ -820,57 +737,34 @@ def _emit_leaderboard(store, config, args,
 
 
 def _cmd_search_run(args: argparse.Namespace) -> int:
-    from repro.core.errors import SimulationError
-    from repro.scenarios import run_search
-
-    store = _open_store(args.store, must_exist=False,
-                        format=getattr(args, "store_format", None))
+    store = ResultStore(args.store, format=args.store_format)
     config = _search_config_from_args(args)
-    try:
-        stats = run_search(config, store, workers=args.workers)
-    except SimulationError as exc:
-        raise SystemExit(f"search failed: {exc}")
+    stats = run_search(config, store, workers=args.workers)
     return _emit_leaderboard(store, config, args, stats=stats)
 
 
 def _cmd_search_resume(args: argparse.Namespace) -> int:
     """Finish a killed search: the store carries the whole config, so
     no generator flags are re-given (and none can drift)."""
-    from repro.core.errors import SimulationError
-    from repro.scenarios import load_search_config, run_search
-
-    store = _open_store(args.store, must_exist=True)
-    try:
-        config = load_search_config(store)
-        stats = run_search(config, store, workers=args.workers)
-    except SimulationError as exc:
-        raise SystemExit(f"search resume failed: {exc}")
+    store = ResultStore(args.store, create=False)
+    config = load_search_config(store)
+    stats = run_search(config, store, workers=args.workers)
     return _emit_leaderboard(store, config, args, stats=stats)
 
 
 def _cmd_search_report(args: argparse.Namespace) -> int:
-    from repro.core.errors import SimulationError
-    from repro.scenarios import load_search_config
-
-    store = _open_store(args.store, must_exist=True, readonly=True)
-    try:
-        config = load_search_config(store)
-    except SimulationError as exc:
-        raise SystemExit(str(exc))
-    return _emit_leaderboard(store, config, args)
+    store = ResultStore(args.store, create=False, readonly=True)
+    return _emit_leaderboard(store, load_search_config(store), args)
 
 
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     """Coordinate a sweep for workers that join over TCP."""
-    if getattr(args, "resume", None):
+    if args.resume:
         return _cmd_fleet_serve_resume(args)
     if not args.store:
         raise SystemExit("fleet serve needs --store DIR "
                          "(or --resume JOURNAL to continue a crashed run)")
-    from repro.fleet import FleetExecutor
-
-    store = _open_store(args.store, must_exist=False,
-                        format=getattr(args, "store_format", None))
+    store = ResultStore(args.store, format=args.store_format)
     campaign = _campaign_from_args(args)
     # The tcp transport launches nothing, but `workers` still sizes
     # the chunk plan (~4 chunks per expected worker) — too few chunks
@@ -885,15 +779,9 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         wait_timeout=args.wait_timeout,
         on_listening=_announce_fleet_address,
     )
-    from repro.core.errors import SimulationError
-
-    try:
-        stats = campaign.run(store=store, executor=executor)
-    except SimulationError as exc:
-        raise SystemExit(f"fleet serve failed: {exc}")
-    code = _campaign_stats_exit_code(stats, store)
+    stats = campaign.run(store=store, executor=executor)
     _emit_campaign_stats(stats, args.json)
-    return code
+    return _campaign_stats_exit_code(stats, store)
 
 
 def _cmd_fleet_serve_resume(args: argparse.Namespace) -> int:
@@ -901,27 +789,16 @@ def _cmd_fleet_serve_resume(args: argparse.Namespace) -> int:
     flags: the journal's plan carries the exact chunk list, and what
     already completed (target store + surviving shards) is skipped or
     re-ingested rather than re-run."""
-    import os as _os
-
-    from repro.core.errors import SimulationError
-    from repro.fleet import resume_coordinator
-
-    try:
-        coordinator = resume_coordinator(
-            args.resume,
-            host=args.host, port=args.port,
-            # None -> the crashed run's own value, from the plan line.
-            lease_timeout=args.lease_timeout)
-    except SimulationError as exc:
-        raise SystemExit(f"fleet resume failed: {exc}")
-    if args.store and _os.path.abspath(args.store) != coordinator.store.path:
+    coordinator = resume_coordinator(
+        args.resume,
+        host=args.host, port=args.port,
+        # None -> the crashed run's own value, from the plan line.
+        lease_timeout=args.lease_timeout)
+    if args.store and os.path.abspath(args.store) != coordinator.store.path:
         raise SystemExit(
             f"--store {args.store!r} is not the journal's store "
             f"{coordinator.store.path!r}; omit --store when resuming")
-    try:
-        coordinator.start()
-    except SimulationError as exc:
-        raise SystemExit(f"fleet resume failed: {exc}")
+    coordinator.start()
     _announce_fleet_address(coordinator.address)
     try:
         if not coordinator.wait(args.wait_timeout):
@@ -933,9 +810,7 @@ def _cmd_fleet_serve_resume(args: argparse.Namespace) -> int:
         coordinator.stop()
         stats = coordinator.finish(transport="tcp")
     if args.json:
-        import json as _json
-
-        print(_json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+        _emit_json(stats.to_dict())
     else:
         print(f"fleet resume: {stats.merged} record(s) merged into "
               f"{coordinator.store.path} "
@@ -952,13 +827,7 @@ def _cmd_fleet_serve_resume(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_join(args: argparse.Namespace) -> int:
     """Work for a coordinator until it runs out of chunks."""
-    from repro.fleet import parse_address, worker_main
-    from repro.fleet.protocol import ProtocolError
-
-    try:
-        host, port = parse_address(args.address)
-    except ProtocolError as exc:
-        raise SystemExit(str(exc))
+    host, port = parse_address(args.address)
     return worker_main(host, port, worker_id=args.worker_id,
                        connect_timeout=args.connect_timeout,
                        reconnect_attempts=args.reconnect_attempts)
@@ -966,28 +835,19 @@ def _cmd_fleet_join(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
     """One status snapshot from a running coordinator."""
-    import socket as _socket
-
-    from repro.fleet import parse_address, recv_message, send_message
-    from repro.fleet.protocol import ProtocolError
-
+    host, port = parse_address(args.address)
     try:
-        host, port = parse_address(args.address)
-    except ProtocolError as exc:
-        raise SystemExit(str(exc))
-    try:
-        with _socket.create_connection((host, port), timeout=5.0) as sock:
+        with socket.create_connection((host, port), timeout=5.0) as sock:
             send_message(sock, {"type": "status"})
             reply = recv_message(sock)
     except (OSError, ProtocolError) as exc:
+        # Neither error names the address the user typed.
         raise SystemExit(f"cannot reach coordinator at {args.address}: {exc}")
     if reply is None or reply.get("type") != "status_reply":
         raise SystemExit(f"unexpected reply from {args.address}: {reply}")
     status = reply.get("status", {})
     if args.json:
-        import json as _json
-
-        print(_json.dumps(status, indent=2, sort_keys=True))
+        _emit_json(status)
         return 0
     chunks = status.get("chunks", {})
     print(f"chunks: {chunks.get('done', 0)}/{chunks.get('total', 0)} done, "
@@ -1011,6 +871,43 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- option groups: each is declared here, once ------------------------------
+
+def _add_sweep_options(parser: argparse.ArgumentParser,
+                       workers: bool = True) -> None:
+    """The seed range of a sweep and the local pool that runs it
+    (``fleet serve`` has no local pool)."""
+    parser.add_argument("--count", type=int, default=20,
+                        help="number of seeds to sweep")
+    parser.add_argument("--seed-base", type=int, default=0,
+                        help="first seed of the sweep")
+    if workers:
+        parser.add_argument("--workers", type=int, default=None,
+                            help="worker processes (default: all usable "
+                                 "CPUs, cgroup-aware)")
+
+
+def _add_spec_or_seed_options(parser: argparse.ArgumentParser) -> None:
+    """One scenario: generated from a seed, or loaded from a file."""
+    parser.add_argument("--seed", type=int, default=0,
+                        help="generator seed (ignored with --spec)")
+    parser.add_argument("--spec", default=None, metavar="FILE",
+                        help="load the scenario from a JSON spec file")
+
+
+def _add_store_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--store", required=True, metavar="DIR",
+                        help="result store directory")
+
+
+def _add_store_format_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--store-format", default=None, choices=_STORE_FORMATS,
+        help="on-disk format when the store is created (default "
+             "jsonl; an existing store's format is auto-detected "
+             "and this flag must match it)")
+
+
 def _add_fleet_tuning_options(parser: argparse.ArgumentParser) -> None:
     """Chunking/lease knobs shared by ``fleet serve`` and
     ``campaign run --fleet``."""
@@ -1030,29 +927,43 @@ def _add_fleet_tuning_options(parser: argparse.ArgumentParser) -> None:
                              "still merged; resume finishes the rest)")
 
 
+def _add_fleet_backend_options(parser: argparse.ArgumentParser) -> None:
+    """``campaign run|resume --fleet N``: swap the local pool for a
+    worker fleet."""
+    parser.add_argument(
+        "--fleet", type=int, default=None, metavar="N",
+        help="run through a fleet of N workers instead of the "
+             "local pool (see --transport)")
+    parser.add_argument(
+        "--transport", default="multiprocessing", choices=TRANSPORTS,
+        help="how --fleet workers run (tcp: workers must "
+             "'repro fleet join' this process)")
+    parser.add_argument(
+        "--fleet-port", type=int, default=0,
+        help="coordinator TCP port for --fleet (default: ephemeral)")
+    _add_fleet_tuning_options(parser)
+
+
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
     """The scenario-family knobs: failure pattern, topology, protocol,
     traffic matrix, horizon — shared by the scenario/campaign commands
-    and ``search run``."""
+    and ``search run``.  Every ``choices`` is the registry that
+    validates the value anyway, so the two cannot drift."""
     parser.add_argument(
-        "--pattern", default="k-random-links",
-        choices=["k-random-links", "flap-storm", "rolling-maintenance",
-                 "gray-brownout", "srlg"],
+        "--pattern", default="k-random-links", choices=list(PATTERNS),
         help="failure pattern to generate (srlg: correlated failures "
              "of whole shared-risk link groups)")
     parser.add_argument(
         "--pattern-param", action="append", metavar="KEY=VALUE",
         help="pattern tunable (e.g. k=3, cycles=4, groups=2); repeatable")
     parser.add_argument(
-        "--topo", default="wan",
-        choices=["wan", "fattree", "leafspine", "linear", "star", "tree",
-                 "jellyfish"],
+        "--topo", default="wan", choices=list(TOPOLOGY_BUILDERS),
         help="topology recipe")
     parser.add_argument(
         "--topo-param", action="append", metavar="KEY=VALUE",
         help="topology parameter (e.g. k=4, num_spines=4); repeatable")
     parser.add_argument(
-        "--protocol", default=None, choices=["bgp", "ospf", "sdn", "none"],
+        "--protocol", default=None, choices=PROTOCOL_KINDS,
         help="control plane (default: fast-timer OSPF)")
     parser.add_argument(
         "--protocol-param", action="append", metavar="KEY=VALUE",
@@ -1060,8 +971,7 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration", type=float, default=40.0,
                         help="simulated horizon per scenario, seconds")
     parser.add_argument(
-        "--traffic-family", default=None,
-        choices=["uniform", "elephant-mice", "hotspot"],
+        "--traffic-family", default=None, choices=TRAFFIC_FAMILIES,
         help="traffic-matrix family (default: a plain permutation)")
     parser.add_argument(
         "--traffic-param", action="append", metavar="KEY=VALUE",
@@ -1081,10 +991,26 @@ def _add_scenario_generator_options(parser: argparse.ArgumentParser) -> None:
                         help="emit machine-readable JSON instead of a table")
 
 
+def _add_search_output_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--top", type=int, default=10,
+                        help="leaderboard entries to show")
+    parser.add_argument("--save-worst", default=None, metavar="FILE",
+                        help="write the worst spec's JSON for "
+                             "replay via 'scenario run --spec'")
+    parser.add_argument("--json", action="store_true",
+                        help="emit stats + leaderboard as JSON")
+
+
+def _add_command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    """One leaf subcommand: its handler, and (``what``) the name an
+    error line starts with."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(func=func, what=parser.prog)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
-    from repro import __version__
-
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -1093,75 +1019,67 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", help="run the three-TE-scheme demonstration")
+    demo = _add_command(sub, "demo", _cmd_demo,
+                        help="run the three-TE-scheme demonstration")
     demo.add_argument("--k", type=int, default=4)
     demo.add_argument("--duration", type=float, default=20.0)
     demo.add_argument("--rate-gbps", type=float, default=1.0)
     demo.add_argument("--seed", type=int, default=42)
-    demo.set_defaults(func=_cmd_demo)
 
-    fig1 = sub.add_parser("fig1", help="two-router BGP mode transitions")
+    fig1 = _add_command(sub, "fig1", _cmd_fig1,
+                        help="two-router BGP mode transitions")
     fig1.add_argument("--horizon", type=float, default=10.0)
     fig1.add_argument("--fti-increment", type=float, default=0.001)
     fig1.add_argument("--des-timeout", type=float, default=0.1)
-    fig1.set_defaults(func=_cmd_fig1)
 
-    fig3 = sub.add_parser("fig3", help="Horse vs baseline execution time")
+    fig3 = _add_command(sub, "fig3", _cmd_fig3,
+                        help="Horse vs baseline execution time")
     fig3.add_argument("--sizes", default="4,6,8")
     fig3.add_argument("--duration", type=float, default=30.0)
     fig3.add_argument("--scale", type=float, default=0.02)
     fig3.add_argument("--pps", type=float, default=150.0)
     fig3.add_argument("--seed", type=int, default=42)
-    fig3.set_defaults(func=_cmd_fig3)
 
     scenario = sub.add_parser(
         "scenario", help="declarative fault-injection scenarios")
     scenario_sub = scenario.add_subparsers(dest="scenario_command",
                                            required=True)
 
-    run = scenario_sub.add_parser(
-        "run", help="run one scenario (generated by seed, or from JSON)")
-    run.add_argument("--seed", type=int, default=0,
-                     help="generator seed (ignored with --spec)")
-    run.add_argument("--spec", default=None, metavar="FILE",
-                     help="load the scenario from a JSON spec file")
+    run = _add_command(
+        scenario_sub, "run", _cmd_scenario_run,
+        help="run one scenario (generated by seed, or from JSON)")
+    _add_spec_or_seed_options(run)
     run.add_argument("--save-spec", default=None, metavar="FILE",
                      help="write the scenario's JSON spec before running")
     _add_scenario_generator_options(run)
-    run.set_defaults(func=_cmd_scenario_run)
 
-    sweep = scenario_sub.add_parser(
-        "sweep", help="run a seeded campaign across worker processes")
-    sweep.add_argument("--count", type=int, default=20,
-                       help="number of seeds to sweep")
-    sweep.add_argument("--seed-base", type=int, default=0,
-                       help="first seed of the sweep")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: all usable CPUs, "
-                            "cgroup-aware)")
+    sweep = _add_command(
+        scenario_sub, "sweep", _cmd_scenario_sweep,
+        help="run a seeded campaign across worker processes")
+    _add_sweep_options(sweep)
     _add_scenario_generator_options(sweep)
-    sweep.set_defaults(func=_cmd_scenario_sweep)
 
     topo = sub.add_parser(
         "topo", help="topology tools: symmetry classes, GraphML import")
     topo_sub = topo.add_subparsers(dest="topo_command", required=True)
 
-    tclasses = topo_sub.add_parser(
-        "classes",
+    tclasses = _add_command(
+        topo_sub, "classes", _cmd_topo_classes,
         help="detect structural automorphism classes and compression")
     tclasses.add_argument("--spec", default=None, metavar="FILE",
                           help="scenario spec JSON: uses its topology with "
                                "every injection target pinned")
     tclasses.add_argument("--topo", default="fattree",
+                          choices=list(TOPOLOGY_BUILDERS),
                           help="topology recipe kind (ignored with --spec)")
     tclasses.add_argument("--topo-param", action="append", metavar="K=V",
                           help="topology builder parameter (repeatable)")
     tclasses.add_argument("--max-members", type=int, default=6,
                           help="class members listed per row")
-    tclasses.set_defaults(func=_cmd_topo_classes)
 
-    timport = topo_sub.add_parser(
-        "import", help="import a GraphML file as a topology recipe")
+    timport = _add_command(
+        topo_sub, "import", _cmd_topo_import,
+        help="import a GraphML file as a topology recipe")
     timport.add_argument("file", help="GraphML file (topology-zoo style)")
     timport.add_argument("--hosts-per-node", type=int, default=1,
                          help="hosts attached to every imported node")
@@ -1170,7 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="device kind for imported nodes")
     timport.add_argument("--out", default=None, metavar="FILE",
                          help="write the recipe JSON here (default stdout)")
-    timport.set_defaults(func=_cmd_topo_import)
 
     trace = sub.add_parser(
         "trace",
@@ -1178,13 +1095,11 @@ def build_parser() -> argparse.ArgumentParser:
              "and export a Perfetto-loadable timeline")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
-    trun = trace_sub.add_parser(
-        "run", help="trace one scenario (generated by seed, or from "
-                    "a JSON spec) into Chrome trace-event JSON")
-    trun.add_argument("--seed", type=int, default=0,
-                      help="generator seed (ignored with --spec)")
-    trun.add_argument("--spec", default=None, metavar="FILE",
-                      help="load the scenario from a JSON spec file")
+    trun = _add_command(
+        trace_sub, "run", _cmd_trace_run,
+        help="trace one scenario (generated by seed, or from "
+             "a JSON spec) into Chrome trace-event JSON")
+    _add_spec_or_seed_options(trun)
     trun.add_argument("--out", default="trace.json", metavar="FILE",
                       help="trace-event JSON output path "
                            "(default trace.json; open in "
@@ -1197,7 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="span ring-buffer capacity (default 65536; "
                            "oldest spans are dropped beyond it)")
     _add_scenario_generator_options(trun)
-    trun.set_defaults(func=_cmd_trace_run)
 
     campaign = sub.add_parser(
         "campaign",
@@ -1206,84 +1120,43 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_sub = campaign.add_subparsers(dest="campaign_command",
                                            required=True)
 
-    def add_store_option(parser_obj):
-        parser_obj.add_argument("--store", required=True, metavar="DIR",
-                                help="result store directory")
-
-    def add_store_format_option(parser_obj):
-        parser_obj.add_argument(
-            "--store-format", default=None,
-            choices=["jsonl", "columnar"],
-            help="on-disk format when the store is created (default "
-                 "jsonl; an existing store's format is auto-detected "
-                 "and this flag must match it)")
-
-    def add_fleet_backend_options(parser_obj):
-        parser_obj.add_argument(
-            "--fleet", type=int, default=None, metavar="N",
-            help="run through a fleet of N workers instead of the "
-                 "local pool (see --transport)")
-        parser_obj.add_argument(
-            "--transport", default="multiprocessing",
-            choices=["inprocess", "multiprocessing", "tcp"],
-            help="how --fleet workers run (tcp: workers must "
-                 "'repro fleet join' this process)")
-        parser_obj.add_argument(
-            "--fleet-port", type=int, default=0,
-            help="coordinator TCP port for --fleet (default: ephemeral)")
-        _add_fleet_tuning_options(parser_obj)
-
-    crun = campaign_sub.add_parser(
-        "run", help="run a seeded sweep, streaming results to a store")
-    add_store_option(crun)
-    crun.add_argument("--count", type=int, default=20,
-                      help="number of seeds to sweep")
-    crun.add_argument("--seed-base", type=int, default=0,
-                      help="first seed of the sweep")
-    crun.add_argument("--workers", type=int, default=None,
-                      help="worker processes (default: all usable CPUs, "
-                           "cgroup-aware)")
-    add_store_format_option(crun)
-    add_fleet_backend_options(crun)
+    crun = _add_command(
+        campaign_sub, "run", _cmd_campaign_run,
+        help="run a seeded sweep, streaming results to a store")
+    _add_store_option(crun)
+    _add_sweep_options(crun)
+    _add_store_format_option(crun)
+    _add_fleet_backend_options(crun)
     _add_scenario_generator_options(crun)
-    crun.set_defaults(func=_cmd_campaign_run)
 
-    cresume = campaign_sub.add_parser(
-        "resume",
+    cresume = _add_command(
+        campaign_sub, "resume", _cmd_campaign_resume,
         help="finish an interrupted sweep: only (spec, seed) pairs "
              "missing from the store run")
-    add_store_option(cresume)
-    cresume.add_argument("--count", type=int, default=20,
-                         help="number of seeds to sweep")
-    cresume.add_argument("--seed-base", type=int, default=0,
-                         help="first seed of the sweep")
-    cresume.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: all usable "
-                              "CPUs, cgroup-aware)")
+    _add_store_option(cresume)
+    _add_sweep_options(cresume)
     cresume.add_argument(
         "--retry-errors", action="store_true",
         help="also re-run scenarios whose persisted record is an "
              "error result, superseding it")
-    add_fleet_backend_options(cresume)
+    _add_fleet_backend_options(cresume)
     _add_scenario_generator_options(cresume)
-    cresume.set_defaults(func=_cmd_campaign_resume)
 
-    creport = campaign_sub.add_parser(
-        "report", help="percentile/mean rollups over a store")
-    add_store_option(creport)
+    creport = _add_command(
+        campaign_sub, "report", _cmd_campaign_report,
+        help="percentile/mean rollups over a store")
+    _add_store_option(creport)
     creport.add_argument("--csv", default=None, metavar="FILE",
                          help="also export one CSV row per scenario")
-    creport.set_defaults(func=_cmd_campaign_report)
 
-    ccheck = campaign_sub.add_parser(
-        "check",
+    ccheck = _add_command(
+        campaign_sub, "check", _cmd_campaign_check,
         help="regression gate: non-zero exit if any SLO failed or any "
              "scenario errored")
-    add_store_option(ccheck)
-    ccheck.set_defaults(func=_cmd_campaign_check)
+    _add_store_option(ccheck)
 
-    cdiff = campaign_sub.add_parser(
-        "diff",
+    cdiff = _add_command(
+        campaign_sub, "diff", _cmd_campaign_diff,
         help="A/B-compare two stores of the same spec family; "
              "non-zero exit on any divergence")
     cdiff.add_argument("store_a", metavar="STORE_A",
@@ -1292,13 +1165,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="candidate store directory")
     cdiff.add_argument("--json", action="store_true",
                        help="emit the diff as JSON")
-    cdiff.set_defaults(func=_cmd_campaign_diff)
 
     store = sub.add_parser(
         "store", help="result-store maintenance (merge shards, ...)")
     store_sub = store.add_subparsers(dest="store_command", required=True)
-    smerge = store_sub.add_parser(
-        "merge",
+    smerge = _add_command(
+        store_sub, "merge", _cmd_store_merge,
         help="concatenate stores into one, dedup by (spec_hash, seed) "
              "— healthy records supersede error records")
     smerge.add_argument("target", metavar="TARGET",
@@ -1308,11 +1180,10 @@ def build_parser() -> argparse.ArgumentParser:
     smerge.add_argument("--compact", action="store_true",
                         help="also rewrite the target dropping "
                              "superseded/dead bytes")
-    add_store_format_option(smerge)
-    smerge.set_defaults(func=_cmd_store_merge)
+    _add_store_format_option(smerge)
 
-    sconvert = store_sub.add_parser(
-        "convert",
+    sconvert = _add_command(
+        store_sub, "convert", _cmd_store_convert,
         help="rewrite a store in the other on-disk format "
              "(jsonl <-> columnar); records and digest are preserved")
     sconvert.add_argument("source", metavar="SOURCE",
@@ -1320,10 +1191,8 @@ def build_parser() -> argparse.ArgumentParser:
     sconvert.add_argument("target", metavar="TARGET",
                           help="destination directory (created; must "
                                "not already hold a store)")
-    sconvert.add_argument("--to", required=True,
-                          choices=["jsonl", "columnar"],
+    sconvert.add_argument("--to", required=True, choices=_STORE_FORMATS,
                           help="target on-disk format")
-    sconvert.set_defaults(func=_cmd_store_convert)
 
     search = sub.add_parser(
         "search",
@@ -1331,26 +1200,17 @@ def build_parser() -> argparse.ArgumentParser:
              "maximize an objective (worst-case hunting)")
     search_sub = search.add_subparsers(dest="search_command", required=True)
 
-    def add_search_output_options(parser_obj):
-        parser_obj.add_argument("--top", type=int, default=10,
-                                help="leaderboard entries to show")
-        parser_obj.add_argument("--save-worst", default=None, metavar="FILE",
-                                help="write the worst spec's JSON for "
-                                     "replay via 'scenario run --spec'")
-        parser_obj.add_argument("--json", action="store_true",
-                                help="emit stats + leaderboard as JSON")
-
-    srun = search_sub.add_parser(
-        "run", help="run a seeded, resumable adversarial search")
-    add_store_option(srun)
+    srun = _add_command(
+        search_sub, "run", _cmd_search_run,
+        help="run a seeded, resumable adversarial search")
+    _add_store_option(srun)
     srun.add_argument("--budget", type=int, default=32,
                       help="total scenario evaluations")
     srun.add_argument("--population", type=int, default=8,
                       help="scenarios per generation")
     srun.add_argument("--elites", type=int, default=2,
                       help="top specs each generation mutates from")
-    srun.add_argument("--strategy", default="evolve",
-                      choices=["random", "evolve"],
+    srun.add_argument("--strategy", default="evolve", choices=STRATEGIES,
                       help="random sampling baseline, or the "
                            "evolutionary perturbation loop")
     srun.add_argument("--objective", default="delivered_shortfall",
@@ -1362,36 +1222,34 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--workers", type=int, default=None,
                       help="worker processes per generation (default: "
                            "all usable CPUs, cgroup-aware)")
-    add_store_format_option(srun)
+    _add_store_format_option(srun)
     _add_family_options(srun)
-    add_search_output_options(srun)
-    srun.set_defaults(func=_cmd_search_run)
+    _add_search_output_options(srun)
 
-    sresume = search_sub.add_parser(
-        "resume",
+    sresume = _add_command(
+        search_sub, "resume", _cmd_search_resume,
         help="finish a killed search exactly (config comes from the "
              "store; only missing scenarios run)")
-    add_store_option(sresume)
+    _add_store_option(sresume)
     sresume.add_argument("--workers", type=int, default=None,
                          help="worker processes per generation")
-    add_search_output_options(sresume)
-    sresume.set_defaults(func=_cmd_search_resume)
+    _add_search_output_options(sresume)
 
-    sreport = search_sub.add_parser(
-        "report", help="ranked worst-case leaderboard of a search store")
-    add_store_option(sreport)
-    add_search_output_options(sreport)
-    sreport.set_defaults(func=_cmd_search_report)
+    sreport = _add_command(
+        search_sub, "report", _cmd_search_report,
+        help="ranked worst-case leaderboard of a search store")
+    _add_store_option(sreport)
+    _add_search_output_options(sreport)
 
     fleet = sub.add_parser(
         "fleet",
         help="distributed campaigns: one coordinator, workers anywhere")
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
-    fserve = fleet_sub.add_parser(
-        "serve",
+    fserve = _add_command(
+        fleet_sub, "serve", _cmd_fleet_serve,
         help="coordinate a sweep for TCP workers (repro fleet join)")
-    # Not add_store_option: --resume derives the store from the
+    # Not _add_store_option: --resume derives the store from the
     # journal's plan, so --store is only required for fresh runs.
     fserve.add_argument("--store", required=False, default=None,
                         metavar="DIR", help="result store directory "
@@ -1401,10 +1259,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(<store>/fleet-journal.jsonl); surviving "
                              "worker shards are re-ingested, not re-run, "
                              "and generator flags are ignored")
-    fserve.add_argument("--count", type=int, default=20,
-                        help="number of seeds to sweep")
-    fserve.add_argument("--seed-base", type=int, default=0,
-                        help="first seed of the sweep")
+    _add_sweep_options(fserve, workers=False)
     fserve.add_argument("--host", default="0.0.0.0",
                         help="listen address (default: all interfaces)")
     fserve.add_argument("--port", type=int, default=0,
@@ -1415,13 +1270,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "chunk plan (~4 chunks per worker) so "
                              "everyone gets work and a steal forfeits "
                              "little (default 4)")
-    add_store_format_option(fserve)
+    _add_store_format_option(fserve)
     _add_fleet_tuning_options(fserve)
     _add_scenario_generator_options(fserve)
-    fserve.set_defaults(func=_cmd_fleet_serve, workers=None)
+    fserve.set_defaults(workers=None)
 
-    fjoin = fleet_sub.add_parser(
-        "join", help="work for a coordinator until its sweep finishes")
+    fjoin = _add_command(
+        fleet_sub, "join", _cmd_fleet_join,
+        help="work for a coordinator until its sweep finishes")
     fjoin.add_argument("address", metavar="HOST:PORT",
                        help="coordinator address printed by fleet serve")
     fjoin.add_argument("--worker-id", default=None,
@@ -1431,18 +1287,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "(seeded exponential backoff between tries)")
     fjoin.add_argument("--connect-timeout", type=float, default=10.0,
                        help="seconds to keep retrying the first connect")
-    fjoin.set_defaults(func=_cmd_fleet_join)
 
-    fstatus = fleet_sub.add_parser(
-        "status", help="snapshot a running coordinator's progress")
+    fstatus = _add_command(
+        fleet_sub, "status", _cmd_fleet_status,
+        help="snapshot a running coordinator's progress")
     fstatus.add_argument("address", metavar="HOST:PORT",
                          help="coordinator address")
     fstatus.add_argument("--json", action="store_true",
                          help="emit the snapshot as JSON")
-    fstatus.set_defaults(func=_cmd_fleet_status)
 
-    fbench = fleet_sub.add_parser(
-        "bench",
+    fbench = _add_command(
+        fleet_sub, "bench", _cmd_fleet_bench,
         help="measure fleet protocol overhead (synthetic records, no "
              "simulation): framing + ingest + merge records/s")
     fbench.add_argument("--records", type=int, default=2000,
@@ -1456,24 +1311,25 @@ def build_parser() -> argparse.ArgumentParser:
     fbench.add_argument("--store", default=None, metavar="DIR",
                         help="keep the merged store here (default: a "
                              "temporary directory, deleted)")
-    add_store_format_option(fbench)
+    _add_store_format_option(fbench)
     fbench.add_argument("--json", action="store_true",
                         help="emit the measurements as JSON")
-    fbench.set_defaults(func=_cmd_fleet_bench)
 
     return parser
 
 
 def main(argv: "List[str] | None" = None) -> int:
     """Entry point; returns a process exit code."""
-    from repro.obs import maybe_enable_from_env
-
     # REPRO_OBS=1 arms the span tracer for any subcommand; tracing is
     # observation-only, so fingerprints and digests stay bit-for-bit.
     maybe_enable_from_env()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (SimulationError, OSError) as exc:
+        # The one place a library or file error becomes an exit code:
+        # one "<command>: <why>" line on stderr, status 1, no traceback.
+        raise SystemExit(f"{args.what}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -41,12 +41,6 @@ class SimulationConfig:
         patterns, jitter); guarantees reproducibility.
     max_events:
         Safety valve: abort after this many fired events (0 = off).
-    incremental_realloc:
-        Use the incremental fluid reallocation engine (dirty-flow
-        tracking + component-scoped max-min solves).  False forces a
-        full walk-and-solve on every reallocation — the pre-PR-2
-        behaviour, kept for A/B benchmarks and as a paranoia fallback.
-        Results are identical either way.
     symmetry:
         Enable quotient simulation over detected structural symmetry
         classes (see :mod:`repro.symmetry`).  Off by default.  When
@@ -71,7 +65,6 @@ class SimulationConfig:
     stats_interval: float = 0.5
     seed: int = 42
     max_events: int = 0
-    incremental_realloc: bool = True
     symmetry: bool = False
     kernel: str = "auto"
 

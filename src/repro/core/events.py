@@ -7,18 +7,16 @@ a priority and a monotonically increasing sequence number.  The triple
 time break by priority (control plane first, statistics last), ties in
 priority break by insertion order.
 
-The authoritative sequence number is assigned by the
+The sequence number is assigned by the
 :class:`~repro.core.queue.EventQueue` an event is pushed onto, so each
 simulation numbers its events from zero: identical seeds produce
 identical traces no matter how many simulations ran earlier in the
-process (campaign workers rely on this).  The module-level counter
-below only seeds a *provisional* seq so events constructed but never
-pushed still order deterministically by creation.
+process (campaign workers rely on this).  An event that was never
+pushed has no ``seq``.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,56 +27,37 @@ PRIORITY_CONTROL = 0
 PRIORITY_DEFAULT = 10
 PRIORITY_STATS = 20
 
-# Provisional numbering only — see module docstring.
-_provisional_seq_counter = itertools.count()
-
-
-def _next_seq() -> int:
-    return next(_provisional_seq_counter)
-
 
 class Event:
     """A schedulable occurrence in simulated time.
 
     Subclasses override :meth:`fire`.  Events support lazy cancellation:
     a cancelled event stays in the heap but is skipped when popped.
-    ``seq`` is provisional until the event is pushed onto an
-    :class:`~repro.core.queue.EventQueue`, which renumbers it from the
-    queue's own counter (per-simulation determinism).
+    ``seq`` is set by the :class:`~repro.core.queue.EventQueue` the
+    event is pushed onto, from the queue's own counter (per-simulation
+    determinism).
     """
 
-    __slots__ = ("time", "priority", "seq", "cancelled", "queue")
+    __slots__ = ("time", "priority", "seq", "cancelled")
 
     def __init__(self, time: float, priority: int = PRIORITY_DEFAULT):
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
         self.time = float(time)
         self.priority = priority
-        self.seq = _next_seq()
         self.cancelled = False
-        # The EventQueue currently holding this event (set on push,
-        # cleared on pop), so cancellation can keep the queue's live
-        # counter exact without a heap scan.
-        self.queue = None
 
     def sort_key(self) -> tuple:
-        """The deterministic total-order key."""
+        """The deterministic total-order key (of a pushed event)."""
         return (self.time, self.priority, self.seq)
 
     def cancel(self) -> None:
         """Mark the event so the queue drops it instead of firing it."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        if self.queue is not None:
-            self.queue._note_cancelled()
 
     def fire(self, sim: "Simulation") -> None:
         """Execute the event's effect.  Subclasses must override."""
         raise NotImplementedError
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -86,32 +65,23 @@ class Event:
 
 
 class CallbackEvent(Event):
-    """The workhorse event: fires a callable, optionally with the sim.
+    """The workhorse event: fires a callable taking no arguments."""
 
-    ``callback`` is invoked as ``callback(sim)`` when it accepts an
-    argument was requested via ``pass_sim=True``, else as ``callback()``.
-    """
-
-    __slots__ = ("callback", "pass_sim", "label")
+    __slots__ = ("callback", "label")
 
     def __init__(
         self,
         time: float,
         callback: Callable[..., Any],
         priority: int = PRIORITY_DEFAULT,
-        pass_sim: bool = False,
         label: str = "",
     ):
         super().__init__(time, priority)
         self.callback = callback
-        self.pass_sim = pass_sim
         self.label = label
 
     def fire(self, sim: "Simulation") -> None:
-        if self.pass_sim:
-            self.callback(sim)
-        else:
-            self.callback()
+        self.callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.label}" if self.label else ""

@@ -38,7 +38,6 @@ class Scheduler:
         time: float,
         callback: Callable[..., Any],
         priority: int = PRIORITY_DEFAULT,
-        pass_sim: bool = False,
         label: str = "",
     ) -> CallbackEvent:
         """Run ``callback`` at absolute simulated time ``time``."""
@@ -47,8 +46,8 @@ class Scheduler:
                 f"cannot schedule at t={time}; clock already at t={self.clock.now}"
             )
         event = CallbackEvent(
-            max(time, self.clock.now), callback, priority=priority,
-            pass_sim=pass_sim, label=label,
+            max(time, self.clock.now), callback,
+            priority=priority, label=label,
         )
         self.queue.push(event)
         return event
@@ -58,7 +57,6 @@ class Scheduler:
         delay: float,
         callback: Callable[..., Any],
         priority: int = PRIORITY_DEFAULT,
-        pass_sim: bool = False,
         label: str = "",
     ) -> CallbackEvent:
         """Run ``callback`` after ``delay`` simulated seconds."""
@@ -66,7 +64,7 @@ class Scheduler:
             raise SchedulingError(f"negative delay: {delay}")
         return self.at(
             self.clock.now + delay, callback,
-            priority=priority, pass_sim=pass_sim, label=label,
+            priority=priority, label=label,
         )
 
     def push(self, event: Event) -> Event:

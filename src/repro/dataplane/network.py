@@ -76,9 +76,10 @@ class Network:
         # these (see ReallocEngine._scan_epochs).
         self._touched_nodes: set = set()
         self._touched_links: set = set()
-        # The incremental reallocation engine (PR 2) and its master
-        # switch; False forces every recompute down the full path
-        # (benchmarks A/B against it, and it is the paranoia fallback).
+        # The incremental reallocation engine (PR 2) and the switch
+        # to its reference path: False marks everything dirty on every
+        # recompute.  Results are identical either way; only the oracle
+        # tests and bench_reallocation.py set it, on networks they build.
         self.realloc = ReallocEngine(self)
         self.incremental_realloc = True
         # Flows that may be accruing bytes (a superset of active +
@@ -235,8 +236,6 @@ class Network:
         """Attach this network to a simulation (called by the sim)."""
         self.sim = sim
         self._last_accrual = sim.clock.now
-        self.incremental_realloc = getattr(
-            sim.config, "incremental_realloc", True)
         self.realloc.kernel = getattr(sim.config, "kernel", "auto")
 
     def _require_sim(self) -> "Simulation":

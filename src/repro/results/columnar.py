@@ -39,13 +39,26 @@ Everything here requires numpy; the JSONL store does not.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
 import shutil
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import metrics
@@ -73,6 +86,9 @@ from repro.results.store import (
     IndexEntry,
     ResultStore,
     _cleaned_canonical,
+    _fetch_picks,
+    _merge_order,
+    _record_metrics,
     _RecordReader,
 )
 
@@ -98,8 +114,8 @@ def is_columnar_store(path: str) -> bool:
 
 
 class _ColumnarRecordReader(_RecordReader):
-    """Merge-time record fetcher that dispatches segment rows to the
-    page cache and tail rows to the WAL file."""
+    """Fetch-by-location for a columnar store: segment rows come from
+    the page cache, tail rows from the WAL file."""
 
     def fetch(self, key: Key) -> Dict[str, Any]:
         loc = self.store._loc[key]
@@ -229,21 +245,13 @@ class ColumnarResultStore(ResultStore):
             self._dead.append(
                 set() if admitted is None
                 else set(range(reader.rows)) - admitted)
-            rows = [(row, sh, seed, name_, fp, err)
-                    for row, (sh, seed, name_, fp, err) in enumerate(
-                        reader.iter_index())
+            rows = [row for row in range(reader.rows)
                     if admitted is None or row in admitted]
-            for row, sh, seed, name_, fp, err in self._admission_order(
-                    reader, rows):
-                entry = IndexEntry(spec_hash=sh, seed=seed, name=name_,
-                                   fingerprint=fp,
-                                   offset=self._next_ordinal, error=err)
-                self._next_ordinal -= 1
-                self._set_loc((sh, seed), ("s", si, row))
-                self._admit(entry)
+            for row in self._admission_order(reader, rows):
+                self._admit_segment_row(si, row)
 
     @staticmethod
-    def _admission_order(reader: SegmentReader, rows: List[Tuple]) -> List[Tuple]:
+    def _admission_order(reader: SegmentReader, rows: List[int]) -> List[int]:
         """Order segment rows for index admission.  Seals record the
         keys' first-insert order as an ``admit_order`` provenance
         permutation (row order itself is last-write order, which
@@ -256,8 +264,7 @@ class ColumnarResultStore(ResultStore):
         for position, row in enumerate(order):
             if isinstance(row, int) and row not in rank:
                 rank[row] = position
-        return sorted(rows, key=lambda item: (rank.get(item[0], len(order)),
-                                              item[0]))
+        return sorted(rows, key=lambda row: (rank.get(row, len(order)), row))
 
     def _segment_live_rows(self, segment_path: str,
                            rows: int) -> "Optional[Set[int]]":
@@ -318,78 +325,84 @@ class ColumnarResultStore(ResultStore):
             self._dead[old[1]].add(old[2])
         self._loc[key] = loc
 
+    def _segment_offset(self) -> int:
+        """A fresh negative ordinal: the ``offset`` of a sealed row."""
+        ordinal = self._next_ordinal
+        self._next_ordinal -= 1
+        return ordinal
+
+    def _admit_segment_row(self, si: int, row: int) -> Key:
+        """Admit row ``row`` of segment ``si`` from the segment's index
+        columns alone (loading, and the merge fast path)."""
+        idx = self._segments[si].index_columns()
+        key = (idx["spec_hash"][row], idx["seed"][row])
+        self._set_loc(key, ("s", si, row))
+        self._admit(IndexEntry(
+            spec_hash=key[0], seed=key[1], name=idx["name"][row],
+            fingerprint=idx["fingerprint"][row],
+            offset=self._segment_offset(), error=bool(idx["error"][row])))
+        return key
+
+    def _move_to_segment(self, key: Key, si: int, row: int) -> None:
+        """Re-stamp a resident key whose record now lives in a segment
+        (seal, compact)."""
+        self._set_loc(key, ("s", si, row))
+        self._index[key] = dataclasses.replace(
+            self._index[key], offset=self._segment_offset())
+
+    def _live_segments(self) -> Iterator[Tuple[SegmentReader, List[int]]]:
+        """(segment, its live rows ascending) for every segment that
+        has any — the one "skip dead rows" walk under the record,
+        metrics, CSV and digest iterators."""
+        for seg, dead in zip(self._segments, self._dead):
+            if len(dead) < seg.rows:
+                yield seg, [row for row in range(seg.rows)
+                            if row not in dead]
+
     # -- tail machinery ----------------------------------------------------
 
     def _read_tail_lines(self, keys: "Sequence[Key]") -> List[bytes]:
-        lines: List[bytes] = []
-        with open(self.records_path, "rb") as handle:
-            for key in keys:
-                handle.seek(self._loc[key][1])
-                lines.append(handle.readline())
-        return lines
+        with contextlib.closing(_RecordReader(self)) as reader:
+            return [reader.line(key) for key in keys]
 
     def _rewrite_tail(self) -> None:
         """Atomically rewrite the tail (and its sidecar) to hold
         exactly the live tail rows, in tail order.  Offsets move; the
         index follows."""
         keys = list(self._tail_keys)
-        lines = self._read_tail_lines(keys) if keys else []
-        tmp_records = self.records_path + ".tmp"
-        new_entries: List[IndexEntry] = []
-        with open(tmp_records, "wb") as handle:
-            for key, line in zip(keys, lines):
-                offset = handle.tell()
-                handle.write(line)
-                old = self._index[key]
-                new_entries.append(IndexEntry(
-                    spec_hash=old.spec_hash, seed=old.seed, name=old.name,
-                    fingerprint=old.fingerprint, offset=offset,
-                    error=old.error))
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp_index = self.index_path + ".tmp"
-        with open(tmp_index, "w", encoding="utf-8") as handle:
-            for entry in new_entries:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True)
-                             + "\n")
-        os.replace(tmp_records, self.records_path)
-        os.replace(tmp_index, self.index_path)
-        for key, entry in zip(keys, new_entries):
+        lines = self._read_tail_lines(keys)
+        for entry in self._rewrite(
+                (self._index[key], line) for key, line in zip(keys, lines)):
+            key = (entry.spec_hash, entry.seed)
             self._index[key] = entry
             self._loc[key] = ("t", entry.offset)
 
     # -- writing -----------------------------------------------------------
 
-    def append(self, record: Dict[str, Any],
-               replace: bool = False) -> IndexEntry:
-        entry = super().append(record, replace)
-        key = (entry.spec_hash, entry.seed)
-        self._set_loc(key, ("t", entry.offset))
-        self._tail_touch(key)
-        self._maybe_seal()
-        return entry
-
-    def append_many(self, records: "Sequence[Dict[str, Any]]",
-                    replace: bool = False) -> List[IndexEntry]:
-        entries = super().append_many(records, replace)
+    def _write(self, records: "Iterable[Dict[str, Any]]") -> List[IndexEntry]:
+        """The base writer against the tail files, then the tail
+        bookkeeping and — once the tail is full — a seal."""
+        entries = super()._write(records)
         for entry in entries:
             key = (entry.spec_hash, entry.seed)
             self._set_loc(key, ("t", entry.offset))
             self._tail_touch(key)
-        self._maybe_seal()
-        return entries
-
-    def _maybe_seal(self) -> None:
         while len(self._tail_keys) >= self.segment_rows:
             self._seal_rows(self.segment_rows)
+        return entries
+
+    def append(self, record: Dict[str, Any],
+               replace: bool = False) -> IndexEntry:
+        """:meth:`ResultStore.append` over the tail (:meth:`_write`
+        does the columnar part).  Spelled out because the horsebench
+        harness times and counts appends per class, by this name."""
+        return super().append(record, replace)
 
     def seal(self, rows: "Optional[int]" = None) -> int:
         """Seal up to ``rows`` tail rows (default: all) into a
         segment; returns the rows sealed.  Also the explicit flush a
         converter calls so a freshly converted store is all-columnar."""
-        if self.readonly:
-            raise ConfigurationError(
-                f"result store {self.path!r} was opened read-only")
+        self._require_writable()
         count = len(self._tail_keys)
         if rows is not None:
             count = min(count, rows)
@@ -435,13 +448,7 @@ class ColumnarResultStore(ResultStore):
         write_segment(path, records, provenance=provenance)
         si = self._register_segment(path)
         for row, key in enumerate(keys):
-            self._set_loc(key, ("s", si, row))
-            old = self._index[key]
-            self._index[key] = IndexEntry(
-                spec_hash=old.spec_hash, seed=old.seed, name=old.name,
-                fingerprint=old.fingerprint, offset=self._next_ordinal,
-                error=old.error)
-            self._next_ordinal -= 1
+            self._move_to_segment(key, si, row)
         self._tail_keys = self._tail_keys[count:]
         self._tail_set = set(self._tail_keys)
         self._rewrite_tail()
@@ -466,24 +473,8 @@ class ColumnarResultStore(ResultStore):
         from a JSONL merge; every deterministic surface (digest, diff,
         aggregate, resume) is unaffected, so ``order`` only orders the
         non-segment leftovers."""
-        if self.readonly:
-            raise ConfigurationError(
-                f"result store {self.path!r} was opened read-only")
-        best: Dict[Key, Tuple[ResultStore, IndexEntry]] = {}
-        arrival: List[Key] = []
-        for source in sources:
-            for entry in source.iter_entries():
-                key = (entry.spec_hash, entry.seed)
-                resident = self._index.get(key)
-                if resident is not None and not (
-                        replace_errors and resident.error
-                        and not entry.error):
-                    continue  # can never win against the resident
-                if key not in best:
-                    best[key] = (source, entry)
-                    arrival.append(key)
-                elif best[key][1].error and not entry.error:
-                    best[key] = (source, entry)
+        self._require_writable()
+        best, arrival = self._pick_winners(sources, replace_errors)
         if not best:
             return 0
         metrics().counter("store.merges").inc()
@@ -528,8 +519,7 @@ class ColumnarResultStore(ResultStore):
                 new_si = self._register_segment(path)
                 self._dead[new_si] = set(range(seg.rows)) - set(rows)
                 for row in rows:
-                    key = (idx["spec_hash"][row], idx["seed"][row])
-                    self._set_loc(key, ("s", new_si, row))
+                    key = self._admit_segment_row(new_si, row)
                     if key in self._tail_set:
                         # The copy superseded a resident tail record
                         # (an error a shard's healthy row replaces);
@@ -539,43 +529,18 @@ class ColumnarResultStore(ResultStore):
                         self._tail_set.discard(key)
                         self._tail_keys.remove(key)
                         superseded_tail = True
-                    self._admit(IndexEntry(
-                        spec_hash=key[0], seed=key[1],
-                        name=idx["name"][row],
-                        fingerprint=idx["fingerprint"][row],
-                        offset=self._next_ordinal,
-                        error=bool(idx["error"][row])))
-                    self._next_ordinal -= 1
                     del best[key]
                 appended += len(rows)
         if superseded_tail:
             self._rewrite_tail()
-        # Leftovers (tail rows and JSONL sources) go record-by-record,
-        # in the caller's canonical order.
-        keys = [tuple(key) for key in (order or []) if tuple(key) in best]
-        ordered = set(keys)
-        keys.extend(key for key in arrival
-                    if key in best and key not in ordered)
-        if keys:
-            readers: Dict[int, _RecordReader] = {}
-            try:
-                batch: List[Dict[str, Any]] = []
-                for key in keys:
-                    source = best[key][0]
-                    reader = readers.get(id(source))
-                    if reader is None:
-                        reader = source._open_reader()
-                        readers[id(source)] = reader
-                    batch.append(reader.fetch(key))
-                    if len(batch) >= 4096:
-                        self.append_many(batch, replace=True)
-                        batch = []
-                if batch:
-                    self.append_many(batch, replace=True)
-            finally:
-                for reader in readers.values():
-                    reader.close()
-            appended += len(keys)
+        # Leftovers (tail rows and JSONL sources) go through the writer
+        # in the caller's canonical order, a batch at a time so the
+        # tail seals as it fills instead of holding the whole merge.
+        keys = _merge_order(best, arrival, order)
+        with contextlib.closing(_fetch_picks(best, keys)) as records:
+            while batch := list(itertools.islice(records, 4096)):
+                self._write(batch)
+        appended += len(keys)
         metrics().counter("store.merged_records").inc(appended)
         return appended
 
@@ -585,9 +550,7 @@ class ColumnarResultStore(ResultStore):
         deleting the original, so a crash at any point leaves a store
         that heals on open (duplicate keys resolve last-segment-wins).
         Returns the bytes reclaimed."""
-        if self.readonly:
-            raise ConfigurationError(
-                f"result store {self.path!r} was opened read-only")
+        self._require_writable()
         before = self._disk_bytes()
         self.seal()
         for si in range(len(self._segments)):
@@ -604,16 +567,8 @@ class ColumnarResultStore(ResultStore):
                 write_segment(path, records, provenance={
                     "created_by": "compact", "rows": len(records)})
                 new_si = self._register_segment(path)
-                for row, record in zip(range(len(live_rows)), records):
-                    key = record_key(record)
-                    self._set_loc(key, ("s", new_si, row))
-                    old_entry = self._index[key]
-                    self._index[key] = IndexEntry(
-                        spec_hash=old_entry.spec_hash, seed=old_entry.seed,
-                        name=old_entry.name,
-                        fingerprint=old_entry.fingerprint,
-                        offset=self._next_ordinal, error=old_entry.error)
-                    self._next_ordinal -= 1
+                for row, record in enumerate(records):
+                    self._move_to_segment(record_key(record), new_si, row)
             seg.close()
             self._dead[si] = set(range(seg.rows))
             os.remove(old_path)
@@ -640,68 +595,34 @@ class ColumnarResultStore(ResultStore):
     def storage_format(self) -> str:
         return FORMAT_NAME
 
-    def get(self, spec_hash: str, seed: int) -> Dict[str, Any]:
-        key = (spec_hash, seed)
-        if key not in self._index:
-            raise KeyError(
-                f"no record for spec_hash={spec_hash} seed={seed}")
-        loc = self._loc[key]
-        if loc[0] == "s":
-            return self._segments[loc[1]].record(loc[2])
-        with open(self.records_path, "rb") as handle:
-            handle.seek(loc[1])
-            return json.loads(handle.readline())
-
-    def records_at(self,
-                   keys: "Sequence[Key]") -> Iterator[Dict[str, Any]]:
-        if not keys:
-            return
-        handle = None
-        try:
-            for key in keys:
-                loc = self._loc[tuple(key)]
-                if loc[0] == "s":
-                    yield self._segments[loc[1]].record(loc[2])
-                else:
-                    if handle is None:
-                        handle = open(self.records_path, "rb")
-                    handle.seek(loc[1])
-                    yield json.loads(handle.readline())
-        finally:
-            if handle is not None:
-                handle.close()
-
     def iter_records(self) -> Iterator[Dict[str, Any]]:
         """Segments in segment order (pages decompress once each),
         then the live tail in file order — the columnar analogue of
         "live records in file order"."""
-        for si, seg in enumerate(self._segments):
-            dead = self._dead[si]
-            if len(dead) >= seg.rows:
-                continue
-            for row, payload in seg.iter_payloads():
-                if row not in dead:
-                    yield json.loads(payload)
-        yield from super().iter_records()
+        for __, record in self._iter_live_with_keys():
+            yield record
+
+    def _iter_live_with_keys(
+            self) -> Iterator[Tuple[Key, Dict[str, Any]]]:
+        for seg, rows in self._live_segments():
+            idx = seg.index_columns()
+            for row in rows:
+                yield ((idx["spec_hash"][row], idx["seed"][row]),
+                       seg.record(row))
+        for record in super().iter_records():
+            yield record_key(record), record
 
     def iter_entry_metrics(
             self) -> Iterator[Tuple[IndexEntry, Dict[str, Any]]]:
         """(entry, metrics) per live record off the compact metrics
         blob — full payloads never decompress on this path."""
-        for si, seg in enumerate(self._segments):
-            dead = self._dead[si]
-            if len(dead) >= seg.rows:
-                continue
+        for seg, rows in self._live_segments():
             idx = seg.index_columns()
-            for row in range(seg.rows):
-                if row in dead:
-                    continue
+            for row in rows:
                 key = (idx["spec_hash"][row], idx["seed"][row])
                 yield self._index[key], json.loads(seg.metrics_bytes(row))
         for record in super().iter_records():
-            entry = self._index.get(record_key(record))
-            metrics = record.get("metrics", {})
-            yield entry, metrics if isinstance(metrics, dict) else {}
+            yield self._index.get(record_key(record)), _record_metrics(record)
 
     def entry_metrics_at(
             self, keys: "Sequence[Key]",
@@ -709,26 +630,16 @@ class ColumnarResultStore(ResultStore):
         """Keyed metric fetch off the metrics blobs: sealed rows never
         decompress their payload page, tail rows parse their one
         line."""
-        handle = None
-        try:
+        with contextlib.closing(self._open_reader()) as reader:
             for key in keys:
                 key = tuple(key)
                 loc = self._loc[key]
                 if loc[0] == "s":
-                    seg = self._segments[loc[1]]
-                    metrics = json.loads(seg.metrics_bytes(loc[2]))
+                    metrics = json.loads(
+                        self._segments[loc[1]].metrics_bytes(loc[2]))
                 else:
-                    if handle is None:
-                        handle = open(self.records_path, "rb")
-                    handle.seek(loc[1])
-                    record = json.loads(handle.readline())
-                    metrics = record.get("metrics", {})
-                    if not isinstance(metrics, dict):
-                        metrics = {}
+                    metrics = _record_metrics(reader.fetch(key))
                 yield self._index[key], metrics
-        finally:
-            if handle is not None:
-                handle.close()
 
     def iter_csv_rows(
             self) -> "Iterator[Tuple[Dict[str, Any], List[str]]]":
@@ -740,15 +651,10 @@ class ColumnarResultStore(ResultStore):
         ``append`` ever seals into a segment."""
         from repro.results.aggregate import _csv_row, flatten_csv_row
 
-        for si, seg in enumerate(self._segments):
-            dead = self._dead[si]
-            if len(dead) >= seg.rows:
-                continue
+        for seg, rows in self._live_segments():
             idx = seg.index_columns()
             offsets, label_ids, status_ids, labels, statuses = seg.slo()
-            for row in range(seg.rows):
-                if row in dead:
-                    continue
+            for row in rows:
                 if idx["error"][row]:
                     yield _csv_row(seg.record(row))
                     continue
@@ -882,20 +788,6 @@ class ColumnarResultStore(ResultStore):
                 spill.seek(start)
                 digest.update(spill.read(length))
         return digest.hexdigest()[:16]
-
-    def _iter_live_with_keys(
-            self) -> Iterator[Tuple[Key, Dict[str, Any]]]:
-        for si, seg in enumerate(self._segments):
-            dead = self._dead[si]
-            if len(dead) >= seg.rows:
-                continue
-            idx = seg.index_columns()
-            for row, payload in seg.iter_payloads():
-                if row not in dead:
-                    yield ((idx["spec_hash"][row], idx["seed"][row]),
-                           json.loads(payload))
-        for record in super().iter_records():
-            yield record_key(record), record
 
     def close(self) -> None:
         """Release segment mmaps/handles (reads after this fail)."""

@@ -415,13 +415,6 @@ class SegmentReader:
             self._index = data
         return self._index
 
-    def iter_index(self) -> Iterator[Tuple[str, int, str, str, bool]]:
-        idx = self.index_columns()
-        for row in range(self.rows):
-            yield (idx["spec_hash"][row], idx["seed"][row],
-                   idx["name"][row], idx["fingerprint"][row],
-                   bool(idx["error"][row]))
-
     # -- columns -----------------------------------------------------------
 
     @property

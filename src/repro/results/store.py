@@ -24,11 +24,22 @@ return results to the parent, which writes); readers open with
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import metrics
@@ -101,6 +112,29 @@ class IndexEntry:
                    name=data["name"], fingerprint=data["fingerprint"],
                    offset=data["offset"], error=data.get("error", False))
 
+    @classmethod
+    def of_record(cls, record: Dict[str, Any], offset: int) -> "IndexEntry":
+        """The entry of ``record`` stored at ``offset`` — the one place
+        a sidecar line is derived from a record."""
+        return cls(spec_hash=record["spec_hash"], seed=record["seed"],
+                   name=record.get("name", ""),
+                   fingerprint=record.get("fingerprint", ""),
+                   offset=offset, error=record_error(record) is not None)
+
+    def sidecar_line(self) -> str:
+        """This entry as its line in a sidecar file."""
+        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
+
+
+def _encode(record: Dict[str, Any]) -> bytes:
+    """One record as its line in a records file."""
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _record_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
+    metrics = record.get("metrics", {})
+    return metrics if isinstance(metrics, dict) else {}
+
 
 class ResultStore:
     """Append-only JSONL store keyed by (spec_hash, seed).
@@ -162,7 +196,8 @@ class ResultStore:
         self.metadata_path = os.path.join(self.path, METADATA_FILE)
         self._index: Dict[Tuple[str, int], IndexEntry] = {}
         self._order: List[Tuple[str, int]] = []
-        self._load_index()
+        for entry in self._load_index_entries():
+            self._admit(entry)
 
     # -- loading -----------------------------------------------------------
 
@@ -181,10 +216,6 @@ class ResultStore:
         if entries is None or not self._sidecar_is_complete(entries):
             entries = self._rebuild_index()
         return entries
-
-    def _load_index(self) -> None:
-        for entry in self._load_index_entries():
-            self._admit(entry)
 
     def _admit(self, entry: IndexEntry) -> None:
         """Fold one sidecar line into the in-memory index; a repeated
@@ -243,15 +274,8 @@ class ResultStore:
                     truncate_at = offset
                     break  # torn tail from a crash mid-write
                 try:
-                    record = json.loads(line)
-                    entries.append(IndexEntry(
-                        spec_hash=record["spec_hash"],
-                        seed=record["seed"],
-                        name=record.get("name", ""),
-                        fingerprint=record.get("fingerprint", ""),
-                        offset=offset,
-                        error=record_error(record) is not None,
-                    ))
+                    entries.append(
+                        IndexEntry.of_record(json.loads(line), offset))
                 except (ValueError, KeyError, TypeError):
                     pass  # complete but corrupt line: skip it alone
                 offset += len(line)
@@ -260,69 +284,91 @@ class ResultStore:
         if truncate_at is not None:
             with open(self.records_path, "r+b") as handle:
                 handle.truncate(truncate_at)
-        tmp_path = self.index_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            for entry in entries:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True)
-                             + "\n")
-        os.replace(tmp_path, self.index_path)
+        os.replace(self._stage_sidecar(entries), self.index_path)
         return entries
 
     # -- writing -----------------------------------------------------------
 
+    def _require_writable(self) -> None:
+        if self.readonly:
+            raise ConfigurationError(
+                f"result store {self.path!r} was opened read-only")
+
+    def _write(self, records: "Iterable[Dict[str, Any]]") -> List[IndexEntry]:
+        """The one writer, under :meth:`append`, :meth:`append_many`
+        and every merge: record lines are appended and fsynced (one
+        open, one fsync for the whole batch) *before* their sidecar
+        lines, then the entries are admitted.  A crash can therefore
+        leave unindexed records (healed by a rebuild) but never an
+        index entry pointing at nothing.  A repeated key's later line
+        supersedes.  Every record written counts in ``store.appends``."""
+        entries: List[IndexEntry] = []
+        # Binary append so offsets are true byte positions (text-mode
+        # tell() returns opaque cookies).
+        with open(self.records_path, "ab") as handle:
+            handle.seek(0, os.SEEK_END)
+            for record in records:
+                line = _encode(record)
+                entries.append(IndexEntry.of_record(record, handle.tell()))
+                handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+        with open(self.index_path, "a", encoding="utf-8") as handle:
+            handle.writelines(entry.sidecar_line() for entry in entries)
+        for entry in entries:
+            self._admit(entry)
+        metrics().counter("store.appends").inc(len(entries))
+        return entries
+
+    def _stage_sidecar(self, entries: List[IndexEntry]) -> str:
+        """Write ``entries`` as a whole sidecar beside the live one;
+        returns the path to ``os.replace`` over it."""
+        tmp_path = self.index_path + ".tmp"
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.writelines(entry.sidecar_line() for entry in entries)
+        return tmp_path
+
+    def _rewrite(self, rows: "Iterable[Tuple[IndexEntry, bytes]]",
+                 ) -> List[IndexEntry]:
+        """The one atomic rewrite, under :meth:`compact` and the
+        columnar tail rewrite: the records file becomes exactly the
+        ``(entry, line)`` rows, entries re-stamped with their new
+        offsets.  The new records are fsynced, then published by
+        ``os.replace`` — records first, sidecar second, so a crash in
+        between leaves a sidecar the next open finds stale and
+        rebuilds."""
+        tmp_records = self.records_path + ".tmp"
+        entries: List[IndexEntry] = []
+        with open(tmp_records, "wb") as handle:
+            for entry, line in rows:
+                entries.append(
+                    dataclasses.replace(entry, offset=handle.tell()))
+                handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+        tmp_index = self._stage_sidecar(entries)
+        os.replace(tmp_records, self.records_path)
+        os.replace(tmp_index, self.index_path)
+        return entries
+
     def append(self, record: Dict[str, Any],
                replace: bool = False) -> IndexEntry:
-        """Persist one finished scenario's record.
-
-        The record line is written and flushed before its index line,
-        so a crash can leave an unindexed record (healed by rebuild)
-        but never an index entry pointing at nothing.
+        """Persist one finished scenario's record (the one-record
+        :meth:`append_many`: written and fsynced before its index
+        line).
 
         ``replace=True`` supersedes an existing record for the same
         key (append-only on disk; the index moves to the new line) —
         how a retried error record is replaced by a real result.
         """
-        if self.readonly:
-            raise ConfigurationError(
-                f"result store {self.path!r} was opened read-only")
-        key = record_key(record)
-        if key in self._index and not replace:
-            raise ConfigurationError(
-                f"store already holds a record for spec_hash={key[0]} "
-                f"seed={key[1]}")
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        # Binary append so offsets are true byte positions (text-mode
-        # tell() returns opaque cookies).
-        with open(self.records_path, "ab") as handle:
-            handle.seek(0, os.SEEK_END)
-            offset = handle.tell()
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        entry = IndexEntry(spec_hash=key[0], seed=key[1],
-                           name=record.get("name", ""),
-                           fingerprint=record.get("fingerprint", ""),
-                           offset=offset,
-                           error=record_error(record) is not None)
-        with open(self.index_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-        self._admit(entry)
-        metrics().counter("store.appends").inc()
-        return entry
+        return self.append_many([record], replace)[0]
 
     def append_many(self, records: "Sequence[Dict[str, Any]]",
                     replace: bool = False) -> List[IndexEntry]:
-        """Batched :meth:`append`: one open, one fsync, for the whole
-        batch — the bulk-load path (merge, convert, benchmarks) where
-        per-record fsyncs would dominate.  Same crash semantics as
-        single appends: record lines land (and sync) before their
-        index lines, so a crash can only lose index lines a rebuild
-        re-derives."""
-        if self.readonly:
-            raise ConfigurationError(
-                f"result store {self.path!r} was opened read-only")
-        if not records:
-            return []
+        """Batched append: one open, one fsync, for the whole batch —
+        the bulk-load path (convert, benchmarks) where per-record
+        fsyncs would dominate.  Crash semantics: see :meth:`_write`."""
+        self._require_writable()
         if not replace:
             seen = set()
             for record in records:
@@ -332,32 +378,40 @@ class ResultStore:
                         f"store already holds a record for "
                         f"spec_hash={key[0]} seed={key[1]}")
                 seen.add(key)
-        entries: List[IndexEntry] = []
-        with open(self.records_path, "ab") as handle:
-            handle.seek(0, os.SEEK_END)
-            for record in records:
-                key = record_key(record)
-                offset = handle.tell()
-                handle.write((json.dumps(record, sort_keys=True) + "\n")
-                             .encode("utf-8"))
-                entries.append(IndexEntry(
-                    spec_hash=key[0], seed=key[1],
-                    name=record.get("name", ""),
-                    fingerprint=record.get("fingerprint", ""),
-                    offset=offset,
-                    error=record_error(record) is not None))
-            handle.flush()
-            os.fsync(handle.fileno())
-        with open(self.index_path, "a", encoding="utf-8") as handle:
-            for entry in entries:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True)
-                             + "\n")
-        for entry in entries:
-            self._admit(entry)
-        metrics().counter("store.appends").inc(len(entries))
-        return entries
+        return self._write(records) if records else []
 
     # -- merge / compaction ------------------------------------------------
+
+    def _pick_winners(self, sources: "Sequence[ResultStore]",
+                      replace_errors: bool):
+        """The merge dedup rule, once: ``(best, arrival)`` where
+        ``best`` maps each key some source wins to its ``(source,
+        entry)`` and ``arrival`` lists those keys in first-seen order.
+
+        Dedup streams against the *resident* index: a source entry
+        that cannot possibly win (its key is already here and not an
+        error a healthy candidate may supersede) is dropped the moment
+        it is seen, so merge memory is proportional to the records
+        actually merged — not to the union of all shard indexes, which
+        a resumed fleet merging mostly-duplicate shards used to pay
+        on every call.
+        """
+        best: Dict[Tuple[str, int], Tuple["ResultStore", IndexEntry]] = {}
+        arrival: List[Tuple[str, int]] = []
+        for source in sources:
+            for entry in source.iter_entries():
+                key = (entry.spec_hash, entry.seed)
+                resident = self._index.get(key)
+                if resident is not None and not (
+                        replace_errors and resident.error
+                        and not entry.error):
+                    continue  # can never win against the resident
+                if key not in best:
+                    best[key] = (source, entry)
+                    arrival.append(key)
+                elif best[key][1].error and not entry.error:
+                    best[key] = (source, entry)
+        return best, arrival
 
     def merge_from(
         self,
@@ -380,84 +434,20 @@ class ResultStore:
         record while a source offers a healthy one, in which case the
         healthy record supersedes it.
 
-        Returns the number of records appended.
-
-        Dedup streams against the *resident* index: a source entry
-        that cannot possibly win (its key is already here and not an
-        error a healthy candidate may supersede) is dropped the moment
-        it is seen, so merge memory is proportional to the records
-        actually merged — not to the union of all shard indexes, which
-        a resumed fleet merging mostly-duplicate shards used to pay
-        on every call.
+        Returns the number of records appended.  The source shards are
+        already durable, so the whole merge is one :meth:`_write`: one
+        fsync instead of one per record.
         """
-        if self.readonly:
-            raise ConfigurationError(
-                f"result store {self.path!r} was opened read-only")
-        # key -> (source, entry) of the winning candidate.
-        best: Dict[Tuple[str, int], Tuple["ResultStore", IndexEntry]] = {}
-        arrival: List[Tuple[str, int]] = []
-        for source in sources:
-            for entry in source.iter_entries():
-                key = (entry.spec_hash, entry.seed)
-                resident = self._index.get(key)
-                if resident is not None and not (
-                        replace_errors and resident.error
-                        and not entry.error):
-                    continue  # can never win against the resident
-                if key not in best:
-                    best[key] = (source, entry)
-                    arrival.append(key)
-                elif best[key][1].error and not entry.error:
-                    best[key] = (source, entry)
-        keys = list(order) if order is not None else []
-        keys = [tuple(key) for key in keys if tuple(key) in best]
-        ordered = set(keys)
-        picks = keys + [key for key in arrival if key not in ordered]
+        self._require_writable()
+        best, arrival = self._pick_winners(sources, replace_errors)
+        picks = _merge_order(best, arrival, order)
         if not picks:
             return 0
-        # Batched append: the source shards are already durable, so
-        # one fsync covers the whole merge instead of one per record
-        # (same crash semantics as append(): records land before
-        # index lines, a torn tail heals on rebuild, a repeated key's
-        # later line supersedes).  Each source is read through one
-        # persistent reader (picks interleave sources in canonical
-        # order, so per-pick get() opens would defeat streaming);
-        # _open_reader lets columnar sources serve segment rows.
         metrics().counter("store.merges").inc()
-        entries: List[IndexEntry] = []
-        readers: Dict[int, _RecordReader] = {}
-        try:
-            with open(self.records_path, "ab") as handle:
-                handle.seek(0, os.SEEK_END)
-                for key in picks:
-                    source = best[key][0]
-                    reader = readers.get(id(source))
-                    if reader is None:
-                        reader = source._open_reader()
-                        readers[id(source)] = reader
-                    record = reader.fetch(key)
-                    offset = handle.tell()
-                    handle.write((json.dumps(record, sort_keys=True) + "\n")
-                                 .encode("utf-8"))
-                    entries.append(IndexEntry(
-                        spec_hash=key[0], seed=key[1],
-                        name=record.get("name", ""),
-                        fingerprint=record.get("fingerprint", ""),
-                        offset=offset,
-                        error=record_error(record) is not None))
-                handle.flush()
-                os.fsync(handle.fileno())
-        finally:
-            for reader in readers.values():
-                reader.close()
-        with open(self.index_path, "a", encoding="utf-8") as handle:
-            for entry in entries:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True)
-                             + "\n")
-        for entry in entries:
-            self._admit(entry)
-        metrics().counter("store.merged_records").inc(len(entries))
-        return len(entries)
+        with contextlib.closing(_fetch_picks(best, picks)) as records:
+            merged = len(self._write(records))
+        metrics().counter("store.merged_records").inc(merged)
+        return merged
 
     def compact(self) -> int:
         """Rewrite ``records.jsonl`` keeping only the live records, in
@@ -465,34 +455,14 @@ class ResultStore:
         errors) and dead bytes.  Returns the bytes reclaimed.  The
         sidecar is rebuilt to match; both files are replaced
         atomically."""
-        if self.readonly:
-            raise ConfigurationError(
-                f"result store {self.path!r} was opened read-only")
+        self._require_writable()
         if not os.path.exists(self.records_path):
             return 0
         before = os.path.getsize(self.records_path)
-        tmp_records = self.records_path + ".tmp"
-        entries: List[IndexEntry] = []
-        with open(tmp_records, "wb") as handle:
-            for key, record in zip(self._order,
-                                   self.records_at(self._order)):
-                old = self._index[key]
-                offset = handle.tell()
-                handle.write((json.dumps(record, sort_keys=True) + "\n")
-                             .encode("utf-8"))
-                entries.append(IndexEntry(
-                    spec_hash=old.spec_hash, seed=old.seed, name=old.name,
-                    fingerprint=old.fingerprint, offset=offset,
-                    error=old.error))
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp_index = self.index_path + ".tmp"
-        with open(tmp_index, "w", encoding="utf-8") as handle:
-            for entry in entries:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True)
-                             + "\n")
-        os.replace(tmp_records, self.records_path)
-        os.replace(tmp_index, self.index_path)
+        with contextlib.closing(self._open_reader()) as reader:
+            entries = self._rewrite(
+                (self._index[key], _encode(reader.fetch(key)))
+                for key in self._order)
         self._index = {(e.spec_hash, e.seed): e for e in entries}
         self._order = [(e.spec_hash, e.seed) for e in entries]
         return before - os.path.getsize(self.records_path)
@@ -514,9 +484,7 @@ class ResultStore:
     def update_metadata(self, updates: Dict[str, Any]) -> Dict[str, Any]:
         """Shallow-merge ``updates`` into ``meta.json`` (atomic
         replace) and return the new metadata."""
-        if self.readonly:
-            raise ConfigurationError(
-                f"result store {self.path!r} was opened read-only")
+        self._require_writable()
         data = self.metadata
         data.update(updates)
         tmp_path = self.metadata_path + ".tmp"
@@ -575,34 +543,26 @@ class ResultStore:
         return "jsonl"
 
     def _open_reader(self) -> "_RecordReader":
-        """A persistent-handle record fetcher for merges; the columnar
+        """The fetch-by-location handle of this store; the columnar
         subclass returns one that also serves segment rows."""
         return _RecordReader(self)
 
     def get(self, spec_hash: str, seed: int) -> Dict[str, Any]:
         """Load one record by key (one seek, one line parse)."""
-        try:
-            entry = self._index[(spec_hash, seed)]
-        except KeyError:
+        if (spec_hash, seed) not in self._index:
             raise KeyError(
-                f"no record for spec_hash={spec_hash} seed={seed}") from None
-        with open(self.records_path, "rb") as handle:
-            handle.seek(entry.offset)
-            return json.loads(handle.readline())
+                f"no record for spec_hash={spec_hash} seed={seed}")
+        with contextlib.closing(self._open_reader()) as reader:
+            return reader.fetch((spec_hash, seed))
 
     def records_at(self,
                    keys: "Sequence[Tuple[str, int]]") -> Iterator[Dict[str, Any]]:
         """Stream the records for ``keys`` (in that order) through ONE
-        open handle — the bulk form of :meth:`get` that merge,
-        compaction and digests use so an N-record pass costs one open,
-        not N."""
-        if not keys:
-            return
-        with open(self.records_path, "rb") as handle:
+        open handle — the bulk form of :meth:`get` that digests and
+        scoring use so an N-record pass costs one open, not N."""
+        with contextlib.closing(self._open_reader()) as reader:
             for key in keys:
-                entry = self._index[tuple(key)]
-                handle.seek(entry.offset)
-                yield json.loads(handle.readline())
+                yield reader.fetch(tuple(key))
 
     def iter_records(self) -> Iterator[Dict[str, Any]]:
         """Stream every *live* record in file order, one line in
@@ -655,7 +615,7 @@ class ResultStore:
         from repro.results.records import record_slos
 
         total = 0
-        for record in self.records_at([tuple(key) for key in keys]):
+        for record in self.records_at(keys):
             total += sum(1 for verdict in record_slos(record)
                          if verdict.get("status") != "pass")
         return total
@@ -667,9 +627,7 @@ class ResultStore:
         serve this off a compact metrics column without decompressing
         full payloads."""
         for record in self.iter_records():
-            entry = self._index.get(record_key(record))
-            metrics = record.get("metrics", {})
-            yield entry, metrics if isinstance(metrics, dict) else {}
+            yield self._index.get(record_key(record)), _record_metrics(record)
 
     def entry_metrics_at(
             self, keys: "Sequence[Tuple[str, int]]",
@@ -680,10 +638,8 @@ class ResultStore:
         callers never need the full record to score a candidate; the
         columnar subclass serves sealed rows straight off the metrics
         column without decompressing payloads."""
-        for record in self.records_at([tuple(key) for key in keys]):
-            entry = self._index[record_key(record)]
-            metrics = record.get("metrics", {})
-            yield entry, metrics if isinstance(metrics, dict) else {}
+        for record in self.records_at(keys):
+            yield self._index[record_key(record)], _record_metrics(record)
 
     def iter_csv_rows(
             self) -> "Iterator[Tuple[Dict[str, Any], List[str]]]":
@@ -732,20 +688,53 @@ def _cleaned_canonical(record: Dict[str, Any]) -> bytes:
 
 
 class _RecordReader:
-    """One persistent read handle over a store's records file, used by
-    merges to fetch picked records without per-record opens."""
+    """The one fetch-by-location: a lazily opened, persistent read
+    handle over a store's records file, under :meth:`ResultStore.get`,
+    :meth:`~ResultStore.records_at`, compaction and merges (whose
+    picks interleave sources, so per-record opens would defeat
+    streaming)."""
 
     def __init__(self, store: ResultStore):
         self.store = store
         self._handle: "Optional[Any]" = None
 
-    def fetch(self, key: Tuple[str, int]) -> Dict[str, Any]:
+    def line(self, key: Tuple[str, int]) -> bytes:
+        """The raw line of ``key``'s record in the records file."""
         if self._handle is None:
             self._handle = open(self.store.records_path, "rb")
         self._handle.seek(self.store._index[key].offset)
-        return json.loads(self._handle.readline())
+        return self._handle.readline()
+
+    def fetch(self, key: Tuple[str, int]) -> Dict[str, Any]:
+        return json.loads(self.line(key))
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+def _merge_order(best, arrival, order) -> List[Tuple[str, int]]:
+    """The keys of ``best`` in merge order: the caller's ``order``
+    first, then the rest as they arrived."""
+    keys = [tuple(key) for key in (order or []) if tuple(key) in best]
+    ordered = set(keys)
+    keys.extend(key for key in arrival
+                if key in best and key not in ordered)
+    return keys
+
+
+def _fetch_picks(best, keys) -> Iterator[Dict[str, Any]]:
+    """The winning records for ``keys``, each source read through one
+    persistent reader (closed when the generator is)."""
+    readers: Dict[int, _RecordReader] = {}
+    try:
+        for key in keys:
+            source = best[key][0]
+            reader = readers.get(id(source))
+            if reader is None:
+                reader = readers[id(source)] = source._open_reader()
+            yield reader.fetch(key)
+    finally:
+        for reader in readers.values():
+            reader.close()

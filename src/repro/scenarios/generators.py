@@ -51,6 +51,7 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     TopologyRecipe,
     TrafficRecipe,
+    check_params,
 )
 from repro.topology.fattree import FatTreeTopo
 from repro.topology.topo import Topo
@@ -403,10 +404,8 @@ def generate_scenario(
         matrix_params: Dict[str, Any] = {
             "seed": seed, "duration": max(duration - 5.0, 1.0)}
         matrix_params.update(traffic_params or {})
-        if "family" in matrix_params or "rng" in matrix_params:
-            raise ConfigurationError(
-                "traffic_params cannot override 'family' or 'rng' "
-                "(use traffic_family for the former)")
+        check_params(f"{traffic_family} traffic", traffic_matrix,
+                     matrix_params, supplied=("topo", "family", "rng"))
         traffic = traffic_matrix(topo, family=traffic_family,
                                  **matrix_params)
     traffic = traffic or TrafficRecipe(
@@ -416,8 +415,11 @@ def generate_scenario(
         duration=max(duration - 5.0, 1.0),
     )
     rng = random.Random(seed)
+    pattern_params = dict(pattern_params or {})
+    check_params(f"{pattern} pattern", PATTERNS[pattern], pattern_params,
+                 supplied=("topo", "seed", "rng"))
     injections = PATTERNS[pattern](topo, seed=seed, rng=rng,
-                                   **dict(pattern_params or {}))
+                                   **pattern_params)
     spec = ScenarioSpec(
         name=name or f"{pattern}-seed{seed}",
         seed=seed,

@@ -17,9 +17,7 @@ numbers its events per simulation, so nothing leaks between runs.
 Scenario runs ride the incremental reallocation engine (PR 2): the
 path cache and dependency index live on the :class:`Network` for the
 whole run, so a flap-storm's tenth injection re-walks only the flows
-the ninth one left dirty.  Traces are identical either way — pass
-``sim_params={"incremental_realloc": False}`` in a spec to force full
-recomputes (A/B measurements, paranoia reruns).
+the ninth one left dirty.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from repro.api.metrics import (
     scenario_metrics,
 )
 from repro.core.config import SimulationConfig
-from repro.core.errors import ConfigurationError
 from repro.dataplane.flow import FluidFlow
 from repro.dataplane.link import Link
 from repro.dataplane.node import reset_auto_macs
@@ -55,7 +52,7 @@ from repro.results.records import (
     VOLATILE_RESULT_FIELDS,
 )
 from repro.results.slo import SLOVerdict, evaluate_slos
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, check_params
 from repro.traffic.generators import TrafficSpec, cbr_udp_flows
 
 _EPS = 1e-9
@@ -251,6 +248,23 @@ def _reset_process_counters() -> None:
     reset_dpids()
 
 
+def _setup_sdn(exp: Experiment, hash_seed: int) -> None:
+    from repro.controllers.ecmp import FiveTupleEcmpApp
+
+    exp.use_controller(apps=[
+        FiveTupleEcmpApp(exp.topology_view(), hash_seed=hash_seed)])
+
+
+#: protocol kind -> the setup helper its recipe parameters go to.
+_PROTOCOL_SETUPS = {
+    "none": lambda exp: None,
+    "static": setup_static_routes,
+    "bgp": setup_bgp_for_routers,
+    "ospf": setup_ospf_for_routers,
+    "sdn": _setup_sdn,
+}
+
+
 class ScenarioRunner:
     """Runs :class:`ScenarioSpec` instances, one at a time."""
 
@@ -374,7 +388,6 @@ class ScenarioRunner:
     def _diagnostics(exp: Experiment) -> Dict[str, Any]:
         diagnostics: Dict[str, Any] = {
             "realloc": dict(exp.network.realloc.stats),
-            "incremental_realloc": exp.network.incremental_realloc,
         }
         if getattr(exp.sim.config, "symmetry", False):
             quotient = exp.network.realloc.quotient
@@ -427,20 +440,11 @@ class ScenarioRunner:
         params = dict(spec.protocol.params)
         if kind == "bgp":
             params.setdefault("seed", spec.seed)
-            setup_bgp_for_routers(exp, **params)
-        elif kind == "ospf":
-            setup_ospf_for_routers(exp, **params)
-        elif kind == "static":
-            setup_static_routes(exp, **params)
         elif kind == "sdn":
-            from repro.controllers.ecmp import FiveTupleEcmpApp
-
-            app = FiveTupleEcmpApp(exp.topology_view(),
-                                   hash_seed=params.get("hash_seed",
-                                                        spec.seed))
-            exp.use_controller(apps=[app])
-        elif kind != "none":
-            raise ConfigurationError(f"unknown protocol kind {kind!r}")
+            params.setdefault("hash_seed", spec.seed)
+        setup = _PROTOCOL_SETUPS[kind]  # kind passed spec.validate()
+        check_params(f"{kind} protocol", setup, params, supplied=("exp",))
+        setup(exp, **params)
 
     @staticmethod
     def _setup_traffic(exp: Experiment, spec: ScenarioSpec) -> None:

@@ -15,11 +15,14 @@ must stay picklable and JSON-serializable to fan out across a
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import SimulationConfig
 from repro.core.errors import ConfigurationError
 from repro.results.records import spec_hash as _spec_hash
 from repro.results.slo import SLO, slo_from_dict
@@ -56,8 +59,36 @@ SPEC_SCHEMA_VERSIONS: Dict[int, str] = {
 SPEC_SCHEMA_VERSION = max(SPEC_SCHEMA_VERSIONS)
 
 
-def _fattree(**params) -> Topo:
-    return FatTreeTopo(**params)
+@functools.lru_cache(maxsize=None)
+def _keyword_names(target: Callable[..., Any]) -> Tuple[str, ...]:
+    """The names ``target`` takes by keyword, sorted.  Cached because
+    ``inspect.signature`` costs tens of microseconds and the check
+    below runs several times per generated scenario; the targets are
+    the registries' module-level callables, so the cache stays small."""
+    return tuple(sorted(
+        name for name, parameter
+        in inspect.signature(target).parameters.items()
+        if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
+                              parameter.KEYWORD_ONLY)))
+
+
+def check_params(what: str, target: Callable[..., Any],
+                 params: Dict[str, Any],
+                 supplied: Sequence[str] = ()) -> None:
+    """Reject keys of ``params`` that ``target`` does not take by
+    keyword, naming the ones it does.  ``supplied`` lists the
+    parameters the caller passes itself.  Run before every
+    ``target(**params)`` on user-given parameters, so a typo is a
+    :class:`ConfigurationError` and a ``TypeError`` stays a defect."""
+    names = _keyword_names(target)
+    unknown = sorted(key for key in params
+                     if key not in names or key in supplied)
+    if unknown:
+        accepted = [name for name in names if name not in supplied]
+        raise ConfigurationError(
+            f"unknown {what} parameter{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(repr(name) for name in unknown)}; accepted: "
+            f"{', '.join(accepted) or 'none'}")
 
 
 # Registry: recipe kind -> builder callable returning a Topo.
@@ -68,7 +99,7 @@ TOPOLOGY_BUILDERS: Dict[str, Callable[..., Topo]] = {
     "leafspine": leaf_spine_topo,
     "wan": wan_topo,
     "jellyfish": jellyfish_topo,
-    "fattree": _fattree,
+    "fattree": FatTreeTopo,
     "graphml": graphml_topo,
 }
 
@@ -93,6 +124,7 @@ class TopologyRecipe:
             raise ConfigurationError(
                 f"unknown topology kind {self.kind!r}; "
                 f"choose from {sorted(TOPOLOGY_BUILDERS)}") from None
+        check_params(f"{self.kind} topology", builder, self.params)
         return builder(**self.params)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -260,6 +292,7 @@ class ScenarioSpec:
                     f"ends (duration {self.duration})")
         for slo in self.slos:
             slo.validate()
+        check_params("sim_params", SimulationConfig, self.sim_params)
         if "kernel" in self.sim_params:
             from repro.dataplane.solver import check_kernel
 

@@ -18,6 +18,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -95,24 +96,46 @@ class TestCoordinatorCrashResume:
             send_message(sock, {"type": "hello", "worker": "crashy",
                                 "protocol": PROTOCOL_VERSION})
             assert recv_message(sock)["type"] == "welcome"
-            sent = 0
-            while sent < kill_after:
-                send_message(sock, {"type": "request"})
-                grant = recv_message(sock)
-                assert grant["type"] == "chunk"
-                for payload in grant["specs"]:
-                    if sent >= kill_after:
-                        return  # die mid-chunk
-                    send_message(sock, {"type": "record",
-                                        "chunk": grant["chunk"],
-                                        "record": produce_record(payload)})
-                    sent += 1
-                # the chunk streamed fully before the crash point ->
-                # its completion makes it to the journal
-                send_message(sock, {"type": "chunk_done",
-                                    "chunk": grant["chunk"]})
+            self._stream_records(sock, kill_after)
+            # Sent is not ingested: the caller's stop() shuts the
+            # server side down and discards unread frames, so wait for
+            # the coordinator's own counters before vanishing.
+            self._wait_ingested(coordinator, kill_after)
         finally:
             sock.close()
+
+    @staticmethod
+    def _stream_records(sock, kill_after):
+        sent = 0
+        while sent < kill_after:
+            send_message(sock, {"type": "request"})
+            grant = recv_message(sock)
+            assert grant["type"] == "chunk"
+            for payload in grant["specs"]:
+                if sent >= kill_after:
+                    return  # die mid-chunk
+                send_message(sock, {"type": "record",
+                                    "chunk": grant["chunk"],
+                                    "record": produce_record(payload)})
+                sent += 1
+            # the chunk streamed fully before the crash point ->
+            # its completion makes it to the journal
+            send_message(sock, {"type": "chunk_done",
+                                "chunk": grant["chunk"]})
+
+    @staticmethod
+    def _wait_ingested(coordinator, records, chunk_size=2, deadline=30.0):
+        give_up = time.monotonic() + deadline
+        while time.monotonic() < give_up:
+            status = coordinator.status()
+            if (status["records_ingested"] >= records
+                    and status["chunks"].get("done", 0)
+                    >= records // chunk_size):
+                return
+            time.sleep(0.01)
+        raise AssertionError(
+            f"coordinator never ingested {records} record(s): "
+            f"{coordinator.status()}")
 
     @pytest.mark.parametrize("kill_after", [0, 1, 2, 4])
     def test_resume_matches_uninterrupted_digest(self, tmp_path,

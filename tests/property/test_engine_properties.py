@@ -40,14 +40,15 @@ coarse_triples = st.tuples(st.sampled_from((0.0, 0.5, 0.5000000000000001, 1.0, 7
 @given(coarse_triples, coarse_triples)
 @settings(max_examples=300, deadline=None)
 def test_event_less_than_is_the_sort_key_order(left, right):
-    events = []
-    for time, priority, seq in (left, right):
-        event = CallbackEvent(time, lambda: None, priority=priority)
-        event.seq = seq
-        events.append(event)
-    a, b = events
-    assert (a < b) == (a.sort_key() < b.sort_key())
-    assert (b < a) == (b.sort_key() < a.sort_key())
+    """Events no longer define ``<``; "less than" is what the heap
+    compares — the ``(time, priority, seq, event)`` entry ``push``
+    builds — and that must order exactly like ``sort_key``."""
+    queue = EventQueue()
+    for time, priority, __ in (left, right):
+        queue.push(CallbackEvent(time, lambda: None, priority=priority))
+    a, b = sorted(queue._heap, key=lambda entry: entry[2])  # push order
+    assert (a < b) == (a[3].sort_key() < b[3].sort_key())
+    assert (b < a) == (b[3].sort_key() < a[3].sort_key())
 
 
 @given(st.lists(coarse_triples, max_size=40), st.data())

@@ -33,9 +33,10 @@ GBPS = 1_000_000_000
 
 def build_leaf_spine(incremental: bool):
     """2 spines, 3 edge routers, 2 hosts per edge, ECMP everywhere."""
-    sim = Simulation(SimulationConfig(incremental_realloc=incremental))
+    sim = Simulation(SimulationConfig())
     net = Network("leaf-spine")
     sim.attach_network(net)
+    net.incremental_realloc = incremental
 
     spines = [net.add_router(f"s{i}") for i in range(2)]
     edges = [net.add_router(f"e{i}") for i in range(3)]
@@ -196,9 +197,10 @@ def build_switch_line(incremental: bool):
     table-version epochs (reinstall/retarget bump ``table.version``)
     must invalidate exactly the cached walks through that switch.
     """
-    sim = Simulation(SimulationConfig(incremental_realloc=incremental))
+    sim = Simulation(SimulationConfig())
     net = Network("switch-line")
     sim.attach_network(net)
+    net.incremental_realloc = incremental
     switches = [net.add_switch(f"s{i}") for i in range(3)]
     hosts = [net.add_host(f"h{i}", f"10.1.0.{i + 1}") for i in range(4)]
     links = [

@@ -109,9 +109,11 @@ def _histories(draw):
     """A k=4 fat-tree scenario: static routes (optionally through the
     symmetry quotient) or a reactive OpenFlow controller (flows miss
     before they deliver), flows that may end before the horizon, and a
-    handful of link/node failures and repairs."""
+    handful of link/node failures and repairs — paired with whether
+    the run takes the incremental or the full-recompute path."""
     control = draw(st.sampled_from(["static", "static-symmetry", "sdn"]))
-    sim_params = {"incremental_realloc": draw(st.booleans())}
+    incremental = draw(st.booleans())
+    sim_params = {}
     if control == "sdn":
         device, protocol = "switch", ProtocolRecipe("sdn", {})
     else:
@@ -130,14 +132,15 @@ def _histories(draw):
             stagger=draw(st.sampled_from([0.0, 2.0]))),
         injections=draw(st.lists(_injections, max_size=6)),
         sim_params=sim_params,
-    )
+    ), incremental
 
 
-def _run_with_oracle(spec):
+def _run_with_oracle(spec, incremental=True):
     """Run *spec* with the old hook beside the new one; returns (the
     runner's outcomes, the old hook's outcomes, hook calls seen)."""
     exp, outcomes = ScenarioRunner().materialize(spec)
     network = exp.network
+    network.incremental_realloc = incremental
     shadow = [[outcome.at, None] for outcome in outcomes]
     calls = []
 
@@ -159,8 +162,8 @@ def _run_with_oracle(spec):
 @given(_histories())
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_recovery_check_agrees_with_the_all_flows_scan(spec):
-    outcomes, shadow, calls = _run_with_oracle(spec)
+def test_recovery_check_agrees_with_the_all_flows_scan(history):
+    outcomes, shadow, calls = _run_with_oracle(*history)
     assert calls > 0
     assert [o.recovered_at for o in outcomes] == [m[1] for m in shadow]
 

@@ -21,20 +21,27 @@ from repro.core.simulation import Simulation
 
 
 class TestEventOrdering:
+    """``sort_key`` is the order; ``seq`` comes from the queue."""
+
     def test_time_orders_first(self):
-        early = CallbackEvent(1.0, lambda: None)
-        late = CallbackEvent(2.0, lambda: None)
-        assert early < late
+        queue = EventQueue()
+        late = queue.push(CallbackEvent(2.0, lambda: None))
+        early = queue.push(CallbackEvent(1.0, lambda: None))
+        assert early.sort_key() < late.sort_key()
 
     def test_priority_breaks_time_ties(self):
-        control = CallbackEvent(1.0, lambda: None, priority=PRIORITY_CONTROL)
-        stats = CallbackEvent(1.0, lambda: None, priority=PRIORITY_STATS)
-        assert control < stats
+        queue = EventQueue()
+        stats = queue.push(
+            CallbackEvent(1.0, lambda: None, priority=PRIORITY_STATS))
+        control = queue.push(
+            CallbackEvent(1.0, lambda: None, priority=PRIORITY_CONTROL))
+        assert control.sort_key() < stats.sort_key()
 
     def test_seq_breaks_full_ties(self):
-        first = CallbackEvent(1.0, lambda: None)
-        second = CallbackEvent(1.0, lambda: None)
-        assert first < second
+        queue = EventQueue()
+        first = queue.push(CallbackEvent(1.0, lambda: None))
+        second = queue.push(CallbackEvent(1.0, lambda: None))
+        assert first.sort_key() < second.sort_key()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -86,17 +93,8 @@ class TestEventQueue:
         queue.push(CallbackEvent(1.0, lambda: None))
         assert queue
 
-    def test_compact_removes_cancelled(self):
-        queue = EventQueue()
-        for t in range(10):
-            event = queue.push(CallbackEvent(float(t), lambda: None))
-            if t % 2:
-                event.cancel()
-        queue.compact()
-        assert queue.stats["pending_raw"] == 5
-
     def test_len_is_exact_through_churn(self):
-        """push/pop/cancel keep the live counter exact (O(1) len)."""
+        """len() stays exact through push/pop/cancel."""
         queue = EventQueue()
         events = [queue.push(CallbackEvent(float(t), lambda: None))
                   for t in range(20)]
@@ -121,19 +119,6 @@ class TestEventQueue:
         assert queue.pop() is first
         first.cancel()  # stale cancel handle (PeriodicTimer.stop pattern)
         assert len(queue) == 1
-
-    def test_auto_compact_when_garbage_dominates(self):
-        queue = EventQueue()
-        events = [queue.push(CallbackEvent(float(t), lambda: None))
-                  for t in range(128)]
-        for event in events[:100]:
-            event.cancel()
-        # More than half the raw heap was cancelled: the queue must
-        # have compacted itself away from the O(heap) garbage.  (Tiny
-        # heaps — below the compaction floor — may keep some garbage.)
-        assert queue.stats["compactions"] >= 1
-        assert queue.stats["pending_raw"] < 64
-        assert len(queue) == 28
 
     def test_iter_sorted(self):
         queue = EventQueue()

@@ -1,0 +1,129 @@
+"""Unit: user-given parameters are checked by name before they reach a
+``**kwargs`` call.
+
+Every registry entry (topology builder, failure pattern, protocol kind,
+traffic family) and ``sim_params`` gets one seeded unknown key; each
+must be a :class:`ConfigurationError` that names the key and lists what
+is accepted — never the bare ``TypeError`` the call itself would raise.
+"""
+
+import random
+import string
+
+import pytest
+
+from repro.core.errors import ConfigurationError
+from repro.scenarios import (
+    TRAFFIC_FAMILIES,
+    ProtocolRecipe,
+    ScenarioRunner,
+    ScenarioSpec,
+    TopologyRecipe,
+    generate_scenario,
+)
+from repro.scenarios.generators import PATTERNS
+from repro.scenarios.runner import _PROTOCOL_SETUPS
+from repro.scenarios.spec import (
+    PROTOCOL_KINDS,
+    TOPOLOGY_BUILDERS,
+    check_params,
+)
+
+_RNG = random.Random(17)
+
+
+def unknown_key():
+    return "x_" + "".join(_RNG.choice(string.ascii_lowercase)
+                          for __ in range(8))
+
+
+def assert_names(excinfo, key):
+    message = str(excinfo.value)
+    assert repr(key) in message
+    assert "accepted:" in message
+
+
+@pytest.mark.parametrize("kind", sorted(TOPOLOGY_BUILDERS))
+def test_topology_builders_reject_unknown_parameters(kind):
+    key = unknown_key()
+    with pytest.raises(ConfigurationError) as excinfo:
+        TopologyRecipe(kind, {key: 1}).build()
+    assert_names(excinfo, key)
+
+
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_patterns_reject_unknown_parameters(pattern):
+    key = unknown_key()
+    with pytest.raises(ConfigurationError) as excinfo:
+        generate_scenario(1, pattern=pattern, pattern_params={key: 1})
+    assert_names(excinfo, key)
+
+
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_patterns_reject_the_parameters_the_generator_supplies(pattern):
+    """``seed`` and ``rng`` are the generator's to give: passing one
+    was a "multiple values for keyword" TypeError."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        generate_scenario(1, pattern=pattern, pattern_params={"seed": 3})
+    assert_names(excinfo, "seed")
+
+
+def test_protocol_setup_table_is_the_protocol_registry():
+    assert set(_PROTOCOL_SETUPS) == set(PROTOCOL_KINDS)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_protocols_reject_unknown_parameters(kind):
+    key = unknown_key()
+    spec = generate_scenario(1, protocol=ProtocolRecipe(kind, {key: 1}))
+    with pytest.raises(ConfigurationError) as excinfo:
+        ScenarioRunner().materialize(spec)
+    assert_names(excinfo, key)
+
+
+@pytest.mark.parametrize("family", TRAFFIC_FAMILIES)
+def test_traffic_families_reject_unknown_parameters(family):
+    key = unknown_key()
+    with pytest.raises(ConfigurationError) as excinfo:
+        generate_scenario(1, traffic_family=family,
+                          traffic_params={key: 1})
+    assert_names(excinfo, key)
+
+
+def test_sim_params_reject_unknown_keys_at_validate():
+    """A typoed *top-level* spec key was always rejected by name; a
+    typoed ``sim_params`` key passed validate() and died as a TypeError
+    in ``SimulationConfig.__init__``."""
+    spec = ScenarioSpec.from_dict({
+        **generate_scenario(1).to_dict(),
+        "sim_params": {"incremental_reallocc": False}})
+    with pytest.raises(ConfigurationError) as excinfo:
+        spec.validate()
+    assert_names(excinfo, "incremental_reallocc")
+
+
+def test_the_removed_reallocation_knob_is_rejected_like_any_unknown_key():
+    spec = generate_scenario(1)
+    spec.sim_params["incremental_realloc"] = False
+    with pytest.raises(ConfigurationError) as excinfo:
+        ScenarioRunner().materialize(spec)
+    assert_names(excinfo, "incremental_realloc")
+
+
+def test_known_sim_params_still_pass():
+    spec = generate_scenario(1)
+    spec.sim_params.update(fti_increment=0.002, seed=9, kernel="heap")
+    spec.validate()
+
+
+def test_a_real_type_error_is_not_swallowed():
+    """The check reads names only; a defect inside the call stays a
+    TypeError."""
+    def builder(k=4):
+        return k + "one"
+
+    check_params("toy", builder, {"k": 2})
+    with pytest.raises(TypeError):
+        builder(k=2)
+    with pytest.raises(ConfigurationError, match="accepted: k"):
+        check_params("toy", builder, {"kk": 2})
