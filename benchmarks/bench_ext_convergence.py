@@ -3,8 +3,8 @@
 Not a paper figure, but the experiment Horse is *for*: how long does
 the emulated control plane take to converge, and how much message
 traffic does it generate, as the fabric grows?  Regenerated here
-because DESIGN.md calls out convergence behaviour as the realism the
-hybrid design must preserve.
+because convergence behaviour is the realism the hybrid design must
+preserve.
 
 Run:  pytest benchmarks/bench_ext_convergence.py --benchmark-only
 """

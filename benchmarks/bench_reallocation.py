@@ -226,8 +226,8 @@ def build_fattree(num_flows: int, kernel: str):
     reset_auto_macs()
     reset_dpids()
 
-    exp = Experiment(f"bench-kernel-{kernel}",
-                     config=SimulationConfig(kernel=kernel))
+    exp = Experiment(f"bench-kernel-{kernel}", config=SimulationConfig())
+    exp.network.realloc.kernel = kernel
     exp.load_topo(FatTreeTopo(k=FATTREE_K, device="router"))
     setup_static_routes(exp)
     net = exp.network

@@ -8,8 +8,7 @@ Environment knobs (all optional):
 * ``REPRO_BENCH_DURATION`` — per-TE-scheme traffic duration in
   simulated seconds (default ``30``)
 * ``REPRO_BENCH_PPS``      — baseline packets/second per flow
-  (default ``150``; the paper's 1 Gbps is ~83k pps — scaled down, see
-  DESIGN.md §3)
+  (default ``150``; the paper's 1 Gbps is ~83k pps — scaled down)
 
 Every bench appends its table rows to ``benchmarks/results/*.txt`` so
 the numbers survive the run (EXPERIMENTS.md quotes them).

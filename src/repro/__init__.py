@@ -17,7 +17,7 @@ Quickstart::
     exp.add_link(h2, s1)
     ...
 
-See README.md for the full tour and DESIGN.md for the architecture.
+See ``docs/`` for the architecture, layer by layer.
 """
 
 __version__ = "1.1.0"

@@ -16,7 +16,7 @@ The fat-tree BGP demo is this wiring plus the AS map that
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.bgp.daemon import BGPConfig, BGPDaemon, BGPPeerConfig
 from repro.core.errors import TopologyError
@@ -24,6 +24,7 @@ from repro.dataplane.host import Host
 from repro.dataplane.router import Router
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 from repro.ospf.daemon import OSPFConfig, OSPFDaemon, OSPFPeerConfig
+from repro.topology.paths import hop_distances
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.experiment import Experiment
@@ -76,6 +77,32 @@ def _host_subnets(network: "Network") -> Dict[str, List[IPv4Prefix]]:
     return subnets
 
 
+def _wire_router_links(exp: "Experiment", daemons: Dict[str, Any],
+                       protocol: str, wanted=None):
+    """Number every router-router link, address its interfaces that
+    have no address, open the channel between its two daemons and
+    register it with the link.  Yields ``(channel, end_a, end_b)``, an
+    end being ``(router, port number, address)``.  A link
+    ``wanted(node_a, node_b)`` refuses gets none of it but keeps its
+    index: the others' addresses do not depend on who peers."""
+    for index, link in enumerate(_router_links(exp.network)):
+        node_a, node_b = link.endpoints()
+        if wanted is not None and not wanted(node_a, node_b):
+            continue
+        addr_a, addr_b = link_addresses(index)
+        end_a = (node_a, link.port_a.number, addr_a)
+        end_b = (node_b, link.port_b.number, addr_b)
+        for node, port, address in (end_a, end_b):
+            if node.interface(port) is None:
+                node.set_interface(port, address)
+        channel = exp.sim.cm.open_channel(
+            daemons[node_a.name], daemons[node_b.name], latency=link.delay,
+            label=f"{protocol} {node_a.name}-{node_b.name}",
+        )
+        exp.register_link_channel(node_a.name, node_b.name, channel)
+        yield channel, end_a, end_b
+
+
 def setup_static_routes(
     exp: "Experiment",
     ecmp: bool = False,
@@ -103,26 +130,17 @@ def setup_static_routes(
         node_a, node_b = link.endpoints()
         adjacency[node_a.name].append((node_b.name, link.port_a.number))
         adjacency[node_b.name].append((node_a.name, link.port_b.number))
-    for neighbors in adjacency.values():
-        neighbors.sort()
+    for pairs in adjacency.values():
+        pairs.sort()
+    neighbors = {name: [peer_name for peer_name, __ in pairs]
+                 for name, pairs in adjacency.items()}
 
-    by_name = {r.name: r for r in routers}
     installed: Dict[str, int] = {r.name: 0 for r in routers}
     for dest in routers:
         prefixes = subnets.get(dest.name, [])
         if not prefixes:
             continue
-        # Hop-count BFS rooted at the destination.
-        dist: Dict[str, int] = {dest.name: 0}
-        frontier = [dest.name]
-        while frontier:
-            nxt: List[str] = []
-            for name in frontier:
-                for peer_name, _ in adjacency[name]:
-                    if peer_name not in dist:
-                        dist[peer_name] = dist[name] + 1
-                        nxt.append(peer_name)
-            frontier = nxt
+        dist = hop_distances(neighbors, dest.name)  # rooted at the destination
         for router in routers:
             if router.name == dest.name or router.name not in dist:
                 continue
@@ -133,7 +151,7 @@ def setup_static_routes(
                 continue
             next_hops = [(port, None) for port in (ports if ecmp else ports[:1])]
             for prefix in prefixes:
-                by_name[router.name].fib.install(prefix, next_hops)
+                router.fib.install(prefix, next_hops)
                 installed[router.name] += 1
     return installed
 
@@ -178,50 +196,25 @@ def setup_bgp_for_routers(
             ),
         )
 
-    for link_index, link in enumerate(_router_links(network)):
-        node_a, node_b = link.endpoints()
-        if asn_map[node_a.name] == asn_map[node_b.name]:
-            continue  # same AS: no eBGP session (see docstring)
-        addr_a, addr_b = link_addresses(link_index)
-        if node_a.interface(link.port_a.number) is None:
-            node_a.set_interface(link.port_a.number, addr_a)
-        if node_b.interface(link.port_b.number) is None:
-            node_b.set_interface(link.port_b.number, addr_b)
-        daemon_a = daemons[node_a.name]
-        daemon_b = daemons[node_b.name]
-        channel = exp.sim.cm.open_channel(
-            daemon_a, daemon_b, latency=link.delay,
-            label=f"bgp {node_a.name}-{node_b.name}",
-        )
-        exp.register_link_channel(node_a.name, node_b.name, channel)
-        delay_a = rng.uniform(*connect_delay_range)
-        delay_b = rng.uniform(*connect_delay_range)
-        daemon_a.add_peer(
-            BGPPeerConfig(
-                peer_name=node_b.name,
-                remote_asn=asn_map[node_b.name],
-                local_port=link.port_a.number,
-                peer_address=addr_b,
-                local_address=addr_a,
-                hold_time=hold_time,
-                keepalive_interval=keepalive_interval,
-                connect_delay=delay_a,
-            ),
-            channel,
-        )
-        daemon_b.add_peer(
-            BGPPeerConfig(
-                peer_name=node_a.name,
-                remote_asn=asn_map[node_a.name],
-                local_port=link.port_b.number,
-                peer_address=addr_a,
-                local_address=addr_b,
-                hold_time=hold_time,
-                keepalive_interval=keepalive_interval,
-                connect_delay=delay_b,
-            ),
-            channel,
-        )
+    # Same AS: no eBGP session (see docstring).
+    for channel, end_a, end_b in _wire_router_links(
+            exp, daemons, "bgp",
+            wanted=lambda a, b: asn_map[a.name] != asn_map[b.name]):
+        for (local, port, address), (remote, __, peer_address) in (
+                (end_a, end_b), (end_b, end_a)):
+            daemons[local.name].add_peer(
+                BGPPeerConfig(
+                    peer_name=remote.name,
+                    remote_asn=asn_map[remote.name],
+                    local_port=port,
+                    peer_address=peer_address,
+                    local_address=address,
+                    hold_time=hold_time,
+                    keepalive_interval=keepalive_interval,
+                    connect_delay=rng.uniform(*connect_delay_range),
+                ),
+                channel,
+            )
 
     for daemon in daemons.values():
         exp.sim.add_process(daemon)
@@ -266,40 +259,20 @@ def setup_ospf_for_routers(
             return 1
         return cost_map.get((a, b), cost_map.get((b, a), 1))
 
-    for link_index, link in enumerate(_router_links(network)):
-        node_a, node_b = link.endpoints()
-        addr_a, addr_b = link_addresses(link_index)
-        if node_a.interface(link.port_a.number) is None:
-            node_a.set_interface(link.port_a.number, addr_a)
-        if node_b.interface(link.port_b.number) is None:
-            node_b.set_interface(link.port_b.number, addr_b)
-        daemon_a = daemons[node_a.name]
-        daemon_b = daemons[node_b.name]
-        channel = exp.sim.cm.open_channel(
-            daemon_a, daemon_b, latency=link.delay,
-            label=f"ospf {node_a.name}-{node_b.name}",
-        )
-        exp.register_link_channel(node_a.name, node_b.name, channel)
-        daemon_a.add_neighbor(
-            OSPFPeerConfig(
-                peer_name=node_b.name,
-                peer_router_id=daemon_b.config.router_id,
-                local_port=link.port_a.number,
-                peer_address=addr_b,
-                cost=cost_for(node_a.name, node_b.name),
-            ),
-            channel,
-        )
-        daemon_b.add_neighbor(
-            OSPFPeerConfig(
-                peer_name=node_a.name,
-                peer_router_id=daemon_a.config.router_id,
-                local_port=link.port_b.number,
-                peer_address=addr_a,
-                cost=cost_for(node_a.name, node_b.name),
-            ),
-            channel,
-        )
+    for channel, end_a, end_b in _wire_router_links(exp, daemons, "ospf"):
+        cost = cost_for(end_a[0].name, end_b[0].name)
+        for (local, port, __), (remote, __, peer_address) in (
+                (end_a, end_b), (end_b, end_a)):
+            daemons[local.name].add_neighbor(
+                OSPFPeerConfig(
+                    peer_name=remote.name,
+                    peer_router_id=daemons[remote.name].config.router_id,
+                    local_port=port,
+                    peer_address=peer_address,
+                    cost=cost,
+                ),
+                channel,
+            )
 
     for daemon in daemons.values():
         exp.sim.add_process(daemon)

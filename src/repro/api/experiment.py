@@ -123,6 +123,13 @@ class Experiment:
                 f"no link between {node_a!r} and {node_b!r}")
         return link
 
+    def _when(self, at: "float | None", action, label: str) -> None:
+        """Run ``action`` now, or schedule it for simulated time ``at``."""
+        if at is None:
+            action()
+        else:
+            self.sim.scheduler.at(at, action, label=label)
+
     def fail_link(self, node_a: str, node_b: str,
                   at: "float | None" = None) -> None:
         """Cut the cable between two nodes (now, or at a future time).
@@ -141,10 +148,7 @@ class Experiment:
                 channel.close()
             self.network.invalidate_routing()
 
-        if at is None:
-            cut()
-        else:
-            self.sim.scheduler.at(at, cut, label=f"fail {node_a}-{node_b}")
+        self._when(at, cut, f"fail {node_a}-{node_b}")
 
     def restore_link(self, node_a: str, node_b: str,
                      at: "float | None" = None) -> None:
@@ -159,10 +163,7 @@ class Experiment:
                 channel.reopen()
             self.network.invalidate_routing()
 
-        if at is None:
-            replug()
-        else:
-            self.sim.scheduler.at(at, replug, label=f"restore {node_a}-{node_b}")
+        self._when(at, replug, f"restore {node_a}-{node_b}")
 
     def _node_links(self, name: str):
         """(link, channels) pairs for every cable attached to a node."""
@@ -194,10 +195,7 @@ class Experiment:
                     channel.close()
             self.network.invalidate_routing()
 
-        if at is None:
-            down()
-        else:
-            self.sim.scheduler.at(at, down, label=f"fail node {name}")
+        self._when(at, down, f"fail node {name}")
 
     def restore_node(self, name: str, at: "float | None" = None) -> None:
         """Bring a failed device back, with all its cables.
@@ -218,10 +216,7 @@ class Experiment:
                     channel.reopen()
             self.network.invalidate_routing()
 
-        if at is None:
-            up()
-        else:
-            self.sim.scheduler.at(at, up, label=f"restore node {name}")
+        self._when(at, up, f"restore node {name}")
 
     def degrade_link(self, node_a: str, node_b: str, factor: float,
                      at: "float | None" = None,
@@ -246,11 +241,7 @@ class Experiment:
             link.set_capacity(link.nominal_capacity_bps)
             self.network.invalidate_routing()
 
-        if at is None:
-            degrade()
-        else:
-            self.sim.scheduler.at(at, degrade,
-                                  label=f"degrade {node_a}-{node_b}")
+        self._when(at, degrade, f"degrade {node_a}-{node_b}")
         if until is not None:
             self.sim.scheduler.at(until, repair,
                                   label=f"repair {node_a}-{node_b}")

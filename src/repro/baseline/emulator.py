@@ -14,8 +14,7 @@ same UDP workloads as the Horse side, but the way an emulator must:
 Forwarding state is a per-flow ECMP path (hash over equal-cost
 shortest paths, same hash family as the Horse data plane), installed
 before traffic starts — i.e. the baseline gets its control plane for
-free, a deliberately *generous* simplification documented in
-DESIGN.md §3.
+free, a deliberately *generous* simplification.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.baseline.engine import PacketEngine
 from repro.core.errors import TopologyError
 from repro.netproto.hashing import ecmp_hash, five_tuple_hash
+from repro.topology.paths import hop_distances, shortest_paths
 from repro.topology.topo import Topo
 
 
@@ -108,7 +106,8 @@ class PacketLevelEmulator:
         # Forwarding state: (switch, flow id) -> next node name.
         self._next_hop: Dict[Tuple[str, int], str] = {}
         self._host_edge: Dict[str, str] = {}
-        self._graph = nx.Graph()
+        # The emulated network: node -> {neighbour: link delay}.
+        self._delays: Dict[str, Dict[str, float]] = {}
         self._host_rx_bytes: Dict[str, float] = {}
         self._host_rx_packets: Dict[str, int] = {}
         self._delivered = 0
@@ -123,18 +122,18 @@ class PacketLevelEmulator:
         device_names = list(self.topo.switch_specs)
         self._sleep(self.costs.controller)
         for name in host_names:
-            self._graph.add_node(name, kind="host")
+            self._delays[name] = {}
             self._sleep(self.costs.per_host)
         for name in device_names:
-            self._graph.add_node(name, kind="switch")
+            self._delays[name] = {}
             self._sleep(self.costs.per_switch)
         for link in self.topo.link_specs:
-            self._graph.add_edge(link.node_a, link.node_b, delay=link.delay)
+            self._delays[link.node_a][link.node_b] = link.delay
+            self._delays[link.node_b][link.node_a] = link.delay
             self._sleep(self.costs.per_link)
         for host in host_names:
-            neighbors = list(self._graph.neighbors(host))
-            if neighbors:
-                self._host_edge[host] = neighbors[0]
+            if self._delays[host]:
+                self._host_edge[host] = next(iter(self._delays[host]))
         self.modeled_setup_seconds = self.costs.setup_total(
             len(host_names), len(device_names), len(self.topo.link_specs)
         )
@@ -166,9 +165,10 @@ class PacketLevelEmulator:
         Same hash family as the Horse data plane, so path choices are
         statistically comparable between the two tools.
         """
-        switch_graph = self._graph.subgraph(
-            [n for n, d in self._graph.nodes(data=True) if d["kind"] == "switch"]
-        )
+        devices = self.topo.switch_specs
+        fabric = {name: tuple(peer for peer in around if peer in devices)
+                  for name, around in self._delays.items() if name in devices}
+        dist_cache: Dict[str, Dict[str, int]] = {}
         path_cache: Dict[Tuple[str, str], List[List[str]]] = {}
         for flow_id, (src, dst) in enumerate(pairs):
             src_edge = self._host_edge.get(src)
@@ -178,13 +178,14 @@ class PacketLevelEmulator:
             key = (src_edge, dst_edge)
             paths = path_cache.get(key)
             if paths is None:
-                if src_edge == dst_edge:
-                    paths = [[src_edge]]
-                else:
-                    paths = sorted(
-                        nx.all_shortest_paths(switch_graph, src_edge, dst_edge)
-                    )
-                path_cache[key] = paths
+                if src_edge not in dist_cache:
+                    dist_cache[src_edge] = hop_distances(fabric, src_edge)
+                paths = path_cache[key] = shortest_paths(
+                    fabric, dist_cache[src_edge], src_edge, dst_edge)
+                if not paths:
+                    raise TopologyError(
+                        f"no path from {src!r} to {dst!r} through the "
+                        f"switches")
             index = ecmp_hash(
                 five_tuple_hash_from_id(flow_id, hash_seed), len(paths)
             )
@@ -272,7 +273,7 @@ class PacketLevelEmulator:
         next_node = self._next_hop.get((node, flow_id))
         if next_node is None:
             return  # no route: the packet dies here
-        delay = self._graph.edges[node, next_node].get("delay", 0.000_05)
+        delay = self._delays[node][next_node]
         self.engine.schedule_after(
             delay, lambda: self._forward(flow_id, next_node, dst)
         )
@@ -282,11 +283,6 @@ class PacketLevelEmulator:
     def host_rx_rate_bps(self, host: str, duration: float) -> float:
         """Average receive rate of one host over the run."""
         return self._host_rx_bytes.get(host, 0.0) * 8.0 / max(duration, 1e-9)
-
-    def aggregate_rx_rate_bps(self, duration: float) -> float:
-        """Average aggregate receive rate over the run."""
-        total = sum(self._host_rx_bytes.values())
-        return total * 8.0 / max(duration, 1e-9)
 
 
 def five_tuple_hash_from_id(flow_id: int, seed: int) -> int:

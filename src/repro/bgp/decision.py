@@ -35,10 +35,6 @@ class RouteComparison:
     best: Optional[RIBRoute]
     multipath: Tuple[RIBRoute, ...]
 
-    @property
-    def has_route(self) -> bool:
-        return self.best is not None
-
 
 def preference_key(route: RIBRoute) -> tuple:
     """Sort key: smaller is better (steps 1-5 of the ladder).

@@ -44,10 +44,6 @@ class RIBRoute:
         """Whether this route was originated by the local daemon."""
         return self.peer_name == ""
 
-    def as_path_length(self) -> int:
-        """AS-path length, the main tie-breaker in a fat-tree."""
-        return len(self.attributes.as_path)
-
     def __str__(self) -> str:
         src = self.peer_name or "local"
         return f"{self.prefix} from {src} {self.attributes}"

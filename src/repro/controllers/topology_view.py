@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.netproto.addr import IPv4Address, MACAddress
+from repro.topology.paths import hop_distances, shortest_paths
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.network import Network
@@ -38,33 +37,32 @@ class TopologyView:
     """Immutable topology knowledge shared by controller apps."""
 
     def __init__(self, network: "Network"):
-        self._switch_graph = nx.Graph()
         self._ports: Dict[Tuple[str, str], int] = {}
         self._hosts_by_ip: Dict[int, HostLocation] = {}
         self._hosts_by_mac: Dict[int, HostLocation] = {}
         self._path_cache: Dict[Tuple[str, str], List[List[str]]] = {}
         self._links_cache: Dict[Tuple[str, str], List[tuple]] = {}
         self._hops: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        # Per source switch, hop distances from one BFS (see _distances),
-        # over a plain-dict copy of the fabric made at the first BFS.
+        # Per source switch, hop distances from one BFS (see _distances).
         self._dist_cache: Dict[str, Dict[str, int]] = {}
-        self._neighbors: Dict[str, Tuple[str, ...]] = {}
         self.path_dag_builds = 0
 
-        switch_names = {s.name for s in network.switches()}
+        # The fabric: every switch, and each adjacent switch once
+        # however many parallel links join them.
+        around: Dict[str, Dict[str, None]] = {
+            switch.name: {} for switch in network.switches()}
         for link in network.links:
             a, b = link.endpoints()
-            if a.name in switch_names and b.name in switch_names:
-                self._switch_graph.add_edge(a.name, b.name,
-                                            capacity=link.capacity_bps)
+            if a.name in around and b.name in around:
+                around[a.name][b.name] = around[b.name][a.name] = None
                 self._ports[(a.name, b.name)] = link.port_a.number
                 self._ports[(b.name, a.name)] = link.port_b.number
-        for name in switch_names:
-            self._switch_graph.add_node(name)
+        self._neighbors: Dict[str, Tuple[str, ...]] = {
+            name: tuple(peers) for name, peers in around.items()}
 
         for host in network.hosts():
             peer = host.uplink_port.peer()
-            if peer is None or peer.node.name not in switch_names:
+            if peer is None or peer.node.name not in around:
                 continue
             location = HostLocation(
                 host_name=host.name,
@@ -94,7 +92,7 @@ class TopologyView:
 
     def switches(self) -> List[str]:
         """All switch names, sorted."""
-        return sorted(self._switch_graph.nodes)
+        return sorted(self._neighbors)
 
     def port_toward(self, from_switch: str, to_switch: str) -> Optional[int]:
         """The port on ``from_switch`` that faces ``to_switch``."""
@@ -112,19 +110,9 @@ class TopologyView:
         key = (src_switch, dst_switch)
         paths = self._path_cache.get(key)
         if paths is None:
-            dist = self._distances(src_switch)
-            adjacency = self._neighbors  # filled by the first _distances
-
-            def unwind(node: str) -> List[List[str]]:
-                if node == src_switch:
-                    return [[node]]
-                before = dist[node] - 1
-                return [path + [node]
-                        for pred in adjacency[node] if dist[pred] == before
-                        for path in unwind(pred)]
-
-            paths = sorted(unwind(dst_switch)) if dst_switch in dist else []
-            self._path_cache[key] = paths
+            paths = self._path_cache[key] = shortest_paths(
+                self._neighbors, self._distances(src_switch),
+                src_switch, dst_switch)
         return paths
 
     def equal_cost_links(self, src_switch: str, dst_switch: str) -> List[tuple]:
@@ -144,37 +132,25 @@ class TopologyView:
 
     def _distances(self, src: str) -> Dict[str, int]:
         """Hop distance from ``src`` to every switch it reaches (empty
-        for an unknown switch).  The labels *are* the predecessor DAG of
-        the shortest paths from ``src``: u precedes v when they are
-        adjacent and ``dist[u] == dist[v] - 1``.  Built on the first
-        question about a source, never in set-up."""
+        for an unknown switch) — the predecessor DAG of its shortest
+        paths.  Built on the first question about a source, never in
+        set-up."""
         dist = self._dist_cache.get(src)
         if dist is None:
             self.path_dag_builds += 1
-            if not self._neighbors:
-                self._neighbors = {node: tuple(around) for node, around
-                                   in self._switch_graph.adjacency()}
-            adjacency = self._neighbors
-            dist = self._dist_cache[src] = {src: 0} if src in adjacency else {}
-            level = list(dist)
-            depth = 0
-            while level:
-                depth += 1
-                reached = []
-                for node in level:
-                    for neighbor in adjacency[node]:
-                        if neighbor not in dist:
-                            dist[neighbor] = depth
-                            reached.append(neighbor)
-                level = reached
+            dist = self._dist_cache[src] = hop_distances(self._neighbors, src)
         return dist
 
-    def graph(self) -> "nx.Graph":
-        """The raw switch-level graph (read-only by convention)."""
-        return self._switch_graph
+    def graph(self) -> "networkx.Graph":
+        """The switch-level fabric as a networkx graph, built on demand
+        — an export for tests and notebooks; nothing on the run path
+        reads it."""
+        import networkx as nx
+
+        return nx.Graph(self._neighbors)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<TopologyView switches={self._switch_graph.number_of_nodes()} "
+            f"<TopologyView switches={len(self._neighbors)} "
             f"hosts={len(self._hosts_by_ip)}>"
         )

@@ -12,7 +12,7 @@ from repro.core.errors import ConfigurationError
 class SimulationConfig:
     """All tunables of a Horse experiment in one place.
 
-    The constructor is keyword-only: nine-plus positional floats and
+    The constructor is keyword-only: eight positional floats and
     bools invite silent transposition, and every in-repo call site
     already passes keywords (spec ``sim_params`` round-trip through
     ``**kwargs``).
@@ -49,13 +49,6 @@ class SimulationConfig:
         symmetry-breaking falls back to concrete simulation of the
         divergent region; scenario results are bit-for-bit identical
         either way (pinned by the quotient==concrete property test).
-    kernel:
-        Max-min solver kernel (see :mod:`repro.dataplane.solver`):
-        ``"auto"`` (default — the vectorized struct-of-arrays kernel
-        whenever numpy imports, with or without ``symmetry``, else the
-        scalar one) or ``"heap"`` (force the event-ordered scalar
-        kernel).  Both produce bit-for-bit identical scenario results
-        (pinned by the kernel-parity property tests).
     """
 
     fti_increment: float = 0.001
@@ -66,12 +59,9 @@ class SimulationConfig:
     seed: int = 42
     max_events: int = 0
     symmetry: bool = False
-    kernel: str = "auto"
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsense values."""
-        from repro.dataplane.solver import check_kernel
-
         if self.fti_increment <= 0:
             raise ConfigurationError("fti_increment must be > 0")
         if self.des_fallback_timeout < 0:
@@ -82,4 +72,3 @@ class SimulationConfig:
             raise ConfigurationError("stats_interval must be > 0")
         if self.max_events < 0:
             raise ConfigurationError("max_events must be >= 0")
-        check_kernel(self.kernel)

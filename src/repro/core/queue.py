@@ -78,13 +78,6 @@ class EventQueue:
             return event
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Firing time of the earliest live event, or None when empty."""
-        event = self.peek()
-        if event is None:
-            return None
-        return event.time
-
     def __len__(self) -> int:
         """Exact number of live events (a heap scan: debugging and
         tests, not the run loop)."""

@@ -139,14 +139,6 @@ class FluidFlow:
             size=size,
         )
 
-    def is_running(self, now: float) -> bool:
-        """Whether the flow should be active at ``now``."""
-        if now < self.start_time:
-            return False
-        if self.end_time is not None and now >= self.end_time:
-            return False
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self.active else "idle"
         return (

@@ -28,8 +28,6 @@ from __future__ import annotations
 import copy
 from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.core.errors import DataPlaneError, TopologyError
 from repro.dataplane.flow import FluidFlow, PathResult, PathStatus
 from repro.dataplane.host import Host
@@ -212,8 +210,11 @@ class Network:
                 by_ip.setdefault(int(host.ip), host)
         return by_ip.get(key)
 
-    def graph(self) -> "nx.Graph":
-        """A networkx view of the topology (for controllers and tests)."""
+    def graph(self) -> "networkx.Graph":
+        """A networkx export of the topology (for tests and notebooks;
+        nothing on the run path reads it)."""
+        import networkx as nx
+
         graph = nx.Graph()
         for name in self.nodes:
             graph.add_node(name, kind=self.nodes[name].kind)
@@ -236,7 +237,6 @@ class Network:
         """Attach this network to a simulation (called by the sim)."""
         self.sim = sim
         self._last_accrual = sim.clock.now
-        self.realloc.kernel = getattr(sim.config, "kernel", "auto")
 
     def _require_sim(self) -> "Simulation":
         if self.sim is None:

@@ -1,4 +1,4 @@
-"""The scalar max-min kernel, and the ``kernel`` values a config may carry.
+"""The scalar max-min kernel, and the names the two kernels go by.
 
 The fluid engine has two kernels and one rule between them:
 
@@ -14,10 +14,11 @@ The fluid engine has two kernels and one rule between them:
   replays the same float arithmetic in saturation-level batches).
 
 The rule (:meth:`repro.dataplane.realloc.ReallocEngine.effective_kernel`):
-``arrays`` whenever numpy imports, ``heap`` otherwise or when forced.
-The ``kernel`` knob on :class:`repro.core.config.SimulationConfig` (and
-thus ``sim_params`` in scenario specs) therefore has two values:
-``"auto"`` (the rule) and ``"heap"`` (force the scalar path).
+``arrays`` whenever numpy imports, ``heap`` otherwise.  It is not a user
+option — results are bit-for-bit equal either way.  What remains is the
+reference-path switch on an engine, ``ReallocEngine.kernel``: ``"auto"``
+(the rule) or ``"heap"`` (force the scalar path), which the parity tests
+and ``bench_reallocation`` set on engines they build.
 
 The round-based progressive filling the tests use as their oracle is
 not an engine kernel; it lives beside its only caller,
@@ -33,7 +34,7 @@ from repro.core.errors import ConfigurationError
 
 EPSILON = 1e-9
 
-#: The ``kernel`` values a SimulationConfig / spec may carry.
+#: The values ``ReallocEngine.kernel`` takes.
 KERNEL_CHOICES = ("auto", "heap")
 
 

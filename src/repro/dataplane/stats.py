@@ -92,10 +92,6 @@ class StatsCollector:
         """Aggregate host receive rate over time (bps)."""
         return [s.aggregate_rx_bps for s in self.samples]
 
-    def host_series(self, host_name: str) -> List[float]:
-        """One host's receive rate over time (bps)."""
-        return [s.host_rx_bps.get(host_name, 0.0) for s in self.samples]
-
     def mean_aggregate_bps(self, after: float = 0.0,
                            before: "float | None" = None) -> float:
         """Average aggregate receive rate over samples in [after, before].

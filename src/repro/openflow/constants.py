@@ -91,21 +91,6 @@ class GroupType(enum.IntEnum):
     SELECT = 1   # hash-select one bucket — switch-side ECMP
 
 
-class PacketInReason(enum.IntEnum):
-    """ofp_packet_in_reason."""
-
-    NO_MATCH = 0
-    ACTION = 1
-
-
-class FlowRemovedReason(enum.IntEnum):
-    """ofp_flow_removed_reason."""
-
-    IDLE_TIMEOUT = 0
-    HARD_TIMEOUT = 1
-    DELETE = 2
-
-
 class ErrorType(enum.IntEnum):
     """ofp_error_type (subset)."""
 

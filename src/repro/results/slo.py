@@ -244,70 +244,13 @@ _FUNCS: Dict[str, Callable[..., Any]] = {
 }
 
 
-def _eval_node(node: ast.AST, names: Dict[str, Any]) -> Any:
-    """Recursive evaluator over the tiny allowed AST subset:
-    arithmetic, comparisons, and/or/not, numeric literals, metric
-    names, and abs/min/max/round calls.  Anything else raises."""
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, names)
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float, bool)) or node.value is None:
-            return node.value
-        raise ConfigurationError(
-            f"literal {node.value!r} not allowed in SLO expression")
-    if isinstance(node, ast.Name):
-        if node.id not in names:
-            raise ConfigurationError(
-                f"unknown metric {node.id!r} in SLO expression")
-        return names[node.id]
-    if isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
-        return _BIN_OPS[type(node.op)](_eval_node(node.left, names),
-                                       _eval_node(node.right, names))
-    if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.USub):
-            return -_eval_node(node.operand, names)
-        if isinstance(node.op, ast.Not):
-            return not _eval_node(node.operand, names)
-    if isinstance(node, ast.BoolOp):
-        # Short-circuit like Python: "not converged or convergence_time
-        # < 30" must be writable when convergence_time is None.
-        if isinstance(node.op, ast.And):
-            for value in node.values:
-                if not _eval_node(value, names):
-                    return False
-            return True
-        for value in node.values:
-            if _eval_node(value, names):
-                return True
-        return False
-    if isinstance(node, ast.Compare):
-        left = _eval_node(node.left, names)
-        for op, comparator in zip(node.ops, node.comparators):
-            if type(op) not in _CMP_OPS:
-                raise ConfigurationError(
-                    f"operator {type(op).__name__} not allowed "
-                    f"in SLO expression")
-            right = _eval_node(comparator, names)
-            if not _CMP_OPS[type(op)](left, right):
-                return False
-            left = right
-        return True
-    if isinstance(node, ast.Call):
-        if (isinstance(node.func, ast.Name) and node.func.id in _FUNCS
-                and not node.keywords):
-            return _FUNCS[node.func.id](
-                *(_eval_node(arg, names) for arg in node.args))
-        raise ConfigurationError("only abs/min/max/round calls are allowed "
-                                 "in SLO expressions")
-    raise ConfigurationError(
-        f"syntax {type(node).__name__} not allowed in SLO expression")
-
-
 def _validate_node(node: ast.AST) -> None:
-    """Static mirror of :func:`_eval_node`'s whitelist: rejects every
-    construct evaluation would reject, *except* unknown metric names
-    (only resolvable at run time).  Lets a bad spec fail at validate
-    time instead of burning a sweep on guaranteed error verdicts."""
+    """The grammar, and the only place a construct is accepted or
+    rejected: arithmetic, comparisons, and/or/not, numeric literals,
+    metric names, and abs/min/max/round calls.  Every branch is checked,
+    short-circuited or not, so a bad spec fails at validate time instead
+    of burning a sweep on error verdicts; only unknown metric names
+    wait for :func:`_eval_node` (they are resolvable only at run time)."""
     if isinstance(node, ast.Expression):
         _validate_node(node.body)
         return
@@ -352,6 +295,59 @@ def _validate_node(node: ast.AST) -> None:
         f"syntax {type(node).__name__} not allowed in SLO expression")
 
 
+def _parse(expression: str) -> ast.Expression:
+    """Parse ``expression`` and check it against the grammar."""
+    try:
+        tree = ast.parse(expression, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigurationError(
+            f"bad SLO expression {expression!r}: {exc.msg}") from None
+    _validate_node(tree)
+    return tree
+
+
+def _eval_node(node: ast.AST, names: Dict[str, Any]) -> Any:
+    """Evaluate a tree :func:`_validate_node` accepted."""
+    if isinstance(node, ast.Expression):
+        return _eval_node(node.body, names)
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        if node.id not in names:
+            raise ConfigurationError(
+                f"unknown metric {node.id!r} in SLO expression")
+        return names[node.id]
+    if isinstance(node, ast.BinOp):
+        return _BIN_OPS[type(node.op)](_eval_node(node.left, names),
+                                       _eval_node(node.right, names))
+    if isinstance(node, ast.UnaryOp):
+        operand = _eval_node(node.operand, names)
+        return -operand if isinstance(node.op, ast.USub) else not operand
+    if isinstance(node, ast.BoolOp):
+        # Short-circuit like Python: "not converged or convergence_time
+        # < 30" must be writable when convergence_time is None.
+        if isinstance(node.op, ast.And):
+            for value in node.values:
+                if not _eval_node(value, names):
+                    return False
+            return True
+        for value in node.values:
+            if _eval_node(value, names):
+                return True
+        return False
+    if isinstance(node, ast.Compare):
+        left = _eval_node(node.left, names)
+        for op, comparator in zip(node.ops, node.comparators):
+            right = _eval_node(comparator, names)
+            if not _CMP_OPS[type(op)](left, right):
+                return False
+            left = right
+        return True
+    # What the grammar leaves: a call of one of _FUNCS.
+    return _FUNCS[node.func.id](*(_eval_node(arg, names)
+                                  for arg in node.args))
+
+
 def evaluate_expression(expression: str, metrics: Dict[str, Any]) -> Any:
     """Evaluate a metric expression against a flat metrics dict.
 
@@ -360,12 +356,7 @@ def evaluate_expression(expression: str, metrics: Dict[str, Any]) -> Any:
     round — parsed through :mod:`ast`, never ``eval``, so a spec file
     from anywhere cannot execute anything.
     """
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigurationError(
-            f"bad SLO expression {expression!r}: {exc.msg}") from None
-    return _eval_node(tree, metrics)
+    return _eval_node(_parse(expression), metrics)
 
 
 @dataclass
@@ -382,16 +373,7 @@ class MetricExpression(SLO):
     def validate(self) -> None:
         if not self.expression.strip():
             raise ConfigurationError("SLO expression must be non-empty")
-        # Parse AND whitelist-check now so a bad spec fails at
-        # validate time, not mid-sweep (only unknown metric names
-        # defer to evaluation).
-        try:
-            tree = ast.parse(self.expression, mode="eval")
-        except SyntaxError as exc:
-            raise ConfigurationError(
-                f"bad SLO expression {self.expression!r}: {exc.msg}"
-            ) from None
-        _validate_node(tree)
+        _parse(self.expression)
 
     def check(self, metrics: Dict[str, Any]) -> SLOVerdict:
         value = evaluate_expression(self.expression, metrics)

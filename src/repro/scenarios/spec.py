@@ -60,35 +60,46 @@ SPEC_SCHEMA_VERSION = max(SPEC_SCHEMA_VERSIONS)
 
 
 @functools.lru_cache(maxsize=None)
-def _keyword_names(target: Callable[..., Any]) -> Tuple[str, ...]:
-    """The names ``target`` takes by keyword, sorted.  Cached because
-    ``inspect.signature`` costs tens of microseconds and the check
-    below runs several times per generated scenario; the targets are
-    the registries' module-level callables, so the cache stays small."""
-    return tuple(sorted(
-        name for name, parameter
+def _keyword_names(target: Callable[..., Any]
+                   ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The names ``target`` takes by keyword, and those of them it
+    gives no default, each sorted.  Cached because ``inspect.signature``
+    costs tens of microseconds and the check below runs several times
+    per generated scenario; the targets are the registries' module-level
+    callables, so the cache stays small."""
+    parameters = sorted(
+        (name, parameter.default is parameter.empty) for name, parameter
         in inspect.signature(target).parameters.items()
         if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
-                              parameter.KEYWORD_ONLY)))
+                              parameter.KEYWORD_ONLY))
+    return (tuple(name for name, __ in parameters),
+            tuple(name for name, required in parameters if required))
 
 
 def check_params(what: str, target: Callable[..., Any],
                  params: Dict[str, Any],
                  supplied: Sequence[str] = ()) -> None:
     """Reject keys of ``params`` that ``target`` does not take by
-    keyword, naming the ones it does.  ``supplied`` lists the
-    parameters the caller passes itself.  Run before every
-    ``target(**params)`` on user-given parameters, so a typo is a
+    keyword, and parameters it requires that nobody gives, naming the
+    ones it does take.  ``supplied`` lists the parameters the caller
+    passes itself.  Run before every ``target(**params)`` on user-given
+    parameters, so a typo or an omission is a
     :class:`ConfigurationError` and a ``TypeError`` stays a defect."""
-    names = _keyword_names(target)
+    names, required = _keyword_names(target)
     unknown = sorted(key for key in params
                      if key not in names or key in supplied)
+    missing = [name for name in required
+               if name not in params and name not in supplied]
     if unknown:
-        accepted = [name for name in names if name not in supplied]
-        raise ConfigurationError(
-            f"unknown {what} parameter{'s' if len(unknown) > 1 else ''} "
-            f"{', '.join(repr(name) for name in unknown)}; accepted: "
-            f"{', '.join(accepted) or 'none'}")
+        problem = (f"unknown {what} parameter{'s' if len(unknown) > 1 else ''} "
+                   f"{', '.join(repr(name) for name in unknown)}")
+    elif missing:
+        problem = f"{what} needs {', '.join(missing)}"
+    else:
+        return
+    accepted = [name for name in names if name not in supplied]
+    raise ConfigurationError(
+        f"{problem}; accepted: {', '.join(accepted) or 'none'}")
 
 
 # Registry: recipe kind -> builder callable returning a Topo.
@@ -293,10 +304,6 @@ class ScenarioSpec:
         for slo in self.slos:
             slo.validate()
         check_params("sim_params", SimulationConfig, self.sim_params)
-        if "kernel" in self.sim_params:
-            from repro.dataplane.solver import check_kernel
-
-            check_kernel(self.sim_params["kernel"])
 
     # -- serialization -----------------------------------------------------
 

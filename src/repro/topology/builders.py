@@ -204,12 +204,3 @@ def jellyfish_topo(
     for a, b in sorted(graph.edges()):
         topo.add_link(f"s{a}", f"s{b}", capacity_bps=capacity_bps, delay=delay)
     return topo
-
-
-def wan_city_index(topo: Topo, city: str) -> int:
-    """The index a city was assigned (its 10.<index>.0.0/24 subnet)."""
-    cities = sorted(topo.routers())
-    try:
-        return cities.index(city)
-    except ValueError:
-        raise TopologyError(f"unknown city {city!r}") from None

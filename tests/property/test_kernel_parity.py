@@ -1,7 +1,8 @@
 """Property tests: the two max-min kernels are interchangeable.
 
-The contract is that ``kernel`` is a pure speed knob.  Three layers of
-parity are pinned here:
+The contract is that which kernel runs is a pure speed matter — the
+engine picks from whether numpy imports, nobody configures it.  Three
+layers of parity are pinned here:
 
 * **Kernel level** — ``bottleneck_filling_arrays`` replays the heap
   kernel's float arithmetic in saturation-level batches, so on any
@@ -22,11 +23,12 @@ parity are pinned here:
   exactly.
 * **Scenario level** — full scenario fingerprints (delivered bytes,
   events, recomputations, injection outcomes) are equal across
-  {``auto``, ``heap``} × {symmetry on, off}.
+  {numpy, no numpy} × {symmetry on, off}.
 
-Plus the config/spec surface: ``SimulationConfig`` is keyword-only and
-accepts exactly ``auto`` and ``heap`` at validation time, both directly
-and through scenario ``sim_params``.
+Plus the surface: ``SimulationConfig`` is keyword-only, ``kernel`` is
+neither one of its fields nor a ``sim_params`` key, and the engine's
+reference-path switch (``ReallocEngine.kernel``) takes exactly ``auto``
+and ``heap``.
 """
 
 import math
@@ -37,7 +39,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.config import SimulationConfig
 from repro.core.errors import ConfigurationError
 from repro.core.simulation import Simulation
-from repro.dataplane import solver
+from repro.dataplane import arrays as arrays_module, solver
 from repro.dataplane.arrays import HAVE_NUMPY, SEGMENT_BOUND
 from repro.dataplane.flow import FluidFlow
 from repro.dataplane.flowtable import FlowEntry
@@ -190,9 +192,10 @@ def build_leaf_spine(kernel):
     accrual takes the scalar per-entry path, and the sealed timeline
     must be replayed ahead of it.
     """
-    sim = Simulation(SimulationConfig(kernel=kernel))
+    sim = Simulation(SimulationConfig())
     net = Network(f"parity-{kernel}")
     sim.attach_network(net)
+    net.realloc.kernel = kernel
     spines = [net.add_router(f"s{i}") for i in range(2)]
     edges = [net.add_router(f"e{i}") for i in range(3)]
     hosts = []
@@ -458,26 +461,28 @@ def _scenario_base(injections=()):
     pytest.param((LinkFail(at=3.0, node_a="c0_0", node_b="a0_0"),),
                  id="linkfail"),
 ])
-def test_scenario_fingerprint_equal_across_kernels(injections):
-    """One spec, {auto, heap} × {symmetry on, off}: identical results
-    on a symmetry-preserving and a symmetry-breaking injection set."""
+def test_scenario_fingerprint_equal_across_kernels(injections, monkeypatch):
+    """One spec, {numpy, no numpy} × {symmetry on, off}: identical
+    results on a symmetry-preserving and a symmetry-breaking injection
+    set.  The scalar path is reached the way a numpy-less install
+    reaches it — the one rule the engine has."""
     base = _scenario_base(injections)
     prints = {}
-    for kernel in ("auto", "heap"):
+    for have_numpy in dict.fromkeys((HAVE_NUMPY, False)):
+        monkeypatch.setattr(arrays_module, "HAVE_NUMPY", have_numpy)
         for symmetry in (False, True):
             result = run_scenario(ScenarioSpec(
-                **base,
-                sim_params={"kernel": kernel, "symmetry": symmetry}))
+                **base, sim_params={"symmetry": symmetry}))
             assert result.delivered_bytes > 0
-            prints[kernel, symmetry] = result.fingerprint()
+            prints[have_numpy, symmetry] = result.fingerprint()
+            assert result.diagnostics["realloc"]["kernel"] == (
+                "arrays" if have_numpy else "heap")
             if symmetry:
                 # A quotient does not pick the kernel: the concrete
                 # recomputes between its class-level stretches (at
                 # least the one the end-of-run materialize follows)
                 # ran on whatever the one rule picks.
                 assert result.diagnostics["symmetry"]["materializations"]
-                assert result.diagnostics["realloc"]["kernel"] == (
-                    "arrays" if kernel == "auto" and HAVE_NUMPY else "heap")
     assert len(set(prints.values())) == 1, prints
 
 
@@ -491,27 +496,27 @@ class TestKernelConfigSurface:
         with pytest.raises(TypeError):
             SimulationConfig(0.001)
 
-    def test_unknown_kernel_rejected_naming_valid_set(self):
-        cfg = SimulationConfig(kernel="simd")
-        with pytest.raises(ConfigurationError, match="valid kernels"):
-            cfg.validate()
+    def test_kernel_is_not_a_config_or_spec_key(self):
+        """The engine selects from what it can observe (numpy or not);
+        a spec that still carries the old knob is told what is
+        accepted, like any unknown key."""
+        with pytest.raises(TypeError):
+            SimulationConfig(kernel="heap")
+        spec = ScenarioSpec(**_scenario_base(),
+                            sim_params={"kernel": "heap"})
+        with pytest.raises(ConfigurationError,
+                           match="unknown sim_params parameter 'kernel'; "
+                                 "accepted: .*symmetry"):
+            spec.validate()
 
     def test_old_kernel_spellings_rejected(self):
-        for old in ("arrays", "reference", "legacy", "bottleneck"):
+        """The reference-path switch names its valid set."""
+        engine = Network("setter").realloc
+        for bad in ("simd", "arrays", "reference", "legacy", "bottleneck"):
             with pytest.raises(ConfigurationError,
                                match="valid kernels: auto, heap$"):
-                SimulationConfig(kernel=old).validate()
-            spec = ScenarioSpec(**_scenario_base(),
-                                sim_params={"kernel": old})
-            with pytest.raises(ConfigurationError,
-                               match="valid kernels: auto, heap$"):
-                spec.validate()
-
-    def test_spec_sim_params_kernel_validated(self):
-        spec = ScenarioSpec(**_scenario_base(),
-                            sim_params={"kernel": "simd"})
-        with pytest.raises(ConfigurationError, match="valid kernels"):
-            spec.validate()
+                engine.kernel = bad
+        assert engine.kernel == "auto"
 
     def test_auto_ignores_the_quotient(self):
         # One rule, no fork on the quotient: arrays whenever numpy
@@ -524,5 +529,3 @@ class TestKernelConfigSurface:
         assert engine.effective_kernel() == expected
         engine.kernel = "heap"
         assert engine.effective_kernel() == "heap"
-        with pytest.raises(ConfigurationError, match="auto, heap"):
-            engine.kernel = "arrays"

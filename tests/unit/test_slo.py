@@ -1,6 +1,8 @@
 """Unit tests: the SLO assertion engine — predicates, the safe
 expression evaluator, verdict statuses and serialization."""
 
+import random
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -167,10 +169,78 @@ class TestExpressionEvaluator:
         "converged if converged else 0",
         "lambda: 1",
         "9**9**9**9 < 1",  # unbounded ** could freeze a worker
+        # Forbidden on a branch evaluation never reaches: validate()
+        # always refused it, the evaluator used to let it through.
+        "True or 'x'",
+        "converged or open('x')",
+        "not converged and [1][0]",
     ])
     def test_dangerous_syntax_rejected(self, expression):
         with pytest.raises(ConfigurationError):
             evaluate_expression(expression, HEALTHY)
+        with pytest.raises(ConfigurationError):
+            MetricExpression(expression=expression).validate()
+
+    def test_validate_and_evaluate_accept_the_same_grammar(self):
+        """One whitelist: over a seeded corpus of expressions grown
+        from allowed and forbidden nodes, ``validate()`` accepts exactly
+        those ``evaluate_expression`` does not reject.  (Only a
+        :class:`ConfigurationError` is a rejection — dividing by zero
+        or comparing ``None`` is the metrics' doing, not the
+        grammar's — and every name is a known metric, since unknown
+        names are the one thing only evaluation can see.)"""
+        rng = random.Random(20)
+        names = sorted(HEALTHY)
+        allowed_leaves = names + ["0", "1", "2.5", "True", "None"]
+        forbidden_leaves = ["'text'", "b'x'", "1j", "...", "[1, 2]", "(1, 2)",
+                            "{1: 2}", "lambda: 1", "converged.real",
+                            "open('x')", "max(1, key=abs)"]
+        allowed_shapes = [
+            "({} + {})", "({} - {})", "({} * {})", "({} / {})", "({} % {})",
+            "(-{})", "(not {})", "({} and {})", "({} or {})",
+            "({} < {})", "({} <= {} < {})", "({} == {})", "({} != {})",
+            "({} > {})", "({} >= {})",
+            "abs({})", "min({}, {})", "max({}, {}, {})", "round({})"]
+        forbidden_shapes = [
+            "({} ** {})", "({} // {})", "({} & {})", "({} << {})", "(+{})",
+            "(~{})", "({} is {})", "({} in {})", "({} if {} else {})",
+            "{}[{}]", "len({})", "[{}]", "max({}, default={})"]
+
+        def grow(depth, taint):
+            """An expression; ``taint`` says whether one forbidden
+            node must appear somewhere in it."""
+            if depth == 0:
+                return rng.choice(forbidden_leaves if taint
+                                  else allowed_leaves)
+            bad_here = taint and rng.random() < 0.4
+            shape = rng.choice(forbidden_shapes if bad_here
+                               else allowed_shapes)
+            holes = shape.count("{}")
+            carrier = rng.randrange(holes) if taint and not bad_here else -1
+            return shape.format(*(grow(depth - 1, hole == carrier)
+                                  for hole in range(holes)))
+
+        accepted = rejected = 0
+        for case in range(600):
+            taint = case % 2 == 1
+            expression = grow(rng.randint(0, 3), taint)
+            try:
+                MetricExpression(expression=expression).validate()
+                valid = True
+            except ConfigurationError:
+                valid = False
+            try:
+                evaluate_expression(expression, HEALTHY)
+                evaluated = True
+            except ConfigurationError:
+                evaluated = False
+            except (ArithmeticError, TypeError):
+                evaluated = True
+            assert valid == evaluated, expression
+            assert valid != taint, expression
+            accepted += valid
+            rejected += not valid
+        assert accepted == rejected == 300
 
     def test_evaluate_demotes_blowup_to_error_verdict(self):
         verdict = MetricExpression("nonexistent > 1").evaluate(HEALTHY)

@@ -5,13 +5,16 @@ Every registry entry (topology builder, failure pattern, protocol kind,
 traffic family) and ``sim_params`` gets one seeded unknown key; each
 must be a :class:`ConfigurationError` that names the key and lists what
 is accepted — never the bare ``TypeError`` the call itself would raise.
+The same goes for a required parameter nobody gave.
 """
 
+import inspect
 import random
 import string
 
 import pytest
 
+from repro import cli
 from repro.core.errors import ConfigurationError
 from repro.scenarios import (
     TRAFFIC_FAMILIES,
@@ -112,7 +115,7 @@ def test_the_removed_reallocation_knob_is_rejected_like_any_unknown_key():
 
 def test_known_sim_params_still_pass():
     spec = generate_scenario(1)
-    spec.sim_params.update(fti_increment=0.002, seed=9, kernel="heap")
+    spec.sim_params.update(fti_increment=0.002, seed=9, symmetry=True)
     spec.validate()
 
 
@@ -127,3 +130,83 @@ def test_a_real_type_error_is_not_swallowed():
         builder(k=2)
     with pytest.raises(ConfigurationError, match="accepted: k"):
         check_params("toy", builder, {"kk": 2})
+
+
+# -- required parameters nobody gave ---------------------------------------
+
+
+def required_parameters(target):
+    return [name for name, parameter
+            in inspect.signature(target).parameters.items()
+            if parameter.default is parameter.empty]
+
+
+#: (kind, parameter) for every builder parameter without a default.
+REQUIRED_TOPOLOGY_PARAMETERS = [
+    (kind, name) for kind in sorted(TOPOLOGY_BUILDERS)
+    for name in required_parameters(TOPOLOGY_BUILDERS[kind])]
+
+
+def test_the_builders_with_a_required_parameter_are_known():
+    """The cases below must not pass by finding nothing."""
+    assert REQUIRED_TOPOLOGY_PARAMETERS == [
+        ("graphml", "path"), ("linear", "num_switches"),
+        ("star", "num_hosts")]
+
+
+@pytest.mark.parametrize("kind, name", REQUIRED_TOPOLOGY_PARAMETERS)
+def test_topology_builders_name_a_missing_required_parameter(kind, name):
+    """Was ``TypeError: linear_topo() missing 1 required positional
+    argument: 'num_switches'``."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        TopologyRecipe(kind).build()
+    message = str(excinfo.value)
+    assert message.startswith(f"{kind} topology needs {name}; accepted: ")
+    assert name in message.partition("accepted: ")[2].split(", ")
+
+
+@pytest.mark.parametrize("kind, name", REQUIRED_TOPOLOGY_PARAMETERS)
+def test_a_missing_topology_parameter_is_one_line_from_the_cli(kind, name):
+    argv = ["scenario", "run", "--topo", kind, "--duration", "30"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(
+        f"repro scenario run: {kind} topology needs {name}; accepted: ")
+
+
+def test_an_unknown_key_is_reported_before_a_missing_one():
+    """A typo of the required name is the likelier mistake: name it."""
+    with pytest.raises(ConfigurationError, match="unknown linear topology "
+                                                 "parameter 'num_switchs'"):
+        TopologyRecipe("linear", {"num_switchs": 3}).build()
+
+
+def test_parameters_the_caller_supplies_are_never_missing():
+    """Every setup's ``exp``, the ``sdn`` setup's ``hash_seed``, every
+    pattern's ``topo``/``seed``/``rng`` and the traffic matrix's
+    ``topo``/``family``/``rng`` have no default and are the caller's to
+    give: empty user parameters must stay silent everywhere."""
+    assert "hash_seed" in required_parameters(_PROTOCOL_SETUPS["sdn"])
+    for kind in PROTOCOL_KINDS:
+        assert "exp" in required_parameters(_PROTOCOL_SETUPS[kind])
+        ScenarioRunner().materialize(
+            generate_scenario(1, protocol=ProtocolRecipe(kind, {})))
+    for pattern in sorted(PATTERNS):
+        assert "topo" in required_parameters(PATTERNS[pattern])
+        generate_scenario(1, pattern=pattern)
+    for family in TRAFFIC_FAMILIES:
+        generate_scenario(1, traffic_family=family)
+
+
+def test_check_params_names_every_missing_parameter():
+    def builder(exp, width, depth, fanout=2):
+        return exp, width, depth, fanout
+
+    check_params("toy", builder, {"width": 1, "depth": 2},
+                 supplied=("exp",))
+    with pytest.raises(ConfigurationError,
+                       match="^toy needs depth, width; "
+                             "accepted: depth, fanout, width$"):
+        check_params("toy", builder, {}, supplied=("exp",))
