@@ -330,6 +330,18 @@ class LinkArrays:
 #: already under 3 % of the body at 16.
 SEGMENT_BOUND = 16
 
+#: A direction couples the flows crossing it only when the demand they
+#: offer (each flow once, flow-id order) exceeds ``capacity · (1 −
+#: CONTENTION_MARGIN)``; below that its saturation key stays above the
+#: smallest unfrozen demand on it at every step of either kernel, so it
+#: never wins a pop and leaving it out of the instance moves no float
+#: of anybody's rate (docs/dataplane.md, "Which directions couple
+#: flows").  Sized from float error, not a setting: the kernels'
+#: accumulated ``frozen_load`` rounding is ~N·2⁻⁵³ ≈ 1e-13 relative at a
+#: thousand flows per link, seven orders below the margin, and a
+#: direction within 1 ppm of full is simply solved as before.
+CONTENTION_MARGIN = 1e-6
+
 
 class LiveView:
     """The live rows of one mirror generation, flow-id ascending.
@@ -532,82 +544,94 @@ class ArraysState:
         np.add.at(tx, view.src_host, rates)
         return rx, tx
 
-    def components(self, seeds: Sequence["LinkDirection"]):
-        """Partition the live flow/direction graph reachable from
-        *seeds* (scalar-BFS seed order) into connected components.
+    # -- which directions couple flows --------------------------------------
 
-        Returns ``(components, touched)``: per component a boolean
-        membership mask over the view's (fid-ascending) positions —
-        the exact membership the scalar BFS produces (both walk the
-        same delivered-flow incidence) — plus every direction visited,
-        including seed directions no live flow crosses (their stale
-        loads still get zeroed).  The search propagates boolean masks
-        over the view's hop stream until the component stops growing:
-        flows crossing a reached direction, then every direction those
-        flows cross.
+    def contended(self):
+        """Per direction slot, whether the demand offered to it exceeds
+        ``capacity · (1 − CONTENTION_MARGIN)`` — every flag from scratch.
+
+        The offered load counts each live flow crossing the direction
+        once (the deduplicated stream the solver sees) and is summed in
+        flow-id order, the scalar classification's exact adds, so both
+        paths flag the same directions at any boundary.
         """
         np = _np
         view = self.view()
-        hop_dir, hop_flow = view.hop_dir, view.hop_flow
-        num_flows = view.fids.size
         num_dirs = len(self.links.objs)
-        visited = np.zeros(num_dirs, dtype=bool)
+        first = view.hop_first
+        offered = np.zeros(num_dirs)
+        np.add.at(offered, view.hop_dir[first],
+                  self.flows.demand[view.slots][view.hop_flow[first]])
+        return offered > self.links.capacity[:num_dirs] * (
+            1.0 - CONTENTION_MARGIN)
+
+    def components(self, starts, contended):
+        """Partition the flows reachable from *starts* (ids of live
+        flows) through *contended* directions only.
+
+        Returns ``(components, free)``: per component a boolean
+        membership mask over the view's (fid-ascending) positions — the
+        exact membership the scalar search produces (both walk the same
+        delivered-flow incidence, restricted to the same flags) — and
+        the mask of start flows that cross no contended direction at
+        all, which no solve constrains.  The search propagates boolean
+        masks over the contended slice of the view's hop stream until
+        the component stops growing: every direction its flows cross,
+        then the flows crossing a reached direction.
+        """
+        np = _np
+        view = self.view()
+        keep = contended[view.hop_dir]
+        hop_dir, hop_flow = view.hop_dir[keep], view.hop_flow[keep]
+        num_flows = view.fids.size
+        started = np.zeros(num_flows, dtype=bool)
+        started[np.searchsorted(view.fids, np.fromiter(
+            starts, dtype=np.int64, count=len(starts)))] = True
+        coupled = np.zeros(num_flows, dtype=bool)
+        coupled[hop_flow] = True
+        pending = started & coupled
         components = []
-        touched: List["LinkDirection"] = []
-        dir_slot_of = self.links.slot_of
-        for seed in seeds:
-            dslot = dir_slot_of.get(seed)
-            if dslot is None:
-                # Never interned: no delivered flow ever crossed it.
-                touched.append(seed)
-                continue
-            if visited[dslot]:
-                continue
-            reached = np.zeros(num_dirs, dtype=bool)
-            reached[dslot] = True
+        for pos in np.nonzero(pending)[0].tolist():
+            if not pending[pos]:
+                continue                   # joined an earlier component
+            reached = np.zeros(contended.size, dtype=bool)
             comp = np.zeros(num_flows, dtype=bool)
-            size = 0
+            comp[pos] = True
+            size = 1
             while True:
+                reached[hop_dir[comp[hop_flow]]] = True
                 comp[hop_flow[reached[hop_dir]]] = True
                 grown = int(np.count_nonzero(comp))
                 if grown == size:
                     break
                 size = grown
-                reached[hop_dir[comp[hop_flow]]] = True
-            visited |= reached
-            if size:
-                components.append(comp)
-        dir_objs = self.links.objs
-        for dslot in np.nonzero(visited)[0].tolist():
-            touched.append(dir_objs[dslot])
-        return components, touched
+            pending &= ~comp
+            components.append(comp)
+        return components, started & ~coupled
 
     # -- solving ----------------------------------------------------------
 
-    def solve_component(self, comp):
+    def solve_component(self, comp, contended):
         """Solve one component given its membership mask over the view.
 
-        Returns ``(members, rates, dirs, loads)``: the members' view
-        positions (component fid order) and rate vector, plus the
-        component's touched directions and their refreshed loads
-        (``np.add.at`` over the raw hop incidence in flow-major order —
-        the scalar refresh loop's exact visit order).
+        The instance holds the *contended* directions only — an
+        uncontended one never wins a pop, so the rates are those of the
+        instance with every direction, float for float.  Returns
+        ``(flows, rates)``: the members (component fid order) and their
+        rates, which are also written to the mirror.
         """
         np = _np
         view = self.view()
         members = np.nonzero(comp)[0]
         slots = view.slots[members]
         demands = self.flows.demand[slots]
-        # The component's slice of the view's hop stream, renumbered to
-        # component-local flow positions.
-        keep = comp[view.hop_flow]
+        # The component's slice of the view's deduplicated hop stream,
+        # renumbered to component-local flow positions.
+        keep = comp[view.hop_flow] & view.hop_first
+        keep &= contended[view.hop_dir]
         local = np.cumsum(comp) - 1
-        raw_flow = local[view.hop_flow[keep]]
-        raw_global = view.hop_dir[keep]
-        first = view.hop_first[keep]
-        entry_flow = raw_flow[first]
-        entry_global = raw_global[first]
-        num_dirs = len(self.links.objs)
+        entry_flow = local[view.hop_flow[keep]]
+        entry_global = view.hop_dir[keep]
         # Dense-intern directions in first-appearance order along the
         # flow-major entry stream — the scalar instance builder's
         # order, so the heap tie-break (and thus the arithmetic) sees
@@ -624,23 +648,64 @@ class ArraysState:
         uniq = sorted_vals[boundary]
         first_pos = order[boundary]      # stable ⇒ earliest entry index
         appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(num_dirs, dtype=np.int64)
+        rank = np.empty(contended.size, dtype=np.int64)
         rank[uniq[appearance]] = np.arange(uniq.size)
         entry_link = rank[entry_global]
         caps = self.links.capacity[uniq[appearance]]
-        rates = _batch_fill(demands, caps, entry_flow, entry_link)
-        self.flows.rate[slots] = rates
-        # Per-direction load refresh over the *raw* incidence
-        # (duplicated hops count twice, as in the scalar loop; the
-        # dense numbering here is arbitrary — only the per-direction
-        # add order matters, and that is the flow-major stream).
-        uniq_raw = np.nonzero(np.bincount(raw_global,
-                                          minlength=num_dirs))[0]
-        rank[uniq_raw] = np.arange(uniq_raw.size)
-        loads = np.zeros(uniq_raw.size)
-        np.add.at(loads, rank[raw_global], rates[raw_flow])
-        dirs = [self.links.objs[i] for i in uniq_raw.tolist()]
-        return members, rates, dirs, loads
+        return self._set_rates(
+            members, _batch_fill(demands, caps, entry_flow, entry_link))
+
+    def unconstrained(self, free):
+        """Assign the rows of *free* (a membership mask over the view)
+        what either kernel returns for a row crossing no link — its
+        demand above ``EPSILON``, else ``0.0`` — without a call.
+        Returns ``(flows, rates)`` like :meth:`solve_component`."""
+        np = _np
+        members = np.nonzero(free)[0]
+        demands = self.flows.demand[self.view().slots[members]]
+        return self._set_rates(
+            members, np.where(demands > EPSILON, demands, 0.0))
+
+    def _set_rates(self, members, rates):
+        """Write *rates* to the mirror rows at view positions *members*
+        and hand both back as lists, the flows as objects."""
+        view = self.view()
+        self.flows.rate[view.slots[members]] = rates
+        return [view.flows[pos] for pos in members.tolist()], rates.tolist()
+
+    def refresh_loads(self, seeds: Sequence["LinkDirection"],
+                      assigned) -> None:
+        """Re-sum ``current_load_bps`` for the *seeds* and every
+        direction a flow of *assigned* (a membership mask over the
+        view) crosses.
+
+        An uncontended direction is shared by flows of several
+        components and by flows nobody re-solved, so each load is the
+        sum over *all* live flows on the direction: one ``np.add.at``
+        over the whole raw hop stream (flow-id order, a twice-crossed
+        hop counted twice — the scalar refresh loop's exact adds),
+        written back for the touched slots only.  A seed no live flow
+        crosses reads ``0.0``.
+        """
+        np = _np
+        view = self.view()
+        dirs = self.links.objs
+        loads = np.zeros(len(dirs))
+        np.add.at(loads, view.hop_dir,
+                  self.flows.rate[view.slots][view.hop_flow])
+        touched = np.zeros(len(dirs), dtype=bool)
+        touched[view.hop_dir[assigned[view.hop_flow]]] = True
+        slot_of = self.links.slot_of
+        for seed in seeds:
+            slot = slot_of.get(seed)
+            if slot is None:
+                # Never interned: no delivered flow ever crossed it.
+                seed.current_load_bps = 0.0
+            else:
+                touched[slot] = True
+        touched = np.nonzero(touched)[0]
+        for slot, load in zip(touched.tolist(), loads[touched].tolist()):
+            dirs[slot].current_load_bps = load
 
     # -- the sealed accrual timeline ---------------------------------------
 
@@ -732,6 +797,7 @@ class ArraysState:
 
 
 __all__ = [
+    "CONTENTION_MARGIN",
     "HAVE_NUMPY",
     "SEGMENT_BOUND",
     "ArraysState",

@@ -19,22 +19,41 @@ The epochs and the seen-epoch maps remain the definition of "changed"
 (a notification without an epoch change is a no-op) and what a full
 recompute resynchronises.
 
-**Scoped re-solve.**  Rates only change inside the connected
-component(s) of the flow/link sharing graph that a dirty flow or a
-capacity change touches.  The engine seeds a BFS with the old and new
-link directions of every re-walked flow (and the directions of
-capacity-changed links), partitions the reachable flows into
-components, and re-solves each component independently — on the
-struct-of-arrays mirror (:mod:`repro.dataplane.arrays`) whenever numpy
-imports, with the scalar kernel of :mod:`repro.dataplane.solver`
-otherwise or when ``kernel="heap"`` forces it — splicing unchanged
-rates through untouched components.
+**Scoped re-solve.**  Only *contended* directions couple flows: a
+direction whose offered load — the summed demand of the flows crossing
+it, each once — stays under ``capacity · (1 − CONTENTION_MARGIN)`` can
+never be a bottleneck (its saturation key stays above the smallest
+unfrozen demand on it at every step of the filling, so it never wins a
+pop), and an instance without it has the same solution float for float.
+The engine keeps one flag per crossed direction and partitions and
+solves the flow/direction graph through flagged directions only.  The
+seeds of a recompute are the old and new hops of every re-walked flow
+and both directions of every capacity-changed link; each seed is
+re-classified from scratch (no other flag can have moved), and the
+flows to re-solve are the re-walked delivered ones plus every flow on a
+seed that is or was contended.  Those are partitioned into connected
+components through contended directions and each component is solved
+over its contended directions — on the struct-of-arrays mirror
+(:mod:`repro.dataplane.arrays`) whenever numpy imports, with the scalar
+kernel of :mod:`repro.dataplane.solver` otherwise or when
+``kernel="heap"`` forces it; a flow that reaches no contended direction
+takes its demand without a kernel call, and every other rate is spliced
+through unchanged.  A change therefore costs its ripple, not its
+connected component.  Loads are then re-summed per direction, over all
+the flows on it: an uncontended direction is shared by flows of several
+components and by flows nobody re-solved.
 
-A *full* recompute runs through the same partition-and-solve code with
-every active flow marked dirty, so the incremental path is bit-for-bit
-identical to a from-scratch recompute: a component's solve is a pure
-function of the component instance (flows in id order, directions in
-first-appearance order), and any change to an instance dirties it.
+A symmetry quotient's class-level updates move capacities without
+classifying anything, so the engine forgets its flags whenever one
+happens and re-derives them all at the concrete recompute that follows
+the hand-back (as after ``forget()``).
+
+A *full* recompute runs through the same classify-partition-solve code
+with every active flow marked dirty and no flag known, so the
+incremental path is bit-for-bit identical to a from-scratch recompute:
+a component's solve is a pure function of the component instance (flows
+in id order, contended directions in first-appearance order), and any
+change to an instance re-solves it.
 
 Topology growth (new nodes/links) bumps ``Network.topo_epoch`` and
 falls back to one full recompute — cables appearing mid-run invalidate
@@ -129,6 +148,9 @@ class ReallocEngine:
         self._node_flows: Dict[str, Set[int]] = {}
         self._link_flows: Dict[int, Set[int]] = {}
         self._dir_flows: Dict["LinkDirection", Set[int]] = {}
+        # The directions that couple flows (offered load can reach
+        # capacity); None while no flag is known.
+        self._contended: Optional[Set["LinkDirection"]] = None
         self._seen_node_epoch: Dict[str, int] = {}
         self._seen_link_path_epoch: Dict[int, int] = {}
         self._seen_link_cap_epoch: Dict[int, int] = {}
@@ -146,6 +168,8 @@ class ReallocEngine:
         self.flows_walked = 0
         self.components_solved = 0
         self.flows_solved = 0
+        self.flows_unconstrained = 0
+        self.rates_changed = 0
         self.accrual_segments = 0
         self.accrual_replays = 0
         self.epoch_notifications = 0
@@ -194,6 +218,7 @@ class ReallocEngine:
         self._node_flows.clear()
         self._link_flows.clear()
         self._dir_flows.clear()
+        self._contended = None
         self.undelivered = 0
         self._drop_mirror()
 
@@ -283,6 +308,10 @@ class ReallocEngine:
                 # class level; anything else materializes first so the
                 # concrete path below sees consistent concrete state.
                 if not dirty and quotient.try_fast_cap_update(cap_dirty_links):
+                    # Capacities moved and no direction was classified:
+                    # the concrete recompute that follows the
+                    # materialize re-derives every flag.
+                    self._contended = None
                     self._pending.clear()
                     return
                 quotient.materialize()
@@ -314,22 +343,16 @@ class ReallocEngine:
             self._drop_mirror()
 
         # Re-walk dirty flows (in id order, for deterministic PACKET_IN
-        # ordering), collecting the seed directions of the re-solve.
-        seed_dirs: List["LinkDirection"] = []
-        seen_seeds: Set[int] = set()  # id() of LinkDirection
-
-        def seed(direction: "LinkDirection") -> None:
-            if id(direction) not in seen_seeds:
-                seen_seeds.add(id(direction))
-                seed_dirs.append(direction)
-
+        # ordering), collecting the seed directions of the re-solve and
+        # the flows it starts from.
+        seed_dirs: Set["LinkDirection"] = set()
+        starts: Set[int] = set()
         for fid in sorted(dirty):
             flow = dirty[fid]
             old = self._cache.pop(fid, None)
             if old is not None:
                 self._unindex(fid, old)
-                for direction in old.dirs:
-                    seed(direction)
+                seed_dirs.update(old.dirs)
             if not flow.active:
                 if state is not None:
                     state.drop_flow(fid)
@@ -345,92 +368,135 @@ class ReallocEngine:
             if entry.delivered:
                 if state is not None:
                     state.intern_flow(fid, flow, entry.dirs, result.entries)
-                for direction in entry.dirs:
-                    seed(direction)
+                seed_dirs.update(entry.dirs)
+                starts.add(fid)
             else:
                 if state is not None:
                     state.drop_flow(fid)
-                flow.rate_bps = 0.0
+                self._assign((flow,), (0.0,))
         for link in cap_dirty_links:
-            seed(link.forward)
-            seed(link.reverse)
+            seed_dirs.add(link.forward)
+            seed_dirs.add(link.reverse)
             if state is not None:
                 state.patch_capacity(link)
 
-        # Partition the affected region into connected components of
-        # the flow/direction sharing graph and re-solve each.  With the
-        # SoA mirror live, the BFS itself runs vectorized on the
-        # interned incidence (same graph: only delivered flows carry
-        # directions, and those are exactly the interned rows).
-        if full:
-            seed_dirs = list(self._dir_flows)
-            seen_seeds = {id(d) for d in seed_dirs}
-        seed_dirs.sort(key=lambda d: d.key())
-        comp_loads = []  # arrays path: (dirs, loads) per component
+        # Which directions couple flows: every seed is re-classified
+        # from scratch, and a seed that is or was contended may have
+        # changed the instance of every flow on it, so those flows are
+        # re-solved beside the re-walked ones.  No other flag can have
+        # moved — an unseeded direction kept its flows, their demands
+        # and its capacity.  With no flag known (after a clear, or a
+        # class-level update, which classifies nothing) every flag is
+        # re-derived and every seed counts as having been contended.
         if state is not None:
-            arr_components, touched_dirs = state.components(seed_dirs)
+            over = state.contended()
+            slot_of = state.links.slot_of
+
+            def offered_over(direction: "LinkDirection") -> bool:
+                slot = slot_of.get(direction)
+                return slot is not None and bool(over[slot])
+        else:
+            offered_over = self._offered_over
+        contended = self._contended
+        if contended is None:
+            contended = self._contended = {
+                direction for direction in self._dir_flows
+                if offered_over(direction)}
+            hot = seed_dirs
+        else:
+            hot = []
+            for direction in seed_dirs:
+                was = direction in contended
+                now = offered_over(direction)
+                if now != was:
+                    (contended.add if now else contended.discard)(direction)
+                if now or was:
+                    hot.append(direction)
+        for direction in hot:
+            starts.update(self._dir_flows.get(direction, ()))
+
+        # Partition the flows to re-solve into connected components of
+        # the flow/direction sharing graph through contended directions
+        # only, and solve each over those directions.  A flow that
+        # reaches none is the kernel's zero-link row and is assigned
+        # what the kernel returns for it without a call.  With the SoA
+        # mirror live, search and solves run vectorized on the interned
+        # incidence (same graph: only delivered flows carry directions,
+        # and those are exactly the interned rows).
+        if full:
+            # Stale loads may linger on directions no current flow
+            # crosses; everything else is re-summed below.
+            for direction in net._all_directions():
+                direction.current_load_bps = 0.0
+        if state is not None:
+            arr_components, free = state.components(starts, over)
+            flows, rates = state.unconstrained(free)
+            self.flows_unconstrained += len(flows)
+            self._assign(flows, rates)
+            assigned = free
             if arr_components:
                 with span("realloc.solve",
                           components=len(arr_components),
                           kernel=effective) as sp:
                     solved = self.flows_solved
                     for comp in arr_components:
-                        comp_loads.append(
-                            self._solve_component_arrays(comp))
+                        flows, rates = state.solve_component(comp, over)
+                        self.components_solved += 1
+                        self.flows_solved += len(flows)
+                        self._assign(flows, rates)
+                        assigned = assigned | comp
                     sp.set(flows=self.flows_solved - solved)
+            state.refresh_loads(seed_dirs, assigned)
         else:
-            visited: Set[int] = set()  # id() of LinkDirection
-            touched_dirs = []
             components: List[List[int]] = []
-            for start in seed_dirs:
-                if id(start) in visited:
+            free: List[FluidFlow] = []
+            placed: Set[int] = set()
+            for start in sorted(starts):
+                if start in placed:
                     continue
-                visited.add(id(start))
-                touched_dirs.append(start)
-                comp: Set[int] = set()
+                comp = {start}
+                reached: Set["LinkDirection"] = set()
                 stack = [start]
                 while stack:
-                    direction = stack.pop()
-                    for fid in self._dir_flows.get(direction, ()):
-                        if fid in comp:
-                            continue
-                        comp.add(fid)
-                        for other in self._cache[fid].dirs:
-                            if id(other) not in visited:
-                                visited.add(id(other))
-                                touched_dirs.append(other)
-                                stack.append(other)
-                if comp:
+                    for direction in self._cache[stack.pop()].dirs:
+                        if direction in contended and direction not in reached:
+                            reached.add(direction)
+                            for fid in self._dir_flows[direction]:
+                                if fid not in comp:
+                                    comp.add(fid)
+                                    stack.append(fid)
+                placed.update(comp)
+                if reached:
                     components.append(sorted(comp))
+                else:
+                    free.append(self._cache[start].flow)
+            self.flows_unconstrained += len(free)
+            self._assign(free, [
+                flow.demand_bps if flow.demand_bps > EPSILON else 0.0
+                for flow in free])
             if components:
                 with span("realloc.solve", components=len(components),
                           kernel=effective) as sp:
                     for comp in components:
-                        self._solve_component(comp)
+                        self._solve_component(comp, contended)
                     sp.set(flows=sum(len(c) for c in components))
-
-        # Refresh link loads: only directions in the affected region
-        # can have changed.  (A full recompute zeroes everything: stale
-        # loads may linger on directions no current flow crosses.)
-        if full:
-            for direction in net._all_directions():
+            # Re-sum the load of every seed and of every direction a
+            # re-assigned flow crosses over *all* flows on it — an
+            # uncontended direction is shared by flows of several
+            # components and by flows nobody re-solved — in flow-id
+            # order, a twice-crossed hop counted twice.
+            touched = set(seed_dirs)
+            for fid in placed:
+                touched.update(self._cache[fid].dirs)
+            crossing: Set[int] = set()
+            for direction in touched:
                 direction.current_load_bps = 0.0
-        else:
-            for direction in touched_dirs:
-                direction.current_load_bps = 0.0
-        if state is not None:
-            # A direction belongs to exactly one component, and the
-            # vectorized per-component sums replay the scalar loop's
-            # add order, so assignment is exact.
-            for dirs, loads in comp_loads:
-                for direction, load in zip(dirs, loads.tolist()):
-                    direction.current_load_bps = load
-        else:
-            for comp in components:
-                for fid in comp:
-                    entry = self._cache[fid]
-                    rate = entry.flow.rate_bps
-                    for direction in entry.dirs:
+                crossing.update(self._dir_flows.get(direction, ()))
+            for fid in sorted(crossing):
+                entry = self._cache[fid]
+                rate = entry.flow.rate_bps
+                for direction in entry.dirs:
+                    if direction in touched:
                         direction.current_load_bps += rate
 
         # Host rates and the accruing-flow set, rebuilt in canonical
@@ -538,12 +604,32 @@ class ReallocEngine:
                 if not flows:
                     del self._dir_flows[direction]
 
-    def _solve_component(self, comp: List[int]) -> None:
+    def _offered_over(self, direction: "LinkDirection") -> bool:
+        """Whether the demand offered to ``direction`` — each flow
+        crossing it once, flow-id order, as the mirror sums it —
+        exceeds its capacity less the contention margin."""
+        offered = 0.0
+        for fid in sorted(self._dir_flows.get(direction, ())):
+            offered += self._cache[fid].flow.demand_bps
+        return offered > direction.capacity_bps * (
+            1.0 - _arrays.CONTENTION_MARGIN)
+
+    def _assign(self, flows, rates) -> None:
+        """Write ``rates`` onto ``flows``, counting the ones that moved."""
+        for flow, rate in zip(flows, rates):
+            if flow.rate_bps != rate:
+                flow.rate_bps = rate
+                self.rates_changed += 1
+
+    def _solve_component(self, comp: List[int],
+                         contended: Set["LinkDirection"]) -> None:
         """Max-min solve one component with the scalar kernel.
 
         The instance is built deterministically: flows in id order,
-        directions interned in first-appearance order along those
-        flows' cached paths.
+        the *contended* directions interned in first-appearance order
+        along those flows' cached paths (an uncontended one never wins
+        a pop; the rest keep their relative order, so the heap
+        tie-breaks see what they would with every direction present).
         """
         self.components_solved += 1
         self.flows_solved += len(comp)
@@ -560,6 +646,8 @@ class ReallocEngine:
             links_here: List[tuple] = []  # the all-ones instance
             seen_here: Set[int] = set()
             for direction in entry.dirs:
+                if direction not in contended:
+                    continue
                 dense = dir_index.get(id(direction))
                 if dense is None:
                     dense = len(capacities)
@@ -575,29 +663,7 @@ class ReallocEngine:
             flow_links.append(links_here)
         rates = _solver.bottleneck_filling(demands, capacities,
                                            link_members, flow_links)
-        for pos, entry in enumerate(entries):
-            entry.flow.rate_bps = rates[pos]
-
-    def _solve_component_arrays(self, comp):
-        """Solve one component on the struct-of-arrays mirror.
-
-        Same instance the scalar builder would produce (the mirror's
-        first-occurrence marks reproduce its per-flow dedup, and
-        :meth:`ArraysState.solve_component` interns directions in the
-        identical first-appearance order), so the allocation is
-        bit-for-bit the heap kernel's.  ``comp`` is the component's
-        membership mask over the mirror's live view, as
-        :meth:`ArraysState.components` yields it.  Returns the
-        component's ``(dirs, loads)`` for the caller's load refresh.
-        """
-        state = self._arrays
-        members, rates, dirs, loads = state.solve_component(comp)
-        self.components_solved += 1
-        self.flows_solved += len(members)
-        flows = state.view().flows
-        for pos, rate in zip(members.tolist(), rates.tolist()):
-            flows[pos].rate_bps = rate
-        return dirs, loads
+        self._assign([entry.flow for entry in entries], rates)
 
     @property
     def stats(self) -> dict:
@@ -609,6 +675,8 @@ class ReallocEngine:
             "flows_walked": self.flows_walked,
             "components_solved": self.components_solved,
             "flows_solved": self.flows_solved,
+            "flows_unconstrained": self.flows_unconstrained,
+            "rates_changed": self.rates_changed,
             "accrual_segments": self.accrual_segments,
             "accrual_replays": self.accrual_replays,
             "epoch_notifications": self.epoch_notifications,

@@ -33,6 +33,7 @@ from its untouched siblings before the simulation even starts.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -77,20 +78,42 @@ def injection_pins(injections: Iterable[Any]) -> Pins:
 
     The pin signature is the injection's serialized form minus its
     target names — its kind, schedule and magnitude.  Identically
-    shaped injections therefore pin their targets identically.
+    shaped injections therefore pin their targets identically.  The
+    fields are read off the dataclass directly (no ``to_dict`` deep
+    copy) and a shape is serialized once however many targets share
+    it: an SRLG sweep is thousands of injections in a few hundred
+    shapes.
     """
     pins = Pins()
+    fields_of: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+    signatures: Dict[Any, str] = {}
     for injection in injections:
-        data = injection.to_dict()
-        shape = {k: v for k, v in data.items() if k not in _TARGET_FIELDS}
-        signature = _canon(shape)
-        if "node_a" in data and "node_b" in data:
-            pins.pin_link(data["node_a"], data["node_b"], signature)
-        if data.get("node"):
-            pins.pin_node(data["node"], signature)
-        for name in data.get("group", ()) or ():
+        cls = type(injection)
+        if cls not in fields_of:
+            names = tuple(f.name for f in dataclasses.fields(cls))
+            fields_of[cls] = (names, tuple(
+                name for name in names if name not in _TARGET_FIELDS))
+        names, shape_names = fields_of[cls]
+        values = tuple(getattr(injection, name) for name in shape_names)
+        # 1, 1.0 and True hash alike but serialize apart: key on types.
+        key = (cls, values, tuple(map(type, values)))
+        try:
+            signature = signatures.get(key)
+        except TypeError:       # an unhashable (list-valued) shape field
+            key = signature = None
+        if signature is None:
+            signature = _canon(dict(zip(shape_names, values),
+                                    kind=injection.kind))
+            if key is not None:
+                signatures[key] = signature
+        if "node_a" in names and "node_b" in names:
+            pins.pin_link(injection.node_a, injection.node_b, signature)
+        node = getattr(injection, "node", None)
+        if node:
+            pins.pin_node(node, signature)
+        for name in getattr(injection, "group", None) or ():
             pins.pin_node(name, signature)
-        for pair in data.get("pairs", ()) or ():
+        for pair in getattr(injection, "pairs", None) or ():
             for name in pair:
                 pins.pin_node(name, signature)
     return pins

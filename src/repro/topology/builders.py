@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.errors import TopologyError
+from repro.core.errors import ConfigurationError, TopologyError
 from repro.topology.topo import GBPS, Topo
 
 
@@ -183,7 +183,13 @@ def jellyfish_topo(
     with networkx's random regular graph for a guaranteed simple
     ``ports_per_switch``-regular topology; deterministic per seed.
     """
-    import networkx as nx
+    try:
+        import networkx as nx
+    except ImportError as exc:
+        raise ConfigurationError(
+            "the jellyfish topology needs networkx, which is not "
+            "installed: install the 'jellyfish' extra "
+            "(repro[jellyfish])") from exc
 
     if num_switches < ports_per_switch + 1:
         raise TopologyError(

@@ -1,10 +1,13 @@
 """Unit tests: the Jellyfish random-regular topology."""
 
+import sys
+
 import pytest
 
+from repro import cli
 from repro.api import Experiment
 from repro.controllers import FiveTupleEcmpApp
-from repro.core.errors import TopologyError
+from repro.core.errors import ConfigurationError, TopologyError
 from repro.topology import jellyfish_topo
 from repro.traffic import permutation_pairs
 
@@ -43,6 +46,31 @@ class TestStructure:
             jellyfish_topo(num_switches=3, ports_per_switch=4)
         with pytest.raises(TopologyError):
             jellyfish_topo(num_switches=5, ports_per_switch=3)
+
+
+class TestWithoutNetworkx:
+    """networkx is the ``jellyfish`` extra, not a requirement: without
+    it the builder says so instead of ``ModuleNotFoundError``."""
+
+    @pytest.fixture(autouse=True)
+    def hide_networkx(self, monkeypatch):
+        # A None entry makes ``import networkx`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "networkx", None)
+
+    def test_the_builder_names_the_extra(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"needs networkx.*'jellyfish' extra"):
+            jellyfish_topo(num_switches=10)
+
+    def test_one_line_exit_1_from_the_cli(self):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scenario", "run", "--topo", "jellyfish",
+                      "--duration", "30"])
+        message = excinfo.value.code    # a str exits 1 and prints itself
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(
+            "repro scenario run: the jellyfish topology needs networkx")
+        assert "'jellyfish' extra" in message
 
 
 class TestTrafficOnJellyfish:
