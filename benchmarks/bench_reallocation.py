@@ -11,7 +11,8 @@ walk-and-solve per event, on the scalar ``heap`` kernel.
 
 The kernel axis (PR 10) drives the same churn shape through both
 ``kernel`` values (``heap`` and ``auto``, which is the vectorized
-arrays kernel whenever numpy imports; see
+arrays kernel when numpy imports and the network has registered
+``ARRAYS_MIN_FLOWS`` flows — every size here is far above it; see
 :mod:`repro.dataplane.solver`) on a k=8 fat-tree under static
 routing — one oversubscribed connected component, the struct-of-arrays
 kernel's target workload — and emits ``BENCH_kernels.json``.

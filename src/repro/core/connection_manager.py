@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Protocol, TYPE_CHECKING
 
-from repro.core.errors import ControlPlaneError
+from repro.core.errors import ControlPlaneError, SchedulingError
 from repro.core.events import ControlDeliveryEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -157,16 +157,18 @@ class ConnectionManager:
         Sending is control-plane activity: the clock is notified *now*
         (enter/stay in FTI), and again at delivery time by the event.
         """
-        self.sim.clock.notify_control_activity()
-        event = ControlDeliveryEvent(
-            time=self.sim.clock.now + channel.latency,
-            channel=channel,
-            receiver=receiver,
-            data=data,
-            metadata=metadata,
-        )
+        sim = self.sim
+        clock = sim.clock
+        clock.notify_control_activity()
+        latency = channel.latency
+        if latency < 0:
+            # now + latency is never in the past otherwise, which is
+            # all Scheduler.push would check.
+            raise SchedulingError(
+                f"negative latency {latency} on channel {channel.label}")
         self.deliveries += 1
-        self.sim.scheduler.push(event)
+        sim.queue.push(ControlDeliveryEvent(
+            clock.now + latency, channel, receiver, data, metadata))
         if self._observers:
             for observer in self._observers:
                 observer(channel, receiver, data)

@@ -99,7 +99,13 @@ class ControlDeliveryEvent(Event):
     __slots__ = ("channel", "receiver", "data", "metadata")
 
     def __init__(self, time: float, channel, receiver, data: bytes, metadata=None):
-        super().__init__(time, priority=PRIORITY_CONTROL)
+        # Every slot set here, Event.__init__'s included: one delivery
+        # is one object and one constructor call.
+        if time < 0:
+            raise ValueError(f"event time must be non-negative, got {time}")
+        self.time = float(time)
+        self.priority = PRIORITY_CONTROL
+        self.cancelled = False
         self.channel = channel
         self.receiver = receiver
         self.data = data

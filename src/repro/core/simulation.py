@@ -26,8 +26,11 @@ from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.events import Event, ProcessWakeupEvent
 from repro.core.queue import EventQueue
 from repro.core.scheduler import Scheduler
+from repro.obs.spans import span
 
 import random
+
+_INF = float("inf")
 
 
 @dataclass
@@ -152,6 +155,11 @@ class Simulation:
         clock = self.clock
         queue = self.queue
         pacing = self.config.realtime_factor
+        increment = clock.fti_increment
+        timeout = clock.des_fallback_timeout
+        hybrid = clock.policy is ClockPolicy.HYBRID
+        horizon = _INF if until is None else until
+        unbounded = until is None and not hybrid
         while True:
             self._check_event_budget()
             if clock.mode is ClockMode.DES:
@@ -167,38 +175,69 @@ class Simulation:
                     clock.des_jumps += 1
                 clock.advance_to(event.time)
                 self._fire(queue.pop())
-            else:  # FTI mode: walk one increment, firing events inside it
-                boundary = clock.now + clock.fti_increment
-                if until is not None and boundary > until:
-                    self._drain_until(until)
-                    clock.advance_to(until)
-                    break
-                self._drain_until(boundary)
-                clock.advance_to(boundary)
-                clock.fti_ticks += 1
-                if pacing > 0:
-                    _time.sleep(clock.fti_increment * pacing)
-                fell_back = clock.maybe_fall_back_to_des()
-                if not fell_back and queue.peek() is None:
-                    # Nothing left to happen; in HYBRID the quiet timer
-                    # will flip us to DES shortly, in PURE_FTI we keep
-                    # ticking only when a horizon was given.
-                    if until is None and clock.policy is not ClockPolicy.HYBRID:
+                continue
+            # FTI mode: one run of ticks.  While a tick is empty nothing
+            # it reads can change -- the head of the queue, the last
+            # control activity, the event count -- so the run walks on
+            # locals and pays one float add per tick (the adds a
+            # tick-by-tick walk makes; n * increment rounds differently).
+            # It ends with the first tick that holds an event, the tick
+            # at which the quiet timeout has elapsed, or the horizon.
+            head = queue.peek()
+            next_event = _INF if head is None else head.time
+            quiet_since = clock.last_control_activity or 0.0
+            now = clock.now
+            first_tick = clock.fti_ticks
+            with span("clock.fti_run") as run:
+                while True:
+                    boundary = now + increment
+                    if boundary > horizon:
+                        self._drain_until(until)
+                        clock.advance_to(until)
+                        ended_by = "horizon"
                         break
-                    if until is None and clock.policy is ClockPolicy.HYBRID:
-                        continue  # tick until fallback, then DES breaks
+                    eventful = next_event <= boundary
+                    if eventful:
+                        self._drain_until(boundary)
+                        quiet_since = clock.last_control_activity or 0.0
+                    clock.now = now = boundary
+                    clock.fti_ticks += 1
+                    if pacing > 0:
+                        _time.sleep(increment * pacing)
+                    if (hybrid and now - quiet_since >= timeout
+                            and clock.maybe_fall_back_to_des()):
+                        ended_by = "fallback"
+                        break
+                    if unbounded and queue.peek() is None:
+                        # Nothing left to happen, no quiet timer to wait
+                        # for, no ``until``: the run is over.
+                        ended_by = "horizon"
+                        break
+                    if eventful:
+                        ended_by = "event"
+                        break
+                run.set(ticks=clock.fti_ticks - first_tick, ended_by=ended_by)
+            if ended_by == "horizon":
+                break
 
     def _drain_until(self, boundary: float) -> None:
         """Fire, in order, every event with time <= boundary."""
         queue = self.queue
         clock = self.clock
+        budget = self.config.max_events
         while True:
             event = queue.peek()
             if event is None or event.time > boundary:
                 return
-            self._check_event_budget()
-            clock.advance_to(event.time)
-            self._fire(queue.pop())
+            if budget and self.events_fired >= budget:
+                self._check_event_budget()  # raises
+            time = event.time
+            if time > clock.now:
+                clock.now = time
+            elif time < clock.now - 1e-12:
+                clock.advance_to(time)  # raises: the clock never runs backwards
+            self.events_fired += 1
+            queue.pop().fire(self)
 
     def _fire(self, event: "Event | None") -> None:
         if event is None:

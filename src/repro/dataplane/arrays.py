@@ -42,9 +42,11 @@ replaces all three with numpy state:
   timeline (``byte_count`` by the same scatter, ``last_used_at`` = the
   end of the entry's last positive-rate segment).
 
-Everything degrades gracefully without numpy: ``HAVE_NUMPY`` is the
-engine's one selection rule (``ReallocEngine.effective_kernel``) — no
-numpy, no mirror, and every recompute runs the scalar ``"heap"`` kernel.
+Everything degrades gracefully without numpy: the engine's one
+selection rule (``ReallocEngine.effective_kernel``) reads ``HAVE_NUMPY``
+and the instance size — no numpy, or fewer than ``ARRAYS_MIN_FLOWS``
+registered flows: no mirror, and every recompute runs the scalar
+``"heap"`` kernel.
 """
 
 from __future__ import annotations
@@ -329,6 +331,22 @@ class LinkArrays:
 #: all three — a replay's fixed gather/write-back (~0.3 ms there) is
 #: already under 3 % of the body at 16.
 SEGMENT_BOUND = 16
+
+#: Registered flows (``len(network.flows)``) below which the engine's
+#: rule (``ReallocEngine.effective_kernel``) keeps the scalar kernel and
+#: builds no mirror.  Sized from a crossover sweep, not a setting: a
+#: recompute on the mirror pays a fixed ~0.2 ms of numpy calls whatever
+#: the instance, the scalar path pays per flow.  Random-pair flows on a
+#: static k=8 fat-tree under a flap storm read arrays / heap 0.0346 /
+#: 0.0330 s at 8 flows, 0.0552 / 0.0489 at 64, 0.0812 / 0.0752 at 128,
+#: 0.1101 / 0.1134 at 192, 0.1406 / 0.1625 at 256 (docs/dataplane.md,
+#: "Two kernels, one rule", has the whole table): the lines cross
+#: between 128 and 192, and 128 keeps arrays wherever it is within a
+#: tenth of the scalar path.  No hysteresis: flows are registered,
+#: never unregistered, so the count is monotone and an engine crosses
+#: at most once, heap → arrays, through the bulk intern a forced-kernel
+#: switch already uses.
+ARRAYS_MIN_FLOWS = 128
 
 #: A direction couples the flows crossing it only when the demand they
 #: offer (each flow once, flow-id order) exceeds ``capacity · (1 −
@@ -797,6 +815,7 @@ class ArraysState:
 
 
 __all__ = [
+    "ARRAYS_MIN_FLOWS",
     "CONTENTION_MARGIN",
     "HAVE_NUMPY",
     "SEGMENT_BOUND",

@@ -34,8 +34,9 @@ flows to re-solve are the re-walked delivered ones plus every flow on a
 seed that is or was contended.  Those are partitioned into connected
 components through contended directions and each component is solved
 over its contended directions — on the struct-of-arrays mirror
-(:mod:`repro.dataplane.arrays`) whenever numpy imports, with the scalar
-kernel of :mod:`repro.dataplane.solver` otherwise or when
+(:mod:`repro.dataplane.arrays`) when numpy imports and the network has
+registered ``ARRAYS_MIN_FLOWS`` flows or more, with the scalar kernel of
+:mod:`repro.dataplane.solver` below that size, without numpy or when
 ``kernel="heap"`` forces it; a flow that reaches no contended direction
 takes its demand without a kernel call, and every other rate is spliced
 through unchanged.  A change therefore costs its ripple, not its
@@ -185,9 +186,13 @@ class ReallocEngine:
         self._kernel = _solver.check_kernel(name)
 
     def effective_kernel(self) -> str:
-        """The kernel concrete recomputes run: ``arrays`` whenever
-        numpy imports, ``heap`` otherwise or when forced."""
-        if self._kernel == "heap" or not _arrays.HAVE_NUMPY:
+        """The kernel concrete recomputes run: ``arrays`` when numpy
+        imports and the network has registered at least
+        ``ARRAYS_MIN_FLOWS`` flows, ``heap`` below that, without numpy
+        or when forced.  Flows are only ever added, so a run chooses
+        once or crosses heap → arrays once, never back."""
+        if (self._kernel == "heap" or not _arrays.HAVE_NUMPY
+                or len(self.network.flows) < _arrays.ARRAYS_MIN_FLOWS):
             return "heap"
         return "arrays"
 

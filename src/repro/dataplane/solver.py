@@ -14,8 +14,10 @@ The fluid engine has two kernels and one rule between them:
   replays the same float arithmetic in saturation-level batches).
 
 The rule (:meth:`repro.dataplane.realloc.ReallocEngine.effective_kernel`):
-``arrays`` whenever numpy imports, ``heap`` otherwise.  It is not a user
-option — results are bit-for-bit equal either way.  What remains is the
+``arrays`` when numpy imports and the network has registered at least
+``repro.dataplane.arrays.ARRAYS_MIN_FLOWS`` flows, ``heap`` otherwise —
+a handful of flows never pays for the mirror.  It is not a user option
+— results are bit-for-bit equal either way.  What remains is the
 reference-path switch on an engine, ``ReallocEngine.kernel``: ``"auto"``
 (the rule) or ``"heap"`` (force the scalar path), which the parity tests
 and ``bench_reallocation`` set on engines they build.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.core.errors import ControlPlaneError
+from repro.core.errors import ConfigurationError, ControlPlaneError
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 from repro.ospf.lsdb import LinkStateDatabase
 from repro.ospf.packets import (
@@ -49,7 +49,13 @@ class OSPFPeerConfig:
 
 @dataclass
 class OSPFConfig:
-    """Daemon-wide configuration."""
+    """Daemon-wide configuration.
+
+    The two timers are checked here, where they are configured: both
+    travel in the hello as tenths of a second in a 16-bit field, the
+    hello timer must be able to fire, and a neighbour that is declared
+    dead sooner than it says hello never stays adjacent.
+    """
 
     router_id: IPv4Address
     networks: List[Tuple[IPv4Prefix, int]] = field(default_factory=list)
@@ -57,6 +63,21 @@ class OSPFConfig:
     dead_interval: float = 8.0
     spf_delay: float = 0.05
     install_routes: bool = True
+
+    def __post_init__(self) -> None:
+        hello, dead = self.hello_interval, self.dead_interval
+        for name, value in (("hello_interval", hello), ("dead_interval", dead)):
+            if (not isinstance(value, (int, float))
+                    or not 0 < value * 10 < 0x10000):
+                raise ConfigurationError(
+                    f"OSPF {name!r} is {value!r}; accepted: a positive "
+                    f"number of seconds below 6553.6 (its tenths fill a "
+                    f"16-bit field of the hello)")
+        if not dead > hello:
+            raise ConfigurationError(
+                f"OSPF 'dead_interval' is {dead!r} with 'hello_interval' "
+                f"{hello!r}; accepted: dead_interval > hello_interval "
+                f"(an adjacency must outlive the gap between two hellos)")
 
 
 class _NeighborState:
@@ -69,6 +90,10 @@ class _NeighborState:
         self.heard = False        # we received their hello
         self.full = False         # they listed us -> adjacency up
         self.last_heard = -1.0
+        # The last hello from this neighbour that decoded, as bytes and
+        # as a message: a delivery equal to those bytes is that message.
+        self.hello_wire: Optional[bytes] = None
+        self.hello: Optional[OSPFHello] = None
 
 
 class OSPFDaemon:
@@ -86,6 +111,9 @@ class OSPFDaemon:
         self._sequence = 0
         self._spf_scheduled = False
         self._installed: Set[IPv4Prefix] = set()
+        # The encoded hello and the heard-set it lists.
+        self._hello_heard: Optional[Tuple[int, ...]] = None
+        self._hello_wire = b""
         self.spf_runs = 0
         self.hellos_sent = 0
         self.lsus_sent = 0
@@ -127,16 +155,19 @@ class OSPFDaemon:
     # -- hello machinery ----------------------------------------------------------
 
     def _hello_round(self) -> None:
-        heard_ids = [
+        heard_ids = tuple([
             state.router_id for state in self.neighbors.values() if state.heard
-        ]
-        hello = OSPFHello(
-            router_id=self._router_id,
-            hello_interval=self.config.hello_interval,
-            dead_interval=self.config.dead_interval,
-            neighbors=heard_ids,
-        )
-        data = hello.encode()
+        ])
+        if heard_ids != self._hello_heard:
+            # A hello says who we hear; it is encoded when that changes.
+            self._hello_heard = heard_ids
+            self._hello_wire = OSPFHello(
+                router_id=self._router_id,
+                hello_interval=self.config.hello_interval,
+                dead_interval=self.config.dead_interval,
+                neighbors=heard_ids,
+            ).encode()
+        data = self._hello_wire
         for state in self.neighbors.values():
             if state.channel is not None:
                 self.hellos_sent += 1
@@ -169,14 +200,23 @@ class OSPFDaemon:
         peer_name = self._channel_to_neighbor.get(channel.id)
         if peer_name is None:
             return
-        try:
-            message = decode_ospf_message(data)
-        except OSPFDecodeError:
-            # Dropped before it can refresh the dead timer: garbage
-            # must not keep an adjacency alive.
-            self.decode_errors += 1
-            return
         state = self.neighbors[peer_name]
+        if data == state.hello_wire:
+            # Decoding is a function of the bytes alone, and these are
+            # the bytes of a hello that decoded: a steady-state hello
+            # is parsed once.  Garbage never equals validated bytes.
+            message = state.hello
+        else:
+            try:
+                message = decode_ospf_message(data)
+            except OSPFDecodeError:
+                # Dropped before it can refresh the dead timer: garbage
+                # must not keep an adjacency alive.
+                self.decode_errors += 1
+                return
+            if message.msg_type == TYPE_HELLO:
+                state.hello_wire = data
+                state.hello = message
         state.last_heard = self._now()
         if message.msg_type == TYPE_HELLO:
             self._handle_hello(state, message)

@@ -30,7 +30,8 @@ concrete engine handles the event exactly as it would without
 symmetry, and the next rebuild re-compresses whatever symmetry is
 left, with the divergent region falling into singleton classes).
 Those concrete recomputes run whichever kernel the engine's one rule
-picks (the arrays mirror whenever numpy imports): the quotient drops
+picks (the arrays mirror when numpy imports and the network is big
+enough to repay it): the quotient drops
 the mirror when it takes over, since class-level rate and capacity
 changes never reach it, and the engine re-interns it from the cached
 walks after a materialize.

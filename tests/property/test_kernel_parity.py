@@ -1,8 +1,11 @@
 """Property tests: the two max-min kernels are interchangeable.
 
 The contract is that which kernel runs is a pure speed matter — the
-engine picks from whether numpy imports, nobody configures it.  Three
-layers of parity are pinned here:
+engine picks from whether numpy imports and how many flows the network
+has registered (``arrays.ARRAYS_MIN_FLOWS``), nobody configures it.
+This directory's ``conftest.py`` pins that threshold to zero, so
+``"auto"`` means arrays on the small networks below; the kernel-rule
+section sets it back.  Three layers of parity are pinned here:
 
 * **Kernel level** — ``bottleneck_filling_arrays`` replays the heap
   kernel's float arithmetic in saturation-level batches, so on any
@@ -32,6 +35,7 @@ and ``heap``.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,7 +44,12 @@ from repro.core.config import SimulationConfig
 from repro.core.errors import ConfigurationError
 from repro.core.simulation import Simulation
 from repro.dataplane import arrays as arrays_module, solver
-from repro.dataplane.arrays import HAVE_NUMPY, SEGMENT_BOUND
+from repro.dataplane.arrays import (
+    ARRAYS_MIN_FLOWS,
+    HAVE_NUMPY,
+    SEGMENT_BOUND,
+    ArraysState,
+)
 from repro.dataplane.flow import FluidFlow
 from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.fluid import max_min_allocation, validate_allocation
@@ -51,6 +60,7 @@ from repro.openflow.match import Match
 from repro.scenarios import (
     LinkFail,
     ProtocolRecipe,
+    ScenarioRunner,
     ScenarioSpec,
     TopologyRecipe,
     TrafficRecipe,
@@ -487,6 +497,136 @@ def test_scenario_fingerprint_equal_across_kernels(injections, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The kernel rule reads the instance size
+# ---------------------------------------------------------------------------
+
+#: The value the program ships (the conftest fixture has not run yet).
+SHIPPED_MIN_FLOWS = ARRAYS_MIN_FLOWS
+
+
+@needs_numpy
+def test_the_fixture_reaches_small_engines():
+    """Guard: under this directory's autouse fixture a ten-flow
+    ``"auto"`` engine runs on the mirror, so the suites that compare
+    ``"auto"`` with ``"heap"`` on small networks compare two kernels.
+    Without it the same engine keeps the scalar path and no mirror."""
+    assert arrays_module.ARRAYS_MIN_FLOWS == 0 < SHIPPED_MIN_FLOWS
+    starts = [("start_flow", n % 6, (n + 1 + n // 6) % 6, 2.5e8)
+              for n in range(10)]
+    arr = _Driver("auto")
+    for op in starts:
+        arr.apply(op)
+    assert len(arr.net.flows) == 10
+    assert isinstance(arr.net.realloc._arrays, ArraysState)
+    assert arr.net.realloc.stats["kernel"] == "arrays"
+
+
+@needs_numpy
+def test_a_handful_of_flows_never_builds_the_mirror(monkeypatch):
+    monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", SHIPPED_MIN_FLOWS)
+    small = _Driver("auto")
+    for n in range(10):
+        small.apply(("start_flow", n % 6, (n + 1 + n // 6) % 6, 2.5e8))
+    small.apply(("sample",))
+    assert small.net.realloc._arrays is None
+    assert small.net.realloc.stats["kernel"] == "heap"
+    assert small.net.realloc.accrual_segments == 0
+
+
+@needs_numpy
+@given(st.lists(_churn_ops, min_size=1, max_size=30),
+       st.integers(min_value=1, max_value=6))
+@example(_PAST_THE_BOUND + _SLOT_REUSE, 3)
+@example(_SLOT_REUSE + _ENTRIES_UNDER_SEALED, 5)
+@settings(max_examples=40, deadline=None)
+def test_flows_registered_mid_run_cross_the_rule_once(ops, threshold):
+    """Flows registered while the run goes on take the network over the
+    threshold: the engine switches heap → arrays once, bulk-interning
+    the walks it holds, never back, and rates, loads and byte counters
+    equal a forced-heap engine's after every step."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", threshold)
+        auto = _Driver("auto")
+        heap = _Driver("heap")
+        ran = []
+        for step, op in enumerate(ops):
+            auto.apply(op)
+            heap.apply(op)
+            engine = auto.net.realloc
+            ran.append(engine.effective_kernel())
+            assert ran[-1] == ("arrays" if len(auto.net.flows) >= threshold
+                               else "heap")
+            if ran[-1] == "heap":
+                assert engine._arrays is None
+            where = f"step {step} op {op}"
+            assert ([f.rate_bps for f in auto.flows]
+                    == [f.rate_bps for f in heap.flows]), where
+            assert auto.byte_counters() == heap.byte_counters(), where
+            assert ([(link.forward.current_load_bps,
+                      link.reverse.current_load_bps) for link in auto.links]
+                    == [(link.forward.current_load_bps,
+                         link.reverse.current_load_bps)
+                        for link in heap.links]), where
+        assert ran == sorted(ran, reverse=True)  # "heap"… then "arrays"…
+        assert heap.net.realloc._arrays is None
+
+
+def _sized_scenario(flows):
+    """Stride traffic below the shipped threshold, or a random matrix
+    above it, on a routed k=4 fat-tree with one fabric link cut."""
+    base = _scenario_base((LinkFail(at=3.0, node_a="c0_0", node_b="a0_0"),))
+    if flows is not None:
+        rng = random.Random(flows)
+        hosts = base["topology"].build().hosts()
+        base["traffic"] = TrafficRecipe(
+            pattern="matrix",
+            flows=[[*rng.sample(hosts, 2), rng.choice((4e7, 2.5e8, 6e8))]
+                   for __ in range(flows)],
+            start_time=1.0, duration=6.0, stagger=2.0)
+    return ScenarioSpec(**base)
+
+
+def _scenario_counters(spec):
+    """Fingerprint, what ran, and every byte counter of one run."""
+    runner = ScenarioRunner()
+    result = runner.run(spec)
+    exp, __ = runner.materialize(spec)
+    exp.run(until=spec.duration)
+    net = exp.network
+    net.finalize_accounting()
+    counters = [flow.delivered_bytes for flow in net.flows]
+    for link in net.links:
+        for direction in (link.forward, link.reverse):
+            counters += [direction.bytes_carried, direction.src_port.tx_bytes,
+                         direction.dst_port.rx_bytes]
+    for host in net.hosts():
+        counters += [host.tx_bytes, host.rx_bytes]
+    assert sum(counters) > 0
+    return (result.fingerprint(), counters, len(net.flows),
+            result.diagnostics["realloc"]["kernel"])
+
+
+@needs_numpy
+@pytest.mark.parametrize("flows", [
+    pytest.param(None, id="below"),
+    pytest.param(SHIPPED_MIN_FLOWS + 22, id="above"),
+])
+def test_scenarios_equal_at_every_threshold(flows, monkeypatch):
+    """The threshold at 0, as shipped and at 10⁹: one fingerprint, one
+    set of byte counters, and ``diagnostics.realloc.kernel`` says which
+    kernel ran."""
+    spec = _sized_scenario(flows)
+    runs = {}
+    for threshold in (0, SHIPPED_MIN_FLOWS, 10**9):
+        monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", threshold)
+        fingerprint, counters, registered, kernel = _scenario_counters(spec)
+        assert kernel == ("arrays" if registered >= threshold else "heap")
+        runs[threshold] = (fingerprint, counters)
+    assert registered == (16 if flows is None else flows)
+    assert runs[0] == runs[SHIPPED_MIN_FLOWS] == runs[10**9]
+
+
+# ---------------------------------------------------------------------------
 # Config / spec surface
 # ---------------------------------------------------------------------------
 
@@ -518,14 +658,18 @@ class TestKernelConfigSurface:
                 engine.kernel = bad
         assert engine.kernel == "auto"
 
-    def test_auto_ignores_the_quotient(self):
-        # One rule, no fork on the quotient: arrays whenever numpy
-        # imports, heap otherwise or when forced.
+    def test_auto_ignores_the_quotient(self, monkeypatch):
+        # One rule, no fork on the quotient: arrays when numpy imports
+        # and the network is big enough (here: any size, the conftest
+        # fixture), heap otherwise or when forced.
         net = Network("rule")
         engine = net.realloc
         expected = "arrays" if HAVE_NUMPY else "heap"
         assert engine.effective_kernel() == expected
         engine.enable_quotient()
         assert engine.effective_kernel() == expected
+        monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", 1)
+        assert engine.effective_kernel() == "heap"  # no flow registered
+        monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", 0)
         engine.kernel = "heap"
         assert engine.effective_kernel() == "heap"

@@ -4,7 +4,9 @@
 they were; the shipped SPF must return the same routes over any LSDB,
 and the shipped decoder must meet any bytes with a message or an
 ``OSPFDecodeError``.  (Codec parity lives with the other codecs in
-``test_codec_roundtrips.py``.)
+``test_codec_roundtrips.py``.)  The daemon's two hello caches are held
+to the same standard at the end: the reference encoder's bytes for
+every heard-set, and fail-closed on every mutant of a cached hello.
 """
 
 import random
@@ -12,7 +14,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import ospf_reference as ospf_ref
+from repro.core.config import SimulationConfig
+from repro.core.simulation import Simulation
+from repro.dataplane.network import Network
 from repro.netproto.addr import IPv4Address, IPv4Prefix
+from repro.ospf import daemon as daemon_module
+from repro.ospf.daemon import OSPFConfig, OSPFDaemon, OSPFPeerConfig
 from repro.ospf.lsdb import LinkStateDatabase
 from repro.ospf.packets import (
     LSALink,
@@ -164,3 +171,189 @@ def test_mutation_fuzz_raises_only_decode_errors():
         assert message.encode() == mutant
     # Both outcomes are well represented, or the fuzz tests nothing.
     assert rejected > FUZZ_CASES // 4 and decoded > FUZZ_CASES // 20
+
+
+# --- the hello caches --------------------------------------------------------
+
+# A hello that says nothing new is encoded once by its sender and
+# decoded once by each receiver.  Neither cache may be observable:
+# the wire is the reference encoder's for every heard-set, and bytes
+# that are not the validated hello meet the decoder as they always did.
+
+HELLO, DEAD = 0.5, 2.0
+
+
+def _wire_star(leaves=2):
+    """``r1`` adjacent to ``r2``…; returns (sim, daemons, channels)."""
+    sim = Simulation(SimulationConfig())
+    net = Network()
+    sim.attach_network(net)
+    names = [f"r{n}" for n in range(1, leaves + 2)]
+    daemons = {}
+    for n, name in enumerate(names, start=1):
+        net.add_router(name, router_id=f"{n}.{n}.{n}.{n}")
+        daemons[name] = OSPFDaemon(name, OSPFConfig(
+            router_id=IPv4Address(f"{n}.{n}.{n}.{n}"),
+            networks=[(IPv4Prefix(f"10.{n}.0.0/24"), 0)],
+            hello_interval=HELLO, dead_interval=DEAD))
+    channels = {}
+    hub = daemons["r1"]
+    for port, name in enumerate(names[1:], start=1):
+        net.add_link("r1", name)
+        leaf = daemons[name]
+        channel = channels[name] = sim.cm.open_channel(hub, leaf,
+                                                       latency=0.001)
+        hub.add_neighbor(OSPFPeerConfig(
+            peer_name=name, peer_router_id=leaf.config.router_id,
+            local_port=port,
+            peer_address=IPv4Address(f"172.16.{port}.2")), channel)
+        leaf.add_neighbor(OSPFPeerConfig(
+            peer_name="r1", peer_router_id=hub.config.router_id,
+            local_port=1,
+            peer_address=IPv4Address(f"172.16.{port}.1")), channel)
+    for daemon in daemons.values():
+        sim.add_process(daemon)
+    return sim, daemons, channels
+
+
+def _count_decodes(monkeypatch):
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return decode_ospf_message(data)
+
+    monkeypatch.setattr(daemon_module, "decode_ospf_message", counting)
+    return calls
+
+
+def test_cached_hello_wire_is_the_reference_encoding_for_every_heard_set():
+    sim, daemons, channels = _wire_star()
+    by_router_id = {int(d.config.router_id): d for d in daemons.values()}
+    heard_sets = {name: [] for name in daemons}
+    hellos = [0]
+
+    def check(channel, receiver, data):
+        if data[1] != 1:  # not a hello
+            return
+        sender = by_router_id[int.from_bytes(data[4:8], "big")]
+        heard = [state.config.peer_router_id
+                 for state in sender.neighbors.values() if state.heard]
+        assert data == ospf_ref.OSPFHello(
+            sender.config.router_id, HELLO, DEAD, heard).encode()
+        seen = heard_sets[sender.router_name]
+        if not seen or seen[-1] != heard:
+            seen.append(heard)
+        hellos[0] += 1
+
+    sim.cm.add_observer(check)
+    sim.run(until=3.0)
+    assert daemons["r1"].full_neighbors() == ["r2", "r3"]
+    channels["r3"].close()            # adjacency down after DEAD …
+    sim.run(until=7.0)
+    assert daemons["r1"].full_neighbors() == ["r2"]
+    channels["r3"].reopen()           # … and up again
+    sim.run(until=10.0)
+    assert daemons["r1"].full_neighbors() == ["r2", "r3"]
+    two, three = (daemons[name].config.router_id for name in ("r2", "r3"))
+    # The hub's hello went through every heard-set of the story.
+    assert heard_sets["r1"][-3:] == [[two, three], [two], [two, three]]
+    assert heard_sets["r1"][0] == []
+    assert hellos[0] > 60
+
+
+def test_a_steady_hello_is_decoded_once(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    sim, daemons, __ = _wire_star(leaves=1)
+    sim.run(until=3.0)
+    hello_decodes = sum(1 for data in calls if data[1] == 1)
+    calls.clear()
+    before = {name: d.neighbors[peer].last_heard
+              for name, peer, d in (("r1", "r2", daemons["r1"]),
+                                    ("r2", "r1", daemons["r2"]))}
+    sent = sum(d.hellos_sent for d in daemons.values())
+    sim.run(until=30.0)
+    # 108 more hellos delivered, none decoded; the dead timer saw them.
+    assert sum(d.hellos_sent for d in daemons.values()) - sent == 108
+    assert calls == [] and 0 < hello_decodes <= 6
+    assert all(d.neighbors[peer].last_heard > before[name] + 26.0
+               for name, peer, d in (("r1", "r2", daemons["r1"]),
+                                     ("r2", "r1", daemons["r2"])))
+    assert all(d.decode_errors == 0 for d in daemons.values())
+
+
+def _mutants(wire):
+    """Every single-byte mutation and every truncation of ``wire``."""
+    for at in range(len(wire)):
+        for value in range(256):
+            if value != wire[at]:
+                yield wire[:at] + bytes([value]) + wire[at + 1:]
+    for length in range(len(wire)):
+        yield wire[:length]
+
+
+def _decodes(data):
+    try:
+        decode_ospf_message(data)
+    except OSPFDecodeError:
+        return False
+    return True
+
+
+def test_no_mutant_of_a_cached_hello_rides_the_cache():
+    sim, daemons, channels = _wire_star(leaves=1)
+    d1, d2 = daemons["r1"], daemons["r2"]
+    channel = channels["r2"]
+    sim.run(until=3.0)
+    state = d1.neighbors["r2"]
+    wire = state.hello_wire
+    assert wire is not None and d2._hello_wire == wire  # a cached hit
+    mutants = list(_mutants(wire))
+    garbage = [m for m in mutants if not _decodes(m)]
+    # Version, type, length and count bytes and every truncation are
+    # fatal; a changed id or interval is a different, valid hello.
+    assert len(garbage) >= 5 * 255 + len(wire)
+    assert len(garbage) < len(mutants)
+
+    # r2 falls silent at t=3; a second later all the garbage arrives.
+    d2.neighbors["r1"].channel = None
+    silent_since = state.last_heard
+    sim.scheduler.after(1.0, lambda: [channel.send(d2, m) for m in garbage])
+    sim.run(until=4.5)
+    assert d1.decode_errors == len(garbage)
+    assert state.last_heard == silent_since
+    assert state.hello_wire is wire
+    assert d1.full_neighbors() == ["r2"]
+    sim.run(until=silent_since + DEAD + DEAD / 2 + 0.01)  # next dead check
+    assert d1.full_neighbors() == []
+
+    # What does decode is handled as a hello in its own right — and is
+    # decoded, not assumed: its bytes differ from the validated ones.
+    for mutant in (m for m in mutants if _decodes(m)):
+        errors = d1.decode_errors
+        d1.receive(channel, mutant, None)
+        assert d1.decode_errors == errors
+        assert state.hello_wire == mutant
+        assert state.hello.neighbor_ids == decode_ospf_message(
+            mutant).neighbor_ids
+
+
+def test_a_byte_identical_hello_still_runs_the_two_way_logic(monkeypatch):
+    sim, daemons, __ = _wire_star(leaves=1)
+    d1, d2 = daemons["r1"], daemons["r2"]
+    sim.run(until=3.0)
+    state = d1.neighbors["r2"]
+    wire = state.hello_wire
+    d1.neighbor_down("r2")            # heard and full are false now
+    assert not state.heard and not state.full
+    sequence = d1.lsdb.get(d1.config.router_id).sequence
+    hellos_sent = d1.hellos_sent
+    calls = _count_decodes(monkeypatch)
+    sim.run(until=3.0 + HELLO + 0.002)   # r2's next hello: same bytes
+    assert state.hello_wire is wire
+    assert not [data for data in calls if data[1] == 1
+                and data[4:8] == wire[4:8]]          # a cache hit …
+    assert state.heard and state.full                # … that did its work:
+    assert d1.lsdb.get(d1.config.router_id).sequence == sequence + 1
+    assert d1.hellos_sent > hellos_sent + 1          # answered at once
+    assert d1.full_neighbors() == ["r2"]

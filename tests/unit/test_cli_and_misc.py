@@ -245,6 +245,55 @@ class TestConnectionManagerExtras:
             sim.cm.open_channel(Endpoint(), Endpoint(), latency=-1)
 
 
+    def test_a_latency_that_went_negative_cannot_schedule_into_the_past(self):
+        """``deliver`` pushes straight onto the queue after checking the
+        one thing ``Scheduler.push`` would: ``now + latency`` is not in
+        the past.  Nothing is delivered, counted or queued."""
+        from repro.core.errors import SchedulingError
+        sim = Simulation()
+
+        class Endpoint:
+            name = "x"
+
+            def receive(self, *a):  # pragma: no cover
+                raise AssertionError("should not be delivered")
+
+        a, b = Endpoint(), Endpoint()
+        channel = sim.cm.open_channel(a, b, latency=0.001)
+        channel.latency = -0.5
+        with pytest.raises(SchedulingError, match="negative latency"):
+            channel.send(a, b"late")
+        assert sim.cm.deliveries == 0
+        assert sim.queue.stats["pushed"] == 0
+
+    def test_a_delivery_is_one_event_and_one_push(self):
+        from repro.core.events import (ControlDeliveryEvent, Event,
+                                       PRIORITY_CONTROL)
+        sim = Simulation()
+
+        class Endpoint:
+            name = "x"
+            received = []
+
+            def receive(self, channel, data, metadata):
+                self.received.append((data, metadata, sim.clock.now))
+
+        a, b = Endpoint(), Endpoint()
+        channel = sim.cm.open_channel(a, b, latency=0.25)
+        channel.send(a, b"bytes", metadata={"k": 1})
+        assert sim.queue.stats["pushed"] == 1
+        (event,) = list(sim.queue)
+        assert type(event) is ControlDeliveryEvent
+        # Every Event slot is set, as Event.__init__ would have.
+        assert (event.time, event.priority, event.cancelled, event.seq) == (
+            0.25, PRIORITY_CONTROL, False, 0)
+        assert isinstance(event, Event) and event.sort_key() == (0.25, 0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            ControlDeliveryEvent(-1.0, channel, b, b"")
+        sim.run(until=1.0)
+        assert b.received == [(b"bytes", {"k": 1}, 0.25)]
+
+
 class TestLinkAddressing:
     def test_pairs_distinct_and_ordered(self):
         a0, b0 = link_addresses(0)

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.dataplane import arrays as arrays_module
 from repro.obs import (
     NULL_SPAN,
     Tracer,
@@ -364,7 +365,11 @@ class TestScenarioDeterminism:
                                       {"churn": True}, {"sdn": True}],
                              ids=["ospf-wan", "bgp-fattree", "ospf-fattree",
                                   "dataplane-churn", "sdn-fattree"])
-    def test_fingerprint_unmoved_by_tracing(self, kind):
+    def test_fingerprint_unmoved_by_tracing(self, kind, monkeypatch):
+        if "churn" in kind:
+            # Forty flows: below the size at which the engine's rule
+            # picks arrays, and the mirror's spans are what is checked.
+            monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", 0)
         baseline = self._run(**kind)
         assert maybe_enable_from_env({"REPRO_OBS": "1"}) is True
         try:
@@ -376,7 +381,15 @@ class TestScenarioDeterminism:
         names = {sp.name for sp in TRACER.spans()}
         assert "scenario.run" in names
         assert "scenario.simulate" in names
-        if "churn" in kind:
+        runs = [sp for sp in TRACER.spans() if sp.name == "clock.fti_run"]
+        if "churn" not in kind:
+            # One span per run of FTI ticks, on the virtual-time track.
+            assert {sp.attrs["ended_by"] for sp in runs} >= {
+                "event", "fallback"}
+            assert all(sp.attrs["ticks"] >= 1 and
+                       sp.virtual_end >= sp.virtual_start for sp in runs)
+        else:
+            assert not runs  # no control plane: the clock never ticks
             # Counter work shows where it now happens: one span per
             # replay of the sealed accrual timeline.
             replays = [sp for sp in TRACER.spans()
@@ -384,7 +397,9 @@ class TestScenarioDeterminism:
             assert replays and all(sp.attrs["segments"] >= 1
                                    for sp in replays)
 
-    def test_realloc_counters_reach_diagnostics_and_metrics(self):
+    def test_realloc_counters_reach_diagnostics_and_metrics(
+            self, monkeypatch):
+        monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", 0)
         result = self._result(churn=True)
         stats = result.diagnostics["realloc"]
         assert stats["accrual_segments"] > stats["accrual_replays"] > 0

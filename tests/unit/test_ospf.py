@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import SimulationConfig
+from repro.core.errors import ConfigurationError
 from repro.core.simulation import Simulation
 from repro.dataplane.network import Network
 from repro.netproto.addr import IPv4Address, IPv4Prefix
@@ -231,6 +232,47 @@ class TestSPF:
         db.consider(lsa("0.0.0.1", 1, prefixes=[("10.1.0.0/24", 0)]))
         result = shortest_paths(db, rid("0.0.0.1"))
         assert result.prefix_routes == {}
+
+
+class TestTimersAreCheckedWhereTheyAreConfigured:
+    """A timer the wire cannot carry, the scheduler cannot arm or the
+    adjacency cannot survive is a ``ConfigurationError`` from
+    ``OSPFConfig`` — it used to be a ``struct.error`` at the first
+    hello, a ``SchedulingError`` at ``start`` and, for a dead interval
+    no longer than the hello interval, a run that never converged and
+    said nothing."""
+
+    @staticmethod
+    def config(**timers):
+        return OSPFConfig(router_id=rid("1.1.1.1"), **timers)
+
+    @pytest.mark.parametrize("name", ["hello_interval", "dead_interval"])
+    @pytest.mark.parametrize("value", [0, -1, -0.5, 6553.6, 7000,
+                                       float("nan"), float("inf"), "2"])
+    def test_out_of_range(self, name, value):
+        with pytest.raises(ConfigurationError) as excinfo:
+            self.config(**{name: value})
+        message = str(excinfo.value)
+        assert repr(name) in message and "accepted: a positive" in message
+        assert "6553.6" in message
+
+    @pytest.mark.parametrize("hello, dead", [(2.0, 2.0), (2.0, 1.0),
+                                             (1.0, 0.5)])
+    def test_dead_must_exceed_hello(self, hello, dead):
+        with pytest.raises(ConfigurationError) as excinfo:
+            self.config(hello_interval=hello, dead_interval=dead)
+        message = str(excinfo.value)
+        assert "'dead_interval'" in message and "'hello_interval'" in message
+        assert "accepted: dead_interval > hello_interval" in message
+
+    def test_the_edges_of_the_range_are_accepted_and_fit_the_wire(self):
+        config = self.config(hello_interval=0.05, dead_interval=6553.5)
+        wire = OSPFHello(config.router_id, config.hello_interval,
+                         config.dead_interval).encode()
+        decoded = decode_ospf_message(wire)
+        assert (decoded.hello_interval, decoded.dead_interval) == (0.0, 6553.5)
+        self.config()                       # the defaults
+        self.config(hello_interval=1, dead_interval=4)   # integers too
 
 
 def wire_pair(hello=0.5, dead=2.0):

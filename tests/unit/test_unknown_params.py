@@ -84,6 +84,39 @@ def test_protocols_reject_unknown_parameters(kind):
     assert_names(excinfo, key)
 
 
+#: Protocol parameters with a known name and a value nothing can run
+#: with: (parameters, the name the error must carry).
+BAD_OSPF_TIMERS = [
+    ({"hello_interval": 7000}, "hello_interval"),   # was a struct.error
+    ({"hello_interval": 0}, "hello_interval"),      # was a SchedulingError
+    ({"hello_interval": -1}, "hello_interval"),
+    ({"dead_interval": 7000}, "dead_interval"),
+    ({"dead_interval": 1.0}, "dead_interval"),      # ran, never converged
+    ({"hello_interval": 3.0, "dead_interval": 3.0}, "dead_interval"),
+]
+
+
+@pytest.mark.parametrize("params, name", BAD_OSPF_TIMERS)
+def test_ospf_timers_are_rejected_at_materialize(params, name):
+    spec = generate_scenario(1, protocol=ProtocolRecipe("ospf", params))
+    with pytest.raises(ConfigurationError) as excinfo:
+        ScenarioRunner().materialize(spec)
+    assert_names(excinfo, name)
+
+
+@pytest.mark.parametrize("params, name", BAD_OSPF_TIMERS)
+def test_a_bad_ospf_timer_is_one_line_from_the_cli(params, name):
+    argv = ["scenario", "run", "--protocol", "ospf", "--duration", "30"]
+    for key, value in params.items():
+        argv += ["--protocol-param", f"{key}={value}"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"repro scenario run: OSPF {name!r} is ")
+    assert "accepted: " in message
+
+
 @pytest.mark.parametrize("family", TRAFFIC_FAMILIES)
 def test_traffic_families_reject_unknown_parameters(family):
     key = unknown_key()
