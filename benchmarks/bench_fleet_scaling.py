@@ -31,7 +31,7 @@ import tempfile
 
 import pytest
 
-from repro.fleet import FleetExecutor
+from repro.fleet import FleetExecutor, MultiprocessTransport
 from repro.results import ResultStore
 from repro.scenarios import Campaign, generate_scenario
 
@@ -73,8 +73,7 @@ def run_fleet(store_dir: str, workers: int):
     store = ResultStore(store_dir)
     sweep_campaign(workers=1).run(
         store=store,
-        executor=FleetExecutor(workers=workers,
-                               transport="multiprocessing"))
+        executor=FleetExecutor(MultiprocessTransport(), workers=workers))
     return store
 
 

@@ -32,7 +32,7 @@ Run:  python examples/scenario_campaign.py
 
 import tempfile
 
-from repro.fleet import FleetExecutor
+from repro.fleet import FleetExecutor, MultiprocessTransport
 from repro.results import (
     ConvergedWithin,
     MetricExpression,
@@ -120,13 +120,14 @@ def main() -> None:
     # are leased with heartbeats, records stream into per-worker
     # shard stores, and the shards merge (`repro store merge` is the
     # same machinery) into a store that must be record-for-record
-    # what the single-box run produced.  Across machines this is
+    # what the single-box run produced.  From the command line, one
+    # box fans out with `--workers N` and many boxes with
     # `repro fleet serve` + `repro fleet join host:port`.
     fleet_dir = tempfile.mkdtemp(prefix="flap_fleet_")
     fleet_store = ResultStore(fleet_dir)
     stats = Campaign.seed_sweep(flap_scenario, range(12)).run(
         store=fleet_store,
-        executor=FleetExecutor(workers=2, transport="multiprocessing"))
+        executor=FleetExecutor(MultiprocessTransport(), workers=2))
     print(f"\nfleet run: {stats.summary()}")
     print(f"fleet provenance: {fleet_store.metadata['runs'][-1]}")
 

@@ -20,9 +20,8 @@ Subcommands:
   percentile rollups (optionally exporting CSV), ``campaign check``
   exits non-zero when any SLO failed — a sweep as a regression gate —
   and ``campaign diff`` A/B-compares two stores record-for-record
-  (non-zero exit on any divergence).  ``campaign run --fleet N``
-  swaps the local pool for a worker fleet (in-process threads, local
-  processes, or TCP workers).
+  (non-zero exit on any divergence).  ``--workers N`` fans a sweep out
+  over this box's cores; ``fleet serve`` is how it spans boxes.
 * ``fleet``    — distributed fan-out: ``fleet serve`` coordinates a
   sweep over a length-prefixed JSON-over-TCP protocol, ``fleet join
   host:port`` turns any box into a worker, ``fleet status`` snapshots
@@ -74,7 +73,6 @@ Examples::
         --workers 8 --slo converged_within=30
     python -m repro.cli campaign report --store sweep/ --csv sweep.csv
     python -m repro.cli campaign check --store sweep/
-    python -m repro.cli campaign run --store sweep/ --count 200 --fleet 4
     python -m repro.cli campaign diff baseline_store/ candidate_store/
     python -m repro.cli fleet serve --store sweep/ --port 7654 --count 1000
     python -m repro.cli fleet join otherbox:7654
@@ -108,9 +106,9 @@ from repro.baseline import PacketLevelEmulator
 from repro.core import SimulationConfig
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.fleet import (
-    TRANSPORTS,
     FleetExecutor,
     ProtocolError,
+    TcpTransport,
     parse_address,
     recv_message,
     resume_coordinator,
@@ -240,7 +238,8 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _parse_kv_params(pairs: "List[str] | None") -> dict:
-    """``key=value`` strings -> dict with numbers parsed as numbers."""
+    """``key=value`` strings -> dict with numbers parsed as numbers
+    and ``true``/``false`` as booleans, as a spec file spells them."""
     params = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -252,7 +251,7 @@ def _parse_kv_params(pairs: "List[str] | None") -> dict:
             try:
                 value = float(raw)
             except ValueError:
-                value = raw
+                value = {"true": True, "false": False}.get(raw, raw)
         params[key.strip()] = value
     return params
 
@@ -312,8 +311,8 @@ def _load_spec(path: str, extra_slos):
         text = handle.read()
     try:
         spec = ScenarioSpec.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        # What a malformed file raises before any validation runs.
+    except ValueError as exc:  # not JSON; a JSON misfit is already a
+        # ConfigurationError naming the field (ScenarioSpec.from_dict).
         raise ConfigurationError(
             f"cannot load scenario spec {path!r}: {exc!r}") from exc
     spec.slos = list(spec.slos) + extra_slos
@@ -444,25 +443,6 @@ def _announce_fleet_address(address) -> None:
     sys.stdout.flush()
 
 
-def _fleet_executor_from_args(args: argparse.Namespace):
-    """The ``--fleet N`` option family -> a FleetExecutor (or None)."""
-    if not args.fleet:
-        return None
-    # The tcp transport launches nothing: workers join from outside,
-    # so they need a reachable listener and the address printed.
-    external = args.transport == "tcp"
-    return FleetExecutor(
-        workers=args.fleet,
-        transport=args.transport,
-        chunk_size=args.chunk_size,
-        lease_timeout=args.lease_timeout or 30.0,
-        host="0.0.0.0" if external else "127.0.0.1",
-        port=args.fleet_port,
-        wait_timeout=args.wait_timeout,
-        on_listening=_announce_fleet_address if external else None,
-    )
-
-
 def _campaign_stats_exit_code(stats, store) -> int:
     """The shared gate for campaign-style runs.
 
@@ -539,10 +519,8 @@ def _cmd_campaign_run(args: argparse.Namespace, resume: bool = False) -> int:
                 f"{args.store!r} — the generator/--slo options differ "
                 f"from the original run; re-check them (or use "
                 f"'campaign run' with a fresh store)")
-    stats = campaign.run(
-        store=store,
-        retry_errors=resume and args.retry_errors,
-        executor=_fleet_executor_from_args(args))
+    stats = campaign.run(store=store,
+                         retry_errors=resume and args.retry_errors)
     _emit_campaign_stats(stats, args.json)
     if not args.json:
         print("inspect:  repro campaign report --store " + args.store)
@@ -771,8 +749,8 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     # would leave late joiners idle and make each steal forfeit a
     # huge slice.
     executor = FleetExecutor(
+        TcpTransport(),
         workers=args.expect_workers,
-        transport="tcp",
         chunk_size=args.chunk_size,
         lease_timeout=args.lease_timeout or 30.0,
         host=args.host, port=args.port,
@@ -906,42 +884,6 @@ def _add_store_format_option(parser: argparse.ArgumentParser) -> None:
         help="on-disk format when the store is created (default "
              "jsonl; an existing store's format is auto-detected "
              "and this flag must match it)")
-
-
-def _add_fleet_tuning_options(parser: argparse.ArgumentParser) -> None:
-    """Chunking/lease knobs shared by ``fleet serve`` and
-    ``campaign run --fleet``."""
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="scenarios per lease (default: ~4 chunks "
-                             "per worker)")
-    parser.add_argument("--lease-timeout", type=float, default=None,
-                        help="seconds without any frame (records or "
-                             "liveness heartbeats) from a worker before "
-                             "its chunks are reclaimed (default 30; a "
-                             "resume defaults to the crashed run's "
-                             "value); bound a run with a live-but-stuck "
-                             "worker via --wait-timeout")
-    parser.add_argument("--wait-timeout", type=float, default=None,
-                        help="give up if the sweep is not finished after "
-                             "this many seconds (completed records are "
-                             "still merged; resume finishes the rest)")
-
-
-def _add_fleet_backend_options(parser: argparse.ArgumentParser) -> None:
-    """``campaign run|resume --fleet N``: swap the local pool for a
-    worker fleet."""
-    parser.add_argument(
-        "--fleet", type=int, default=None, metavar="N",
-        help="run through a fleet of N workers instead of the "
-             "local pool (see --transport)")
-    parser.add_argument(
-        "--transport", default="multiprocessing", choices=TRANSPORTS,
-        help="how --fleet workers run (tcp: workers must "
-             "'repro fleet join' this process)")
-    parser.add_argument(
-        "--fleet-port", type=int, default=0,
-        help="coordinator TCP port for --fleet (default: ephemeral)")
-    _add_fleet_tuning_options(parser)
 
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
@@ -1126,7 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_option(crun)
     _add_sweep_options(crun)
     _add_store_format_option(crun)
-    _add_fleet_backend_options(crun)
     _add_scenario_generator_options(crun)
 
     cresume = _add_command(
@@ -1139,7 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-errors", action="store_true",
         help="also re-run scenarios whose persisted record is an "
              "error result, superseding it")
-    _add_fleet_backend_options(cresume)
     _add_scenario_generator_options(cresume)
 
     creport = _add_command(
@@ -1271,7 +1211,20 @@ def build_parser() -> argparse.ArgumentParser:
                              "everyone gets work and a steal forfeits "
                              "little (default 4)")
     _add_store_format_option(fserve)
-    _add_fleet_tuning_options(fserve)
+    fserve.add_argument("--chunk-size", type=int, default=None,
+                        help="scenarios per lease (default: ~4 chunks "
+                             "per worker)")
+    fserve.add_argument("--lease-timeout", type=float, default=None,
+                        help="seconds without any frame (records or "
+                             "liveness heartbeats) from a worker before "
+                             "its chunks are reclaimed (default 30; a "
+                             "resume defaults to the crashed run's "
+                             "value); bound a run with a live-but-stuck "
+                             "worker via --wait-timeout")
+    fserve.add_argument("--wait-timeout", type=float, default=None,
+                        help="give up if the sweep is not finished after "
+                             "this many seconds (completed records are "
+                             "still merged; resume finishes the rest)")
     _add_scenario_generator_options(fserve)
     fserve.set_defaults(workers=None)
 

@@ -25,14 +25,13 @@ See ``docs/fleet.md`` for the full crash-recovery matrix.
 
 Quickstart::
 
-    from repro.fleet import FleetExecutor
+    from repro.fleet import FleetExecutor, MultiprocessTransport
     from repro.results import ResultStore
     from repro.scenarios import Campaign, generate_scenario
 
     campaign = Campaign.seed_sweep(generate_scenario, range(100))
     campaign.run(store=ResultStore("sweep"),
-                 executor=FleetExecutor(workers=4,
-                                        transport="multiprocessing"))
+                 executor=FleetExecutor(MultiprocessTransport(), workers=4))
 
 Or across machines::
 
@@ -60,11 +59,9 @@ from repro.fleet.coordinator import (
 )
 from repro.fleet.worker import FleetWorker, WorkerStats, worker_main
 from repro.fleet.transport import (
-    TRANSPORTS,
     InProcessTransport,
     MultiprocessTransport,
     TcpTransport,
-    transport_from_name,
 )
 from repro.fleet.chaos import (
     ChaosSchedule,
@@ -72,7 +69,7 @@ from repro.fleet.chaos import (
     ChaosTransport,
     schedule_from_env,
 )
-from repro.fleet.executor import FleetExecutor, run_fleet_campaign
+from repro.fleet.executor import FleetExecutor
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -91,15 +88,12 @@ __all__ = [
     "FleetWorker",
     "WorkerStats",
     "worker_main",
-    "TRANSPORTS",
     "InProcessTransport",
     "MultiprocessTransport",
     "TcpTransport",
-    "transport_from_name",
     "ChaosSchedule",
     "ChaosSocket",
     "ChaosTransport",
     "schedule_from_env",
     "FleetExecutor",
-    "run_fleet_campaign",
 ]

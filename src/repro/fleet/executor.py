@@ -1,22 +1,22 @@
 """The :class:`FleetExecutor`: a distributed backend for
 ``Campaign.run``.
 
-``Campaign.run(store=..., executor=FleetExecutor(...))`` keeps the
-campaign API — resume skipping, stats, gating — and swaps the
-``multiprocessing.Pool`` for a coordinator + workers over the chosen
-transport.  The contract it upholds: the merged store at the end is
-record-for-record identical (modulo the repo-wide volatile fields)
-to what ``Campaign.run(store=...)`` would have written single-box,
-including the append order.
+``Campaign.run(store=..., executor=FleetExecutor(transport))`` keeps
+the campaign API — resume skipping, stats, gating — and swaps the
+``multiprocessing.Pool`` for a coordinator + workers over the given
+transport object (:mod:`repro.fleet.transport`).  The contract it
+upholds: the merged store at the end is record-for-record identical
+(modulo the repo-wide volatile fields) to what
+``Campaign.run(store=...)`` would have written single-box, including
+the append order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.core.errors import ConfigurationError
 from repro.fleet.coordinator import FleetCoordinator, FleetRunStats
-from repro.fleet.transport import transport_from_name
 from repro.results.store import ResultStore
 
 
@@ -25,8 +25,8 @@ class FleetExecutor:
 
     def __init__(
         self,
+        transport: Any,
         workers: int = 2,
-        transport: Union[str, Any] = "inprocess",
         chunk_size: Optional[int] = None,
         lease_timeout: float = 30.0,
         max_chunk_attempts: int = 5,
@@ -40,15 +40,9 @@ class FleetExecutor:
             raise ConfigurationError(
                 f"fleet workers must be >= 1, got {workers}")
         self.workers = workers
-        # A string names one of the registered transports; an instance
-        # (e.g. a pre-seeded ChaosTransport) is used as-is, so tests
-        # can inject misbehaving worker launches through the same door.
-        if isinstance(transport, str):
-            self._transport: Optional[Any] = None
-            self.transport_name = transport
-        else:
-            self._transport = transport
-            self.transport_name = getattr(transport, "name", "custom")
+        #: Launches and reaps the workers: an InProcessTransport,
+        #: MultiprocessTransport, TcpTransport or ChaosTransport.
+        self.transport = transport
         self.chunk_size = chunk_size
         self.lease_timeout = lease_timeout
         self.max_chunk_attempts = max_chunk_attempts
@@ -70,8 +64,7 @@ class FleetExecutor:
                 store: ResultStore) -> FleetRunStats:
         """Fan ``payloads`` (spec dicts, canonical order) out over the
         fleet, merge the shards into ``store``, return the stats."""
-        transport = (self._transport if self._transport is not None
-                     else transport_from_name(self.transport_name))
+        transport = self.transport
         coordinator = FleetCoordinator(
             list(payloads), store,
             chunk_size=self.chunk_size,
@@ -98,8 +91,7 @@ class FleetExecutor:
             # re-executes only what really never finished.
             transport.shutdown()
             coordinator.stop()
-            self.last_stats = coordinator.finish(
-                transport=self.transport_name)
+            self.last_stats = coordinator.finish(transport=transport.name)
             if self.last_stats.merged:
                 import logging
 
@@ -112,7 +104,7 @@ class FleetExecutor:
         finally:
             transport.shutdown()
             coordinator.stop()
-        stats = coordinator.finish(transport=self.transport_name)
+        stats = coordinator.finish(transport=transport.name)
         self.last_stats = stats
         return stats
 
@@ -140,11 +132,3 @@ class FleetExecutor:
                     f"fleet run did not finish within "
                     f"{self.wait_timeout}s: {coordinator.status()}")
 
-
-def run_fleet_campaign(
-    payloads: List[Dict[str, Any]],
-    store: ResultStore,
-    **executor_options: Any,
-) -> FleetRunStats:
-    """Convenience one-shot: specs dicts in, merged store + stats out."""
-    return FleetExecutor(**executor_options).execute(payloads, store)

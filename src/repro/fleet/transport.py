@@ -1,18 +1,22 @@
 """How fleet workers come to exist: the pluggable transport layer.
 
 Every transport speaks the same frame protocol to the same
-coordinator — what varies is only where the workers run:
+coordinator — what varies is only where the workers run.  A
+:class:`~repro.fleet.executor.FleetExecutor` takes one of these
+objects:
 
-* ``inprocess``       — worker loops in daemon threads of the current
-  process, connected over loopback.  Zero spawn cost; the test and
-  notebook transport.  (Scenario runs hold the GIL, so this measures
-  coordination, not parallel speedup.)
-* ``multiprocessing`` — worker processes on this box (``spawn``
-  context: the coordinator's server threads make ``fork`` unsafe),
-  connected over loopback.  The one-box scale-out transport.
-* ``tcp``             — launches nothing; the coordinator's port is
-  the contract and workers join from anywhere with
-  ``repro fleet join host:port``.
+* :class:`InProcessTransport`  — worker loops in daemon threads of the
+  current process, connected over loopback.  Zero spawn cost; the test
+  and notebook transport.  (Scenario runs hold the GIL, so this
+  measures coordination, not parallel speedup.)
+* :class:`MultiprocessTransport` — worker processes on this box
+  (``spawn`` context: the coordinator's server threads make ``fork``
+  unsafe), connected over loopback.  The Python API's way to get real
+  worker processes; the command line fans out on one box with
+  ``--workers N`` instead (see ``docs/fleet.md``, "One box or many").
+* :class:`TcpTransport`        — launches nothing; the coordinator's
+  port is the contract and workers join from anywhere with
+  ``repro fleet join host:port`` (what ``repro fleet serve`` uses).
 
 A transport only *launches and reaps* workers; all work assignment,
 failure handling and result flow happen in the protocol, which is why
@@ -26,10 +30,7 @@ import multiprocessing
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
 from repro.fleet.worker import worker_main
-
-TRANSPORTS = ("inprocess", "multiprocessing", "tcp")
 
 
 class InProcessTransport:
@@ -130,15 +131,3 @@ class TcpTransport:
 
     def shutdown(self) -> None:
         pass
-
-
-def transport_from_name(name: str):
-    """CLI/config string -> transport instance."""
-    if name == "inprocess":
-        return InProcessTransport()
-    if name == "multiprocessing":
-        return MultiprocessTransport()
-    if name == "tcp":
-        return TcpTransport()
-    raise ConfigurationError(
-        f"unknown fleet transport {name!r}; expected one of {TRANSPORTS}")

@@ -6,8 +6,9 @@ across the network for ``repro fleet join``), introduces itself, and
 loops *request -> run -> records -> chunk_done* until the coordinator
 says ``done``.  Scenario execution reuses the campaign's fault-
 isolated entry point (:func:`run_scenario_dict_safe`) and record
-assembly, so a record produced by a fleet worker is byte-for-byte the
-record a single-box campaign would have persisted for the same spec.
+builder (:func:`scenario_record`), so a record produced by a fleet
+worker is byte-for-byte the record a single-box campaign would have
+persisted for the same spec.
 
 A dropped connection is not worker death: the session loop reconnects
 with seeded exponential backoff + jitter and re-introduces itself
@@ -49,7 +50,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.api.metrics import scenario_metrics
 from repro.core.errors import SimulationError
 from repro.fleet.protocol import (
     PROTOCOL_VERSION,
@@ -60,9 +60,7 @@ from repro.fleet.protocol import (
 )
 from repro.obs.metrics import metrics
 from repro.obs.spans import maybe_enable_from_env, span
-from repro.results.records import make_record
-from repro.scenarios.campaign import run_scenario_dict_safe
-from repro.scenarios.runner import result_fingerprint
+from repro.scenarios.campaign import run_scenario_dict_safe, scenario_record
 
 _log = logging.getLogger("repro.fleet")
 
@@ -224,9 +222,7 @@ class FleetWorker:
         ``Campaign.run(store=...)`` would append for it."""
         with _EXECUTION_LOCK:
             raw = run_scenario_dict_safe(payload)
-        return make_record(payload, raw,
-                           fingerprint=result_fingerprint(raw),
-                           metrics=scenario_metrics(raw))
+        return scenario_record(payload, raw)
 
     def _run_chunk(self, chunk_id: int, specs: Any) -> None:
         if not isinstance(specs, list):

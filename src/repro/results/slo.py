@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, an_object, expect
 
 PASS = "pass"
 FAIL = "fail"
@@ -420,6 +420,8 @@ def _make_slo(kind: Any, raw_value: Any) -> SLO:
             f"choose from {sorted(SLO_KINDS)}") from None
     field_name = _SLO_FIELDS[kind]
     try:
+        if isinstance(raw_value, bool):  # float(True) would read 1.0
+            raise TypeError(raw_value)
         value = _FIELD_COERCIONS[field_name](raw_value)
     except (TypeError, ValueError):
         raise ConfigurationError(
@@ -430,14 +432,17 @@ def _make_slo(kind: Any, raw_value: Any) -> SLO:
 
 def slo_from_dict(data: Dict[str, Any]) -> SLO:
     """Inverse of ``SLO.to_dict`` — the spec deserialization hook."""
-    kind = data.get("kind")
-    if kind in SLO_KINDS and _SLO_FIELDS[kind] not in data:
-        # to_dict always writes the threshold: a payload without it is
-        # a typoed spec file, and silently gating on the class default
-        # would pass runs the author meant to fail.
+    kind = expect("an SLO", data, an_object).get("kind")
+    field_name = _SLO_FIELDS.get(kind) if isinstance(kind, str) else None
+    if field_name is not None and set(data) != {"kind", field_name}:
+        # to_dict always writes the threshold and nothing else: a
+        # payload without it (or with more) is a typoed spec file, and
+        # silently gating on the class default would pass runs the
+        # author meant to fail.
         raise ConfigurationError(
-            f"SLO kind {kind!r} needs a {_SLO_FIELDS[kind]!r} value")
-    return _make_slo(kind, data.get(_SLO_FIELDS.get(kind, ""), None))
+            f"SLO kind {kind!r} takes one {field_name!r} value, got "
+            f"keys {sorted(data)}")
+    return _make_slo(kind, data.get(field_name))
 
 
 def slo_from_kv(kind: str, raw_value: str) -> SLO:

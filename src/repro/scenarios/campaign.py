@@ -1,9 +1,9 @@
 """Fan a batch of scenarios out across worker processes.
 
 A :class:`Campaign` is the scale half of the scenario engine: hand it
-a list of specs (usually a seed sweep or a parameter grid), pick a
-worker count, and it runs every scenario — serialized specs out,
-serialized results back — then aggregates.  Workers are plain
+a list of specs (usually a seed sweep), pick a worker count, and it
+runs every scenario — serialized specs out, serialized results back —
+then aggregates.  Workers are plain
 ``multiprocessing`` processes; each scenario builds its world from
 scratch and resets the process-global counters, so a result is the
 same whether it ran first, last, alone, or in a pool (the
@@ -26,7 +26,6 @@ aborting the whole sweep.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import multiprocessing
@@ -131,6 +130,18 @@ def run_scenario_dict_safe(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
             spec = ScenarioSpec(name=spec_dict.get("name", "scenario"),
                                 seed=spec_dict.get("seed", 0))
         return error_result(spec, message).to_dict()
+
+
+def scenario_record(payload: Dict[str, Any],
+                    raw: Dict[str, Any]) -> Dict[str, Any]:
+    """The store record of one finished scenario: its spec dict and the
+    worker's result dict, fingerprinted and flattened directly (no
+    round trip through a ScenarioResult).  The one builder both
+    ``Campaign.run`` and a fleet worker call, so a fleet record is the
+    single-box record by construction."""
+    return make_record(payload, raw,
+                       fingerprint=result_fingerprint(raw),
+                       metrics=scenario_metrics(raw))
 
 
 @dataclass
@@ -285,23 +296,6 @@ class Campaign:
         shape: same scenario family, many seeds)."""
         return cls([factory(seed) for seed in seeds], workers=workers)
 
-    @classmethod
-    def parameter_grid(
-        cls,
-        factory: Callable[..., ScenarioSpec],
-        grid: Dict[str, Sequence[Any]],
-        workers: Optional[int] = None,
-    ) -> "Campaign":
-        """Build a campaign over the cartesian product of ``grid``.
-
-        ``factory`` is called once per combination with one keyword
-        argument per grid axis.
-        """
-        axes = sorted(grid)
-        combos = itertools.product(*(grid[axis] for axis in axes))
-        specs = [factory(**dict(zip(axes, combo))) for combo in combos]
-        return cls(specs, workers=workers)
-
     def _stream_results(
         self, payloads: List[Dict[str, Any]],
     ) -> "Iterator[Dict[str, Any]]":
@@ -381,12 +375,12 @@ class Campaign:
                 failed=fleet_stats.failed,
                 slo_failures=fleet_stats.slo_failures,
                 wall_seconds=_time.perf_counter() - start,
-                # TCP fleets learn their size from who joined, not
-                # from the executor's (unused) worker knob.
-                workers=(len(fleet_stats.workers)
-                         or getattr(executor, "workers", 1)),
+                # The workers that joined, not the executor's knob: a
+                # TCP fleet sizes itself, and nobody joins a sweep
+                # whose store is already complete.
+                workers=len(fleet_stats.workers),
                 store_path=store.path,
-                transport=getattr(executor, "transport_name", "fleet"),
+                transport=executor.transport.name,
                 fleet=fleet_stats.to_dict(),
             )
 
@@ -401,14 +395,7 @@ class Campaign:
             if store is None:
                 results.append(ScenarioResult.from_dict(raw))
             else:
-                # The worker's dict is already a to_dict payload:
-                # fingerprint and flatten it directly instead of
-                # round-tripping through a ScenarioResult.
-                record = make_record(
-                    payload, raw,
-                    fingerprint=result_fingerprint(raw),
-                    metrics=scenario_metrics(raw),
-                )
+                record = scenario_record(payload, raw)
                 store.append(record,
                              replace=(record["spec_hash"],
                                       record["seed"]) in retrying)

@@ -21,12 +21,26 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type, TYPE_CHECKING
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import (
+    ConfigurationError,
+    a_list_of_string_pairs,
+    a_list_of_strings,
+    a_number,
+    a_number_or_null,
+    a_string,
+    an_integer,
+    an_object,
+    expect,
+    expect_fields,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.experiment import Experiment
 
 Mark = Tuple[float, str]
+
+_LINK_FIELDS = (("at", a_number), ("node_a", a_string),
+                ("node_b", a_string))
 
 # kind string -> injection class; populated by @register.
 INJECTION_KINDS: Dict[str, Type["Injection"]] = {}
@@ -44,12 +58,17 @@ def injection_from_dict(data: Dict[str, Any]) -> "Injection":
     """Deserialize any registered injection from its dict form."""
     try:
         cls = INJECTION_KINDS[data["kind"]]
-    except KeyError:
+    except (KeyError, TypeError):  # no kind, an unknown one, no object
         raise ConfigurationError(
-            f"unknown injection kind {data.get('kind')!r}; "
+            f"unknown injection kind "
+            f"{expect('an injection', data, an_object).get('kind')!r}; "
             f"choose from {sorted(INJECTION_KINDS)}") from None
     kwargs = {key: value for key, value in data.items() if key != "kind"}
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a key the class has no field for
+        raise ConfigurationError(
+            f"injection {data['kind']!r}: {exc}") from None
 
 
 @dataclass
@@ -59,8 +78,13 @@ class Injection:
     at: float = 0.0
 
     kind = ""  # overridden by every registered subclass
+    #: (field, kind) for every field validate() type-checks, kinds from
+    #: :mod:`repro.core.errors`; one entry per field, so the check costs
+    #: O(1) per field and no reflection.
+    typed_fields = (("at", a_number),)
 
     def validate(self) -> None:
+        expect_fields(self, self.typed_fields)
         if self.at < 0:
             raise ConfigurationError(
                 f"{type(self).__name__}.at must be >= 0, got {self.at}")
@@ -94,6 +118,7 @@ class LinkFail(Injection):
     """Cut the cable between two nodes."""
 
     kind = "link-fail"
+    typed_fields = _LINK_FIELDS
 
     node_a: str = ""
     node_b: str = ""
@@ -112,6 +137,7 @@ class LinkRestore(Injection):
     """Replug a previously failed cable."""
 
     kind = "link-restore"
+    typed_fields = _LINK_FIELDS
 
     node_a: str = ""
     node_b: str = ""
@@ -134,6 +160,8 @@ class LinkFlap(Injection):
     """
 
     kind = "link-flap"
+    typed_fields = _LINK_FIELDS + (("cycles", an_integer),
+                                   ("period", a_number), ("duty", a_number))
 
     node_a: str = ""
     node_b: str = ""
@@ -177,6 +205,7 @@ class NodeFail(Injection):
     """Take a whole device down: node, cables, control sessions."""
 
     kind = "node-fail"
+    typed_fields = (("at", a_number), ("node", a_string))
 
     node: str = ""
 
@@ -194,6 +223,7 @@ class NodeRecover(Injection):
     """Bring a failed device back with all its cables."""
 
     kind = "node-recover"
+    typed_fields = NodeFail.typed_fields
 
     node: str = ""
 
@@ -216,6 +246,8 @@ class Partition(Injection):
     """
 
     kind = "partition"
+    typed_fields = (("at", a_number), ("group", a_list_of_strings),
+                    ("heal_at", a_number_or_null))
 
     group: List[str] = field(default_factory=list)
     heal_at: Optional[float] = None
@@ -269,6 +301,8 @@ class CapacityDegrade(Injection):
     """
 
     kind = "capacity-degrade"
+    typed_fields = _LINK_FIELDS + (("factor", a_number),
+                                   ("until", a_number_or_null))
 
     node_a: str = ""
     node_b: str = ""
@@ -307,6 +341,9 @@ class TrafficBurst(Injection):
     """
 
     kind = "traffic-burst"
+    typed_fields = (("at", a_number), ("duration", a_number),
+                    ("rate_bps", a_number), ("flows", an_integer),
+                    ("seed", an_integer), ("pairs", a_list_of_string_pairs))
 
     duration: float = 5.0
     rate_bps: float = 500_000_000.0

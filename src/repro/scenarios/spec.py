@@ -19,11 +19,22 @@ import functools
 import inspect
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SimulationConfig
-from repro.core.errors import ConfigurationError
+from repro.core.errors import (
+    ConfigurationError,
+    a_boolean,
+    a_list,
+    a_list_of_string_pairs,
+    a_number,
+    a_string,
+    an_integer,
+    an_object,
+    expect,
+    expect_fields,
+)
 from repro.results.records import spec_hash as _spec_hash
 from repro.results.slo import SLO, slo_from_dict
 from repro.scenarios.injections import Injection, injection_from_dict
@@ -59,21 +70,36 @@ SPEC_SCHEMA_VERSIONS: Dict[int, str] = {
 SPEC_SCHEMA_VERSION = max(SPEC_SCHEMA_VERSIONS)
 
 
+#: Parameter annotation -> the value kind check_params demands; other
+#: annotations go unchecked.
+_ANNOTATION_KINDS = {"int": an_integer, "float": a_number,
+                     "bool": a_boolean, "str": a_string}
+
+
 @functools.lru_cache(maxsize=None)
-def _keyword_names(target: Callable[..., Any]
-                   ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """The names ``target`` takes by keyword, and those of them it
-    gives no default, each sorted.  Cached because ``inspect.signature``
-    costs tens of microseconds and the check below runs several times
-    per generated scenario; the targets are the registries' module-level
-    callables, so the cache stays small."""
+def _keyword_parameters(target: Callable[..., Any]) -> Tuple[
+        Tuple[str, ...], Tuple[str, ...], Dict[str, Callable[[Any], bool]]]:
+    """The names ``target`` takes by keyword, those of them it gives no
+    default (each sorted), and the value kind of those annotated with a
+    plain scalar type.  Cached because ``inspect.signature`` costs tens
+    of microseconds and the check below runs several times per generated
+    scenario; the targets are the registries' module-level callables, so
+    the cache stays small."""
     parameters = sorted(
-        (name, parameter.default is parameter.empty) for name, parameter
+        (name, parameter) for name, parameter
         in inspect.signature(target).parameters.items()
         if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
                               parameter.KEYWORD_ONLY))
+    kinds = {}
+    for name, parameter in parameters:
+        annotation = getattr(parameter.annotation, "__name__",
+                             parameter.annotation)
+        if annotation in _ANNOTATION_KINDS:
+            kinds[name] = _ANNOTATION_KINDS[annotation]
     return (tuple(name for name, __ in parameters),
-            tuple(name for name, required in parameters if required))
+            tuple(name for name, parameter in parameters
+                  if parameter.default is parameter.empty),
+            kinds)
 
 
 def check_params(what: str, target: Callable[..., Any],
@@ -81,11 +107,13 @@ def check_params(what: str, target: Callable[..., Any],
                  supplied: Sequence[str] = ()) -> None:
     """Reject keys of ``params`` that ``target`` does not take by
     keyword, and parameters it requires that nobody gives, naming the
-    ones it does take.  ``supplied`` lists the parameters the caller
-    passes itself.  Run before every ``target(**params)`` on user-given
-    parameters, so a typo or an omission is a
+    ones it does take, and values of the wrong kind for the parameter's
+    ``int``/``float``/``bool``/``str`` annotation.  ``supplied`` lists
+    the parameters the caller passes itself.  Run before every
+    ``target(**params)`` on user-given parameters, so a typo, an
+    omission or a string where a number belongs is a
     :class:`ConfigurationError` and a ``TypeError`` stays a defect."""
-    names, required = _keyword_names(target)
+    names, required, kinds = _keyword_parameters(target)
     unknown = sorted(key for key in params
                      if key not in names or key in supplied)
     missing = [name for name in required
@@ -96,10 +124,34 @@ def check_params(what: str, target: Callable[..., Any],
     elif missing:
         problem = f"{what} needs {', '.join(missing)}"
     else:
+        for key, value in params.items():
+            if key in kinds:
+                expect(f"{what} parameter {key}", value, kinds[key])
         return
     accepted = [name for name in names if name not in supplied]
     raise ConfigurationError(
         f"{problem}; accepted: {', '.join(accepted) or 'none'}")
+
+
+def _check_keys(what: str, data: Dict[str, Any], known: Any) -> None:
+    """Reject keys of a serialized object that ``known`` does not list,
+    by name — a typo like "injectionss" must not be silently ignored."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} key{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(repr(k) for k in unknown)}; known keys: "
+            f"{', '.join(sorted(known))}")
+
+
+def _recipe_fields(key: str, recipe: type,
+                   data: Any) -> Tuple[str, Dict[str, Any]]:
+    """The (kind, params) of the serialized ``recipe`` at spec ``key``."""
+    _check_keys(key, expect(f"ScenarioSpec.{key}", data, an_object),
+                ("kind", "params"))
+    return (expect(f"{recipe.__name__}.kind", data.get("kind"), a_string),
+            dict(expect(f"{recipe.__name__}.params",
+                        data.get("params", {}), an_object)))
 
 
 # Registry: recipe kind -> builder callable returning a Topo.
@@ -143,7 +195,7 @@ class TopologyRecipe:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TopologyRecipe":
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
+        return cls(*_recipe_fields("topology", cls, data))
 
 
 @dataclass
@@ -171,7 +223,14 @@ class ProtocolRecipe:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ProtocolRecipe":
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
+        return cls(*_recipe_fields("protocol", cls, data))
+
+
+def _is_flow(entry: Any) -> bool:
+    """One ``[src, dst, rate_bps]`` entry of a matrix traffic recipe."""
+    return (isinstance(entry, (list, tuple)) and len(entry) == 3
+            and isinstance(entry[0], str) and isinstance(entry[1], str)
+            and a_number(entry[2]))
 
 
 @dataclass
@@ -198,22 +257,28 @@ class TrafficRecipe:
     # for pattern == "matrix": [src, dst, rate_bps] per flow
     flows: List[List[Any]] = field(default_factory=list)
 
+    #: (field, kind) validate() type-checks, as for injections.
+    typed_fields = (("rate_bps", a_number), ("start_time", a_number),
+                    ("duration", a_number), ("stagger", a_number),
+                    ("stride", an_integer), ("pairs", a_list_of_string_pairs))
+
     def validate(self) -> None:
         if self.pattern not in TRAFFIC_PATTERNS:
             raise ConfigurationError(
                 f"unknown traffic pattern {self.pattern!r}; "
                 f"choose from {TRAFFIC_PATTERNS}")
+        expect_fields(self, self.typed_fields)
         if self.pattern == "matrix":
             if not self.flows:
                 raise ConfigurationError(
                     "traffic pattern 'matrix' needs at least one "
                     "[src, dst, rate_bps] entry in flows")
             for entry in self.flows:
-                if len(entry) != 3:
+                if not _is_flow(entry):
                     raise ConfigurationError(
                         f"matrix flow entry must be [src, dst, rate_bps], "
                         f"got {entry!r}")
-                if float(entry[2]) <= 0:
+                if entry[2] <= 0:
                     raise ConfigurationError(
                         f"matrix flow {entry[0]}->{entry[1]} needs a "
                         f"positive rate, got {entry[2]!r}")
@@ -256,6 +321,17 @@ class TrafficRecipe:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TrafficRecipe":
+        _check_keys("traffic",
+                    expect("ScenarioSpec.traffic", data, an_object),
+                    [known.name for known in fields(cls)])
+        pairs = expect("TrafficRecipe.pairs", data.get("pairs", []),
+                       a_list_of_string_pairs)
+        flows = expect("TrafficRecipe.flows", data.get("flows", []), a_list)
+        for entry in flows:
+            if not _is_flow(entry):
+                raise ConfigurationError(
+                    f"TrafficRecipe.flows entry must be [src, dst, "
+                    f"rate_bps], got {entry!r}")
         return cls(
             pattern=data.get("pattern", "permutation"),
             rate_bps=data.get("rate_bps", 500_000_000.0),
@@ -263,9 +339,8 @@ class TrafficRecipe:
             duration=data.get("duration", 30.0),
             stagger=data.get("stagger", 0.0),
             stride=data.get("stride", 1),
-            pairs=[list(pair) for pair in data.get("pairs", [])],
-            flows=[[src, dst, float(rate)]
-                   for src, dst, rate in data.get("flows", [])],
+            pairs=[list(pair) for pair in pairs],
+            flows=[[src, dst, float(rate)] for src, dst, rate in flows],
         )
 
 
@@ -288,8 +363,13 @@ class ScenarioSpec:
     # given here.
     sim_params: Dict[str, Any] = field(default_factory=dict)
 
+    #: (field, kind) validate() type-checks, as for injections.
+    typed_fields = (("name", a_string), ("seed", an_integer),
+                    ("duration", a_number))
+
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsense values."""
+        expect_fields(self, self.typed_fields)
         if self.duration <= 0:
             raise ConfigurationError("scenario duration must be positive")
         self.protocol.validate()
@@ -322,8 +402,7 @@ class ScenarioSpec:
         }
 
     #: Every top-level key a serialized spec may carry (any schema
-    #: version to date).  Anything else is rejected by name — a typo
-    #: like "injectionss" must not be silently ignored.
+    #: version to date); anything else is rejected by name.
     KNOWN_KEYS = frozenset((
         "schema_version", "name", "seed", "duration", "topology",
         "protocol", "traffic", "injections", "slos", "sim_params",
@@ -332,8 +411,11 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
         # Accepts any schema version to date (SPEC_SCHEMA_VERSIONS): v1
-        # files simply have no "slos" (or "schema_version") key.
-        version = data.get("schema_version", 1)
+        # files simply have no "slos" (or "schema_version") key.  The
+        # shape is checked here (objects are objects, lists are lists);
+        # leaf values are checked by validate(), which every run calls.
+        version = expect("a scenario spec", data,
+                         an_object).get("schema_version", 1)
         if type(version) is not int or version < 1:
             raise ConfigurationError(
                 f"spec schema_version must be an integer >= 1, got "
@@ -343,23 +425,21 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"spec schema_version {version} is newer than this "
                 f"build reads (versions 1 to {SPEC_SCHEMA_VERSION})")
-        unknown = sorted(set(data) - cls.KNOWN_KEYS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown spec key{'s' if len(unknown) > 1 else ''} "
-                f"{', '.join(repr(k) for k in unknown)}; known keys: "
-                f"{', '.join(sorted(cls.KNOWN_KEYS))}")
+        _check_keys("spec", data, cls.KNOWN_KEYS)
         return cls(
             name=data.get("name", "scenario"),
             seed=data.get("seed", 0),
             duration=data.get("duration", 40.0),
-            topology=TopologyRecipe.from_dict(data["topology"]),
-            protocol=ProtocolRecipe.from_dict(data["protocol"]),
-            traffic=TrafficRecipe.from_dict(data["traffic"]),
-            injections=[injection_from_dict(d)
-                        for d in data.get("injections", [])],
-            slos=[slo_from_dict(d) for d in data.get("slos", [])],
-            sim_params=dict(data.get("sim_params", {})),
+            topology=TopologyRecipe.from_dict(data.get("topology")),
+            protocol=ProtocolRecipe.from_dict(data.get("protocol")),
+            traffic=TrafficRecipe.from_dict(data.get("traffic")),
+            injections=[injection_from_dict(d) for d in expect(
+                "ScenarioSpec.injections", data.get("injections", []),
+                a_list)],
+            slos=[slo_from_dict(d) for d in expect(
+                "ScenarioSpec.slos", data.get("slos", []), a_list)],
+            sim_params=dict(expect("ScenarioSpec.sim_params",
+                                   data.get("sim_params", {}), an_object)),
         )
 
     def to_json(self, indent: "int | None" = 2) -> str:

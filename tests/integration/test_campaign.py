@@ -86,20 +86,6 @@ class TestCampaignConstruction:
         with pytest.raises(ConfigurationError):
             Campaign([make_spec(0), make_spec(0)])
 
-    def test_parameter_grid(self):
-        def factory(pattern, seed):
-            return generate_scenario(seed, pattern=pattern, duration=30.0,
-                                     name=f"{pattern}-s{seed}")
-
-        campaign = Campaign.parameter_grid(
-            factory,
-            {"pattern": ["k-random-links", "flap-storm"], "seed": [0, 1]},
-        )
-        assert len(campaign.specs) == 4
-        names = {spec.name for spec in campaign.specs}
-        assert names == {"k-random-links-s0", "k-random-links-s1",
-                         "flap-storm-s0", "flap-storm-s1"}
-
 
 class TestProcessHistoryImmunity:
     def test_seq_counter_does_not_leak_between_simulations(self):

@@ -16,10 +16,13 @@ import pytest
 
 import repro
 from repro import cli
+from repro.cli import _campaign_stats_exit_code
 from repro.core.errors import ConfigurationError
 from repro.fleet import (
     FleetCoordinator,
     FleetExecutor,
+    InProcessTransport,
+    MultiprocessTransport,
     recv_message,
     send_message,
     worker_main,
@@ -65,6 +68,17 @@ def run_cli(argv):
     return code, buffer.getvalue()
 
 
+def run_fleet_like_the_cli(store):
+    """The sweep ``campaign run --count 2 --duration 30`` builds, run
+    through a two-worker in-process fleet, one spec per chunk."""
+    args = cli.build_parser().parse_args(
+        ["campaign", "run", "--store", store.path, "--count", "2"] + BASE)
+    return cli._campaign_from_args(args).run(
+        store=store,
+        executor=FleetExecutor(InProcessTransport(), workers=2,
+                               chunk_size=1))
+
+
 class TestFleetEqualsSingleBox:
     def test_inprocess_fleet_matches_single_box(self, tmp_path):
         seeds = range(6)
@@ -74,7 +88,7 @@ class TestFleetEqualsSingleBox:
         fleet_store = ResultStore(str(tmp_path / "fleet"))
         stats = Campaign.seed_sweep(gen_spec, seeds, workers=1).run(
             store=fleet_store,
-            executor=FleetExecutor(workers=2, transport="inprocess",
+            executor=FleetExecutor(InProcessTransport(), workers=2,
                                    chunk_size=2, lease_timeout=30.0))
         assert stats.executed == 6
         assert stats.transport == "inprocess"
@@ -101,7 +115,7 @@ class TestFleetEqualsSingleBox:
         Campaign.seed_sweep(tiny_spec, range(3), workers=1).run(store=part)
         stats = Campaign.seed_sweep(tiny_spec, range(6), workers=1).run(
             store=ResultStore(str(tmp_path / "part")),
-            executor=FleetExecutor(workers=2, transport="inprocess",
+            executor=FleetExecutor(InProcessTransport(), workers=2,
                                    chunk_size=1))
         assert stats.skipped == 3
         assert stats.executed == 3
@@ -200,8 +214,7 @@ class TestWorkStealing:
         with pytest.raises(ConfigurationError, match="worker"):
             campaign.run(
                 store=store,
-                executor=FleetExecutor(workers=1,
-                                       transport="multiprocessing",
+                executor=FleetExecutor(MultiprocessTransport(), workers=1,
                                        chunk_size=1, lease_timeout=2.0))
         salvaged = ResultStore(str(tmp_path / "store"))
         assert len(salvaged) == 1  # the record sent before the SIGKILL
@@ -209,7 +222,7 @@ class TestWorkStealing:
         monkeypatch.delenv("REPRO_FLEET_SELFKILL_AFTER")
         stats = campaign.run(
             store=salvaged,
-            executor=FleetExecutor(workers=1, transport="inprocess",
+            executor=FleetExecutor(InProcessTransport(), workers=1,
                                    chunk_size=1))
         assert stats.skipped == 1
         assert stats.executed == 3
@@ -281,12 +294,9 @@ class TestColumnarFleet:
         code, __ = run_cli(["campaign", "run", "--store", base,
                             "--count", "2", "--workers", "1"] + BASE)
         assert code == 0
-        code, __ = run_cli(["campaign", "run", "--store", col,
-                            "--count", "2", "--fleet", "2",
-                            "--transport", "inprocess",
-                            "--store-format", "columnar",
-                            "--chunk-size", "1"] + BASE)
-        assert code == 0
+        stats = run_fleet_like_the_cli(
+            ResultStore(col, format="columnar"))
+        assert _campaign_stats_exit_code(stats, ResultStore(col)) == 0
         assert ResultStore(col, readonly=True).storage_format == "columnar"
         code, out = run_cli(["campaign", "diff", base, col])
         assert code == 0 and "equivalent" in out
@@ -385,15 +395,27 @@ class TestFleetCli:
         code, __ = run_cli(["campaign", "run", "--store", base,
                             "--count", "2", "--workers", "1"] + BASE)
         assert code == 0
-        code, out = run_cli(["campaign", "run", "--store", flt,
-                             "--count", "2", "--fleet", "2",
-                             "--transport", "inprocess",
-                             "--chunk-size", "1"] + BASE)
-        assert code == 0
-        assert "2/2 scenario(s) executed" in out
+        store = ResultStore(flt)
+        stats = run_fleet_like_the_cli(store)
+        assert _campaign_stats_exit_code(stats, store) == 0
+        assert "2/2 scenario(s) executed" in stats.summary()
         code, out = run_cli(["campaign", "diff", base, flt])
         assert code == 0
         assert "equivalent" in out
+
+    def test_cli_fleet_serve_counts_the_workers_that_joined(self, tmp_path):
+        """A complete store leaves nothing to serve and nobody joins:
+        the summary reports 0 workers, not ``--expect-workers``."""
+        store = str(tmp_path / "store")
+        code, __ = run_cli(["campaign", "run", "--store", store,
+                            "--count", "2", "--workers", "1"] + BASE)
+        assert code == 0
+        code, out = run_cli(["fleet", "serve", "--store", store,
+                             "--count", "2", "--host", "127.0.0.1",
+                             "--expect-workers", "4"] + BASE)
+        assert code == 0
+        assert ("0/2 scenario(s) executed (2 already in store, 0 errored)"
+                " on 0 worker(s)") in out
 
     def test_cli_diff_exits_nonzero_on_divergence(self, tmp_path):
         a = str(tmp_path / "a")

@@ -31,6 +31,7 @@ from repro.fleet import (
     FleetCoordinator,
     FleetExecutor,
     FleetJournal,
+    InProcessTransport,
     default_journal_path,
     recv_message,
     resume_coordinator,
@@ -240,7 +241,7 @@ class TestResumeRefusals:
         store_path = str(tmp_path / "fleet")
         stats = Campaign(specs, workers=1).run(
             store=ResultStore(store_path),
-            executor=FleetExecutor(workers=2, transport="inprocess",
+            executor=FleetExecutor(InProcessTransport(), workers=2,
                                    chunk_size=2))
         assert stats.fleet["unfinished"] == 0
         with pytest.raises(ConfigurationError, match="completed run"):
@@ -252,7 +253,7 @@ class TestResumeRefusals:
         store_path = str(tmp_path / "fleet")
         Campaign([tiny_spec(0)], workers=1).run(
             store=ResultStore(store_path),
-            executor=FleetExecutor(workers=1, transport="inprocess",
+            executor=FleetExecutor(InProcessTransport(), workers=1,
                                    journal=False))
         assert not os.path.exists(default_journal_path(store_path))
 
@@ -270,7 +271,7 @@ class TestChaosDigest:
         transport = ChaosTransport(seed=seed, fault_rate=0.7, max_faults=6)
         stats = Campaign(specs, workers=1).run(
             store=ResultStore(store_path),
-            executor=FleetExecutor(workers=2, transport=transport,
+            executor=FleetExecutor(transport, workers=2,
                                    chunk_size=1, lease_timeout=30.0))
         assert transport.faults_injected() > 0, \
             "chaos schedule injected nothing; the test tested nothing"

@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro import cli
-from repro.fleet import TRANSPORTS
 from repro.obs import TRACER, disable_tracing
 from repro.results import ResultStore
 from repro.scenarios import TRAFFIC_FAMILIES
@@ -30,7 +29,6 @@ REGISTRIES = {
     "topo": TOPOLOGY_BUILDERS,
     "protocol": PROTOCOL_KINDS,
     "traffic_family": TRAFFIC_FAMILIES,
-    "transport": TRANSPORTS,
     "strategy": STRATEGIES,
 }
 
@@ -76,8 +74,20 @@ def test_every_registry_option_was_found():
     dests = [action.dest for __, action in registry_actions()]
     assert dests.count("topo") == 8
     assert dests.count("protocol") == 7
-    assert dests.count("transport") == 2
     assert dests.count("strategy") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "resume"])
+def test_campaign_has_one_fan_out(tmp_path, command):
+    """A sweep fans out over this box with ``--workers N`` and across
+    boxes with ``fleet serve``; ``campaign run|resume --fleet N`` is
+    gone, so argparse rejects it (exit 2) before anything runs."""
+    with pytest.raises(SystemExit) as excinfo, \
+            contextlib.redirect_stderr(io.StringIO()):
+        run_cli(["campaign", command, "--store", str(tmp_path / "s"),
+                 "--count", "2", "--fleet", "2"])
+    assert excinfo.value.code == 2
+    assert not os.path.exists(tmp_path / "s")
 
 
 def test_static_protocol_runs_from_the_command_line():
