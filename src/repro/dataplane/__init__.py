@@ -3,7 +3,7 @@
 Figure 2's lower half: a discrete-event model of the network topology
 (hosts, OpenFlow switches, routers, links) carrying traffic as *fluid
 flows* — a flow is a rate on a path, not a stream of packets.  Rates
-are max-min fair across links (progressive filling), recomputed when
+are max-min fair across links (bottleneck filling), recomputed when
 flows start/stop or the control plane reprograms forwarding state.
 
 Individual packets still exist for the cases that need them: the first
@@ -20,7 +20,7 @@ from repro.dataplane.flowtable import FlowTable, FlowEntry
 from repro.dataplane.switch import Switch
 from repro.dataplane.router import Router
 from repro.dataplane.flow import FluidFlow, PathResult, PathStatus
-from repro.dataplane.fluid import max_min_allocation, validate_allocation
+from repro.dataplane.fluid import validate_allocation
 from repro.dataplane.solver import KERNEL_CHOICES
 from repro.dataplane.network import Network
 from repro.dataplane.stats import StatsCollector, Sample
@@ -41,7 +41,6 @@ __all__ = [
     "FluidFlow",
     "PathResult",
     "PathStatus",
-    "max_min_allocation",
     "validate_allocation",
     "KERNEL_CHOICES",
     "Network",

@@ -1,21 +1,24 @@
 """Struct-of-arrays fluid state and the vectorized max-min kernel.
 
-The scalar solver path costs O(flows × hops) of *Python* per
-recompute: `_solve_component` rebuilds a dense instance object by
-object, `bottleneck_filling` walks it event by event, and
-``Network.accrue`` visits every accruing flow per event.  This module
-replaces all three with numpy state:
+The scalar path costs O(flows × hops) of *Python* per contended
+component and per accrual segment: `_solve_component` rebuilds a dense
+instance object by object, `bottleneck_filling` walks it event by
+event, and the scalar accrual visits every accruing flow per segment.
+This module replaces those two with numpy state; the per-change
+bookkeeping around them (flags, component search, loads, host rates)
+is the engine's one delta path for both kernels:
 
 * :class:`FlowArrays` / :class:`LinkArrays` — interned
-  struct-of-arrays mirrors of the cached walks: per-flow demand, rate
-  and host slots; a padded path→direction incidence matrix (the CSR
-  expansion is derived per solve); per-direction capacities.
+  struct-of-arrays mirrors of the cached walks: per-flow demand, rate,
+  flow key and host slots; padded path→direction and entry rows (the
+  CSR expansion is derived per solve); per-direction capacities.
 * :class:`ArraysState` — the slotted container the
   :class:`~repro.dataplane.realloc.ReallocEngine` keeps **across
-  recomputes**.  Stable components only patch demands, rates and
-  capacities in place; rows are re-interned only when a flow is
-  re-walked, and the whole state is discarded only on ``topo_epoch``
-  bumps / path-cache invalidation (full recomputes).
+  recomputes**.  Rates and capacities are patched in place; a
+  re-walked flow takes a fresh row and its old one *retires* (frozen
+  until no sealed segment can read it), and the whole state is
+  discarded only on ``topo_epoch`` bumps / path-cache invalidation
+  (full recomputes).
 * :func:`bottleneck_filling_arrays` — the vectorized kernel.  It
   replays the heap kernel's float arithmetic in *batches*: per round
   it recomputes every live saturation key ``(capacity − frozen_load)
@@ -27,20 +30,18 @@ replaces all three with numpy state:
   the heap's order, and runs of equal addends commute, so the float
   trajectory — and therefore the allocation — is bit-for-bit the heap
   kernel's (pinned by ``tests/property/test_kernel_parity.py``).
-* :class:`LiveView` — the one flow→direction incidence derived from
-  the padded rows per *mirror generation* (rebuilt only after an
-  intern or drop): component search, solves, host-rate rebuilds and
-  byte accrual all read it instead of re-deriving it.
 * The **sealed accrual timeline** (:meth:`ArraysState.seal` /
-  :meth:`ArraysState.replay`) — byte accrual is *sealed* against the
-  live view and a copy of the rate vector whenever rates or incidence
-  are about to change, and *replayed* — counters gathered from the
-  objects once, every sealed segment scattered with ``np.add.at`` in
-  the scalar loop's visit order, written back once — only when
-  somebody reads or competes for a counter.  Flow-table entries a
-  flow's walk matched are one more incidence target of the same
-  timeline (``byte_count`` by the same scatter, ``last_used_at`` = the
-  end of the entry's last positive-rate segment).
+  :meth:`ArraysState.replay`) — byte accrual is *sealed* as the live
+  slots in flow-id order (cached per mirror generation) plus a copy of
+  their rates whenever rates or rows are about to change, and
+  *replayed* — each seal's hop, host and entry streams derived from its
+  frozen rows once, counters gathered from the objects once, every
+  sealed segment scattered with ``np.add.at`` in the scalar loop's
+  visit order, written back once — only when somebody reads or
+  competes for a counter.  Flow-table entries are one more target of
+  the same timeline, through the mirror's reference-counted entry
+  table (``byte_count`` by the same scatter, ``last_used_at`` = the end
+  of the entry's last positive-rate segment).
 
 Everything degrades gracefully without numpy: the engine's one
 selection rule (``ReallocEngine.effective_kernel``) reads ``HAVE_NUMPY``
@@ -51,7 +52,7 @@ registered flows: no mirror, and every recompute runs the scalar
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Sequence, TYPE_CHECKING
 
 from repro.dataplane.solver import EPSILON
 
@@ -69,6 +70,8 @@ except ImportError:  # pragma: no cover - numpy-less fallback
     HAVE_NUMPY = False
 
 _INF = float("inf")
+#: The flow id column's value for a row that is not live.
+_RETIRED = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +244,27 @@ def bottleneck_filling_arrays(
 
 
 class FlowArrays:
-    """Slotted per-flow columns: demand, rate, hosts, padded path rows.
+    """Slotted per-flow columns: demand, rate, flow id (``_RETIRED``
+    once the row is no longer live), flow key, hosts, padded path and
+    entry rows.
 
     ``path[slot, :path_len[slot]]`` holds the direction slots of the
     flow's cached hops *including duplicates* (byte accrual visits
     every hop, like the scalar loop); ``path_first`` marks the first
     occurrence of each direction so solves count a twice-crossed link
     once, exactly as the scalar instance builder dedupes.
+    ``ent[slot, :ent_len[slot]]`` holds the mirror's entry-table
+    indices of the flow-table entries the walk matched, in path order
+    (a walk matches at most one entry per hop, so the width fits both).
+    Integer columns are index-width: replay indexes with them, and
+    numpy converts a narrower index array on every use.
     """
 
-    __slots__ = ("demand", "rate", "src_host", "dst_host", "path",
-                 "path_len", "path_first", "cap", "width")
+    _COLUMNS = ("demand", "rate", "fid", "key", "src_host", "dst_host",
+                "path_len", "ent_len")
+    _MATRICES = ("path", "path_first", "ent")
+
+    __slots__ = _COLUMNS + _MATRICES + ("cap", "width")
 
     def __init__(self, cap: int = 64, width: int = 8) -> None:
         np = _np
@@ -259,40 +272,29 @@ class FlowArrays:
         self.width = width
         self.demand = np.zeros(cap)
         self.rate = np.zeros(cap)
-        self.src_host = np.zeros(cap, dtype=np.int32)
-        self.dst_host = np.zeros(cap, dtype=np.int32)
-        self.path = np.zeros((cap, width), dtype=np.int32)
-        self.path_len = np.zeros(cap, dtype=np.int32)
+        for name in ("fid", "key", "src_host", "dst_host", "path_len",
+                     "ent_len"):
+            setattr(self, name, np.zeros(cap, dtype=np.intp))
+        self.path = np.zeros((cap, width), dtype=np.intp)
         self.path_first = np.zeros((cap, width), dtype=bool)
+        self.ent = np.zeros((cap, width), dtype=np.intp)
 
     def grow_rows(self, need: int) -> None:
-        np = _np
         new_cap = max(self.cap * 2, need)
-        for name in ("demand", "rate"):
-            col = np.zeros(new_cap)
-            col[: self.cap] = getattr(self, name)
+        for name in self._COLUMNS + self._MATRICES:
+            old = getattr(self, name)
+            col = _np.zeros((new_cap,) + old.shape[1:], dtype=old.dtype)
+            col[: self.cap] = old
             setattr(self, name, col)
-        for name in ("src_host", "dst_host", "path_len"):
-            col = np.zeros(new_cap, dtype=np.int32)
-            col[: self.cap] = getattr(self, name)
-            setattr(self, name, col)
-        path = np.zeros((new_cap, self.width), dtype=np.int32)
-        path[: self.cap] = self.path
-        self.path = path
-        first = np.zeros((new_cap, self.width), dtype=bool)
-        first[: self.cap] = self.path_first
-        self.path_first = first
         self.cap = new_cap
 
     def grow_width(self, need: int) -> None:
-        np = _np
         new_width = max(self.width * 2, need)
-        path = np.zeros((self.cap, new_width), dtype=np.int32)
-        path[:, : self.width] = self.path
-        self.path = path
-        first = np.zeros((self.cap, new_width), dtype=bool)
-        first[:, : self.width] = self.path_first
-        self.path_first = first
+        for name in self._MATRICES:
+            old = getattr(self, name)
+            col = _np.zeros((self.cap, new_width), dtype=old.dtype)
+            col[:, : self.width] = old
+            setattr(self, name, col)
         self.width = new_width
 
 
@@ -322,30 +324,40 @@ class LinkArrays:
             self.capacity[slot] = direction.capacity_bps
         return slot
 
+    def mask(self, directions) -> "_np.ndarray":
+        """Per interned slot, whether its direction is in *directions*."""
+        out = _np.zeros(len(self.objs), dtype=bool)
+        for direction in directions:
+            slot = self.slot_of.get(direction)
+            if slot is not None:
+                out[slot] = True
+        return out
+
 
 #: Sealed segments the timeline holds before it replays on its own.
-#: Sized from the memory budget, not a setting: a segment pins one
-#: live view plus a rate vector, and horsebench read ``peak_rss_mb``
-#: on ``dataplane_churn`` +6.0 % at 64 (the bound is 10 %), +1.8 % at
-#: 16 and +0.2 % at 4, with ``wall_s_per_sim_s`` inside its spread at
-#: all three — a replay's fixed gather/write-back (~0.3 ms there) is
-#: already under 3 % of the body at 16.
+#: Sized from the memory budget, not a setting: a seal holds a rate
+#: snapshot and keeps the rows retired since from being freed, and on
+#: ``dataplane_churn`` (seed 5, three runs each) horsebench read
+#: ``peak_rss_mb`` 48.4–49.4 MiB at 64 against 45.6–45.7 at 16 (+6 %;
+#: the bound is 10 %) and 44.9 at 4, with ``wall_s_per_sim_s`` 0.0064 /
+#: 0.0069 / 0.0085 s/s — below 16 each replay's fixed stream
+#: derivation and gather/write-back stops being amortised.
 SEGMENT_BOUND = 16
 
 #: Registered flows (``len(network.flows)``) below which the engine's
 #: rule (``ReallocEngine.effective_kernel``) keeps the scalar kernel and
-#: builds no mirror.  Sized from a crossover sweep, not a setting: a
-#: recompute on the mirror pays a fixed ~0.2 ms of numpy calls whatever
-#: the instance, the scalar path pays per flow.  Random-pair flows on a
-#: static k=8 fat-tree under a flap storm read arrays / heap 0.0346 /
-#: 0.0330 s at 8 flows, 0.0552 / 0.0489 at 64, 0.0812 / 0.0752 at 128,
-#: 0.1101 / 0.1134 at 192, 0.1406 / 0.1625 at 256 (docs/dataplane.md,
-#: "Two kernels, one rule", has the whole table): the lines cross
-#: between 128 and 192, and 128 keeps arrays wherever it is within a
-#: tenth of the scalar path.  No hysteresis: flows are registered,
-#: never unregistered, so the count is monotone and an engine crosses
-#: at most once, heap → arrays, through the bulk intern a forced-kernel
-#: switch already uses.
+#: builds no mirror.  Sized from a crossover sweep, not a setting: both
+#: kernels share the per-change bookkeeping, so the mirror's interning,
+#: seals and replays are weighed against the scalar accrual's pass over
+#: every accruing flow per segment.  Random-pair flows on a static k=8
+#: fat-tree under a flap storm read arrays / heap 0.0287 / 0.0278 s at
+#: 8 flows, 0.0412 / 0.0409 at 64, 0.0478 / 0.0484 at 96, 0.0550 /
+#: 0.0608 at 128, 0.0710 / 0.0868 at 192 (docs/dataplane.md, "Two
+#: kernels, one rule", has the whole table): within a few percent of
+#: each other below 128, arrays clearly ahead from 128 on.  No
+#: hysteresis: flows are registered, never unregistered, so the count
+#: is monotone and an engine crosses at most once, heap → arrays,
+#: through the bulk intern a forced-kernel switch already uses.
 ARRAYS_MIN_FLOWS = 128
 
 #: A direction couples the flows crossing it only when the demand they
@@ -361,78 +373,15 @@ ARRAYS_MIN_FLOWS = 128
 CONTENTION_MARGIN = 1e-6
 
 
-class LiveView:
-    """The live rows of one mirror generation, flow-id ascending.
-
-    The fid order is what makes every vectorized pass replay the
-    scalar loops' visit order bit-for-bit.  ``hop_dir``/``hop_flow``
-    are the flow-major hop stream (direction slot, position in this
-    view) *including duplicates* — what byte accrual and the load
-    refresh visit; ``hop_first`` marks each flow's first crossing of a
-    direction, the deduplicated stream the solver sees.  Sealed
-    accrual segments hold the view (and so ``flows``, the objects —
-    flow slots are reused after a drop, direction and host slots live
-    as long as the mirror).  The streams are index-width integers: every
-    pass indexes with them, and numpy converts a narrower index array
-    on each use, which costs more than the ~20 KB a view it saves.
-
-    ``ent_idx``/``ent_flow`` are the same kind of stream for the
-    flow-table entries the flows' walks matched — flow-major, entries
-    in path order, the per-flow loop's visit order — indexing
-    ``ent_objs``, the view's own table of those entries (an entry
-    shared by several flows appears once).
-    """
-
-    __slots__ = ("fids", "slots", "flows", "hop_dir", "hop_flow",
-                 "hop_first", "src_host", "dst_host", "ent_objs",
-                 "ent_idx", "ent_flow")
-
-    def __init__(self, state: "ArraysState") -> None:
-        np = _np
-        count = len(state.slot_of)
-        fids = np.fromiter(state.slot_of.keys(), dtype=np.int64, count=count)
-        slots = np.fromiter(state.slot_of.values(), dtype=np.int64,
-                            count=count)
-        order = np.argsort(fids)           # unique keys: kind moot
-        self.fids = fids[order]
-        self.slots = slots = slots[order]
-        objs = state.objs
-        self.flows = [objs[slot] for slot in slots.tolist()]
-        fa = state.flows
-        rows = fa.path[slots]
-        lens = fa.path_len[slots]
-        mask = np.arange(rows.shape[1]) < lens[:, None]
-        self.hop_dir = rows[mask].astype(np.intp)
-        self.hop_flow = np.repeat(np.arange(count), lens)
-        self.hop_first = fa.path_first[slots][mask]
-        self.src_host = fa.src_host[slots].astype(np.intp)
-        self.dst_host = fa.dst_host[slots].astype(np.intp)
-        self.ent_objs: list = []
-        index: List[int] = []
-        counts: List[int] = []
-        if state.entry_rows:
-            ents, seen = state.ents, {}
-            for slot in slots.tolist():
-                row = ents[slot]
-                counts.append(len(row))
-                for entry in row:
-                    pos = seen.get(id(entry))
-                    if pos is None:
-                        pos = seen[id(entry)] = len(self.ent_objs)
-                        self.ent_objs.append(entry)
-                    index.append(pos)
-        self.ent_idx = np.array(index, dtype=np.intp)
-        self.ent_flow = np.repeat(np.arange(len(counts)),
-                                  np.array(counts, dtype=np.intp))
-
-
 class ArraysState:
     """The engine-persisted SoA mirror of the cached walks.
 
-    Interning happens when the engine (re-)walks a flow; dropping when
-    a cached walk is evicted.  Between those, solves and accrual run
-    purely on the arrays — stable churn only patches rates and
-    capacities in place.
+    Every (re-)intern of a delivered flow takes a fresh slot; the slot
+    it replaces, or the slot of a dropped flow, *retires*: its row,
+    host slots and entry indices stay as they are until the next replay
+    has consumed every sealed segment that can read them (at once when
+    nothing is sealed).  Rows are therefore frozen while anything can
+    read them, and a seal needs no copy of them.
     """
 
     def __init__(self) -> None:
@@ -440,20 +389,27 @@ class ArraysState:
             raise RuntimeError("ArraysState requires numpy")
         self.flows = FlowArrays()
         self.links = LinkArrays()
-        self.slot_of: Dict[int, int] = {}      # flow id -> slot
-        self.objs: List[Optional["FluidFlow"]] = []   # slot -> flow
-        # slot -> the flow-table entries its walk matched, path order;
-        # entry_rows counts the slots where that is not empty, so views
-        # of a network without flow tables skip the entry stream.
-        self.ents: List[Sequence] = []
-        self.entry_rows = 0
+        self.slot_of: Dict[int, int] = {}      # flow id -> live slot
         self._free: List[int] = []
+        self._retired: List[int] = []          # freed by the next replay
         self._top = 0                           # slot high-water mark
+        # The live slots in flow-id order, per mirror generation.
+        self._order = None
+        # Flow keys: one per flow id for the mirror's life, so the rows
+        # a re-walked flow owns in one replay add to one counter.
+        self.flow_objs: List["FluidFlow"] = []
+        self._flow_key: Dict[int, int] = {}
+        # The entry table: every flow-table entry a live or retired row
+        # matched, reference-counted by rows (an entry several flows
+        # share is one index), freed when its last row is.
+        self.ent_objs: list = []
+        self._ent_index: Dict[int, int] = {}    # id(entry) -> index
+        self._ent_refs: List[int] = []
+        self._ent_free: List[int] = []
         self.hosts: List["Host"] = []
         self._host_slot: Dict[int, int] = {}    # id(host) -> slot
-        self._view: Optional[LiveView] = None
-        # The sealed accrual timeline: (view, rates, [(dt, now)]) in
-        # time order.
+        # The sealed accrual timeline: (live slots in fid order, their
+        # rates, [(dt, now)]) in time order.
         self.sealed: List[tuple] = []
         # Counters for benchmarks and tests.
         self.interned = 0
@@ -469,36 +425,48 @@ class ArraysState:
             self.hosts.append(host)
         return slot
 
+    def _entry(self, entry) -> int:
+        index = self._ent_index.get(id(entry))
+        if index is None:
+            if self._ent_free:
+                index = self._ent_free.pop()
+                self.ent_objs[index] = entry
+            else:
+                index = len(self.ent_objs)
+                self.ent_objs.append(entry)
+                self._ent_refs.append(0)
+            self._ent_index[id(entry)] = index
+        self._ent_refs[index] += 1
+        return index
+
     def intern_flow(self, fid: int, flow: "FluidFlow",
                     dirs: Sequence["LinkDirection"],
                     entries: Sequence[tuple] = ()) -> int:
-        """(Re-)intern one delivered flow's row — its hops and the
-        ``(switch, flow-table entry)`` pairs its walk matched; returns
-        its slot."""
+        """Intern one delivered flow's row — its hops and the ``(switch,
+        flow-table entry)`` pairs its walk matched — in a fresh slot,
+        retiring the one it had; returns the slot."""
         fa = self.flows
-        # A re-intern changes a row without changing the live set, so
-        # the view goes stale either way.
-        self._view = None
-        slot = self.slot_of.get(fid)
-        if slot is None:
-            if self._free:
-                slot = self._free.pop()
-            else:
-                slot = self._top
-                self._top += 1
-                if slot >= fa.cap:
-                    fa.grow_rows(slot + 1)
-            self.slot_of[fid] = slot
-        while len(self.objs) <= slot:
-            self.objs.append(None)
-            self.ents.append(())
-        self.objs[slot] = flow
-        matched = [entry for __, entry in entries]
-        self.entry_rows += bool(matched) - bool(self.ents[slot])
-        self.ents[slot] = matched
+        old = self.slot_of.get(fid)
+        if old is not None:
+            self._retire(old)
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = self._top
+            self._top += 1
+            if slot >= fa.cap:
+                fa.grow_rows(slot + 1)
+        self.slot_of[fid] = slot
+        self._order = None
+        fa.fid[slot] = fid
+        key = self._flow_key.get(fid)
+        if key is None:
+            key = self._flow_key[fid] = len(self.flow_objs)
+            self.flow_objs.append(flow)
         hops = len(dirs)
-        if hops > fa.width:
-            fa.grow_width(hops)
+        if max(hops, len(entries)) > fa.width:
+            fa.grow_width(max(hops, len(entries)))
+        fa.key[slot] = key
         fa.demand[slot] = flow.demand_bps
         fa.rate[slot] = flow.rate_bps
         fa.path_len[slot] = hops
@@ -510,6 +478,10 @@ class ArraysState:
             row[pos] = dslot
             first[pos] = dslot not in seen
             seen.add(dslot)
+        fa.ent_len[slot] = len(entries)
+        ent_row = fa.ent[slot]
+        for pos, (__, entry) in enumerate(entries):
+            ent_row[pos] = self._entry(entry)
         fa.src_host[slot] = self._host(flow.src)
         fa.dst_host[slot] = self._host(flow.dst)
         self.interned += 1
@@ -518,14 +490,27 @@ class ArraysState:
     def drop_flow(self, fid: int) -> None:
         slot = self.slot_of.pop(fid, None)
         if slot is not None:
-            self.flows.path_len[slot] = 0
-            self.flows.rate[slot] = 0.0
-            self.objs[slot] = None
-            self.entry_rows -= bool(self.ents[slot])
-            self.ents[slot] = ()
-            self._free.append(slot)
-            self._view = None
+            self._retire(slot)
+            self._order = None
             self.dropped += 1
+
+    def _retire(self, slot: int) -> None:
+        self.flows.fid[slot] = _RETIRED
+        if self.sealed:
+            self._retired.append(slot)
+        else:
+            self._release(slot)
+
+    def _release(self, slot: int) -> None:
+        fa = self.flows
+        refs = self._ent_refs
+        for index in fa.ent[slot, : fa.ent_len[slot]].tolist():
+            refs[index] -= 1
+            if not refs[index]:
+                del self._ent_index[id(self.ent_objs[index])]
+                self.ent_objs[index] = None
+                self._ent_free.append(index)
+        self._free.append(slot)
 
     def patch_capacity(self, link) -> None:
         """A link's capacity changed; patch interned directions in place."""
@@ -534,122 +519,37 @@ class ArraysState:
             if slot is not None:
                 self.links.capacity[slot] = direction.capacity_bps
 
-    def zero_rate(self, fid: int) -> None:
-        """Mirror ``flow.rate_bps = 0`` done outside a recompute
-        (``stop_flow``, which seals first), so later segments add 0."""
+    def set_rate(self, fid: int, rate: float) -> None:
+        """Mirror a rate assigned outside a solve: a flow handed its
+        demand, or ``stop_flow``'s zero (which seals first), so later
+        segments add what the flow now carries."""
         slot = self.slot_of.get(fid)
         if slot is not None:
-            self.flows.rate[slot] = 0.0
-
-    # -- the live-row view ------------------------------------------------
-
-    def view(self) -> LiveView:
-        """The incidence view of the current mirror generation."""
-        view = self._view
-        if view is None:
-            view = self._view = LiveView(self)
-        return view
-
-    def host_rates(self):
-        """Per-host ``(rx, tx)`` rate sums over live flows in fid order
-        — the scalar host-rate rebuild's exact add order."""
-        np = _np
-        view = self.view()
-        rates = self.flows.rate[view.slots]
-        rx = np.zeros(len(self.hosts))
-        tx = np.zeros(len(self.hosts))
-        np.add.at(rx, view.dst_host, rates)
-        np.add.at(tx, view.src_host, rates)
-        return rx, tx
-
-    # -- which directions couple flows --------------------------------------
-
-    def contended(self):
-        """Per direction slot, whether the demand offered to it exceeds
-        ``capacity · (1 − CONTENTION_MARGIN)`` — every flag from scratch.
-
-        The offered load counts each live flow crossing the direction
-        once (the deduplicated stream the solver sees) and is summed in
-        flow-id order, the scalar classification's exact adds, so both
-        paths flag the same directions at any boundary.
-        """
-        np = _np
-        view = self.view()
-        num_dirs = len(self.links.objs)
-        first = view.hop_first
-        offered = np.zeros(num_dirs)
-        np.add.at(offered, view.hop_dir[first],
-                  self.flows.demand[view.slots][view.hop_flow[first]])
-        return offered > self.links.capacity[:num_dirs] * (
-            1.0 - CONTENTION_MARGIN)
-
-    def components(self, starts, contended):
-        """Partition the flows reachable from *starts* (ids of live
-        flows) through *contended* directions only.
-
-        Returns ``(components, free)``: per component a boolean
-        membership mask over the view's (fid-ascending) positions — the
-        exact membership the scalar search produces (both walk the same
-        delivered-flow incidence, restricted to the same flags) — and
-        the mask of start flows that cross no contended direction at
-        all, which no solve constrains.  The search propagates boolean
-        masks over the contended slice of the view's hop stream until
-        the component stops growing: every direction its flows cross,
-        then the flows crossing a reached direction.
-        """
-        np = _np
-        view = self.view()
-        keep = contended[view.hop_dir]
-        hop_dir, hop_flow = view.hop_dir[keep], view.hop_flow[keep]
-        num_flows = view.fids.size
-        started = np.zeros(num_flows, dtype=bool)
-        started[np.searchsorted(view.fids, np.fromiter(
-            starts, dtype=np.int64, count=len(starts)))] = True
-        coupled = np.zeros(num_flows, dtype=bool)
-        coupled[hop_flow] = True
-        pending = started & coupled
-        components = []
-        for pos in np.nonzero(pending)[0].tolist():
-            if not pending[pos]:
-                continue                   # joined an earlier component
-            reached = np.zeros(contended.size, dtype=bool)
-            comp = np.zeros(num_flows, dtype=bool)
-            comp[pos] = True
-            size = 1
-            while True:
-                reached[hop_dir[comp[hop_flow]]] = True
-                comp[hop_flow[reached[hop_dir]]] = True
-                grown = int(np.count_nonzero(comp))
-                if grown == size:
-                    break
-                size = grown
-            pending &= ~comp
-            components.append(comp)
-        return components, started & ~coupled
+            self.flows.rate[slot] = rate
 
     # -- solving ----------------------------------------------------------
 
-    def solve_component(self, comp, contended):
-        """Solve one component given its membership mask over the view.
+    def solve_component(self, fids: Sequence[int], over) -> List[float]:
+        """Solve the component of the live flows *fids* (ascending)
+        over its contended directions (*over*, a mask over direction
+        slots: :meth:`LinkArrays.mask` of the engine's flags).
 
-        The instance holds the *contended* directions only — an
+        The instance holds the contended directions only — an
         uncontended one never wins a pop, so the rates are those of the
-        instance with every direction, float for float.  Returns
-        ``(flows, rates)``: the members (component fid order) and their
-        rates, which are also written to the mirror.
+        instance with every direction, float for float.  Returns the
+        members' rates in *fids* order, also written to the mirror.
         """
         np = _np
-        view = self.view()
-        members = np.nonzero(comp)[0]
-        slots = view.slots[members]
-        demands = self.flows.demand[slots]
-        # The component's slice of the view's deduplicated hop stream,
-        # renumbered to component-local flow positions.
-        keep = comp[view.hop_flow] & view.hop_first
-        keep &= contended[view.hop_dir]
-        local = np.cumsum(comp) - 1
-        entry_flow = local[view.hop_flow[keep]]
-        entry_global = view.hop_dir[keep]
+        fa = self.flows
+        slots = np.fromiter((self.slot_of[fid] for fid in fids),
+                            dtype=np.intp, count=len(fids))
+        lens = fa.path_len[slots]
+        hops = np.arange(fa.width) < lens[:, None]
+        hop_dir = fa.path[slots][hops]
+        hop_flow = np.repeat(np.arange(slots.size), lens)
+        keep = fa.path_first[slots][hops] & over[hop_dir]
+        entry_flow = hop_flow[keep]
+        entry_global = hop_dir[keep]
         # Dense-intern directions in first-appearance order along the
         # flow-major entry stream — the scalar instance builder's
         # order, so the heap tie-break (and thus the arithmetic) sees
@@ -666,93 +566,68 @@ class ArraysState:
         uniq = sorted_vals[boundary]
         first_pos = order[boundary]      # stable ⇒ earliest entry index
         appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(contended.size, dtype=np.int64)
+        rank = np.empty(over.size, dtype=np.int64)
         rank[uniq[appearance]] = np.arange(uniq.size)
         entry_link = rank[entry_global]
         caps = self.links.capacity[uniq[appearance]]
-        return self._set_rates(
-            members, _batch_fill(demands, caps, entry_flow, entry_link))
-
-    def unconstrained(self, free):
-        """Assign the rows of *free* (a membership mask over the view)
-        what either kernel returns for a row crossing no link — its
-        demand above ``EPSILON``, else ``0.0`` — without a call.
-        Returns ``(flows, rates)`` like :meth:`solve_component`."""
-        np = _np
-        members = np.nonzero(free)[0]
-        demands = self.flows.demand[self.view().slots[members]]
-        return self._set_rates(
-            members, np.where(demands > EPSILON, demands, 0.0))
-
-    def _set_rates(self, members, rates):
-        """Write *rates* to the mirror rows at view positions *members*
-        and hand both back as lists, the flows as objects."""
-        view = self.view()
-        self.flows.rate[view.slots[members]] = rates
-        return [view.flows[pos] for pos in members.tolist()], rates.tolist()
-
-    def refresh_loads(self, seeds: Sequence["LinkDirection"],
-                      assigned) -> None:
-        """Re-sum ``current_load_bps`` for the *seeds* and every
-        direction a flow of *assigned* (a membership mask over the
-        view) crosses.
-
-        An uncontended direction is shared by flows of several
-        components and by flows nobody re-solved, so each load is the
-        sum over *all* live flows on the direction: one ``np.add.at``
-        over the whole raw hop stream (flow-id order, a twice-crossed
-        hop counted twice — the scalar refresh loop's exact adds),
-        written back for the touched slots only.  A seed no live flow
-        crosses reads ``0.0``.
-        """
-        np = _np
-        view = self.view()
-        dirs = self.links.objs
-        loads = np.zeros(len(dirs))
-        np.add.at(loads, view.hop_dir,
-                  self.flows.rate[view.slots][view.hop_flow])
-        touched = np.zeros(len(dirs), dtype=bool)
-        touched[view.hop_dir[assigned[view.hop_flow]]] = True
-        slot_of = self.links.slot_of
-        for seed in seeds:
-            slot = slot_of.get(seed)
-            if slot is None:
-                # Never interned: no delivered flow ever crossed it.
-                seed.current_load_bps = 0.0
-            else:
-                touched[slot] = True
-        touched = np.nonzero(touched)[0]
-        for slot, load in zip(touched.tolist(), loads[touched].tolist()):
-            dirs[slot].current_load_bps = load
+        rates = _batch_fill(fa.demand[slots], caps, entry_flow, entry_link)
+        fa.rate[slots] = rates
+        return rates.tolist()
 
     # -- the sealed accrual timeline ---------------------------------------
 
     def seal(self, segments: Sequence[tuple]) -> None:
         """Close the elapsed ``(dt, now)`` segments against the current
-        rates and incidence, which are about to change.
+        rates and rows, which are about to change.
 
         Sealing the whole live set rather than the ``rate > 0`` subset
         is exact — ``x + 0.0 == x`` for the non-negative counters — and
-        is what lets accrual share the view the component search built.
+        the live slots in fid order are cached per mirror generation, so
+        a seal costs one gather of the rate column.
         """
-        view = self.view()
-        if view.fids.size:
-            self.sealed.append((view, self.flows.rate[view.slots], segments))
+        order = self._order
+        if order is None:
+            # Live flow ids are unique and sort below every _RETIRED.
+            order = self._order = _np.argsort(
+                self.flows.fid[: self._top])[: len(self.slot_of)]
+        if order.size:
+            self.sealed.append((order, self.flows.rate[order], segments))
+
+    def _streams(self, slots):
+        """The flow, host, hop and entry streams of one seal, derived
+        from its frozen rows: flow-major, flows in the seal's fid order,
+        hops and entries in path order."""
+        np = _np
+        fa = self.flows
+        lens = fa.path_len[slots]
+        columns = np.arange(fa.width)
+        positions = np.arange(slots.size)
+        if self._ent_index:
+            ent_lens = fa.ent_len[slots]
+            ent_idx = fa.ent[slots][columns < ent_lens[:, None]]
+            ent_flow = np.repeat(positions, ent_lens)
+        else:
+            ent_idx = ent_flow = positions[:0]
+        return (fa.key[slots], fa.src_host[slots], fa.dst_host[slots],
+                fa.path[slots][columns < lens[:, None]],
+                np.repeat(positions, lens), ent_idx, ent_flow)
 
     def replay(self) -> None:
         """Apply the sealed segments to the byte counters, in order.
 
-        Each counter family is gathered from the objects once and
-        written back once; in between every segment scatters ``rate ·
-        dt / 8`` through ``np.add.at``, which is unbuffered and applies
-        in index order — per counter the adds land in the order the
-        per-flow loop (fid-ascending, hops in path order) makes them,
-        segment after segment, so no bit can move.  Flow-table entries
-        are gathered per sealed view (each view carries its own entry
-        table): ``byte_count`` by the same scatter, and ``last_used_at``
-        takes the end time of every segment in which a flow crossing
-        the entry had a positive rate — segments are in time order, so
-        the last such assignment is the per-flow loop's last stamp.
+        Each counter is gathered from its object once and written back
+        once — directions and hosts all of them, flows and flow-table
+        entries only the ones a sealed row touched — and in between
+        every segment scatters ``rate · dt / 8`` through ``np.add.at``,
+        which is unbuffered and applies in index order: per counter the
+        adds land in the order the per-flow loop makes them (segment,
+        then flow id, then hop), so no bit can move.  ``delivered_bytes``
+        is keyed by flow, not row: a flow re-walked between two replays
+        owns two rows in this one, and both add to its one counter.
+        ``last_used_at`` takes the end time of every segment in which a
+        flow matching the entry had a positive rate — segments are in
+        time order, so the last assignment is the per-flow loop's last
+        stamp.  Retired rows are freed at the end.
         """
         np = _np
         sealed, self.sealed = self.sealed, []
@@ -767,33 +642,51 @@ class ArraysState:
                               dtype=np.float64, count=len(hosts))
         host_rx = np.fromiter((h.rx_bytes for h in hosts),
                               dtype=np.float64, count=len(hosts))
-        for view, rates, segments in sealed:
-            ents = view.ent_objs
-            if ents:
-                ent_bytes = np.fromiter((e.byte_count for e in ents),
-                                        dtype=np.float64, count=len(ents))
-                ent_used = np.fromiter((e.last_used_at for e in ents),
-                                       dtype=np.float64, count=len(ents))
-                ent_idx = view.ent_idx
-                ent_busy = ent_idx[rates[view.ent_flow] > 0]
+        # Derive each seal's streams once (consecutive seals of one
+        # generation share them) and mark the flows and entries read.
+        touched_flows = np.zeros(len(self.flow_objs), dtype=bool)
+        touched_ents = np.zeros(len(self.ent_objs), dtype=bool)
+        frames = []
+        streams = slots = None
+        for order, rates, segments in sealed:
+            if order is not slots:
+                slots = order
+                streams = self._streams(slots)
+                touched_flows[streams[0]] = True
+                touched_ents[streams[5]] = True
+            frames.append((streams, rates, segments))
+        flow_keys = np.nonzero(touched_flows)[0]
+        flows = [self.flow_objs[key] for key in flow_keys.tolist()]
+        delivered = np.zeros(touched_flows.size)
+        delivered[flow_keys] = [flow.delivered_bytes for flow in flows]
+        ent_keys = np.nonzero(touched_ents)[0]
+        entries = [self.ent_objs[index] for index in ent_keys.tolist()]
+        ent_bytes = np.zeros(touched_ents.size)
+        ent_used = np.zeros(touched_ents.size)
+        ent_bytes[ent_keys] = [entry.byte_count for entry in entries]
+        ent_used[ent_keys] = [entry.last_used_at for entry in entries]
+        for streams, rates, segments in frames:
+            (keys, src_host, dst_host, hop_dir, hop_flow,
+             ent_idx, ent_flow) = streams
+            ent_busy = ent_idx[rates[ent_flow] > 0]
             for dt, seg_now in segments:
                 moved = rates * dt / 8.0
-                for flow, amount in zip(view.flows, moved.tolist()):
-                    flow.delivered_bytes += amount
-                np.add.at(host_tx, view.src_host, moved)
-                np.add.at(host_rx, view.dst_host, moved)
-                per_hop = moved[view.hop_flow]
-                np.add.at(carried, view.hop_dir, per_hop)
-                np.add.at(port_tx, view.hop_dir, per_hop)
-                np.add.at(port_rx, view.hop_dir, per_hop)
-                if ents:
-                    np.add.at(ent_bytes, ent_idx, moved[view.ent_flow])
+                delivered[keys] += moved      # one row per flow per seal
+                np.add.at(host_tx, src_host, moved)
+                np.add.at(host_rx, dst_host, moved)
+                per_hop = moved[hop_flow]
+                np.add.at(carried, hop_dir, per_hop)
+                np.add.at(port_tx, hop_dir, per_hop)
+                np.add.at(port_rx, hop_dir, per_hop)
+                if ent_idx.size:
+                    np.add.at(ent_bytes, ent_idx, moved[ent_flow])
                     ent_used[ent_busy] = seg_now
-            if ents:
-                for entry, count, used in zip(ents, ent_bytes.tolist(),
-                                              ent_used.tolist()):
-                    entry.byte_count = count
-                    entry.last_used_at = used
+        for flow, total in zip(flows, delivered[flow_keys].tolist()):
+            flow.delivered_bytes = total
+        for entry, count, used in zip(entries, ent_bytes[ent_keys].tolist(),
+                                      ent_used[ent_keys].tolist()):
+            entry.byte_count = count
+            entry.last_used_at = used
         for direction, total, tx, rx in zip(dirs, carried.tolist(),
                                             port_tx.tolist(),
                                             port_rx.tolist()):
@@ -803,6 +696,9 @@ class ArraysState:
         for host, tx, rx in zip(hosts, host_tx.tolist(), host_rx.tolist()):
             host.tx_bytes = tx
             host.rx_bytes = rx
+        retired, self._retired = self._retired, []
+        for slot in retired:
+            self._release(slot)
 
     @property
     def stats(self) -> dict:
@@ -822,6 +718,5 @@ __all__ = [
     "ArraysState",
     "FlowArrays",
     "LinkArrays",
-    "LiveView",
     "bottleneck_filling_arrays",
 ]

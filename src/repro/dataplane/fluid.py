@@ -1,50 +1,20 @@
-"""Max-min fair rate allocation — the fluid traffic model.
+"""Max-min fair rate allocation — the fluid traffic model's checker.
 
 This is Horse's speed trick: instead of simulating packets, the data
-plane assigns each flow a rate.  We use the classic *progressive
-filling* (water-filling) algorithm:
-
-1. all active flows start at rate 0 and grow together;
-2. a flow freezes when it reaches its demand, or when some link on its
-   path saturates;
-3. repeat until every flow is frozen.
-
-The result is the unique max-min fair allocation subject to demands
-and directional link capacities.  ``validate_allocation`` checks the
-defining properties and is used heavily by the property-based tests:
+plane assigns each flow a rate, the max-min fair allocation subject to
+demands and directional link capacities.  The engine computes it with
+the kernels of :mod:`repro.dataplane.solver` (scalar) and
+:mod:`repro.dataplane.arrays` (vectorized); ``validate_allocation``
+checks the defining properties of any allocation:
 
 * feasibility — no link carries more than its capacity;
 * demand-boundedness — no flow exceeds its demand;
 * bottleneck justification — every flow not meeting its demand crosses
   at least one saturated link where it receives a maximal share.
 
-Kernel design (PR 2)
---------------------
-
-The solver hot loop runs on **dense integer-indexed arrays**, not on
-the id-keyed dicts and sets of the original implementation:
-
-* callers intern flow and link ids to contiguous integers once per
-  solve (:func:`max_min_allocation` does this internally for its
-  mapping API; the incremental reallocation engine in
-  :mod:`repro.dataplane.realloc` builds the arrays directly from its
-  path cache);
-* per-link state is three flat lists — residual capacity, live member
-  count and a precomputed member array — plus a flow→links adjacency
-  list, so one filling round is a branchy scan over flat lists instead
-  of dict lookups and set algebra;
-* freezing a flow decrements the live counters of exactly the links on
-  its path (via the adjacency) rather than subtracting a set from every
-  link's member set, removing the O(rounds × links × flows) set churn
-  of the original progressive filling.
-
-The engine's own kernels live in :mod:`repro.dataplane.solver` (the
-scalar ``heap`` kernel) and :mod:`repro.dataplane.arrays` (the
-vectorized one).  This module is the **oracle** they are tested
-against: the mapping-level :func:`max_min_allocation`, the round-based
-:func:`progressive_filling` it runs — the pre-PR-2 arithmetic,
-preserved operation for operation, quadratic with distinct demands and
-never selected by the engine — and :func:`validate_allocation`.
+The round-based progressive filling, a float oracle, is test-only code
+(``tests/property/maxmin_progressive.py``), held with both kernels to
+the exact rational max-min point.
 """
 
 from __future__ import annotations
@@ -53,181 +23,7 @@ from typing import Dict, Hashable, List, Mapping, Sequence
 
 from repro.dataplane.solver import EPSILON
 
-__all__ = ["EPSILON", "max_min_allocation", "progressive_filling",
-           "validate_allocation"]
-
-
-def progressive_filling(
-    demands: Sequence[float],
-    residuals: List[float],
-    capacities: Sequence[float],
-    link_members: Sequence[Sequence[int]],
-    flow_links: Sequence[Sequence[int]],
-) -> List[float]:
-    """Array-kernel progressive filling over interned flow/link indices.
-
-    Parameters
-    ----------
-    demands:
-        per-flow demand, indexed 0..F-1.
-    residuals:
-        per-link residual capacity, indexed 0..L-1.  **Mutated in
-        place** (callers pass a fresh copy).
-    capacities:
-        per-link original capacity (for the saturation epsilon scale).
-    link_members:
-        per-link array of member flow indices (only flows with demand
-        above ``EPSILON``; duplicates must be pre-deduplicated).
-    flow_links:
-        per-flow array of link indices on its path (deduplicated).
-
-    Returns
-    -------
-    list
-        per-flow allocated rate.
-    """
-    num_flows = len(demands)
-    num_links = len(residuals)
-    rates = [0.0] * num_flows
-    # Zero-demand flows are born frozen at 0.
-    alive = [demands[i] > EPSILON for i in range(num_flows)]
-    active = [i for i in range(num_flows) if alive[i]]
-    live = [len(members) for members in link_members]
-
-    # Each round raises all active flows by the largest uniform
-    # increment any constraint allows, then freezes the flows that hit
-    # their constraint.  Every round freezes at least one flow, so the
-    # loop runs at most F times.
-    while active:
-        increment = min(demands[i] - rates[i] for i in active)
-        limiting: List[int] = []
-        for link in range(num_links):
-            count = live[link]
-            if count == 0:
-                continue
-            share = residuals[link] / count
-            if share < increment - EPSILON:
-                increment = share
-                limiting = [link]
-            elif share <= increment + EPSILON:
-                limiting.append(link)
-        if increment < 0:
-            increment = 0.0
-
-        # A flow whose remaining demand set the increment is satisfied
-        # this round.  That is decided on the gap *before* the raise:
-        # ``rate + (demand - rate)`` may round an ulp short of
-        # ``demand``, and an ulp at Gb/s scale is far above EPSILON, so
-        # testing only the raised rate can leave the round with nothing
-        # frozen and strand every link-less flow at this fill level.
-        satisfied = {i for i in active
-                     if demands[i] - rates[i] <= increment + EPSILON}
-        for i in active:
-            rates[i] += increment
-        for link in range(num_links):
-            count = live[link]
-            if count:
-                residuals[link] -= increment * count
-                if residuals[link] < 0:
-                    residuals[link] = 0.0
-
-        frozen: List[int] = []
-        for i in active:
-            if i in satisfied or rates[i] >= demands[i] - EPSILON:
-                rates[i] = demands[i]
-                if alive[i]:
-                    alive[i] = False
-                    frozen.append(i)
-        for link in limiting:
-            if residuals[link] <= EPSILON * max(1.0, capacities[link]):
-                for i in link_members[link]:
-                    if alive[i]:
-                        alive[i] = False
-                        frozen.append(i)
-        if not frozen:
-            # Zero-increment round with nothing freezing would spin
-            # forever; freeze the flows on the tightest link outright.
-            if limiting:
-                for link in limiting:
-                    for i in link_members[link]:
-                        if alive[i]:
-                            alive[i] = False
-                            frozen.append(i)
-            else:
-                for i in active:
-                    alive[i] = False
-                    frozen.append(i)
-        for i in frozen:
-            for link in flow_links[i]:
-                live[link] -= 1
-        active = [i for i in active if alive[i]]
-
-    return rates
-
-
-def max_min_allocation(
-    flow_paths: Mapping[Hashable, Sequence[Hashable]],
-    flow_demands: Mapping[Hashable, float],
-    link_capacities: Mapping[Hashable, float],
-) -> Dict[Hashable, float]:
-    """Compute the max-min fair allocation.
-
-    Parameters
-    ----------
-    flow_paths:
-        flow id -> sequence of link ids the flow crosses.  A flow with
-        an empty path is only demand-limited.
-    flow_demands:
-        flow id -> desired rate (bps).  Must cover every flow.
-    link_capacities:
-        link id -> capacity (bps).  Must cover every link referenced.
-
-    Returns
-    -------
-    dict
-        flow id -> allocated rate.
-    """
-    # Intern flows (mapping order) and links (first-reference order)
-    # to dense indices, then run the array kernel.
-    flow_ids = list(flow_paths)
-    demands: List[float] = []
-    for flow_id in flow_ids:
-        demand = flow_demands[flow_id]
-        if demand < 0:
-            raise ValueError(f"negative demand for flow {flow_id!r}")
-        demands.append(demand)
-
-    link_index: Dict[Hashable, int] = {}
-    residuals: List[float] = []
-    capacities: List[float] = []
-    link_members: List[List[int]] = []
-    flow_links: List[List[int]] = []
-    for flow_pos, flow_id in enumerate(flow_ids):
-        member = demands[flow_pos] > EPSILON
-        links_here: List[int] = []
-        seen_here = set()
-        for link_id in flow_paths[flow_id]:
-            pos = link_index.get(link_id)
-            if pos is None:
-                capacity = link_capacities[link_id]
-                if capacity < 0:
-                    raise ValueError(f"negative capacity for link {link_id!r}")
-                pos = len(residuals)
-                link_index[link_id] = pos
-                residuals.append(float(capacity))
-                capacities.append(capacity)
-                link_members.append([])
-            if pos in seen_here:
-                continue  # a path crossing a link twice counts once
-            seen_here.add(pos)
-            links_here.append(pos)
-            if member:
-                link_members[pos].append(flow_pos)
-        flow_links.append(links_here)
-
-    rates = progressive_filling(demands, residuals, capacities,
-                                link_members, flow_links)
-    return {flow_id: rates[pos] for pos, flow_id in enumerate(flow_ids)}
+__all__ = ["EPSILON", "validate_allocation"]
 
 
 def validate_allocation(

@@ -81,8 +81,8 @@ class Network:
         self.realloc = ReallocEngine(self)
         self.incremental_realloc = True
         # Flows that may be accruing bytes (a superset of active +
-        # delivered + rate>0, in flow-id order), maintained by the
-        # realloc engine for its mirror-less scalar accrual.
+        # delivered + rate>0, in flow-id order), set by the realloc
+        # engine whenever there is no mirror, for the scalar accrual.
         self._accruing: List[FluidFlow] = []
         # The rate timeline: piecewise-constant (dt, now) segments
         # elapsed since the last seal.  All pending segments share one
@@ -281,7 +281,7 @@ class Network:
         if state is not None:
             # Keep the SoA mirror's rate in lockstep so segments sealed
             # from here on add exactly 0 for this flow.
-            state.zero_rate(flow.id)
+            state.set_rate(flow.id, 0.0)
         self.realloc.mark_flow_dirty(flow)
         self.invalidate_routing()
 

@@ -33,16 +33,22 @@ re-classified from scratch (no other flag can have moved), and the
 flows to re-solve are the re-walked delivered ones plus every flow on a
 seed that is or was contended.  Those are partitioned into connected
 components through contended directions and each component is solved
-over its contended directions — on the struct-of-arrays mirror
-(:mod:`repro.dataplane.arrays`) when numpy imports and the network has
-registered ``ARRAYS_MIN_FLOWS`` flows or more, with the scalar kernel of
-:mod:`repro.dataplane.solver` below that size, without numpy or when
-``kernel="heap"`` forces it; a flow that reaches no contended direction
-takes its demand without a kernel call, and every other rate is spliced
-through unchanged.  A change therefore costs its ripple, not its
-connected component.  Loads are then re-summed per direction, over all
-the flows on it: an uncontended direction is shared by flows of several
-components and by flows nobody re-solved.
+over its contended directions; a flow that reaches no contended
+direction takes its demand without a kernel call, and every other rate
+is spliced through unchanged.  A change therefore costs its ripple, not
+its connected component.  Loads are then re-summed for the touched
+directions, over all the flows on each (an uncontended direction is
+shared by flows of several components and by flows nobody re-solved),
+and host rates for the hosts of re-walked or re-assigned flows, over
+all the delivered flows at each.
+
+All of that is one delta path, the same Python adds for both kernels.
+What the kernel decides is who solves a contended component and how
+bytes accrue: the struct-of-arrays mirror (:mod:`repro.dataplane.arrays`)
+when numpy imports and the network has registered ``ARRAYS_MIN_FLOWS``
+flows or more, the scalar kernel of :mod:`repro.dataplane.solver` and
+the per-flow accrual below that size, without numpy or when
+``kernel="heap"`` forces it.
 
 A symmetry quotient's class-level updates move capacities without
 classifying anything, so the engine forgets its flags whenever one
@@ -86,11 +92,13 @@ _net_index = attrgetter("_net_index")
 class _CachedWalk:
     """One flow's cached walk result and its dependency footprint."""
 
-    __slots__ = ("flow", "result", "node_deps", "link_deps", "dirs")
+    __slots__ = ("flow", "result", "delivered", "node_deps", "link_deps",
+                 "dirs")
 
     def __init__(self, flow: FluidFlow, result) -> None:
         self.flow = flow
         self.result = result
+        self.delivered: bool = result.delivered
         node_deps = {flow.src.name}
         for hop in result.hops:
             node_deps.add(hop.dst_port.node.name)
@@ -105,9 +113,15 @@ class _CachedWalk:
             list(result.hops) if result.delivered else []
         )
 
-    @property
-    def delivered(self) -> bool:
-        return self.result.delivered
+    def same_row(self, other: Optional["_CachedWalk"]) -> bool:
+        """Whether *other* delivered over exactly these directions and
+        flow-table entries (the entries by identity: each carries its
+        own counters) — the mirror row the walk interns is unchanged."""
+        if other is None or not other.delivered or other.dirs != self.dirs:
+            return False
+        mine, theirs = self.result.entries, other.result.entries
+        return len(mine) == len(theirs) and all(
+            a is b for (__, a), (__, b) in zip(mine, theirs))
 
 
 def _accrue_scalar(flows: List[FluidFlow], segments: List[tuple]) -> None:
@@ -219,20 +233,34 @@ class ReallocEngine:
         self._pending.clear()
 
     def _clear_cache(self) -> None:
+        if self._arrays is not None:
+            # Until the next mirror the scalar accrual integrates what
+            # the cache holds now (forget() keeps the rates).
+            self._drop_mirror()
+            self.network._accruing = self._accruing()
         self._cache.clear()
         self._node_flows.clear()
         self._link_flows.clear()
         self._dir_flows.clear()
         self._contended = None
         self.undelivered = 0
-        self._drop_mirror()
 
     def _drop_mirror(self) -> None:
         """Discard the struct-of-arrays mirror (the next arrays-kernel
-        recompute interns a fresh one).  Sealed segments index its
-        direction and host slots, so they are replayed first."""
+        recompute interns a fresh one).  Sealed segments read its rows,
+        so they are replayed first."""
         self.replay_accrual()
         self._arrays = None
+
+    def _accruing(self) -> List[FluidFlow]:
+        """The delivered cached flows with a positive rate, in flow-id
+        order: what the scalar accrual visits."""
+        flows = []
+        for fid in sorted(self._cache):
+            entry = self._cache[fid]
+            if entry.delivered and entry.flow.rate_bps > 0:
+                flows.append(entry.flow)
+        return flows
 
     def all_delivered(self) -> bool:
         """Whether some flow is running and every running flow's walk
@@ -348,12 +376,15 @@ class ReallocEngine:
             self._drop_mirror()
 
         # Re-walk dirty flows (in id order, for deterministic PACKET_IN
-        # ordering), collecting the seed directions of the re-solve and
-        # the flows it starts from.
+        # ordering), collecting the seed directions of the re-solve, the
+        # flows it starts from and the hosts whose rates may move.
         seed_dirs: Set["LinkDirection"] = set()
         starts: Set[int] = set()
+        hosts: Set[Host] = set()
         for fid in sorted(dirty):
             flow = dirty[fid]
+            hosts.add(flow.src)
+            hosts.add(flow.dst)
             old = self._cache.pop(fid, None)
             if old is not None:
                 self._unindex(fid, old)
@@ -371,7 +402,8 @@ class ReallocEngine:
             self._cache[fid] = entry
             self._index(fid, entry)
             if entry.delivered:
-                if state is not None:
+                # A re-walk that changed nothing keeps its frozen row.
+                if state is not None and not entry.same_row(old):
                     state.intern_flow(fid, flow, entry.dirs, result.entries)
                 seed_dirs.update(entry.dirs)
                 starts.add(fid)
@@ -393,29 +425,21 @@ class ReallocEngine:
         # and its capacity.  With no flag known (after a clear, or a
         # class-level update, which classifies nothing) every flag is
         # re-derived and every seed counts as having been contended.
-        if state is not None:
-            over = state.contended()
-            slot_of = state.links.slot_of
-
-            def offered_over(direction: "LinkDirection") -> bool:
-                slot = slot_of.get(direction)
-                return slot is not None and bool(over[slot])
-        else:
-            offered_over = self._offered_over
         contended = self._contended
         if contended is None:
             contended = self._contended = {
                 direction for direction in self._dir_flows
-                if offered_over(direction)}
+                if self._offered_over(direction)}
             hot = seed_dirs
         else:
             hot = []
             for direction in seed_dirs:
                 was = direction in contended
-                now = offered_over(direction)
-                if now != was:
-                    (contended.add if now else contended.discard)(direction)
-                if now or was:
+                is_over = self._offered_over(direction)
+                if is_over != was:
+                    (contended.add if is_over else contended.discard)(
+                        direction)
+                if is_over or was:
                     hot.append(direction)
         for direction in hot:
             starts.update(self._dir_flows.get(direction, ()))
@@ -424,116 +448,105 @@ class ReallocEngine:
         # the flow/direction sharing graph through contended directions
         # only, and solve each over those directions.  A flow that
         # reaches none is the kernel's zero-link row and is assigned
-        # what the kernel returns for it without a call.  With the SoA
-        # mirror live, search and solves run vectorized on the interned
-        # incidence (same graph: only delivered flows carry directions,
-        # and those are exactly the interned rows).
+        # what the kernel returns for it without a call.
+        cache, dir_flows = self._cache, self._dir_flows
+        components: List[List[int]] = []
+        free: List[FluidFlow] = []
+        placed: Set[int] = set()
+        for start in sorted(starts):
+            if start in placed:
+                continue
+            comp = {start}
+            reached: Set["LinkDirection"] = set()
+            stack = [start]
+            while stack:
+                for direction in cache[stack.pop()].dirs:
+                    if direction in contended and direction not in reached:
+                        reached.add(direction)
+                        for fid in dir_flows[direction]:
+                            if fid not in comp:
+                                comp.add(fid)
+                                stack.append(fid)
+            placed.update(comp)
+            if reached:
+                components.append(sorted(comp))
+            else:
+                free.append(cache[start].flow)
+        self.flows_unconstrained += len(free)
+        rates = [flow.demand_bps if flow.demand_bps > EPSILON else 0.0
+                 for flow in free]
+        self._assign(free, rates)
+        if state is not None:
+            for flow, rate in zip(free, rates):
+                state.set_rate(flow.id, rate)
+        if components:
+            with span("realloc.solve", components=len(components),
+                      kernel=effective) as sp:
+                if state is not None:
+                    over = state.links.mask(contended)
+                solved = self.flows_solved
+                for comp in components:
+                    self.components_solved += 1
+                    self.flows_solved += len(comp)
+                    entries = [cache[fid] for fid in comp]
+                    if state is None:
+                        rates = self._solve_component(entries, contended)
+                    else:
+                        rates = state.solve_component(comp, over)
+                    self._assign([entry.flow for entry in entries], rates)
+                sp.set(flows=self.flows_solved - solved)
+
+        # Re-sum the load of every seed and of every direction a
+        # re-assigned flow crosses over *all* flows on it — an
+        # uncontended direction is shared by flows of several
+        # components and by flows nobody re-solved — in flow-id order,
+        # a twice-crossed hop counted twice.  Stale loads may linger on
+        # directions no current flow crosses after a clear, so a full
+        # recompute zeroes every direction first.
         if full:
-            # Stale loads may linger on directions no current flow
-            # crosses; everything else is re-summed below.
             for direction in net._all_directions():
                 direction.current_load_bps = 0.0
-        if state is not None:
-            arr_components, free = state.components(starts, over)
-            flows, rates = state.unconstrained(free)
-            self.flows_unconstrained += len(flows)
-            self._assign(flows, rates)
-            assigned = free
-            if arr_components:
-                with span("realloc.solve",
-                          components=len(arr_components),
-                          kernel=effective) as sp:
-                    solved = self.flows_solved
-                    for comp in arr_components:
-                        flows, rates = state.solve_component(comp, over)
-                        self.components_solved += 1
-                        self.flows_solved += len(flows)
-                        self._assign(flows, rates)
-                        assigned = assigned | comp
-                    sp.set(flows=self.flows_solved - solved)
-            state.refresh_loads(seed_dirs, assigned)
-        else:
-            components: List[List[int]] = []
-            free: List[FluidFlow] = []
-            placed: Set[int] = set()
-            for start in sorted(starts):
-                if start in placed:
-                    continue
-                comp = {start}
-                reached: Set["LinkDirection"] = set()
-                stack = [start]
-                while stack:
-                    for direction in self._cache[stack.pop()].dirs:
-                        if direction in contended and direction not in reached:
-                            reached.add(direction)
-                            for fid in self._dir_flows[direction]:
-                                if fid not in comp:
-                                    comp.add(fid)
-                                    stack.append(fid)
-                placed.update(comp)
-                if reached:
-                    components.append(sorted(comp))
-                else:
-                    free.append(self._cache[start].flow)
-            self.flows_unconstrained += len(free)
-            self._assign(free, [
-                flow.demand_bps if flow.demand_bps > EPSILON else 0.0
-                for flow in free])
-            if components:
-                with span("realloc.solve", components=len(components),
-                          kernel=effective) as sp:
-                    for comp in components:
-                        self._solve_component(comp, contended)
-                    sp.set(flows=sum(len(c) for c in components))
-            # Re-sum the load of every seed and of every direction a
-            # re-assigned flow crosses over *all* flows on it — an
-            # uncontended direction is shared by flows of several
-            # components and by flows nobody re-solved — in flow-id
-            # order, a twice-crossed hop counted twice.
-            touched = set(seed_dirs)
-            for fid in placed:
-                touched.update(self._cache[fid].dirs)
-            crossing: Set[int] = set()
-            for direction in touched:
-                direction.current_load_bps = 0.0
-                crossing.update(self._dir_flows.get(direction, ()))
-            for fid in sorted(crossing):
-                entry = self._cache[fid]
-                rate = entry.flow.rate_bps
-                for direction in entry.dirs:
-                    if direction in touched:
-                        direction.current_load_bps += rate
+        touched = set(seed_dirs)
+        for fid in placed:
+            entry = cache[fid]
+            touched.update(entry.dirs)
+            hosts.add(entry.flow.src)
+            hosts.add(entry.flow.dst)
+        crossing: Set[int] = set()
+        for direction in touched:
+            direction.current_load_bps = 0.0
+            crossing.update(dir_flows.get(direction, ()))
+        for fid in sorted(crossing):
+            entry = cache[fid]
+            rate = entry.flow.rate_bps
+            for direction in entry.dirs:
+                if direction in touched:
+                    direction.current_load_bps += rate
 
-        # Host rates and the accruing-flow set, rebuilt in canonical
-        # (flow id) order so incremental and full recomputes produce
-        # identical floating-point sums.  The SoA mirror holds exactly
-        # the delivered flows, so the arrays path gathers both from it
-        # (same fid order, same per-host add order).
-        for host in net._nodes_of(Host):
-            host.rx_rate_bps = 0.0
-            host.tx_rate_bps = 0.0
-        if state is not None:
-            rx, tx = state.host_rates()
-            for host, rx_rate, tx_rate in zip(state.hosts, rx.tolist(),
-                                              tx.tolist()):
-                host.rx_rate_bps = rx_rate
-                host.tx_rate_bps = tx_rate
-            # What the scalar accrual would visit if the mirror went
-            # away (forget()): it skips zero rates itself, so the live
-            # list — a superset in the same fid order — serves as is.
-            net._accruing = state.view().flows
-        else:
-            accruing: List[FluidFlow] = []
-            for fid in sorted(self._cache):
-                entry = self._cache[fid]
-                if not entry.delivered:
-                    continue
-                flow = entry.flow
-                flow.dst.rx_rate_bps += flow.rate_bps
-                flow.src.tx_rate_bps += flow.rate_bps
-                if flow.rate_bps > 0:
-                    accruing.append(flow)
-            net._accruing = accruing
+        # Host rates likewise, for the hosts of re-walked or re-assigned
+        # flows, over every delivered flow at each in flow-id order —
+        # the adds a rebuild of every host makes, so incremental and
+        # full recomputes produce identical floats.  A host forwards
+        # nothing, so the walks that visited it (the node index) are
+        # the flows it sends, and those that ended at it.
+        if full:
+            for host in net._nodes_of(Host):
+                host.rx_rate_bps = 0.0
+                host.tx_rate_bps = 0.0
+        for host in hosts:
+            rx = tx = 0.0
+            for fid in sorted(self._node_flows.get(host.name, ())):
+                entry = cache[fid]
+                if entry.delivered:
+                    flow = entry.flow
+                    if flow.dst is host:
+                        rx += flow.rate_bps
+                    if flow.src is host:
+                        tx += flow.rate_bps
+            host.rx_rate_bps = rx
+            host.tx_rate_bps = tx
+        if state is None:
+            net._accruing = self._accruing()
 
         if self.quotient is not None:
             self.quotient.rebuild(now)
@@ -611,11 +624,12 @@ class ReallocEngine:
 
     def _offered_over(self, direction: "LinkDirection") -> bool:
         """Whether the demand offered to ``direction`` — each flow
-        crossing it once, flow-id order, as the mirror sums it —
-        exceeds its capacity less the contention margin."""
+        crossing it once, in flow-id order — exceeds its capacity less
+        the contention margin."""
+        cache = self._cache
         offered = 0.0
         for fid in sorted(self._dir_flows.get(direction, ())):
-            offered += self._cache[fid].flow.demand_bps
+            offered += cache[fid].flow.demand_bps
         return offered > direction.capacity_bps * (
             1.0 - _arrays.CONTENTION_MARGIN)
 
@@ -626,9 +640,10 @@ class ReallocEngine:
                 flow.rate_bps = rate
                 self.rates_changed += 1
 
-    def _solve_component(self, comp: List[int],
-                         contended: Set["LinkDirection"]) -> None:
-        """Max-min solve one component with the scalar kernel.
+    def _solve_component(self, entries: List[_CachedWalk],
+                         contended: Set["LinkDirection"]) -> List[float]:
+        """Max-min solve one component with the scalar kernel; returns
+        the rates of *entries* (the members' cached walks, id order).
 
         The instance is built deterministically: flows in id order,
         the *contended* directions interned in first-appearance order
@@ -636,9 +651,6 @@ class ReallocEngine:
         a pop; the rest keep their relative order, so the heap
         tie-breaks see what they would with every direction present).
         """
-        self.components_solved += 1
-        self.flows_solved += len(comp)
-        entries = [self._cache[fid] for fid in comp]
         demands: List[float] = []
         dir_index: Dict[int, int] = {}  # id() of LinkDirection -> dense
         capacities: List[float] = []
@@ -666,9 +678,8 @@ class ReallocEngine:
                 if member:
                     link_members[dense].append(pos)
             flow_links.append(links_here)
-        rates = _solver.bottleneck_filling(demands, capacities,
-                                           link_members, flow_links)
-        self._assign([entry.flow for entry in entries], rates)
+        return _solver.bottleneck_filling(demands, capacities,
+                                          link_members, flow_links)
 
     @property
     def stats(self) -> dict:

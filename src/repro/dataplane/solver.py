@@ -22,9 +22,11 @@ reference-path switch on an engine, ``ReallocEngine.kernel``: ``"auto"``
 (the rule) or ``"heap"`` (force the scalar path), which the parity tests
 and ``bench_reallocation`` set on engines they build.
 
-The round-based progressive filling the tests use as their oracle is
-not an engine kernel; it lives beside its only caller,
-:func:`repro.dataplane.fluid.max_min_allocation`.
+The round-based progressive filling the tests use as a float oracle is
+not an engine kernel and not in the package: it is test-only code,
+``tests/property/maxmin_progressive.py``, beside the exact rational
+oracle ``tests/property/maxmin_exact.py`` that judges it and both
+kernels.
 """
 
 from __future__ import annotations

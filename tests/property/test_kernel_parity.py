@@ -11,19 +11,20 @@ section sets it back.  Three layers of parity are pinned here:
   kernel's float arithmetic in saturation-level batches, so on any
   interned (all-ones) instance the two must agree *bit for bit* (``==``
   per element, not approx).  Both are held to tolerance against the
-  oracle, :func:`max_min_allocation`, whose round-based progressive
-  filling uses different (exact) arithmetic.
+  test-only oracle ``maxmin_progressive.max_min_allocation``, whose
+  round-based progressive filling uses different arithmetic.
 * **Engine level** — the arrays kernel runs off a struct-of-arrays
   mirror of fluid state that persists across recomputes.  Driving an
   arrays-kernel network and a heap-kernel network through the same
   random churn must yield bit-identical rates *and byte counters*
   (flow, direction, port, host) at every step — across every replay
   trigger of the sealed accrual timeline: stats samples, ``forget()``,
-  packets competing for a port counter, a freed flow slot reused under
-  sealed segments, more rate changes than the segment bound with no
-  read in between — and a ``forget()`` (drop the persisted mirror,
-  re-intern from scratch) must reproduce the persisted state's rates
-  exactly.
+  packets competing for a port counter, a flow re-walked twice and a
+  flow stopped and another started under sealed segments, more rate
+  changes than the segment bound with no read in between — and a
+  ``forget()`` (drop the persisted mirror, re-intern from scratch) must
+  reproduce the persisted state's rates exactly.  Loads and host rates
+  are one code path for both kernels, so they are held ``==`` too.
 * **Scenario level** — full scenario fingerprints (delivered bytes,
   events, recomputations, injection outcomes) are equal across
   {numpy, no numpy} × {symmetry on, off}.
@@ -34,7 +35,6 @@ reference-path switch (``ReallocEngine.kernel``) takes exactly ``auto``
 and ``heap``.
 """
 
-import math
 import random
 
 import pytest
@@ -52,7 +52,7 @@ from repro.dataplane.arrays import (
 )
 from repro.dataplane.flow import FluidFlow
 from repro.dataplane.flowtable import FlowEntry
-from repro.dataplane.fluid import max_min_allocation, validate_allocation
+from repro.dataplane.fluid import validate_allocation
 from repro.dataplane.network import Network
 from repro.dataplane.stats import StatsCollector
 from repro.openflow.actions import ActionOutput
@@ -66,6 +66,8 @@ from repro.scenarios import (
     TrafficRecipe,
     run_scenario,
 )
+
+from maxmin_progressive import max_min_allocation
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
                                  reason="arrays kernel needs numpy")
@@ -285,9 +287,9 @@ _PAST_THE_BOUND = [
      + [("degrade", link % 12, 0.31 + 0.037 * link)
         for link in range(SEGMENT_BOUND + 6)]),
 ]
-# Stop-then-start reuses the freed flow slot while the segment sealed
-# at the stop is still pending; packets compete for port counters
-# between the rate changes; a reroute re-interns a live flow's row.
+# Stop-then-start while the segment sealed at the stop is still
+# pending; packets compete for port counters between the rate changes;
+# a reroute re-interns a live flow's row.
 _SLOT_REUSE = [
     ("batch", [("start_flow", 0, 2, 1.7e8), ("start_flow", 1, 3, 1e9),
                ("packet", 0), ("start_flow", 0, 3, 2e9), ("packet", 1),
@@ -301,6 +303,23 @@ _SLOT_REUSE = [
                ("degrade", 7, 0.47)]),
     ("sample",), ("forget",), ("advance", 0.0213), ("packet", 2),
     ("degrade", 0, 0.91),
+]
+# Flow 0's host link fails and comes back between two reads: the flow
+# is re-walked twice and owns two rows in one replay, whose bytes must
+# land on its one counter (keyed by row, one partial sum is lost).
+_REWALKED_TWICE = [
+    ("batch", [("start_flow", 0, 2, 1.7e8), ("start_flow", 1, 3, 1e9),
+               ("degrade", 6, 0.59), ("fail_link", 0), ("degrade", 7, 0.47),
+               ("restore_link", 0), ("degrade", 0, 0.91),
+               ("degrade", 1, 0.67)]),
+]
+# A flow stops and another starts inside one batch: the stopped flow's
+# row is retired, not reused, until its sealed segments are replayed.
+_STOP_THEN_START = [
+    ("batch", [("start_flow", 0, 2, 1.7e8), ("start_flow", 1, 3, 1e9),
+               ("degrade", 6, 0.59), ("stop_flow", 0),
+               ("start_flow", 4, 1, 2.5e8), ("degrade", 7, 0.47),
+               ("degrade", 0, 0.91)]),
 ]
 # A flow carrying flow-table entries (host 5 sits behind the switch)
 # arrives while vectorized segments are sealed: the scalar per-entry
@@ -406,6 +425,8 @@ class _Driver:
 @example(_PAST_THE_BOUND)
 @example(_SLOT_REUSE)
 @example(_ENTRIES_UNDER_SEALED)
+@example(_REWALKED_TWICE)
+@example(_STOP_THEN_START)
 @settings(max_examples=40, deadline=None)
 def test_arrays_engine_matches_heap_under_churn(ops):
     """Persisted-intern parity: the struct-of-arrays state the arrays
@@ -414,7 +435,8 @@ def test_arrays_engine_matches_heap_under_churn(ops):
     sequence — the heap engine accrues flow by flow at every rate
     change, the arrays engine seals and replays — and dropping it
     (``forget``) and re-interning from scratch reproduces the
-    persisted rates exactly."""
+    persisted rates exactly.  Loads and host rates come from the one
+    delta path both kernels share, so they are held ``==`` too."""
     arr = _Driver("auto")
     heap = _Driver("heap")
     assert arr.net.realloc.effective_kernel() == "arrays"
@@ -433,9 +455,10 @@ def test_arrays_engine_matches_heap_under_churn(ops):
         for la, lb in zip(arr.links, heap.links):
             for da, db in ((la.forward, lb.forward),
                            (la.reverse, lb.reverse)):
-                assert math.isclose(da.current_load_bps,
-                                    db.current_load_bps,
-                                    rel_tol=1e-9, abs_tol=1e-3)
+                assert da.current_load_bps == db.current_load_bps, step
+        for ha, hb in zip(arr.hosts, heap.hosts):
+            assert (ha.rx_rate_bps, ha.tx_rate_bps) == (
+                hb.rx_rate_bps, hb.tx_rate_bps), f"step {step} {ha.name}"
 
     # forget() drops the persisted mirror; a from-scratch recompute
     # (fresh interning, fresh component BFS) must land on the exact

@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 
 from repro.dataplane import solver
 from repro.dataplane.arrays import HAVE_NUMPY
-from repro.dataplane.fluid import progressive_filling
 
 from maxmin_exact import exact_max_min, offered, tolerance
+from maxmin_progressive import progressive_filling
 from test_kernel_parity import LINKLESS_FLOWS, all_ones, dense_instances
 
 

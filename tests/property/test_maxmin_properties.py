@@ -2,8 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dataplane.fluid import max_min_allocation, validate_allocation
+from repro.dataplane.fluid import validate_allocation
 from repro.dataplane.solver import EPSILON, bottleneck_filling
+
+from maxmin_progressive import max_min_allocation
 
 
 @st.composite

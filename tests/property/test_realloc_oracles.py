@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
+from repro.dataplane import arrays as arrays_module
 from repro.dataplane.fib import NextHop
 from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.network import Network
@@ -328,10 +329,13 @@ def test_push_misses_nothing_under_switch_churn(ops):
 def scalar_seal(engine, segments):
     """The per-flow loop of the pre-PR-16 ``Network._seal_accrual`` —
     what ran whenever a live flow walked flow-table entries — verbatim,
-    after whatever was still sealed so segment order is preserved."""
+    over the engine's delivered cached flows in flow-id order, after
+    whatever was still sealed so segment order is preserved."""
     engine.replay_accrual()
+    accruing = [entry.flow for __, entry in sorted(engine._cache.items())
+                if entry.delivered]
     for dt, seg_now in segments:
-        for flow in engine.network._accruing:
+        for flow in accruing:
             if (not flow.active or flow.path is None
                     or not flow.path.delivered):
                 continue
@@ -409,6 +413,9 @@ def _hedera_entry_counters(monkeypatch, oracle):
 def test_entry_counters_equal_the_per_flow_loop(monkeypatch):
     timeline, closing, stats = _hedera_entry_counters(monkeypatch, False)
     monkeypatch.undo()
+    # undo() also undid this directory's threshold pin: the oracle run
+    # must see the same kernel, with a mirror beside its loop.
+    monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", 0)
     loop, loop_closing, loop_stats = _hedera_entry_counters(monkeypatch, True)
     assert len(timeline) == 8 * 6            # 8 edge switches, 6 polls
     assert any(float.fromhex(count) > 0 and float.fromhex(used) > 0
@@ -419,3 +426,4 @@ def test_entry_counters_equal_the_per_flow_loop(monkeypatch):
     # The timeline really was the path taken, and the loop the oracle's.
     assert stats["accrual_segments"] > 0 and stats["accrual_replays"] > 0
     assert loop_stats["accrual_segments"] == loop_stats["accrual_replays"] == 0
+    assert stats["kernel"] == loop_stats["kernel"] == "arrays"

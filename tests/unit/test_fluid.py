@@ -1,8 +1,15 @@
 """Unit tests: the max-min fair fluid solver."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.dataplane.fluid import max_min_allocation, validate_allocation
+from repro.dataplane.fluid import validate_allocation
+
+# The round-based oracle is test-only code beside the property suites.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "property"))
+from maxmin_progressive import max_min_allocation  # noqa: E402
 
 
 def solve(paths, demands, capacities):
