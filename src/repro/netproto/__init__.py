@@ -2,14 +2,15 @@
 
 This package provides the low-level building blocks the rest of the
 library depends on: IPv4 and MAC addressing, prefixes, a longest-prefix
-match trie, packet header codecs (Ethernet, IPv4, UDP, TCP) and the
+match table, packet header codecs (Ethernet, IPv4, UDP, TCP) and the
 hashing primitives used for ECMP path selection.
 
 Everything here is implemented from scratch (no dependency on the
 standard :mod:`ipaddress` module) so that the data structures match the
 needs of the simulator: integer-backed addresses that are cheap to hash
-and compare, and a trie tuned for the forwarding lookups the data plane
-performs on every flow path computation.
+and compare, and a prefix table (one dict per prefix length) tuned for
+the forwarding lookups the data plane performs on every flow path
+computation.
 """
 
 from repro.netproto.addr import (
@@ -18,7 +19,7 @@ from repro.netproto.addr import (
     IPv4Prefix,
     AddressError,
 )
-from repro.netproto.trie import PrefixTrie
+from repro.netproto.prefix_table import PrefixTable
 from repro.netproto.checksum import internet_checksum
 from repro.netproto.packet import (
     EthernetHeader,
@@ -40,7 +41,7 @@ __all__ = [
     "IPv4Address",
     "IPv4Prefix",
     "AddressError",
-    "PrefixTrie",
+    "PrefixTable",
     "internet_checksum",
     "EthernetHeader",
     "IPv4Header",
