@@ -35,9 +35,22 @@ class Host(Node):
         self.add_port(1)
         self.rx_bytes = 0.0
         self.tx_bytes = 0.0
-        self.rx_rate_bps = 0.0
-        self.tx_rate_bps = 0.0
         self.received_packets: List["Packet"] = []
+
+    @property
+    def rx_rate_bps(self) -> float:
+        """The summed rate of the flows arriving here (bps), as of the
+        last reallocation — derived on read by the network's realloc
+        engine; 0 off a network."""
+        network = self.network
+        return 0.0 if network is None else network.realloc.derived(self)[0]
+
+    @property
+    def tx_rate_bps(self) -> float:
+        """The summed rate of the flows sent from here (bps), like
+        :attr:`rx_rate_bps`."""
+        network = self.network
+        return 0.0 if network is None else network.realloc.derived(self)[1]
 
     @property
     def mac(self) -> MACAddress:

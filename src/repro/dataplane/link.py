@@ -25,14 +25,21 @@ MBPS = 1_000_000
 class LinkDirection:
     """One direction of a link: src port -> dst port."""
 
-    __slots__ = ("link", "src_port", "dst_port", "bytes_carried", "current_load_bps")
+    __slots__ = ("link", "src_port", "dst_port", "bytes_carried")
 
     def __init__(self, link: "Link", src_port: "Port", dst_port: "Port"):
         self.link = link
         self.src_port = src_port
         self.dst_port = dst_port
         self.bytes_carried = 0.0
-        self.current_load_bps = 0.0
+
+    @property
+    def current_load_bps(self) -> float:
+        """The summed rate of the flows crossing this direction (bps),
+        as of the last reallocation — derived on read by the network's
+        realloc engine; 0 off a network."""
+        network = self.link.network
+        return 0.0 if network is None else network.realloc.derived(self)
 
     @property
     def capacity_bps(self) -> float:

@@ -275,6 +275,9 @@ class Network:
             return
         self.mark_accrual(self.now)
         self._seal_accrual()
+        # Loads and host rates read until the recompute keep the rates
+        # from before the stop.
+        self.realloc.settle(flow)
         flow.active = False
         flow.rate_bps = 0.0
         state = self.realloc._arrays

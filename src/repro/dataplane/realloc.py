@@ -36,11 +36,20 @@ components through contended directions and each component is solved
 over its contended directions; a flow that reaches no contended
 direction takes its demand without a kernel call, and every other rate
 is spliced through unchanged.  A change therefore costs its ripple, not
-its connected component.  Loads are then re-summed for the touched
-directions, over all the flows on each (an uncontended direction is
-shared by flows of several components and by flows nobody re-solved),
-and host rates for the hosts of re-walked or re-assigned flows, over
-all the delivered flows at each.
+its connected component.
+
+**Loads and host rates are derived on read.**  A direction's
+``current_load_bps`` and a host's ``rx_rate_bps`` / ``tx_rate_bps`` are
+pure functions of the cached walks and their rates, so no recompute
+writes them: :meth:`ReallocEngine.derived` sums one on first read (over
+every flow on it, in flow-id order — the adds a rebuild of everything
+makes) and caches it.  A recompute drops what it may have moved — the
+directions a seed or a re-assigned flow crosses, the hosts of re-walked
+or re-assigned flows — and a full recompute drops everything.  Two
+changes of a flow's rate happen outside a recompute, and both settle
+the affected values first so a read keeps seeing the last recompute's
+snapshot: ``Network.stop_flow`` (that flow's directions and hosts) and
+:meth:`ReallocEngine.forget` (all of them).
 
 All of that is one delta path, the same Python adds for both kernels.
 What the kernel decides is who solves a contended component and how
@@ -53,7 +62,9 @@ the per-flow accrual below that size, without numpy or when
 A symmetry quotient's class-level updates move capacities without
 classifying anything, so the engine forgets its flags whenever one
 happens and re-derives them all at the concrete recompute that follows
-the hand-back (as after ``forget()``).
+the hand-back (as after ``forget()``).  They move class rates too, so
+they drop every derived value, and while the quotient holds a
+derivation reads each flow's class rate.
 
 A *full* recompute runs through the same classify-partition-solve code
 with every active flow marked dirty and no flag known, so the
@@ -71,7 +82,7 @@ unconnected port, say).
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, Union, TYPE_CHECKING
 
 from repro.dataplane import arrays as _arrays
 from repro.dataplane import solver as _solver
@@ -87,6 +98,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Sort key: a node's or link's position in its network's insertion order.
 _net_index = attrgetter("_net_index")
+#: A flow's rate as a concrete derivation reads it.
+_rate_bps = attrgetter("rate_bps")
 
 
 class _CachedWalk:
@@ -163,6 +176,9 @@ class ReallocEngine:
         self._node_flows: Dict[str, Set[int]] = {}
         self._link_flows: Dict[int, Set[int]] = {}
         self._dir_flows: Dict["LinkDirection", Set[int]] = {}
+        # Values derived on read (see derived()): a direction's load, a
+        # host's (rx, tx); an entry lives until a change drops it.
+        self._derived: Dict[object, Union[float, Tuple[float, float]]] = {}
         # The directions that couple flows (offered load can reach
         # capacity); None while no flag is known.
         self._contended: Optional[Set["LinkDirection"]] = None
@@ -226,6 +242,12 @@ class ReallocEngine:
         """Drop all cached state (next recompute is full)."""
         if self.quotient is not None:
             self.quotient.materialize()
+        # Reads until that recompute see what they saw before: every
+        # value is derived while the index still holds it.
+        for direction in self._dir_flows:
+            self.derived(direction)
+        for host in self.network._nodes_of(Host):
+            self.derived(host)
         # Flows keep their rates until that recompute; with the mirror
         # gone seal_accrual integrates them object by object meanwhile.
         self._clear_cache()
@@ -244,6 +266,60 @@ class ReallocEngine:
         self._dir_flows.clear()
         self._contended = None
         self.undelivered = 0
+
+    # -- derived on read ----------------------------------------------------
+
+    def derived(self, owner: "Union[LinkDirection, Host]"):
+        """``owner``'s load when it is a direction, its ``(rx, tx)``
+        rates when it is a host — summed on first read and cached until
+        a change drops it.
+
+        The sum is the one a rebuild of everything makes: every flow on
+        ``owner`` in flow-id order (a twice-crossed hop added twice, the
+        undelivered flows at a host skipped), each at its class rate
+        while a symmetry quotient holds.  A host forwards nothing, so
+        the walks that visited it (the node index) are the flows it
+        sends, and those that ended at it.
+        """
+        value = self._derived.get(owner)
+        if value is not None:
+            return value
+        quotient = self.quotient
+        rate_of = (quotient.rate_of if quotient is not None and quotient.active
+                   else _rate_bps)
+        cache = self._cache
+        if isinstance(owner, Host):
+            rx = tx = 0.0
+            for fid in sorted(self._node_flows.get(owner.name, ())):
+                entry = cache[fid]
+                if entry.delivered:
+                    flow = entry.flow
+                    if flow.dst is owner:
+                        rx += rate_of(flow)
+                    if flow.src is owner:
+                        tx += rate_of(flow)
+            value = (rx, tx)
+        else:
+            value = 0.0
+            for fid in sorted(self._dir_flows.get(owner, ())):
+                entry = cache[fid]
+                rate = rate_of(entry.flow)
+                for hop in entry.dirs:
+                    if hop is owner:
+                        value += rate
+        self._derived[owner] = value
+        return value
+
+    def settle(self, flow: FluidFlow) -> None:
+        """Derive ``flow``'s directions and endpoint hosts now:
+        ``Network.stop_flow`` zeroes its rate before the recompute that
+        evicts it, and reads until then see the rates from before."""
+        entry = self._cache.get(flow.id)
+        if entry is not None:
+            for direction in entry.dirs:
+                self.derived(direction)
+        self.derived(flow.src)
+        self.derived(flow.dst)
 
     def _drop_mirror(self) -> None:
         """Discard the struct-of-arrays mirror (the next arrays-kernel
@@ -343,8 +419,10 @@ class ReallocEngine:
                 if not dirty and quotient.try_fast_cap_update(cap_dirty_links):
                     # Capacities moved and no direction was classified:
                     # the concrete recompute that follows the
-                    # materialize re-derives every flag.
+                    # materialize re-derives every flag.  Class rates
+                    # moved, so every derived value goes.
                     self._contended = None
+                    self._derived.clear()
                     self._pending.clear()
                     return
                 quotient.materialize()
@@ -376,15 +454,12 @@ class ReallocEngine:
             self._drop_mirror()
 
         # Re-walk dirty flows (in id order, for deterministic PACKET_IN
-        # ordering), collecting the seed directions of the re-solve, the
-        # flows it starts from and the hosts whose rates may move.
+        # ordering), collecting the seed directions of the re-solve and
+        # the flows it starts from.
         seed_dirs: Set["LinkDirection"] = set()
         starts: Set[int] = set()
-        hosts: Set[Host] = set()
         for fid in sorted(dirty):
             flow = dirty[fid]
-            hosts.add(flow.src)
-            hosts.add(flow.dst)
             old = self._cache.pop(fid, None)
             if old is not None:
                 self._unindex(fid, old)
@@ -496,55 +571,27 @@ class ReallocEngine:
                     self._assign([entry.flow for entry in entries], rates)
                 sp.set(flows=self.flows_solved - solved)
 
-        # Re-sum the load of every seed and of every direction a
-        # re-assigned flow crosses over *all* flows on it — an
-        # uncontended direction is shared by flows of several
-        # components and by flows nobody re-solved — in flow-id order,
-        # a twice-crossed hop counted twice.  Stale loads may linger on
-        # directions no current flow crosses after a clear, so a full
-        # recompute zeroes every direction first.
+        # Drop the derived values this recompute may have moved: the
+        # load of every seed and of every direction a re-assigned flow
+        # crosses (an uncontended direction is shared by flows of
+        # several components and by flows nobody re-solved), the rates
+        # of every host of a re-walked or re-assigned flow — all of
+        # them after a full recompute, whose index starts from nothing.
+        derived = self._derived
         if full:
-            for direction in net._all_directions():
-                direction.current_load_bps = 0.0
-        touched = set(seed_dirs)
-        for fid in placed:
-            entry = cache[fid]
-            touched.update(entry.dirs)
-            hosts.add(entry.flow.src)
-            hosts.add(entry.flow.dst)
-        crossing: Set[int] = set()
-        for direction in touched:
-            direction.current_load_bps = 0.0
-            crossing.update(dir_flows.get(direction, ()))
-        for fid in sorted(crossing):
-            entry = cache[fid]
-            rate = entry.flow.rate_bps
-            for direction in entry.dirs:
-                if direction in touched:
-                    direction.current_load_bps += rate
-
-        # Host rates likewise, for the hosts of re-walked or re-assigned
-        # flows, over every delivered flow at each in flow-id order —
-        # the adds a rebuild of every host makes, so incremental and
-        # full recomputes produce identical floats.  A host forwards
-        # nothing, so the walks that visited it (the node index) are
-        # the flows it sends, and those that ended at it.
-        if full:
-            for host in net._nodes_of(Host):
-                host.rx_rate_bps = 0.0
-                host.tx_rate_bps = 0.0
-        for host in hosts:
-            rx = tx = 0.0
-            for fid in sorted(self._node_flows.get(host.name, ())):
+            derived.clear()
+        elif derived:
+            for direction in seed_dirs:
+                derived.pop(direction, None)
+            moved = list(dirty.values())
+            for fid in placed:
                 entry = cache[fid]
-                if entry.delivered:
-                    flow = entry.flow
-                    if flow.dst is host:
-                        rx += flow.rate_bps
-                    if flow.src is host:
-                        tx += flow.rate_bps
-            host.rx_rate_bps = rx
-            host.tx_rate_bps = tx
+                moved.append(entry.flow)
+                for direction in entry.dirs:
+                    derived.pop(direction, None)
+            for flow in moved:
+                derived.pop(flow.src, None)
+                derived.pop(flow.dst, None)
         if state is None:
             net._accruing = self._accruing()
 

@@ -65,10 +65,13 @@ class StatsCollector:
         # segment (counters integrate over the same boundaries as ever)
         # and leaves the replay to whoever next reads a counter.
         network.mark_accrual(now)
+        # Each host rate read once: the aggregate sums the same values
+        # in the same (hosts()) order as Network.aggregate_rx_rate.
+        host_rx = {h.name: h.rx_rate_bps for h in network.hosts()}
         sample = Sample(
             time=now,
-            aggregate_rx_bps=network.aggregate_rx_rate(),
-            host_rx_bps={h.name: h.rx_rate_bps for h in network.hosts()},
+            aggregate_rx_bps=sum(host_rx.values()),
+            host_rx_bps=host_rx,
             active_flows=len(network.active_flows()),
         )
         if self.record_links:

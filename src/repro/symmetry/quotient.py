@@ -98,13 +98,12 @@ class _FlowClass:
 class _DirClass:
     """One class of interchangeable link directions."""
 
-    __slots__ = ("dirs", "capacity", "member_fclasses", "load")
+    __slots__ = ("dirs", "capacity", "member_fclasses")
 
     def __init__(self, dirs, capacity) -> None:
         self.dirs = dirs            # LinkDirection members, canonical order
         self.capacity = capacity
         self.member_fclasses: List[int] = []
-        self.load = 0.0
 
 
 class QuotientState:
@@ -119,6 +118,7 @@ class QuotientState:
         self.flow_classes: List[_FlowClass] = []
         self.dir_classes: List[_DirClass] = []
         self._dir_class_of: Dict[int, int] = {}  # id(direction) -> class
+        self._flow_class_of: Dict[int, _FlowClass] = {}  # flow id -> class
         # Counters / snapshot for diagnostics.
         self.rebuilds = 0
         self.fast_recomputes = 0
@@ -145,6 +145,14 @@ class QuotientState:
         self.flow_classes = []
         self.dir_classes = []
         self._dir_class_of = {}
+        self._flow_class_of = {}
+
+    def rate_of(self, flow) -> float:
+        """The rate loads and host rates read for ``flow`` while the
+        quotient holds: its class's (the member flows' own ``rate_bps``
+        lag until a materialize writes it back)."""
+        fc = self._flow_class_of.get(flow.id)
+        return flow.rate_bps if fc is None else fc.rate
 
     def rebuild(self, now: float) -> None:
         """Re-refine from the engine's cached walks (after a concrete
@@ -281,15 +289,11 @@ class QuotientState:
                 self.deactivate("partition is not equitable")
                 return
 
-        for dci, dc in enumerate(dir_classes):
-            load = 0.0
-            for fci, count in rep_counts[dci].items():
-                load += flow_classes[fci].rate * count
-            dc.load = load
-
         self.flow_classes = flow_classes
         self.dir_classes = dir_classes
         self._dir_class_of = dir_class_of
+        self._flow_class_of = {flow.id: fc for fc in flow_classes
+                               for flow in fc.flows}
         # Class-level rate and capacity changes never reach the arrays
         # mirror; the engine re-interns it after materialize().
         engine._drop_mirror()
@@ -305,8 +309,8 @@ class QuotientState:
         }
 
     def materialize(self) -> None:
-        """Write class values back onto concrete flows/links and drop
-        to concrete mode (no-op when already concrete)."""
+        """Write class values back onto concrete flows and drop to
+        concrete mode (no-op when already concrete)."""
         if not self.active:
             return
         self.materializations += 1
@@ -315,7 +319,6 @@ class QuotientState:
 
     def _materialize(self) -> None:
         engine = self.engine
-        net = engine.network
         for fc in self.flow_classes:
             rate = fc.rate
             delivered = fc.delivered
@@ -326,28 +329,10 @@ class QuotientState:
                 if flow.active:
                     flow.rate_bps = rate
                 flow.delivered_bytes = delivered
-        # Rebuild direction loads, host rates and the accruing set the
-        # way a concrete recompute does (fid order), so the values are
-        # the exact floats the concrete engine would hold.
-        for direction in engine._dir_flows:
-            direction.current_load_bps = 0.0
-        for host in net.hosts():
-            host.rx_rate_bps = 0.0
-            host.tx_rate_bps = 0.0
-        accruing = []
-        for fid in sorted(engine._cache):
-            entry = engine._cache[fid]
-            if not entry.delivered:
-                continue
-            flow = entry.flow
-            rate = flow.rate_bps
-            for direction in entry.dirs:
-                direction.current_load_bps += rate
-            flow.dst.rx_rate_bps += rate
-            flow.src.tx_rate_bps += rate
-            if rate > 0:
-                accruing.append(flow)
-        net._accruing = accruing
+        # Loads and host rates need nothing: read from here on, they
+        # derive from the rates just written, which equal the class
+        # rates they derived from while the quotient held.
+        engine.network._accruing = engine._accruing()
         self.active = False
         self.reason = "materialized"
 
@@ -404,15 +389,6 @@ class QuotientState:
             for comp in components:
                 self._solve_class_component(comp)
 
-        for dci in visited:
-            dc = self.dir_classes[dci]
-            load = 0.0
-            for fci in dc.member_fclasses:
-                fc = self.flow_classes[fci]
-                for other, count in fc.qlinks:
-                    if other == dci:
-                        load += fc.rate * count
-            dc.load = load
         self.fast_recomputes += 1
         return True
 

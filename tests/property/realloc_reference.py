@@ -1,11 +1,11 @@
 """The O(all) rebuilds the realloc engine no longer runs, kept as oracles.
 
-A recompute re-sums ``current_load_bps`` for the directions it touched,
-host rates for the hosts of re-walked or re-assigned flows, and
-re-classifies its seed directions only — one delta path for both
-kernels.  These are the rebuilds it replaced, from nothing but the
-engine's walk cache and the network, in the arithmetic they always
-used: every host, every direction, every flag, flow-id order.
+A recompute re-classifies its seed directions only, and drops the
+cached loads and host rates it may have moved; a read re-derives one
+(``ReallocEngine.derived``) — the same code for both kernels.  These
+are the rebuilds that replaced, from nothing but the engine's walk
+cache and the network, in the arithmetic they always used: every host,
+every direction, every flag, flow-id order.
 """
 
 from repro.dataplane.arrays import CONTENTION_MARGIN

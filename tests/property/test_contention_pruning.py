@@ -357,7 +357,6 @@ class TestBoundaries:
         flow = star.start(0, 1, 4e8)
         before = dict(star.settle())
         idle = star.links[3]
-        idle.forward.current_load_bps = 123.0     # stale, to be re-summed
         idle.set_capacity(GBPS / 1000)
         star.net.invalidate_routing()
         after = star.settle()

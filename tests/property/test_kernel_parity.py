@@ -24,7 +24,9 @@ section sets it back.  Three layers of parity are pinned here:
   changes than the segment bound with no read in between — and a
   ``forget()`` (drop the persisted mirror, re-intern from scratch) must
   reproduce the persisted state's rates exactly.  Loads and host rates
-  are one code path for both kernels, so they are held ``==`` too.
+  are one derivation for both kernels, so they are held ``==`` too, and
+  a read between a rate change outside a recompute (``stop_flow``,
+  ``forget()``) and that recompute returns the values from before it.
 * **Scenario level** — full scenario fingerprints (delivered bytes,
   events, recomputations, injection outcomes) are equal across
   {numpy, no numpy} × {symmetry on, off}.
@@ -67,6 +69,7 @@ from repro.scenarios import (
     run_scenario,
 )
 
+import realloc_reference as reference
 from maxmin_progressive import max_min_allocation
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
@@ -470,6 +473,74 @@ def test_arrays_engine_matches_heap_under_churn(ops):
     arr.sim.run(until=arr.t)
     for flow, rate in persisted:
         assert flow.rate_bps == rate, f"forget() shifted {flow.name}"
+
+
+def _reads(driver):
+    """Every load and host rate, read through the public names."""
+    return ([direction.current_load_bps for link in driver.links
+             for direction in (link.forward, link.reverse)],
+            [(host.rx_rate_bps, host.tx_rate_bps) for host in driver.hosts])
+
+
+def _rebuilt(driver):
+    """The same values from the full rebuilds, reading no attribute."""
+    loads = reference.loads(driver.net)
+    rates = reference.host_rates(driver.net)
+    return ([loads[direction] for link in driver.links
+             for direction in (link.forward, link.reverse)],
+            [rates[host] for host in driver.hosts])
+
+
+_SNAPSHOT_FLOWS = [("start_flow", 0, 2, 1.7e8), ("start_flow", 1, 2, 1e9),
+                   ("start_flow", 3, 2, 2.5e8), ("start_flow", 4, 5, 6e8)]
+
+
+@pytest.mark.parametrize("kernel", ["heap", pytest.param(
+    "auto", marks=needs_numpy)])
+def test_a_read_before_the_stops_recompute_sees_the_old_rates(kernel):
+    driver = _Driver(kernel)
+    for op in _SNAPSHOT_FLOWS:
+        driver.apply(op)
+    net = driver.net
+    before = _rebuilt(driver)
+    # Nothing was read yet, so nothing is derived but what the stop
+    # settles; the recompute it asks for waits out the interval.
+    net.recompute_min_interval = 0.5
+    recomputes = net.recomputations
+    net.stop_flow(driver.flows[1])
+    assert driver.flows[1].rate_bps == 0.0
+    assert _reads(driver) == before
+    driver.t += 0.25
+    driver.sim.run(until=driver.t)
+    assert net.recomputations == recomputes
+    assert _reads(driver) == before
+    driver.t += 0.5
+    driver.sim.run(until=driver.t)
+    assert net.recomputations == recomputes + 1
+    after = _reads(driver)
+    assert after == _rebuilt(driver) and after != before
+
+
+@pytest.mark.parametrize("kernel", ["heap", pytest.param(
+    "auto", marks=needs_numpy)])
+def test_a_read_between_forget_and_the_recompute_sees_the_old_rates(kernel):
+    driver = _Driver(kernel)
+    for op in _SNAPSHOT_FLOWS:
+        driver.apply(op)
+    net = driver.net
+    before = _rebuilt(driver)
+    full = net.realloc.full_recomputes
+    net.realloc.forget()
+    assert net.realloc.stats["cached_paths"] == 0
+    assert _reads(driver) == before
+    # A stop before that recompute finds no walk of its flow to settle.
+    net.stop_flow(driver.flows[0])
+    assert _reads(driver) == before
+    driver.t += driver.STEP
+    driver.sim.run(until=driver.t)
+    assert net.realloc.full_recomputes == full + 1
+    after = _reads(driver)
+    assert after == _rebuilt(driver) and after != before
 
 
 # ---------------------------------------------------------------------------

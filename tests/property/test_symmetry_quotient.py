@@ -267,6 +267,41 @@ class TestConcreteStateAfterMaterialize:
         assert q_loads == loads
 
 
+class TestRatesReadWhileTheQuotientHolds:
+    """Loads and host rates read mid-run must be the concrete run's:
+    they derive from the class rates while the quotient holds, not
+    from the rates of the last concrete recompute."""
+
+    @staticmethod
+    def _observed(symmetry):
+        spec = ScenarioSpec(
+            name="sym-reads", seed=7, duration=8.0,
+            topology=TopologyRecipe(*FATTREE4),
+            protocol=ProtocolRecipe("static", {}),
+            traffic=TrafficRecipe(pattern="stride", stride=4,
+                                  rate_bps=900_000_000.0, start_time=1.0,
+                                  duration=10.0),
+            # Class-closed: the degrade rides the class-level fast path.
+            injections=[CapacityDegrade(at=3.0, node_a=a, node_b=b,
+                                        factor=0.25)
+                        for a, b in core_agg_links()],
+            sim_params={"symmetry": symmetry})
+        exp, __ = ScenarioRunner().materialize(spec)
+        stats = exp.add_stats(record_links=True)
+        result = exp.run(until=spec.duration)
+        samples = [(s.time, s.aggregate_rx_bps, s.host_rx_bps,
+                    s.link_utilization) for s in stats.samples]
+        return samples, result.aggregate_rx_bps, exp.network.realloc.quotient
+
+    def test_samples_and_result_equal_the_concrete_run(self):
+        samples, aggregate, __ = self._observed(symmetry=False)
+        q_samples, q_aggregate, quotient = self._observed(symmetry=True)
+        assert quotient.fast_recomputes > 0 and quotient.active
+        assert any(time >= 3.0 for time, *__ in samples)
+        assert q_samples == samples
+        assert q_aggregate == aggregate
+
+
 class TestProtocolGating:
     def test_ospf_runs_concrete_with_note(self):
         spec = dict(

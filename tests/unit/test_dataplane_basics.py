@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core.config import SimulationConfig
 from repro.core.errors import DataPlaneError, TopologyError
+from repro.core.simulation import Simulation
 from repro.dataplane.fib import FIB, NextHop
+from repro.dataplane.flow import FluidFlow
 from repro.dataplane.host import Host
 from repro.dataplane.link import GBPS, Link
+from repro.dataplane.network import Network
 from repro.dataplane.node import ForwardingDecision, Node
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 from repro.netproto.packet import FiveTuple, IPPROTO_UDP
@@ -50,9 +54,21 @@ class TestLink:
         assert not link.forward.up
 
     def test_utilization(self):
-        link = make_link(capacity=1000.0)
-        link.forward.current_load_bps = 250.0
+        sim = Simulation(SimulationConfig())
+        net = Network()
+        sim.attach_network(net)
+        h1 = net.add_host("h1", "10.0.0.1")
+        h2 = net.add_host("h2", "10.0.0.2")
+        link = net.add_link(h1, h2, capacity_bps=1000.0)
+        net.add_flow(FluidFlow(h1, h2, demand_bps=250.0, start_time=0.0))
+        sim.run(until=0.1)
         assert link.forward.utilization() == pytest.approx(0.25)
+        assert link.reverse.utilization() == 0.0
+
+    def test_utilization_off_a_network(self):
+        link = make_link(capacity=1000.0)
+        assert link.forward.current_load_bps == 0.0
+        assert link.forward.utilization() == 0.0
 
     def test_rejects_bad_parameters(self):
         a, b = Node("a"), Node("b")
