@@ -222,11 +222,6 @@ def kernel_flow_counts():
 
 def build_fattree(num_flows: int, kernel: str):
     """A k=8 fat-tree under static single-path routing, N flows."""
-    Link.reset_ids()
-    FluidFlow.reset_ids()
-    reset_auto_macs()
-    reset_dpids()
-
     exp = Experiment(f"bench-kernel-{kernel}", config=SimulationConfig())
     exp.network.realloc.kernel = kernel
     exp.load_topo(FatTreeTopo(k=FATTREE_K, device="router"))

@@ -11,8 +11,11 @@ from repro.core.config import SimulationConfig
 from repro.core.errors import ConfigurationError
 from repro.core.simulation import RunReport, Simulation
 from repro.dataplane.flow import FluidFlow
+from repro.dataplane.link import Link
 from repro.dataplane.network import Network
+from repro.dataplane.node import reset_auto_macs
 from repro.dataplane.stats import StatsCollector
+from repro.dataplane.switch import reset_dpids
 from repro.openflow.controller import Controller, ControllerApp
 from repro.openflow.switch_agent import SwitchAgent
 from repro.topology.topo import Topo
@@ -46,6 +49,13 @@ class Experiment:
                  config: "SimulationConfig | None" = None):
         self.name = name
         setup_start = _time.perf_counter()
+        # Every process-global id counter a result could observe (flow
+        # ids reach five-tuple ECMP hashes through source ports)
+        # restarts, so a run does not depend on what ran before it.
+        Link.reset_ids()
+        FluidFlow.reset_ids()
+        reset_auto_macs()
+        reset_dpids()
         self.sim = Simulation(config)
         self.network = Network(name)
         self.sim.attach_network(self.network)

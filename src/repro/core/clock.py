@@ -151,15 +151,6 @@ class HybridClock:
             )
         self.now = max(self.now, time)
 
-    def step_fti(self) -> float:
-        """FTI step: advance by exactly one fixed increment.
-
-        Returns the new current time.
-        """
-        self.now += self.fti_increment
-        self.fti_ticks += 1
-        return self.now
-
     def force_mode(self, mode: ClockMode, reason: str = "forced") -> None:
         """Explicitly set the mode (used by the pure policies and tests)."""
         if mode is not self._mode:

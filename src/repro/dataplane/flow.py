@@ -77,8 +77,8 @@ class FluidFlow:
         """Restart flow numbering (scenario-run determinism).
 
         Flow ids leak into auto-chosen source ports (40000 + id) and
-        therefore into five-tuple ECMP hashes, so a reproducible
-        scenario must start numbering from the same point.
+        therefore into five-tuple ECMP hashes, so every
+        :class:`~repro.api.experiment.Experiment` restarts numbering.
         """
         cls._ids = itertools.count(1)
 

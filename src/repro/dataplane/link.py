@@ -182,7 +182,7 @@ class Link:
 
     @classmethod
     def reset_ids(cls) -> None:
-        """Restart link numbering (scenario-run determinism; see
+        """Restart link numbering (run determinism; see
         :func:`repro.dataplane.node.reset_auto_macs`)."""
         cls._ids = itertools.count(1)
 

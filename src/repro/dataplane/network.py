@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 
-from repro.core.errors import DataPlaneError, TopologyError
+from repro.core.errors import ConfigurationError, DataPlaneError, TopologyError
 from repro.dataplane.flow import FluidFlow, PathResult, PathStatus
 from repro.dataplane.host import Host
 from repro.dataplane.realloc import ReallocEngine
@@ -53,13 +53,13 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
         self.flows: List[FluidFlow] = []
+        self._flow_ids: set = set()
         self.sim: Optional["Simulation"] = None
         self.recomputations = 0
         self.packets_forwarded = 0
         self._recompute_pending = False
         self._last_accrual = 0.0
         self._last_recompute = -float("inf")
-        self._routing_epoch = 0
         # Bumped on any topology mutation (new node/link); the realloc
         # engine answers with one full recompute, since cached walk
         # outcomes can depend on state no per-entity epoch witnesses.
@@ -251,8 +251,15 @@ class Network:
     # -- flows -------------------------------------------------------------------
 
     def add_flow(self, flow: FluidFlow) -> FluidFlow:
-        """Register a flow and schedule its start/end events."""
+        """Register a flow and schedule its start/end events.  Flow ids
+        key the realloc engine's caches, so an id already held (a flow
+        created before another experiment restarted numbering) is a
+        :class:`ConfigurationError`."""
         sim = self._require_sim()
+        if flow.id in self._flow_ids:
+            raise ConfigurationError(
+                f"flow id {flow.id} is already registered on {self.name!r}")
+        self._flow_ids.add(flow.id)
         self.flows.append(flow)
         sim.scheduler.at(flow.start_time, lambda: self.start_flow(flow),
                          label=f"start {flow.name}")
@@ -400,7 +407,6 @@ class Network:
         # storms with no dirt skip accrual entirely.
         self.mark_accrual(now)
         self.recomputations += 1
-        self._routing_epoch += 1
         self._last_recompute = now
         self.realloc.recompute(now, full=not self.incremental_realloc)
         for hook in self.on_reallocation:

@@ -35,9 +35,10 @@ def next_auto_mac() -> MACAddress:
 def reset_auto_macs() -> None:
     """Restart MAC allocation from the base address.
 
-    Scenario runs call this before building their network so a
-    scenario's MACs — and anything derived from them — do not depend
-    on how many networks were built earlier in the process.
+    Every :class:`~repro.api.experiment.Experiment` calls this before
+    building its network so its MACs — and anything derived from
+    them — do not depend on how many networks were built earlier in
+    the process.
     """
     global _mac_counter
     _mac_counter = itertools.count(_MAC_BASE)

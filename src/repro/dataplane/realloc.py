@@ -698,35 +698,11 @@ class ReallocEngine:
         a pop; the rest keep their relative order, so the heap
         tie-breaks see what they would with every direction present).
         """
-        demands: List[float] = []
-        dir_index: Dict[int, int] = {}  # id() of LinkDirection -> dense
-        capacities: List[float] = []
-        link_members: List[List[int]] = []
-        flow_links: List[List[tuple]] = []
-        for pos, entry in enumerate(entries):
-            demand = entry.flow.demand_bps
-            demands.append(demand)
-            member = demand > EPSILON
-            links_here: List[tuple] = []  # the all-ones instance
-            seen_here: Set[int] = set()
-            for direction in entry.dirs:
-                if direction not in contended:
-                    continue
-                dense = dir_index.get(id(direction))
-                if dense is None:
-                    dense = len(capacities)
-                    dir_index[id(direction)] = dense
-                    capacities.append(direction.capacity_bps)
-                    link_members.append([])
-                if dense in seen_here:
-                    continue
-                seen_here.add(dense)
-                links_here.append((dense, 1))
-                if member:
-                    link_members[dense].append(pos)
-            flow_links.append(links_here)
-        return _solver.bottleneck_filling(demands, capacities,
-                                          link_members, flow_links)
+        return _solver.solve_rows(
+            (entry.flow.demand_bps,
+             [(direction, direction.capacity_bps, 1)
+              for direction in entry.dirs if direction in contended])
+            for entry in entries)
 
     @property
     def stats(self) -> dict:

@@ -5,9 +5,11 @@ The fluid engine has two kernels and one rule between them:
 * ``"heap"``   — :func:`bottleneck_filling` below: bottleneck-ordered
   filling with lazy heaps, pure Python.  Its instances are
   *multiplicity-weighted*: a flow→link entry carries how many member
-  flows it stands for.  A concrete component is the all-ones instance;
-  a symmetry quotient (:mod:`repro.symmetry.quotient`) hands the same
-  function a smaller instance whose rows are flow classes.
+  flows it stands for.  One builder, :func:`solve_rows`, interns the
+  instances of both callers: the engine's component solve (a row per
+  flow, its contended directions, multiplicity 1) and the symmetry
+  quotient's class solve (:mod:`repro.symmetry.quotient`: a row per
+  flow class, keyed by direction class).
 * ``"arrays"`` — :func:`repro.dataplane.arrays.bottleneck_filling_arrays`,
   the vectorized numpy batch kernel over the engine's struct-of-arrays
   mirror; bit-for-bit equal to ``"heap"`` on all-ones instances (it
@@ -32,7 +34,7 @@ kernels.
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -153,4 +155,38 @@ def bottleneck_filling(
     return rates
 
 
-__all__ = ["EPSILON", "KERNEL_CHOICES", "bottleneck_filling", "check_kernel"]
+def solve_rows(
+    rows: Iterable[Tuple[float, Iterable[Tuple[Hashable, float, int]]]],
+) -> List[float]:
+    """Solve rows of ``(demand, [(key, capacity, multiplicity)])``
+    (links in path order) with :func:`bottleneck_filling`; returns one
+    rate per row.  Keys are interned in first-appearance order, and a
+    key a row repeats counts once."""
+    demands: List[float] = []
+    index: Dict[Hashable, int] = {}
+    capacities: List[float] = []
+    link_members: List[List[int]] = []
+    flow_links: List[List[Tuple[int, int]]] = []
+    for pos, (demand, links) in enumerate(rows):
+        demands.append(demand)
+        member = demand > EPSILON
+        links_here: List[Tuple[int, int]] = []
+        seen_here = set()
+        for key, capacity, mult in links:
+            dense = index.get(key)
+            if dense is None:
+                dense = index[key] = len(capacities)
+                capacities.append(capacity)
+                link_members.append([])
+            elif dense in seen_here:
+                continue
+            seen_here.add(dense)
+            links_here.append((dense, mult))
+            if member:
+                link_members[dense].append(pos)
+        flow_links.append(links_here)
+    return bottleneck_filling(demands, capacities, link_members, flow_links)
+
+
+__all__ = ["EPSILON", "KERNEL_CHOICES", "bottleneck_filling", "check_kernel",
+           "solve_rows"]

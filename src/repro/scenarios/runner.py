@@ -10,9 +10,10 @@ demanded traffic, and how long each injection took to recover from).
 Reproducibility contract: running the same spec twice — in the same
 process, in different processes, before or after other scenarios —
 yields *bit-for-bit identical* results (``wall_seconds`` excepted,
-which is excluded from equality and fingerprints).  The runner resets
-every process-global id counter before building, and the event queue
-numbers its events per simulation, so nothing leaks between runs.
+which is excluded from equality and fingerprints).  Every
+:class:`~repro.api.experiment.Experiment` resets the process-global id
+counters before building, and the event queue numbers its events per
+simulation, so nothing leaks between runs.
 
 Scenario runs ride the incremental reallocation engine (PR 2): the
 path cache and dependency index live on the :class:`Network` for the
@@ -42,9 +43,6 @@ from repro.api.metrics import (
 )
 from repro.core.config import SimulationConfig
 from repro.dataplane.flow import FluidFlow
-from repro.dataplane.link import Link
-from repro.dataplane.node import reset_auto_macs
-from repro.dataplane.switch import reset_dpids
 from repro.obs.metrics import metrics
 from repro.obs.spans import TRACER, span
 from repro.results.records import (
@@ -239,15 +237,6 @@ def _summed_stats(sources, prefix: str = "") -> Dict[str, int]:
     return totals
 
 
-def _reset_process_counters() -> None:
-    """Zero every process-global id counter a scenario's results could
-    observe, so runs are independent of process history."""
-    Link.reset_ids()
-    FluidFlow.reset_ids()
-    reset_auto_macs()
-    reset_dpids()
-
-
 def _setup_sdn(exp: Experiment, hash_seed: int) -> None:
     from repro.controllers.ecmp import FiveTupleEcmpApp
 
@@ -276,7 +265,6 @@ class ScenarioRunner:
         notebooks can poke at the materialized network.
         """
         spec.validate()
-        _reset_process_counters()
 
         sim_params = dict(spec.sim_params)
         sim_params["seed"] = spec.seed

@@ -6,7 +6,8 @@ concrete recompute it re-partitions the *delivered* flows and the link
 directions they cross by joint color refinement (1-WL over the
 flow/direction incidence structure, seeded with demands, current
 rates, delivered bytes, capacities and the topology-level
-:class:`~repro.symmetry.refine.SymmetryMap` classes).  At the WL
+:class:`~repro.symmetry.refine.SymmetryMap` classes), with the
+:func:`~repro.symmetry.refine.refine` loop the map is built by.  At the WL
 fixpoint the partition is *equitable*: all members of a flow class
 cross the same multiset of direction classes, and every member link
 of a direction class is crossed by the same per-class flow counts.
@@ -15,12 +16,12 @@ While the partition holds, a reallocation whose only dirt is
 class-closed capacity change (every affected direction class uniform
 at its new capacity — e.g. an SRLG degrading a whole pod tier) takes
 the **fast path**: a class-level connected-component walk plus one
-call of the engine's scalar kernel,
-:func:`repro.dataplane.solver.bottleneck_filling`, on the *folded*
-instance — rows are flow classes, links are direction-class
-representatives, and each entry carries how many member flows cross
-the representative.  The quotient has no kernel of its own.  Byte
-accrual runs per *class* accumulator instead of per flow.
+call of the engine's instance builder and scalar kernel,
+:func:`repro.dataplane.solver.solve_rows`, on the *folded* rows — one
+per flow class, keyed by direction class, each entry carrying how
+many member flows cross the representative.  A class holds only its
+shared rate and delivered bytes; demand and capacity are read off its
+first member.  Byte accrual runs per *class* accumulator.
 
 Anything else — a flow starting or stopping, a forwarding-state or
 reachability change, a capacity change that splits a class —
@@ -58,10 +59,13 @@ exactly, not approximately:
   ``delivered_bytes`` (equality of the bases is part of the seed
   colors, so it is checked, not assumed).
 
-Per-hop/port byte counters and flow-table ``last_used_at`` stamps are
-*not* maintained on the fast path; the quotient therefore only
-activates for protocols without flow-table timeout coupling ("none",
-"static") — the runner gates this.  A rebuild also refuses to
+Host, port and direction byte counters lag while the quotient holds;
+a materialize credits them each member flow's bytes earned since the
+rebuild, so ``finalize_accounting()`` leaves them current.  Flow-table
+``byte_count`` and ``last_used_at`` are never maintained on the fast
+path; the quotient therefore only activates for protocols without
+flow-table timeout or stats coupling ("none", "static") — the runner
+gates this.  A rebuild also refuses to
 activate when some flow crosses two links of the same direction class
 (ring-like quotients), where per-event batching is not provably
 exact; those scenarios simply run concrete.
@@ -69,10 +73,12 @@ exact; those scenarios simply run concrete.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from collections import Counter
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.dataplane.solver import EPSILON, bottleneck_filling
+from repro.dataplane.solver import solve_rows
 from repro.obs.spans import span
+from repro.symmetry.refine import color_groups, refine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.link import Link, LinkDirection
@@ -83,11 +89,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class _FlowClass:
     """One class of interchangeable delivered flows."""
 
-    __slots__ = ("flows", "demand", "rate", "delivered", "qlinks")
+    __slots__ = ("flows", "rate", "delivered", "qlinks")
 
-    def __init__(self, flows, demand, rate, delivered) -> None:
+    def __init__(self, flows, rate, delivered) -> None:
         self.flows = flows          # FluidFlow objects, fid order
-        self.demand = demand
         self.rate = rate
         self.delivered = delivered  # the shared delivered_bytes value
         # (dir class index, members-per-representative-link) pairs in
@@ -98,11 +103,10 @@ class _FlowClass:
 class _DirClass:
     """One class of interchangeable link directions."""
 
-    __slots__ = ("dirs", "capacity", "member_fclasses")
+    __slots__ = ("dirs", "member_fclasses")
 
-    def __init__(self, dirs, capacity) -> None:
+    def __init__(self, dirs) -> None:
         self.dirs = dirs            # LinkDirection members, canonical order
-        self.capacity = capacity
         self.member_fclasses: List[int] = []
 
 
@@ -199,43 +203,28 @@ class QuotientState:
                 node_class.get(d.dst_port.node.name, -1),
                 link_class.get(id(d.link), -1),
             ))
-        fcolor = _intern(fseeds)
-        dcolor = _intern(dseeds)
         paths = [[dir_pos[id(d)] for d in cache[fid].dirs] for fid in fids]
         members = [sorted(fid_pos[fid] for fid in dir_flows[d]) for d in dirs]
 
-        # Joint refinement to the fixpoint: a flow's color folds in its
-        # ordered direction-color sequence; a direction's color folds
-        # in the multiset (with counts) of its crossing flows' colors.
-        while True:
-            new_f = _intern([
-                (fcolor[i], tuple(dcolor[j] for j in paths[i]))
-                for i in range(len(fids))
-            ])
-            dsigs = []
-            for j in range(len(dirs)):
-                counts: Dict[int, int] = {}
-                for i in members[j]:
-                    color = new_f[i]
-                    counts[color] = counts.get(color, 0) + 1
-                dsigs.append((dcolor[j], tuple(sorted(counts.items()))))
-            new_d = _intern(dsigs)
-            stable = (len(set(new_f)) == len(set(fcolor))
-                      and len(set(new_d)) == len(set(dcolor)))
-            fcolor, dcolor = new_f, new_d
-            if stable:
-                break
+        def flow_profiles(fcolor, dcolor):
+            # A flow's ordered *old* direction-color sequence.
+            return [tuple(dcolor[j] for j in path) for path in paths]
 
+        def dir_profiles(new_f):
+            # The counts of a direction's crossing flows' *new* colors.
+            return [tuple(sorted(Counter(new_f[i] for i in crossing).items()))
+                    for crossing in members]
+
+        fcolor, dcolor = refine(fseeds, dseeds, flow_profiles, dir_profiles)
         # Canonical classes: flow classes ordered by smallest fid,
         # direction classes by smallest direction key.
-        fgroups = _group(fcolor)
-        dgroups = _group(dcolor)
+        fgroups = color_groups(fcolor)
+        dgroups = color_groups(dcolor)
 
         dir_classes: List[_DirClass] = []
         dir_class_of: Dict[int, int] = {}
         for group in dgroups:
-            rep = dirs[group[0]]
-            dc = _DirClass([dirs[j] for j in group], rep.capacity_bps)
+            dc = _DirClass([dirs[j] for j in group])
             for j in group:
                 dir_class_of[id(dirs[j])] = len(dir_classes)
             dir_classes.append(dc)
@@ -244,24 +233,18 @@ class QuotientState:
         fclass_of_pos: Dict[int, int] = {}
         for group in fgroups:
             rep_flow = cache[fids[group[0]]].flow
-            fc = _FlowClass(
-                [cache[fids[i]].flow for i in group],
-                rep_flow.demand_bps, rep_flow.rate_bps,
-                rep_flow.delivered_bytes,
-            )
+            fc = _FlowClass([cache[fids[i]].flow for i in group],
+                            rep_flow.rate_bps, rep_flow.delivered_bytes)
             for i in group:
                 fclass_of_pos[i] = len(flow_classes)
             flow_classes.append(fc)
 
         # Per-representative-link crossing counts, path-ordered qlinks,
         # and the multi-crossing guard.
-        rep_counts: List[Dict[int, int]] = []
-        for dci, dc in enumerate(dir_classes):
-            rep_j = dir_pos[id(dc.dirs[0])]
-            counts = {}
-            for i in members[rep_j]:
-                fci = fclass_of_pos[i]
-                counts[fci] = counts.get(fci, 0) + 1
+        rep_counts: List[Counter] = []
+        for dc in dir_classes:
+            counts = Counter(fclass_of_pos[i]
+                             for i in members[dir_pos[id(dc.dirs[0])]])
             rep_counts.append(counts)
             dc.member_fclasses = sorted(counts)
 
@@ -277,12 +260,8 @@ class QuotientState:
         # Equitability double-check (conservative belt and braces): the
         # total (flow class, dir class) incidence must spread evenly
         # over the dir class's member links.
-        totals: Dict[Tuple[int, int], int] = {}
-        for i, path in enumerate(paths):
-            fci = fclass_of_pos[i]
-            for j in path:
-                key = (fci, dir_class_of[id(dirs[j])])
-                totals[key] = totals.get(key, 0) + 1
+        totals = Counter((fclass_of_pos[i], dir_class_of[id(dirs[j])])
+                         for i, path in enumerate(paths) for j in path)
         for (fci, dci), total in totals.items():
             expected = rep_counts[dci].get(fci, 0) * len(dir_classes[dci].dirs)
             if total != expected:
@@ -328,7 +307,17 @@ class QuotientState:
                 # the class's bytes up to the stop.
                 if flow.active:
                     flow.rate_bps = rate
+                # What the flow earned while the quotient held goes to
+                # the counters the concrete accrual would have fed.
+                earned = delivered - flow.delivered_bytes
                 flow.delivered_bytes = delivered
+                if earned:
+                    flow.src.tx_bytes += earned
+                    flow.dst.rx_bytes += earned
+                    for hop in flow.path.hops:
+                        hop.bytes_carried += earned
+                        hop.src_port.tx_bytes += earned
+                        hop.dst_port.rx_bytes += earned
         # Loads and host rates need nothing: read from here on, they
         # derive from the rates just written, which equal the class
         # rates they derived from while the quotient held.
@@ -358,9 +347,6 @@ class QuotientState:
             for direction in dc.dirs:
                 if direction.capacity_bps != cap:
                     return False
-        for dci in affected:
-            dc = self.dir_classes[dci]
-            dc.capacity = dc.dirs[0].capacity_bps
 
         # Class-level connected components seeded by the dirty classes
         # (the quotient of the concrete engine's component walk).
@@ -393,43 +379,30 @@ class QuotientState:
         return True
 
     def _solve_class_component(self, comp: List[int]) -> None:
-        """Build and solve one class component, mirroring the concrete
-        engine's instance construction (classes in canonical order,
-        direction classes interned in first-appearance path order)."""
+        """Solve one class component with the engine's instance builder
+        (classes in canonical order, direction classes interned in
+        first-appearance path order).  Demands and capacities are read
+        off the first member: the seed colors make them uniform per
+        class, and the closure check keeps capacities so."""
         self.class_components_solved += 1
         self.class_solves += len(comp)
         fcs = [self.flow_classes[fci] for fci in comp]
-        demands: List[float] = []
-        local: Dict[int, int] = {}
-        capacities: List[float] = []
-        link_members: List[List[int]] = []
-        flow_links: List[List[Tuple[int, int]]] = []
-        for pos, fc in enumerate(fcs):
-            demands.append(fc.demand)
-            member = fc.demand > EPSILON
-            links_here: List[Tuple[int, int]] = []
-            for dci, count in fc.qlinks:
-                loc = local.get(dci)
-                if loc is None:
-                    loc = len(capacities)
-                    local[dci] = loc
-                    capacities.append(self.dir_classes[dci].capacity)
-                    link_members.append([])
-                links_here.append((loc, count))
-                if member:
-                    link_members[loc].append(pos)
-            flow_links.append(links_here)
-        rates = bottleneck_filling(demands, capacities, link_members,
-                                   flow_links)
-        for pos, fc in enumerate(fcs):
-            fc.rate = rates[pos]
+        dir_classes = self.dir_classes
+        rates = solve_rows(
+            (fc.flows[0].demand_bps,
+             [(dci, dir_classes[dci].dirs[0].capacity_bps, count)
+              for dci, count in fc.qlinks])
+            for fc in fcs)
+        for fc, rate in zip(fcs, rates):
+            fc.rate = rate
 
     # -- class-level byte accrual ------------------------------------------
 
     def accrue(self, dt: float, now: float) -> None:
         """One accrual step per class — the same ``rate * dt / 8.0``
         float expression every member flow would apply to an identical
-        accumulator.  (Per-hop/port counters are not maintained; the
+        accumulator.  (Host, port and direction counters catch up at
+        materialize; flow-table counters are not maintained, and the
         runner only activates the quotient where nothing reads them.)
         """
         for fc in self.flow_classes:
@@ -457,23 +430,3 @@ class QuotientState:
         out.update(self._snapshot)
         return out
 
-
-def _intern(signatures: Sequence[Any]) -> List[int]:
-    table: Dict[Any, int] = {}
-    out: List[int] = []
-    for sig in signatures:
-        color = table.get(sig)
-        if color is None:
-            color = len(table)
-            table[sig] = color
-        out.append(color)
-    return out
-
-
-def _group(colors: Sequence[int]) -> List[List[int]]:
-    """Positions grouped by color, each group sorted, groups ordered
-    by smallest position (canonical for sorted inputs)."""
-    groups: Dict[int, List[int]] = {}
-    for pos, color in enumerate(colors):
-        groups.setdefault(color, []).append(pos)
-    return sorted(groups.values(), key=lambda g: g[0])

@@ -36,7 +36,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.topology.topo import Topo
 
@@ -155,58 +156,37 @@ class SymmetryMap:
             roles[spec.name] = spec.kind
 
         links = topo.link_specs
-        incident: Dict[str, List[int]] = {name: [] for name in names}
-        for index, link in enumerate(links):
-            incident[link.node_a].append(index)
-            incident[link.node_b].append(index)
+        node_index = {name: i for i, name in enumerate(names)}
+        ends = [(node_index[link.node_a], node_index[link.node_b])
+                for link in links]
+        incident: List[List[Tuple[int, int]]] = [[] for __ in names]
+        for index, (a, b) in enumerate(ends):
+            incident[a].append((index, b))
+            incident[b].append((index, a))
 
-        # Seed colors, interned to small ints.
-        node_color = _intern(
-            [(roles[name], pins.node_seed(name)) for name in names])
-        link_color = _intern(
+        def node_profiles(node_color, link_color):
+            # The multiset of (old link color, old peer color) pairs.
+            return [tuple(sorted((link_color[e], node_color[peer])
+                                 for e, peer in pairs))
+                    for pairs in incident]
+
+        def link_profiles(new_node):
+            # The unordered pair of *new* endpoint colors.
+            return [tuple(sorted((new_node[a], new_node[b])))
+                    for a, b in ends]
+
+        node_color, link_color = refine(
+            [(roles[name], pins.node_seed(name)) for name in names],
             [(link.capacity_bps, link.delay,
               pins.link_seed(link.node_a, link.node_b))
-             for link in links])
-        node_index = {name: i for i, name in enumerate(names)}
-
-        # Refine to the joint fixpoint.
-        while True:
-            node_sigs = []
-            for name in names:
-                profile = sorted(
-                    (link_color[e],
-                     node_color[node_index[_peer(links[e], name)]])
-                    for e in incident[name]
-                )
-                node_sigs.append((node_color[node_index[name]],
-                                  tuple(profile)))
-            new_node = _intern(node_sigs)
-
-            link_sigs = []
-            for index, link in enumerate(links):
-                a = new_node[node_index[link.node_a]]
-                b = new_node[node_index[link.node_b]]
-                pair = (a, b) if a <= b else (b, a)
-                link_sigs.append((link_color[index], pair))
-            new_link = _intern(link_sigs)
-
-            stable = (_class_count(new_node) == _class_count(node_color)
-                      and _class_count(new_link) == _class_count(link_color))
-            node_color, link_color = new_node, new_link
-            if stable:
-                break
+             for link in links],
+            node_profiles, link_profiles)
 
         # Canonicalize: classes ordered by their smallest member name.
-        groups: Dict[int, List[str]] = {}
-        for name in names:
-            groups.setdefault(node_color[node_index[name]], []).append(name)
-        classes = sorted((sorted(members) for members in groups.values()),
+        classes = sorted((sorted(names[i] for i in group)
+                          for group in color_groups(node_color)),
                          key=lambda members: members[0])
-
-        link_groups: Dict[int, List[int]] = {}
-        for index in range(len(links)):
-            link_groups.setdefault(link_color[index], []).append(index)
-        ordered = sorted(link_groups.values(), key=lambda idxs: idxs[0])
+        ordered = color_groups(link_color)
         link_classes = [0] * len(links)
         for class_id, idxs in enumerate(ordered):
             for index in idxs:
@@ -286,11 +266,43 @@ def symmetry_map_for_spec(spec: Any) -> SymmetryMap:
 # -- helpers --------------------------------------------------------------
 
 
-def _peer(link, name: str) -> str:
-    return link.node_b if link.node_a == name else link.node_a
+def refine(
+    seeds_a: Sequence[Any],
+    seeds_b: Sequence[Any],
+    profiles_a: Callable[[List[int], List[int]], Sequence[Any]],
+    profiles_b: Callable[[List[int]], Sequence[Any]],
+) -> Tuple[List[int], List[int]]:
+    """Joint color refinement of two partitions to their fixpoint:
+    nodes against links here, flows against link directions in
+    :mod:`repro.symmetry.quotient`.  Returns the (A, B) colors.
+
+    Seeds are interned to dense ints.  Each round an A element's color
+    joins ``profiles_a(old A, old B)[i]``, then a B element's joins
+    ``profiles_b(new A)[j]``; colors only split, so the rounds stop
+    when neither class count grows.
+    """
+    colors_a, colors_b = _intern(seeds_a), _intern(seeds_b)
+    while True:
+        new_a = _intern(zip(colors_a, profiles_a(colors_a, colors_b)))
+        new_b = _intern(zip(colors_b, profiles_b(new_a)))
+        # Colors are dense, so max() + 1 is the class count.
+        stable = (max(new_a, default=0) == max(colors_a, default=0)
+                  and max(new_b, default=0) == max(colors_b, default=0))
+        colors_a, colors_b = new_a, new_b
+        if stable:
+            return colors_a, colors_b
 
 
-def _intern(signatures: Sequence[Any]) -> List[int]:
+def color_groups(colors: Sequence[int]) -> List[List[int]]:
+    """Positions grouped by color, each group ascending, groups ordered
+    by smallest position (canonical for canonically ordered inputs)."""
+    groups: Dict[int, List[int]] = {}
+    for pos, color in enumerate(colors):
+        groups.setdefault(color, []).append(pos)
+    return sorted(groups.values(), key=lambda group: group[0])
+
+
+def _intern(signatures: Iterable[Any]) -> List[int]:
     """Relabel arbitrary hashable signatures as dense ints, first
     occurrence order (deterministic for deterministic input order)."""
     table: Dict[Any, int] = {}
@@ -303,6 +315,3 @@ def _intern(signatures: Sequence[Any]) -> List[int]:
         out.append(color)
     return out
 
-
-def _class_count(colors: Sequence[int]) -> int:
-    return len(set(colors))

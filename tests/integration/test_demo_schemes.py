@@ -87,3 +87,16 @@ class TestControlPlanePatterns:
         # One burst at startup; nothing should re-enter FTI later.
         assert len(fti_entries) == 1
         assert fti_entries[0].time < 0.5
+
+
+class TestProcessHistory:
+    def test_result_does_not_depend_on_earlier_runs(self):
+        # Source ports are 40000 + flow id and the five-tuple ECMP hash
+        # reads them: before every Experiment restarted numbering, the
+        # 12th run in a process hashed its flows elsewhere.
+        settings = DemoSettings(k=4, duration=12.0)
+        runs = [run_sdn_ecmp(settings) for __ in range(12)]
+        first = runs[0]
+        for result in runs[1:]:
+            assert result.mean_aggregate_rx_bps == first.mean_aggregate_rx_bps
+            assert result.aggregate_series == first.aggregate_series

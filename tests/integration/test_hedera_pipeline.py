@@ -7,19 +7,11 @@ import hashlib
 from repro.api import Experiment
 from repro.controllers import HederaApp
 from repro.core.config import SimulationConfig
-from repro.dataplane.flow import FluidFlow
-from repro.dataplane.link import Link
-from repro.dataplane.node import reset_auto_macs
-from repro.dataplane.switch import reset_dpids
 from repro.topology import FatTreeTopo
 
 
 def hedera_k4(seed=1, **config):
     """The ``sdn_hedera`` benchmark workload at k=4."""
-    Link.reset_ids()
-    FluidFlow.reset_ids()
-    reset_auto_macs()
-    reset_dpids()
     exp = Experiment("hedera-k4", config=SimulationConfig(
         stats_interval=0.5, seed=seed, **config))
     exp.load_topo(FatTreeTopo(k=4))

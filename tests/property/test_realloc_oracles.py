@@ -360,18 +360,10 @@ def _hedera_entry_counters(monkeypatch, oracle):
     then every byte counter at the end — as hex."""
     from repro.api import Experiment
     from repro.controllers import HederaApp
-    from repro.dataplane.flow import FluidFlow
-    from repro.dataplane.link import Link
-    from repro.dataplane.node import reset_auto_macs
     from repro.dataplane.realloc import ReallocEngine
-    from repro.dataplane.switch import reset_dpids
     from repro.openflow.switch_agent import SwitchAgent
     from repro.topology import FatTreeTopo
 
-    Link.reset_ids()
-    FluidFlow.reset_ids()
-    reset_auto_macs()
-    reset_dpids()
     if oracle:
         monkeypatch.setattr(ReallocEngine, "seal_accrual", scalar_seal)
     snapshots = []

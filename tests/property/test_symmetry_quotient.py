@@ -224,22 +224,42 @@ class TestTimeStructure:
                      seed=seed, name=f"sym-random-{seed}")
 
 
+def stopped_spec(symmetry):
+    """Pod-shifted flows leaving in staggered waves: every stop lands
+    while the quotient holds the rates."""
+    return ScenarioSpec(
+        name="sym-stopped", seed=7, duration=10.0,
+        topology=TopologyRecipe(*FATTREE4),
+        protocol=ProtocolRecipe("static", {}),
+        traffic=TrafficRecipe(pattern="stride", stride=4,
+                              rate_bps=600_000_000.0, start_time=1.0,
+                              duration=4.0, stagger=2.0),
+        sim_params={"symmetry": symmetry})
+
+
+def degrade_spec(symmetry):
+    """A class-closed degrade that rides the class-level fast path;
+    the quotient still holds when the run ends."""
+    return ScenarioSpec(
+        name="sym-reads", seed=7, duration=8.0,
+        topology=TopologyRecipe(*FATTREE4),
+        protocol=ProtocolRecipe("static", {}),
+        traffic=TrafficRecipe(pattern="stride", stride=4,
+                              rate_bps=900_000_000.0, start_time=1.0,
+                              duration=10.0),
+        injections=[CapacityDegrade(at=3.0, node_a=a, node_b=b,
+                                    factor=0.25)
+                    for a, b in core_agg_links()],
+        sim_params={"symmetry": symmetry})
+
+
 class TestConcreteStateAfterMaterialize:
     """The fingerprint covers bytes and counts; this pins the concrete
     *objects* a materialize leaves behind."""
 
     @staticmethod
     def _final_state(symmetry):
-        spec = ScenarioSpec(
-            name="sym-stopped", seed=7, duration=10.0,
-            topology=TopologyRecipe(*FATTREE4),
-            protocol=ProtocolRecipe("static", {}),
-            # Pod-shifted flows leaving in staggered waves: every stop
-            # lands while the quotient holds the rates.
-            traffic=TrafficRecipe(pattern="stride", stride=4,
-                                  rate_bps=600_000_000.0, start_time=1.0,
-                                  duration=4.0, stagger=2.0),
-            sim_params={"symmetry": symmetry})
+        spec = stopped_spec(symmetry)
         exp, __ = ScenarioRunner().materialize(spec)
         exp.run(until=spec.duration)
         net = exp.network
@@ -266,6 +286,33 @@ class TestConcreteStateAfterMaterialize:
         assert q_hosts == hosts
         assert q_loads == loads
 
+    @staticmethod
+    def _byte_counters(spec):
+        exp, __ = ScenarioRunner().materialize(spec)
+        exp.run(until=spec.duration)
+        net = exp.network
+        net.finalize_accounting()
+        counters = [value for host in net.hosts()
+                    for value in (host.rx_bytes, host.tx_bytes)]
+        for direction in net._all_directions():
+            counters += [direction.bytes_carried,
+                         direction.src_port.tx_bytes,
+                         direction.dst_port.rx_bytes]
+        return counters, net.realloc.quotient
+
+    @pytest.mark.parametrize("make_spec", [stopped_spec, degrade_spec])
+    def test_byte_counters_equal_the_concrete_run(self, make_spec):
+        # Bytes accrued while the quotient held used to reach only the
+        # flows' delivered_bytes: host, port and direction counters
+        # read 0.0 after a run that ended under the quotient.
+        counters, __ = self._byte_counters(make_spec(False))
+        q_counters, quotient = self._byte_counters(make_spec(True))
+        assert quotient.materializations > 0
+        assert sum(counters) > 0
+        # One credit per flow at materialize instead of one add per
+        # accrual segment: equal up to float reassociation.
+        assert q_counters == pytest.approx(counters, rel=1e-12)
+
 
 class TestRatesReadWhileTheQuotientHolds:
     """Loads and host rates read mid-run must be the concrete run's:
@@ -274,18 +321,7 @@ class TestRatesReadWhileTheQuotientHolds:
 
     @staticmethod
     def _observed(symmetry):
-        spec = ScenarioSpec(
-            name="sym-reads", seed=7, duration=8.0,
-            topology=TopologyRecipe(*FATTREE4),
-            protocol=ProtocolRecipe("static", {}),
-            traffic=TrafficRecipe(pattern="stride", stride=4,
-                                  rate_bps=900_000_000.0, start_time=1.0,
-                                  duration=10.0),
-            # Class-closed: the degrade rides the class-level fast path.
-            injections=[CapacityDegrade(at=3.0, node_a=a, node_b=b,
-                                        factor=0.25)
-                        for a, b in core_agg_links()],
-            sim_params={"symmetry": symmetry})
+        spec = degrade_spec(symmetry)
         exp, __ = ScenarioRunner().materialize(spec)
         stats = exp.add_stats(record_links=True)
         result = exp.run(until=spec.duration)

@@ -192,13 +192,6 @@ class TestHybridClock:
         with pytest.raises(ConfigurationError):
             clock.advance_to(4.0)
 
-    def test_step_fti_counts(self):
-        clock = HybridClock(fti_increment=0.01)
-        clock.step_fti()
-        clock.step_fti()
-        assert clock.fti_ticks == 2
-        assert clock.now == pytest.approx(0.02)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             HybridClock(fti_increment=0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.errors import DataPlaneError, TopologyError
+from repro.core.errors import ConfigurationError, DataPlaneError, TopologyError
 from repro.core.simulation import Simulation
 from repro.dataplane.flow import FluidFlow, PathStatus
 from repro.dataplane.flowtable import FlowEntry
@@ -128,6 +128,20 @@ class TestPathWalk:
 
 
 class TestRatesAndAccrual:
+    def test_duplicate_flow_id_rejected(self, simple_net):
+        # Flow ids key the realloc engine's caches; two flows under one
+        # id would alias there.
+        sim, net, h1, h2, __ = simple_net
+        FluidFlow.reset_ids()
+        flow = FluidFlow(h1, h2, demand_bps=1e9)
+        net.add_flow(flow)
+        FluidFlow.reset_ids()
+        twin = FluidFlow(h2, h1, demand_bps=1e9)
+        assert twin.id == flow.id
+        with pytest.raises(ConfigurationError, match="already registered"):
+            net.add_flow(twin)
+        assert net.flows == [flow]
+
     def test_rate_follows_bottleneck(self, simple_net):
         sim, net, h1, h2, __ = simple_net
         flow = FluidFlow(h1, h2, demand_bps=5e9, start_time=0.0, end_time=1.0)

@@ -28,6 +28,8 @@ from repro.symmetry import SymmetryMap, injection_pins, symmetry_map_for_spec
 from repro.topology.builders import leaf_spine_topo, wan_topo
 from repro.topology.fattree import FatTreeTopo
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+
 
 def fattree_map(k=4, injections=()):
     topo = FatTreeTopo(k=k, device="router")
@@ -191,3 +193,30 @@ class TestDigestDeterminism:
         assert smap.digest() in text
         assert "36 nodes -> 4 classes" in text
         assert "... +" in text  # member lists are truncated
+
+
+class TestDigestPins:
+    """Literal partitions: any change to the refinement that moves a
+    class, or the canonical class order, moves one of these."""
+
+    def test_fattree(self):
+        assert fattree_map().digest() == "5fe50726c8e21385"
+
+    def test_fattree_with_pinned_core(self):
+        smap = fattree_map(injections=[NodeFail(at=2.0, node="c0_0")])
+        assert smap.digest() == "ef0c7de0afc2aeb0"
+
+    def test_leafspine(self):
+        topo = leaf_spine_topo(num_spines=3, num_leaves=4,
+                               hosts_per_leaf=2, device="router")
+        assert SymmetryMap.from_topo(topo).digest() == "fb284c587612390f"
+
+    @pytest.mark.parametrize("name, digest", [
+        ("ring4", "71984c88bc2534a5"),
+        ("star3", "4f5061619c56aaf5"),
+        ("mesh5", "1c2e2f3df8528793"),
+    ])
+    def test_graphml(self, name, digest):
+        path = os.path.abspath(os.path.join(DATA_DIR, f"{name}.graphml"))
+        topo = TopologyRecipe("graphml", {"path": path}).build()
+        assert SymmetryMap.from_topo(topo).digest() == digest
