@@ -92,7 +92,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import shlex
 import socket
 import sys
@@ -497,6 +496,22 @@ def _cmd_topo_import(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_foreign_sweep(campaign, store, store_arg: str) -> None:
+    """Refuse to continue a sweep in a store that holds records of a
+    different one.  spec_hash covers every generator option and SLO:
+    different flags would silently re-run all seeds and mix two spec
+    families in one store."""
+    if len(store) == 0:
+        return
+    if not any((spec.spec_hash(), spec.seed) in store
+               for spec in campaign.specs):
+        raise SystemExit(
+            f"none of this sweep's {len(campaign.specs)} (spec, seed) "
+            f"pairs match the {len(store)} record(s) in {store_arg!r} "
+            f"— the generator/--slo options differ from the original "
+            f"run; re-check them (or start the sweep in a fresh store)")
+
+
 def _cmd_campaign_run(args: argparse.Namespace, resume: bool = False) -> int:
     # A resume has no --store-format: the store says what it is.
     store = ResultStore(args.store, create=not resume,
@@ -506,19 +521,8 @@ def _cmd_campaign_run(args: argparse.Namespace, resume: bool = False) -> int:
         raise SystemExit(
             f"store {args.store!r} already holds {len(store)} record(s); "
             f"use 'repro campaign resume' to finish an interrupted sweep")
-    if resume and len(store) > 0:
-        # spec_hash covers every generator option and SLO: a resume
-        # with different flags would silently re-run all seeds and mix
-        # two spec families in one store. Refuse instead.
-        overlap = sum(1 for spec in campaign.specs
-                      if (spec.spec_hash(), spec.seed) in store)
-        if overlap == 0:
-            raise SystemExit(
-                f"none of this sweep's {len(campaign.specs)} (spec, seed) "
-                f"pairs match the {len(store)} record(s) in "
-                f"{args.store!r} — the generator/--slo options differ "
-                f"from the original run; re-check them (or use "
-                f"'campaign run' with a fresh store)")
+    if resume:
+        _refuse_foreign_sweep(campaign, store, args.store)
     stats = campaign.run(store=store,
                          retry_errors=resume and args.retry_errors)
     _emit_campaign_stats(stats, args.json)
@@ -739,11 +743,9 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     """Coordinate a sweep for workers that join over TCP."""
     if args.resume:
         return _cmd_fleet_serve_resume(args)
-    if not args.store:
-        raise SystemExit("fleet serve needs --store DIR "
-                         "(or --resume JOURNAL to continue a crashed run)")
     store = ResultStore(args.store, format=args.store_format)
     campaign = _campaign_from_args(args)
+    _refuse_foreign_sweep(campaign, store, args.store)
     # The tcp transport launches nothing, but `workers` still sizes
     # the chunk plan (~4 chunks per expected worker) — too few chunks
     # would leave late joiners idle and make each steal forfeit a
@@ -763,19 +765,15 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_serve_resume(args: argparse.Namespace) -> int:
-    """Continue a crashed fleet run from its journal.  No generator
-    flags: the journal's plan carries the exact chunk list, and what
+    """Continue a crashed fleet run from the plan in its store.  No
+    generator flags: the plan carries the exact chunk list, and what
     already completed (target store + surviving shards) is skipped or
     re-ingested rather than re-run."""
     coordinator = resume_coordinator(
-        args.resume,
+        args.store,
         host=args.host, port=args.port,
-        # None -> the crashed run's own value, from the plan line.
+        # None -> the crashed run's own value, from the plan.
         lease_timeout=args.lease_timeout)
-    if args.store and os.path.abspath(args.store) != coordinator.store.path:
-        raise SystemExit(
-            f"--store {args.store!r} is not the journal's store "
-            f"{coordinator.store.path!r}; omit --store when resuming")
     coordinator.start()
     _announce_fleet_address(coordinator.address)
     try:
@@ -1189,16 +1187,12 @@ def build_parser() -> argparse.ArgumentParser:
     fserve = _add_command(
         fleet_sub, "serve", _cmd_fleet_serve,
         help="coordinate a sweep for TCP workers (repro fleet join)")
-    # Not _add_store_option: --resume derives the store from the
-    # journal's plan, so --store is only required for fresh runs.
-    fserve.add_argument("--store", required=False, default=None,
-                        metavar="DIR", help="result store directory "
-                        "(required unless --resume)")
-    fserve.add_argument("--resume", default=None, metavar="JOURNAL",
-                        help="continue a crashed run from its journal "
-                             "(<store>/fleet-journal.jsonl); surviving "
-                             "worker shards are re-ingested, not re-run, "
-                             "and generator flags are ignored")
+    _add_store_option(fserve)
+    fserve.add_argument("--resume", action="store_true",
+                        help="continue the crashed run whose plan the "
+                             "store holds; surviving worker shards are "
+                             "re-ingested, not re-run, and generator "
+                             "flags are ignored")
     _add_sweep_options(fserve, workers=False)
     fserve.add_argument("--host", default="0.0.0.0",
                         help="listen address (default: all interfaces)")

@@ -23,7 +23,7 @@ from repro.core.clock import ClockMode, ClockPolicy, HybridClock
 from repro.core.config import SimulationConfig
 from repro.core.connection_manager import ConnectionManager
 from repro.core.errors import ConfigurationError, SimulationError
-from repro.core.events import Event, ProcessWakeupEvent
+from repro.core.events import Event
 from repro.core.queue import EventQueue
 from repro.core.scheduler import Scheduler
 from repro.obs.spans import span
@@ -102,11 +102,6 @@ class Simulation:
         """
         self.processes.append(process)
         process.start(self)
-
-    def wake_process_at(self, time: float, process) -> Event:
-        """Schedule a ``process.tick(now)`` call at an absolute time."""
-        event = ProcessWakeupEvent(time=max(time, self.clock.now), process=process)
-        return self.scheduler.push(event)
 
     # -- run loop -------------------------------------------------------------
 

@@ -14,11 +14,11 @@ canonical :class:`~repro.results.store.ResultStore` that is
 record-for-record what a single-box ``Campaign.run`` would have
 written.
 
-The failure story covers the coordinator itself: chunk-state
-transitions are journalled to fsync'd JSONL next to the store
-(:mod:`~repro.fleet.journal`), ``repro fleet serve --resume`` rebuilds
-a crashed run from that journal re-ingesting surviving shards instead
-of re-running them, workers reconnect through dropped sessions with
+The failure story covers the coordinator itself: a run's plan (its
+exact chunk list) sits in the target store's metadata until the merge
+clears it, ``repro fleet serve --store DIR --resume`` rebuilds a
+crashed run from that plan re-ingesting surviving shards instead of
+re-running them, workers reconnect through dropped sessions with
 seeded backoff, and a deterministic chaos harness
 (:mod:`~repro.fleet.chaos`) proves the digest survives all of it.
 See ``docs/fleet.md`` for the full crash-recovery matrix.
@@ -51,7 +51,6 @@ from repro.fleet.protocol import (
     recv_message,
     send_message,
 )
-from repro.fleet.journal import FleetJournal, default_journal_path
 from repro.fleet.coordinator import (
     FleetCoordinator,
     FleetRunStats,
@@ -80,8 +79,6 @@ __all__ = [
     "recv_message",
     "send_message",
     "parse_address",
-    "FleetJournal",
-    "default_journal_path",
     "FleetCoordinator",
     "FleetRunStats",
     "resume_coordinator",

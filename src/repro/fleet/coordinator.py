@@ -30,10 +30,11 @@ spec, so which copy survives does not matter — except that a healthy
 record always supersedes an error record, both at ingest and at
 merge, so a flaky worker cannot poison a key another worker completed.
 
-The coordinator's own death is covered too: chunk-state transitions
-are journalled (see :mod:`repro.fleet.journal`), and
-:func:`resume_coordinator` rebuilds a coordinator from the journal
-that re-ingests surviving shards instead of re-running them.  A worker
+The coordinator's own death is covered too: :meth:`start` writes the
+run's *plan* (the exact chunk list) into the target store's metadata
+under :data:`PLAN_KEY`, :meth:`finish` clears it, and
+:func:`resume_coordinator` rebuilds a crashed run from that plan,
+re-ingesting surviving shards instead of re-running them.  A worker
 that keeps reporting ``chunk_error`` is *quarantined* — its next
 report and any re-hello are rejected — so one broken installation
 cannot spend every chunk's attempt budget.
@@ -50,7 +51,7 @@ import threading
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.results.records import record_error, spec_hash
@@ -60,7 +61,6 @@ from repro.results.store import (
     list_shards,
     shard_store_name,
 )
-from repro.fleet.journal import FleetJournal, default_journal_path
 from repro.obs.metrics import metrics
 from repro.obs.spans import span
 from repro.fleet.protocol import (
@@ -79,6 +79,12 @@ _PENDING, _LEASED, _DONE, _FAILED = "pending", "leased", "done", "failed"
 #: this many records — how the crash-recovery tests die at an
 #: arbitrary, reproducible point with no cooperation from teardown.
 _COORD_SELFKILL_ENV = "REPRO_FLEET_COORD_SELFKILL_AFTER"
+
+#: Seconds a worker is told to wait when every chunk is leased out.
+_POLL_HINT = 0.2
+
+#: The target store's metadata key holding an unfinished run's plan.
+PLAN_KEY = "fleet_plan"
 
 
 @dataclass
@@ -143,8 +149,6 @@ class FleetCoordinator:
         max_chunk_attempts: int = 5,
         host: str = "127.0.0.1",
         port: int = 0,
-        poll_hint: float = 0.2,
-        journal: Union[bool, str] = True,
         chunks: Optional[List[WorkChunk]] = None,
         quarantine_after: int = 3,
         resume: bool = False,
@@ -161,7 +165,6 @@ class FleetCoordinator:
         self.lease_timeout = lease_timeout
         self.max_chunk_attempts = max_chunk_attempts
         self.quarantine_after = quarantine_after
-        self.poll_hint = poll_hint
         self._host_req, self._port_req = host, port
         # Canonical order: the sweep's spec order, which is also the
         # append order of a single-box run — merge preserves it.
@@ -198,16 +201,6 @@ class FleetCoordinator:
         self._threads: List[threading.Thread] = []
         self._clients: List[socket.socket] = []
         self._resume = resume
-        # journal=True -> the default path next to the store;
-        # a string -> that path; False -> run without crash durability.
-        if journal is True:
-            self._journal_path: Optional[str] = default_journal_path(
-                store.path)
-        elif journal:
-            self._journal_path = str(journal)
-        else:
-            self._journal_path = None
-        self._journal: Optional[FleetJournal] = None
         self._selfkill_after = int(
             os.environ.get(_COORD_SELFKILL_ENV, "0") or 0)
         if not self._chunks:
@@ -221,25 +214,6 @@ class FleetCoordinator:
             raise ConfigurationError("coordinator is not started")
         return self._server.getsockname()[:2]
 
-    def _journal_event(self, event: str, **fields: Any) -> None:
-        """Best-effort durable logging: a journal that stops accepting
-        writes (disk full, volume gone) degrades the run to its
-        pre-journal behavior instead of killing it — the records
-        themselves are still safe in the shard stores."""
-        journal = self._journal
-        if journal is None:
-            return
-        try:
-            journal.append(event, **fields)
-        except OSError as exc:
-            _log.error("fleet: journal write failed (%s); disabling "
-                       "crash durability for this run", exc)
-            self._journal = None
-            try:
-                journal.close()
-            except OSError:
-                pass
-
     def start(self) -> "FleetCoordinator":
         if not self._resume:
             # A crashed fleet run can leave unmerged shards behind;
@@ -252,34 +226,16 @@ class FleetCoordinator:
                 _log.warning("fleet: discarding stale shards in %s",
                              shards_root)
                 shutil.rmtree(shards_root, ignore_errors=True)
-        if self._journal_path is not None:
-            # Fresh runs truncate any previous journal; resumes append
-            # to the crashed run's log so the full history survives.
-            self._journal = FleetJournal(self._journal_path,
-                                         fresh=not self._resume)
-            if self._resume:
-                self._journal_event(
-                    "resume",
-                    requeued=self.stats.requeued_lost,
-                    reingested_records=self.stats.reingested_records,
-                    reingested_chunks=self.stats.reingested_chunks)
-            else:
-                # The plan is the journal's one load-bearing line: it
-                # carries the exact chunk list (ids + spec payloads),
-                # so a resume rebuilds an identical coordinator with
-                # no generator flags to re-supply.  Written first,
-                # before any worker can connect — a journal that
-                # exists but lacks a plan was torn at birth and is
-                # correctly refused by resume.
-                self._journal_event(
-                    "plan",
-                    store=self.store.path,
-                    store_format=self.store.storage_format,
-                    lease_timeout=self.lease_timeout,
-                    max_chunk_attempts=self.max_chunk_attempts,
-                    chunks=[{"chunk": chunk_id,
-                             "specs": self._chunks[chunk_id].chunk.payloads}
-                            for chunk_id in sorted(self._chunks)])
+            # The plan is the run's crash state: the exact chunk list
+            # (ids + spec payloads), so a resume rebuilds an identical
+            # coordinator with no generator flags to re-supply.  It is
+            # durable before any worker can connect; finish() clears it.
+            self.store.update_metadata({PLAN_KEY: {
+                "lease_timeout": self.lease_timeout,
+                "max_chunk_attempts": self.max_chunk_attempts,
+                "chunks": [{"chunk": chunk_id,
+                            "specs": self._chunks[chunk_id].chunk.payloads}
+                           for chunk_id in sorted(self._chunks)]}})
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind((self._host_req, self._port_req))
@@ -536,7 +492,6 @@ class FleetCoordinator:
 
     def _on_request(self, sock: socket.socket, worker: str) -> None:
         now = _time.monotonic()
-        leased: Optional[Tuple[int, int]] = None
         with self._lock:
             self._reclaim_expired_locked(now)
             if self._queue:
@@ -547,20 +502,12 @@ class FleetCoordinator:
                 state.deadline = now + self.lease_timeout
                 state.attempts += 1
                 self._worker_leases.setdefault(worker, set()).add(chunk_id)
-                leased = (chunk_id, state.attempts)
                 reply = {"type": "chunk", "chunk": chunk_id,
                          "specs": state.chunk.payloads}
             elif self._done.is_set():
                 reply = {"type": "done"}
             else:
-                reply = {"type": "wait", "seconds": self.poll_hint}
-        if leased is not None:
-            # Journalled before the chunk frame goes out: the journal
-            # may claim a lease the worker never heard of (harmless —
-            # resume re-derives coverage from disk), but never the
-            # reverse.
-            self._journal_event("lease", chunk=leased[0], worker=worker,
-                                attempts=leased[1])
+                reply = {"type": "wait", "seconds": _POLL_HINT}
         send_message(sock, reply)
 
     def _on_record(self, worker: str, message: Dict[str, Any]) -> None:
@@ -589,7 +536,6 @@ class FleetCoordinator:
                 return
             self._seen[key] = is_error
             shard = self._shards.get(worker)
-            new_shard = shard is None
             if shard is None:
                 # Shards share the target store's format so the merge
                 # can move whole segments instead of records.
@@ -598,8 +544,6 @@ class FleetCoordinator:
                                  shard_store_name(worker)),
                     format=self.store.storage_format)
                 self._shards[worker] = shard
-        if new_shard:
-            self._journal_event("shard", worker=worker, path=shard.path)
         # The fsync-bearing append happens OUTSIDE the global lock: a
         # shard is written only by its own worker's connection thread,
         # and serializing every worker's disk flush behind one lock
@@ -623,7 +567,7 @@ class FleetCoordinator:
             # The record IS durable (the shard append fsync'd it);
             # everything volatile — lease table, dedup map, sockets —
             # dies right here.  Resume has to rebuild it all from the
-            # journal plus the shards.
+            # plan plus the shards.
             _log.warning("fleet: coordinator self-kill test hook firing "
                          "after %d record(s)", ingested)
             os.kill(os.getpid(), signal.SIGKILL)
@@ -643,7 +587,6 @@ class FleetCoordinator:
         return state
 
     def _on_chunk_done(self, worker: str, message: Dict[str, Any]) -> None:
-        resolved: Optional[Tuple[int, int]] = None
         with self._lock:
             state = self._chunk_state(message, "chunk_done")
             # Only the current lease holder resolves the chunk: a
@@ -655,18 +598,9 @@ class FleetCoordinator:
                 info = self._worker_info.get(worker)
                 if info is not None:
                     info["chunks_done"] += 1
-                # ``records``: the worker's cumulative ingest watermark
-                # at completion — lets a journal reader bound how much
-                # of a shard the crashed run had already accepted.
-                resolved = (state.chunk.chunk_id,
-                            info["records"] if info else 0)
                 self._check_complete_locked()
-        if resolved is not None:
-            self._journal_event("done", chunk=resolved[0], worker=worker,
-                                records=resolved[1])
 
     def _on_chunk_error(self, worker: str, message: Dict[str, Any]) -> None:
-        quarantine = False
         with self._lock:
             state = self._chunk_state(message, "chunk_error")
             if state.status == _LEASED and state.worker == worker:
@@ -680,17 +614,14 @@ class FleetCoordinator:
                     self._quarantined.add(worker)
                     if worker not in self.stats.quarantined:
                         self.stats.quarantined.append(worker)
-                    quarantine = True
-        if quarantine:
-            errors = self._worker_chunk_errors[worker]
-            self._journal_event("quarantine", worker=worker,
-                                chunk_errors=errors)
-            # Raising drops the connection with an ``error`` frame;
-            # the worker's retry classifier reads that as semantic
-            # (not a network blip) and exits instead of reconnecting.
-            raise ProtocolError(
-                f"worker {worker!r} quarantined after {errors} chunk "
-                f"error(s); its leases are re-queued for healthier peers")
+                    # Raising drops the connection with an ``error``
+                    # frame; the worker's retry classifier reads that as
+                    # semantic (not a network blip) and exits instead of
+                    # reconnecting.
+                    raise ProtocolError(
+                        f"worker {worker!r} quarantined after {errors} "
+                        f"chunk error(s); its leases are re-queued for "
+                        f"healthier peers")
 
     # -- leases ------------------------------------------------------------
 
@@ -718,14 +649,10 @@ class FleetCoordinator:
             self.stats.failed_chunks += 1
             _log.error("fleet: chunk %d failed permanently after %d "
                        "attempt(s)", state.chunk.chunk_id, state.attempts)
-            self._journal_event("failed", chunk=state.chunk.chunk_id,
-                                attempts=state.attempts)
             self._check_complete_locked()
         else:
             state.status = _PENDING
             self._queue.append(state.chunk.chunk_id)
-            self._journal_event("requeue", chunk=state.chunk.chunk_id,
-                                attempts=state.attempts)
 
     def _reclaim_expired_locked(self, now: float) -> None:
         for worker, chunk_ids in list(self._worker_leases.items()):
@@ -851,14 +778,10 @@ class FleetCoordinator:
             "reingested_records": self.stats.reingested_records,
             "repro_version": __version__,
         })
+        # The shards are merged, so there is nothing left to resume.
+        self.store.update_metadata({PLAN_KEY: None})
         if cleanup and os.path.isdir(shards_root):
             shutil.rmtree(shards_root, ignore_errors=True)
-        # ``finished`` marks the journal as fully consumed: the shards
-        # are merged (and gone), so there is nothing left to resume.
-        self._journal_event("finished", merged=self.stats.merged,
-                            unfinished=self.stats.unfinished)
-        if self._journal is not None:
-            self._journal.close()
         # Mirror the run counters into the metrics registry (numeric
         # fields only; lists/flags are skipped by set_stats).
         metrics().set_stats("fleet.coordinator", self.stats.to_dict())
@@ -866,21 +789,19 @@ class FleetCoordinator:
 
 
 def resume_coordinator(
-    journal_path: str,
+    store_path: str,
     host: str = "127.0.0.1",
     port: int = 0,
     lease_timeout: Optional[float] = None,
     max_chunk_attempts: Optional[int] = None,
-    poll_hint: float = 0.2,
     quarantine_after: int = 3,
 ) -> FleetCoordinator:
-    """Rebuild a coordinator for a crashed fleet run from its journal.
+    """Rebuild a coordinator for a crashed fleet run into ``store_path``.
 
-    The journal's ``plan`` line resurrects the exact chunk plan (ids
-    and spec payloads — no generator flags to re-supply); what the
-    crashed run already *completed* is then re-derived from disk, not
-    from the journal's tail, which may be torn arbitrarily close to
-    the crash:
+    The plan the crashed run left in the store's metadata resurrects
+    the exact chunk plan (ids and spec payloads — no generator flags to
+    re-supply); what the crashed run already *completed* is then
+    re-derived from disk:
 
     * every key in the target store or a surviving worker shard is
       seeded into the dedup map (healthy copies beating error copies,
@@ -894,25 +815,21 @@ def resume_coordinator(
       was the coordinator's fault, not the chunks'.
 
     The returned coordinator is not yet started; call :meth:`start`
-    (which appends a ``resume`` event and *keeps* the shards) and
-    drive it exactly like a fresh one.
+    (which *keeps* the shards and the plan) and drive it exactly like a
+    fresh one.
     """
-    events = FleetJournal.read_events(journal_path)
-    plan = FleetJournal.find_plan(events)
-    if plan is None:
+    store = ResultStore(store_path, create=False)
+    plan = store.metadata.get(PLAN_KEY)
+    if not isinstance(plan, dict):
         raise ConfigurationError(
-            f"fleet journal {journal_path!r} has no plan event — the "
-            f"original run died before writing one, so there is nothing "
-            f"to resume; re-run the sweep from its generator flags")
-    if any(event["event"] == "finished" for event in events):
-        raise ConfigurationError(
-            f"fleet journal {journal_path!r} records a completed run "
-            f"(its shards are already merged); nothing to resume")
+            f"store {store_path!r} holds no fleet plan, so there is no "
+            f"crashed fleet run to resume: a completed run clears its "
+            f"plan, and one that died before serving never wrote it; "
+            f"re-run the sweep from its generator flags")
     chunks = [WorkChunk(chunk_id=int(entry["chunk"]),
                         payloads=list(entry["specs"]))
               for entry in plan.get("chunks", [])]
     payloads = [payload for chunk in chunks for payload in chunk.payloads]
-    store = ResultStore(str(plan["store"]), create=False)
     coordinator = FleetCoordinator(
         payloads,
         store,
@@ -924,8 +841,6 @@ def resume_coordinator(
                                else plan.get("max_chunk_attempts", 5)),
         host=host,
         port=port,
-        poll_hint=poll_hint,
-        journal=journal_path,
         chunks=chunks,
         quarantine_after=quarantine_after,
         resume=True,

@@ -9,11 +9,15 @@ upholds: the merged store at the end is record-for-record identical
 (modulo the repo-wide volatile fields) to what
 ``Campaign.run(store=...)`` would have written single-box, including
 the append order.
+
+An exception or Ctrl-C still merges what the workers completed (the
+next ``Campaign.run`` skips it); a coordinator killed outright leaves
+its plan in the store's metadata for ``resume_coordinator``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.fleet.coordinator import FleetCoordinator, FleetRunStats
@@ -34,7 +38,6 @@ class FleetExecutor:
         port: int = 0,
         wait_timeout: Optional[float] = None,
         on_listening: Optional[Any] = None,
-        journal: Union[bool, str] = True,
     ):
         if workers < 1:
             raise ConfigurationError(
@@ -49,10 +52,6 @@ class FleetExecutor:
         self.host = host
         self.port = port
         self.wait_timeout = wait_timeout
-        #: Forwarded to the coordinator: True (default) journals next
-        #: to the store, a path journals there, False disables crash
-        #: durability for this run.
-        self.journal = journal
         #: Called with the bound (host, port) once the coordinator is
         #: listening — how ``repro fleet serve`` prints the join line.
         self.on_listening = on_listening
@@ -72,7 +71,6 @@ class FleetExecutor:
             lease_timeout=self.lease_timeout,
             max_chunk_attempts=self.max_chunk_attempts,
             host=self.host, port=self.port,
-            journal=self.journal,
         )
         coordinator.start()
         if self.on_listening is not None:

@@ -482,15 +482,22 @@ class ResultStore:
         return data if isinstance(data, dict) else {}
 
     def update_metadata(self, updates: Dict[str, Any]) -> Dict[str, Any]:
-        """Shallow-merge ``updates`` into ``meta.json`` (atomic
-        replace) and return the new metadata."""
+        """Shallow-merge ``updates`` into ``meta.json`` and return the
+        new metadata; a key mapped to ``None`` is removed.  The new
+        file is fsynced before it atomically replaces the old one."""
         self._require_writable()
         data = self.metadata
-        data.update(updates)
+        for key, value in updates.items():
+            if value is None:
+                data.pop(key, None)
+            else:
+                data[key] = value
         tmp_path = self.metadata_path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
             json.dump(data, handle, indent=2, sort_keys=True)
             handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, self.metadata_path)
         return data
 

@@ -417,6 +417,28 @@ class TestFleetCli:
         assert ("0/2 scenario(s) executed (2 already in store, 0 errored)"
                 " on 0 worker(s)") in out
 
+    @pytest.mark.parametrize("command", [
+        ["campaign", "resume"],
+        ["fleet", "serve", "--host", "127.0.0.1", "--wait-timeout", "2"],
+    ], ids=["campaign-resume", "fleet-serve"])
+    def test_cli_refuses_to_mix_two_sweeps_in_one_store(self, tmp_path,
+                                                        command):
+        """Different generator flags make a different sweep: continuing
+        it in a store that holds none of its (spec, seed) pairs is
+        refused before any scenario runs or any coordinator listens."""
+        store = str(tmp_path / "store")
+        code, __ = run_cli(["campaign", "run", "--store", store,
+                            "--count", "2", "--workers", "1"] + BASE)
+        assert code == 0
+        buffer = io.StringIO()
+        with pytest.raises(SystemExit, match=r"none of this sweep's 2 "
+                           r"\(spec, seed\) pairs match"), \
+                contextlib.redirect_stdout(buffer):
+            cli.main(command + ["--store", store, "--count", "2",
+                                "--duration", "45"])
+        assert "listening" not in buffer.getvalue()
+        assert len(ResultStore(store)) == 2
+
     def test_cli_diff_exits_nonzero_on_divergence(self, tmp_path):
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")

@@ -1,9 +1,9 @@
 """Integration: fleet crash durability end to end.
 
-The acceptance contract of the journal/resume/chaos work: kill the
+The acceptance contract of the plan/resume/chaos work: kill the
 coordinator at an arbitrary point (abandoned mid-run in process, or
-SIGKILLed as a real ``fleet serve`` process), resume from the journal,
-and the finished store is bit-for-bit the uninterrupted single-box
+SIGKILLed as a real ``fleet serve`` process), resume from the plan the
+run left in its store's metadata, and the finished store is bit-for-bit the uninterrupted single-box
 store — with the crashed run's surviving shard records *re-ingested*
 (counted in FleetRunStats) instead of re-run.  Plus: the digest holds
 under a seeded chaos schedule tearing worker connections, and a worker
@@ -30,17 +30,17 @@ from repro.fleet import (
     ChaosTransport,
     FleetCoordinator,
     FleetExecutor,
-    FleetJournal,
     InProcessTransport,
-    default_journal_path,
     recv_message,
     resume_coordinator,
     send_message,
     worker_main,
 )
+from repro.fleet.coordinator import PLAN_KEY
 from repro.fleet.protocol import PROTOCOL_VERSION
-from repro.results import ResultStore, diff_stores
+from repro.results import ResultStore, diff_stores, list_shards
 from repro.results.records import make_record
+from repro.results.store import SHARDS_DIR
 from repro.scenarios import Campaign, ScenarioSpec
 from repro.scenarios.campaign import run_scenario_dict_safe
 from repro.scenarios.runner import result_fingerprint
@@ -83,7 +83,7 @@ def reference_store(tmp_path_factory):
 
 class TestCoordinatorCrashResume:
     """In-process coordinator death at parameterized kill points: the
-    journal + surviving shards carry the run to the identical digest."""
+    plan + surviving shards carry the run to the identical digest."""
 
     def _crash_after(self, coordinator, payloads, kill_after):
         """Drive the coordinator like a worker would, then vanish
@@ -120,7 +120,7 @@ class TestCoordinatorCrashResume:
                                     "record": produce_record(payload)})
                 sent += 1
             # the chunk streamed fully before the crash point ->
-            # its completion makes it to the journal
+            # its completion reaches the coordinator
             send_message(sock, {"type": "chunk_done",
                                 "chunk": grant["chunk"]})
 
@@ -153,13 +153,12 @@ class TestCoordinatorCrashResume:
             self._crash_after(coordinator, payloads, kill_after)
         finally:
             # The crash: no drain, no finish — the lease table and
-            # dedup map die with the process; only the journal and the
+            # dedup map die with the process; only the plan and the
             # fsync'd shard appends survive.
             coordinator.stop()
-        journal_path = default_journal_path(store_path)
-        assert os.path.exists(journal_path)
+        assert PLAN_KEY in ResultStore(store_path).metadata
 
-        resumed = resume_coordinator(journal_path)
+        resumed = resume_coordinator(store_path)
         resumed.start()
         try:
             host, port = resumed.address
@@ -182,61 +181,71 @@ class TestCoordinatorCrashResume:
         assert stats.unfinished == 0
         assert stats.stopped_cleanly is True
         assert_stores_equal(reference_store, ResultStore(store_path))
+        assert PLAN_KEY not in ResultStore(store_path).metadata
 
-        events = [e["event"] for e in FleetJournal.read_events(journal_path)]
-        assert events[0] == "plan"
-        assert "resume" in events
-        assert events[-1] == "finished"
-
-    def test_resume_survives_torn_journal_tail(self, tmp_path,
-                                               reference_store):
-        """The journal's newest transitions are expendable: tear the
-        tail (crash mid-append) and the resume still converges on the
-        same digest, because coverage comes from disk."""
+    def test_resume_after_death_mid_merge(self, tmp_path, reference_store):
+        """Every chunk done, then the coordinator dies inside the merge:
+        the plan is still there, every key is covered, so the resume
+        re-runs nothing and re-ingests the whole sweep."""
         specs = [tiny_spec(seed) for seed in range(4)]
+        payloads = [spec.to_dict() for spec in specs]
         store_path = str(tmp_path / "fleet")
-        coordinator = FleetCoordinator(
-            [spec.to_dict() for spec in specs],
-            ResultStore(store_path), chunk_size=2, lease_timeout=30.0)
+        store = ResultStore(store_path)
+        coordinator = FleetCoordinator(payloads, store, chunk_size=2,
+                                       lease_timeout=30.0)
         coordinator.start()
         try:
-            self._crash_after(coordinator,
-                              [spec.to_dict() for spec in specs], 3)
+            self._crash_after(coordinator, payloads, 4)
+            assert coordinator.wait(0)
         finally:
             coordinator.stop()
-        journal_path = default_journal_path(store_path)
-        with open(journal_path, "ab") as handle:
-            handle.write(b'{"event": "done", "chunk"')  # torn mid-append
+        # The merge landed one record before the crash.
+        (shard_path,) = list_shards(os.path.join(store_path, SHARDS_DIR))
+        store.append(next(ResultStore(shard_path).iter_records()))
 
-        resumed = resume_coordinator(journal_path)
+        resumed = resume_coordinator(store_path)
         resumed.start()
         try:
-            thread = threading.Thread(target=worker_main,
-                                      args=(*resumed.address, "healer"),
-                                      daemon=True)
-            thread.start()
-            assert resumed.wait(120.0)
-            resumed.drain()
+            assert resumed.wait(10.0)
         finally:
             resumed.stop()
         stats = resumed.finish(transport="tcp")
+        assert stats.requeued_lost == 0
+        assert stats.reingested_chunks == 2
         assert stats.reingested_records == 3
         assert stats.unfinished == 0
         assert_stores_equal(reference_store, ResultStore(store_path))
+        assert PLAN_KEY not in ResultStore(store_path).metadata
 
 
 class TestResumeRefusals:
     def test_no_plan_means_nothing_to_resume(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with FleetJournal(path, fresh=True) as journal:
-            journal.append("lease", chunk=0, worker="w", attempts=1)
-        with pytest.raises(ConfigurationError, match="no plan"):
-            resume_coordinator(path)
+        store = ResultStore(str(tmp_path / "fleet"))
+        store.update_metadata({"purpose": "not a fleet run"})
+        with pytest.raises(ConfigurationError, match="no fleet plan"):
+            resume_coordinator(store.path)
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_lost_metadata_means_nothing_to_resume(self, tmp_path, damage):
+        """The plan lives in meta.json: without a readable one the
+        crashed run cannot be rebuilt, and resume says so."""
+        store = ResultStore(str(tmp_path / "fleet"))
+        coordinator = FleetCoordinator([tiny_spec(0).to_dict()], store)
+        coordinator.start()
+        coordinator.stop()
+        assert PLAN_KEY in store.metadata
+        if damage == "missing":
+            os.remove(store.metadata_path)
+        else:
+            with open(store.metadata_path, "w", encoding="utf-8") as handle:
+                handle.write('{"fleet_plan": {"chunks"')
+        with pytest.raises(ConfigurationError, match="no fleet plan"):
+            resume_coordinator(store.path)
 
     def test_finished_journal_refused(self, tmp_path, reference_store):
-        """A journal whose run merged cleanly has nothing to resume —
-        its shards are gone, so a 'resume' would re-run everything
-        under the false flag of crash recovery."""
+        """A run that merged cleanly clears its plan and has nothing to
+        resume — its shards are gone, so a 'resume' would re-run
+        everything under the false flag of crash recovery."""
         specs = [tiny_spec(seed) for seed in range(4)]
         store_path = str(tmp_path / "fleet")
         stats = Campaign(specs, workers=1).run(
@@ -244,18 +253,9 @@ class TestResumeRefusals:
             executor=FleetExecutor(InProcessTransport(), workers=2,
                                    chunk_size=2))
         assert stats.fleet["unfinished"] == 0
+        assert PLAN_KEY not in ResultStore(store_path).metadata
         with pytest.raises(ConfigurationError, match="completed run"):
-            resume_coordinator(default_journal_path(store_path))
-
-    def test_journal_false_disables_durability(self, tmp_path):
-        """An explicitly journal-less run must not leave a journal
-        behind (opt-out for stores on slow shared filesystems)."""
-        store_path = str(tmp_path / "fleet")
-        Campaign([tiny_spec(0)], workers=1).run(
-            store=ResultStore(store_path),
-            executor=FleetExecutor(InProcessTransport(), workers=1,
-                                   journal=False))
-        assert not os.path.exists(default_journal_path(store_path))
+            resume_coordinator(store_path)
 
 
 class TestChaosDigest:
@@ -329,7 +329,8 @@ class TestQuarantine:
 class TestSigkilledServeResume:
     """The CI chaos job in miniature: a real ``fleet serve`` process
     SIGKILLs itself mid-ingest; a worker outlives the dead window via
-    reconnect/backoff; ``fleet serve --resume`` on the same port picks
+    reconnect/backoff; ``fleet serve --store … --resume`` on the same
+    port picks
     the run up and lands the single-box digest."""
 
     def test_sigkill_serve_then_resume_identical(self, tmp_path):
@@ -373,9 +374,9 @@ class TestSigkilledServeResume:
             serve.kill()
             raise
 
-        journal_path = default_journal_path(store_path)
-        code, out = run_cli(["fleet", "serve", "--resume", journal_path,
-                             "--host", "127.0.0.1", "--port", str(port),
+        assert PLAN_KEY in ResultStore(store_path).metadata
+        code, out = run_cli(["fleet", "serve", "--store", store_path,
+                             "--resume", "--host", "127.0.0.1", "--port", str(port),
                              "--wait-timeout", "150", "--json"])
         assert code == 0, out
         worker.join(timeout=60.0)
@@ -390,3 +391,4 @@ class TestSigkilledServeResume:
 
         assert_stores_equal(ResultStore(ref, readonly=True),
                             ResultStore(store_path, readonly=True))
+        assert PLAN_KEY not in ResultStore(store_path).metadata

@@ -493,7 +493,7 @@ class TestHeartbeatTelemetryGuards:
         store = ResultStore(str(tmp_path / "store"))
         coord = FleetCoordinator(
             [{"name": "s0", "seed": 0}], store, chunk_size=1,
-            lease_timeout=5.0, journal=False)
+            lease_timeout=5.0)
         # Registered worker without the socket dance.
         coord._worker_info["w1"] = {"records": 0, "chunks_done": 0,
                                     "reconnects": 0, "last_seen": 0.0}

@@ -157,6 +157,38 @@ class TestMetadata:
         assert ResultStore(str(tmp_path / "s")).metadata == {
             "purpose": "unit", "extra": 1}
 
+    def test_none_removes_a_key(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s"))
+        store.update_metadata({"purpose": "unit", "plan": [1, 2]})
+        assert store.update_metadata({"plan": None}) == {"purpose": "unit"}
+        store.update_metadata({"absent": None})
+        assert ResultStore(str(tmp_path / "s")).metadata == {
+            "purpose": "unit"}
+
+    def test_update_fsyncs_before_replace(self, tmp_path, monkeypatch):
+        """The new meta.json is on disk before it replaces the old one:
+        a crash right after the replace must not leave an empty file
+        where a fleet run's plan was."""
+        store = ResultStore(str(tmp_path / "s"))
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.update_metadata({"purpose": "unit"})
+        (replaced,) = [c for c in calls if c[0] == "replace"]
+        assert replaced[2] == store.metadata_path
+        synced = calls[:calls.index(replaced)]
+        assert ("fsync", replaced[1]) in synced
+
     def test_provenance_appends_runs(self, tmp_path):
         store = ResultStore(str(tmp_path / "s"))
         store.record_provenance({"transport": "local", "workers": 2})
