@@ -8,8 +8,9 @@ seeded sweep three ways and reports scenarios/second and scaling
 efficiency against the single-box baseline:
 
 * ``single``  — plain ``Campaign.run(store=...)``, the reference;
-* ``fleet-N`` — ``FleetExecutor`` over the multiprocessing transport
-  (worker processes + loopback TCP + shard merge) at 1/2/4 workers.
+* ``fleet-N`` — ``FleetCoordinator.serve()`` with N ``repro fleet
+  join`` worker processes (loopback TCP + shard merge) at 1/2/4
+  workers.
 
 Every variant must produce the same canonical store digest — scaling
 that changes results is not scaling.
@@ -27,11 +28,14 @@ Run:  pytest benchmarks/bench_fleet_scaling.py --benchmark-only
 
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
-from repro.fleet import FleetExecutor, MultiprocessTransport
+import repro
+from repro.fleet import FleetCoordinator
 from repro.results import ResultStore
 from repro.scenarios import Campaign, generate_scenario
 
@@ -71,9 +75,29 @@ def run_single(store_dir: str):
 
 def run_fleet(store_dir: str, workers: int):
     store = ResultStore(store_dir)
-    sweep_campaign(workers=1).run(
-        store=store,
-        executor=FleetExecutor(MultiprocessTransport(), workers=workers))
+    pending, __ = sweep_campaign(workers=1).pending(store)
+    coordinator = FleetCoordinator([spec.to_dict() for spec in pending],
+                                   store, workers_hint=workers)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    joiners = []
+
+    def launch(address):
+        for index in range(workers):
+            joiners.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "fleet", "join",
+                 f"{address[0]}:{address[1]}",
+                 "--worker-id", f"bench-{index}"], env=env))
+
+    try:
+        coordinator.serve(wait_timeout=600.0, on_listening=launch)
+    finally:
+        for joiner in joiners:
+            try:
+                joiner.wait(timeout=30.0)
+            except subprocess.TimeoutExpired:
+                joiner.kill()
     return store
 
 

@@ -30,9 +30,11 @@ Equivalent from the shell::
 Run:  python examples/scenario_campaign.py
 """
 
+import subprocess
+import sys
 import tempfile
 
-from repro.fleet import FleetExecutor, MultiprocessTransport
+from repro.fleet import FleetCoordinator
 from repro.results import (
     ConvergedWithin,
     MetricExpression,
@@ -115,20 +117,34 @@ def main() -> None:
           f"{'OK' if aggregate.gate_ok else 'FAILING'}")
 
     # --- PR 4: the same sweep through a two-worker local fleet --------
-    # The FleetExecutor swaps the multiprocessing pool for a
-    # coordinator + workers speaking the fleet TCP protocol: chunks
-    # are leased with heartbeats, records stream into per-worker
-    # shard stores, and the shards merge (`repro store merge` is the
-    # same machinery) into a store that must be record-for-record
-    # what the single-box run produced.  From the command line, one
-    # box fans out with `--workers N` and many boxes with
-    # `repro fleet serve` + `repro fleet join host:port`.
+    # A fleet is a coordinator plus whoever joins it: chunks are
+    # leased with heartbeats, records stream into per-worker shard
+    # stores, and the shards merge (`repro store merge` is the same
+    # machinery) into a store that must be record-for-record what the
+    # single-box run produced.  Here two `repro fleet join` processes
+    # on this box join; from the command line the coordinator is
+    # `repro fleet serve`, and one box fans out with `--workers N`.
     fleet_dir = tempfile.mkdtemp(prefix="flap_fleet_")
     fleet_store = ResultStore(fleet_dir)
-    stats = Campaign.seed_sweep(flap_scenario, range(12)).run(
-        store=fleet_store,
-        executor=FleetExecutor(MultiprocessTransport(), workers=2))
-    print(f"\nfleet run: {stats.summary()}")
+    pending, __ = Campaign.seed_sweep(flap_scenario,
+                                      range(12)).pending(fleet_store)
+    coordinator = FleetCoordinator([spec.to_dict() for spec in pending],
+                                   fleet_store, workers_hint=2)
+    joiners = []
+
+    def launch(address):
+        for index in range(2):
+            joiners.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "fleet", "join",
+                 f"{address[0]}:{address[1]}",
+                 "--worker-id", f"example-{index}"]))
+
+    stats = coordinator.serve(on_listening=launch)
+    for joiner in joiners:
+        joiner.wait()
+    print(f"\nfleet run: {stats.merged} record(s) merged from "
+          f"{len(stats.workers)} worker(s), {stats.reclaimed} lease(s) "
+          f"reclaimed")
     print(f"fleet provenance: {fleet_store.metadata['runs'][-1]}")
 
     # ... and `repro campaign diff` is the A/B gate: the fleet store

@@ -105,9 +105,8 @@ from repro.baseline import PacketLevelEmulator
 from repro.core import SimulationConfig
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.fleet import (
-    FleetExecutor,
+    FleetCoordinator,
     ProtocolError,
-    TcpTransport,
     parse_address,
     recv_message,
     resume_coordinator,
@@ -135,6 +134,7 @@ from repro.results import (
 from repro.scenarios import (
     TRAFFIC_FAMILIES,
     Campaign,
+    CampaignRunStats,
     ProtocolRecipe,
     ScenarioRunner,
     ScenarioSpec,
@@ -442,23 +442,6 @@ def _announce_fleet_address(address) -> None:
     sys.stdout.flush()
 
 
-def _campaign_stats_exit_code(stats, store) -> int:
-    """The shared gate for campaign-style runs.
-
-    Gate on the WHOLE store, not just this invocation: a resume that
-    only runs passing leftovers must still exit non-zero when the
-    interrupted half persisted failures — same contract as sweep.
-    A fleet run that left chunks permanently failed produced NO
-    records for those specs, which the store aggregate can't see, so
-    it gates separately.
-    """
-    code = 0 if store.aggregate().gate_ok else 1
-    if stats.fleet and (stats.fleet.get("unfinished")
-                        or stats.fleet.get("failed_chunks")):
-        code = 1
-    return code
-
-
 def _emit_campaign_stats(stats, as_json: bool) -> None:
     if as_json:
         _emit_json(dataclasses.asdict(stats))
@@ -529,7 +512,10 @@ def _cmd_campaign_run(args: argparse.Namespace, resume: bool = False) -> int:
     if not args.json:
         print("inspect:  repro campaign report --store " + args.store)
         print("gate:     repro campaign check --store " + args.store)
-    return _campaign_stats_exit_code(stats, store)
+    # Gate on the WHOLE store, not just this invocation: a resume that
+    # only runs passing leftovers must still exit non-zero when the
+    # interrupted half persisted failures — same contract as sweep.
+    return 0 if store.aggregate().gate_ok else 1
 
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
@@ -740,65 +726,61 @@ def _cmd_search_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
-    """Coordinate a sweep for workers that join over TCP."""
+    """Coordinate a sweep for workers that join over TCP: a fresh one
+    from the generator flags, or with ``--resume`` the crashed run
+    whose plan the store holds (no generator flags: the plan carries
+    the exact chunk list, and what already completed — target store
+    plus surviving shards — is skipped or re-ingested, not re-run)."""
+    start = time.perf_counter()
     if args.resume:
-        return _cmd_fleet_serve_resume(args)
-    store = ResultStore(args.store, format=args.store_format)
-    campaign = _campaign_from_args(args)
-    _refuse_foreign_sweep(campaign, store, args.store)
-    # The tcp transport launches nothing, but `workers` still sizes
-    # the chunk plan (~4 chunks per expected worker) — too few chunks
-    # would leave late joiners idle and make each steal forfeit a
-    # huge slice.
-    executor = FleetExecutor(
-        TcpTransport(),
-        workers=args.expect_workers,
-        chunk_size=args.chunk_size,
-        lease_timeout=args.lease_timeout or 30.0,
-        host=args.host, port=args.port,
-        wait_timeout=args.wait_timeout,
-        on_listening=_announce_fleet_address,
-    )
-    stats = campaign.run(store=store, executor=executor)
-    _emit_campaign_stats(stats, args.json)
-    return _campaign_stats_exit_code(stats, store)
-
-
-def _cmd_fleet_serve_resume(args: argparse.Namespace) -> int:
-    """Continue a crashed fleet run from the plan in its store.  No
-    generator flags: the plan carries the exact chunk list, and what
-    already completed (target store + surviving shards) is skipped or
-    re-ingested rather than re-run."""
-    coordinator = resume_coordinator(
-        args.store,
-        host=args.host, port=args.port,
-        # None -> the crashed run's own value, from the plan.
-        lease_timeout=args.lease_timeout)
-    coordinator.start()
-    _announce_fleet_address(coordinator.address)
-    try:
-        if not coordinator.wait(args.wait_timeout):
-            print(f"fleet resume: not finished after "
-                  f"{args.wait_timeout}s; merging what completed",
-                  file=sys.stderr)
-        coordinator.drain()
-    finally:
-        coordinator.stop()
-        stats = coordinator.finish(transport="tcp")
-    if args.json:
-        _emit_json(stats.to_dict())
+        # lease_timeout None -> the crashed run's own value, from the plan.
+        coordinator = resume_coordinator(
+            args.store, host=args.host, port=args.port,
+            lease_timeout=args.lease_timeout)
     else:
+        store = ResultStore(args.store, format=args.store_format)
+        campaign = _campaign_from_args(args)
+        _refuse_foreign_sweep(campaign, store, args.store)
+        pending, skipped = campaign.pending(store)
+        # Nobody is launched, but `--expect-workers` still sizes the
+        # chunk plan (~4 chunks per expected worker) — too few chunks
+        # would leave late joiners idle and make each steal forfeit a
+        # huge slice.
+        coordinator = FleetCoordinator(
+            [spec.to_dict() for spec in pending], store,
+            chunk_size=args.chunk_size,
+            workers_hint=args.expect_workers,
+            lease_timeout=args.lease_timeout or 30.0,
+            host=args.host, port=args.port)
+    stats = coordinator.serve(wait_timeout=args.wait_timeout,
+                              on_listening=_announce_fleet_address)
+    store = coordinator.store
+    if args.resume and args.json:
+        _emit_json(stats.to_dict())
+    elif args.resume:
         print(f"fleet resume: {stats.merged} record(s) merged into "
-              f"{coordinator.store.path} "
+              f"{store.path} "
               f"({stats.reingested_records} re-ingested from surviving "
               f"shards, {stats.requeued_lost} chunk(s) re-run)")
         print(f"  unfinished={stats.unfinished} "
               f"failed_chunks={stats.failed_chunks} "
               f"reclaimed={stats.reclaimed} "
               f"stopped_cleanly={stats.stopped_cleanly}")
+    else:
+        _emit_campaign_stats(CampaignRunStats(
+            total=len(campaign.specs), executed=stats.merged,
+            skipped=skipped, failed=stats.failed,
+            slo_failures=stats.slo_failures,
+            wall_seconds=time.perf_counter() - start,
+            # The workers that joined, not `--expect-workers`: nobody
+            # joins a sweep whose store is already complete.
+            workers=len(stats.workers), store_path=store.path),
+            args.json)
+    # Permanently failed chunks produced NO records, which the store
+    # aggregate can't see, so they gate separately.
     if stats.unfinished or stats.failed_chunks:
         return 1
-    return 0 if coordinator.store.aggregate().gate_ok else 1
+    return 0 if store.aggregate().gate_ok else 1
 
 
 def _cmd_fleet_join(args: argparse.Namespace) -> int:
@@ -1218,7 +1200,8 @@ def build_parser() -> argparse.ArgumentParser:
     fserve.add_argument("--wait-timeout", type=float, default=None,
                         help="give up if the sweep is not finished after "
                              "this many seconds (completed records are "
-                             "still merged; resume finishes the rest)")
+                             "still merged; serving the sweep again runs "
+                             "only the rest)")
     _add_scenario_generator_options(fserve)
     fserve.set_defaults(workers=None)
 

@@ -6,13 +6,12 @@ and removes the last scale ceiling — one machine's cores.  A
 :class:`FleetCoordinator` shards a sweep's ``(spec_hash, seed)`` work
 into chunks and leases them to workers over a length-prefixed
 JSON-over-TCP protocol (:mod:`~repro.fleet.protocol`); workers —
-in-process threads, local processes, or ``repro fleet join`` clients
-on other machines (:mod:`~repro.fleet.transport`) — stream records
-back into per-worker shard stores; leases expire and chunks are
-stolen from dead or stalled workers; and the shards merge into one
-canonical :class:`~repro.results.store.ResultStore` that is
-record-for-record what a single-box ``Campaign.run`` would have
-written.
+``repro fleet join`` clients on any machine, or :func:`worker_main`
+threads — stream records back into per-worker shard stores; leases
+expire and chunks are stolen from dead or stalled workers; and the
+shards merge into one canonical
+:class:`~repro.results.store.ResultStore` that is record-for-record
+what a single-box ``Campaign.run`` would have written.
 
 The failure story covers the coordinator itself: a run's plan (its
 exact chunk list) sits in the target store's metadata until the merge
@@ -23,22 +22,23 @@ seeded backoff, and a deterministic chaos harness
 (:mod:`~repro.fleet.chaos`) proves the digest survives all of it.
 See ``docs/fleet.md`` for the full crash-recovery matrix.
 
-Quickstart::
+Quickstart — one coordinator, workers join from any box::
 
-    from repro.fleet import FleetExecutor, MultiprocessTransport
+    from repro.fleet import FleetCoordinator
     from repro.results import ResultStore
     from repro.scenarios import Campaign, generate_scenario
 
-    campaign = Campaign.seed_sweep(generate_scenario, range(100))
-    campaign.run(store=ResultStore("sweep"),
-                 executor=FleetExecutor(MultiprocessTransport(), workers=4))
+    campaign = Campaign.seed_sweep(generate_scenario, range(1000))
+    store = ResultStore("sweep")
+    pending, __ = campaign.pending(store)
+    FleetCoordinator([spec.to_dict() for spec in pending], store,
+                     host="0.0.0.0", port=7654).serve(on_listening=print)
 
-Or across machines::
-
-    # box A
-    repro fleet serve --store sweep --port 7654 --count 1000
     # boxes B, C, ...
     repro fleet join boxA:7654
+
+which is what ``repro fleet serve --store sweep --port 7654 --count
+1000`` runs.
 """
 
 from repro.fleet.protocol import (
@@ -57,18 +57,11 @@ from repro.fleet.coordinator import (
     resume_coordinator,
 )
 from repro.fleet.worker import FleetWorker, WorkerStats, worker_main
-from repro.fleet.transport import (
-    InProcessTransport,
-    MultiprocessTransport,
-    TcpTransport,
-)
 from repro.fleet.chaos import (
     ChaosSchedule,
     ChaosSocket,
-    ChaosTransport,
     schedule_from_env,
 )
-from repro.fleet.executor import FleetExecutor
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -85,12 +78,7 @@ __all__ = [
     "FleetWorker",
     "WorkerStats",
     "worker_main",
-    "InProcessTransport",
-    "MultiprocessTransport",
-    "TcpTransport",
     "ChaosSchedule",
     "ChaosSocket",
-    "ChaosTransport",
     "schedule_from_env",
-    "FleetExecutor",
 ]

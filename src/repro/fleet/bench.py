@@ -145,7 +145,7 @@ def run_protocol_bench(
         for thread in threads:
             thread.join(timeout=5.0)
         merge_start = _time.perf_counter()
-        stats = coordinator.finish(transport="bench")
+        stats = coordinator.finish()
         merge_seconds = _time.perf_counter() - merge_start
         return {
             "records": records,

@@ -39,7 +39,6 @@ import time as _time
 from typing import Any, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.fleet.transport import InProcessTransport
 
 #: Schedule actions, as (kind, argument) pairs:
 #:   ("pass", None)        deliver the frame untouched
@@ -206,48 +205,3 @@ def schedule_from_env(environ: Any) -> "Optional[ChaosSchedule]":
         max_faults=int(environ.get("REPRO_FLEET_CHAOS_FAULTS", "8")),
     )
 
-
-class ChaosTransport(InProcessTransport):
-    """In-process workers whose coordinator connections misbehave.
-
-    Each worker gets its own :class:`ChaosSchedule` (seed derived from
-    the transport seed and the worker index) plus generous reconnect
-    settings, so the run as a whole is deterministic per seed and
-    guaranteed to terminate once every budget is spent.  Drop it in as
-    ``FleetExecutor(transport=ChaosTransport(seed=7))``.
-    """
-
-    name = "chaos"
-
-    def __init__(self, seed: int = 0, fault_rate: float = 0.2,
-                 max_faults: int = 8,
-                 reconnect_attempts: int = 64,
-                 backoff_base: float = 0.01, backoff_max: float = 0.25):
-        super().__init__()
-        self.seed = seed
-        self.fault_rate = fault_rate
-        self.max_faults = max_faults
-        self.reconnect_attempts = reconnect_attempts
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.schedules: List[ChaosSchedule] = []
-
-    def _options_for(self, index: int) -> Any:
-        schedule = ChaosSchedule(
-            # A large odd stride keeps per-worker streams disjoint
-            # without the seeds colliding for small inputs.
-            seed=self.seed * 1_000_003 + index,
-            fault_rate=self.fault_rate, max_faults=self.max_faults)
-        self.schedules.append(schedule)
-        return {
-            "socket_wrapper": schedule,
-            "reconnect_attempts": self.reconnect_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_max": self.backoff_max,
-            "backoff_seed": self.seed * 7_919 + index,
-        }
-
-    def faults_injected(self) -> int:
-        """Total budgeted faults the run actually suffered — tests
-        assert this is non-zero, or the chaos test isn't testing."""
-        return sum(s.faults_injected for s in self.schedules)

@@ -51,7 +51,7 @@ import threading
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.results.records import record_error, spec_hash
@@ -161,6 +161,9 @@ class FleetCoordinator:
         if quarantine_after < 1:
             raise ConfigurationError(
                 f"quarantine_after must be >= 1, got {quarantine_after}")
+        if not 0 <= port <= 65535:
+            raise ConfigurationError(
+                f"fleet port must be in 0..65535, got {port}")
         self.store = store
         self.lease_timeout = lease_timeout
         self.max_chunk_attempts = max_chunk_attempts
@@ -215,6 +218,22 @@ class FleetCoordinator:
         return self._server.getsockname()[:2]
 
     def start(self) -> "FleetCoordinator":
+        # Bind first: a port that is taken (or refused) must fail the
+        # run before it touches the store, or the plan below would
+        # claim a crashed run that never served.
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            server.bind((self._host_req, self._port_req))
+            server.listen(64)
+        except BaseException:
+            server.close()
+            raise
+        # Accept with a timeout: a blocked accept() is not reliably
+        # woken by close() from another thread, and stop() must not
+        # hang on it.
+        server.settimeout(0.25)
+        self._server = server
         if not self._resume:
             # A crashed fleet run can leave unmerged shards behind;
             # their keys would collide with a *fresh* run's re-executed
@@ -229,22 +248,14 @@ class FleetCoordinator:
             # The plan is the run's crash state: the exact chunk list
             # (ids + spec payloads), so a resume rebuilds an identical
             # coordinator with no generator flags to re-supply.  It is
-            # durable before any worker can connect; finish() clears it.
+            # durable before the accept loop serves any worker;
+            # finish() clears it.
             self.store.update_metadata({PLAN_KEY: {
                 "lease_timeout": self.lease_timeout,
                 "max_chunk_attempts": self.max_chunk_attempts,
                 "chunks": [{"chunk": chunk_id,
                             "specs": self._chunks[chunk_id].chunk.payloads}
                            for chunk_id in sorted(self._chunks)]}})
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((self._host_req, self._port_req))
-        server.listen(64)
-        # Accept with a timeout: a blocked accept() is not reliably
-        # woken by close() from another thread, and stop() must not
-        # hang on it.
-        server.settimeout(0.25)
-        self._server = server
         for target in (self._accept_loop, self._monitor_loop):
             thread = threading.Thread(target=target, daemon=True,
                                       name=f"fleet-{target.__name__}")
@@ -253,6 +264,42 @@ class FleetCoordinator:
         _log.info("fleet coordinator serving %d chunk(s) on %s:%d",
                   len(self._chunks), *self.address)
         return self
+
+    def serve(self, wait_timeout: Optional[float] = None,
+              on_listening: "Optional[Callable[[Tuple[str, int]], Any]]"
+              = None) -> FleetRunStats:
+        """Run the whole fleet run: start, announce, wait for every
+        chunk, drain, stop, merge.  Workers are not launched here —
+        they join (``repro fleet join``, :func:`worker_main`), and
+        ``on_listening`` is called with the bound address so a caller
+        can tell them where.
+
+        Any exception, Ctrl-C included, still stops the server and
+        merges what the workers completed before it propagates: those
+        records sit in the shard stores, which the next fresh
+        :meth:`start` would wipe as stale.  So does running past
+        ``wait_timeout`` seconds, which then raises
+        :class:`ConfigurationError`; re-serving the sweep runs only
+        what is still missing.
+        """
+        self.start()
+        finished = False
+        try:
+            if on_listening is not None:
+                on_listening(self.address)
+            finished = self.wait(wait_timeout)
+            if finished:
+                self.drain()
+        finally:
+            self.stop()
+            stats = self.finish()
+        if not finished:
+            raise ConfigurationError(
+                f"fleet run did not finish within {wait_timeout}s: "
+                f"{stats.merged} completed record(s) merged into "
+                f"{self.store.path}, {stats.unfinished} scenario(s) "
+                f"unfinished")
+        return stats
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until every chunk is resolved (done or failed)."""
@@ -684,7 +731,7 @@ class FleetCoordinator:
     # -- observation & merge ----------------------------------------------
 
     def status(self) -> Dict[str, Any]:
-        """Snapshot for ``repro fleet status`` and the executor."""
+        """Snapshot for ``repro fleet status``."""
         with self._lock:
             by_status: Dict[str, int] = {}
             for state in self._chunks.values():
@@ -731,8 +778,7 @@ class FleetCoordinator:
                 "done": self._done.is_set(),
             }
 
-    def finish(self, transport: str = "tcp",
-               cleanup: bool = True) -> FleetRunStats:
+    def finish(self) -> FleetRunStats:
         """Merge the shard stores into the target store (canonical
         spec order, key dedup, healthy-beats-error) and write the run
         provenance.  Call after :meth:`wait`; returns the run stats."""
@@ -765,7 +811,7 @@ class FleetCoordinator:
         from repro import __version__
 
         self.store.record_provenance({
-            "transport": transport,
+            "transport": "fleet",
             "workers": len(self.stats.workers),
             "worker_ids": list(self.stats.workers),
             "chunks": self.stats.chunks,
@@ -780,7 +826,7 @@ class FleetCoordinator:
         })
         # The shards are merged, so there is nothing left to resume.
         self.store.update_metadata({PLAN_KEY: None})
-        if cleanup and os.path.isdir(shards_root):
+        if os.path.isdir(shards_root):
             shutil.rmtree(shards_root, ignore_errors=True)
         # Mirror the run counters into the metrics registry (numeric
         # fields only; lists/flags are skipped by set_stats).
@@ -793,8 +839,6 @@ def resume_coordinator(
     host: str = "127.0.0.1",
     port: int = 0,
     lease_timeout: Optional[float] = None,
-    max_chunk_attempts: Optional[int] = None,
-    quarantine_after: int = 3,
 ) -> FleetCoordinator:
     """Rebuild a coordinator for a crashed fleet run into ``store_path``.
 
@@ -836,13 +880,10 @@ def resume_coordinator(
         lease_timeout=float(lease_timeout
                             if lease_timeout is not None
                             else plan.get("lease_timeout", 30.0)),
-        max_chunk_attempts=int(max_chunk_attempts
-                               if max_chunk_attempts is not None
-                               else plan.get("max_chunk_attempts", 5)),
+        max_chunk_attempts=int(plan.get("max_chunk_attempts", 5)),
         host=host,
         port=port,
         chunks=chunks,
-        quarantine_after=quarantine_after,
         resume=True,
     )
     # Coverage, from disk: the target store first, then every

@@ -2,11 +2,11 @@
 
 Every message between a coordinator and a worker is one *frame*: a
 4-byte big-endian unsigned length followed by that many bytes of
-UTF-8 JSON encoding a dict with at least a ``"type"`` key.  The same
-framing carries every transport — the in-process and multiprocessing
-transports speak it over loopback TCP, and ``repro fleet join`` speaks
-it across machines — so there is exactly one protocol to test and one
-place (:func:`recv_message`) where hostile bytes are handled.
+UTF-8 JSON encoding a dict with at least a ``"type"`` key.  Every
+worker speaks it over TCP — a ``repro fleet join`` across machines or
+a :func:`~repro.fleet.worker.worker_main` thread over loopback — so
+there is exactly one protocol to test and one place
+(:func:`recv_message`) where hostile bytes are handled.
 
 Robustness contract (pinned by the protocol fuzz tests): a peer that
 sends garbage — a truncated header, a length prefix pointing past EOF,
@@ -159,7 +159,12 @@ def parse_address(raw: str) -> "tuple[str, int]":
     if not sep or not host:
         raise ProtocolError(f"bad fleet address {raw!r}; expected host:port")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise ProtocolError(
             f"bad fleet address {raw!r}; port must be an integer") from None
+    if not 1 <= number <= 65535:
+        # getaddrinfo would wrap it (70000 dials 4464), not refuse it.
+        raise ProtocolError(
+            f"bad fleet address {raw!r}; port must be in 1..65535")
+    return host, number

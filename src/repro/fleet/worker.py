@@ -1,8 +1,8 @@
 """The fleet worker: lease a chunk, run it, stream the records back.
 
 A :class:`FleetWorker` is a pull-based client of the coordinator: it
-connects (over loopback for the in-process/multiprocessing transports,
-across the network for ``repro fleet join``), introduces itself, and
+connects (``repro fleet join`` from any box, or a :func:`worker_main`
+thread beside the coordinator), introduces itself, and
 loops *request -> run -> records -> chunk_done* until the coordinator
 says ``done``.  Scenario execution reuses the campaign's fault-
 isolated entry point (:func:`run_scenario_dict_safe`) and record
@@ -76,10 +76,10 @@ _RETRYABLE = (OSError, ConnectionClosed)
 #: run resets (see ``ScenarioRunner``); two scenarios running
 #: concurrently in ONE process would interleave allocations and
 #: corrupt each other's results.  Workers therefore serialize
-#: execution per process — a real cost only for the in-process
-#: transport (several worker threads share this lock), which exists to
-#: exercise coordination, not to parallelize CPU-bound scenario runs
-#: the GIL would serialize anyway.
+#: execution per process — a real cost only when several
+#: :func:`worker_main` threads share one process (tests and
+#: ``repro fleet bench`` run them so), which exercises coordination,
+#: not parallel CPU-bound scenario runs the GIL would serialize anyway.
 _EXECUTION_LOCK = threading.Lock()
 
 
@@ -338,8 +338,8 @@ def worker_main(host: str, port: int,
                 backoff_seed: Optional[int] = None,
                 socket_wrapper: "Optional[Callable[[Any], Any]]" = None,
                 ) -> int:
-    """Process/thread entry point (module-level so it pickles into
-    ``multiprocessing`` children); returns an exit code."""
+    """Thread/process entry point (``repro fleet join`` runs it);
+    returns an exit code."""
     maybe_enable_from_env()
     if socket_wrapper is None:
         from repro.fleet.chaos import schedule_from_env

@@ -34,6 +34,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple,
 )
 
 from repro.core.errors import ConfigurationError
@@ -247,8 +248,6 @@ class CampaignRunStats:
     wall_seconds: float = 0.0
     workers: int = 1
     store_path: str = ""
-    transport: str = "local"      # "local" pool, or the fleet transport
-    fleet: Optional[Dict[str, Any]] = None  # FleetRunStats.to_dict()
 
     def summary(self) -> str:
         return (
@@ -314,75 +313,52 @@ class Campaign:
                                  chunksize=1):
                 yield raw
 
+    def pending(self, store: "ResultStore",
+                retry_errors: bool = False,
+                ) -> "Tuple[List[ScenarioSpec], int]":
+        """Split the campaign against ``store``: the specs still to
+        run, in campaign order, and how many are skipped because their
+        (spec_hash, seed) is already persisted.  ``retry_errors`` keeps
+        pairs whose persisted record is a fault-isolation error result
+        (a transient worker failure) in the pending list."""
+        pending = []
+        skipped = 0
+        dispatched = set()
+        for spec in self.specs:
+            key = (spec.spec_hash(), spec.seed)
+            if key in dispatched:
+                # Identical specs can't normally coexist (names are
+                # unique and hashed), but dedupe defensively rather
+                # than crash on append mid-sweep.
+                skipped += 1
+                continue
+            dispatched.add(key)
+            if key not in store or (retry_errors and store.has_error(key)):
+                pending.append(spec)
+            else:
+                skipped += 1
+        return pending, skipped
+
     def run(
         self, store: "Optional[ResultStore]" = None,
         retry_errors: bool = False,
-        executor: Optional[Any] = None,
     ) -> "CampaignResult | CampaignRunStats":
         """Execute every scenario; parallel when ``workers > 1``.
 
         Without ``store``: everything in memory, a
         :class:`CampaignResult` back.  With ``store``: scenarios whose
-        (spec_hash, seed) is already persisted are skipped, each
-        finished result is appended to the store immediately and
-        released, and a :class:`CampaignRunStats` summarizes what
-        happened — so an interrupted sweep re-run with the same store
-        finishes exactly the remaining work.  ``retry_errors`` also
-        re-runs pairs whose persisted record is a fault-isolation
-        error result (a transient worker failure), superseding it.
-
-        ``executor`` swaps the local worker pool for a distributed
-        backend (a :class:`repro.fleet.FleetExecutor`): the pending
-        payloads fan out over the fleet and the merged store ends up
-        record-for-record what this method would have written locally.
-        Resume semantics, stats and gating are unchanged.
+        (spec_hash, seed) is already persisted are skipped (see
+        :meth:`pending`), each finished result is appended to the
+        store immediately and released, and a
+        :class:`CampaignRunStats` summarizes what happened — so an
+        interrupted sweep re-run with the same store finishes exactly
+        the remaining work.  ``retry_errors`` also re-runs pairs whose
+        persisted record is an error result, superseding it.
         """
         start = _time.perf_counter()
-        pending = list(self.specs)
-        skipped = 0
-        retrying = set()
-        if store is not None:
-            remaining = []
-            dispatched = set()
-            for spec in pending:
-                key = (spec.spec_hash(), spec.seed)
-                if key in dispatched:
-                    # Identical specs can't normally coexist (names are
-                    # unique and hashed), but dedupe defensively rather
-                    # than crash on append mid-sweep.
-                    skipped += 1
-                    continue
-                dispatched.add(key)
-                if key not in store:
-                    remaining.append(spec)
-                elif retry_errors and store.has_error(key):
-                    retrying.add(key)
-                    remaining.append(spec)
-                else:
-                    skipped += 1
-            pending = remaining
-
+        pending, skipped = (self.pending(store, retry_errors)
+                            if store is not None else (self.specs, 0))
         payloads = [spec.to_dict() for spec in pending]
-        if executor is not None:
-            if store is None:
-                raise ConfigurationError(
-                    "fleet execution streams records; pass a store")
-            fleet_stats = executor.execute(payloads, store)
-            return CampaignRunStats(
-                total=len(self.specs),
-                executed=fleet_stats.merged,
-                skipped=skipped,
-                failed=fleet_stats.failed,
-                slo_failures=fleet_stats.slo_failures,
-                wall_seconds=_time.perf_counter() - start,
-                # The workers that joined, not the executor's knob: a
-                # TCP fleet sizes itself, and nobody joins a sweep
-                # whose store is already complete.
-                workers=len(fleet_stats.workers),
-                store_path=store.path,
-                transport=executor.transport.name,
-                fleet=fleet_stats.to_dict(),
-            )
 
         results: List[ScenarioResult] = []
         failed = 0
@@ -396,9 +372,10 @@ class Campaign:
                 results.append(ScenarioResult.from_dict(raw))
             else:
                 record = scenario_record(payload, raw)
+                # Only a retried error record is already in the store.
                 store.append(record,
                              replace=(record["spec_hash"],
-                                      record["seed"]) in retrying)
+                                      record["seed"]) in store)
 
         if store is not None:
             from repro import __version__

@@ -16,17 +16,14 @@ import pytest
 
 import repro
 from repro import cli
-from repro.cli import _campaign_stats_exit_code
 from repro.core.errors import ConfigurationError
 from repro.fleet import (
     FleetCoordinator,
-    FleetExecutor,
-    InProcessTransport,
-    MultiprocessTransport,
     recv_message,
     send_message,
     worker_main,
 )
+from repro.fleet.coordinator import PLAN_KEY
 from repro.fleet.protocol import PROTOCOL_VERSION
 from repro.results import ResultStore, diff_stores
 from repro.scenarios import Campaign, ScenarioSpec, generate_scenario
@@ -68,15 +65,76 @@ def run_cli(argv):
     return code, buffer.getvalue()
 
 
-def run_fleet_like_the_cli(store):
-    """The sweep ``campaign run --count 2 --duration 30`` builds, run
-    through a two-worker in-process fleet, one spec per chunk."""
-    args = cli.build_parser().parse_args(
-        ["campaign", "run", "--store", store.path, "--count", "2"] + BASE)
-    return cli._campaign_from_args(args).run(
-        store=store,
-        executor=FleetExecutor(InProcessTransport(), workers=2,
-                               chunk_size=1))
+def free_port():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+def join_env(**extra):
+    """The environment a ``repro fleet join`` subprocess needs to
+    import this checkout's package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(extra)
+    return env
+
+
+def serve_with_threads(coordinator, workers, wait_timeout=120.0):
+    """Drive ``coordinator`` through serve() with one worker_main
+    thread per entry of ``workers`` (its keyword arguments), started
+    once it listens."""
+    threads = []
+
+    def launch(address):
+        for index, options in enumerate(workers):
+            thread = threading.Thread(target=worker_main,
+                                      args=(*address, f"w{index}"),
+                                      kwargs=options, daemon=True)
+            thread.start()
+            threads.append(thread)
+
+    try:
+        return coordinator.serve(wait_timeout=wait_timeout,
+                                 on_listening=launch)
+    finally:
+        for thread in threads:
+            thread.join(timeout=30.0)
+
+
+def serve_pending(campaign, store, workers=2, **options):
+    """What ``fleet serve`` does with a campaign, on worker threads:
+    returns (skipped, FleetRunStats)."""
+    pending, skipped = campaign.pending(store)
+    coordinator = FleetCoordinator([spec.to_dict() for spec in pending],
+                                   store, workers_hint=workers, **options)
+    return skipped, serve_with_threads(coordinator, [{}] * workers)
+
+
+def run_fleet_like_the_cli(store_path, *extra):
+    """``repro fleet serve --count 2 --duration 30`` in-process, one
+    spec per chunk, with two worker_main threads dialing its port
+    until it listens — how a user starts workers beside a serve."""
+    port = free_port()
+    threads = [threading.Thread(
+        target=worker_main, args=("127.0.0.1", port, f"w{index}"),
+        kwargs={"connect_timeout": 3.0, "reconnect_attempts": 60,
+                "backoff_base": 0.05, "backoff_max": 0.5,
+                "backoff_seed": index},
+        daemon=True) for index in range(2)]
+    for thread in threads:
+        thread.start()
+    try:
+        return run_cli(["fleet", "serve", "--store", store_path,
+                        "--count", "2", "--host", "127.0.0.1",
+                        "--port", str(port), "--chunk-size", "1",
+                        "--wait-timeout", "120"] + BASE + list(extra))
+    finally:
+        for thread in threads:
+            thread.join(timeout=30.0)
 
 
 class TestFleetEqualsSingleBox:
@@ -86,20 +144,17 @@ class TestFleetEqualsSingleBox:
         Campaign.seed_sweep(gen_spec, seeds, workers=1).run(store=single)
 
         fleet_store = ResultStore(str(tmp_path / "fleet"))
-        stats = Campaign.seed_sweep(gen_spec, seeds, workers=1).run(
-            store=fleet_store,
-            executor=FleetExecutor(InProcessTransport(), workers=2,
-                                   chunk_size=2, lease_timeout=30.0))
-        assert stats.executed == 6
-        assert stats.transport == "inprocess"
-        assert stats.fleet["merged"] == 6
-        assert stats.fleet["failed_chunks"] == 0
+        __, stats = serve_pending(
+            Campaign.seed_sweep(gen_spec, seeds, workers=1), fleet_store,
+            chunk_size=2, lease_timeout=30.0)
+        assert stats.merged == 6
+        assert stats.failed_chunks == 0
         assert_stores_equal(single, fleet_store)
         # shard directories are merged away
         assert not os.path.isdir(os.path.join(fleet_store.path, "shards"))
         # and the merged store is self-describing
         (run,) = fleet_store.metadata["runs"]
-        assert run["transport"] == "inprocess"
+        assert run["transport"] == "fleet"
         assert run["workers"] == 2
         assert run["repro_version"] == repro.__version__
         assert run["merged_from"]
@@ -113,12 +168,11 @@ class TestFleetEqualsSingleBox:
 
         part = ResultStore(str(tmp_path / "part"))
         Campaign.seed_sweep(tiny_spec, range(3), workers=1).run(store=part)
-        stats = Campaign.seed_sweep(tiny_spec, range(6), workers=1).run(
-            store=ResultStore(str(tmp_path / "part")),
-            executor=FleetExecutor(InProcessTransport(), workers=2,
-                                   chunk_size=1))
-        assert stats.skipped == 3
-        assert stats.executed == 3
+        skipped, stats = serve_pending(
+            Campaign.seed_sweep(tiny_spec, range(6), workers=1),
+            ResultStore(str(tmp_path / "part")), chunk_size=1)
+        assert skipped == 3
+        assert stats.merged == 3
         assert_stores_equal(full, ResultStore(str(tmp_path / "part")))
 
 
@@ -136,30 +190,24 @@ class TestWorkStealing:
         coordinator = FleetCoordinator(
             [spec.to_dict() for spec in specs], store,
             chunk_size=3, lease_timeout=30.0)
-        coordinator.start()
-        try:
-            host, port = coordinator.address
+
+        def launch(address):
+            host, port = address
             # The victim: a real `repro fleet join` process that
             # SIGKILLs itself after streaming 2 of its chunk's 3
             # records (the self-kill test hook).
-            env = dict(os.environ)
-            src = os.path.dirname(os.path.dirname(
-                os.path.abspath(repro.__file__)))
-            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-            env["REPRO_FLEET_SELFKILL_AFTER"] = "2"
             victim = subprocess.run(
                 [sys.executable, "-m", "repro.cli", "fleet", "join",
                  f"{host}:{port}", "--worker-id", "victim"],
-                env=env, timeout=120, capture_output=True)
+                env=join_env(REPRO_FLEET_SELFKILL_AFTER="2"),
+                timeout=120, capture_output=True)
             assert victim.returncode == -9  # SIGKILL, not a clean exit
 
             # A healthy worker finishes the sweep, including the
             # reclaimed chunk.
             assert worker_main(host, port, worker_id="healthy") == 0
-            assert coordinator.wait(60.0)
-        finally:
-            coordinator.stop()
-        stats = coordinator.finish(transport="tcp")
+
+        stats = coordinator.serve(wait_timeout=60.0, on_listening=launch)
         assert stats.reclaimed >= 1
         assert stats.duplicates_dropped >= 1   # the victim's partials
         assert stats.failed_chunks == 0
@@ -196,36 +244,42 @@ class TestWorkStealing:
         finally:
             zombie.close()
             coordinator.stop()
-        stats = coordinator.finish(transport="tcp")
+        stats = coordinator.finish()
         assert stats.reclaimed >= 1
         assert stats.unfinished == 0
         assert len(ResultStore(str(tmp_path / "store"))) == 2
 
-    def test_all_workers_dead_fails_fast_and_salvages(self, tmp_path,
-                                                      monkeypatch):
-        """Supervised transports must not hang forever when every
-        worker is gone with work pending — and whatever the dead
-        workers already completed is merged into the store, so a
-        resume re-runs only the genuinely unfinished specs."""
-        monkeypatch.setenv("REPRO_FLEET_SELFKILL_AFTER", "1")
+    def test_all_workers_dead_fails_fast_and_salvages(self, tmp_path):
+        """A run whose every worker died with work pending ends at
+        ``wait_timeout`` instead of hanging — and whatever the dead
+        worker already completed is merged into the store, so the next
+        run re-runs only the genuinely unfinished specs."""
         store = ResultStore(str(tmp_path / "store"))
         campaign = Campaign([tiny_spec(seed) for seed in range(4)],
                             workers=1)
-        with pytest.raises(ConfigurationError, match="worker"):
-            campaign.run(
-                store=store,
-                executor=FleetExecutor(MultiprocessTransport(), workers=1,
-                                       chunk_size=1, lease_timeout=2.0))
+        pending, __ = campaign.pending(store)
+        coordinator = FleetCoordinator(
+            [spec.to_dict() for spec in pending], store,
+            chunk_size=1, lease_timeout=2.0)
+
+        def launch(address):
+            victim = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "fleet", "join",
+                 f"{address[0]}:{address[1]}", "--worker-id", "victim"],
+                env=join_env(REPRO_FLEET_SELFKILL_AFTER="1"),
+                timeout=120, capture_output=True)
+            assert victim.returncode == -9
+
+        with pytest.raises(ConfigurationError,
+                           match=r"did not finish within 1\.0s"):
+            coordinator.serve(wait_timeout=1.0, on_listening=launch)
         salvaged = ResultStore(str(tmp_path / "store"))
         assert len(salvaged) == 1  # the record sent before the SIGKILL
-        # ...and a healthy resume completes only the remaining three.
-        monkeypatch.delenv("REPRO_FLEET_SELFKILL_AFTER")
-        stats = campaign.run(
-            store=salvaged,
-            executor=FleetExecutor(InProcessTransport(), workers=1,
-                                   chunk_size=1))
-        assert stats.skipped == 1
-        assert stats.executed == 3
+        # ...and a healthy second run completes only the other three.
+        skipped, stats = serve_pending(campaign, salvaged, workers=1,
+                                       chunk_size=1)
+        assert skipped == 1
+        assert stats.merged == 3
         full = ResultStore(str(tmp_path / "full"))
         Campaign([tiny_spec(seed) for seed in range(4)],
                  workers=1).run(store=full)
@@ -252,24 +306,18 @@ class TestColumnarFleet:
         coordinator = FleetCoordinator(
             [spec.to_dict() for spec in specs], store,
             chunk_size=3, lease_timeout=30.0)
-        coordinator.start()
-        try:
-            host, port = coordinator.address
-            env = dict(os.environ)
-            src = os.path.dirname(os.path.dirname(
-                os.path.abspath(repro.__file__)))
-            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-            env["REPRO_FLEET_SELFKILL_AFTER"] = "2"
+
+        def launch(address):
+            host, port = address
             victim = subprocess.run(
                 [sys.executable, "-m", "repro.cli", "fleet", "join",
                  f"{host}:{port}", "--worker-id", "victim"],
-                env=env, timeout=120, capture_output=True)
+                env=join_env(REPRO_FLEET_SELFKILL_AFTER="2"),
+                timeout=120, capture_output=True)
             assert victim.returncode == -9
             assert worker_main(host, port, worker_id="healthy") == 0
-            assert coordinator.wait(60.0)
-        finally:
-            coordinator.stop()
-        stats = coordinator.finish(transport="tcp")
+
+        stats = coordinator.serve(wait_timeout=60.0, on_listening=launch)
         assert stats.reclaimed >= 1
         assert stats.failed_chunks == 0
         assert stats.unfinished == 0
@@ -294,9 +342,9 @@ class TestColumnarFleet:
         code, __ = run_cli(["campaign", "run", "--store", base,
                             "--count", "2", "--workers", "1"] + BASE)
         assert code == 0
-        stats = run_fleet_like_the_cli(
-            ResultStore(col, format="columnar"))
-        assert _campaign_stats_exit_code(stats, ResultStore(col)) == 0
+        code, __ = run_fleet_like_the_cli(col, "--store-format",
+                                          "columnar")
+        assert code == 0
         assert ResultStore(col, readonly=True).storage_format == "columnar"
         code, out = run_cli(["campaign", "diff", base, col])
         assert code == 0 and "equivalent" in out
@@ -363,7 +411,7 @@ class TestChunkRetry:
                 assert recv_message(sock)["type"] == "done"
         finally:
             coordinator.stop()
-        stats = coordinator.finish(transport="tcp")
+        stats = coordinator.finish()
         assert stats.failed_chunks == 1
         assert stats.unfinished == 1
         assert len(store) == 0
@@ -395,10 +443,9 @@ class TestFleetCli:
         code, __ = run_cli(["campaign", "run", "--store", base,
                             "--count", "2", "--workers", "1"] + BASE)
         assert code == 0
-        store = ResultStore(flt)
-        stats = run_fleet_like_the_cli(store)
-        assert _campaign_stats_exit_code(stats, store) == 0
-        assert "2/2 scenario(s) executed" in stats.summary()
+        code, out = run_fleet_like_the_cli(flt)
+        assert code == 0
+        assert "2/2 scenario(s) executed" in out
         code, out = run_cli(["campaign", "diff", base, flt])
         assert code == 0
         assert "equivalent" in out
@@ -477,3 +524,95 @@ class TestFleetCli:
     def test_cli_fleet_join_bad_address(self):
         with pytest.raises(SystemExit, match="expected host:port"):
             cli.main(["fleet", "join", "nonsense"])
+
+
+def run_cli_process(argv):
+    """The CLI as a user meets it: a fresh process, exit code and
+    stderr lines."""
+    proc = subprocess.run([sys.executable, "-m", "repro.cli"] + argv,
+                          env=join_env(), timeout=120,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
+class TestServeFailsClosed:
+    """Every way a ``fleet serve`` can fail before or during serving
+    ends in one ``repro <command>: <why>`` line and exit 1 — and a
+    serve that never listened leaves no crashed-run plan behind."""
+
+    def test_taken_port_leaves_no_plan(self, tmp_path):
+        store = str(tmp_path / "store")
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            code, stderr = run_cli_process(
+                ["fleet", "serve", "--store", store, "--count", "1",
+                 "--host", "127.0.0.1", "--port", str(port)] + BASE)
+        assert code == 1
+        assert len(stderr) == 1 and "Address already in use" in stderr[0]
+        assert PLAN_KEY not in ResultStore(store).metadata
+
+    def test_coordinator_binds_before_writing_the_plan(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            coordinator = FleetCoordinator(
+                [tiny_spec(0).to_dict()], store,
+                port=holder.getsockname()[1])
+            with pytest.raises(OSError):
+                coordinator.start()
+        assert PLAN_KEY not in ResultStore(store.path).metadata
+
+    @pytest.mark.parametrize("command", ["join", "status", "serve"])
+    def test_out_of_range_port_is_one_typed_error(self, tmp_path,
+                                                  command):
+        store = str(tmp_path / "store")
+        argv = {
+            "join": ["fleet", "join", "127.0.0.1:70000"],
+            "status": ["fleet", "status", "127.0.0.1:70000"],
+            "serve": ["fleet", "serve", "--store", store, "--count", "1",
+                      "--host", "127.0.0.1", "--port", "70000"] + BASE,
+        }[command]
+        code, stderr = run_cli_process(argv)
+        assert code == 1
+        assert len(stderr) == 1, stderr
+        assert stderr[0].startswith(f"repro fleet {command}: ")
+        assert "70000" in stderr[0] and "65535" in stderr[0]
+        if command == "serve":
+            assert PLAN_KEY not in ResultStore(store).metadata
+
+    @pytest.mark.parametrize("resume", [False, True],
+                             ids=["fresh", "resume"])
+    def test_wait_timeout_merges_then_fails(self, tmp_path, resume):
+        """No worker ever joins: a fresh serve and a resumed one end
+        the same way at ``--wait-timeout`` — exit 1, one stderr line
+        naming the timeout, nothing merged, both specs unfinished, and
+        the plan cleared by the merge."""
+        store = str(tmp_path / "store")
+        sweep = ["--count", "2", "--host", "127.0.0.1",
+                 "--wait-timeout", "1"] + BASE
+        if resume:
+            # A crashed run of the same sweep: planned, never merged.
+            args = cli.build_parser().parse_args(
+                ["fleet", "serve", "--store", store] + sweep)
+            coordinator = FleetCoordinator(
+                [spec.to_dict() for spec in
+                 cli._campaign_from_args(args).specs],
+                ResultStore(store))
+            coordinator.start()
+            coordinator.stop()
+            assert PLAN_KEY in ResultStore(store).metadata
+            sweep = sweep + ["--resume"]
+        code, stderr = run_cli_process(["fleet", "serve", "--store", store]
+                                       + sweep)
+        assert code == 1
+        assert stderr == [
+            f"repro fleet serve: fleet run did not finish within 1.0s: "
+            f"0 completed record(s) merged into {store}, 2 scenario(s) "
+            f"unfinished"]
+        merged = ResultStore(store)
+        assert len(merged) == 0
+        assert PLAN_KEY not in merged.metadata
+        assert merged.metadata["runs"][-1]["merged"] == 0

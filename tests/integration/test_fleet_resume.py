@@ -27,10 +27,8 @@ from repro import cli
 from repro.api.metrics import scenario_metrics
 from repro.core.errors import ConfigurationError
 from repro.fleet import (
-    ChaosTransport,
+    ChaosSchedule,
     FleetCoordinator,
-    FleetExecutor,
-    InProcessTransport,
     recv_message,
     resume_coordinator,
     send_message,
@@ -69,6 +67,28 @@ def run_cli(argv):
     with contextlib.redirect_stdout(buffer):
         code = cli.main(argv)
     return code, buffer.getvalue()
+
+
+def serve_with_threads(coordinator, workers, wait_timeout=120.0):
+    """Drive ``coordinator`` through serve() with one worker_main
+    thread per entry of ``workers`` (its keyword arguments), started
+    once it listens."""
+    threads = []
+
+    def launch(address):
+        for index, options in enumerate(workers):
+            thread = threading.Thread(target=worker_main,
+                                      args=(*address, f"w{index}"),
+                                      kwargs=options, daemon=True)
+            thread.start()
+            threads.append(thread)
+
+    try:
+        return coordinator.serve(wait_timeout=wait_timeout,
+                                 on_listening=launch)
+    finally:
+        for thread in threads:
+            thread.join(timeout=30.0)
 
 
 @pytest.fixture(scope="module")
@@ -158,19 +178,7 @@ class TestCoordinatorCrashResume:
             coordinator.stop()
         assert PLAN_KEY in ResultStore(store_path).metadata
 
-        resumed = resume_coordinator(store_path)
-        resumed.start()
-        try:
-            host, port = resumed.address
-            thread = threading.Thread(target=worker_main,
-                                      args=(host, port, "healer"),
-                                      daemon=True)
-            thread.start()
-            assert resumed.wait(120.0)
-            resumed.drain()
-        finally:
-            resumed.stop()
-        stats = resumed.finish(transport="tcp")
+        stats = serve_with_threads(resume_coordinator(store_path), [{}])
 
         full_chunks = kill_after // 2   # chunk_size=2, 2 chunks total
         assert stats.resumed is True
@@ -203,13 +211,7 @@ class TestCoordinatorCrashResume:
         (shard_path,) = list_shards(os.path.join(store_path, SHARDS_DIR))
         store.append(next(ResultStore(shard_path).iter_records()))
 
-        resumed = resume_coordinator(store_path)
-        resumed.start()
-        try:
-            assert resumed.wait(10.0)
-        finally:
-            resumed.stop()
-        stats = resumed.finish(transport="tcp")
+        stats = resume_coordinator(store_path).serve(wait_timeout=10.0)
         assert stats.requeued_lost == 0
         assert stats.reingested_chunks == 2
         assert stats.reingested_records == 3
@@ -248,11 +250,10 @@ class TestResumeRefusals:
         everything under the false flag of crash recovery."""
         specs = [tiny_spec(seed) for seed in range(4)]
         store_path = str(tmp_path / "fleet")
-        stats = Campaign(specs, workers=1).run(
-            store=ResultStore(store_path),
-            executor=FleetExecutor(InProcessTransport(), workers=2,
-                                   chunk_size=2))
-        assert stats.fleet["unfinished"] == 0
+        stats = serve_with_threads(FleetCoordinator(
+            [spec.to_dict() for spec in specs], ResultStore(store_path),
+            chunk_size=2), [{}, {}])
+        assert stats.unfinished == 0
         assert PLAN_KEY not in ResultStore(store_path).metadata
         with pytest.raises(ConfigurationError, match="completed run"):
             resume_coordinator(store_path)
@@ -268,15 +269,24 @@ class TestChaosDigest:
                                             reference_store, seed):
         specs = [tiny_spec(s) for s in range(4)]
         store_path = str(tmp_path / f"chaos-{seed}")
-        transport = ChaosTransport(seed=seed, fault_rate=0.7, max_faults=6)
-        stats = Campaign(specs, workers=1).run(
-            store=ResultStore(store_path),
-            executor=FleetExecutor(transport, workers=2,
-                                   chunk_size=1, lease_timeout=30.0))
-        assert transport.faults_injected() > 0, \
+        # One schedule per worker, seeds a large odd stride apart so
+        # the two fault streams are disjoint; generous reconnect
+        # settings ride out every fault in the finite budget.
+        schedules = [ChaosSchedule(seed=seed * 1_000_003 + index,
+                                   fault_rate=0.7, max_faults=6)
+                     for index in range(2)]
+        stats = serve_with_threads(
+            FleetCoordinator([spec.to_dict() for spec in specs],
+                             ResultStore(store_path), chunk_size=1,
+                             lease_timeout=30.0),
+            [{"socket_wrapper": schedule, "reconnect_attempts": 64,
+              "backoff_base": 0.01, "backoff_max": 0.25,
+              "backoff_seed": seed * 7_919 + index}
+             for index, schedule in enumerate(schedules)])
+        assert sum(s.faults_injected for s in schedules) > 0, \
             "chaos schedule injected nothing; the test tested nothing"
-        assert stats.fleet["unfinished"] == 0
-        assert stats.fleet["failed_chunks"] == 0
+        assert stats.unfinished == 0
+        assert stats.failed_chunks == 0
         assert_stores_equal(reference_store, ResultStore(store_path))
 
 

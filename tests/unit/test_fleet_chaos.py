@@ -9,7 +9,6 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.fleet import (
     ChaosSchedule,
-    ChaosTransport,
     ProtocolError,
     recv_message,
     schedule_from_env,
@@ -155,14 +154,3 @@ class TestWorkerBackoff:
             # never zero, never past backoff_max
             assert 0.5 * cap <= delay <= cap
 
-
-class TestChaosTransport:
-    def test_per_worker_schedules_are_disjoint_and_recorded(self):
-        transport = ChaosTransport(seed=1, fault_rate=0.5)
-        opts0 = transport._options_for(0)
-        opts1 = transport._options_for(1)
-        assert opts0["socket_wrapper"].seed != opts1["socket_wrapper"].seed
-        assert opts0["backoff_seed"] != opts1["backoff_seed"]
-        assert transport.schedules == [opts0["socket_wrapper"],
-                                       opts1["socket_wrapper"]]
-        assert transport.faults_injected() == 0

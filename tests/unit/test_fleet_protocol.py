@@ -103,8 +103,13 @@ class TestParseAddress:
     def test_good(self):
         assert parse_address("somehost:7654") == ("somehost", 7654)
         assert parse_address("10.0.0.2:80") == ("10.0.0.2", 80)
+        assert parse_address("h:1") == ("h", 1)
+        assert parse_address("h:65535") == ("h", 65535)
 
-    @pytest.mark.parametrize("raw", ["nohost", ":99", "host:", "host:abc"])
+    # A port outside 1..65535 must be refused here: getaddrinfo wraps
+    # it instead (70000 dials 4464).
+    @pytest.mark.parametrize("raw", ["nohost", ":99", "host:", "host:abc",
+                                     "h:0", "h:65536", "h:70000", "h:-1"])
     def test_bad(self, raw):
         with pytest.raises(ProtocolError):
             parse_address(raw)
