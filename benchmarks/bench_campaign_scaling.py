@@ -3,8 +3,10 @@
 The ROADMAP's north star asks for "as many scenarios as you can
 imagine"; this bench measures how fast the campaign runner chews
 through a fixed batch of generated WAN/OSPF failure scenarios as the
-worker pool grows.  Expected shape: near-linear speedup until the
-scenario mix runs out of parallelism or cores.
+worker pool grows.  Each pool size sweeps into its own temporary
+store, and every store must have the same canonical digest.  Expected
+shape: near-linear speedup until the scenario mix runs out of
+parallelism or cores.
 
 Knobs:
 
@@ -18,6 +20,7 @@ import os
 
 import pytest
 
+from repro.results import ResultStore
 from repro.scenarios import Campaign, generate_scenario
 
 from conftest import record_rows
@@ -38,19 +41,20 @@ def make_spec(seed: int):
     return generate_scenario(seed, pattern="k-random-links", duration=40.0)
 
 
-def run_campaign(workers: int):
+def run_campaign(workers: int, store: ResultStore):
     campaign = Campaign.seed_sweep(make_spec, range(batch_size()),
                                    workers=workers)
-    return campaign.run()
+    return campaign.run(store)
 
 
 @pytest.mark.parametrize("workers", worker_counts())
-def test_campaign_scaling(benchmark, workers):
-    outcome = benchmark.pedantic(run_campaign, args=(workers,),
-                                 rounds=1, iterations=1)
-    assert outcome.scenario_count == batch_size()
-    assert outcome.converged_count == batch_size()
-    _results[workers] = outcome
+def test_campaign_scaling(benchmark, workers, tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    stats = benchmark.pedantic(run_campaign, args=(workers, store),
+                               rounds=1, iterations=1)
+    assert stats.executed == batch_size()
+    assert store.aggregate().converged == batch_size()
+    _results[workers] = (stats, store.canonical_digest())
 
 
 def test_campaign_scaling_report(benchmark):
@@ -58,20 +62,19 @@ def test_campaign_scaling_report(benchmark):
     measured = sorted(_results)
     if not measured:
         pytest.skip("no measurements collected")
-    base_wall = _results[measured[0]].wall_seconds
+    base_wall = _results[measured[0]][0].wall_seconds
     rows = []
     for workers in measured:
-        outcome = _results[workers]
-        rate = outcome.scenario_count / outcome.wall_seconds
-        speedup = base_wall / outcome.wall_seconds
+        stats = _results[workers][0]
+        rate = stats.executed / stats.wall_seconds
+        speedup = base_wall / stats.wall_seconds
         rows.append(
-            f"{workers:>7} {outcome.scenario_count:>9} "
-            f"{outcome.wall_seconds:>8.2f} {rate:>12.1f} {speedup:>8.2f}x"
+            f"{workers:>7} {stats.executed:>9} "
+            f"{stats.wall_seconds:>8.2f} {rate:>12.1f} {speedup:>8.2f}x"
         )
     # Reproducibility across pool sizes is part of the contract.
-    fingerprints = {tuple(sorted(_results[w].fingerprints().items()))
-                    for w in measured}
-    assert len(fingerprints) == 1
+    digests = {_results[w][1] for w in measured}
+    assert len(digests) == 1
     record_rows(
         "campaign_scaling",
         f"{'workers':>7} {'scenarios':>9} {'wall_s':>8} "

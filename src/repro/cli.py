@@ -9,11 +9,10 @@ Subcommands:
 * ``fig3``     — the Horse-vs-baseline execution-time comparison for a
   list of fat-tree sizes.
 * ``scenario`` — the fault-injection scenario engine: ``scenario run``
-  executes one generated (or JSON-loaded) scenario, ``scenario sweep``
-  fans a seeded campaign out across worker processes.  Any sweep line
-  can be reproduced bit-for-bit by ``scenario run`` with the same
-  generator options and that line's seed.
-* ``campaign`` — the durable half: ``campaign run`` streams a seeded
+  executes one generated (or JSON-loaded) scenario.  Any record of a
+  sweep can be reproduced bit-for-bit by ``scenario run`` with the
+  same generator options and that record's seed.
+* ``campaign`` — seeded sweeps: ``campaign run`` streams a seeded
   sweep into an on-disk result store (JSONL + index sidecar),
   ``campaign resume`` finishes an interrupted sweep (only the
   missing (spec, seed) pairs run), ``campaign report`` prints
@@ -65,7 +64,6 @@ Examples::
     python -m repro.cli demo --k 4 --duration 20
     python -m repro.cli fig1
     python -m repro.cli fig3 --sizes 4,6 --scale 0.02
-    python -m repro.cli scenario sweep --count 20 --workers 4
     python -m repro.cli scenario run --seed 7 --pattern flap-storm
     python -m repro.cli campaign run --store sweep/ --count 200 \
         --workers 8 --slo converged_within=30
@@ -92,7 +90,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import shlex
 import socket
 import sys
 import time
@@ -286,8 +283,8 @@ def _recipes_from_args(args: argparse.Namespace):
 
 def _build_generated_spec(args: argparse.Namespace, seed: int):
     """The scenario a (generator options, seed) pair describes —
-    shared by ``scenario run``, ``scenario sweep`` and the ``campaign``
-    commands so a sweep line reproduces exactly."""
+    shared by ``scenario run`` and the ``campaign`` and ``fleet serve``
+    sweeps, so any record of a sweep reproduces exactly."""
     topology, protocol = _recipes_from_args(args)
     spec = generate_scenario(
         seed,
@@ -348,41 +345,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
               f"{result.events_fired} events, "
               f"{result.recomputations} reallocations")
     return 0 if result.slos_ok else 1
-
-
-def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
-    outcome = _campaign_from_args(args).run()
-    # Non-zero when any SLO failed OR any scenario crashed: the
-    # fault-isolated workers keep the sweep running, but a crash must
-    # not read as success to a calling script.
-    ok = outcome.slo_failures == 0 and outcome.failed_count == 0
-    if args.json:
-        _emit_json([r.to_dict() for r in outcome.results])
-    else:
-        print(outcome.summary())
-        print("reproduce any line: repro scenario run --seed <seed> "
-              + _generator_options_string(args))
-    return 0 if ok else 1
-
-
-def _generator_options_string(args: argparse.Namespace) -> str:
-    """The generator options of ``args`` as a shell fragment, so the
-    printed reproduce command really does rebuild the same scenario."""
-    parts = [f"--pattern {args.pattern}", f"--topo {args.topo}",
-             f"--duration {args.duration:g}"]
-    if args.protocol is not None:
-        parts.append(f"--protocol {args.protocol}")
-    if args.traffic_family is not None:
-        parts.append(f"--traffic-family {args.traffic_family}")
-    for flag, pairs in (("--pattern-param", args.pattern_param),
-                        ("--topo-param", args.topo_param),
-                        ("--protocol-param", args.protocol_param),
-                        ("--traffic-param", args.traffic_param)):
-        for pair in pairs or []:
-            parts.append(f"{flag} {pair}")
-    for slo in args.slo or []:
-        parts.append(f"--slo {shlex.quote(slo)}")
-    return " ".join(parts)
 
 
 def _cmd_trace_run(args: argparse.Namespace) -> int:
@@ -496,10 +458,11 @@ def _refuse_foreign_sweep(campaign, store, store_arg: str) -> None:
 
 
 def _cmd_campaign_run(args: argparse.Namespace, resume: bool = False) -> int:
+    # The campaign first: options it rejects must not leave a store.
+    campaign = _campaign_from_args(args)
     # A resume has no --store-format: the store says what it is.
     store = ResultStore(args.store, create=not resume,
                         format=None if resume else args.store_format)
-    campaign = _campaign_from_args(args)
     if not resume and len(store) > 0:
         raise SystemExit(
             f"store {args.store!r} already holds {len(store)} record(s); "
@@ -514,7 +477,7 @@ def _cmd_campaign_run(args: argparse.Namespace, resume: bool = False) -> int:
         print("gate:     repro campaign check --store " + args.store)
     # Gate on the WHOLE store, not just this invocation: a resume that
     # only runs passing leftovers must still exit non-zero when the
-    # interrupted half persisted failures — same contract as sweep.
+    # interrupted half persisted failures.
     return 0 if store.aggregate().gate_ok else 1
 
 
@@ -591,9 +554,10 @@ def _cmd_campaign_diff(args: argparse.Namespace) -> int:
 
 def _cmd_store_merge(args: argparse.Namespace) -> int:
     """Concatenate shard stores into one, dedup by (spec_hash, seed)."""
-    target = ResultStore(args.target, format=args.store_format)
+    # The sources first: a missing one must not leave a target behind.
     sources = [ResultStore(path, create=False, readonly=True)
                for path in args.sources]
+    target = ResultStore(args.target, format=args.store_format)
     merged = target.merge_from(sources)
     if args.compact:
         target.compact()
@@ -647,8 +611,9 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
 
 
 def _search_config_from_args(args: argparse.Namespace):
+    """The search option group -> a validated :class:`SearchConfig`."""
     topology, protocol = _recipes_from_args(args)
-    return SearchConfig(
+    config = SearchConfig(
         family=args.pattern,
         strategy=args.strategy,
         objective=args.objective,
@@ -663,6 +628,8 @@ def _search_config_from_args(args: argparse.Namespace):
         traffic_family=args.traffic_family,
         traffic_params=_parse_kv_params(args.traffic_param),
     )
+    config.validate()
+    return config
 
 
 def _emit_leaderboard(store, config, args,
@@ -705,8 +672,9 @@ def _emit_leaderboard(store, config, args,
 
 
 def _cmd_search_run(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store, format=args.store_format)
+    # The config first: options it rejects must not leave a store.
     config = _search_config_from_args(args)
+    store = ResultStore(args.store, format=args.store_format)
     stats = run_search(config, store, workers=args.workers)
     return _emit_leaderboard(store, config, args, stats=stats)
 
@@ -738,8 +706,9 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
             args.store, host=args.host, port=args.port,
             lease_timeout=args.lease_timeout)
     else:
-        store = ResultStore(args.store, format=args.store_format)
+        # The campaign first: options it rejects must not leave a store.
         campaign = _campaign_from_args(args)
+        store = ResultStore(args.store, format=args.store_format)
         _refuse_foreign_sweep(campaign, store, args.store)
         pending, skipped = campaign.pending(store)
         # Nobody is launched, but `--expect-workers` still sizes the
@@ -902,7 +871,8 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scenario_generator_options(parser: argparse.ArgumentParser) -> None:
-    """Options shared by ``scenario run`` and ``scenario sweep``."""
+    """Options shared by ``scenario run``, ``trace run`` and the
+    sweep commands (``campaign run|resume``, ``fleet serve``)."""
     _add_family_options(parser)
     parser.add_argument(
         "--slo", action="append", metavar="KIND=VALUE",
@@ -974,12 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--save-spec", default=None, metavar="FILE",
                      help="write the scenario's JSON spec before running")
     _add_scenario_generator_options(run)
-
-    sweep = _add_command(
-        scenario_sub, "sweep", _cmd_scenario_sweep,
-        help="run a seeded campaign across worker processes")
-    _add_sweep_options(sweep)
-    _add_scenario_generator_options(sweep)
 
     topo = sub.add_parser(
         "topo", help="topology tools: symmetry classes, GraphML import")

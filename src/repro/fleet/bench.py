@@ -9,8 +9,8 @@ REAL TCP workers speaking the real frame protocol
 "scenario execution" is a deterministic record fabricator, so every
 measured second is protocol + store overhead.
 
-``repro fleet bench`` is the CLI face; :func:`run_protocol_bench` is
-the library entry the benchmark suite calls.  Records are fabricated
+:func:`run_protocol_bench` is the library entry and ``repro fleet
+bench`` its only caller.  Records are fabricated
 deterministically from the seed, so repeated runs push identical bytes
 and the merged store's digest is stable — which also makes the bench a
 smoke test of the coordinator/store plumbing under both on-disk

@@ -4,7 +4,7 @@ A :class:`ResultStore` is a directory holding two files:
 
 * ``records.jsonl`` — one self-describing record per line (see
   :mod:`repro.results.records`), appended the moment each scenario
-  finishes, so a 10 000-scenario sweep never holds results in memory
+  finishes, so a sweep of 10 000 scenarios never holds results in memory
   and a killed sweep loses at most the scenario it was writing;
 * ``index.jsonl``   — a sidecar with one small line per record
   (spec_hash, seed, name, fingerprint, byte offset).  Opening a store

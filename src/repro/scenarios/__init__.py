@@ -16,8 +16,8 @@ generate, store, sweep and parallelize:
 * :mod:`~repro.scenarios.runner`     — :class:`ScenarioRunner`, spec
   in, bit-for-bit reproducible :class:`ScenarioResult` out;
 * :mod:`~repro.scenarios.campaign`   — :class:`Campaign`, fanning a
-  seed sweep or parameter grid across worker processes, optionally
-  streaming every result into a durable, resumable
+  seed sweep or parameter grid across worker processes and streaming
+  every result into a durable, resumable
   :class:`~repro.results.store.ResultStore` (see :mod:`repro.results`
   for persistence, SLO assertions and aggregation);
 * :mod:`~repro.scenarios.search`     — adversarial scenario search:
@@ -28,11 +28,13 @@ generate, store, sweep and parallelize:
 
 Quickstart::
 
+    from repro.results import ResultStore
     from repro.scenarios import Campaign, generate_scenario
 
+    store = ResultStore("sweep_store")
     campaign = Campaign.seed_sweep(generate_scenario, range(20), workers=4)
-    outcome = campaign.run()
-    print(outcome.summary())
+    print(campaign.run(store).summary())
+    print(store.aggregate().report())
 """
 
 from repro.scenarios.injections import (
@@ -61,7 +63,6 @@ from repro.scenarios.generators import (
     gray_brownout,
     k_random_link_failures,
     rolling_maintenance,
-    seed_sweep_specs,
     srlg_failure,
     srlg_groups,
     traffic_matrix,
@@ -76,7 +77,6 @@ from repro.scenarios.runner import (
 )
 from repro.scenarios.campaign import (
     Campaign,
-    CampaignResult,
     CampaignRunStats,
     WorkChunk,
     effective_cpu_count,
@@ -118,7 +118,6 @@ __all__ = [
     "ProtocolRecipe",
     "TrafficRecipe",
     "generate_scenario",
-    "seed_sweep_specs",
     "k_random_link_failures",
     "flap_storm",
     "rolling_maintenance",
@@ -135,7 +134,6 @@ __all__ = [
     "error_result",
     "result_fingerprint",
     "Campaign",
-    "CampaignResult",
     "CampaignRunStats",
     "WorkChunk",
     "effective_cpu_count",

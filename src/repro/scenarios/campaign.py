@@ -1,27 +1,26 @@
-"""Fan a batch of scenarios out across worker processes.
+"""Fan a batch of scenarios out across worker processes into a store.
 
 A :class:`Campaign` is the scale half of the scenario engine: hand it
-a list of specs (usually a seed sweep), pick a worker count, and it
-runs every scenario — serialized specs out, serialized results back —
-then aggregates.  Workers are plain
-``multiprocessing`` processes; each scenario builds its world from
-scratch and resets the process-global counters, so a result is the
-same whether it ran first, last, alone, or in a pool (the
-reproducibility tests pin this down).
+a list of specs (usually a seed sweep), pick a worker count, and
+``campaign.run(store)`` runs every scenario — serialized specs out,
+serialized results back.  Workers are plain ``multiprocessing``
+processes; each scenario builds its world from scratch and resets the
+process-global counters, so a result is the same whether it ran
+first, last, alone, or in a pool (the reproducibility tests pin this
+down).
 
-Two ways to run:
+A sweep's results are records in a
+:class:`~repro.results.store.ResultStore`: every finished scenario is
+appended the moment it arrives and *not* kept in memory, (spec, seed)
+pairs already in the store are skipped, and a killed sweep re-run
+with the same store completes only the remaining work — bit-for-bit
+identical to an uninterrupted run.  ``store.aggregate()`` rolls the
+records up (converged/errored counts, metric percentiles, SLO
+tallies and the gate).
 
-* ``campaign.run()`` — everything in memory, a :class:`CampaignResult`
-  back (fine for dozens of scenarios);
-* ``campaign.run(store=ResultStore(...))`` — every finished scenario
-  is appended to the store the moment it arrives and *not* kept in
-  memory, (spec, seed) pairs already in the store are skipped, and a
-  killed sweep re-run with the same store completes only the remaining
-  work — bit-for-bit identical to an uninterrupted run.
-
-Either way a worker that raises mid-scenario records a failed result
-(error string in diagnostics, SLO verdicts ``error``) instead of
-aborting the whole sweep.
+A worker that raises mid-scenario records a failed result (error
+string in diagnostics, SLO verdicts ``error``) instead of aborting
+the whole sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import math
 import multiprocessing
 import os
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
     Tuple,
@@ -42,7 +41,6 @@ from repro.api.metrics import scenario_metrics
 from repro.results.records import make_record
 from repro.results.store import ResultStore
 from repro.scenarios.runner import (
-    ScenarioResult,
     ScenarioRunner,
     error_result,
     result_fingerprint,
@@ -146,98 +144,13 @@ def scenario_record(payload: Dict[str, Any],
 
 
 @dataclass
-class CampaignResult:
-    """Everything a campaign measured, plus the aggregates."""
-
-    results: List[ScenarioResult] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    workers: int = 1
-
-    @property
-    def scenario_count(self) -> int:
-        return len(self.results)
-
-    @property
-    def converged_count(self) -> int:
-        return sum(1 for r in self.results if r.converged)
-
-    @property
-    def failed_count(self) -> int:
-        """Scenarios that died mid-run (fault isolation results)."""
-        return sum(1 for r in self.results if r.error is not None)
-
-    @property
-    def slo_failures(self) -> int:
-        """SLO verdicts that did not pass, campaign-wide (fail+error)."""
-        return sum(1 for r in self.results for v in r.slos if not v.passed)
-
-    @property
-    def mean_convergence_time(self) -> Optional[float]:
-        times = [r.convergence_time for r in self.results
-                 if r.convergence_time is not None]
-        if not times:
-            return None
-        return sum(times) / len(times)
-
-    @property
-    def mean_delivered_fraction(self) -> float:
-        # Errored scenarios measured nothing (their zero demand reads
-        # as delivered_fraction == 1.0) — keep them out of the mean.
-        healthy = [r for r in self.results if r.error is None]
-        if not healthy:
-            return 0.0
-        return (sum(r.delivered_fraction for r in healthy)
-                / len(healthy))
-
-    @property
-    def recovery_times(self) -> List[float]:
-        """Every measured per-injection recovery time, campaign-wide."""
-        return [
-            outcome.recovery_seconds
-            for result in self.results
-            for outcome in result.injections
-            if outcome.recovery_seconds is not None
-        ]
-
-    def result_for_seed(self, seed: int) -> ScenarioResult:
-        for result in self.results:
-            if result.seed == seed:
-                return result
-        raise KeyError(f"no scenario with seed {seed} in this campaign")
-
-    def fingerprints(self) -> Dict[int, str]:
-        """seed -> result fingerprint (the reproducibility ledger)."""
-        return {r.seed: r.fingerprint() for r in self.results}
-
-    def summary(self) -> str:
-        """Multi-line digest: one line per scenario + the aggregates."""
-        lines = [result.summary() for result in self.results]
-        conv = self.mean_convergence_time
-        recoveries = self.recovery_times
-        lines.append(
-            f"-- {self.scenario_count} scenarios on {self.workers} worker(s) "
-            f"in {self.wall_seconds:.2f}s wall: "
-            f"{self.converged_count}/{self.scenario_count} converged"
-            + (f", mean convergence {conv:.3f}s" if conv is not None else "")
-            + f", mean delivered {self.mean_delivered_fraction * 100:.1f}%"
-            + (f", mean recovery {sum(recoveries) / len(recoveries):.3f}s "
-               f"({len(recoveries)} measured)" if recoveries else "")
-            + (f", {self.failed_count} errored" if self.failed_count else "")
-            + (f", {self.slo_failures} SLO violation(s)"
-               if self.slo_failures else "")
-        )
-        return "\n".join(lines)
-
-
-@dataclass
 class CampaignRunStats:
-    """What a *streaming* campaign run did — counts, not results.
+    """What a campaign run did — counts, not results.
 
-    When a campaign runs against a :class:`ResultStore` the results
-    live on disk, not in this object (that is the point: a
-    10k-scenario sweep never holds results in memory).  Use
-    ``store.iter_records()`` / :mod:`repro.results.aggregate` to read
-    them back.
+    The results live in the run's :class:`ResultStore`, not in this
+    object (that is the point: a sweep of 10k scenarios never holds
+    results in memory).  Use ``store.aggregate()`` or
+    ``store.iter_records()`` to read them back.
     """
 
     total: int = 0                # scenarios the campaign describes
@@ -339,28 +252,25 @@ class Campaign:
                 skipped += 1
         return pending, skipped
 
-    def run(
-        self, store: "Optional[ResultStore]" = None,
-        retry_errors: bool = False,
-    ) -> "CampaignResult | CampaignRunStats":
-        """Execute every scenario; parallel when ``workers > 1``.
+    def run(self, store: "ResultStore",
+            retry_errors: bool = False) -> CampaignRunStats:
+        """Execute every scenario into ``store``; parallel when
+        ``workers > 1``.
 
-        Without ``store``: everything in memory, a
-        :class:`CampaignResult` back.  With ``store``: scenarios whose
-        (spec_hash, seed) is already persisted are skipped (see
-        :meth:`pending`), each finished result is appended to the
-        store immediately and released, and a
+        Scenarios whose (spec_hash, seed) is already persisted are
+        skipped (see :meth:`pending`), each finished result is appended
+        to the store immediately and released, and a
         :class:`CampaignRunStats` summarizes what happened — so an
         interrupted sweep re-run with the same store finishes exactly
         the remaining work.  ``retry_errors`` also re-runs pairs whose
         persisted record is an error result, superseding it.
         """
+        from repro import __version__
+
         start = _time.perf_counter()
-        pending, skipped = (self.pending(store, retry_errors)
-                            if store is not None else (self.specs, 0))
+        pending, skipped = self.pending(store, retry_errors)
         payloads = [spec.to_dict() for spec in pending]
 
-        results: List[ScenarioResult] = []
         failed = 0
         slo_failures = 0
         for payload, raw in zip(payloads, self._stream_results(payloads)):
@@ -368,37 +278,25 @@ class Campaign:
                 failed += 1
             slo_failures += sum(1 for verdict in raw.get("slos", [])
                                 if verdict.get("status") != "pass")
-            if store is None:
-                results.append(ScenarioResult.from_dict(raw))
-            else:
-                record = scenario_record(payload, raw)
-                # Only a retried error record is already in the store.
-                store.append(record,
-                             replace=(record["spec_hash"],
-                                      record["seed"]) in store)
+            record = scenario_record(payload, raw)
+            key = (record["spec_hash"], record["seed"])
+            # Only a retried error record is already in the store.
+            store.append(record, replace=key in store)
 
-        if store is not None:
-            from repro import __version__
-
-            store.record_provenance({
-                "transport": "local",
-                "workers": self.workers,
-                "executed": len(payloads),
-                "skipped": skipped,
-                "repro_version": __version__,
-            })
-            return CampaignRunStats(
-                total=len(self.specs),
-                executed=len(payloads),
-                skipped=skipped,
-                failed=failed,
-                slo_failures=slo_failures,
-                wall_seconds=_time.perf_counter() - start,
-                workers=self.workers,
-                store_path=store.path,
-            )
-        return CampaignResult(
-            results=results,
+        store.record_provenance({
+            "transport": "local",
+            "workers": self.workers,
+            "executed": len(payloads),
+            "skipped": skipped,
+            "repro_version": __version__,
+        })
+        return CampaignRunStats(
+            total=len(self.specs),
+            executed=len(payloads),
+            skipped=skipped,
+            failed=failed,
+            slo_failures=slo_failures,
             wall_seconds=_time.perf_counter() - start,
             workers=self.workers,
+            store_path=store.path,
         )

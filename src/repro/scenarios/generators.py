@@ -3,8 +3,8 @@
 Turns one seed into one fully-specified :class:`ScenarioSpec`, so a
 campaign is nothing but a seed range: the same (pattern, topology,
 seed) triple always yields the identical injection schedule, traffic
-and timers — re-running seed 17 of a 10 000-scenario sweep reproduces
-exactly what the sweep measured.
+and timers — re-running seed 17 of a sweep of 10 000 scenarios
+reproduces exactly what the sweep measured.
 
 The failure *patterns* are the classic control-plane stress shapes:
 
@@ -34,7 +34,7 @@ scenario, consumed in a fixed order.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.scenarios.injections import (
@@ -432,12 +432,3 @@ def generate_scenario(
     spec.validate()
     return spec
 
-
-def seed_sweep_specs(
-    seeds: Sequence[int],
-    pattern: str = "k-random-links",
-    **kwargs: Any,
-) -> List[ScenarioSpec]:
-    """One spec per seed, identical in everything but the seed."""
-    return [generate_scenario(seed, pattern=pattern, **kwargs)
-            for seed in seeds]

@@ -2,8 +2,6 @@
 persistence, the resume-equivalence acceptance contract, in-run SLO
 verdicts in every persisted record, and campaign fault isolation."""
 
-import pytest
-
 from repro.results import (
     ConvergedWithin,
     MetricExpression,
@@ -110,16 +108,6 @@ class TestResumeEquivalence:
             store=ResultStore(str(tmp_path / "store")))
         assert stats.executed == 1 and stats.skipped == 0
         assert len(ResultStore(str(tmp_path / "store"))) == 2
-
-    def test_store_mode_matches_in_memory_mode(self, tmp_path):
-        """Streaming through a store must not change what is measured."""
-        in_memory = Campaign.seed_sweep(make_spec, [2, 3], workers=1).run()
-        store = ResultStore(str(tmp_path / "store"))
-        Campaign.seed_sweep(make_spec, [2, 3], workers=1).run(store=store)
-        by_seed = {record["seed"]: record["fingerprint"]
-                   for record in store.iter_records()}
-        for result in in_memory.results:
-            assert by_seed[result.seed] == result.fingerprint()
 
 
 class TestVerdictsInRecords:
@@ -230,6 +218,7 @@ class TestFaultIsolation:
             store=store)
         assert stats.executed == 3
         assert stats.failed == 1
+        assert stats.slo_failures == 3  # the three error verdicts
         records = {record["seed"]: record for record in store.iter_records()}
         assert set(records) == {0, 1, 2}
         assert records[1]["result"]["diagnostics"]["error"]
@@ -238,19 +227,6 @@ class TestFaultIsolation:
         aggregate = aggregate_records(store.iter_records())
         assert not aggregate.gate_ok
         assert aggregate.errors == 1
-
-    def test_in_memory_campaign_also_isolates(self):
-        def mixed(seed):
-            return broken_spec(seed) if seed == 0 else make_spec(seed)
-
-        outcome = Campaign.seed_sweep(mixed, [0, 1], workers=1).run()
-        assert outcome.failed_count == 1
-        assert outcome.slo_failures == 3  # the three error verdicts
-        errored = outcome.result_for_seed(0)
-        assert errored.error is not None
-        assert not errored.slos_ok
-        healthy = outcome.result_for_seed(1)
-        assert healthy.error is None and healthy.slos_ok
 
     def test_undeserializable_spec_still_isolated(self):
         raw = run_scenario_dict_safe({"name": "junk", "seed": 9})
@@ -274,14 +250,3 @@ class TestFaultIsolation:
         weird = error_result(spec, "cannot do <Weird at 0x7f2cc4764390>")
         assert weird.fingerprint() == error_result(
             spec, "cannot do <Weird at 0x7f0000000000>").fingerprint()
-
-    def test_errored_results_excluded_from_delivery_mean(self):
-        """An error result's zero demand reads as 100% delivered — it
-        must not inflate the campaign summary."""
-        def mixed(seed):
-            return broken_spec(seed) if seed == 0 else make_spec(seed)
-
-        outcome = Campaign.seed_sweep(mixed, [0, 1], workers=1).run()
-        healthy = outcome.result_for_seed(1)
-        assert outcome.mean_delivered_fraction == pytest.approx(
-            healthy.delivered_fraction)

@@ -13,6 +13,7 @@ from repro.core import ClockMode, HybridClock, Simulation, SimulationConfig
 from repro.core.clock import ClockPolicy
 from repro.dataplane import Network, StatsCollector
 from repro.netproto.addr import IPv4Address
+from repro.results import ResultStore
 
 
 def run_cli(argv):
@@ -71,24 +72,18 @@ class TestScenarioCli:
         assert "recovery" in out
         assert "fp=" in out
 
-    def test_scenario_run_reproduces_sweep_line(self):
-        """A sweep line re-run by its seed matches bit-for-bit."""
+    def test_scenario_run_reproduces_sweep_line(self, tmp_path):
+        """A sweep record re-run by its seed matches bit-for-bit."""
         args = ["--pattern", "flap-storm", "--duration", "30"]
-        code, swept = run_cli(["scenario", "sweep", "--count", "3",
-                               "--workers", "2"] + args)
+        store = str(tmp_path / "store")
+        code, __ = run_cli(["campaign", "run", "--store", store,
+                            "--count", "3", "--workers", "2"] + args)
         assert code == 0
         code, solo = run_cli(["scenario", "run", "--seed", "1"] + args)
         assert code == 0
-        sweep_line = next(line for line in swept.splitlines()
-                          if "seed1 " in line)
-        assert sweep_line.split("fp=")[1].strip() in solo
-
-    def test_scenario_sweep_summary(self):
-        code, out = run_cli(["scenario", "sweep", "--count", "4",
-                             "--workers", "2", "--duration", "30"])
-        assert code == 0
-        assert "4 scenarios on 2 worker(s)" in out
-        assert "reproduce any line" in out
+        swept = next(record for record in ResultStore(store).iter_records()
+                     if record["seed"] == 1)
+        assert f"fp={swept['fingerprint']}" in solo
 
     def test_scenario_spec_file_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"

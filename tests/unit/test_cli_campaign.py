@@ -1,5 +1,5 @@
 """Unit tests: the ``repro campaign`` CLI (run/resume/report/check)
-and the SLO surface of ``repro scenario run|sweep`` — exit codes,
+and the SLO surface of ``repro scenario run`` — exit codes,
 JSON/JSONL output shapes, and the gate semantics."""
 
 import contextlib
@@ -172,7 +172,7 @@ class TestCampaignReportAndCheck:
         code, out = run_cli(["campaign", "run", "--store", store,
                              "--count", "2", "--workers", "1"]
                             + BASE + FAILING_SLO)
-        assert code == 1  # run gates like sweep does
+        assert code == 1  # run gates on the store's SLOs
         assert "2 SLO violation(s)" in out
         code, out = run_cli(["campaign", "check", "--store", store])
         assert code == 1
@@ -238,44 +238,6 @@ class TestScenarioSloSurface:
         assert [v["status"] for v in payload["slos"]] == ["pass", "pass"]
         assert "realloc" in payload["diagnostics"]
         assert payload["control_messages"] > 0
-
-    def test_scenario_sweep_json_and_exit_code(self):
-        code, out = run_cli(["scenario", "sweep", "--count", "2",
-                             "--workers", "1", "--json"]
-                            + BASE + FAILING_SLO)
-        assert code == 1
-        payload = json.loads(out)
-        assert len(payload) == 2
-        assert all(r["slos"][0]["status"] == "fail" for r in payload)
-
-    def test_sweep_crash_exits_nonzero(self, monkeypatch):
-        """Fault isolation keeps the sweep alive, but a crashed
-        scenario must not read as success to a calling script."""
-        from repro.scenarios import campaign as campaign_mod
-
-        def exploding(spec_dict):
-            raise RuntimeError("worker died")
-
-        monkeypatch.setattr(campaign_mod, "run_scenario_dict", exploding)
-        code, out = run_cli(["scenario", "sweep", "--count", "2",
-                             "--workers", "1"] + BASE)
-        assert code == 1
-        assert "2 errored" in out
-
-    def test_reproduce_hint_quotes_metacharacters(self):
-        code, out = run_cli(["scenario", "sweep", "--count", "2",
-                             "--workers", "1",
-                             "--slo", "expr=control_messages<20000"]
-                            + BASE)
-        assert code == 0
-        assert "--slo 'expr=control_messages<20000'" in out
-
-    def test_sweep_reproduce_line_mentions_slo(self):
-        code, out = run_cli(["scenario", "sweep", "--count", "2",
-                             "--workers", "1"] + BASE + PASSING_SLO)
-        assert code == 0
-        assert "--slo converged_within=40" in out
-        assert "slo=2/2" in out
 
     def test_spec_file_slos_compose_with_cli(self, tmp_path):
         path = str(tmp_path / "spec.json")

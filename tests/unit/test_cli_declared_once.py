@@ -69,11 +69,11 @@ def test_choices_are_the_registry(command, action):
 
 
 def test_every_registry_option_was_found():
-    """The walk above must not pass by finding nothing: seven commands
+    """The walk above must not pass by finding nothing: six commands
     take the family options, ``topo classes`` takes ``--topo``."""
     dests = [action.dest for __, action in registry_actions()]
-    assert dests.count("topo") == 8
-    assert dests.count("protocol") == 7
+    assert dests.count("topo") == 7
+    assert dests.count("protocol") == 6
     assert dests.count("strategy") == 1
 
 
@@ -155,6 +155,33 @@ def test_library_errors_exit_with_one_line(tmp_path, case):
     what, __, why = message.partition(": ")
     assert what == "repro " + " ".join(argv[:2])
     assert why
+
+
+STORE_CREATING_REJECTS = {
+    "campaign run": lambda path: [
+        "campaign", "run", "--store", path, "--store-format", "columnar",
+        "--count", "0"],
+    "search run": lambda path: [
+        "search", "run", "--store", path, "--budget", "0"],
+    "fleet serve": lambda path: [
+        "fleet", "serve", "--store", path, "--count", "0"],
+    "store merge": lambda path: [
+        "store", "merge", path, path + "_missing_source"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STORE_CREATING_REJECTS))
+def test_rejected_inputs_leave_no_store(tmp_path, command):
+    """A command that creates its store rejects its inputs before it
+    opens the store: one error line, exit 1, and no directory left
+    for a later run to write into without saying so."""
+    path = str(tmp_path / "store")
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(STORE_CREATING_REJECTS[command](path))
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"repro {command}: ")
+    assert not os.path.exists(path)
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

@@ -160,13 +160,3 @@ class TestFamilyOptionsOnScenarioSurface:
         with pytest.raises(ConfigurationError, match="family"):
             generate_scenario(0, traffic_family="uniform",
                               traffic_params={"family": "hotspot"})
-
-    def test_sweep_reproduce_line_mentions_traffic_family(self):
-        code, out = run_cli(["scenario", "sweep", "--count", "2",
-                             "--workers", "1",
-                             "--traffic-family", "elephant-mice",
-                             "--traffic-param", "elephant_factor=4",
-                             "--duration", "30"])
-        assert code == 0
-        assert "--traffic-family elephant-mice" in out
-        assert "--traffic-param elephant_factor=4" in out

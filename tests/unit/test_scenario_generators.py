@@ -13,7 +13,6 @@ from repro.scenarios import (
     gray_brownout,
     k_random_link_failures,
     rolling_maintenance,
-    seed_sweep_specs,
 )
 from repro.scenarios.generators import fabric_links, fabric_nodes
 from repro.topology.builders import star_topo, wan_topo
@@ -128,12 +127,12 @@ class TestPatternShapes:
 
 class TestSeedSweep:
     def test_sweep_varies_only_with_seed(self):
-        specs = seed_sweep_specs(range(4))
+        specs = [generate_scenario(seed) for seed in range(4)]
         assert [spec.seed for spec in specs] == [0, 1, 2, 3]
         assert len({spec.name for spec in specs}) == 4
         schedules = [schedule_dicts(spec.injections) for spec in specs]
         # seeds draw different schedules...
         assert any(schedules[0] != other for other in schedules[1:])
         # ...but regeneration reproduces them exactly
-        again = seed_sweep_specs(range(4))
+        again = [generate_scenario(seed) for seed in range(4)]
         assert [s.to_json() for s in specs] == [s.to_json() for s in again]

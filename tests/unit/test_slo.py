@@ -115,7 +115,7 @@ class TestValidation:
     ])
     def test_forbidden_constructs_fail_at_validate_time(self, expression):
         """A statically-bad expression must die at spec validation,
-        not after a 10k-scenario sweep of guaranteed error verdicts."""
+        not after a 10k-scenario run of guaranteed error verdicts."""
         with pytest.raises(ConfigurationError):
             MetricExpression(expression=expression).validate()
 
