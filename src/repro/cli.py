@@ -142,6 +142,7 @@ from repro.scenarios import (
     leaderboard_digest,
     leaderboard_report,
     load_search_config,
+    plan_chunks,
     run_search,
     worst_spec,
 )
@@ -672,8 +673,10 @@ def _emit_leaderboard(store, config, args,
 
 
 def _cmd_search_run(args: argparse.Namespace) -> int:
-    # The config first: options it rejects must not leave a store.
+    # The config and its topology first: options either rejects must
+    # not leave a store.
     config = _search_config_from_args(args)
+    config.topology.build()
     store = ResultStore(args.store, format=args.store_format)
     stats = run_search(config, store, workers=args.workers)
     return _emit_leaderboard(store, config, args, stats=stats)
@@ -706,19 +709,25 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
             args.store, host=args.host, port=args.port,
             lease_timeout=args.lease_timeout)
     else:
-        # The campaign first: options it rejects must not leave a store.
+        # The campaign and its chunk plan first: options either rejects
+        # must not leave a store.  Nobody is launched, but
+        # `--expect-workers` still sizes the plan (~4 chunks per
+        # expected worker) — too few chunks would leave late joiners
+        # idle and make each steal forfeit a huge slice.
         campaign = _campaign_from_args(args)
+        payloads = [spec.to_dict() for spec in campaign.specs]
+        chunks = plan_chunks(payloads, chunk_size=args.chunk_size,
+                             workers=args.expect_workers)
         store = ResultStore(args.store, format=args.store_format)
         _refuse_foreign_sweep(campaign, store, args.store)
         pending, skipped = campaign.pending(store)
-        # Nobody is launched, but `--expect-workers` still sizes the
-        # chunk plan (~4 chunks per expected worker) — too few chunks
-        # would leave late joiners idle and make each steal forfeit a
-        # huge slice.
+        if skipped:
+            # The store holds part of the sweep: plan what is left.
+            payloads = [spec.to_dict() for spec in pending]
+            chunks = plan_chunks(payloads, chunk_size=args.chunk_size,
+                                 workers=args.expect_workers)
         coordinator = FleetCoordinator(
-            [spec.to_dict() for spec in pending], store,
-            chunk_size=args.chunk_size,
-            workers_hint=args.expect_workers,
+            payloads, store, chunks=chunks,
             lease_timeout=args.lease_timeout or 30.0,
             host=args.host, port=args.port)
     stats = coordinator.serve(wait_timeout=args.wait_timeout,

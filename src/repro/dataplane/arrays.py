@@ -9,9 +9,9 @@ bookkeeping around them (flags, component search, loads, host rates)
 is the engine's one delta path for both kernels:
 
 * :class:`FlowArrays` / :class:`LinkArrays` — interned
-  struct-of-arrays mirrors of the cached walks: per-flow demand, rate,
-  flow key and host slots; padded path→direction and entry rows (the
-  CSR expansion is derived per solve); per-direction capacities.
+  struct-of-arrays mirrors of the cached walks: per-flow demand, rate
+  and flow key; padded path→direction and entry rows (the CSR
+  expansion is derived per solve); per-direction capacities.
 * :class:`ArraysState` — the slotted container the
   :class:`~repro.dataplane.realloc.ReallocEngine` keeps **across
   recomputes**.  Rates and capacities are patched in place; a
@@ -31,17 +31,18 @@ is the engine's one delta path for both kernels:
   trajectory — and therefore the allocation — is bit-for-bit the heap
   kernel's (pinned by ``tests/property/test_kernel_parity.py``).
 * The **sealed accrual timeline** (:meth:`ArraysState.seal` /
-  :meth:`ArraysState.replay`) — byte accrual is *sealed* as the live
-  slots in flow-id order (cached per mirror generation) plus a copy of
-  their rates whenever rates or rows are about to change, and
-  *replayed* — each seal's hop, host and entry streams derived from its
-  frozen rows once, counters gathered from the objects once, every
-  sealed segment scattered with ``np.add.at`` in the scalar loop's
-  visit order, written back once — only when somebody reads or
-  competes for a counter.  Flow-table entries are one more target of
-  the same timeline, through the mirror's reference-counted entry
-  table (``byte_count`` by the same scatter, ``last_used_at`` = the end
-  of the entry's last positive-rate segment).
+  :meth:`ArraysState.replay`) of flow and flow-table entry bytes —
+  direction, port and host counters are the engine's rate spans, not
+  segments.  Accrual is *sealed* as the live slots in flow-id order
+  (cached per mirror generation) plus a copy of their rates whenever
+  rates or rows are about to change, and *replayed* — each seal's flow
+  and entry streams derived from its frozen rows once, the counters
+  it touches gathered from the objects once, every sealed segment
+  scattered in the scalar loop's visit order, written back once — only
+  when somebody reads or competes for a counter.  Entries are reached
+  through the mirror's reference-counted entry table (``byte_count``
+  by ``np.add.at``, ``last_used_at`` = the end of the entry's last
+  positive-rate segment).
 
 Everything degrades gracefully without numpy: the engine's one
 selection rule (``ReallocEngine.effective_kernel``) reads ``HAVE_NUMPY``
@@ -58,7 +59,6 @@ from repro.dataplane.solver import EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.flow import FluidFlow
-    from repro.dataplane.host import Host
     from repro.dataplane.link import LinkDirection
 
 try:  # the container bakes numpy in; guard anyway (no hard dep)
@@ -245,14 +245,13 @@ def bottleneck_filling_arrays(
 
 class FlowArrays:
     """Slotted per-flow columns: demand, rate, flow id (``_RETIRED``
-    once the row is no longer live), flow key, hosts, padded path and
-    entry rows.
+    once the row is no longer live), flow key, padded path and entry
+    rows.
 
     ``path[slot, :path_len[slot]]`` holds the direction slots of the
-    flow's cached hops *including duplicates* (byte accrual visits
-    every hop, like the scalar loop); ``path_first`` marks the first
-    occurrence of each direction so solves count a twice-crossed link
-    once, exactly as the scalar instance builder dedupes.
+    flow's cached hops *including duplicates*; ``path_first`` marks the
+    first occurrence of each direction so solves count a twice-crossed
+    link once, exactly as the scalar instance builder dedupes.
     ``ent[slot, :ent_len[slot]]`` holds the mirror's entry-table
     indices of the flow-table entries the walk matched, in path order
     (a walk matches at most one entry per hop, so the width fits both).
@@ -260,8 +259,7 @@ class FlowArrays:
     numpy converts a narrower index array on every use.
     """
 
-    _COLUMNS = ("demand", "rate", "fid", "key", "src_host", "dst_host",
-                "path_len", "ent_len")
+    _COLUMNS = ("demand", "rate", "fid", "key", "path_len", "ent_len")
     _MATRICES = ("path", "path_first", "ent")
 
     __slots__ = _COLUMNS + _MATRICES + ("cap", "width")
@@ -272,8 +270,7 @@ class FlowArrays:
         self.width = width
         self.demand = np.zeros(cap)
         self.rate = np.zeros(cap)
-        for name in ("fid", "key", "src_host", "dst_host", "path_len",
-                     "ent_len"):
+        for name in ("fid", "key", "path_len", "ent_len"):
             setattr(self, name, np.zeros(cap, dtype=np.intp))
         self.path = np.zeros((cap, width), dtype=np.intp)
         self.path_first = np.zeros((cap, width), dtype=bool)
@@ -341,7 +338,9 @@ class LinkArrays:
 #: ``peak_rss_mb`` 48.4–49.4 MiB at 64 against 45.6–45.7 at 16 (+6 %;
 #: the bound is 10 %) and 44.9 at 4, with ``wall_s_per_sim_s`` 0.0064 /
 #: 0.0069 / 0.0085 s/s — below 16 each replay's fixed stream
-#: derivation and gather/write-back stops being amortised.
+#: derivation and gather/write-back stopped being amortised.  Measured
+#: while a replay also carried every direction and host counter; it now
+#: carries flows and entries only, and the bound was not re-measured.
 SEGMENT_BOUND = 16
 
 #: Registered flows (``len(network.flows)``) below which the engine's
@@ -377,8 +376,8 @@ class ArraysState:
     """The engine-persisted SoA mirror of the cached walks.
 
     Every (re-)intern of a delivered flow takes a fresh slot; the slot
-    it replaces, or the slot of a dropped flow, *retires*: its row,
-    host slots and entry indices stay as they are until the next replay
+    it replaces, or the slot of a dropped flow, *retires*: its row and
+    entry indices stay as they are until the next replay
     has consumed every sealed segment that can read them (at once when
     nothing is sealed).  Rows are therefore frozen while anything can
     read them, and a seal needs no copy of them.
@@ -406,8 +405,6 @@ class ArraysState:
         self._ent_index: Dict[int, int] = {}    # id(entry) -> index
         self._ent_refs: List[int] = []
         self._ent_free: List[int] = []
-        self.hosts: List["Host"] = []
-        self._host_slot: Dict[int, int] = {}    # id(host) -> slot
         # The sealed accrual timeline: (live slots in fid order, their
         # rates, [(dt, now)]) in time order.
         self.sealed: List[tuple] = []
@@ -416,14 +413,6 @@ class ArraysState:
         self.dropped = 0
 
     # -- interning --------------------------------------------------------
-
-    def _host(self, host: "Host") -> int:
-        slot = self._host_slot.get(id(host))
-        if slot is None:
-            slot = len(self.hosts)
-            self._host_slot[id(host)] = slot
-            self.hosts.append(host)
-        return slot
 
     def _entry(self, entry) -> int:
         index = self._ent_index.get(id(entry))
@@ -482,8 +471,6 @@ class ArraysState:
         ent_row = fa.ent[slot]
         for pos, (__, entry) in enumerate(entries):
             ent_row[pos] = self._entry(entry)
-        fa.src_host[slot] = self._host(flow.src)
-        fa.dst_host[slot] = self._host(flow.dst)
         self.interned += 1
         return slot
 
@@ -594,54 +581,38 @@ class ArraysState:
             self.sealed.append((order, self.flows.rate[order], segments))
 
     def _streams(self, slots):
-        """The flow, host, hop and entry streams of one seal, derived
-        from its frozen rows: flow-major, flows in the seal's fid order,
-        hops and entries in path order."""
+        """The flow and entry streams of one seal, derived from its
+        frozen rows: flows in the seal's fid order, entries flow-major
+        in path order."""
         np = _np
         fa = self.flows
-        lens = fa.path_len[slots]
-        columns = np.arange(fa.width)
-        positions = np.arange(slots.size)
         if self._ent_index:
             ent_lens = fa.ent_len[slots]
-            ent_idx = fa.ent[slots][columns < ent_lens[:, None]]
-            ent_flow = np.repeat(positions, ent_lens)
+            ent_idx = fa.ent[slots][np.arange(fa.width) < ent_lens[:, None]]
+            ent_flow = np.repeat(np.arange(slots.size), ent_lens)
         else:
-            ent_idx = ent_flow = positions[:0]
-        return (fa.key[slots], fa.src_host[slots], fa.dst_host[slots],
-                fa.path[slots][columns < lens[:, None]],
-                np.repeat(positions, lens), ent_idx, ent_flow)
+            ent_idx = ent_flow = slots[:0]
+        return fa.key[slots], ent_idx, ent_flow
 
     def replay(self) -> None:
-        """Apply the sealed segments to the byte counters, in order.
+        """Apply the sealed segments to flow and entry byte counters,
+        in order.
 
-        Each counter is gathered from its object once and written back
-        once — directions and hosts all of them, flows and flow-table
-        entries only the ones a sealed row touched — and in between
-        every segment scatters ``rate · dt / 8`` through ``np.add.at``,
-        which is unbuffered and applies in index order: per counter the
-        adds land in the order the per-flow loop makes them (segment,
-        then flow id, then hop), so no bit can move.  ``delivered_bytes``
-        is keyed by flow, not row: a flow re-walked between two replays
-        owns two rows in this one, and both add to its one counter.
-        ``last_used_at`` takes the end time of every segment in which a
-        flow matching the entry had a positive rate — segments are in
-        time order, so the last assignment is the per-flow loop's last
-        stamp.  Retired rows are freed at the end.
+        Each counter a sealed row touches is gathered from its object
+        once and written back once, and in between every segment adds
+        ``rate · dt / 8`` — entries through ``np.add.at``, which is
+        unbuffered and applies in index order: per counter the adds
+        land in the order the per-flow loop makes them (segment, then
+        flow id, then path position), so no bit can move.
+        ``delivered_bytes`` is keyed by flow, not row: a flow re-walked
+        between two replays owns two rows in this one, and both add to
+        its one counter.  ``last_used_at`` takes the end time of every
+        segment in which a flow matching the entry had a positive rate
+        — segments are in time order, so the last assignment is the
+        per-flow loop's last stamp.  Retired rows are freed at the end.
         """
         np = _np
         sealed, self.sealed = self.sealed, []
-        dirs, hosts = self.links.objs, self.hosts
-        carried = np.fromiter((d.bytes_carried for d in dirs),
-                              dtype=np.float64, count=len(dirs))
-        port_tx = np.fromiter((d.src_port.tx_bytes for d in dirs),
-                              dtype=np.float64, count=len(dirs))
-        port_rx = np.fromiter((d.dst_port.rx_bytes for d in dirs),
-                              dtype=np.float64, count=len(dirs))
-        host_tx = np.fromiter((h.tx_bytes for h in hosts),
-                              dtype=np.float64, count=len(hosts))
-        host_rx = np.fromiter((h.rx_bytes for h in hosts),
-                              dtype=np.float64, count=len(hosts))
         # Derive each seal's streams once (consecutive seals of one
         # generation share them) and mark the flows and entries read.
         touched_flows = np.zeros(len(self.flow_objs), dtype=bool)
@@ -653,7 +624,7 @@ class ArraysState:
                 slots = order
                 streams = self._streams(slots)
                 touched_flows[streams[0]] = True
-                touched_ents[streams[5]] = True
+                touched_ents[streams[1]] = True
             frames.append((streams, rates, segments))
         flow_keys = np.nonzero(touched_flows)[0]
         flows = [self.flow_objs[key] for key in flow_keys.tolist()]
@@ -665,19 +636,11 @@ class ArraysState:
         ent_used = np.zeros(touched_ents.size)
         ent_bytes[ent_keys] = [entry.byte_count for entry in entries]
         ent_used[ent_keys] = [entry.last_used_at for entry in entries]
-        for streams, rates, segments in frames:
-            (keys, src_host, dst_host, hop_dir, hop_flow,
-             ent_idx, ent_flow) = streams
+        for (keys, ent_idx, ent_flow), rates, segments in frames:
             ent_busy = ent_idx[rates[ent_flow] > 0]
             for dt, seg_now in segments:
                 moved = rates * dt / 8.0
                 delivered[keys] += moved      # one row per flow per seal
-                np.add.at(host_tx, src_host, moved)
-                np.add.at(host_rx, dst_host, moved)
-                per_hop = moved[hop_flow]
-                np.add.at(carried, hop_dir, per_hop)
-                np.add.at(port_tx, hop_dir, per_hop)
-                np.add.at(port_rx, hop_dir, per_hop)
                 if ent_idx.size:
                     np.add.at(ent_bytes, ent_idx, moved[ent_flow])
                     ent_used[ent_busy] = seg_now
@@ -687,15 +650,6 @@ class ArraysState:
                                       ent_used[ent_keys].tolist()):
             entry.byte_count = count
             entry.last_used_at = used
-        for direction, total, tx, rx in zip(dirs, carried.tolist(),
-                                            port_tx.tolist(),
-                                            port_rx.tolist()):
-            direction.bytes_carried = total
-            direction.src_port.tx_bytes = tx
-            direction.dst_port.rx_bytes = rx
-        for host, tx, rx in zip(hosts, host_tx.tolist(), host_rx.tolist()):
-            host.tx_bytes = tx
-            host.rx_bytes = rx
         retired, self._retired = self._retired, []
         for slot in retired:
             self._release(slot)

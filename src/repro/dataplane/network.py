@@ -280,11 +280,12 @@ class Network:
         """Deactivate a flow now and trigger reallocation."""
         if not flow.active:
             return
-        self.mark_accrual(self.now)
+        now = self.now
+        self.mark_accrual(now)
         self._seal_accrual()
         # Loads and host rates read until the recompute keep the rates
-        # from before the stop.
-        self.realloc.settle(flow)
+        # from before the stop; the byte counters they feed stop here.
+        self.realloc.settle(flow, now)
         flow.active = False
         flow.rate_bps = 0.0
         state = self.realloc._arrays
@@ -447,9 +448,10 @@ class Network:
         """Integrate flow rates into byte counters up to ``now``.
 
         Public contract unchanged: counters are current on return.
-        This is a *read point* of the accrual timeline — the elapsed
-        segment is sealed like any other and the whole sealed timeline
-        replayed; :meth:`recompute` and :meth:`stop_flow` only seal.
+        This is a *read point*: the elapsed segment is sealed like any
+        other and the whole sealed timeline replayed into flow and
+        entry counters, and every rate span is written out;
+        :meth:`recompute` and :meth:`stop_flow` only seal.
         """
         self.mark_accrual(now)
         self._flush_accrual()
@@ -459,7 +461,7 @@ class Network:
         without bringing any counter current — what :meth:`accrue`
         does first, and all an observer of *rates* (the stats sampler)
         needs: the segment boundary is part of the float arithmetic of
-        every byte counter, the replay is not.
+        every flow and entry counter, the replay is not.
 
         Quotient mode never defers: class-level accrual is already one
         batched pass, and the quotient owns the counter bookkeeping.
@@ -470,9 +472,8 @@ class Network:
         self._last_accrual = now
         quotient = self.realloc.quotient
         if quotient is not None and quotient.active:
-            # Quotient mode: one accrual per flow class.  Per-hop/port
-            # byte counters are not maintained here — the runner only
-            # activates the quotient for protocols that never read them.
+            # Quotient mode: one accrual per flow class.  Direction,
+            # port and host spans are closed until the materialize.
             quotient.accrue(dt, now)
             return
         self._pending_accrual.append((dt, now))
@@ -485,21 +486,22 @@ class Network:
             self.realloc.seal_accrual(segments)
 
     def _flush_accrual(self) -> None:
-        """A read point: seal what is pending, replay what is sealed."""
+        """A read point: seal what is pending, replay what is sealed,
+        write every span out as of the last segment's end."""
         self._seal_accrual()
         self.realloc.replay_accrual()
+        self.realloc.publish_spans(self._last_accrual)
 
     def finalize_accounting(self) -> None:
         """Materialize any active quotient state back onto concrete
-        flows and bring the byte counters current with everything
-        accrued so far (no-ops otherwise).  Callers reading per-flow
-        bytes after a run (the scenario runner, result extraction) go
-        through this.
+        flows, then bring the byte counters current with everything
+        accrued so far.  Callers reading per-flow bytes after a run (the
+        scenario runner, result extraction) go through this.
         """
-        self._flush_accrual()
         quotient = self.realloc.quotient
         if quotient is not None:
             quotient.materialize()
+        self._flush_accrual()
 
     def aggregate_rx_rate(self) -> float:
         """Total rate arriving at all hosts (bps) — the demo's metric."""
@@ -526,9 +528,6 @@ class Network:
         the action list to concrete ports and hands the result here.
         """
         sim = self._require_sim()
-        # Packet bytes land on port counters the accrual timeline also
-        # writes, and float adds do not commute: sealed segments first.
-        self.realloc.replay_accrual()
         many = len(outputs) > 1
         for port_no, out_packet in outputs:
             port = origin.ports.get(port_no)
@@ -536,19 +535,22 @@ class Network:
                 continue
             to_send = copy.deepcopy(out_packet) if many else out_packet
             port.tx_packets += 1
-            port.tx_bytes += to_send.size
-            peer = port.peer()
+            # Packet bytes settle on the port counters the direction's
+            # rate span also writes.
+            direction = port.link.direction_from(port)
+            self.realloc.credit_packet(direction, port, to_send.size)
             self.packets_forwarded += 1
             sim.scheduler.after(
                 port.link.delay,
-                lambda p=peer, pkt=to_send: self._packet_arrives(p, pkt),
+                lambda d=direction, pkt=to_send: self._packet_arrives(d, pkt),
                 label="packet hop",
             )
 
-    def _packet_arrives(self, peer_port, packet: "Packet") -> None:
-        self.realloc.replay_accrual()
+    def _packet_arrives(self, direction: LinkDirection,
+                        packet: "Packet") -> None:
+        peer_port = direction.dst_port
         peer_port.rx_packets += 1
-        peer_port.rx_bytes += packet.size
+        self.realloc.credit_packet(direction, peer_port, packet.size)
         self.inject_packet(peer_port.node, peer_port.number, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

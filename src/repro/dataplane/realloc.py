@@ -43,28 +43,35 @@ its connected component.
 pure functions of the cached walks and their rates, so no recompute
 writes them: :meth:`ReallocEngine.derived` sums one on first read (over
 every flow on it, in flow-id order — the adds a rebuild of everything
-makes) and caches it.  A recompute drops what it may have moved — the
-directions a seed or a re-assigned flow crosses, the hosts of re-walked
-or re-assigned flows — and a full recompute drops everything.  Two
-changes of a flow's rate happen outside a recompute, and both settle
-the affected values first so a read keeps seeing the last recompute's
-snapshot: ``Network.stop_flow`` (that flow's directions and hosts) and
-:meth:`ReallocEngine.forget` (all of them).
+makes) and caches it.  A recompute re-derives what it moved — the
+directions and hosts of every flow whose walk or rate changed (any
+other sum adds the same rates in the same order as before) — and a
+full recompute everything.  A change of a flow's rate outside a
+recompute, ``Network.stop_flow``, settles that flow's directions and
+hosts first, so a read keeps seeing the last recompute's snapshot; the
+recompute that evicts the flow drops them.
 
-All of that is one delta path, the same Python adds for both kernels.
-What the kernel decides is who solves a contended component and how
-bytes accrue: the struct-of-arrays mirror (:mod:`repro.dataplane.arrays`)
-when numpy imports and the network has registered ``ARRAYS_MIN_FLOWS``
-flows or more, the scalar kernel of :mod:`repro.dataplane.solver` and
-the per-flow accrual below that size, without numpy or when
-``kernel="heap"`` forces it.
+**Their byte counters grow per rate span.**  A direction's
+``bytes_carried`` and its ports' ``tx_bytes`` / ``rx_bytes``, and a
+host's ``rx_bytes`` / ``tx_bytes``, are one span per owner: the value
+the derivation sums, the time it took that value, and the bytes settled
+before.  The end of a recompute re-sums every owner it moved and
+closes the span of each whose sum changed; ``stop_flow`` does the same
+for the stopped flow's owners at the stop; a read point writes
+``settled + value · (now − since) / 8`` without moving ``since``.  So a
+counter is a function of the rate history alone, one multiply per
+constant-rate span, whoever reads it when.  Flows' ``delivered_bytes``
+and flow-table entry counters stay on the per-segment timeline below:
+fingerprints and Hedera's polls read them.
 
 A symmetry quotient's class-level updates move capacities without
 classifying anything, so the engine forgets its flags whenever one
 happens and re-derives them all at the concrete recompute that follows
 the hand-back (as after ``forget()``).  They move class rates too, so
 they drop every derived value, and while the quotient holds a
-derivation reads each flow's class rate.
+derivation reads each flow's class rate.  Spans close when a quotient
+activates; a materialize credits each member flow's bytes earned since
+and reopens them.
 
 A *full* recompute runs through the same classify-partition-solve code
 with every active flow marked dirty and no flag known, so the
@@ -81,6 +88,7 @@ unconnected port, say).
 
 from __future__ import annotations
 
+from array import array
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple, Union, TYPE_CHECKING
 
@@ -138,9 +146,10 @@ class _CachedWalk:
 
 
 def _accrue_scalar(flows: List[FluidFlow], segments: List[tuple]) -> None:
-    """Integrate ``flows``' rates over ``(dt, now)`` segments, object by
-    object: what the sealed timeline replays in bulk, in the same visit
-    order (flow id, hops and entries in path order)."""
+    """Integrate ``flows``' rates into their own and their flow-table
+    entries' counters over ``(dt, now)`` segments, object by object:
+    what the sealed timeline replays in bulk, in the same visit order
+    (flow id, entries in path order)."""
     for dt, seg_now in segments:
         for flow in flows:
             if (not flow.active or flow.path is None
@@ -150,15 +159,68 @@ def _accrue_scalar(flows: List[FluidFlow], segments: List[tuple]) -> None:
                 continue
             transferred = flow.rate_bps * dt / 8.0  # bits -> bytes
             flow.delivered_bytes += transferred
-            flow.src.tx_bytes += transferred
-            flow.dst.rx_bytes += transferred
-            for hop in flow.path.hops:
-                hop.bytes_carried += transferred
-                hop.src_port.tx_bytes += transferred
-                hop.dst_port.rx_bytes += transferred
             for __, entry in flow.path.entries:
                 entry.byte_count += transferred
                 entry.last_used_at = seg_now
+
+
+class _DirectionSpan(array):
+    """A direction's byte counters as a rate span: ``[since, load,
+    carried, port tx, port rx]`` — at any time ``t`` until the load next
+    moves, ``bytes_carried``, the source port's ``tx_bytes`` and the
+    destination port's ``rx_bytes`` hold their settled bytes plus
+    ``load · (t − since) / 8``.  Plain doubles: one object per owner."""
+
+    __slots__ = ()
+    CARRIED, TX, RX = 2, 3, 4
+
+    def __new__(cls, since: float) -> "_DirectionSpan":
+        return super().__new__(cls, "d", (since, 0.0, 0.0, 0.0, 0.0))
+
+    def publish(self, direction: "LinkDirection", now: float) -> None:
+        moved = self[1] * (now - self[0]) / 8.0
+        direction.bytes_carried = self[2] + moved
+        direction.src_port.tx_bytes = self[3] + moved
+        direction.dst_port.rx_bytes = self[4] + moved
+
+    def move(self, direction: "LinkDirection", load: float,
+             now: float) -> None:
+        """Take ``load`` from ``now`` on; a span whose load moves closes
+        there first."""
+        if load != self[1]:
+            self.publish(direction, now)
+            self[0] = now
+            self[1] = load
+            self[2] = direction.bytes_carried
+            self[3] = direction.src_port.tx_bytes
+            self[4] = direction.dst_port.rx_bytes
+
+
+class _HostSpan(array):
+    """A host's byte counters as a rate span: ``[since, rx rate, tx
+    rate, rx, tx]``, like :class:`_DirectionSpan`'s."""
+
+    __slots__ = ()
+    RX, TX = 3, 4
+
+    def __new__(cls, since: float) -> "_HostSpan":
+        return super().__new__(cls, "d", (since, 0.0, 0.0, 0.0, 0.0))
+
+    def publish(self, host: Host, now: float) -> None:
+        elapsed = now - self[0]
+        host.rx_bytes = self[3] + self[1] * elapsed / 8.0
+        host.tx_bytes = self[4] + self[2] * elapsed / 8.0
+
+    def move(self, host: Host, rates: Tuple[float, float],
+             now: float) -> None:
+        rx, tx = rates
+        if rx != self[1] or tx != self[2]:
+            self.publish(host, now)
+            self[0] = now
+            self[1] = rx
+            self[2] = tx
+            self[3] = host.rx_bytes
+            self[4] = host.tx_bytes
 
 
 class ReallocEngine:
@@ -179,6 +241,14 @@ class ReallocEngine:
         # Values derived on read (see derived()): a direction's load, a
         # host's (rx, tx); an entry lives until a change drops it.
         self._derived: Dict[object, Union[float, Tuple[float, float]]] = {}
+        # Their byte counters, one rate span per owner (see respan()),
+        # and the time the last read point published them.
+        self._spans: Dict[object, Union[_DirectionSpan, _HostSpan]] = {}
+        self._read_at: Optional[float] = None
+        # The directions and hosts of the flows stopped at _stopped_at,
+        # whose spans close there (see settle()).
+        self._stopped: set = set()
+        self._stopped_at: Optional[float] = None
         # The directions that couple flows (offered load can reach
         # capacity); None while no flag is known.
         self._contended: Optional[Set["LinkDirection"]] = None
@@ -239,54 +309,32 @@ class ReallocEngine:
         self._pending[flow.id] = flow
 
     def forget(self) -> None:
-        """Drop all cached state (next recompute is full)."""
-        if self.quotient is not None:
-            self.quotient.materialize()
-        # Reads until that recompute see what they saw before: every
-        # value is derived while the index still holds it.
-        for direction in self._dir_flows:
-            self.derived(direction)
-        for host in self.network._nodes_of(Host):
-            self.derived(host)
-        # Flows keep their rates until that recompute; with the mirror
-        # gone seal_accrual integrates them object by object meanwhile.
-        self._clear_cache()
+        """Drop all cached state at the next recompute, which is full.
+        Until then every read, stop and accrual sees what it saw before."""
         self._seen_topo_epoch = None
-        self._pending.clear()
-
-    def _clear_cache(self) -> None:
-        if self._arrays is not None:
-            # Until the next mirror the scalar accrual integrates what
-            # the cache holds now (forget() keeps the rates).
-            self._drop_mirror()
-            self.network._accruing = self._accruing()
-        self._cache.clear()
-        self._node_flows.clear()
-        self._link_flows.clear()
-        self._dir_flows.clear()
-        self._contended = None
-        self.undelivered = 0
 
     # -- derived on read ----------------------------------------------------
 
     def derived(self, owner: "Union[LinkDirection, Host]"):
         """``owner``'s load when it is a direction, its ``(rx, tx)``
         rates when it is a host — summed on first read and cached until
-        a change drops it.
-
-        The sum is the one a rebuild of everything makes: every flow on
-        ``owner`` in flow-id order (a twice-crossed hop added twice, the
-        undelivered flows at a host skipped), each at its class rate
-        while a symmetry quotient holds.  A host forwards nothing, so
-        the walks that visited it (the node index) are the flows it
-        sends, and those that ended at it.
-        """
+        a change drops it, each flow at its class rate while a symmetry
+        quotient holds."""
         value = self._derived.get(owner)
-        if value is not None:
-            return value
-        quotient = self.quotient
-        rate_of = (quotient.rate_of if quotient is not None and quotient.active
-                   else _rate_bps)
+        if value is None:
+            quotient = self.quotient
+            value = self._derived[owner] = self._sum(
+                owner, quotient.rate_of
+                if quotient is not None and quotient.active else _rate_bps)
+        return value
+
+    def _sum(self, owner: "Union[LinkDirection, Host]", rate_of):
+        """The sum a rebuild of everything makes, of the rates
+        ``rate_of`` reads: every flow on ``owner`` in flow-id order (a
+        twice-crossed hop added twice, the undelivered flows at a host
+        skipped).  A host forwards nothing, so the walks that visited
+        it (the node index) are the flows it sends, and those that
+        ended at it."""
         cache = self._cache
         if isinstance(owner, Host):
             rx = tx = 0.0
@@ -298,28 +346,129 @@ class ReallocEngine:
                         rx += rate_of(flow)
                     if flow.src is owner:
                         tx += rate_of(flow)
-            value = (rx, tx)
-        else:
-            value = 0.0
-            for fid in sorted(self._dir_flows.get(owner, ())):
-                entry = cache[fid]
-                rate = rate_of(entry.flow)
-                for hop in entry.dirs:
-                    if hop is owner:
-                        value += rate
-        self._derived[owner] = value
+            return (rx, tx)
+        value = 0.0
+        for fid in sorted(self._dir_flows.get(owner, ())):
+            entry = cache[fid]
+            rate = rate_of(entry.flow)
+            value += rate
+            crossings = entry.dirs.count(owner)
+            while crossings > 1:
+                value += rate
+                crossings -= 1
         return value
 
-    def settle(self, flow: FluidFlow) -> None:
-        """Derive ``flow``'s directions and endpoint hosts now:
-        ``Network.stop_flow`` zeroes its rate before the recompute that
-        evicts it, and reads until then see the rates from before."""
+    def settle(self, flow: FluidFlow, now: float) -> None:
+        """``Network.stop_flow`` is about to zero ``flow``'s rate, before
+        the recompute that evicts it: derive its directions and endpoint
+        hosts now, so reads until then see the rates from before, and
+        close their spans at ``now``.  The flows stopped at one instant
+        close together, at the next thing that reads or moves a span
+        (:meth:`_close_stopped`): removing rates from a sum can only
+        lower it, so one close at the end equals a close per stop."""
+        if now != self._stopped_at:
+            self._close_stopped()
         entry = self._cache.get(flow.id)
+        owners = [flow.src, flow.dst]
         if entry is not None:
-            for direction in entry.dirs:
-                self.derived(direction)
-        self.derived(flow.src)
-        self.derived(flow.dst)
+            owners += entry.dirs
+        for owner in owners:
+            self.derived(owner)
+        quotient = self.quotient
+        if quotient is None or not quotient.active:
+            self._stopped.update(owners)
+            self._stopped_at = now
+
+    def _close_stopped(self) -> None:
+        """Re-sum the stopped flows' directions and hosts and close the
+        spans that moved, at the stop."""
+        if self._stopped:
+            owners, self._stopped = self._stopped, set()
+            self.respan(owners, self._stopped_at)
+
+    # -- byte counters from rate spans --------------------------------------
+
+    def respan(self, owners, now: float, derived=None) -> None:
+        """Re-sum ``owners`` at their flows' rates now, storing each sum
+        in ``derived`` when given; an owner whose sum moved closes its
+        span at ``now`` and opens the next at the new value.  While a
+        quotient holds the spans stay closed (see :meth:`close_spans`)."""
+        quotient = self.quotient
+        if quotient is not None and quotient.active:
+            return
+        for owner in owners:
+            value = self._sum(owner, _rate_bps)
+            if derived is not None:
+                derived[owner] = value
+            self._span(owner, now).move(owner, value, now)
+
+    def _span(self, owner, since: float) -> Union[_DirectionSpan, _HostSpan]:
+        """``owner``'s span; a new one at zero from ``since`` if it has
+        none."""
+        span = self._spans.get(owner)
+        if span is None:
+            span = self._spans[owner] = (
+                _HostSpan(since) if isinstance(owner, Host)
+                else _DirectionSpan(since))
+        return span
+
+    def _owners(self) -> set:
+        """Every direction and host a span or a cached walk names."""
+        owners = set(self._spans)
+        owners.update(self._dir_flows)
+        for entry in self._cache.values():
+            owners.add(entry.flow.src)
+            owners.add(entry.flow.dst)
+        return owners
+
+    def close_spans(self, now: float) -> None:
+        """A quotient takes over: settle every span at ``now`` and hold
+        it at zero until :meth:`reopen_spans`."""
+        for owner, span in self._spans.items():
+            span.move(owner, (0.0, 0.0) if isinstance(owner, Host) else 0.0,
+                      now)
+
+    def reopen_spans(self, now: float) -> None:
+        """The quotient materialized: every owner's span restarts at
+        ``now`` from the concrete rates."""
+        self.respan(self._owners(), now)
+
+    def credit_packet(self, direction: "LinkDirection", port,
+                      size: int) -> None:
+        """A packet's bytes, sent from ``direction``'s source port or
+        received at its destination port (``port``), on that port's
+        settled counter; the next read point writes it out."""
+        self._close_stopped()
+        self._read_at = None
+        end = (_DirectionSpan.TX if port is direction.src_port
+               else _DirectionSpan.RX)
+        self._span(direction, 0.0)[end] += size
+
+    def credit_flow(self, flow: FluidFlow, earned: float) -> None:
+        """What ``flow`` earned while a symmetry quotient held, on the
+        settled counters its spans would have fed: its hosts', its
+        directions' and their ports'."""
+        self._close_stopped()
+        self._read_at = None
+        self._span(flow.src, 0.0)[_HostSpan.TX] += earned
+        self._span(flow.dst, 0.0)[_HostSpan.RX] += earned
+        for hop in flow.path.hops:
+            span = self._span(hop, 0.0)
+            span[_DirectionSpan.CARRIED] += earned
+            span[_DirectionSpan.TX] += earned
+            span[_DirectionSpan.RX] += earned
+
+    def publish_spans(self, now: float) -> None:
+        """A read point: write every span's counters as of ``now``
+        without moving ``since``.  Once per instant: a span that closes
+        at that instant writes its own, and a credit makes the next read
+        point write them all."""
+        self._close_stopped()
+        if now == self._read_at:
+            return
+        self._read_at = now
+        for owner, span in self._spans.items():
+            span.publish(owner, now)
 
     def _drop_mirror(self) -> None:
         """Discard the struct-of-arrays mirror (the next arrays-kernel
@@ -347,11 +496,12 @@ class ReallocEngine:
     # -- the sealed accrual timeline ---------------------------------------
 
     def seal_accrual(self, segments: List[tuple]) -> None:
-        """Close the elapsed ``(dt, now)`` segments against the current
-        rates and incidence: sealed on the mirror for a later vectorized
-        replay, or — no mirror: numpy is missing, the ``heap`` kernel is
-        forced, or :meth:`forget` dropped it — applied here by the
-        scalar loop, the accrual of the scalar kernel."""
+        """Close the elapsed ``(dt, now)`` segments of flow and entry
+        bytes against the current rates and incidence: sealed on the
+        mirror for a later vectorized replay, or — no mirror: numpy is
+        missing, the ``heap`` kernel is forced, or a full recompute
+        dropped it — applied here by the scalar loop, the accrual of
+        the scalar kernel."""
         state = self._arrays
         if state is None:
             _accrue_scalar(self.network._accruing, segments)
@@ -362,7 +512,8 @@ class ReallocEngine:
             self.replay_accrual()
 
     def replay_accrual(self) -> None:
-        """Bring the byte counters current with the sealed timeline."""
+        """Bring flow and entry counters current with the sealed
+        timeline."""
         state = self._arrays
         if state is not None and state.sealed:
             with span("realloc.accrue", segments=len(state.sealed)):
@@ -380,6 +531,7 @@ class ReallocEngine:
 
     def _recompute(self, now: float, full: bool) -> None:
         net = self.network
+        self._close_stopped()
         if self._seen_topo_epoch != net.topo_epoch:
             self._seen_topo_epoch = net.topo_epoch
             full = True
@@ -398,7 +550,13 @@ class ReallocEngine:
             if self.quotient is not None:
                 self.quotient.materialize()
             self.full_recomputes += 1
-            self._clear_cache()
+            self._drop_mirror()
+            self._cache.clear()
+            self._node_flows.clear()
+            self._link_flows.clear()
+            self._dir_flows.clear()
+            self._contended = None
+            self.undelivered = 0
             dirty = {flow.id: flow for flow in net.flows if flow.active}
             # Resync: every epoch is seen, nothing is left touched.
             for name, node in net.nodes.items():
@@ -436,7 +594,7 @@ class ReallocEngine:
         self._pending.clear()
 
         # Keep the struct-of-arrays mirror in lockstep with the cache
-        # (created lazily — after every full recompute or forget(),
+        # (created lazily — after every full recompute,
         # empty; after a kernel switch or a quotient materialize,
         # bulk-interning surviving walks — and dropped when the kernel
         # switches away so it cannot go stale).
@@ -455,9 +613,15 @@ class ReallocEngine:
 
         # Re-walk dirty flows (in id order, for deterministic PACKET_IN
         # ordering), collecting the seed directions of the re-solve and
-        # the flows it starts from.
+        # the flows it starts from — and the directions and hosts whose
+        # sums this recompute moves: those of every flow whose walk or
+        # rate changes.  A stopped flow's were re-summed at its stop;
+        # only their derived values, kept from before it, are left to
+        # drop.
         seed_dirs: Set["LinkDirection"] = set()
         starts: Set[int] = set()
+        moved: set = set()
+        stopped: list = []
         for fid in sorted(dirty):
             flow = dirty[fid]
             old = self._cache.pop(fid, None)
@@ -467,6 +631,7 @@ class ReallocEngine:
             if not flow.active:
                 if state is not None:
                     state.drop_flow(fid)
+                stopped += (flow.src, flow.dst, *(old.dirs if old else ()))
                 continue  # stopped: rate already zeroed by the network
             result = net.compute_path(flow)
             flow.path = result
@@ -476,6 +641,12 @@ class ReallocEngine:
             entry = _CachedWalk(flow, result)
             self._cache[fid] = entry
             self._index(fid, entry)
+            if (old is None or old.delivered != entry.delivered
+                    or old.dirs != entry.dirs):
+                moved.update(entry.dirs)
+                moved.update(old.dirs if old else ())
+                moved.add(flow.src)
+                moved.add(flow.dst)
             if entry.delivered:
                 # A re-walk that changed nothing keeps its frozen row.
                 if state is not None and not entry.same_row(old):
@@ -485,7 +656,7 @@ class ReallocEngine:
             else:
                 if state is not None:
                     state.drop_flow(fid)
-                self._assign((flow,), (0.0,))
+                self._assign((flow,), (0.0,), moved)
         for link in cap_dirty_links:
             seed_dirs.add(link.forward)
             seed_dirs.add(link.reverse)
@@ -550,7 +721,7 @@ class ReallocEngine:
         self.flows_unconstrained += len(free)
         rates = [flow.demand_bps if flow.demand_bps > EPSILON else 0.0
                  for flow in free]
-        self._assign(free, rates)
+        self._assign(free, rates, moved)
         if state is not None:
             for flow, rate in zip(free, rates):
                 state.set_rate(flow.id, rate)
@@ -568,35 +739,33 @@ class ReallocEngine:
                         rates = self._solve_component(entries, contended)
                     else:
                         rates = state.solve_component(comp, over)
-                    self._assign([entry.flow for entry in entries], rates)
+                    self._assign([entry.flow for entry in entries], rates,
+                                 moved)
                 sp.set(flows=self.flows_solved - solved)
 
-        # Drop the derived values this recompute may have moved: the
-        # load of every seed and of every direction a re-assigned flow
-        # crosses (an uncontended direction is shared by flows of
-        # several components and by flows nobody re-solved), the rates
-        # of every host of a re-walked or re-assigned flow — all of
-        # them after a full recompute, whose index starts from nothing.
+        if state is None:
+            net._accruing = self._accruing()
+        quotient = self.quotient
+        if quotient is not None:
+            # One that takes over closes every span at the rates that
+            # held until now.
+            quotient.rebuild(now)
+
+        # Re-derive what moved and close the span of each that did — all
+        # of it after a full recompute, whose index starts from nothing.
+        # Under a quotient they are derived on read, from its class rates.
         derived = self._derived
         if full:
             derived.clear()
-        elif derived:
-            for direction in seed_dirs:
-                derived.pop(direction, None)
-            moved = list(dirty.values())
-            for fid in placed:
-                entry = cache[fid]
-                moved.append(entry.flow)
-                for direction in entry.dirs:
-                    derived.pop(direction, None)
-            for flow in moved:
-                derived.pop(flow.src, None)
-                derived.pop(flow.dst, None)
-        if state is None:
-            net._accruing = self._accruing()
-
-        if self.quotient is not None:
-            self.quotient.rebuild(now)
+            moved = self._owners()
+        else:
+            for owner in stopped:
+                derived.pop(owner, None)
+        if quotient is not None and quotient.active:
+            for owner in moved:
+                derived.pop(owner, None)
+        else:
+            self.respan(moved, now, derived)
 
     # -- internals --------------------------------------------------------
 
@@ -680,12 +849,17 @@ class ReallocEngine:
         return offered > direction.capacity_bps * (
             1.0 - _arrays.CONTENTION_MARGIN)
 
-    def _assign(self, flows, rates) -> None:
-        """Write ``rates`` onto ``flows``, counting the ones that moved."""
+    def _assign(self, flows, rates, moved: set) -> None:
+        """Write ``rates`` onto ``flows``, counting the ones that moved
+        and adding their directions and hosts to ``moved``."""
+        cache = self._cache
         for flow, rate in zip(flows, rates):
             if flow.rate_bps != rate:
                 flow.rate_bps = rate
                 self.rates_changed += 1
+                moved.update(cache[flow.id].dirs)
+                moved.add(flow.src)
+                moved.add(flow.dst)
 
     def _solve_component(self, entries: List[_CachedWalk],
                          contended: Set["LinkDirection"]) -> List[float]:

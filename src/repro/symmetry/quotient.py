@@ -59,9 +59,10 @@ exactly, not approximately:
   ``delivered_bytes`` (equality of the bases is part of the seed
   colors, so it is checked, not assumed).
 
-Host, port and direction byte counters lag while the quotient holds;
-a materialize credits them each member flow's bytes earned since the
-rebuild, so ``finalize_accounting()`` leaves them current.  Flow-table
+Host, port and direction byte counters lag while the quotient holds:
+their rate spans close when it activates, and a materialize credits
+them each member flow's bytes earned since, then reopens the spans, so
+``finalize_accounting()`` leaves them current.  Flow-table
 ``byte_count`` and ``last_used_at`` are never maintained on the fast
 path; the quotient therefore only activates for protocols without
 flow-table timeout or stats coupling ("none", "static") — the runner
@@ -274,8 +275,11 @@ class QuotientState:
         self._flow_class_of = {flow.id: fc for fc in flow_classes
                                for flow in fc.flows}
         # Class-level rate and capacity changes never reach the arrays
-        # mirror; the engine re-interns it after materialize().
+        # mirror; the engine re-interns it after materialize().  They
+        # never reach a rate span either: the spans close here and the
+        # members' bytes are credited at the materialize.
         engine._drop_mirror()
+        engine.close_spans(now)
         self.active = True
         self.reason = None
         self._snapshot = {
@@ -298,6 +302,7 @@ class QuotientState:
 
     def _materialize(self) -> None:
         engine = self.engine
+        credit = engine.credit_flow
         for fc in self.flow_classes:
             rate = fc.rate
             delivered = fc.delivered
@@ -308,22 +313,20 @@ class QuotientState:
                 if flow.active:
                     flow.rate_bps = rate
                 # What the flow earned while the quotient held goes to
-                # the counters the concrete accrual would have fed.
+                # the counters its spans would have fed.
                 earned = delivered - flow.delivered_bytes
                 flow.delivered_bytes = delivered
                 if earned:
-                    flow.src.tx_bytes += earned
-                    flow.dst.rx_bytes += earned
-                    for hop in flow.path.hops:
-                        hop.bytes_carried += earned
-                        hop.src_port.tx_bytes += earned
-                        hop.dst_port.rx_bytes += earned
+                    credit(flow, earned)
         # Loads and host rates need nothing: read from here on, they
         # derive from the rates just written, which equal the class
         # rates they derived from while the quotient held.
         engine.network._accruing = engine._accruing()
         self.active = False
         self.reason = "materialized"
+        # Class accrual ran up to the last segment's end: the spans
+        # reopen there.
+        engine.reopen_spans(engine.network._last_accrual)
 
     # -- the fast path -----------------------------------------------------
 
@@ -401,8 +404,8 @@ class QuotientState:
     def accrue(self, dt: float, now: float) -> None:
         """One accrual step per class — the same ``rate * dt / 8.0``
         float expression every member flow would apply to an identical
-        accumulator.  (Host, port and direction counters catch up at
-        materialize; flow-table counters are not maintained, and the
+        accumulator.  (Host, port and direction counters are credited
+        at materialize; flow-table counters are not maintained, and the
         runner only activates the quotient where nothing reads them.)
         """
         for fc in self.flow_classes:

@@ -41,6 +41,7 @@ from repro.scenarios import (
     TrafficRecipe,
 )
 from repro.scenarios.runner import _EPS
+from span_reference import SpanReference, counters as span_counters
 from test_incremental_realloc import (
     _Driver,
     _SwitchDriver,
@@ -328,9 +329,11 @@ def test_push_misses_nothing_under_switch_churn(ops):
 
 def scalar_seal(engine, segments):
     """The per-flow loop of the pre-PR-16 ``Network._seal_accrual`` —
-    what ran whenever a live flow walked flow-table entries — verbatim,
-    over the engine's delivered cached flows in flow-id order, after
-    whatever was still sealed so segment order is preserved."""
+    what ran whenever a live flow walked flow-table entries — over the
+    engine's delivered cached flows in flow-id order, after whatever was
+    still sealed so segment order is preserved.  It feeds the counters
+    the timeline still feeds, flows' and entries'; direction, port and
+    host counters are rate spans, held to ``span_reference``."""
     engine.replay_accrual()
     accruing = [entry.flow for __, entry in sorted(engine._cache.items())
                 if entry.delivered]
@@ -343,12 +346,6 @@ def scalar_seal(engine, segments):
                 continue
             transferred = flow.rate_bps * dt / 8.0  # bits -> bytes
             flow.delivered_bytes += transferred
-            flow.src.tx_bytes += transferred
-            flow.dst.rx_bytes += transferred
-            for hop in flow.path.hops:
-                hop.bytes_carried += transferred
-                hop.src_port.tx_bytes += transferred
-                hop.dst_port.rx_bytes += transferred
             for __, entry in flow.path.entries:
                 entry.byte_count += transferred
                 entry.last_used_at = seg_now
@@ -357,7 +354,8 @@ def scalar_seal(engine, segments):
 def _hedera_entry_counters(monkeypatch, oracle):
     """Every switch's entry counters at every stats reply of a k=4
     Hedera run with a flow that stops mid-run and a link that fails,
-    then every byte counter at the end — as hex."""
+    then every byte counter at the end — as hex — and the direction,
+    port and host counters the span reference computes."""
     from repro.api import Experiment
     from repro.controllers import HederaApp
     from repro.dataplane.realloc import ReallocEngine
@@ -389,32 +387,44 @@ def _hedera_entry_counters(monkeypatch, oracle):
     exp.add_flow(hosts[1], hosts[-2], 3e8, start_time=2.0, duration=9.0)
     exp.fail_link("a0_0", "c0_0", at=12.0)
     exp.add_stats(interval=0.5)
+    reference = SpanReference(exp.network, monkeypatch)
     exp.run(until=32.0)
     network = exp.network
     network.finalize_accounting()
     closing = (
         [flow.delivered_bytes.hex() for flow in network.flows],
-        [(d.bytes_carried.hex(), d.src_port.tx_bytes.hex(),
-          d.dst_port.rx_bytes.hex()) for d in network._all_directions()],
+        _hexed(span_counters(network)),
         [(entry.byte_count.hex(), entry.last_used_at.hex())
          for switch in network.switches()
          for entry in switch.table.entries()])
-    return snapshots, closing, network.realloc.stats
+    spans = _hexed(reference.counters(network._last_accrual))
+    return snapshots, closing, spans, network.realloc.stats
+
+
+def _hexed(counters):
+    return [tuple(value.hex() for value in values)
+            for values in counters.values()]
 
 
 def test_entry_counters_equal_the_per_flow_loop(monkeypatch):
-    timeline, closing, stats = _hedera_entry_counters(monkeypatch, False)
+    timeline, closing, spans, stats = _hedera_entry_counters(monkeypatch,
+                                                             False)
     monkeypatch.undo()
     # undo() also undid this directory's threshold pin: the oracle run
     # must see the same kernel, with a mirror beside its loop.
     monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", 0)
-    loop, loop_closing, loop_stats = _hedera_entry_counters(monkeypatch, True)
+    loop, loop_closing, loop_spans, loop_stats = _hedera_entry_counters(
+        monkeypatch, True)
     assert len(timeline) == 8 * 6            # 8 edge switches, 6 polls
     assert any(float.fromhex(count) > 0 and float.fromhex(used) > 0
                for __, __, entries in timeline
                for __, __, count, used, __ in entries)
     assert timeline == loop
     assert closing == loop_closing
+    # Direction, port and host counters: the span rule, bit for bit.
+    assert closing[1] == spans == loop_spans
+    assert any(float.fromhex(value) > 0 for values in spans
+               for value in values)
     # The timeline really was the path taken, and the loop the oracle's.
     assert stats["accrual_segments"] > 0 and stats["accrual_replays"] > 0
     assert loop_stats["accrual_segments"] == loop_stats["accrual_replays"] == 0

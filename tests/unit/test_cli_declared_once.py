@@ -163,24 +163,29 @@ STORE_CREATING_REJECTS = {
         "--count", "0"],
     "search run": lambda path: [
         "search", "run", "--store", path, "--budget", "0"],
+    "search run topology": lambda path: [
+        "search", "run", "--store", path, "--topo-param", "bogus=1"],
     "fleet serve": lambda path: [
         "fleet", "serve", "--store", path, "--count", "0"],
+    "fleet serve chunk size": lambda path: [
+        "fleet", "serve", "--store", path, "--chunk-size", "0"],
     "store merge": lambda path: [
         "store", "merge", path, path + "_missing_source"],
 }
 
 
-@pytest.mark.parametrize("command", sorted(STORE_CREATING_REJECTS))
-def test_rejected_inputs_leave_no_store(tmp_path, command):
+@pytest.mark.parametrize("case", sorted(STORE_CREATING_REJECTS))
+def test_rejected_inputs_leave_no_store(tmp_path, case):
     """A command that creates its store rejects its inputs before it
     opens the store: one error line, exit 1, and no directory left
     for a later run to write into without saying so."""
     path = str(tmp_path / "store")
+    argv = STORE_CREATING_REJECTS[case](path)
     with pytest.raises(SystemExit) as excinfo:
-        run_cli(STORE_CREATING_REJECTS[command](path))
+        run_cli(argv)
     message = excinfo.value.code
     assert isinstance(message, str) and "\n" not in message
-    assert message.startswith(f"repro {command}: ")
+    assert message.startswith(f"repro {' '.join(argv[:2])}: ")
     assert not os.path.exists(path)
 
 
