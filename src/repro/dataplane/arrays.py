@@ -508,7 +508,7 @@ class ArraysState:
 
     def set_rate(self, fid: int, rate: float) -> None:
         """Mirror a rate assigned outside a solve: a flow handed its
-        demand, or ``stop_flow``'s zero (which seals first), so later
+        demand, or a stop's zero (which seals first), so later
         segments add what the flow now carries."""
         slot = self.slot_of.get(fid)
         if slot is not None:

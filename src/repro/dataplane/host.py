@@ -33,8 +33,6 @@ class Host(Node):
         self.ip = IPv4Address(ip)
         self.gateway = IPv4Address(gateway) if gateway is not None else None
         self.add_port(1)
-        self.rx_bytes = 0.0
-        self.tx_bytes = 0.0
         self.received_packets: List["Packet"] = []
 
     @property
@@ -51,6 +49,20 @@ class Host(Node):
         :attr:`rx_rate_bps`."""
         network = self.network
         return 0.0 if network is None else network.realloc.derived(self)[1]
+
+    @property
+    def rx_bytes(self) -> float:
+        """The bytes of the flows arriving here, as of the last accrual
+        — read through the host's rate span by the network's realloc
+        engine; 0 off a network."""
+        network = self.network
+        return 0.0 if network is None else network.realloc.counter(self, "rx")
+
+    @property
+    def tx_bytes(self) -> float:
+        """The bytes of the flows sent from here, like :attr:`rx_bytes`."""
+        network = self.network
+        return 0.0 if network is None else network.realloc.counter(self, "tx")
 
     @property
     def mac(self) -> MACAddress:

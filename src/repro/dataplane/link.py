@@ -10,6 +10,7 @@ downstream).
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.errors import TopologyError
@@ -22,16 +23,25 @@ GBPS = 1_000_000_000
 MBPS = 1_000_000
 
 
+def _checked_capacity(capacity_bps: float) -> float:
+    """``capacity_bps`` as a float, which must be finite and positive:
+    a NaN link would never be contended, an infinite one never full."""
+    value = float(capacity_bps)
+    if not (math.isfinite(value) and value > 0):
+        raise TopologyError(
+            f"link capacity must be finite and positive: {capacity_bps}")
+    return value
+
+
 class LinkDirection:
     """One direction of a link: src port -> dst port."""
 
-    __slots__ = ("link", "src_port", "dst_port", "bytes_carried")
+    __slots__ = ("link", "src_port", "dst_port")
 
     def __init__(self, link: "Link", src_port: "Port", dst_port: "Port"):
         self.link = link
         self.src_port = src_port
         self.dst_port = dst_port
-        self.bytes_carried = 0.0
 
     @property
     def current_load_bps(self) -> float:
@@ -40,6 +50,19 @@ class LinkDirection:
         realloc engine; 0 off a network."""
         network = self.link.network
         return 0.0 if network is None else network.realloc.derived(self)
+
+    @property
+    def bytes_carried(self) -> float:
+        """The bytes the flows crossing this direction carried, as of
+        the last accrual — read through its rate span by the network's
+        realloc engine; 0 off a network."""
+        return self.counter("carried")
+
+    def counter(self, slot: str) -> float:
+        """Byte counter ``slot`` (``carried``, or ``tx``/``rx`` of the
+        source/destination port) of this direction's rate span."""
+        network = self.link.network
+        return 0.0 if network is None else network.realloc.counter(self, slot)
 
     @property
     def capacity_bps(self) -> float:
@@ -85,17 +108,15 @@ class Link:
         capacity_bps: float = GBPS,
         delay: float = 0.000_05,
     ):
-        if capacity_bps <= 0:
-            raise TopologyError(f"link capacity must be positive: {capacity_bps}")
         if delay < 0:
             raise TopologyError(f"link delay must be non-negative: {delay}")
         self.id = next(self._ids)
         self.port_a = port_a
         self.port_b = port_b
-        self._capacity_bps = float(capacity_bps)
+        self._capacity_bps = _checked_capacity(capacity_bps)
         # The as-built capacity; gray-failure injection degrades
         # capacity_bps and restores it back to this.
-        self.nominal_capacity_bps = float(capacity_bps)
+        self.nominal_capacity_bps = self._capacity_bps
         self.delay = float(delay)
         self._up = True
         # Version epochs for the incremental reallocation engine:
@@ -133,7 +154,7 @@ class Link:
 
     @capacity_bps.setter
     def capacity_bps(self, value: float) -> None:
-        value = float(value)
+        value = _checked_capacity(value)
         if value != self._capacity_bps:
             self._capacity_bps = value
             self.cap_epoch += 1
@@ -176,9 +197,7 @@ class Link:
         degraded figure on the next reallocation.  ``nominal_capacity_bps``
         is untouched, so the degradation can be undone exactly.
         """
-        if capacity_bps <= 0:
-            raise TopologyError(f"link capacity must be positive: {capacity_bps}")
-        self.capacity_bps = float(capacity_bps)
+        self.capacity_bps = capacity_bps
 
     @classmethod
     def reset_ids(cls) -> None:

@@ -17,7 +17,8 @@ Reallocations themselves are *incremental* (PR 2): the
 :class:`~repro.dataplane.realloc.ReallocEngine` caches walked paths,
 re-walks only flows invalidated by epoch-tracked forwarding-state
 changes, and re-solves only the affected connected components of the
-flow/link sharing graph.
+flow/link sharing graph.  It owns byte accrual too: :meth:`accrue`,
+:meth:`finalize_accounting` and :meth:`stop_flow` delegate to it.
 
 The network also forwards *individual* packets (first packets of
 missing flows, PACKET_OUT frames) hop by hop with per-link delays.
@@ -58,7 +59,6 @@ class Network:
         self.recomputations = 0
         self.packets_forwarded = 0
         self._recompute_pending = False
-        self._last_accrual = 0.0
         self._last_recompute = -float("inf")
         # Bumped on any topology mutation (new node/link); the realloc
         # engine answers with one full recompute, since cached walk
@@ -80,15 +80,6 @@ class Network:
         # tests and bench_reallocation.py set it, on networks they build.
         self.realloc = ReallocEngine(self)
         self.incremental_realloc = True
-        # Flows that may be accruing bytes (a superset of active +
-        # delivered + rate>0, in flow-id order), set by the realloc
-        # engine whenever there is no mirror, for the scalar accrual.
-        self._accruing: List[FluidFlow] = []
-        # The rate timeline: piecewise-constant (dt, now) segments
-        # elapsed since the last seal.  All pending segments share one
-        # rate vector and incidence — any code that changes either
-        # seals first — so recompute storms with no dirt cost an append.
-        self._pending_accrual: List[tuple] = []
         # Minimum spacing between reallocations, in simulated seconds.
         # 0 recomputes at every distinct change instant (exact).  A few
         # milliseconds models FIB/TCAM programming latency and lets a
@@ -236,7 +227,7 @@ class Network:
     def bind(self, sim: "Simulation") -> None:
         """Attach this network to a simulation (called by the sim)."""
         self.sim = sim
-        self._last_accrual = sim.clock.now
+        self.realloc.last_accrual = sim.clock.now
 
     def _require_sim(self) -> "Simulation":
         if self.sim is None:
@@ -277,24 +268,12 @@ class Network:
         self.invalidate_routing()
 
     def stop_flow(self, flow: FluidFlow) -> None:
-        """Deactivate a flow now and trigger reallocation."""
-        if not flow.active:
-            return
-        now = self.now
-        self.mark_accrual(now)
-        self._seal_accrual()
-        # Loads and host rates read until the recompute keep the rates
-        # from before the stop; the byte counters they feed stop here.
-        self.realloc.settle(flow, now)
-        flow.active = False
-        flow.rate_bps = 0.0
-        state = self.realloc._arrays
-        if state is not None:
-            # Keep the SoA mirror's rate in lockstep so segments sealed
-            # from here on add exactly 0 for this flow.
-            state.set_rate(flow.id, 0.0)
-        self.realloc.mark_flow_dirty(flow)
-        self.invalidate_routing()
+        """Deactivate a flow now and trigger reallocation: its bytes
+        stop here, the rates read until the recompute do not (see
+        :meth:`ReallocEngine.stop`)."""
+        if flow.active:
+            self.realloc.stop(flow, self.now)
+            self.invalidate_routing()
 
     def active_flows(self) -> List[FluidFlow]:
         """Flows currently sending."""
@@ -402,11 +381,10 @@ class Network:
         ``incremental_realloc`` off, every recompute walks and solves
         everything — same code path, everything marked dirty.
         """
-        # Record the accrual segment but defer the counter work: the
-        # realloc engine seals the timeline only when rates can
-        # actually change (see ReallocEngine._recompute), so recompute
-        # storms with no dirt skip accrual entirely.
-        self.mark_accrual(now)
+        # Close the rate segment but defer the counter work: the engine
+        # seals the timeline only when rates can actually change, so
+        # recompute storms with no dirt skip accrual entirely.
+        self.realloc.close_segment(now)
         self.recomputations += 1
         self._last_recompute = now
         self.realloc.recompute(now, full=not self.incremental_realloc)
@@ -445,52 +423,10 @@ class Network:
     # -- byte accounting -----------------------------------------------------------------
 
     def accrue(self, now: float) -> None:
-        """Integrate flow rates into byte counters up to ``now``.
-
-        Public contract unchanged: counters are current on return.
-        This is a *read point*: the elapsed segment is sealed like any
-        other and the whole sealed timeline replayed into flow and
-        entry counters, and every rate span is written out;
-        :meth:`recompute` and :meth:`stop_flow` only seal.
-        """
-        self.mark_accrual(now)
-        self._flush_accrual()
-
-    def mark_accrual(self, now: float) -> None:
-        """Record one piecewise-constant rate segment ending at ``now``
-        without bringing any counter current — what :meth:`accrue`
-        does first, and all an observer of *rates* (the stats sampler)
-        needs: the segment boundary is part of the float arithmetic of
-        every flow and entry counter, the replay is not.
-
-        Quotient mode never defers: class-level accrual is already one
-        batched pass, and the quotient owns the counter bookkeeping.
-        """
-        dt = now - self._last_accrual
-        if dt <= 0:
-            return
-        self._last_accrual = now
-        quotient = self.realloc.quotient
-        if quotient is not None and quotient.active:
-            # Quotient mode: one accrual per flow class.  Direction,
-            # port and host spans are closed until the materialize.
-            quotient.accrue(dt, now)
-            return
-        self._pending_accrual.append((dt, now))
-
-    def _seal_accrual(self) -> None:
-        """Close the pending segments against the current rates and
-        incidence; callers are about to change one or the other."""
-        if self._pending_accrual:
-            segments, self._pending_accrual = self._pending_accrual, []
-            self.realloc.seal_accrual(segments)
-
-    def _flush_accrual(self) -> None:
-        """A read point: seal what is pending, replay what is sealed,
-        write every span out as of the last segment's end."""
-        self._seal_accrual()
-        self.realloc.replay_accrual()
-        self.realloc.publish_spans(self._last_accrual)
+        """A read point: flow and flow-table entry byte counters are
+        current as of ``now`` on return.  Direction, port and host
+        counters need none: they read through their rate spans."""
+        self.realloc.accrue(now)
 
     def finalize_accounting(self) -> None:
         """Materialize any active quotient state back onto concrete
@@ -498,10 +434,7 @@ class Network:
         accrued so far.  Callers reading per-flow bytes after a run (the
         scenario runner, result extraction) go through this.
         """
-        quotient = self.realloc.quotient
-        if quotient is not None:
-            quotient.materialize()
-        self._flush_accrual()
+        self.realloc.finalize()
 
     def aggregate_rx_rate(self) -> float:
         """Total rate arriving at all hosts (bps) — the demo's metric."""
@@ -536,7 +469,7 @@ class Network:
             to_send = copy.deepcopy(out_packet) if many else out_packet
             port.tx_packets += 1
             # Packet bytes settle on the port counters the direction's
-            # rate span also writes.
+            # rate span also feeds.
             direction = port.link.direction_from(port)
             self.realloc.credit_packet(direction, port, to_send.size)
             self.packets_forwarded += 1

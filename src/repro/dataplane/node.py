@@ -47,18 +47,31 @@ def reset_auto_macs() -> None:
 class Port:
     """A numbered attachment point on a node."""
 
-    __slots__ = ("node", "number", "mac", "link", "rx_bytes", "tx_bytes",
-                 "rx_packets", "tx_packets")
+    __slots__ = ("node", "number", "mac", "link", "rx_packets",
+                 "tx_packets")
 
     def __init__(self, node: "Node", number: int, mac: "MACAddress | None" = None):
         self.node = node
         self.number = number
         self.mac = mac or next_auto_mac()
         self.link: Optional["Link"] = None
-        self.rx_bytes = 0.0
-        self.tx_bytes = 0.0
         self.rx_packets = 0
         self.tx_packets = 0
+
+    @property
+    def rx_bytes(self) -> float:
+        """Bytes received here: what the link's direction into this
+        port carried, plus packets — 0 while unwired."""
+        link = self.link
+        return 0.0 if link is None else link.direction_from(
+            link.other_port(self)).counter("rx")
+
+    @property
+    def tx_bytes(self) -> float:
+        """Bytes sent from here, like :attr:`rx_bytes`."""
+        link = self.link
+        return 0.0 if link is None else link.direction_from(
+            self).counter("tx")
 
     def peer(self) -> Optional["Port"]:
         """The port at the far end of the attached link, if any."""

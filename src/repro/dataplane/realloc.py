@@ -47,22 +47,27 @@ makes) and caches it.  A recompute re-derives what it moved — the
 directions and hosts of every flow whose walk or rate changed (any
 other sum adds the same rates in the same order as before) — and a
 full recompute everything.  A change of a flow's rate outside a
-recompute, ``Network.stop_flow``, settles that flow's directions and
-hosts first, so a read keeps seeing the last recompute's snapshot; the
-recompute that evicts the flow drops them.
+recompute, :meth:`ReallocEngine.stop`, derives that flow's directions
+and hosts first, so a read keeps seeing the last recompute's snapshot;
+the recompute that evicts the flow drops them.
 
-**Their byte counters grow per rate span.**  A direction's
-``bytes_carried`` and its ports' ``tx_bytes`` / ``rx_bytes``, and a
-host's ``rx_bytes`` / ``tx_bytes``, are one span per owner: the value
-the derivation sums, the time it took that value, and the bytes settled
-before.  The end of a recompute re-sums every owner it moved and
-closes the span of each whose sum changed; ``stop_flow`` does the same
-for the stopped flow's owners at the stop; a read point writes
-``settled + value · (now − since) / 8`` without moving ``since``.  So a
+**The engine owns the rate timeline.**  Every recompute, stop, sample
+and read point ends a rate segment; pending segments are sealed before
+rates or incidence change, and a read point replays the sealed ones
+into flows' ``delivered_bytes`` and flow-table entry counters, which
+fingerprints and Hedera's polls read.  A stop is one call
+(:meth:`ReallocEngine.stop`).
+
+**The other byte counters are read through rate spans.**  A direction's ``bytes_carried`` and its ports' ``tx_bytes`` /
+``rx_bytes``, and a host's ``rx_bytes`` / ``tx_bytes``, are one span per
+owner: the value the derivation sums, the time it took that value, and
+the bytes settled before.  The end of a recompute re-sums every owner it
+moved and closes the span of each whose sum changed; a stop does the
+same for the stopped flow's owners at the stop.  A read returns
+``settled + value · (last accrual − since) / 8`` (:meth:`counter`), so a
 counter is a function of the rate history alone, one multiply per
-constant-rate span, whoever reads it when.  Flows' ``delivered_bytes``
-and flow-table entry counters stay on the per-segment timeline below:
-fingerprints and Hedera's polls read them.
+constant-rate span, whoever reads it when — and nothing is written out
+at read points.
 
 A symmetry quotient's class-level updates move capacities without
 classifying anything, so the engine forgets its flags whenever one
@@ -168,32 +173,28 @@ class _DirectionSpan(array):
     """A direction's byte counters as a rate span: ``[since, load,
     carried, port tx, port rx]`` — at any time ``t`` until the load next
     moves, ``bytes_carried``, the source port's ``tx_bytes`` and the
-    destination port's ``rx_bytes`` hold their settled bytes plus
+    destination port's ``rx_bytes`` are their settled bytes plus
     ``load · (t − since) / 8``.  Plain doubles: one object per owner."""
 
     __slots__ = ()
-    CARRIED, TX, RX = 2, 3, 4
+    SLOTS = {"carried": 2, "tx": 3, "rx": 4}
 
     def __new__(cls, since: float) -> "_DirectionSpan":
         return super().__new__(cls, "d", (since, 0.0, 0.0, 0.0, 0.0))
 
-    def publish(self, direction: "LinkDirection", now: float) -> None:
-        moved = self[1] * (now - self[0]) / 8.0
-        direction.bytes_carried = self[2] + moved
-        direction.src_port.tx_bytes = self[3] + moved
-        direction.dst_port.rx_bytes = self[4] + moved
+    def read(self, slot: int, now: float) -> float:
+        return self[slot] + self[1] * (now - self[0]) / 8.0
 
-    def move(self, direction: "LinkDirection", load: float,
-             now: float) -> None:
+    def move(self, load: float, now: float) -> None:
         """Take ``load`` from ``now`` on; a span whose load moves closes
         there first."""
         if load != self[1]:
-            self.publish(direction, now)
+            moved = self[1] * (now - self[0]) / 8.0
+            self[2] += moved
+            self[3] += moved
+            self[4] += moved
             self[0] = now
             self[1] = load
-            self[2] = direction.bytes_carried
-            self[3] = direction.src_port.tx_bytes
-            self[4] = direction.dst_port.rx_bytes
 
 
 class _HostSpan(array):
@@ -201,26 +202,22 @@ class _HostSpan(array):
     rate, rx, tx]``, like :class:`_DirectionSpan`'s."""
 
     __slots__ = ()
-    RX, TX = 3, 4
+    SLOTS = {"rx": 3, "tx": 4}
 
     def __new__(cls, since: float) -> "_HostSpan":
         return super().__new__(cls, "d", (since, 0.0, 0.0, 0.0, 0.0))
 
-    def publish(self, host: Host, now: float) -> None:
-        elapsed = now - self[0]
-        host.rx_bytes = self[3] + self[1] * elapsed / 8.0
-        host.tx_bytes = self[4] + self[2] * elapsed / 8.0
+    def read(self, slot: int, now: float) -> float:
+        return self[slot] + self[slot - 2] * (now - self[0]) / 8.0
 
-    def move(self, host: Host, rates: Tuple[float, float],
-             now: float) -> None:
+    def move(self, rates: Tuple[float, float], now: float) -> None:
         rx, tx = rates
         if rx != self[1] or tx != self[2]:
-            self.publish(host, now)
+            self[3] = self.read(3, now)
+            self[4] = self.read(4, now)
             self[0] = now
             self[1] = rx
             self[2] = tx
-            self[3] = host.rx_bytes
-            self[4] = host.tx_bytes
 
 
 class ReallocEngine:
@@ -241,12 +238,17 @@ class ReallocEngine:
         # Values derived on read (see derived()): a direction's load, a
         # host's (rx, tx); an entry lives until a change drops it.
         self._derived: Dict[object, Union[float, Tuple[float, float]]] = {}
-        # Their byte counters, one rate span per owner (see respan()),
-        # and the time the last read point published them.
+        # Their byte counters, one rate span per owner (see respan()).
         self._spans: Dict[object, Union[_DirectionSpan, _HostSpan]] = {}
-        self._read_at: Optional[float] = None
+        # The rate timeline: where the last segment ended, and the
+        # (dt, now) segments elapsed since the last seal.
+        self.last_accrual = 0.0
+        self._segments: List[tuple] = []
+        # What the scalar accrual visits when there is no mirror (see
+        # _refresh_accruing()).
+        self._accruing: List[FluidFlow] = []
         # The directions and hosts of the flows stopped at _stopped_at,
-        # whose spans close there (see settle()).
+        # whose spans close there (see stop()).
         self._stopped: set = set()
         self._stopped_at: Optional[float] = None
         # The directions that couple flows (offered load can reach
@@ -358,14 +360,20 @@ class ReallocEngine:
                 crossings -= 1
         return value
 
-    def settle(self, flow: FluidFlow, now: float) -> None:
-        """``Network.stop_flow`` is about to zero ``flow``'s rate, before
-        the recompute that evicts it: derive its directions and endpoint
-        hosts now, so reads until then see the rates from before, and
-        close their spans at ``now``.  The flows stopped at one instant
-        close together, at the next thing that reads or moves a span
-        (:meth:`_close_stopped`): removing rates from a sum can only
-        lower it, so one close at the end equals a close per stop."""
+    def stop(self, flow: FluidFlow, now: float) -> None:
+        """Stop ``flow`` at ``now``, before the recompute that evicts
+        it: close the segment, materialize an active quotient (the stop
+        splits its class), seal, then derive the flow's directions and
+        endpoint hosts, so reads until the recompute see the rates from
+        before, and zero its rate.  Their spans close at ``now``; the
+        flows stopped at one instant close together, at the next thing
+        that reads or moves a span (:meth:`_close_stopped`): removing
+        rates from a sum can only lower it, so one close at the end
+        equals a close per stop."""
+        self.close_segment(now)
+        if self.quotient is not None:
+            self.quotient.materialize()
+        self._seal()
         if now != self._stopped_at:
             self._close_stopped()
         entry = self._cache.get(flow.id)
@@ -374,10 +382,14 @@ class ReallocEngine:
             owners += entry.dirs
         for owner in owners:
             self.derived(owner)
-        quotient = self.quotient
-        if quotient is None or not quotient.active:
-            self._stopped.update(owners)
-            self._stopped_at = now
+        self._stopped.update(owners)
+        self._stopped_at = now
+        flow.active = False
+        flow.rate_bps = 0.0
+        if self._arrays is not None:
+            # Segments sealed from here on add exactly 0 for this flow.
+            self._arrays.set_rate(flow.id, 0.0)
+        self.mark_flow_dirty(flow)
 
     def _close_stopped(self) -> None:
         """Re-sum the stopped flows' directions and hosts and close the
@@ -400,7 +412,7 @@ class ReallocEngine:
             value = self._sum(owner, _rate_bps)
             if derived is not None:
                 derived[owner] = value
-            self._span(owner, now).move(owner, value, now)
+            self._span(owner, now).move(value, now)
 
     def _span(self, owner, since: float) -> Union[_DirectionSpan, _HostSpan]:
         """``owner``'s span; a new one at zero from ``since`` if it has
@@ -425,50 +437,45 @@ class ReallocEngine:
         """A quotient takes over: settle every span at ``now`` and hold
         it at zero until :meth:`reopen_spans`."""
         for owner, span in self._spans.items():
-            span.move(owner, (0.0, 0.0) if isinstance(owner, Host) else 0.0,
-                      now)
+            span.move((0.0, 0.0) if isinstance(owner, Host) else 0.0, now)
 
-    def reopen_spans(self, now: float) -> None:
-        """The quotient materialized: every owner's span restarts at
-        ``now`` from the concrete rates."""
-        self.respan(self._owners(), now)
+    def reopen_spans(self) -> None:
+        """The quotient materialized: the scalar accrual visits the
+        concrete rates again, and every owner's span restarts from them
+        where class accrual stopped."""
+        self._refresh_accruing()
+        self.respan(self._owners(), self.last_accrual)
+
+    def counter(self, owner: "Union[LinkDirection, Host]",
+                slot: str) -> float:
+        """``owner``'s byte counter ``slot`` (a ``SLOTS`` key of its
+        span) as of the last segment's end."""
+        self._close_stopped()
+        span = self._spans.get(owner)
+        if span is None:
+            return 0.0
+        return span.read(span.SLOTS[slot], self.last_accrual)
 
     def credit_packet(self, direction: "LinkDirection", port,
                       size: int) -> None:
         """A packet's bytes, sent from ``direction``'s source port or
         received at its destination port (``port``), on that port's
-        settled counter; the next read point writes it out."""
+        settled counter."""
         self._close_stopped()
-        self._read_at = None
-        end = (_DirectionSpan.TX if port is direction.src_port
-               else _DirectionSpan.RX)
-        self._span(direction, 0.0)[end] += size
+        end = "tx" if port is direction.src_port else "rx"
+        self._span(direction, 0.0)[_DirectionSpan.SLOTS[end]] += size
 
     def credit_flow(self, flow: FluidFlow, earned: float) -> None:
         """What ``flow`` earned while a symmetry quotient held, on the
         settled counters its spans would have fed: its hosts', its
         directions' and their ports'."""
         self._close_stopped()
-        self._read_at = None
-        self._span(flow.src, 0.0)[_HostSpan.TX] += earned
-        self._span(flow.dst, 0.0)[_HostSpan.RX] += earned
+        self._span(flow.src, 0.0)[_HostSpan.SLOTS["tx"]] += earned
+        self._span(flow.dst, 0.0)[_HostSpan.SLOTS["rx"]] += earned
         for hop in flow.path.hops:
             span = self._span(hop, 0.0)
-            span[_DirectionSpan.CARRIED] += earned
-            span[_DirectionSpan.TX] += earned
-            span[_DirectionSpan.RX] += earned
-
-    def publish_spans(self, now: float) -> None:
-        """A read point: write every span's counters as of ``now``
-        without moving ``since``.  Once per instant: a span that closes
-        at that instant writes its own, and a credit makes the next read
-        point write them all."""
-        self._close_stopped()
-        if now == self._read_at:
-            return
-        self._read_at = now
-        for owner, span in self._spans.items():
-            span.publish(owner, now)
+            for slot in _DirectionSpan.SLOTS.values():
+                span[slot] += earned
 
     def _drop_mirror(self) -> None:
         """Discard the struct-of-arrays mirror (the next arrays-kernel
@@ -477,15 +484,13 @@ class ReallocEngine:
         self.replay_accrual()
         self._arrays = None
 
-    def _accruing(self) -> List[FluidFlow]:
-        """The delivered cached flows with a positive rate, in flow-id
-        order: what the scalar accrual visits."""
-        flows = []
-        for fid in sorted(self._cache):
-            entry = self._cache[fid]
-            if entry.delivered and entry.flow.rate_bps > 0:
-                flows.append(entry.flow)
-        return flows
+    def _refresh_accruing(self) -> None:
+        """List the delivered cached flows with a positive rate, in
+        flow-id order: what the scalar accrual visits."""
+        cache = self._cache
+        self._accruing = [cache[fid].flow for fid in sorted(cache)
+                          if cache[fid].delivered
+                          and cache[fid].flow.rate_bps > 0]
 
     def all_delivered(self) -> bool:
         """Whether some flow is running and every running flow's walk
@@ -493,23 +498,55 @@ class ReallocEngine:
         recompute, and ``flow.path`` is only ever assigned from it."""
         return bool(self._cache) and not self.undelivered
 
-    # -- the sealed accrual timeline ---------------------------------------
+    # -- the rate timeline -------------------------------------------------
 
-    def seal_accrual(self, segments: List[tuple]) -> None:
-        """Close the elapsed ``(dt, now)`` segments of flow and entry
-        bytes against the current rates and incidence: sealed on the
-        mirror for a later vectorized replay, or — no mirror: numpy is
-        missing, the ``heap`` kernel is forced, or a full recompute
-        dropped it — applied here by the scalar loop, the accrual of
-        the scalar kernel."""
+    def close_segment(self, now: float) -> None:
+        """End the rate segment at ``now`` without bringing any counter
+        current — all an observer of *rates* (the stats sampler) needs.
+        While a quotient holds, its class accumulators take it at once."""
+        dt = now - self.last_accrual
+        if dt <= 0:
+            return
+        self.last_accrual = now
+        quotient = self.quotient
+        if quotient is not None and quotient.active:
+            quotient.accrue(dt, now)
+            return
+        self._segments.append((dt, now))
+
+    def _seal(self) -> None:
+        """Close the pending segments of flow and entry bytes against
+        the current rates and incidence (callers are about to change one
+        or the other): sealed on the mirror for a later vectorized
+        replay, or — no mirror: numpy is missing, the ``heap`` kernel is
+        forced, or a full recompute dropped it — applied here by the
+        scalar loop, the accrual of the scalar kernel."""
+        segments = self._segments
+        if not segments:
+            return
+        self._segments = []
         state = self._arrays
         if state is None:
-            _accrue_scalar(self.network._accruing, segments)
+            _accrue_scalar(self._accruing, segments)
             return
         state.seal(segments)
         self.accrual_segments += len(segments)
         if len(state.sealed) >= _arrays.SEGMENT_BOUND:
             self.replay_accrual()
+
+    def accrue(self, now: float) -> None:
+        """A read point: close the segment at ``now``, seal it and
+        replay everything sealed into flow and entry counters."""
+        self.close_segment(now)
+        self._seal()
+        self.replay_accrual()
+
+    def finalize(self) -> None:
+        """Materialize any active quotient, then bring every counter
+        current."""
+        if self.quotient is not None:
+            self.quotient.materialize()
+        self.accrue(self.last_accrual)
 
     def replay_accrual(self) -> None:
         """Bring flow and entry counters current with the sealed
@@ -543,7 +580,7 @@ class ReallocEngine:
         # pending: that is the rate-epoch short-circuit for recompute
         # storms.
         if full or self.quotient is not None:
-            net._seal_accrual()
+            self._seal()
 
         cap_dirty_links: List = []
         if full:
@@ -590,7 +627,7 @@ class ReallocEngine:
                 # segments stay mergeable).
                 self._pending.clear()
                 return
-            net._seal_accrual()
+            self._seal()
         self._pending.clear()
 
         # Keep the struct-of-arrays mirror in lockstep with the cache
@@ -744,7 +781,7 @@ class ReallocEngine:
                 sp.set(flows=self.flows_solved - solved)
 
         if state is None:
-            net._accruing = self._accruing()
+            self._refresh_accruing()
         quotient = self.quotient
         if quotient is not None:
             # One that takes over closes every span at the rates that

@@ -64,7 +64,7 @@ class StatsCollector:
         # A sample reads rates, never byte counters: it closes the rate
         # segment (counters integrate over the same boundaries as ever)
         # and leaves the replay to whoever next reads a counter.
-        network.mark_accrual(now)
+        network.realloc.close_segment(now)
         # Each host rate read once: the aggregate sums the same values
         # in the same (hosts()) order as Network.aggregate_rx_rate.
         host_rx = {h.name: h.rx_rate_bps for h in network.hosts()}

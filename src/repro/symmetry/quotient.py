@@ -23,13 +23,17 @@ many member flows cross the representative.  A class holds only its
 shared rate and delivered bytes; demand and capacity are read off its
 first member.  Byte accrual runs per *class* accumulator.
 
-Anything else — a flow starting or stopping, a forwarding-state or
-reachability change, a capacity change that splits a class —
-**materializes** the class values back onto the concrete flows
+Anything else — a flow starting, a forwarding-state or reachability
+change, a capacity change that splits a class — **materializes** the
+class values back onto the concrete flows
 (copy-on-write refinement: the quotient dissolves, the existing
 concrete engine handles the event exactly as it would without
 symmetry, and the next rebuild re-compresses whatever symmetry is
-left, with the divergent region falling into singleton classes).
+left, with the divergent region falling into singleton classes).  A
+flow stopping materializes at the stop itself, not at the recompute
+that follows it (:meth:`ReallocEngine.stop`): the stop splits its
+class, and with the recompute held back (``recompute_min_interval``)
+class accrual would keep crediting the stopped member until then.
 Those concrete recomputes run whichever kernel the engine's one rule
 picks (the arrays mirror when numpy imports and the network is big
 enough to repay it): the quotient drops
@@ -307,11 +311,7 @@ class QuotientState:
             rate = fc.rate
             delivered = fc.delivered
             for flow in fc.flows:
-                # A flow stop_flow() just zeroed keeps its 0 (it is
-                # evicted by the recompute that follows) but did earn
-                # the class's bytes up to the stop.
-                if flow.active:
-                    flow.rate_bps = rate
+                flow.rate_bps = rate
                 # What the flow earned while the quotient held goes to
                 # the counters its spans would have fed.
                 earned = delivered - flow.delivered_bytes
@@ -321,12 +321,9 @@ class QuotientState:
         # Loads and host rates need nothing: read from here on, they
         # derive from the rates just written, which equal the class
         # rates they derived from while the quotient held.
-        engine.network._accruing = engine._accruing()
         self.active = False
         self.reason = "materialized"
-        # Class accrual ran up to the last segment's end: the spans
-        # reopen there.
-        engine.reopen_spans(engine.network._last_accrual)
+        engine.reopen_spans()
 
     # -- the fast path -----------------------------------------------------
 

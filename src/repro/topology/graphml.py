@@ -11,7 +11,7 @@ Only the stdlib XML parser is used; no schema validation beyond what
 the import needs.  Namespaced and namespace-free documents both load
 (tags are matched by local name).  Link capacity is taken from the
 first of the ``LinkSpeedRaw`` / ``bandwidth`` / ``capacity_bps`` /
-``capacity`` edge attributes that parses as a positive number, else
+``capacity`` edge attributes that parses as a finite positive number, else
 ``default_capacity_bps``.  Node names come from the ``label``
 attribute when present (sanitized to the identifier-ish charset the
 rest of the stack expects), else the GraphML node id; collisions get
@@ -20,6 +20,7 @@ numeric suffixes deterministically.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -123,7 +124,7 @@ def parse_graphml(text: str) -> Tuple[str, List[str], List[Tuple[str, str, Optio
                 value = float(raw)
             except ValueError:
                 continue
-            if value > 0:
+            if math.isfinite(value) and value > 0:
                 capacity = value
                 break
         edges.append((by_id[source], by_id[target], capacity))

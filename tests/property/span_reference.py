@@ -136,18 +136,19 @@ class RateHistory:
 
     def __init__(self, monkeypatch):
         self.segments = []   # (dt, now, [(flow, rate, hops)] in fid order)
-        seal = ReallocEngine.seal_accrual
+        seal = ReallocEngine._seal
         accrue = QuotientState.accrue
         history = self
 
-        def seal_and_record(engine, segments):
+        def seal_and_record(engine):
             accruing = [
                 (entry.flow, entry.flow.rate_bps, tuple(entry.dirs))
                 for __, entry in sorted(engine._cache.items())
                 if entry.delivered and entry.flow.active
                 and entry.flow.rate_bps > 0]
-            history.segments += [(dt, now, accruing) for dt, now in segments]
-            seal(engine, segments)
+            history.segments += [(dt, now, accruing)
+                                 for dt, now in engine._segments]
+            seal(engine)
 
         def accrue_and_record(quotient, dt, now):
             accruing = sorted(
@@ -158,7 +159,7 @@ class RateHistory:
             history.segments.append((dt, now, accruing))
             accrue(quotient, dt, now)
 
-        monkeypatch.setattr(ReallocEngine, "seal_accrual", seal_and_record)
+        monkeypatch.setattr(ReallocEngine, "_seal", seal_and_record)
         monkeypatch.setattr(QuotientState, "accrue", accrue_and_record)
 
     def _integrate(self, bytes_of, zero):

@@ -327,13 +327,14 @@ def test_push_misses_nothing_under_switch_churn(ops):
 # ---------------------------------------------------------------------------
 
 
-def scalar_seal(engine, segments):
-    """The per-flow loop of the pre-PR-16 ``Network._seal_accrual`` —
-    what ran whenever a live flow walked flow-table entries — over the
-    engine's delivered cached flows in flow-id order, after whatever was
-    still sealed so segment order is preserved.  It feeds the counters
-    the timeline still feeds, flows' and entries'; direction, port and
-    host counters are rate spans, held to ``span_reference``."""
+def scalar_seal(engine):
+    """The per-flow loop of the pre-PR-16 seal — what ran whenever a
+    live flow walked flow-table entries — over the engine's delivered
+    cached flows in flow-id order, after whatever was still sealed so
+    segment order is preserved.  It feeds the counters the timeline
+    still feeds, flows' and entries'; direction, port and host counters
+    are rate spans, held to ``span_reference``."""
+    segments, engine._segments = engine._segments, []
     engine.replay_accrual()
     accruing = [entry.flow for __, entry in sorted(engine._cache.items())
                 if entry.delivered]
@@ -363,7 +364,7 @@ def _hedera_entry_counters(monkeypatch, oracle):
     from repro.topology import FatTreeTopo
 
     if oracle:
-        monkeypatch.setattr(ReallocEngine, "seal_accrual", scalar_seal)
+        monkeypatch.setattr(ReallocEngine, "_seal", scalar_seal)
     snapshots = []
     answer = SwitchAgent._stats_reply
 
@@ -397,7 +398,7 @@ def _hedera_entry_counters(monkeypatch, oracle):
         [(entry.byte_count.hex(), entry.last_used_at.hex())
          for switch in network.switches()
          for entry in switch.table.entries()])
-    spans = _hexed(reference.counters(network._last_accrual))
+    spans = _hexed(reference.counters(network.realloc.last_accrual))
     return snapshots, closing, spans, network.realloc.stats
 
 

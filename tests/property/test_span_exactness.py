@@ -18,9 +18,10 @@ segment: 1.2e-15).
 
 Beside the oracle: :class:`~span_reference.SpanReference` — the span
 rule re-derived from public state after every recompute and stop —
-must equal the engine bit for bit, and extra reads at arbitrary times
-must change no later counter (a read writes a span out, it never
-closes one).
+must equal the engine bit for bit, a counter read at any instant must
+be its span's value at the last segment's end (nothing is written out
+at read points), and extra read points must change no later counter
+(a read never closes a span).
 """
 
 import random
@@ -93,7 +94,8 @@ def run_churn(ops, min_interval, monkeypatch):
     driver.t += 0.5
     driver.sim.run(until=driver.t)
     net.finalize_accounting()
-    return counters(net), reference.counters(net._last_accrual), history
+    return (counters(net), reference.counters(net.realloc.last_accrual),
+            history)
 
 
 def hexed(values):
@@ -130,9 +132,8 @@ def test_a_stop_before_a_delayed_recompute_stops_the_bytes(monkeypatch):
 
 
 def test_extra_reads_change_no_later_counter(monkeypatch):
-    """Reads at arbitrary instants write the spans out without closing
-    them: the counters after the last op are those of a run that read
-    nothing in between."""
+    """Read points at arbitrary instants close no span: the counters
+    after the last op are those of a run that read nothing in between."""
     quiet = churn(5)
     rng = random.Random(6)
     reading = []
@@ -145,6 +146,33 @@ def test_extra_reads_change_no_later_counter(monkeypatch):
         plain, __, __ = run_churn(quiet, 0.004, patch)
     read, __, __ = run_churn(reading, 0.004, monkeypatch)
     assert hexed(read) == hexed(plain)
+
+
+def test_counters_read_through_their_spans_between_read_points(
+        monkeypatch):
+    """Every direction, port and host counter, read mid-window from a
+    callback that brings nothing current, is its span's value at the
+    last segment's end — after the held-back recomputes and stops that
+    moved spans since the last read point, not that point's values."""
+    driver = _Driver("auto")
+    net = driver.net
+    net.recompute_min_interval = 0.004
+    reference = SpanReference(net, monkeypatch)
+    reads = []
+
+    def peek():
+        reads.append((net.realloc.last_accrual, hexed(counters(net)),
+                      hexed(reference.counters(net.realloc.last_accrual))))
+
+    for op in churn(9):
+        if op[0] == "advance":
+            for part in (0.25, 0.5, 0.75):
+                driver.sim.scheduler.at(driver.t + part * op[1], peek)
+        driver.apply(op)
+    assert len(reads) > 20
+    # Most reads fall after a segment closed past the last read point.
+    assert len({at for at, __, __ in reads}) > 10
+    assert [got for __, got, __ in reads] == [want for __, __, want in reads]
 
 
 def test_packets_settle_on_port_counters(monkeypatch):

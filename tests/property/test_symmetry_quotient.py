@@ -253,6 +253,23 @@ def degrade_spec(symmetry):
         sim_params={"symmetry": symmetry})
 
 
+def held_stop_spec(symmetry):
+    """Flows leaving at t = 4 while the quotient holds a class-closed
+    degrade from 3.9; run with ``recompute_min_interval = 0.5``, the
+    recompute that evicts them is held back to 4.4."""
+    return ScenarioSpec(
+        name="sym-held-stop", seed=7, duration=8.0,
+        topology=TopologyRecipe(*FATTREE4),
+        protocol=ProtocolRecipe("static", {}),
+        traffic=TrafficRecipe(pattern="stride", stride=4,
+                              rate_bps=900_000_000.0, start_time=1.0,
+                              duration=3.0),
+        injections=[CapacityDegrade(at=3.9, node_a=a, node_b=b,
+                                    factor=0.25)
+                    for a, b in core_agg_links()],
+        sim_params={"symmetry": symmetry})
+
+
 class TestConcreteStateAfterMaterialize:
     """The fingerprint covers bytes and counts; this pins the concrete
     *objects* a materialize leaves behind."""
@@ -287,8 +304,9 @@ class TestConcreteStateAfterMaterialize:
         assert q_loads == loads
 
     @staticmethod
-    def _byte_counters(spec):
+    def _byte_counters(spec, min_interval):
         exp, __ = ScenarioRunner().materialize(spec)
+        exp.network.recompute_min_interval = min_interval
         exp.run(until=spec.duration)
         net = exp.network
         net.finalize_accounting()
@@ -298,17 +316,27 @@ class TestConcreteStateAfterMaterialize:
             counters += [direction.bytes_carried,
                          direction.src_port.tx_bytes,
                          direction.dst_port.rx_bytes]
-        return counters, net.realloc.quotient
+        delivered = [flow.delivered_bytes for flow in net.flows]
+        return delivered, counters, net.realloc.quotient
 
-    @pytest.mark.parametrize("make_spec", [stopped_spec, degrade_spec])
-    def test_byte_counters_equal_the_concrete_run(self, make_spec):
+    @pytest.mark.parametrize("make_spec,min_interval", [
+        pytest.param(stopped_spec, 0.0, id="stopped_spec"),
+        pytest.param(degrade_spec, 0.0, id="degrade_spec"),
+        pytest.param(held_stop_spec, 0.5, id="held_stop_spec")])
+    def test_byte_counters_equal_the_concrete_run(self, make_spec,
+                                                  min_interval):
         # Bytes accrued while the quotient held used to reach only the
         # flows' delivered_bytes: host, port and direction counters
-        # read 0.0 after a run that ended under the quotient.
-        counters, __ = self._byte_counters(make_spec(False))
-        q_counters, quotient = self._byte_counters(make_spec(True))
+        # read 0.0 after a run that ended under the quotient.  And a
+        # flow stopped before a held-back recompute kept earning its
+        # class's bytes until that recompute materialized the quotient.
+        delivered, counters, __ = self._byte_counters(make_spec(False),
+                                                      min_interval)
+        q_delivered, q_counters, quotient = self._byte_counters(
+            make_spec(True), min_interval)
         assert quotient.materializations > 0
         assert sum(counters) > 0
+        assert q_delivered == delivered
         # One credit per flow at materialize instead of one add per
         # accrual segment: equal up to float reassociation.
         assert q_counters == pytest.approx(counters, rel=1e-12)

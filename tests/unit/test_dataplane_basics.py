@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Experiment
 from repro.core.config import SimulationConfig
 from repro.core.errors import DataPlaneError, TopologyError
 from repro.core.simulation import Simulation
@@ -76,6 +77,25 @@ class TestLink:
             Link(a.add_port(1), b.add_port(1), capacity_bps=0)
         with pytest.raises(TopologyError):
             Link(a.add_port(2), b.add_port(2), delay=-1)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
+    def test_capacity_must_be_finite_and_positive(self, capacity):
+        # NaN used to pass the old ``<= 0`` check and leave the link
+        # silently never contended.
+        a, b = Node("a"), Node("b")
+        with pytest.raises(TopologyError):
+            Link(a.add_port(1), b.add_port(1), capacity_bps=capacity)
+        link = make_link()
+        with pytest.raises(TopologyError):
+            link.set_capacity(capacity)
+        with pytest.raises(TopologyError):
+            link.capacity_bps = capacity
+        assert link.capacity_bps == GBPS and link.cap_epoch == 0
+        exp = Experiment("nan-link")
+        exp.add_host("h1", "10.0.0.1")
+        exp.add_host("h2", "10.0.0.2")
+        with pytest.raises(TopologyError):
+            exp.add_link("h1", "h2", capacity_bps=capacity)
 
     def test_distinct_direction_keys(self):
         link = make_link()

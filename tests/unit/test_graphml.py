@@ -60,6 +60,20 @@ class TestParse:
         assert names == ["Same", "Same_2", "Same_3"]
         assert edges == [("Same", "Same_2", None)]
 
+    def test_non_finite_capacity_skipped(self):
+        # A non-finite value is skipped like an unparsable one: the next
+        # capacity attribute, else the default, sets the link.
+        text = """<graphml>
+            <key id="s" for="edge" attr.name="LinkSpeedRaw"/>
+            <key id="b" for="edge" attr.name="bandwidth"/>
+            <graph id="g"><node id="a"/><node id="b"/><node id="c"/>
+            <edge source="a" target="b"><data key="s">inf</data>
+              <data key="b">2e9</data></edge>
+            <edge source="b" target="c"><data key="s">nan</data></edge>
+          </graph></graphml>"""
+        _, __, edges = parse_graphml(text)
+        assert [capacity for __, __, capacity in edges] == [2e9, None]
+
     def test_self_loops_dropped(self):
         text = """<graphml><graph id=\"g\">
             <node id=\"a\"/><node id=\"b\"/>
