@@ -19,6 +19,7 @@ import random
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.bgp.daemon import BGPConfig, BGPDaemon, BGPPeerConfig
+from repro.bgp.messages import RouteValues
 from repro.core.errors import TopologyError
 from repro.dataplane.host import Host
 from repro.dataplane.router import Router
@@ -182,10 +183,13 @@ def setup_bgp_for_routers(
     rng = random.Random(seed)
     subnets = _host_subnets(network)
 
+    # One copy of each route value for the whole experiment: every
+    # daemon decodes into the same table.
+    values = RouteValues()
     daemons: Dict[str, BGPDaemon] = {}
     for index, router in enumerate(routers):
         router_id = router.router_id or IPv4Address(0x0A000000 + index + 1)
-        daemons[router.name] = BGPDaemon(
+        daemon = daemons[router.name] = BGPDaemon(
             router.name,
             BGPConfig(
                 asn=asn_map[router.name],
@@ -195,6 +199,7 @@ def setup_bgp_for_routers(
                 advertisement_interval=advertisement_interval,
             ),
         )
+        daemon.values = values
 
     # Same AS: no eBGP session (see docstring).
     for channel, end_a, end_b in _wire_router_links(

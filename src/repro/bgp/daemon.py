@@ -29,16 +29,22 @@ from repro.bgp.messages import (
     BGPUpdate,
     PathAttributes,
     Origin,
+    RouteValues,
     decode_bgp_stream,
 )
 from repro.bgp.policy import ExportPolicy, ImportPolicy
-from repro.bgp.rib import AdjRIBIn, AdjRIBOut, LocRIB, RIBRoute
-from repro.core.errors import ControlPlaneError
+from repro.bgp.rib import AdjRIBIn, AdjRIBInTable, AdjRIBOut, LocRIB, RIBRoute
+from repro.core.errors import (
+    ConfigurationError, ControlPlaneError, a_number, an_integer)
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.connection_manager import ControlChannel
     from repro.core.simulation import Simulation
+
+
+def _rejected(name: str, value: Any, accepted: str) -> ConfigurationError:
+    return ConfigurationError(f"BGP {name!r} is {value!r}; accepted: {accepted}")
 
 
 @dataclass
@@ -47,7 +53,8 @@ class BGPPeerConfig:
 
     ``local_port``/``peer_address`` tie the session to the data plane:
     routes learned from this peer are installed with that egress port
-    and gateway.
+    and gateway.  The timers are checked here, where they are
+    configured, not when the session first uses them.
     """
 
     peer_name: str
@@ -62,10 +69,20 @@ class BGPPeerConfig:
     import_policy: ImportPolicy = field(default_factory=ImportPolicy)
     export_policy: ExportPolicy = field(default_factory=ExportPolicy)
 
+    def __post_init__(self) -> None:
+        hold, keepalive = self.hold_time, self.keepalive_interval
+        if not (a_number(hold) and (hold == 0 or 3 <= hold <= 0xFFFF)):
+            raise _rejected("hold_time", hold,
+                            "0 (no hold timer) or 3 to 65535 seconds "
+                            "(RFC 4271 4.2: a 16-bit field of the OPEN)")
+        if not (a_number(keepalive) and keepalive > 0):
+            raise _rejected("keepalive_interval", keepalive,
+                            "a positive number of seconds")
+
 
 @dataclass
 class BGPConfig:
-    """Daemon-wide configuration."""
+    """Daemon-wide configuration; the ranges are checked here too."""
 
     asn: int
     router_id: IPv4Address
@@ -75,15 +92,23 @@ class BGPConfig:
     install_routes: bool = True
     sender_side_loop_detection: bool = True
 
+    def __post_init__(self) -> None:
+        paths, interval = self.max_paths, self.advertisement_interval
+        if not (an_integer(paths) and paths >= 1):
+            raise _rejected("max_paths", paths, "an integer >= 1")
+        if not (a_number(interval) and interval >= 0):
+            raise _rejected("advertisement_interval", interval,
+                            "a number of seconds >= 0")
+
 
 class _PeerState:
     """Internal per-neighbor session state."""
 
-    def __init__(self, config: BGPPeerConfig):
+    def __init__(self, config: BGPPeerConfig, adj_rib_in: AdjRIBInTable):
         self.config = config
         self.channel: Optional["ControlChannel"] = None
         self.fsm = SessionFSM(config.peer_name)
-        self.adj_rib_in = AdjRIBIn(config.peer_name)
+        self.adj_rib_in = AdjRIBIn(config.peer_name, adj_rib_in)
         self.adj_rib_out = AdjRIBOut(config.peer_name)
         self.remote_router_id = IPv4Address(0)
         self.open_sent = False
@@ -108,7 +133,12 @@ class BGPDaemon:
         self.name = f"bgpd-{router_name}"
         self.config = config
         self.sim: Optional["Simulation"] = None
+        #: Where decoded prefixes, AS paths, next hops and preference
+        #: keys are kept.  One daemon alone has its own; the daemons an
+        #: experiment sets up share one (set before :meth:`start`).
+        self.values = RouteValues()
         self.loc_rib = LocRIB()
+        self.adj_rib_in = AdjRIBInTable()
         self.peers: Dict[str, _PeerState] = {}
         self._channel_to_peer: Dict[int, str] = {}
         self._installed: Set[IPv4Prefix] = set()
@@ -119,13 +149,6 @@ class BGPDaemon:
         self.exports = 0
         self.fib_installs = 0
         self.fib_withdrawals = 0
-        for prefix in config.networks:
-            route = RIBRoute(
-                prefix=prefix,
-                attributes=PathAttributes(origin=Origin.IGP, as_path=()),
-                peer_name="",
-            )
-            self._local_routes[prefix] = route
 
     # -- wiring -----------------------------------------------------------------
 
@@ -136,7 +159,7 @@ class BGPDaemon:
             raise ControlPlaneError(
                 f"{self.name}: duplicate peer {peer_config.peer_name}"
             )
-        state = _PeerState(peer_config)
+        state = _PeerState(peer_config, self.adj_rib_in)
         state.channel = channel
         self.peers[peer_config.peer_name] = state
         self._channel_to_peer[channel.id] = peer_config.peer_name
@@ -144,7 +167,15 @@ class BGPDaemon:
     def start(self, sim: "Simulation") -> None:
         """Process hook: originate local networks, arm connect timers."""
         self.sim = sim
-        for prefix, route in self._local_routes.items():
+        for network in self.config.networks:
+            prefix = self.values.network(network)
+            route = RIBRoute(
+                prefix=prefix,
+                attributes=PathAttributes(origin=Origin.IGP, as_path=()),
+                peer_name="",
+                values=self.values,
+            )
+            self._local_routes[prefix] = route
             self.loc_rib.set_selection(prefix, route, (route,))
         for state in self.peers.values():
             sim.scheduler.after(
@@ -206,7 +237,7 @@ class BGPDaemon:
         rest = data
         while rest:
             try:
-                message, rest = decode_bgp_stream(rest)
+                message, rest = decode_bgp_stream(rest, self.values)
             except BGPDecodeError as error:
                 # Malformed bytes end the session, as RFC 4271 section 6
                 # has it; they must not unwind the event loop.
@@ -323,6 +354,7 @@ class BGPDaemon:
                             attributes=imported,
                             peer_name=state.config.peer_name,
                             peer_router_id=state.remote_router_id,
+                            values=self.values,
                         )
                     )
                     touched.add(prefix)
@@ -333,20 +365,18 @@ class BGPDaemon:
         """Re-run the decision process for the given prefixes."""
         # Sessions neither come up nor go down inside this call, so the
         # established peers are gathered once for every prefix below.
+        # Only they hold routes: a teardown empties the peer's slots.
         established = [s for s in self.peers.values() if s.fsm.established]
-        lookups = [state.adj_rib_in.get for state in established]
+        slots_of = self.adj_rib_in.slots
         ordered = (sorted(prefixes, key=IPv4Prefix.key)
                    if len(prefixes) > 1 else prefixes)
         max_paths = self.config.max_paths
         for prefix in ordered:
-            candidates: List[RIBRoute] = []
             local = self._local_routes.get(prefix)
-            if local is not None:
-                candidates.append(local)
-            for lookup in lookups:
-                route = lookup(prefix)
-                if route is not None:
-                    candidates.append(route)
+            candidates: List[RIBRoute] = [] if local is None else [local]
+            slots = slots_of(prefix)
+            if slots is not None:
+                candidates += filter(None, slots)
             outcome = decide(candidates, max_paths=max_paths)
             self.decisions += 1
             if not self.loc_rib.set_selection(
@@ -461,11 +491,12 @@ class BGPDaemon:
         ]
         state.pending_withdraw.clear()
 
+        # Prefixes whose exports are equal share an UPDATE.
         groups: Dict[PathAttributes, List[IPv4Prefix]] = {}
         for prefix in sorted(state.pending_announce, key=IPv4Prefix.key):
-            attrs = self._export(state, state.pending_announce[prefix])
+            attrs = state.pending_announce[prefix]
             if state.adj_rib_out.record_announce(prefix, attrs):
-                groups.setdefault(attrs, []).append(prefix)
+                groups.setdefault(self._export(state, attrs), []).append(prefix)
         state.pending_announce.clear()
 
         if withdrawals and not groups:

@@ -10,6 +10,10 @@ The UPDATE layout is the full RFC 4271 structure — withdrawn routes,
 path attributes (ORIGIN, AS_PATH, NEXT_HOP, MED, LOCAL_PREF) and NLRI,
 with variable-length prefix encoding.  AS numbers are 2 bytes (classic
 BGP-4; 4-octet AS capability is out of scope and documented as such).
+
+A speaker decodes through a :class:`RouteValues` table shared by every
+speaker of its experiment, so each prefix, AS path and next hop it
+keeps exists once.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 
@@ -82,12 +86,13 @@ class Origin(enum.IntEnum):
     INCOMPLETE = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathAttributes:
     """The path attributes carried by an UPDATE.
 
     Frozen so routes can share attribute objects and RIBs can use them
-    as part of comparison keys.
+    as part of comparison keys; slotted, as every learned route keeps
+    one.
     """
 
     origin: Origin = Origin.IGP
@@ -147,14 +152,21 @@ class PathAttributes:
     @classmethod
     def decode(cls, data: bytes) -> "PathAttributes":
         """Parse a path-attribute list."""
+        fresh = RouteValues()
+        return cls._parse(data, 0, len(data), fresh, fresh)
+
+    @classmethod
+    def _parse(cls, data: bytes, offset: int, end: int,
+               known: "RouteValues", fresh: "RouteValues") -> "PathAttributes":
+        """Parse the attribute list in ``data[offset:end]``: the AS path
+        and the next hop are taken from ``known`` or ``fresh``, and new
+        ones are added to ``fresh``."""
         origin = Origin.IGP
         as_path: Tuple[int, ...] = ()
         next_hop: Optional[IPv4Address] = None
         med: Optional[int] = None
         local_pref: Optional[int] = None
 
-        offset = 0
-        end = len(data)
         while offset < end:
             if offset + 3 > end:
                 raise _malformed_update("truncated path attribute header")
@@ -174,33 +186,24 @@ class PathAttributes:
                     raise _malformed_update("bad ORIGIN attribute")
                 origin = Origin(data[body_start])
             elif code == ATTR_AS_PATH:
-                path: List[int] = []
-                seg_offset = body_start
-                while seg_offset < offset:
-                    if seg_offset + 2 > offset:
-                        raise _malformed_update("truncated AS_PATH segment header")
-                    seg_type = data[seg_offset]
-                    count = data[seg_offset + 1]
-                    seg_offset += 2
-                    if seg_type != AS_SEQUENCE:
-                        raise _malformed_update(
-                            f"unsupported AS segment type {seg_type}")
-                    if seg_offset + 2 * count > offset:
-                        raise _malformed_update("truncated AS_PATH segment")
-                    path += struct.unpack_from(f"!{count}H", data, seg_offset)
-                    seg_offset += 2 * count
-                as_path = tuple(path)
+                wire = data[body_start:offset]
+                as_path = _known(known.as_paths, fresh.as_paths, wire)
+                if as_path is None:
+                    as_path = fresh.as_paths[wire] = _as_path(wire)
             elif code in (ATTR_NEXT_HOP, ATTR_MED, ATTR_LOCAL_PREF):
                 if length != 4:
                     raise _malformed_update(
                         f"attribute {code} needs 4 bytes, got {length}")
-                (word,) = _U32.unpack_from(data, body_start)
                 if code == ATTR_NEXT_HOP:
-                    next_hop = IPv4Address(word)
+                    wire = data[body_start:offset]
+                    next_hop = _known(known.next_hops, fresh.next_hops, wire)
+                    if next_hop is None:
+                        next_hop = fresh.next_hops[wire] = (
+                            IPv4Address.from_bytes(wire))
                 elif code == ATTR_MED:
-                    med = word
+                    (med,) = _U32.unpack_from(data, body_start)
                 else:
-                    local_pref = word
+                    (local_pref,) = _U32.unpack_from(data, body_start)
             # Unknown attributes are silently skipped (optional transit).
         return cls(
             origin=origin,
@@ -222,23 +225,119 @@ def encode_prefix(prefix: IPv4Prefix) -> bytes:
     return bytes((length,)) + (network >> (32 - 8 * octets)).to_bytes(octets, "big")
 
 
+def _as_path(wire: bytes) -> Tuple[int, ...]:
+    """The AS numbers of an AS_PATH attribute body."""
+    path: List[int] = []
+    offset, end = 0, len(wire)
+    while offset < end:
+        if offset + 2 > end:
+            raise _malformed_update("truncated AS_PATH segment header")
+        seg_type = wire[offset]
+        count = wire[offset + 1]
+        offset += 2
+        if seg_type != AS_SEQUENCE:
+            raise _malformed_update(f"unsupported AS segment type {seg_type}")
+        if offset + 2 * count > end:
+            raise _malformed_update("truncated AS_PATH segment")
+        path += struct.unpack_from(f"!{count}H", wire, offset)
+        offset += 2 * count
+    return tuple(path)
+
+
 def decode_prefixes(data: bytes) -> List[IPv4Prefix]:
     """Parse a run of NLRI-encoded prefixes."""
+    fresh: Dict[bytes, IPv4Prefix] = {}
+    return _parse_prefixes(data, 0, len(data), fresh, fresh)
+
+
+def _parse_prefixes(data: bytes, offset: int, end: int,
+                    known: Dict[bytes, IPv4Prefix],
+                    fresh: Dict[bytes, IPv4Prefix]) -> List[IPv4Prefix]:
+    """The prefixes encoded in ``data[offset:end]``, each taken from
+    ``known`` or ``fresh`` by its wire bytes; new ones go to ``fresh``."""
     prefixes: List[IPv4Prefix] = []
-    offset = 0
-    end = len(data)
     while offset < end:
         length = data[offset]
         if length > 32:
             raise _malformed_update(f"prefix length {length} > 32")
-        octets = (length + 7) >> 3
         start = offset + 1
-        offset = start + octets
-        if offset > end:
+        stop = start + ((length + 7) >> 3)
+        if stop > end:
             raise _malformed_update("truncated NLRI prefix")
-        network = int.from_bytes(data[start:offset], "big") << (32 - 8 * octets)
-        prefixes.append(IPv4Prefix.from_network(network, length))
+        wire = data[offset:stop]
+        prefix = _known(known, fresh, wire)
+        if prefix is None:
+            network = (int.from_bytes(data[start:stop], "big")
+                       << (32 - 8 * (stop - start)))
+            prefix = fresh[wire] = IPv4Prefix.from_network(network, length)
+        prefixes.append(prefix)
+        offset = stop
     return prefixes
+
+
+def _known(known: dict, fresh: dict, wire: bytes):
+    """The value kept for ``wire``, or None when neither table has it."""
+    value = known.get(wire)
+    return fresh.get(wire) if value is None else value
+
+
+class RouteValues:
+    """One copy of each route value an experiment's BGP speakers keep.
+
+    Every daemon of an experiment decodes through one table, the way
+    the OpenFlow controller and its switch agents share one
+    :class:`~repro.openflow.match.MatchInterner`.  A prefix, an AS_PATH
+    or a NEXT_HOP is keyed by its wire bytes and built the first time
+    it is met; every later UPDATE that carries those bytes, to whichever
+    speaker, gets that very object and skips the unpack.  Configured
+    networks go in first (:meth:`network`), so a decoded prefix is the
+    object that keys the Loc-RIB and the FIB; :meth:`preference` keeps
+    the decision process's keys the same way.
+
+    Bytes that differ only in bits the decoder ignores get two equal
+    objects.  A decode adds what it met only once the whole UPDATE has
+    parsed, so a malformed message leaves the table as it was.  Bounded:
+    a kind that would outgrow :attr:`BOUND` is emptied, never grown, and
+    what comes after is built afresh.
+    """
+
+    BOUND = 1 << 16
+
+    __slots__ = ("prefixes", "as_paths", "next_hops", "preferences",
+                 "__weakref__")
+
+    def __init__(self) -> None:
+        self.prefixes: Dict[bytes, IPv4Prefix] = {}
+        self.as_paths: Dict[bytes, Tuple[int, ...]] = {}
+        self.next_hops: Dict[bytes, IPv4Address] = {}
+        self.preferences: Dict[tuple, tuple] = {}
+
+    def network(self, prefix: IPv4Prefix) -> IPv4Prefix:
+        """The table's copy of a configured network (``prefix`` itself
+        when it is the first)."""
+        return self._keep(self.prefixes, encode_prefix(prefix), prefix)
+
+    def preference(self, key: tuple) -> tuple:
+        """The table's copy of a route preference key."""
+        return self._keep(self.preferences, key, key)
+
+    def _keep(self, table: dict, key, value):
+        kept = table.get(key)
+        if kept is None:
+            if len(table) >= self.BOUND:
+                table.clear()
+            kept = table[key] = value
+        return kept
+
+    def _absorb(self, fresh: "RouteValues") -> None:
+        """Keep what one well-formed UPDATE met for the first time."""
+        for table, new in ((self.prefixes, fresh.prefixes),
+                           (self.as_paths, fresh.as_paths),
+                           (self.next_hops, fresh.next_hops)):
+            if new:
+                if len(table) + len(new) > self.BOUND:
+                    table.clear()
+                table.update(new)
 
 
 @dataclass
@@ -313,7 +412,9 @@ class BGPUpdate(BGPMessage):
         ))
 
     @classmethod
-    def decode_body(cls, data: bytes) -> "BGPUpdate":
+    def decode_body(cls, data: bytes,
+                    values: Optional[RouteValues] = None) -> "BGPUpdate":
+        """Parse an UPDATE body, through ``values`` when given."""
         end = len(data)
         if end < 4:
             raise _malformed_update("truncated UPDATE")
@@ -325,13 +426,19 @@ class BGPUpdate(BGPMessage):
         nlri_at = attrs_at + 2 + attr_len
         if nlri_at > end:
             raise _malformed_update("path attributes overrun the UPDATE")
-        withdrawn = decode_prefixes(data[2:attrs_at])
+        fresh = RouteValues()
+        known = fresh if values is None else values
+        withdrawn = _parse_prefixes(data, 2, attrs_at,
+                                    known.prefixes, fresh.prefixes)
         attributes = (
-            PathAttributes.decode(data[attrs_at + 2 : nlri_at]) if attr_len else None
+            PathAttributes._parse(data, attrs_at + 2, nlri_at, known, fresh)
+            if attr_len else None
         )
-        nlri = decode_prefixes(data[nlri_at:])
+        nlri = _parse_prefixes(data, nlri_at, end, known.prefixes, fresh.prefixes)
         if nlri and attributes is None:
             raise _malformed_update("NLRI without path attributes")
+        if values is not None:
+            values._absorb(fresh)
         return cls(withdrawn=withdrawn, attributes=attributes, nlri=nlri)
 
     def __str__(self) -> str:
@@ -378,8 +485,13 @@ def decode_bgp_message(data: bytes) -> BGPMessage:
     return message
 
 
-def decode_bgp_stream(data: bytes) -> Tuple[BGPMessage, bytes]:
-    """Parse the first BGP message from a byte stream; returns (msg, rest)."""
+def decode_bgp_stream(data: bytes, values: Optional[RouteValues] = None,
+                      ) -> Tuple[BGPMessage, bytes]:
+    """Parse the first BGP message from a byte stream; returns (msg, rest).
+
+    An UPDATE's prefixes, AS path and next hop come from ``values``
+    when given (see :class:`RouteValues`).
+    """
     if len(data) < BGP_HEADER_LEN:
         raise BGPDecodeError("truncated BGP header")
     if not data.startswith(BGP_MARKER):
@@ -392,7 +504,7 @@ def decode_bgp_stream(data: bytes) -> Tuple[BGPMessage, bytes]:
     if msg_type == TYPE_OPEN:
         return BGPOpen.decode_body(body), rest
     if msg_type == TYPE_UPDATE:
-        return BGPUpdate.decode_body(body), rest
+        return BGPUpdate.decode_body(body, values), rest
     if msg_type == TYPE_KEEPALIVE:
         if body:
             raise BGPDecodeError("KEEPALIVE with a body")

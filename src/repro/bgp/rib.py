@@ -3,7 +3,9 @@
 Three tables per RFC 4271 §3.2 (Figure 2 of the paper draws the RIB
 box inside each emulated router):
 
-* **Adj-RIB-In** — one per peer, the routes that peer advertised;
+* **Adj-RIB-In** — the routes each peer advertised, kept in one table
+  per prefix (FRR's ``bgp_dest``) so that a decision reads one entry;
+  :class:`AdjRIBIn` is one peer's view of it;
 * **Loc-RIB** — the routes the decision process selected, possibly
   with an ECMP set per prefix (multipath);
 * **Adj-RIB-Out** — one per peer, what we advertised to them (kept to
@@ -12,32 +14,37 @@ box inside each emulated router):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bgp.decision import preference_key
-from repro.bgp.messages import PathAttributes
+from repro.bgp.messages import PathAttributes, RouteValues
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RIBRoute:
     """One candidate route: a prefix, its attributes and its source.
 
-    ``peer_name`` is empty for locally originated networks.
+    ``peer_name`` is empty for locally originated networks.  A daemon
+    passes its :class:`~repro.bgp.messages.RouteValues` as ``values``,
+    and the route's preference key is then the table's copy.
     """
 
     prefix: IPv4Prefix
     attributes: PathAttributes
     peer_name: str = ""
     peer_router_id: IPv4Address = field(default_factory=lambda: IPv4Address(0))
+    values: InitVar[Optional[RouteValues]] = None
     #: :func:`~repro.bgp.decision.preference_key` of this route.  It
     #: depends on the frozen fields alone, so it is worked out once here
     #: instead of in every decision the route takes part in.
     preference: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "preference", preference_key(self))
+    def __post_init__(self, values: Optional[RouteValues]) -> None:
+        key = preference_key(self)
+        object.__setattr__(self, "preference",
+                           key if values is None else values.preference(key))
 
     @property
     def is_local(self) -> bool:
@@ -49,41 +56,80 @@ class RIBRoute:
         return f"{self.prefix} from {src} {self.attributes}"
 
 
-class AdjRIBIn:
-    """Routes learned from one peer, keyed by prefix."""
+class AdjRIBInTable:
+    """Every peer's routes, one entry per prefix.
 
-    def __init__(self, peer_name: str):
+    The entry is a list with one slot per peer, in the order the peers
+    joined, holding that peer's route or None: the decision process
+    reads it once and has its candidates in peer order.
+    """
+
+    def __init__(self) -> None:
+        self._slots: Dict[IPv4Prefix, List[Optional[RIBRoute]]] = {}
+        self._width = 0
+        #: ``slots(prefix)`` -- the prefix's per-peer slots, if any.
+        self.slots = self._slots.get
+
+
+class AdjRIBIn:
+    """Routes learned from one peer, keyed by prefix: the peer's slot in
+    an :class:`AdjRIBInTable`, which it joins (a table of its own when
+    none is given)."""
+
+    def __init__(self, peer_name: str,
+                 table: Optional[AdjRIBInTable] = None):
         self.peer_name = peer_name
-        self._routes: Dict[IPv4Prefix, RIBRoute] = {}
-        #: ``get(prefix)`` -- this peer's route for a prefix, if any.
-        #: The dict's own method: the decision process probes every
-        #: peer's table for every prefix it reconsiders.
-        self.get = self._routes.get
+        self._owner = table if table is not None else AdjRIBInTable()
+        self._table = self._owner._slots
+        for slots in self._table.values():
+            slots.append(None)
+        self._index = self._owner._width
+        self._owner._width += 1
+        self._count = 0
+
+    def get(self, prefix: IPv4Prefix) -> Optional[RIBRoute]:
+        """This peer's route for a prefix, if any."""
+        slots = self._table.get(prefix)
+        return None if slots is None else slots[self._index]
 
     def update(self, route: RIBRoute) -> None:
         """Store/replace the peer's route for a prefix."""
-        self._routes[route.prefix] = route
+        slots = self._table.get(route.prefix)
+        if slots is None:
+            slots = self._table[route.prefix] = [None] * self._owner._width
+        if slots[self._index] is None:
+            self._count += 1
+        slots[self._index] = route
 
     def withdraw(self, prefix: IPv4Prefix) -> bool:
         """Remove the peer's route; True when one existed."""
-        return self._routes.pop(prefix, None) is not None
+        slots = self._table.get(prefix)
+        if slots is None or slots[self._index] is None:
+            return False
+        slots[self._index] = None
+        self._count -= 1
+        return True
 
     def prefixes(self) -> List[IPv4Prefix]:
         """All prefixes this peer advertised, sorted."""
-        return sorted(self._routes, key=IPv4Prefix.key)
+        index = self._index
+        return sorted((prefix for prefix, slots in self._table.items()
+                       if slots[index] is not None), key=IPv4Prefix.key)
 
     def routes(self) -> List[RIBRoute]:
         """All routes, sorted by prefix."""
-        return [self._routes[p] for p in self.prefixes()]
+        return [self._table[p][self._index] for p in self.prefixes()]
 
     def clear(self) -> List[IPv4Prefix]:
         """Drop everything (session reset); returns the lost prefixes."""
         lost = self.prefixes()
-        self._routes.clear()
+        for prefix in lost:
+            self._table[prefix][self._index] = None
+        self._count = 0
         return lost
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return self._count
 
 
 class LocRIB:
@@ -129,19 +175,33 @@ class LocRIB:
 
 
 class AdjRIBOut:
-    """What we already advertised to one peer."""
+    """What we already advertised to one peer.
+
+    Per prefix it keeps the Loc-RIB attributes an advertisement was made
+    from, not the exported copy.  Towards one peer the export adds the
+    same prepends and the same next hop (next-hop-self) to every route,
+    so two exports are equal exactly when their sources agree on all
+    but the next hop, and that is the comparison made here.
+    """
 
     def __init__(self, peer_name: str):
         self.peer_name = peer_name
         self._advertised: Dict[IPv4Prefix, PathAttributes] = {}
 
     def advertised(self, prefix: IPv4Prefix) -> Optional[PathAttributes]:
-        """The attributes last advertised for a prefix, if any."""
+        """The attributes the last advertisement of a prefix was made
+        from, if any."""
         return self._advertised.get(prefix)
 
     def record_announce(self, prefix: IPv4Prefix, attributes: PathAttributes) -> bool:
-        """Remember an announcement; returns False if identical already sent."""
-        if self._advertised.get(prefix) == attributes:
+        """Remember an announcement; returns False if an identical one
+        was already sent."""
+        sent = self._advertised.get(prefix)
+        if sent is not None and (sent is attributes or (
+                sent.as_path == attributes.as_path
+                and sent.origin == attributes.origin
+                and sent.med == attributes.med
+                and sent.local_pref == attributes.local_pref)):
             return False
         self._advertised[prefix] = attributes
         return True

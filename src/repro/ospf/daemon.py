@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.core.errors import ConfigurationError, ControlPlaneError
+from repro.core.errors import ConfigurationError, ControlPlaneError, a_number
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 from repro.ospf.lsdb import LinkStateDatabase
 from repro.ospf.packets import (
@@ -51,10 +51,11 @@ class OSPFPeerConfig:
 class OSPFConfig:
     """Daemon-wide configuration.
 
-    The two timers are checked here, where they are configured: both
-    travel in the hello as tenths of a second in a 16-bit field, the
-    hello timer must be able to fire, and a neighbour that is declared
-    dead sooner than it says hello never stays adjacent.
+    The timers are checked here, where they are configured: the hello
+    and dead timers travel in the hello as tenths of a second in a
+    16-bit field, the hello timer must be able to fire, a neighbour that
+    is declared dead sooner than it says hello never stays adjacent,
+    and the SPF cannot run before the change that triggers it.
     """
 
     router_id: IPv4Address
@@ -78,6 +79,10 @@ class OSPFConfig:
                 f"OSPF 'dead_interval' is {dead!r} with 'hello_interval' "
                 f"{hello!r}; accepted: dead_interval > hello_interval "
                 f"(an adjacency must outlive the gap between two hellos)")
+        if not (a_number(self.spf_delay) and self.spf_delay >= 0):
+            raise ConfigurationError(
+                f"OSPF 'spf_delay' is {self.spf_delay!r}; accepted: a "
+                f"number of seconds >= 0")
 
 
 class _NeighborState:

@@ -47,13 +47,13 @@ def shortest_paths(neighbors: Mapping[Node, Iterable[Node]],
     ``src == dst``, empty when ``dst`` is unreachable."""
     if dst not in dist:
         return []
-
-    def unwind(node: Node) -> List[List[Node]]:
-        if node == src:
-            return [[node]]
-        before = dist[node] - 1
-        return [path + [node]
-                for pred in neighbors[node] if dist[pred] == before
-                for path in unwind(pred)]
-
-    return sorted(unwind(dst))
+    # Layer by layer back from dst: every partial path starts at a node
+    # ``depth + 1`` hops from src and grows by each of its predecessors.
+    # (A recursive closure would refer to itself and leave a reference
+    # cycle behind on every call.)
+    paths = [[dst]]
+    for depth in range(dist[dst] - 1, -1, -1):
+        paths = [[pred] + path
+                 for path in paths
+                 for pred in neighbors[path[0]] if dist[pred] == depth]
+    return sorted(paths)

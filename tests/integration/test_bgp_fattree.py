@@ -145,3 +145,58 @@ class TestGoldenPin:
         assert sum(s["fib_installs"] for s in totals) == 285
         assert sum(s["updates_sent"] for s in totals) == 438
         assert sum(s["decisions"] for s in totals) == 462
+
+
+class TestOneCopyOfEachValue:
+    """The daemons of an experiment decode into one table: each route
+    value they keep exists once, and the table lives and dies with the
+    experiment."""
+
+    def test_each_value_is_one_object(self, converged):
+        exp, __, daemons = converged
+        routes, prefixes = [], []
+        for daemon in daemons.values():
+            for prefix in daemon.loc_rib.prefixes():
+                routes += daemon.loc_rib.multipath(prefix)
+            for state in daemon.peers.values():
+                routes += state.adj_rib_in.routes()
+                prefixes += state.adj_rib_out.prefixes()
+            prefixes += daemon.loc_rib.prefixes()
+            prefixes += list(daemon._installed)
+            router = exp.network.get_node(daemon.router_name)
+            prefixes += [entry.prefix for entry in router.fib.entries()]
+        prefixes += [route.prefix for route in routes]
+        kinds = {
+            "prefix": prefixes,
+            "AS path": [route.attributes.as_path for route in routes],
+            "next hop": [route.attributes.next_hop for route in routes
+                         if route.attributes.next_hop is not None],
+            "preference": [route.preference for route in routes],
+        }
+        for kind, values in kinds.items():
+            assert len(set(values)) > 1, kind
+            assert len({id(value) for value in values}) == len(set(values)), kind
+
+    @staticmethod
+    def _bgp_experiment():
+        exp = Experiment("bgp-values", config=SimulationConfig())
+        topo = FatTreeTopo(k=4, device="router")
+        exp.load_topo(topo)
+        setup_bgp_for_routers(exp, asn_map=topo.asn, max_paths=2)
+        exp.run(until=1.0)
+        return exp
+
+    def test_the_table_is_the_experiments(self):
+        import gc
+        import weakref
+
+        first, second = self._bgp_experiment(), self._bgp_experiment()
+        tables = {id(d.values) for d in first.bgp_daemons.values()}
+        assert len(tables) == 1
+        table = next(iter(first.bgp_daemons.values())).values
+        assert table.prefixes and table.as_paths and table.next_hops
+        assert all(d.values is not table for d in second.bgp_daemons.values())
+        dropped = weakref.ref(table)
+        del first, table, tables
+        gc.collect()
+        assert dropped() is None

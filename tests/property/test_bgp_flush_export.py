@@ -179,14 +179,17 @@ def run_both(peer_policies, loop_detection, history):
         for ours, theirs in zip(lazy_wires, eager_wires):
             assert ours.sent == theirs.sent, op
 
+    # The point of the change: the rewrite ran once per advertised
+    # (peer, prefix), not once per queued one.
+    assert lazy.exports <= eager.exports
+    # The Adj-RIB-Out keeps the attributes an advertisement was made
+    # from; exported, they are what the reference kept.
     for name, state in lazy.peers.items():
         other = eager.peers[name].adj_rib_out
         assert state.adj_rib_out.prefixes() == other.prefixes()
         for prefix in other.prefixes():
-            assert state.adj_rib_out.advertised(prefix) == other.advertised(prefix)
-    # The point of the change: the rewrite ran once per advertised
-    # (peer, prefix), not once per queued one.
-    assert lazy.exports <= eager.exports
+            assert (lazy._export(state, state.adj_rib_out.advertised(prefix))
+                    == other.advertised(prefix))
     return lazy_wires
 
 

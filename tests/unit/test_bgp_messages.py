@@ -15,6 +15,7 @@ from repro.bgp.messages import (
     BGPUpdate,
     Origin,
     PathAttributes,
+    RouteValues,
     decode_bgp_message,
     decode_bgp_stream,
     decode_prefixes,
@@ -251,16 +252,16 @@ class TestDecoderFailsClosed:
             decode_bgp_message(wire)
         assert caught.value.code == code
 
-    def test_seeded_mutation_fuzz(self):
+    @staticmethod
+    def _mutated_updates():
         """24 000 byte-mutated UPDATEs (flip, truncate, insert; the
         header length repaired on most so the mutation reaches the body
-        parsers): each decodes or raises BGPDecodeError, nothing else."""
+        parsers), the same every call."""
         rng = random.Random(20260928)
 
         def prefix():
             return IPv4Prefix.from_network(rng.getrandbits(32), rng.randint(0, 32))
 
-        outcomes = {"decoded": 0, 1: 0, 2: 0, 3: 0}
         for __ in range(24_000):
             update = BGPUpdate(
                 withdrawn=[prefix() for __ in range(rng.randrange(4))],
@@ -283,8 +284,15 @@ class TestDecoderFailsClosed:
                     wire.insert(rng.randrange(len(wire)), rng.randrange(256))
             if rng.random() < 0.8:
                 wire[16:18] = struct.pack("!H", len(wire))
+            yield bytes(wire)
+
+    def test_seeded_mutation_fuzz(self):
+        """Each mutated UPDATE decodes or raises BGPDecodeError,
+        nothing else."""
+        outcomes = {"decoded": 0, 1: 0, 2: 0, 3: 0}
+        for wire in self._mutated_updates():
             try:
-                decode_bgp_message(bytes(wire))
+                decode_bgp_message(wire)
             except BGPDecodeError as error:
                 outcomes[error.code] += 1
             else:
@@ -292,3 +300,31 @@ class TestDecoderFailsClosed:
         # The corpus reaches both the header checks and the UPDATE body.
         assert outcomes[1] > 1000 and outcomes[3] > 1000, outcomes
         assert outcomes["decoded"] > 1000, outcomes
+
+    def test_a_malformed_update_leaves_the_table_unchanged(self):
+        """Decoded through a :class:`RouteValues` table, as a daemon
+        decodes: a message that fails adds nothing to it (the table only
+        grows, so unchanged sizes mean unchanged contents), one that
+        parses keeps its values, and a repeat gets the kept objects."""
+        values = RouteValues()
+
+        def sizes():
+            return (len(values.prefixes), len(values.as_paths),
+                    len(values.next_hops))
+
+        failed = 0
+        for wire in self._mutated_updates():
+            before = sizes()
+            try:
+                message, __ = decode_bgp_stream(wire, values)
+            except BGPDecodeError:
+                failed += 1
+                assert sizes() == before
+            else:
+                if isinstance(message, BGPUpdate) and message.nlri:
+                    kept = sizes()
+                    again, __ = decode_bgp_stream(wire, values)
+                    assert sizes() == kept
+                    assert all(a is b for a, b in zip(again.nlri, message.nlri))
+                    assert again.attributes.as_path is message.attributes.as_path
+        assert failed > 10_000 and sizes() > (1000, 1000, 1000)

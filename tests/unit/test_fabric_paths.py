@@ -14,6 +14,7 @@ oracle these tests compare against.  Pinned here:
   there.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -134,6 +135,30 @@ def test_shortest_paths_equal_networkx(fabric):
                 src, dst)
     assert hop_distances(fabric, "nowhere") == {}
     assert shortest_paths(fabric, {}, "nowhere", next(iter(fabric))) == []
+
+
+def test_parallel_links_repeat_a_path():
+    fabric = {"a": ("b", "b"), "b": ("a", "a", "c"), "c": ("b",)}
+    dist = hop_distances(fabric, "a")
+    assert shortest_paths(fabric, dist, "a", "c") == [["a", "b", "c"]] * 2
+    assert shortest_paths(fabric, dist, "a", "a") == [["a"]]
+
+
+def test_shortest_paths_leave_no_reference_cycle():
+    """Nothing a call makes is left for the cyclic collector (a
+    self-referring closure used to leave a function, its cells and a
+    tuple behind on every call)."""
+    fabric = _fabric(FatTreeTopo(k=4, device="router"))
+    dists = {src: hop_distances(fabric, src) for src in fabric}
+    gc.collect()
+    gc.disable()
+    try:
+        for src, dist in dists.items():
+            for dst in fabric:
+                shortest_paths(fabric, dist, src, dst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,7 @@ BAD_OSPF_TIMERS = [
     ({"dead_interval": 7000}, "dead_interval"),
     ({"dead_interval": 1.0}, "dead_interval"),      # ran, never converged
     ({"hello_interval": 3.0, "dead_interval": 3.0}, "dead_interval"),
+    ({"spf_delay": -0.5}, "spf_delay"),             # was a SchedulingError
 ]
 
 
@@ -114,6 +115,42 @@ def test_a_bad_ospf_timer_is_one_line_from_the_cli(params, name):
     message = excinfo.value.code
     assert isinstance(message, str) and "\n" not in message
     assert message.startswith(f"repro scenario run: OSPF {name!r} is ")
+    assert "accepted: " in message
+
+
+#: The same for BGP, which needs routers.
+BAD_BGP_PARAMS = [
+    ({"max_paths": 0}, "max_paths"),            # was a ValueError mid-run
+    ({"hold_time": -5}, "hold_time"),           # was a struct.error
+    ({"hold_time": 2}, "hold_time"),            # below RFC 4271's 3 s
+    ({"keepalive_interval": 0}, "keepalive_interval"),  # SchedulingError
+    ({"advertisement_interval": -1}, "advertisement_interval"),  # the same
+]
+ROUTER_FATTREE = ["--topo", "fattree", "--topo-param", "k=4",
+                  "--topo-param", "device=router"]
+
+
+@pytest.mark.parametrize("params, name", BAD_BGP_PARAMS)
+def test_bgp_parameters_are_rejected_at_materialize(params, name):
+    spec = generate_scenario(
+        1, topology=TopologyRecipe("fattree", {"k": 4, "device": "router"}),
+        protocol=ProtocolRecipe("bgp", params))
+    with pytest.raises(ConfigurationError) as excinfo:
+        ScenarioRunner().materialize(spec)
+    assert_names(excinfo, name)
+
+
+@pytest.mark.parametrize("params, name", BAD_BGP_PARAMS)
+def test_a_bad_bgp_parameter_is_one_line_from_the_cli(params, name):
+    argv = ["scenario", "run", "--protocol", "bgp", "--duration", "30",
+            *ROUTER_FATTREE]
+    for key, value in params.items():
+        argv += ["--protocol-param", f"{key}={value}"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"repro scenario run: BGP {name!r} is ")
     assert "accepted: " in message
 
 
