@@ -22,6 +22,59 @@ from repro.topology.topo import Topo
 from repro.traffic.generators import TrafficSpec, cbr_udp_flows, demo_workload
 
 
+# -- scheduled actions -------------------------------------------------------------
+#
+# What a failure injection or a switch's expiry check does when it fires.
+# Module functions taking their operands, not closures: scheduling one is
+# one CallbackEvent (docs/control_plane.md, "What a scheduled action
+# costs"), and everything is looked up when the action fires.
+
+def _cut(experiment: "Experiment", link: Link, channels) -> None:
+    link.set_up(False)
+    for channel in channels:
+        channel.close()
+    experiment.network.invalidate_routing()
+
+
+def _replug(experiment: "Experiment", link: Link, channels) -> None:
+    link.set_up(True)
+    for channel in channels:
+        channel.reopen()
+    experiment.network.invalidate_routing()
+
+
+def _node_down(experiment: "Experiment", name: str, attachments) -> None:
+    experiment.network.set_node_up(name, False)
+    for link, channels in attachments:
+        link.set_up(False)
+        for channel in channels:
+            channel.close()
+    experiment.network.invalidate_routing()
+
+
+def _node_up(experiment: "Experiment", name: str, attachments) -> None:
+    experiment.network.set_node_up(name, True)
+    for link, channels in attachments:
+        link.set_up(True)
+        for channel in channels:
+            channel.reopen()
+    experiment.network.invalidate_routing()
+
+
+def _degrade(experiment: "Experiment", link: Link, factor: float) -> None:
+    link.set_capacity(link.nominal_capacity_bps * factor)
+    experiment.network.invalidate_routing()
+
+
+def _repair(experiment: "Experiment", link: Link) -> None:
+    link.set_capacity(link.nominal_capacity_bps)
+    experiment.network.invalidate_routing()
+
+
+def _expire_entries(experiment: "Experiment", agent: SwitchAgent) -> None:
+    agent.tick(experiment.sim.clock.now)
+
+
 @dataclass
 class ExperimentResult:
     """Everything an experiment run produced."""
@@ -133,13 +186,6 @@ class Experiment:
                 f"no link between {node_a!r} and {node_b!r}")
         return link
 
-    def _when(self, at: "float | None", action, label: str) -> None:
-        """Run ``action`` now, or schedule it for simulated time ``at``."""
-        if at is None:
-            action()
-        else:
-            self.sim.scheduler.at(at, action, label=label)
-
     def fail_link(self, node_a: str, node_b: str,
                   at: "float | None" = None) -> None:
         """Cut the cable between two nodes (now, or at a future time).
@@ -151,14 +197,10 @@ class Experiment:
         """
         link = self._find_link(node_a, node_b)
         channels = self._link_channels.get(frozenset((node_a, node_b)), [])
-
-        def cut() -> None:
-            link.set_up(False)
-            for channel in channels:
-                channel.close()
-            self.network.invalidate_routing()
-
-        self._when(at, cut, f"fail {node_a}-{node_b}")
+        if at is None:
+            _cut(self, link, channels)
+        else:
+            self.sim.scheduler.at(at, _cut, self, link, channels)
 
     def restore_link(self, node_a: str, node_b: str,
                      at: "float | None" = None) -> None:
@@ -166,14 +208,10 @@ class Experiment:
         again and the daemons' own retry/hello machinery re-converges."""
         link = self._find_link(node_a, node_b)
         channels = self._link_channels.get(frozenset((node_a, node_b)), [])
-
-        def replug() -> None:
-            link.set_up(True)
-            for channel in channels:
-                channel.reopen()
-            self.network.invalidate_routing()
-
-        self._when(at, replug, f"restore {node_a}-{node_b}")
+        if at is None:
+            _replug(self, link, channels)
+        else:
+            self.sim.scheduler.at(at, _replug, self, link, channels)
 
     def _node_links(self, name: str):
         """(link, channels) pairs for every cable attached to a node."""
@@ -196,16 +234,10 @@ class Experiment:
         timers, exactly as with :meth:`fail_link`.
         """
         attachments = self._node_links(name)
-
-        def down() -> None:
-            self.network.set_node_up(name, False)
-            for link, channels in attachments:
-                link.set_up(False)
-                for channel in channels:
-                    channel.close()
-            self.network.invalidate_routing()
-
-        self._when(at, down, f"fail node {name}")
+        if at is None:
+            _node_down(self, name, attachments)
+        else:
+            self.sim.scheduler.at(at, _node_down, self, name, attachments)
 
     def restore_node(self, name: str, at: "float | None" = None) -> None:
         """Bring a failed device back, with all its cables.
@@ -217,16 +249,10 @@ class Experiment:
         the whole chassis.)
         """
         attachments = self._node_links(name)
-
-        def up() -> None:
-            self.network.set_node_up(name, True)
-            for link, channels in attachments:
-                link.set_up(True)
-                for channel in channels:
-                    channel.reopen()
-            self.network.invalidate_routing()
-
-        self._when(at, up, f"restore node {name}")
+        if at is None:
+            _node_up(self, name, attachments)
+        else:
+            self.sim.scheduler.at(at, _node_up, self, name, attachments)
 
     def degrade_link(self, node_a: str, node_b: str, factor: float,
                      at: "float | None" = None,
@@ -242,19 +268,12 @@ class Experiment:
             raise ConfigurationError(
                 f"degrade factor must be in (0, 1], got {factor}")
         link = self._find_link(node_a, node_b)
-
-        def degrade() -> None:
-            link.set_capacity(link.nominal_capacity_bps * factor)
-            self.network.invalidate_routing()
-
-        def repair() -> None:
-            link.set_capacity(link.nominal_capacity_bps)
-            self.network.invalidate_routing()
-
-        self._when(at, degrade, f"degrade {node_a}-{node_b}")
+        if at is None:
+            _degrade(self, link, factor)
+        else:
+            self.sim.scheduler.at(at, _degrade, self, link, factor)
         if until is not None:
-            self.sim.scheduler.at(until, repair,
-                                  label=f"repair {node_a}-{node_b}")
+            self.sim.scheduler.at(until, _repair, self, link)
 
     # -- control plane ----------------------------------------------------------------
 
@@ -289,8 +308,7 @@ class Experiment:
             self.agents.append(agent)
             if expiry_check_interval > 0:
                 self.sim.scheduler.periodic(
-                    expiry_check_interval,
-                    lambda a=agent: a.tick(self.sim.clock.now),
+                    expiry_check_interval, _expire_entries, self, agent,
                     label=f"expiry {switch.name}",
                 )
         self.sim.add_process(controller)

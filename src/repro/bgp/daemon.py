@@ -113,6 +113,10 @@ class _PeerState:
         self.remote_router_id = IPv4Address(0)
         self.open_sent = False
         self.last_heard = 0.0
+        # The hold time this session runs with: the lower of the two
+        # OPENs' offers (RFC 4271 4.2), negotiated again on every OPEN.
+        # The configured offer stays as it is.
+        self.hold_time = config.hold_time
         # prefix -> attributes of the selected route as they sit in the
         # Loc-RIB; the export rewrite happens in _flush.
         self.pending_announce: Dict[IPv4Prefix, PathAttributes] = {}
@@ -179,10 +183,7 @@ class BGPDaemon:
             self.loc_rib.set_selection(prefix, route, (route,))
         for state in self.peers.values():
             sim.scheduler.after(
-                state.config.connect_delay,
-                lambda s=state: self._connect(s),
-                label=f"{self.name} connect {state.config.peer_name}",
-            )
+                state.config.connect_delay, _connect, self, state)
 
     # -- session bring-up ----------------------------------------------------------
 
@@ -201,18 +202,9 @@ class BGPDaemon:
         # wedge in OPEN_SENT forever.
         if state.config.connect_retry > 0:
             state.connect_attempt += 1
-            attempt = state.connect_attempt
-
-            def attempt_timeout() -> None:
-                if (state.connect_attempt == attempt
-                        and not state.fsm.established
-                        and state.fsm.state is not BGPState.IDLE):
-                    self._teardown(state, "connect attempt timed out")
-
             self._require_sim().scheduler.after(
-                state.config.connect_retry, attempt_timeout,
-                label=f"{self.name} connect timeout {state.config.peer_name}",
-            )
+                state.config.connect_retry, _connect_timeout,
+                self, state, state.connect_attempt)
 
     def _send_open(self, state: _PeerState) -> None:
         state.open_sent = True
@@ -270,6 +262,11 @@ class BGPDaemon:
             self._send(state, BGPNotification(code=2, subcode=2))  # bad peer AS
             self._teardown(state, "bad peer AS")
             return
+        if message.hold_time in (1, 2):
+            # RFC 4271 6.2: one and two seconds MUST be rejected.
+            self._send(state, BGPNotification(code=2, subcode=6))
+            self._teardown(state, "unacceptable hold time")
+            return
         state.remote_router_id = message.bgp_id
         if state.fsm.state is BGPState.IDLE:
             # Passive side: peer connected before our connect timer.
@@ -278,56 +275,24 @@ class BGPDaemon:
             self._send_open(state)
         state.fsm.open_received(now)
         # Ack the OPEN; hold time is the lower of the two offers.
-        state.config.hold_time = min(state.config.hold_time, float(message.hold_time))
+        state.hold_time = min(state.config.hold_time, float(message.hold_time))
         self._send(state, BGPKeepalive())
 
     def _on_established(self, state: _PeerState) -> None:
         """Session just came up: arm timers, send the initial table."""
-        sim = self._require_sim()
-        interval = min(
-            state.config.keepalive_interval, max(state.config.hold_time / 3.0, 0.001)
-        )
-        state.keepalive_timer = sim.scheduler.periodic(
-            interval,
-            lambda s=state: self._send_keepalive(s),
-            label=f"{self.name} keepalive {state.config.peer_name}",
-        )
-        self._arm_hold_timer(state)
+        hold = state.hold_time
+        if hold > 0:
+            # A hold time of zero arms neither timer (RFC 4271 4.4).
+            scheduler = self._require_sim().scheduler
+            state.keepalive_timer = scheduler.periodic(
+                min(state.config.keepalive_interval, hold / 3.0),
+                _send_keepalive, self, state)
+            state.hold_wakeup = scheduler.after(hold, _check_hold, self, state)
         for prefix in self.loc_rib.prefixes():
             best = self.loc_rib.best(prefix)
             if best is not None:
                 self._queue_announce(state, prefix, best)
         self._schedule_flush(state)
-
-    def _send_keepalive(self, state: _PeerState) -> None:
-        if state.fsm.established:
-            self._send(state, BGPKeepalive())
-
-    def _arm_hold_timer(self, state: _PeerState) -> None:
-        sim = self._require_sim()
-        hold = state.config.hold_time
-        if hold <= 0:
-            return
-
-        def check() -> None:
-            if not state.fsm.established and state.fsm.state is BGPState.IDLE:
-                return
-            now = self._now()
-            silent_for = now - state.last_heard
-            # Epsilon guards against float rounding: a remaining delay
-            # of ~1e-16 s would reschedule at the *same* simulated
-            # instant and spin the event loop forever.
-            if silent_for >= hold - 1e-9:
-                self._send(state, BGPNotification(code=4))  # hold timer expired
-                self._teardown(state, "hold timer expired")
-            else:
-                state.hold_wakeup = sim.scheduler.after(
-                    max(hold - silent_for, 0.001), check,
-                    label=f"{self.name} hold check",
-                )
-
-        state.hold_wakeup = sim.scheduler.after(hold, check,
-                                                label=f"{self.name} hold check")
 
     # -- update processing ----------------------------------------------------------------
 
@@ -471,10 +436,7 @@ class BGPDaemon:
             return
         state.flush_scheduled = True
         self._require_sim().scheduler.after(
-            self.config.advertisement_interval,
-            lambda s=state: self._flush(s),
-            label=f"{self.name} flush {state.config.peer_name}",
-        )
+            self.config.advertisement_interval, _flush, self, state)
 
     def _flush(self, state: _PeerState) -> None:
         """Send pending announcements/withdrawals as real UPDATEs."""
@@ -532,10 +494,7 @@ class BGPDaemon:
             self._reprocess(set(lost))
         if state.config.connect_retry > 0:
             self._require_sim().scheduler.after(
-                state.config.connect_retry,
-                lambda s=state: self._connect(s),
-                label=f"{self.name} reconnect {state.config.peer_name}",
-            )
+                state.config.connect_retry, _connect, self, state)
 
     def peer_down(self, peer_name: str, reason: str = "admin down") -> None:
         """Externally fail a session (link failure experiments)."""
@@ -597,3 +556,51 @@ class BGPDaemon:
             f"<BGPDaemon {self.name} AS{self.config.asn} "
             f"peers={len(self.peers)} routes={len(self.loc_rib)}>"
         )
+
+
+# -- scheduled actions ---------------------------------------------------------------
+#
+# The session timers.  Module functions taking their operands, not
+# closures: arming one is one CallbackEvent (docs/control_plane.md, "What
+# a scheduled action costs"), and each looks the daemon's methods up when
+# it fires.
+
+def _connect(daemon: BGPDaemon, state: _PeerState) -> None:
+    daemon._connect(state)
+
+
+def _connect_timeout(daemon: BGPDaemon, state: _PeerState,
+                     attempt: int) -> None:
+    if (state.connect_attempt == attempt
+            and not state.fsm.established
+            and state.fsm.state is not BGPState.IDLE):
+        daemon._teardown(state, "connect attempt timed out")
+
+
+def _send_keepalive(daemon: BGPDaemon, state: _PeerState) -> None:
+    if state.fsm.established:
+        daemon._send(state, BGPKeepalive())
+
+
+def _check_hold(daemon: BGPDaemon, state: _PeerState) -> None:
+    # The session's hold time is read here, not when the check was
+    # armed: a check armed by an earlier session of this peer can still
+    # be pending, and must not enforce that session's hold time.
+    hold = state.hold_time
+    if hold <= 0 or (not state.fsm.established
+                     and state.fsm.state is BGPState.IDLE):
+        return
+    silent_for = daemon._now() - state.last_heard
+    # Epsilon guards against float rounding: a remaining delay of
+    # ~1e-16 s would reschedule at the *same* simulated instant and
+    # spin the event loop forever.
+    if silent_for >= hold - 1e-9:
+        daemon._send(state, BGPNotification(code=4))  # hold timer expired
+        daemon._teardown(state, "hold timer expired")
+    else:
+        state.hold_wakeup = daemon._require_sim().scheduler.after(
+            max(hold - silent_for, 0.001), _check_hold, daemon, state)
+
+
+def _flush(daemon: BGPDaemon, state: _PeerState) -> None:
+    daemon._flush(state)

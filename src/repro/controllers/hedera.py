@@ -189,6 +189,9 @@ class HederaApp(FiveTupleEcmpApp):
         self.measured_rates: Dict[FiveTuple, float] = {}
         self._round: Optional[_PollRound] = None
         self._last_bytes: Dict[FiveTuple, int] = {}
+        # The (keys, host pairs) the last placement ran on; None once a
+        # placement it made is dropped.
+        self._placed_inputs: Optional[tuple] = None
 
     # -- control loop -------------------------------------------------------------
 
@@ -238,7 +241,8 @@ class HederaApp(FiveTupleEcmpApp):
 
     def forget_flow(self, flow: FiveTuple) -> None:
         super().forget_flow(flow)
-        self.large_placements.pop(flow, None)
+        if self.large_placements.pop(flow, None) is not None:
+            self._placed_inputs = None
         # New entries count from zero; a kept total would read as a
         # negative delta at the next poll.
         self._last_bytes.pop(flow, None)
@@ -275,6 +279,7 @@ class HederaApp(FiveTupleEcmpApp):
         if not active:
             return
 
+        keys: List[tuple] = []
         pairs: List[Tuple[str, str]] = []
         located: List[tuple] = []  # (key, flow, src location, dst location)
         locate = self.topology.locate_ip
@@ -283,8 +288,16 @@ class HederaApp(FiveTupleEcmpApp):
             dst = locate(flow.dst_ip)
             if src is None or dst is None:
                 continue
+            keys.append(key)
             pairs.append((src.host_name, dst.host_name))
             located.append((key, flow, src, dst))
+        # The same flows between the same hosts as the last placement,
+        # none of its placements dropped since: estimation and Global
+        # First Fit would pin every large flow where it already is and
+        # install nothing (the topology view never changes).
+        if (keys, pairs) == self._placed_inputs:
+            return
+        self._placed_inputs = (keys, pairs)
         demands = estimate_demands(pairs)
 
         # Deterministic large-flow order: biggest demand first, then key.

@@ -65,27 +65,43 @@ class Event:
 
 
 class CallbackEvent(Event):
-    """The workhorse event: fires a callable taking no arguments."""
+    """The workhorse event: fires ``callback(*operands)``.
 
-    __slots__ = ("callback", "label")
+    A scheduled action is this one object: the callable and the
+    operands it is called with ride in slots, so scheduling one needs
+    no closure, cell or bound method.  The callback is a module-level
+    function (or any callable) that looks up what it acts on when it
+    fires, as a closure would.
+    """
+
+    __slots__ = ("callback", "operands", "label")
 
     def __init__(
         self,
         time: float,
         callback: Callable[..., Any],
+        operands: tuple = (),
         priority: int = PRIORITY_DEFAULT,
         label: str = "",
     ):
-        super().__init__(time, priority)
+        # Every slot set here, Event.__init__'s included, as in
+        # ControlDeliveryEvent: one action is one constructor call.
+        if time < 0:
+            raise ValueError(f"event time must be non-negative, got {time}")
+        self.time = float(time)
+        self.priority = priority
+        self.cancelled = False
         self.callback = callback
+        self.operands = operands
         self.label = label
 
     def fire(self, sim: "Simulation") -> None:
-        self.callback()
+        self.callback(*self.operands)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = f" {self.label}" if self.label else ""
-        return f"<CallbackEvent t={self.time:.6f}{label}>"
+        label = self.label or getattr(
+            self.callback, "__qualname__", type(self.callback).__name__)
+        return f"<CallbackEvent t={self.time:.6f} {label}>"
 
 
 class ControlDeliveryEvent(Event):

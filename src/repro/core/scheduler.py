@@ -4,6 +4,13 @@ Components never touch the heap directly: they ask the scheduler to run
 a callback at/after a given time, to deliver control bytes, or to set up
 periodic timers (statistics sampling, Hedera's 5-second polls, BGP
 keepalives...).
+
+A scheduled action is one :class:`~repro.core.events.CallbackEvent`
+holding its callable and operands: ``at(t, fn, a, b)`` runs ``fn(a, b)``
+at ``t``.  Callers pass a module-level function and the objects it acts
+on rather than a fresh closure, so an action allocates no function,
+cell or bound method (``docs/control_plane.md``, "What a scheduled
+action costs").
 """
 
 from __future__ import annotations
@@ -37,35 +44,32 @@ class Scheduler:
         self,
         time: float,
         callback: Callable[..., Any],
+        *operands: Any,
         priority: int = PRIORITY_DEFAULT,
         label: str = "",
     ) -> CallbackEvent:
-        """Run ``callback`` at absolute simulated time ``time``."""
-        if time < self.clock.now - 1e-12:
+        """Run ``callback(*operands)`` at absolute simulated time ``time``."""
+        now = self.clock.now
+        if time < now - 1e-12:
             raise SchedulingError(
-                f"cannot schedule at t={time}; clock already at t={self.clock.now}"
+                f"cannot schedule at t={time}; clock already at t={now}"
             )
-        event = CallbackEvent(
-            max(time, self.clock.now), callback,
-            priority=priority, label=label,
-        )
-        self.queue.push(event)
-        return event
+        return self.queue.push(CallbackEvent(
+            max(time, now), callback, operands, priority, label))
 
     def after(
         self,
         delay: float,
         callback: Callable[..., Any],
+        *operands: Any,
         priority: int = PRIORITY_DEFAULT,
         label: str = "",
     ) -> CallbackEvent:
-        """Run ``callback`` after ``delay`` simulated seconds."""
+        """Run ``callback(*operands)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        return self.at(
-            self.clock.now + delay, callback,
-            priority=priority, label=label,
-        )
+        return self.queue.push(CallbackEvent(
+            self.clock.now + delay, callback, operands, priority, label))
 
     def push(self, event: Event) -> Event:
         """Insert a pre-built event (validated against the clock)."""
@@ -76,21 +80,17 @@ class Scheduler:
         self,
         interval: float,
         callback: Callable[..., Any],
+        *operands: Any,
         start_after: "float | None" = None,
         priority: int = PRIORITY_DEFAULT,
         label: str = "",
     ) -> "PeriodicTimer":
-        """Run ``callback`` every ``interval`` simulated seconds.
+        """Run ``callback(*operands)`` every ``interval`` simulated seconds.
 
         Returns a :class:`PeriodicTimer` handle that can be stopped.
         """
-        timer = PeriodicTimer(
-            scheduler=self,
-            interval=interval,
-            callback=callback,
-            priority=priority,
-            label=label,
-        )
+        timer = PeriodicTimer(self, interval, callback, operands,
+                              priority=priority, label=label)
         first_delay = interval if start_after is None else start_after
         timer.start(first_delay)
         return timer
@@ -109,6 +109,7 @@ class PeriodicTimer:
         scheduler: Scheduler,
         interval: float,
         callback: Callable[..., Any],
+        operands: tuple = (),
         priority: int = PRIORITY_DEFAULT,
         label: str = "",
     ):
@@ -117,6 +118,7 @@ class PeriodicTimer:
         self.scheduler = scheduler
         self.interval = float(interval)
         self.callback = callback
+        self.operands = operands
         self.priority = priority
         self.label = label
         self.fired_count = 0
@@ -150,6 +152,6 @@ class PeriodicTimer:
         if self._stopped:
             return
         self.fired_count += 1
-        self.callback()
+        self.callback(*self.operands)
         if not self._stopped:
             self._schedule(self.interval)

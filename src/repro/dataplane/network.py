@@ -252,11 +252,9 @@ class Network:
                 f"flow id {flow.id} is already registered on {self.name!r}")
         self._flow_ids.add(flow.id)
         self.flows.append(flow)
-        sim.scheduler.at(flow.start_time, lambda: self.start_flow(flow),
-                         label=f"start {flow.name}")
+        sim.scheduler.at(flow.start_time, _start_flow, self, flow)
         if flow.end_time is not None:
-            sim.scheduler.at(flow.end_time, lambda: self.stop_flow(flow),
-                             label=f"stop {flow.name}")
+            sim.scheduler.at(flow.end_time, _stop_flow, self, flow)
         return flow
 
     def start_flow(self, flow: FluidFlow) -> None:
@@ -365,11 +363,7 @@ class Network:
         when = sim.clock.now
         if self.recompute_min_interval > 0:
             when = max(when, self._last_recompute + self.recompute_min_interval)
-        sim.scheduler.at(when, self._recompute, label="recompute")
-
-    def _recompute(self) -> None:
-        self._recompute_pending = False
-        self.recompute(self.now)
+        sim.scheduler.at(when, _recompute_due, self)
 
     def recompute(self, now: float) -> None:
         """Recompute paths and rates at ``now``.
@@ -473,21 +467,39 @@ class Network:
             direction = port.link.direction_from(port)
             self.realloc.credit_packet(direction, port, to_send.size)
             self.packets_forwarded += 1
-            sim.scheduler.after(
-                port.link.delay,
-                lambda d=direction, pkt=to_send: self._packet_arrives(d, pkt),
-                label="packet hop",
-            )
-
-    def _packet_arrives(self, direction: LinkDirection,
-                        packet: "Packet") -> None:
-        peer_port = direction.dst_port
-        peer_port.rx_packets += 1
-        self.realloc.credit_packet(direction, peer_port, packet.size)
-        self.inject_packet(peer_port.node, peer_port.number, packet)
+            sim.scheduler.after(port.link.delay, _packet_arrives,
+                                self, direction, to_send)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Network {self.name!r} nodes={len(self.nodes)} links={len(self.links)} "
             f"flows={len(self.flows)}>"
         )
+
+
+# -- scheduled actions ---------------------------------------------------------------
+#
+# Module functions taking their operands, not closures or bound methods:
+# scheduling one is one CallbackEvent (docs/control_plane.md, "What a
+# scheduled action costs").  Each looks its callee up when it fires, so
+# a hook patched on a network after the flows were added still runs.
+
+def _start_flow(network: Network, flow: FluidFlow) -> None:
+    network.start_flow(flow)
+
+
+def _stop_flow(network: Network, flow: FluidFlow) -> None:
+    network.stop_flow(flow)
+
+
+def _recompute_due(network: Network) -> None:
+    network._recompute_pending = False
+    network.recompute(network.now)
+
+
+def _packet_arrives(network: Network, direction: LinkDirection,
+                    packet: "Packet") -> None:
+    peer_port = direction.dst_port
+    peer_port.rx_packets += 1
+    network.realloc.credit_packet(direction, peer_port, packet.size)
+    network.inject_packet(peer_port.node, peer_port.number, packet)

@@ -310,9 +310,7 @@ class OSPFDaemon:
         if self._spf_scheduled or self.sim is None:
             return
         self._spf_scheduled = True
-        self.sim.scheduler.after(
-            self.config.spf_delay, self._run_spf, label=f"{self.name} spf"
-        )
+        self.sim.scheduler.after(self.config.spf_delay, _run_spf, self)
 
     def _run_spf(self) -> None:
         self._spf_scheduled = False
@@ -384,3 +382,9 @@ class OSPFDaemon:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OSPFDaemon {self.name} lsdb={len(self.lsdb)} full={len(self.full_neighbors())}>"
+
+
+def _run_spf(daemon: OSPFDaemon) -> None:
+    """The scheduled SPF run: a module function taking the daemon, so
+    scheduling it allocates no bound method."""
+    daemon._run_spf()

@@ -130,6 +130,70 @@ class TestKeepaliveAndHold:
         assert net.get_node("r1").fib.lookup("10.2.0.5") is None
 
 
+class TestHoldTimeNegotiation:
+    """RFC 4271 4.2, 4.4 and 6.2: the lower offer wins, zero means no
+    timers, and one or two seconds is refused."""
+
+    def test_zero_hold_time_sends_no_keepalives(self):
+        sim, net, d1, d2, channel = build_pair(hold=0.0, keepalive=30.0)
+        sim.run(until=1.0)
+        assert d1.session_state("r2") is BGPState.ESTABLISHED
+        assert d1.peers["r2"].keepalive_timer is None
+        converged = channel.total_messages
+        sim.run(until=5.0)
+        assert channel.total_messages == converged
+        assert d1.session_state("r2") is BGPState.ESTABLISHED
+
+    @pytest.mark.parametrize("offer", [1, 2])
+    def test_an_open_offering_one_or_two_seconds_is_refused(self, offer):
+        sim, net, d1, d2, __ = build_pair()
+        # Past BGPPeerConfig's own check, as a foreign speaker would be.
+        d2.peers["r1"].config.hold_time = float(offer)
+        sim.run(until=1.0)
+        events = [change.event for change in d1.peers["r2"].fsm.history]
+        assert "unacceptable hold time" in events
+        # The NOTIFICATION is Unacceptable Hold Time (2/6).
+        peer_events = [change.event for change in d2.peers["r1"].fsm.history]
+        assert "notification 2/6" in peer_events
+        for daemon, peer in ((d1, "r2"), (d2, "r1")):
+            assert BGPState.ESTABLISHED not in [
+                change.to_state for change in daemon.peers[peer].fsm.history]
+
+    def test_a_low_offer_lowers_one_session_not_the_configuration(self):
+        sim, net, d1, d2, __ = build_pair(hold=90.0, keepalive=30.0)
+        d2.peers["r1"].config.hold_time = 3.0
+        sim.run(until=1.0)
+        state = d1.peers["r2"]
+        assert state.config.hold_time == 90.0
+        assert state.hold_time == 3.0
+        assert state.keepalive_timer.interval == 1.0
+        # The peer offers 90 s again: the next session runs with 90 s.
+        d2.peers["r1"].config.hold_time = 90.0
+        d1.peer_down("r2")
+        d2.peer_down("r1")
+        sim.run(until=8.0)
+        assert d1.session_state("r2") is BGPState.ESTABLISHED
+        assert state.hold_time == 90.0
+        assert state.keepalive_timer.interval == 30.0
+
+
+    def test_a_longer_hold_is_not_cut_short_by_the_last_session(self):
+        sim, net, d1, d2, __ = build_pair(hold=90.0, keepalive=30.0)
+        for daemon, peer in ((d1, "r2"), (d2, "r1")):
+            daemon.peers[peer].config.connect_retry = 1.0
+        d2.peers["r1"].config.hold_time = 3.0
+        sim.run(until=1.0)
+        d2.peers["r1"].config.hold_time = 90.0
+        d1.peer_down("r2")
+        d2.peer_down("r1")
+        # Reconnected at 2 s with 90 s; the 3 s session's hold check is
+        # still pending and fires while the peer is quiet.
+        sim.run(until=20.0)
+        assert d1.peers["r2"].hold_time == 90.0
+        events = [change.event for change in d1.peers["r2"].fsm.history]
+        assert "hold timer expired" not in events
+        assert d1.session_state("r2") is BGPState.ESTABLISHED
+
 class TestWithdrawals:
     def test_peer_down_withdraws_routes(self):
         sim, net, d1, d2, __ = build_pair()
