@@ -16,7 +16,7 @@ clock into FTI mode and back out (Figure 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.bgp.decision import RouteComparison, decide
 from repro.bgp.fsm import BGPState, SessionFSM
@@ -31,6 +31,9 @@ from repro.bgp.messages import (
     Origin,
     RouteValues,
     decode_bgp_stream,
+    encode_attributes,
+    encode_update,
+    next_hop_attribute,
 )
 from repro.bgp.policy import ExportPolicy, ImportPolicy
 from repro.bgp.rib import AdjRIBIn, AdjRIBInTable, AdjRIBOut, LocRIB, RIBRoute
@@ -117,6 +120,9 @@ class _PeerState:
         # OPENs' offers (RFC 4271 4.2), negotiated again on every OPEN.
         # The configured offer stays as it is.
         self.hold_time = config.hold_time
+        # The NEXT_HOP attribute every export to this peer carries
+        # (next-hop-self), encoded once for the session's life.
+        self.next_hop = next_hop_attribute(config.local_address)
         # prefix -> attributes of the selected route as they sit in the
         # Loc-RIB; the export rewrite happens in _flush.
         self.pending_announce: Dict[IPv4Prefix, PathAttributes] = {}
@@ -144,6 +150,9 @@ class BGPDaemon:
         self.loc_rib = LocRIB()
         self.adj_rib_in = AdjRIBInTable()
         self.peers: Dict[str, _PeerState] = {}
+        # The peers whose sessions are up, in peer order: set again
+        # where a session comes up or goes down, and nowhere else.
+        self._established: List[_PeerState] = []
         self._channel_to_peer: Dict[int, str] = {}
         self._installed: Set[IPv4Prefix] = set()
         self._local_routes: Dict[IPv4Prefix, RIBRoute] = {}
@@ -239,6 +248,14 @@ class BGPDaemon:
             self._dispatch(state, message)
 
     def _dispatch(self, state: _PeerState, message: BGPMessage) -> None:
+        if isinstance(message, BGPUpdate):
+            if state.fsm.established:
+                state.updates_received += 1
+                self._handle_update(state, message)
+            # Updates before ESTABLISHED are a protocol violation; the
+            # reliable channel makes this impossible from our own
+            # daemons, so simply ignore.
+            return
         now = self._now()
         if isinstance(message, BGPOpen):
             self._handle_open(state, message, now)
@@ -247,13 +264,6 @@ class BGPDaemon:
             state.fsm.keepalive_received(now)
             if state.fsm.established and not was_established:
                 self._on_established(state)
-        elif isinstance(message, BGPUpdate):
-            if state.fsm.established:
-                state.updates_received += 1
-                self._handle_update(state, message)
-            # Updates before ESTABLISHED are a protocol violation; the
-            # reliable channel makes this impossible from our own
-            # daemons, so simply ignore.
         elif isinstance(message, BGPNotification):
             self._teardown(state, f"notification {message.code}/{message.subcode}")
 
@@ -280,6 +290,8 @@ class BGPDaemon:
 
     def _on_established(self, state: _PeerState) -> None:
         """Session just came up: arm timers, send the initial table."""
+        self._established = [s for s in self.peers.values()
+                             if s.fsm.established]
         hold = state.hold_time
         if hold > 0:
             # A hold time of zero arms neither timer (RFC 4271 4.4).
@@ -288,50 +300,57 @@ class BGPDaemon:
                 min(state.config.keepalive_interval, hold / 3.0),
                 _send_keepalive, self, state)
             state.hold_wakeup = scheduler.after(hold, _check_hold, self, state)
+        only = (state,)
         for prefix in self.loc_rib.prefixes():
             best = self.loc_rib.best(prefix)
             if best is not None:
-                self._queue_announce(state, prefix, best)
+                self._propagate(prefix, best, only)
         self._schedule_flush(state)
 
     # -- update processing ----------------------------------------------------------------
 
     def _handle_update(self, state: _PeerState, message: BGPUpdate) -> None:
         touched: Set[IPv4Prefix] = set()
+        rib_in = state.adj_rib_in
         for prefix in message.withdrawn:
-            if state.adj_rib_in.withdraw(prefix):
+            if rib_in.withdraw(prefix):
                 touched.add(prefix)
         if message.nlri:
-            if message.attributes is None:
-                raise ControlPlaneError("UPDATE with NLRI but no attributes")
             attrs = message.attributes
-            if attrs.contains_as(self.config.asn):
-                # AS-path loop: reject silently (receiver-side check).
-                pass
-            else:
-                for prefix in message.nlri:
-                    imported = state.config.import_policy.apply(prefix, attrs)
-                    if imported is None:
-                        continue
-                    state.adj_rib_in.update(
-                        RIBRoute(
-                            prefix=prefix,
-                            attributes=imported,
-                            peer_name=state.config.peer_name,
-                            peer_router_id=state.remote_router_id,
-                            values=self.values,
-                        )
+            if attrs is None:
+                raise ControlPlaneError("UPDATE with NLRI but no attributes")
+            # A route whose AS path holds our own AS (receiver-side loop
+            # check, RFC 4271 9.1.2) or that the import policy denies is
+            # not a candidate; it still replaces whatever the peer
+            # announced for the prefix before (RFC 4271 9), so it acts
+            # as a withdrawal of that route.
+            looped = attrs.contains_as(self.config.asn)
+            import_policy = state.config.import_policy
+            for prefix in message.nlri:
+                imported = (None if looped
+                            else import_policy.apply(prefix, attrs))
+                if imported is None:
+                    if rib_in.withdraw(prefix):
+                        touched.add(prefix)
+                    continue
+                rib_in.update(
+                    RIBRoute(
+                        prefix=prefix,
+                        attributes=imported,
+                        peer_name=state.config.peer_name,
+                        peer_router_id=state.remote_router_id,
+                        values=self.values,
                     )
-                    touched.add(prefix)
+                )
+                touched.add(prefix)
         if touched:
             self._reprocess(touched)
 
     def _reprocess(self, prefixes: Set[IPv4Prefix]) -> None:
         """Re-run the decision process for the given prefixes."""
-        # Sessions neither come up nor go down inside this call, so the
-        # established peers are gathered once for every prefix below.
-        # Only they hold routes: a teardown empties the peer's slots.
-        established = [s for s in self.peers.values() if s.fsm.established]
+        # Only established peers hold routes: a teardown empties the
+        # peer's slots.
+        established = self._established
         slots_of = self.adj_rib_in.slots
         ordered = (sorted(prefixes, key=IPv4Prefix.key)
                    if len(prefixes) > 1 else prefixes)
@@ -377,59 +396,38 @@ class BGPDaemon:
         self.fib_installs += 1
 
     def _propagate(self, prefix: IPv4Prefix, best: Optional[RIBRoute],
-                   established: List[_PeerState]) -> None:
-        """Queue announcements/withdrawals of the new best to all peers."""
-        for state in established:
-            if best is None:
-                self._queue_withdraw(state, prefix)
+                   peers: Sequence[_PeerState]) -> None:
+        """Queue the new best route, or a withdrawal, towards ``peers``.
+
+        A peer is queued a withdrawal instead when the route came from
+        it (no echo), when its AS is on the path already (sender-side
+        loop suppression) or when its export policy filters the prefix.
+        A surviving announcement records the Loc-RIB attributes as they
+        are: most are overwritten or torn down before the flush, so
+        :meth:`_flush` rewrites only what goes out.
+        """
+        if best is None:
+            source, attributes, path = None, None, ()
+        else:
+            source = best.peer_name
+            attributes = best.attributes
+            path = attributes.as_path
+        loop_check = self.config.sender_side_loop_detection
+        for state in peers:
+            config = state.config
+            if (attributes is None or config.peer_name == source
+                    or (loop_check and config.remote_asn in path)
+                    or not config.export_policy.permits(prefix)):
+                # A withdrawal only matters if we advertised the prefix.
+                # The Adj-RIB-Out changes in _flush and _teardown only,
+                # so this test answers now what it would at the flush.
+                state.pending_announce.pop(prefix, None)
+                if state.adj_rib_out.advertised(prefix) is not None:
+                    state.pending_withdraw.add(prefix)
             else:
-                self._queue_announce(state, prefix, best)
+                state.pending_withdraw.discard(prefix)
+                state.pending_announce[prefix] = attributes
             self._schedule_flush(state)
-
-    def _queue_announce(self, state: _PeerState, prefix: IPv4Prefix,
-                        best: RIBRoute) -> None:
-        # Do not echo a route back to the peer it came from.
-        if best.peer_name == state.config.peer_name:
-            self._queue_withdraw(state, prefix)
-            return
-        # Sender-side AS-loop suppression: pointless to announce a path
-        # already containing the peer's AS.
-        if (
-            self.config.sender_side_loop_detection
-            and state.config.remote_asn in best.attributes.as_path
-        ):
-            self._queue_withdraw(state, prefix)
-            return
-        if not state.config.export_policy.permits(prefix):
-            self._queue_withdraw(state, prefix)
-            return
-        # Most queued announcements are overwritten or torn down before
-        # the flush, so only the route's own attributes are recorded
-        # here; _flush rewrites the survivors.
-        state.pending_withdraw.discard(prefix)
-        state.pending_announce[prefix] = best.attributes
-
-    def _queue_withdraw(self, state: _PeerState, prefix: IPv4Prefix) -> None:
-        # Only meaningful if we actually advertised it (or are about to).
-        # The Adj-RIB-Out changes in _flush and _teardown only, so this
-        # test answers now what it would answer at the flush.
-        state.pending_announce.pop(prefix, None)
-        if state.adj_rib_out.advertised(prefix) is not None:
-            state.pending_withdraw.add(prefix)
-
-    def _export(self, state: _PeerState,
-                attributes: PathAttributes) -> PathAttributes:
-        """What a peer is told about a route: the export policy's extra
-        prepends, the eBGP prepend of our own AS and next-hop-self."""
-        self.exports += 1
-        copies = 1 + state.config.export_policy.prepend_count
-        return PathAttributes(
-            origin=attributes.origin,
-            as_path=(self.config.asn,) * copies + attributes.as_path,
-            next_hop=state.config.local_address,
-            med=attributes.med,
-            local_pref=attributes.local_pref,
-        )
 
     def _schedule_flush(self, state: _PeerState) -> None:
         if state.flush_scheduled:
@@ -441,40 +439,55 @@ class BGPDaemon:
     def _flush(self, state: _PeerState) -> None:
         """Send pending announcements/withdrawals as real UPDATEs."""
         state.flush_scheduled = False
+        pending = state.pending_announce
         if not state.fsm.established:
-            state.pending_announce.clear()
+            pending.clear()
             state.pending_withdraw.clear()
             return
+        prefix_bytes = self.values.prefix_bytes
+        rib_out = state.adj_rib_out
 
-        withdrawals = [
-            prefix
+        withdrawn = b"".join([
+            prefix_bytes(prefix)
             for prefix in sorted(state.pending_withdraw, key=IPv4Prefix.key)
-            if state.adj_rib_out.record_withdraw(prefix)
-        ]
+            if rib_out.record_withdraw(prefix)
+        ])
         state.pending_withdraw.clear()
 
-        # Prefixes whose exports are equal share an UPDATE.
-        groups: Dict[PathAttributes, List[IPv4Prefix]] = {}
-        for prefix in sorted(state.pending_announce, key=IPv4Prefix.key):
-            attrs = state.pending_announce[prefix]
-            if state.adj_rib_out.record_announce(prefix, attrs):
-                groups.setdefault(self._export(state, attrs), []).append(prefix)
-        state.pending_announce.clear()
+        # Towards one peer every export adds the same prepends and the
+        # same next hop, so two exports are equal exactly when their
+        # Loc-RIB attributes agree on all but the next hop (the rule
+        # AdjRIBOut.record_announce compares by): prefixes are grouped
+        # by those, and each group is one UPDATE.
+        groups: Dict[tuple, Tuple[PathAttributes, List[bytes]]] = {}
+        for prefix in sorted(pending, key=IPv4Prefix.key):
+            attrs = pending[prefix]
+            if rib_out.record_announce(prefix, attrs):
+                self.exports += 1
+                key = (attrs.as_path, attrs.origin, attrs.med, attrs.local_pref)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = (attrs, [prefix_bytes(prefix)])
+                else:
+                    group[1].append(prefix_bytes(prefix))
+        pending.clear()
 
-        if withdrawals and not groups:
+        channel = state.channel
+        if withdrawn and not groups:
             state.updates_sent += 1
-            self._send(state, BGPUpdate(withdrawn=withdrawals))
+            if channel is not None:
+                channel.send(self, encode_update(withdrawn, b"", b""))
             return
-        first = True
-        for attrs, prefixes in groups.items():
-            update = BGPUpdate(
-                withdrawn=withdrawals if first else [],
-                attributes=attrs,
-                nlri=prefixes,
-            )
-            first = False
+        asn = self.config.asn
+        prepends = 1 + state.config.export_policy.prepend_count
+        for attrs, nlri in groups.values():
             state.updates_sent += 1
-            self._send(state, update)
+            if channel is not None:
+                channel.send(self, encode_update(
+                    withdrawn,
+                    encode_attributes(attrs, state.next_hop, asn, prepends),
+                    b"".join(nlri)))
+            withdrawn = b""
 
     # -- session teardown ---------------------------------------------------------------------
 
@@ -490,6 +503,8 @@ class BGPDaemon:
         state.adj_rib_out.clear()
         state.pending_announce.clear()
         state.pending_withdraw.clear()
+        self._established = [s for s in self.peers.values()
+                             if s.fsm.established]
         if lost:
             self._reprocess(set(lost))
         if state.config.connect_retry > 0:

@@ -20,7 +20,7 @@ routes tie on AS-path length and all get installed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - rib imports preference_key from here
     from repro.bgp.rib import RIBRoute
@@ -59,25 +59,25 @@ def tie_break_key(route: RIBRoute) -> tuple:
     return (int(route.peer_router_id), route.peer_name)
 
 
-def decide(candidates: Iterable[RIBRoute], max_paths: int = 1) -> RouteComparison:
-    """Run the decision process over candidate routes for one prefix.
+def decide(candidates: Sequence[RIBRoute], max_paths: int = 1) -> RouteComparison:
+    """Run the decision process over the candidate routes for one prefix.
 
     Returns the best route and the ECMP multipath set (size capped at
-    ``max_paths``; 1 reproduces plain single-path BGP).
+    ``max_paths``; 1 reproduces plain single-path BGP).  ``candidates``
+    is read, never copied, kept or changed.
     """
     if max_paths < 1:
         raise ValueError(f"max_paths must be >= 1, got {max_paths}")
-    pool: List[RIBRoute] = list(candidates)
-    if not pool:
+    if not candidates:
         return RouteComparison(best=None, multipath=())
-    if len(pool) == 1:
-        return RouteComparison(best=pool[0], multipath=(pool[0],))
+    if len(candidates) == 1:
+        return RouteComparison(best=candidates[0], multipath=(candidates[0],))
 
     # The winners are the candidates at the minimum preference key,
     # ordered among themselves by the final tie-break (a stable sort,
     # so full ties keep candidate order).
-    best_key = min([route.preference for route in pool])
-    equal_cost = [route for route in pool if route.preference == best_key]
+    best_key = min([route.preference for route in candidates])
+    equal_cost = [route for route in candidates if route.preference == best_key]
     if len(equal_cost) > 1:
         equal_cost.sort(key=tie_break_key)
     return RouteComparison(best=equal_cost[0],

@@ -56,7 +56,8 @@ _U16 = struct.Struct("!H")
 _ATTR_U8 = struct.Struct("!BBBB")     # flags, code, length 1, one octet
 _ATTR_U32 = struct.Struct("!BBBI")    # flags, code, length 4, one word
 _ATTR_HEADER = struct.Struct("!BBB")
-_ATTR_HEADER_EXT = struct.Struct("!BBH")  # FLAG_EXTENDED: two-byte length
+_EMPTY_AS_PATH = _ATTR_HEADER.pack(FLAG_TRANSITIVE, ATTR_AS_PATH, 0)
+_UPDATE_HEAD = struct.Struct("!HBH")  # header after the marker, withdrawn length
 _U32 = struct.Struct("!I")
 _OPEN_BODY = struct.Struct("!BHH4sB")
 _NOTIFICATION_HEAD = struct.Struct("!BB")
@@ -84,6 +85,12 @@ class Origin(enum.IntEnum):
     IGP = 0
     EGP = 1
     INCOMPLETE = 2
+
+
+#: Each ORIGIN value by its wire octet, and its whole attribute.
+_ORIGINS = tuple(Origin)
+_ORIGIN_ATTRIBUTES = tuple(
+    _ATTR_U8.pack(FLAG_TRANSITIVE, ATTR_ORIGIN, 1, origin) for origin in Origin)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,27 +134,7 @@ class PathAttributes:
 
     def encode(self) -> bytes:
         """Serialise to the RFC 4271 path-attribute list."""
-        chunks = [_ATTR_U8.pack(FLAG_TRANSITIVE, ATTR_ORIGIN, 1, self.origin)]
-        hops = len(self.as_path)
-        # One AS_SEQUENCE segment, packed in one call.
-        segment = (struct.pack(f"!BB{hops}H", AS_SEQUENCE, hops, *self.as_path)
-                   if hops else b"")
-        if len(segment) > 255:
-            chunks.append(_ATTR_HEADER_EXT.pack(
-                FLAG_TRANSITIVE | FLAG_EXTENDED, ATTR_AS_PATH, len(segment)))
-        else:
-            chunks.append(_ATTR_HEADER.pack(
-                FLAG_TRANSITIVE, ATTR_AS_PATH, len(segment)))
-        chunks.append(segment)
-        if self.next_hop is not None:
-            chunks.append(_ATTR_U32.pack(
-                FLAG_TRANSITIVE, ATTR_NEXT_HOP, 4, int(self.next_hop)))
-        if self.med is not None:
-            chunks.append(_ATTR_U32.pack(FLAG_OPTIONAL, ATTR_MED, 4, self.med))
-        if self.local_pref is not None:
-            chunks.append(_ATTR_U32.pack(
-                FLAG_TRANSITIVE, ATTR_LOCAL_PREF, 4, self.local_pref))
-        return b"".join(chunks)
+        return encode_attributes(self, next_hop_attribute(self.next_hop))
 
     @classmethod
     def decode(cls, data: bytes) -> "PathAttributes":
@@ -184,7 +171,7 @@ class PathAttributes:
             if code == ATTR_ORIGIN:
                 if length != 1 or data[body_start] > Origin.INCOMPLETE:
                     raise _malformed_update("bad ORIGIN attribute")
-                origin = Origin(data[body_start])
+                origin = _ORIGINS[data[body_start]]
             elif code == ATTR_AS_PATH:
                 wire = data[body_start:offset]
                 as_path = _known(known.as_paths, fresh.as_paths, wire)
@@ -216,6 +203,65 @@ class PathAttributes:
     def __str__(self) -> str:
         path = " ".join(str(asn) for asn in self.as_path) or "(local)"
         return f"as_path=[{path}] next_hop={self.next_hop}"
+
+
+def next_hop_attribute(next_hop: Optional[IPv4Address]) -> bytes:
+    """The NEXT_HOP attribute carrying ``next_hop``, whole (nothing for
+    None)."""
+    if next_hop is None:
+        return b""
+    return _ATTR_U32.pack(FLAG_TRANSITIVE, ATTR_NEXT_HOP, 4, int(next_hop))
+
+
+def encode_attributes(attributes: PathAttributes, next_hop: bytes,
+                      asn: int = 0, prepends: int = 0) -> bytes:
+    """The RFC 4271 path-attribute list of ``attributes``, with
+    ``prepends`` copies of ``asn`` in front of its AS path and
+    ``next_hop`` (a :func:`next_hop_attribute`) in place of its own.
+
+    The one attribute encoder. :meth:`PathAttributes.encode` is it with
+    no prepends and the attributes' own next hop; a speaker's export is
+    it with its own AS prepended and the session's next hop
+    (next-hop-self), so the exported attributes are never built.
+    """
+    path = attributes.as_path
+    hops = prepends + len(path)
+    if hops:
+        # One AS_SEQUENCE segment, packed with its attribute header.
+        length = 2 + 2 * hops
+        if length > 255:
+            as_path = struct.pack(
+                f"!BBHBB{hops}H", FLAG_TRANSITIVE | FLAG_EXTENDED,
+                ATTR_AS_PATH, length, AS_SEQUENCE, hops,
+                *((asn,) * prepends), *path)
+        else:
+            as_path = struct.pack(
+                f"!BBBBB{hops}H", FLAG_TRANSITIVE, ATTR_AS_PATH, length,
+                AS_SEQUENCE, hops, *((asn,) * prepends), *path)
+    else:
+        as_path = _EMPTY_AS_PATH
+    encoded = _ORIGIN_ATTRIBUTES[attributes.origin] + as_path + next_hop
+    if attributes.med is not None:
+        encoded += _ATTR_U32.pack(FLAG_OPTIONAL, ATTR_MED, 4, attributes.med)
+    if attributes.local_pref is not None:
+        encoded += _ATTR_U32.pack(
+            FLAG_TRANSITIVE, ATTR_LOCAL_PREF, 4, attributes.local_pref)
+    return encoded
+
+
+def encode_update(withdrawn: bytes, attributes: bytes, nlri: bytes) -> bytes:
+    """An UPDATE message, header included, from its three sections on
+    the wire: withdrawn routes, path attributes and NLRI."""
+    return b"".join((
+        BGP_MARKER,
+        _UPDATE_HEAD.pack(
+            BGP_HEADER_LEN + 4 + len(withdrawn) + len(attributes) + len(nlri),
+            TYPE_UPDATE, len(withdrawn)),
+        withdrawn,
+        _U16.pack(len(attributes)),
+        attributes,
+        nlri,
+    ))
 
 
 def encode_prefix(prefix: IPv4Prefix) -> bytes:
@@ -292,7 +338,9 @@ class RouteValues:
     speaker, gets that very object and skips the unpack.  Configured
     networks go in first (:meth:`network`), so a decoded prefix is the
     object that keys the Loc-RIB and the FIB; :meth:`preference` keeps
-    the decision process's keys the same way.
+    the decision process's keys the same way.  The way back, a prefix
+    to the NLRI bytes an UPDATE sends it as, is :meth:`prefix_bytes`:
+    always the canonical encoding, never bytes a peer sent.
 
     Bytes that differ only in bits the decoder ignores get two equal
     objects.  A decode adds what it met only once the whole UPDATE has
@@ -303,7 +351,7 @@ class RouteValues:
 
     BOUND = 1 << 16
 
-    __slots__ = ("prefixes", "as_paths", "next_hops", "preferences",
+    __slots__ = ("prefixes", "as_paths", "next_hops", "preferences", "nlri",
                  "__weakref__")
 
     def __init__(self) -> None:
@@ -311,6 +359,8 @@ class RouteValues:
         self.as_paths: Dict[bytes, Tuple[int, ...]] = {}
         self.next_hops: Dict[bytes, IPv4Address] = {}
         self.preferences: Dict[tuple, tuple] = {}
+        #: prefix -> its NLRI encoding, filled as speakers send.
+        self.nlri: Dict[IPv4Prefix, bytes] = {}
 
     def network(self, prefix: IPv4Prefix) -> IPv4Prefix:
         """The table's copy of a configured network (``prefix`` itself
@@ -320,6 +370,13 @@ class RouteValues:
     def preference(self, key: tuple) -> tuple:
         """The table's copy of a route preference key."""
         return self._keep(self.preferences, key, key)
+
+    def prefix_bytes(self, prefix: IPv4Prefix) -> bytes:
+        """:func:`encode_prefix` of ``prefix``, worked out once."""
+        wire = self.nlri.get(prefix)
+        if wire is None:
+            wire = self._keep(self.nlri, prefix, encode_prefix(prefix))
+        return wire
 
     def _keep(self, table: dict, key, value):
         kept = table.get(key)
@@ -331,6 +388,8 @@ class RouteValues:
 
     def _absorb(self, fresh: "RouteValues") -> None:
         """Keep what one well-formed UPDATE met for the first time."""
+        if not (fresh.prefixes or fresh.as_paths or fresh.next_hops):
+            return
         for table, new in ((self.prefixes, fresh.prefixes),
                            (self.as_paths, fresh.as_paths),
                            (self.next_hops, fresh.next_hops)):
@@ -347,6 +406,7 @@ class BGPMessage:
     msg_type: int = 0
 
     def body(self) -> bytes:
+        """The bytes after the header (an UPDATE overrides encode instead)."""
         return b""
 
     def encode(self) -> bytes:
@@ -400,16 +460,12 @@ class BGPUpdate(BGPMessage):
     attributes: Optional[PathAttributes] = None
     nlri: List[IPv4Prefix] = field(default_factory=list)
 
-    def body(self) -> bytes:
-        withdrawn_bytes = b"".join(map(encode_prefix, self.withdrawn))
-        attr_bytes = self.attributes.encode() if self.attributes is not None else b""
-        return b"".join((
-            _U16.pack(len(withdrawn_bytes)),
-            withdrawn_bytes,
-            _U16.pack(len(attr_bytes)),
-            attr_bytes,
-            *map(encode_prefix, self.nlri),
-        ))
+    def encode(self) -> bytes:
+        attributes = self.attributes
+        return encode_update(
+            b"".join(map(encode_prefix, self.withdrawn)),
+            b"" if attributes is None else attributes.encode(),
+            b"".join(map(encode_prefix, self.nlri)))
 
     @classmethod
     def decode_body(cls, data: bytes,

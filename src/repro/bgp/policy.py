@@ -16,6 +16,18 @@ from repro.bgp.messages import PathAttributes
 from repro.netproto.addr import IPv4Prefix
 
 
+def _passes(prefix: IPv4Prefix, deny: List[IPv4Prefix],
+            allow_only: Optional[List[IPv4Prefix]]) -> bool:
+    """The prefix-list filter both policies share: no denied prefix
+    overlaps ``prefix``, and an allowed one does when the list is set.
+    An empty list is decided without a scan: most policies are."""
+    if deny and any(denied.overlaps(prefix) for denied in deny):
+        return False
+    return allow_only is None or (
+        bool(allow_only)
+        and any(allowed.overlaps(prefix) for allowed in allow_only))
+
+
 @dataclass
 class ImportPolicy:
     """Filters/rewrites applied to routes received from a peer."""
@@ -29,11 +41,8 @@ class ImportPolicy:
         self, prefix: IPv4Prefix, attributes: PathAttributes
     ) -> Optional[PathAttributes]:
         """Returns rewritten attributes, or None when the route is denied."""
-        if any(denied.overlaps(prefix) for denied in self.deny_prefixes):
+        if not _passes(prefix, self.deny_prefixes, self.allow_only):
             return None
-        if self.allow_only is not None:
-            if not any(allowed.overlaps(prefix) for allowed in self.allow_only):
-                return None
         rewritten = attributes
         if self.set_local_pref is not None:
             rewritten = PathAttributes(
@@ -64,12 +73,7 @@ class ExportPolicy:
 
     def permits(self, prefix: IPv4Prefix) -> bool:
         """The filter half: whether the prefix may be advertised at all."""
-        if any(denied.overlaps(prefix) for denied in self.deny_prefixes):
-            return False
-        if self.allow_only is not None:
-            if not any(allowed.overlaps(prefix) for allowed in self.allow_only):
-                return False
-        return True
+        return _passes(prefix, self.deny_prefixes, self.allow_only)
 
     def apply(
         self, prefix: IPv4Prefix, attributes: PathAttributes, own_asn: int

@@ -15,7 +15,7 @@ box inside each emulated router):
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bgp.decision import preference_key
 from repro.bgp.messages import PathAttributes, RouteValues
@@ -141,18 +141,21 @@ class LocRIB:
 
     def set_selection(
         self, prefix: IPv4Prefix, best: Optional[RIBRoute],
-        multipath: Iterable[RIBRoute] = (),
+        multipath: Tuple[RIBRoute, ...] = (),
     ) -> bool:
-        """Record the decision for a prefix; returns True on change."""
-        paths = tuple(multipath)
+        """Record the decision for a prefix; returns True on change.
+
+        ``multipath`` is kept as it is handed over."""
         if best is None:
             changed = prefix in self._best
             self._best.pop(prefix, None)
             self._multipath.pop(prefix, None)
             return changed
-        changed = self._best.get(prefix) != best or self._multipath.get(prefix) != paths
+        old = self._best.get(prefix)
+        changed = ((old is not best and old != best)
+                   or self._multipath.get(prefix) != multipath)
         self._best[prefix] = best
-        self._multipath[prefix] = paths if paths else (best,)
+        self._multipath[prefix] = multipath if multipath else (best,)
         return changed
 
     def best(self, prefix: IPv4Prefix) -> Optional[RIBRoute]:

@@ -7,7 +7,10 @@ prepend, next-hop-self) in ``_flush``.  Before that it rewrote them in
 are replaced or torn down before the advertisement interval runs out.
 
 :class:`EagerExportDaemon` is that earlier behaviour, kept here as the
-reference.  Both daemons are driven through the same random history —
+reference, on :class:`bgp_reference.SendPathReference`: the send path of
+its time, which builds a ``BGPUpdate`` per message and encodes it with a
+copy of the encoder of its time, so the shipped encoder is checked
+against code it does not share.  Both daemons are driven through the same random history —
 UPDATEs that move the best route, withdrawals, session teardowns and
 re-establishments, flushes — under non-trivial export policies, and
 everything either of them puts on a wire must be byte-identical.
@@ -15,6 +18,7 @@ everything either of them puts on a wire must be byte-identical.
 
 from hypothesis import given, settings, strategies as st
 
+from bgp_reference import SendPathReference, exported
 from repro.bgp.daemon import BGPConfig, BGPDaemon, BGPPeerConfig
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
 from repro.bgp.policy import ExportPolicy
@@ -31,7 +35,7 @@ PREFIXES = [IPv4Prefix("10.0.0.0/16"), IPv4Prefix("10.1.0.0/16"),
             IPv4Prefix("10.1.128.0/17"), IPv4Prefix("192.168.7.0/24")]
 
 
-class EagerExportDaemon(BGPDaemon):
+class EagerExportDaemon(SendPathReference):
     """Export as it was before flush-time export: the full rewrite at
     queue time, the finished attributes parked in ``pending_announce``."""
 
@@ -126,9 +130,13 @@ attributes = st.builds(
     PathAttributes,
     origin=st.sampled_from(list(Origin)),
     # Short paths over a few ASNs: best routes change often, and paths
-    # through another peer's AS trip the sender-side loop check.
+    # through another peer's AS trip the sender-side loop check.  Now
+    # and then a path of 125-128 ASNs: with the export's prepends it
+    # lands on either side of 127 hops, where the AS_PATH attribute
+    # needs the extended-length header.
     as_path=st.lists(st.sampled_from(PEER_ASNS + (64512, 64513)),
-                     min_size=1, max_size=4).map(tuple),
+                     min_size=1, max_size=4).map(tuple)
+    | st.integers(125, 128).map(lambda hops: (65002,) + (64512,) * (hops - 1)),
     next_hop=st.just(IPv4Address("172.16.9.9")),
     med=st.none() | st.integers(0, 2),
     local_pref=st.none() | st.sampled_from((50, 100, 200)),
@@ -188,7 +196,7 @@ def run_both(peer_policies, loop_detection, history):
         other = eager.peers[name].adj_rib_out
         assert state.adj_rib_out.prefixes() == other.prefixes()
         for prefix in other.prefixes():
-            assert (lazy._export(state, state.adj_rib_out.advertised(prefix))
+            assert (exported(lazy, state, state.adj_rib_out.advertised(prefix))
                     == other.advertised(prefix))
     return lazy_wires
 

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from bgp_reference import ProbingDaemon
 from repro.bgp.daemon import BGPConfig, BGPDaemon, BGPPeerConfig
-from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
+from repro.bgp.messages import (
+    BGPUpdate, Origin, PathAttributes, decode_bgp_message)
 from repro.bgp.policy import ExportPolicy, ImportPolicy
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
@@ -120,12 +121,15 @@ export_policies = st.fixed_dictionaries({
 })
 
 # Few paths, so that routes to a prefix often differ in one attribute
-# alone, and some through a peer's AS (the sender-side loop check).
+# alone, and some through a peer's AS (the sender-side loop check).  The
+# two long ones sit either side of 127 ASNs once exported, where the
+# AS_PATH attribute needs the extended-length header.
 attributes = st.builds(
     PathAttributes,
     origin=st.sampled_from(list(Origin)),
     as_path=st.sampled_from([(64512,), (65002, 64512), (65001, 64513),
-                             (64513, 64512, 64513)]),
+                             (64513, 64512, 64513), (64513,) * 125,
+                             (65002,) + (64512,) * 126]),
     next_hop=st.sampled_from(NEXT_HOPS),
     med=st.none() | st.integers(0, 1),
     local_pref=st.none() | st.sampled_from((100, 200)),
@@ -199,26 +203,82 @@ OPEN = ({"deny_prefixes": [], "allow_only": None, "set_local_pref": None,
         {"deny_prefixes": [], "allow_only": None, "prepend_count": 0})
 
 
-@pytest.mark.parametrize("change, updates", [
-    ({"next_hop": NEXT_HOPS[1]}, 0),
-    ({"origin": Origin.EGP}, 1),
-    ({"med": 1}, 1),
-    ({"local_pref": 200}, 1),
-    ({"as_path": (64513,)}, 1),
-], ids=["next_hop", "origin", "med", "local_pref", "as_path"])
-def test_a_new_best_is_announced_when_its_export_differs(change, updates):
-    """The best route is replaced by one that differs in one attribute.
-    A next hop alone is erased by next-hop-self, so p0 hears nothing
-    new; any other attribute reaches p0 in one more UPDATE."""
-    prefix = PREFIXES[3]
+ONE_ATTRIBUTE = [
+    ("next_hop", {"next_hop": NEXT_HOPS[1]}, 0),
+    ("origin", {"origin": Origin.EGP}, 1),
+    ("med", {"med": 1}, 1),
+    ("local_pref", {"local_pref": 200}, 1),
+    ("med_and_local_pref", {"med": 1, "local_pref": 200}, 1),
+    ("as_path", {"as_path": (64513,)}, 1),
+]
+
+
+@pytest.mark.parametrize("change, updates, together", [
+    pytest.param(change, updates, together,
+                 id=name + ("_one_flush" if together else ""))
+    for together in (False, True) for name, change, updates in ONE_ATTRIBUTE])
+def test_a_new_best_is_announced_when_its_export_differs(
+        change, updates, together):
+    """Two best routes that differ in one attribute: one replacing the
+    other for a prefix, or each the best of a prefix pending in the same
+    flush.  A next hop alone is erased by next-hop-self, so p0 hears
+    nothing new (the two prefixes share an UPDATE); any other attribute
+    reaches p0 in one more UPDATE."""
     first = PathAttributes(as_path=(64512,), next_hop=NEXT_HOPS[0])
     second = dataclasses.replace(first, **change)
-    ours, wires = run_both([OPEN, OPEN], 2, [
-        ("update", 1, BGPUpdate(attributes=first, nlri=[prefix]).encode()),
-        ("flush", 0, None),
-        ("update", 1, BGPUpdate(attributes=second, nlri=[prefix]).encode()),
-        ("flush", 0, None),
-    ])
+    if together:
+        prefix = PREFIXES[2]
+        history = [
+            ("update", 1, BGPUpdate(attributes=first,
+                                    nlri=[PREFIXES[3]]).encode()),
+            ("update", 1, BGPUpdate(attributes=second, nlri=[prefix]).encode()),
+            ("flush", 0, None),
+        ]
+    else:
+        prefix = PREFIXES[3]
+        history = [
+            ("update", 1, BGPUpdate(attributes=first, nlri=[prefix]).encode()),
+            ("flush", 0, None),
+            ("update", 1, BGPUpdate(attributes=second, nlri=[prefix]).encode()),
+            ("flush", 0, None),
+        ]
+    ours, wires = run_both([OPEN, OPEN], 2, history)
     assert ours.loc_rib.best(prefix).attributes == second
     # The local network and the first best, then the second if at all.
     assert len(wires[0].sent) == 2 + updates
+
+
+@pytest.mark.parametrize("refusal", ["looped", "import-denied"])
+def test_a_refused_announcement_withdraws_the_peers_earlier_route(refusal):
+    """p0 announces a prefix, then announces it again with a route the
+    daemon refuses: its AS path holds the daemon's own AS, or p0's
+    import policy now denies the prefix.  A new route for an NLRI
+    replaces the peer's old one (RFC 4271 9) and a refused one is no
+    candidate (9.1.2), so the old route leaves the Adj-RIB-In, the
+    Loc-RIB and the FIB, and p1 is told to withdraw it."""
+    prefix = PREFIXES[1]
+    daemon, wires = build(BGPDaemon, [OPEN, OPEN], 1)
+    for state in daemon.peers.values():
+        establish(daemon, state)
+    first = PathAttributes(as_path=(65001, 64512), next_hop=NEXT_HOPS[0])
+    apply(daemon, wires, ("update", 0, BGPUpdate(
+        attributes=first, nlri=[prefix]).encode()))
+    apply(daemon, wires, ("flush", 1, None))
+    assert daemon.loc_rib.best(prefix).attributes == first
+
+    if refusal == "looped":
+        second = dataclasses.replace(first, as_path=(65001, OWN_ASN, 64512))
+    else:
+        second = first
+        daemon.peers["p0"].config.import_policy.deny_prefixes.append(prefix)
+    apply(daemon, wires, ("update", 0, BGPUpdate(
+        attributes=second, nlri=[prefix]).encode()))
+    apply(daemon, wires, ("flush", 1, None))
+
+    assert daemon.peers["p0"].adj_rib_in.get(prefix) is None
+    assert prefix not in daemon.loc_rib
+    assert [call for call in daemon.sim.cm.calls if call[1] == prefix] == [
+        ("install", prefix, ((1, IPv4Address("172.16.0.2")),)),
+        ("withdraw", prefix)]
+    last = decode_bgp_message(wires[1].sent[-1])
+    assert last.withdrawn == [prefix] and not last.nlri
