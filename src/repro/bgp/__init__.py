@@ -9,7 +9,7 @@ traffic*:
   (OPEN, UPDATE with path attributes and NLRI, KEEPALIVE,
   NOTIFICATION);
 * :mod:`repro.bgp.fsm` — the session finite state machine
-  (Idle/Connect/Active/OpenSent/OpenConfirm/Established);
+  (Idle/Connect/OpenSent/OpenConfirm/Established);
 * :mod:`repro.bgp.rib` — Adj-RIB-In, Loc-RIB and Adj-RIB-Out;
 * :mod:`repro.bgp.decision` — the decision process with ECMP multipath
   (Quagga's ``maximum-paths``);

@@ -114,7 +114,6 @@ class _PeerState:
         self.adj_rib_in = AdjRIBIn(config.peer_name, adj_rib_in)
         self.adj_rib_out = AdjRIBOut(config.peer_name)
         self.remote_router_id = IPv4Address(0)
-        self.open_sent = False
         self.last_heard = 0.0
         # The hold time this session runs with: the lower of the two
         # OPENs' offers (RFC 4271 4.2), negotiated again on every OPEN.
@@ -129,7 +128,6 @@ class _PeerState:
         self.pending_withdraw: Set[IPv4Prefix] = set()
         self.flush_scheduled = False
         self.keepalive_timer = None
-        self.hold_wakeup = None
         self.connect_attempt = 0
         self.updates_sent = 0
         self.updates_received = 0
@@ -216,7 +214,6 @@ class BGPDaemon:
                 self, state, state.connect_attempt)
 
     def _send_open(self, state: _PeerState) -> None:
-        state.open_sent = True
         self._send(
             state,
             BGPOpen(
@@ -268,6 +265,12 @@ class BGPDaemon:
             self._teardown(state, f"notification {message.code}/{message.subcode}")
 
     def _handle_open(self, state: _PeerState, message: BGPOpen, now: float) -> None:
+        if state.fsm.established:
+            # RFC 4271 6.6, RFC 6608: a Finite State Machine Error,
+            # "unexpected message in Established".
+            self._send(state, BGPNotification(code=5, subcode=3))
+            self._teardown(state, "OPEN in established")
+            return
         if message.asn != state.config.remote_asn:
             self._send(state, BGPNotification(code=2, subcode=2))  # bad peer AS
             self._teardown(state, "bad peer AS")
@@ -279,9 +282,9 @@ class BGPDaemon:
             return
         state.remote_router_id = message.bgp_id
         if state.fsm.state is BGPState.IDLE:
-            # Passive side: peer connected before our connect timer.
+            # Passive side: peer connected before our connect timer, and
+            # our OPEN is still owed.
             state.fsm.start(now)
-        if not state.open_sent:
             self._send_open(state)
         state.fsm.open_received(now)
         # Ack the OPEN; hold time is the lower of the two offers.
@@ -299,7 +302,7 @@ class BGPDaemon:
             state.keepalive_timer = scheduler.periodic(
                 min(state.config.keepalive_interval, hold / 3.0),
                 _send_keepalive, self, state)
-            state.hold_wakeup = scheduler.after(hold, _check_hold, self, state)
+            scheduler.after(hold, _check_hold, self, state)
         only = (state,)
         for prefix in self.loc_rib.prefixes():
             best = self.loc_rib.best(prefix)
@@ -317,8 +320,6 @@ class BGPDaemon:
                 touched.add(prefix)
         if message.nlri:
             attrs = message.attributes
-            if attrs is None:
-                raise ControlPlaneError("UPDATE with NLRI but no attributes")
             # A route whose AS path holds our own AS (receiver-side loop
             # check, RFC 4271 9.1.2) or that the import policy denies is
             # not a candidate; it still replaces whatever the peer
@@ -495,7 +496,6 @@ class BGPDaemon:
         """Session reset: flush RIBs, reroute, schedule reconnect."""
         now = self._now()
         state.fsm.session_failed(now, reason)
-        state.open_sent = False
         if state.keepalive_timer is not None:
             state.keepalive_timer.stop()
             state.keepalive_timer = None
@@ -602,8 +602,7 @@ def _check_hold(daemon: BGPDaemon, state: _PeerState) -> None:
     # armed: a check armed by an earlier session of this peer can still
     # be pending, and must not enforce that session's hold time.
     hold = state.hold_time
-    if hold <= 0 or (not state.fsm.established
-                     and state.fsm.state is BGPState.IDLE):
+    if hold <= 0 or state.fsm.state is BGPState.IDLE:
         return
     silent_for = daemon._now() - state.last_heard
     # Epsilon guards against float rounding: a remaining delay of
@@ -613,7 +612,7 @@ def _check_hold(daemon: BGPDaemon, state: _PeerState) -> None:
         daemon._send(state, BGPNotification(code=4))  # hold timer expired
         daemon._teardown(state, "hold timer expired")
     else:
-        state.hold_wakeup = daemon._require_sim().scheduler.after(
+        daemon._require_sim().scheduler.after(
             max(hold - silent_for, 0.001), _check_hold, daemon, state)
 
 

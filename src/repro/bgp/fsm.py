@@ -4,11 +4,13 @@ States and the happy path::
 
     IDLE -> CONNECT -> OPEN_SENT -> OPEN_CONFIRM -> ESTABLISHED
 
-The transport is the Connection Manager's reliable channel, so the
-CONNECT/ACTIVE split of the RFC collapses: "TCP comes up" is modelled
-as a configurable connect delay.  The FSM records every transition
-with its timestamp — the Figure 1 reproduction asserts the session
-passes OPEN exchange before updates flow.
+The transport is the Connection Manager's reliable channel, so a
+connect never fails and the RFC's Active state (listening after a
+failed connect) has no place: "TCP comes up" is modelled as a
+configurable connect delay.  An OPEN on an ESTABLISHED session is the
+daemon's to answer (a NOTIFICATION and a teardown).  The FSM records
+every transition with its timestamp — the Figure 1 reproduction
+asserts the session passes OPEN exchange before updates flow.
 """
 
 from __future__ import annotations
@@ -23,14 +25,9 @@ class BGPState(enum.Enum):
 
     IDLE = "idle"
     CONNECT = "connect"
-    ACTIVE = "active"
     OPEN_SENT = "open_sent"
     OPEN_CONFIRM = "open_confirm"
     ESTABLISHED = "established"
-
-
-class FSMError(Exception):
-    """An event arrived that is illegal in the current state."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ class SessionFSM:
 
     def transport_up(self, now: float) -> None:
         """The (modelled) TCP connection came up: send OPEN next."""
-        if self.state not in (BGPState.CONNECT, BGPState.ACTIVE):
+        if self.state is not BGPState.CONNECT:
             return
         self._move(BGPState.OPEN_SENT, "transport up", now)
 
@@ -78,13 +75,11 @@ class SessionFSM:
         """Peer's OPEN arrived."""
         if self.state is BGPState.OPEN_SENT:
             self._move(BGPState.OPEN_CONFIRM, "open received", now)
-        elif self.state in (BGPState.CONNECT, BGPState.ACTIVE):
+        elif self.state is BGPState.CONNECT:
             # Peer connected first (collision resolved trivially): we
             # are implicitly at OPEN_SENT because the daemon responds
             # with its own OPEN.
             self._move(BGPState.OPEN_CONFIRM, "open received (passive)", now)
-        elif self.state is BGPState.ESTABLISHED:
-            raise FSMError(f"OPEN in ESTABLISHED from {self.peer_name}")
 
     def keepalive_received(self, now: float) -> None:
         """Peer's KEEPALIVE arrived."""

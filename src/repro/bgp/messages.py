@@ -108,26 +108,6 @@ class PathAttributes:
     med: Optional[int] = None
     local_pref: Optional[int] = None
 
-    def with_prepended(self, asn: int) -> "PathAttributes":
-        """A copy with ``asn`` prepended to the AS path (eBGP export)."""
-        return PathAttributes(
-            origin=self.origin,
-            as_path=(asn,) + self.as_path,
-            next_hop=self.next_hop,
-            med=self.med,
-            local_pref=self.local_pref,
-        )
-
-    def with_next_hop(self, next_hop: IPv4Address) -> "PathAttributes":
-        """A copy with the NEXT_HOP rewritten (next-hop-self)."""
-        return PathAttributes(
-            origin=self.origin,
-            as_path=self.as_path,
-            next_hop=next_hop,
-            med=self.med,
-            local_pref=self.local_pref,
-        )
-
     def contains_as(self, asn: int) -> bool:
         """AS-path loop check."""
         return asn in self.as_path

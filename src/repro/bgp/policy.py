@@ -43,29 +43,23 @@ class ImportPolicy:
         """Returns rewritten attributes, or None when the route is denied."""
         if not _passes(prefix, self.deny_prefixes, self.allow_only):
             return None
-        rewritten = attributes
-        if self.set_local_pref is not None:
-            rewritten = PathAttributes(
-                origin=rewritten.origin,
-                as_path=rewritten.as_path,
-                next_hop=rewritten.next_hop,
-                med=rewritten.med,
-                local_pref=self.set_local_pref,
-            )
-        if self.set_med is not None:
-            rewritten = PathAttributes(
-                origin=rewritten.origin,
-                as_path=rewritten.as_path,
-                next_hop=rewritten.next_hop,
-                med=self.set_med,
-                local_pref=rewritten.local_pref,
-            )
-        return rewritten
+        local_pref, med = self.set_local_pref, self.set_med
+        if local_pref is None and med is None:
+            return attributes  # most policies: shared, not copied
+        return PathAttributes(
+            origin=attributes.origin,
+            as_path=attributes.as_path,
+            next_hop=attributes.next_hop,
+            med=attributes.med if med is None else med,
+            local_pref=attributes.local_pref if local_pref is None else local_pref,
+        )
 
 
 @dataclass
 class ExportPolicy:
-    """Filters/rewrites applied before advertising to a peer."""
+    """Filters/rewrites applied before advertising to a peer: the daemon
+    calls :meth:`permits` when it queues an announcement and adds
+    ``prepend_count`` to its own eBGP prepend when it encodes one."""
 
     deny_prefixes: List[IPv4Prefix] = field(default_factory=list)
     allow_only: Optional[List[IPv4Prefix]] = None
@@ -74,18 +68,3 @@ class ExportPolicy:
     def permits(self, prefix: IPv4Prefix) -> bool:
         """The filter half: whether the prefix may be advertised at all."""
         return _passes(prefix, self.deny_prefixes, self.allow_only)
-
-    def apply(
-        self, prefix: IPv4Prefix, attributes: PathAttributes, own_asn: int
-    ) -> Optional[PathAttributes]:
-        """Returns attributes to advertise, or None to suppress.
-
-        The mandatory eBGP prepend of our own ASN happens in the daemon
-        — ``prepend_count`` adds extra copies beyond it.
-        """
-        if not self.permits(prefix):
-            return None
-        rewritten = attributes
-        for __ in range(self.prepend_count):
-            rewritten = rewritten.with_prepended(own_asn)
-        return rewritten

@@ -41,9 +41,8 @@ Subcommands:
 * ``trace``    — telemetry: ``trace run`` executes one scenario with
   the span tracer armed and exports the timeline as Chrome
   trace-event JSON (drop it on https://ui.perfetto.dev) plus a text
-  top-spans report; ``REPRO_OBS=1`` arms the tracer for *any*
-  subcommand without changing results — spans and metrics live
-  outside every fingerprint.
+  top-spans report, without changing results — spans and metrics
+  live outside every fingerprint.
 * ``search``   — adversarial scenario search: ``search run`` explores
   a scenario family (seeded random baseline, or an evolutionary loop
   that mutates the worst specs found — shifting injection times,
@@ -114,7 +113,6 @@ from repro.fleet.bench import run_protocol_bench
 from repro.obs import (
     TRACER,
     enable_tracing,
-    maybe_enable_from_env,
     metrics,
     top_spans,
     top_spans_report,
@@ -1223,9 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "List[str] | None" = None) -> int:
     """Entry point; returns a process exit code."""
-    # REPRO_OBS=1 arms the span tracer for any subcommand; tracing is
-    # observation-only, so fingerprints and digests stay bit-for-bit.
-    maybe_enable_from_env()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -186,7 +186,6 @@ class HederaApp(FiveTupleEcmpApp):
         self.scheduling_rounds = 0
         self.large_flow_moves = 0
         self.large_placements: Dict[FiveTuple, List[str]] = {}
-        self.measured_rates: Dict[FiveTuple, float] = {}
         self._round: Optional[_PollRound] = None
         self._last_bytes: Dict[FiveTuple, int] = {}
         # The (keys, host pairs) the last placement ran on; None once a
@@ -271,8 +270,6 @@ class HederaApp(FiveTupleEcmpApp):
         ):
             delta = byte_count - self._last_bytes.get(flow, 0)
             self._last_bytes[flow] = byte_count
-            rate_bps = delta * 8.0 / self.poll_interval
-            self.measured_rates[flow] = rate_bps
             if delta > 0:
                 active.append((key, flow))
 

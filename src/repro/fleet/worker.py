@@ -59,7 +59,7 @@ from repro.fleet.protocol import (
     send_message,
 )
 from repro.obs.metrics import metrics
-from repro.obs.spans import maybe_enable_from_env, span
+from repro.obs.spans import span
 from repro.scenarios.campaign import run_scenario_dict_safe, scenario_record
 
 _log = logging.getLogger("repro.fleet")
@@ -340,7 +340,6 @@ def worker_main(host: str, port: int,
                 ) -> int:
     """Thread/process entry point (``repro fleet join`` runs it);
     returns an exit code."""
-    maybe_enable_from_env()
     if socket_wrapper is None:
         from repro.fleet.chaos import schedule_from_env
 

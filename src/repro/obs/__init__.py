@@ -30,7 +30,6 @@ from repro.obs.spans import (
     enable_tracing,
     disable_tracing,
     tracing_enabled,
-    maybe_enable_from_env,
 )
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -55,7 +54,6 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
-    "maybe_enable_from_env",
     "MetricsRegistry",
     "REGISTRY",
     "metrics",

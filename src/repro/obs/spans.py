@@ -18,16 +18,12 @@ guarded by a lock only on the record path (enabled-only cost).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 DEFAULT_CAPACITY = 65536
-
-ENV_ENABLE = "REPRO_OBS"
-ENV_CAPACITY = "REPRO_OBS_CAPACITY"
 
 
 @dataclass
@@ -215,23 +211,3 @@ def disable_tracing() -> None:
 
 def tracing_enabled() -> bool:
     return TRACER.enabled
-
-
-def maybe_enable_from_env(environ=os.environ) -> bool:
-    """Arm the global tracer when ``REPRO_OBS`` is truthy.
-
-    Called once per process entry point (CLI main, fleet worker main) so
-    ``REPRO_OBS=1 repro ...`` traces any invocation without code edits.
-    """
-    raw = environ.get(ENV_ENABLE, "").strip().lower()
-    if raw in ("", "0", "false", "no", "off"):
-        return False
-    capacity = None
-    cap_raw = environ.get(ENV_CAPACITY, "").strip()
-    if cap_raw:
-        try:
-            capacity = max(1, int(cap_raw))
-        except ValueError:
-            capacity = None
-    TRACER.enable(capacity)
-    return True

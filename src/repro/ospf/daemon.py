@@ -63,7 +63,6 @@ class OSPFConfig:
     hello_interval: float = 2.0
     dead_interval: float = 8.0
     spf_delay: float = 0.05
-    install_routes: bool = True
 
     def __post_init__(self) -> None:
         hello, dead = self.hello_interval, self.dead_interval
@@ -341,8 +340,6 @@ class OSPFDaemon:
             if next_hops:
                 desired[prefix] = next_hops
 
-        if not self.config.install_routes or self.sim is None:
-            return
         for prefix in list(self._installed):
             if prefix not in desired:
                 self.sim.cm.withdraw_route(self.router_name, prefix)

@@ -129,7 +129,6 @@ class SymmetryMap:
         classes: List[List[str]],
         link_classes: List[int],
         link_class_count: int,
-        link_names: List[Tuple[str, str]],
     ) -> None:
         self.topo_name = topo_name
         #: Node classes: each a sorted member-name list; classes are
@@ -143,7 +142,6 @@ class SymmetryMap:
         #: is also the creation order of ``Network.links``).
         self.link_classes = link_classes
         self.link_class_count = link_class_count
-        self.link_names = link_names
 
     # -- construction -----------------------------------------------------
 
@@ -197,7 +195,6 @@ class SymmetryMap:
             classes=classes,
             link_classes=link_classes,
             link_class_count=len(ordered),
-            link_names=[(link.node_a, link.node_b) for link in links],
         )
 
     # -- queries ----------------------------------------------------------

@@ -47,16 +47,12 @@ class EagerExportDaemon(SendPathReference):
                 and state.config.remote_asn in best.attributes.as_path):
             self._queue_withdraw(state, prefix)
             return
-        exported = state.config.export_policy.apply(
-            prefix, best.attributes, self.config.asn)
-        if exported is None:
+        if not state.config.export_policy.permits(prefix):
             self._queue_withdraw(state, prefix)
             return
-        advertised = exported.with_prepended(self.config.asn).with_next_hop(
-            state.config.local_address)
         self.exports += 1
         state.pending_withdraw.discard(prefix)
-        state.pending_announce[prefix] = advertised
+        state.pending_announce[prefix] = exported(self, state, best.attributes)
 
     def _export(self, state, attributes):
         return attributes  # rewritten when it was queued

@@ -279,6 +279,28 @@ class TestMalformedInput:
         assert d2.stats()["updates_received"] == before + 1
         assert d2.session_state("r1") is not BGPState.ESTABLISHED
 
+    def test_an_open_on_an_established_session_resets_it(self):
+        """RFC 4271 6.6, RFC 6608: NOTIFICATION 5/3 and a teardown on
+        both sides, the peer's identifier left as it was, and the
+        connect-retry timer brings the session back."""
+        from repro.bgp.messages import BGPOpen
+        sim, net, d1, d2, channel = build_pair()
+        sim.run(until=1.0)
+        learned = IPv4Prefix("10.2.0.0/24")
+        assert d1.loc_rib.best(learned) is not None
+        channel.send(d2, BGPOpen(asn=65002).encode())  # lands at r1
+        sim.run(until=1.5)  # must not raise
+        assert d1.peers["r2"].fsm.history[-1].event == "OPEN in established"
+        assert d2.peers["r1"].fsm.history[-1].event == "notification 5/3"
+        assert d1.session_state("r2") is BGPState.IDLE
+        assert d2.session_state("r1") is BGPState.IDLE
+        assert d1.peers["r2"].remote_router_id == IPv4Address("2.2.2.2")
+        assert d1.loc_rib.best(learned) is None
+        sim.run(until=1.0 + 5.0 + 1.0)  # past connect_retry (5 s)
+        assert d1.session_state("r2") is BGPState.ESTABLISHED
+        assert d2.session_state("r1") is BGPState.ESTABLISHED
+        assert d1.loc_rib.best(learned) is not None
+
 
 class TestStats:
     def test_counters_follow_the_pipeline(self):

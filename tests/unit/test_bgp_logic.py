@@ -3,8 +3,8 @@
 import pytest
 
 from repro.bgp.decision import decide, preference_key
-from repro.bgp.fsm import BGPState, FSMError, SessionFSM
-from repro.bgp.messages import Origin, PathAttributes
+from repro.bgp.fsm import BGPState, SessionFSM
+from repro.bgp.messages import Origin, PathAttributes, encode_attributes
 from repro.bgp.policy import ExportPolicy, ImportPolicy
 from repro.bgp.rib import AdjRIBIn, AdjRIBOut, LocRIB, RIBRoute
 from repro.netproto.addr import IPv4Address, IPv4Prefix
@@ -45,15 +45,6 @@ class TestFSM:
         fsm.start(0.0)
         fsm.open_received(0.1)  # peer's OPEN arrives before transport event
         assert fsm.state is BGPState.OPEN_CONFIRM
-
-    def test_open_in_established_is_error(self):
-        fsm = SessionFSM("peer")
-        fsm.start(0.0)
-        fsm.transport_up(0.1)
-        fsm.open_received(0.2)
-        fsm.keepalive_received(0.3)
-        with pytest.raises(FSMError):
-            fsm.open_received(0.4)
 
     def test_failure_resets(self):
         fsm = SessionFSM("peer")
@@ -224,16 +215,30 @@ class TestPolicy:
         assert rewritten.local_pref == 500
         assert rewritten.as_path == (1,)
 
+    def test_import_set_local_pref_and_med(self):
+        policy = ImportPolicy(set_local_pref=500, set_med=7)
+        attrs = PathAttributes(origin=Origin.EGP, as_path=(1, 2),
+                               next_hop=IPv4Address("192.168.0.1"),
+                               med=3, local_pref=100)
+        assert policy.apply(P1, attrs) == PathAttributes(
+            origin=Origin.EGP, as_path=(1, 2),
+            next_hop=IPv4Address("192.168.0.1"), med=7, local_pref=500)
+        assert attrs.med == 3 and attrs.local_pref == 100  # frozen
+
     def test_export_deny(self):
         policy = ExportPolicy(deny_prefixes=[P1])
-        assert policy.apply(P1, PathAttributes(), own_asn=65001) is None
+        assert not policy.permits(P1)
+        assert policy.permits(P2)
 
     def test_export_prepend(self):
+        # The daemon encodes an export with 1 + prepend_count copies of
+        # its own AS in front of the path.
         policy = ExportPolicy(prepend_count=2)
-        rewritten = policy.apply(P1, PathAttributes(as_path=(9,)), own_asn=65001)
-        assert rewritten.as_path == (65001, 65001, 9)
+        wire = encode_attributes(PathAttributes(as_path=(9,)), b"", 65001,
+                                 1 + policy.prepend_count)
+        assert PathAttributes.decode(wire).as_path == (65001,) * 3 + (9,)
 
     def test_default_policies_pass_through(self):
         attrs = PathAttributes(as_path=(1,))
-        assert ImportPolicy().apply(P1, attrs) == attrs
-        assert ExportPolicy().apply(P1, attrs, own_asn=2) == attrs
+        assert ImportPolicy().apply(P1, attrs) is attrs
+        assert ExportPolicy().permits(P1)

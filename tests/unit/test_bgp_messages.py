@@ -19,7 +19,9 @@ from repro.bgp.messages import (
     decode_bgp_message,
     decode_bgp_stream,
     decode_prefixes,
+    encode_attributes,
     encode_prefix,
+    next_hop_attribute,
 )
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 
@@ -112,15 +114,17 @@ class TestPathAttributes:
         assert decoded.med is None
 
     def test_prepend(self):
+        # The eBGP export: the speaker's own AS in front of the path.
         attrs = PathAttributes(as_path=(65002,))
-        assert attrs.with_prepended(65001).as_path == (65001, 65002)
-        # original untouched (frozen)
+        exported = encode_attributes(attrs, b"", 65001, 1)
+        assert PathAttributes.decode(exported).as_path == (65001, 65002)
         assert attrs.as_path == (65002,)
 
     def test_next_hop_self(self):
         attrs = PathAttributes(next_hop=IPv4Address("1.1.1.1"))
-        rewritten = attrs.with_next_hop(IPv4Address("2.2.2.2"))
-        assert rewritten.next_hop == IPv4Address("2.2.2.2")
+        exported = encode_attributes(
+            attrs, next_hop_attribute(IPv4Address("2.2.2.2")))
+        assert PathAttributes.decode(exported).next_hop == IPv4Address("2.2.2.2")
 
     def test_loop_check(self):
         attrs = PathAttributes(as_path=(1, 2, 3))

@@ -282,16 +282,6 @@ class TestHederaApp:
         exp.run(until=19.0)
         assert app.polls == 3  # t = 5, 10, 15
 
-    def test_measured_rates_recorded(self):
-        exp = Experiment("rates")
-        exp.load_topo(FatTreeTopo(k=4))
-        app = HederaApp(exp.topology_view(), poll_interval=5.0)
-        exp.use_controller(apps=[app])
-        exp.add_demo_traffic(rate_bps=1e9, duration=12.0)
-        exp.run(until=13.0)
-        assert app.measured_rates
-        assert max(app.measured_rates.values()) > 1e8
-
 
 class TestIdleTimeouts:
     """Entries with an idle timeout under reactive ECMP."""

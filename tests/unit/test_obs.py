@@ -21,7 +21,6 @@ from repro.obs import (
     chrome_trace_events,
     disable_tracing,
     enable_tracing,
-    maybe_enable_from_env,
     metrics,
     span,
     spans_to_jsonl,
@@ -153,27 +152,6 @@ class TestTracer:
             span("hot")
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"disabled span() too slow: {elapsed:.3f}s"
-
-
-class TestEnvEnable:
-    def test_falsy_values_stay_off(self):
-        for raw in ("", "0", "false", "no", "off", "OFF"):
-            assert maybe_enable_from_env({"REPRO_OBS": raw}) is False
-            assert not tracing_enabled()
-
-    def test_truthy_enables(self):
-        assert maybe_enable_from_env({"REPRO_OBS": "1"}) is True
-        assert tracing_enabled()
-
-    def test_capacity_knob(self):
-        maybe_enable_from_env({"REPRO_OBS": "1",
-                               "REPRO_OBS_CAPACITY": "128"})
-        assert TRACER._capacity == 128
-
-    def test_bad_capacity_ignored(self):
-        maybe_enable_from_env({"REPRO_OBS": "1",
-                               "REPRO_OBS_CAPACITY": "banana"})
-        assert tracing_enabled()
 
 
 class TestMetricsRegistry:
@@ -371,7 +349,7 @@ class TestScenarioDeterminism:
             # picks arrays, and the mirror's spans are what is checked.
             monkeypatch.setattr(arrays_module, "ARRAYS_MIN_FLOWS", 0)
         baseline = self._run(**kind)
-        assert maybe_enable_from_env({"REPRO_OBS": "1"}) is True
+        enable_tracing()
         try:
             traced = self._run(**kind)
         finally:
