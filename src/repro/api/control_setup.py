@@ -25,6 +25,7 @@ from repro.dataplane.host import Host
 from repro.dataplane.router import Router
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 from repro.ospf.daemon import OSPFConfig, OSPFDaemon, OSPFPeerConfig
+from repro.ospf.packets import DecodedMessages
 from repro.topology.paths import hop_distances
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -245,10 +246,13 @@ def setup_ospf_for_routers(
         raise TopologyError("setup_ospf_for_routers: the topology has no routers")
     subnets = _host_subnets(network)
 
+    # A flood is one bytes object to every neighbour: every daemon
+    # decodes through one table, so each is parsed once.
+    decoded = DecodedMessages()
     daemons: Dict[str, OSPFDaemon] = {}
     for index, router in enumerate(routers):
         router_id = router.router_id or IPv4Address(0x0A000000 + index + 1)
-        daemons[router.name] = OSPFDaemon(
+        daemon = daemons[router.name] = OSPFDaemon(
             router.name,
             OSPFConfig(
                 router_id=IPv4Address(router_id),
@@ -258,6 +262,7 @@ def setup_ospf_for_routers(
                 spf_delay=spf_delay,
             ),
         )
+        daemon.decoded = decoded
 
     def cost_for(a: str, b: str) -> int:
         if cost_map is None:

@@ -28,7 +28,6 @@ from repro.core.queue import EventQueue
 from repro.core.scheduler import Scheduler
 from repro.obs.spans import span
 
-import random
 
 _INF = float("inf")
 
@@ -76,7 +75,6 @@ class Simulation:
         self.queue = EventQueue()
         self.scheduler = Scheduler(self.clock, self.queue)
         self.cm = ConnectionManager(self)
-        self.rng = random.Random(self.config.seed)
         self.network = None
         self.processes: List[Any] = []
         self.events_fired = 0

@@ -21,13 +21,13 @@ from repro.netproto.addr import IPv4Address, IPv4Prefix
 from repro.ospf.lsdb import LinkStateDatabase
 from repro.ospf.packets import (
     TYPE_HELLO,
+    DecodedMessages,
     LSALink,
     LSAPrefix,
     OSPFDecodeError,
     OSPFHello,
     OSPFLinkStateUpdate,
     RouterLSA,
-    decode_ospf_message,
 )
 from repro.ospf.spf import shortest_paths
 
@@ -94,10 +94,6 @@ class _NeighborState:
         self.heard = False        # we received their hello
         self.full = False         # they listed us -> adjacency up
         self.last_heard = -1.0
-        # The last hello from this neighbour that decoded, as bytes and
-        # as a message: a delivery equal to those bytes is that message.
-        self.hello_wire: Optional[bytes] = None
-        self.hello: Optional[OSPFHello] = None
 
 
 class OSPFDaemon:
@@ -109,6 +105,9 @@ class OSPFDaemon:
         self.config = config
         self._router_id = int(config.router_id)
         self.sim: Optional["Simulation"] = None
+        # What delivered bytes decode to; an experiment gives all its
+        # daemons one table before they start.
+        self.decoded = DecodedMessages()
         self.lsdb = LinkStateDatabase()
         self.neighbors: Dict[str, _NeighborState] = {}
         self._channel_to_neighbor: Dict[int, str] = {}
@@ -205,22 +204,13 @@ class OSPFDaemon:
         if peer_name is None:
             return
         state = self.neighbors[peer_name]
-        if data == state.hello_wire:
-            # Decoding is a function of the bytes alone, and these are
-            # the bytes of a hello that decoded: a steady-state hello
-            # is parsed once.  Garbage never equals validated bytes.
-            message = state.hello
-        else:
-            try:
-                message = decode_ospf_message(data)
-            except OSPFDecodeError:
-                # Dropped before it can refresh the dead timer: garbage
-                # must not keep an adjacency alive.
-                self.decode_errors += 1
-                return
-            if message.msg_type == TYPE_HELLO:
-                state.hello_wire = data
-                state.hello = message
+        try:
+            message = self.decoded.decode(data)
+        except OSPFDecodeError:
+            # Dropped before it can refresh the dead timer: garbage
+            # must not keep an adjacency alive.
+            self.decode_errors += 1
+            return
         state.last_heard = self._now()
         if message.msg_type == TYPE_HELLO:
             self._handle_hello(state, message)

@@ -23,14 +23,18 @@ codec; ``IPv4Address``/``IPv4Prefix`` objects appear where a caller
 reads ``advertising_router``, ``links``, ``prefixes`` or ``neighbors``.
 
 Whatever the input, decoding either returns a message or raises
-:class:`OSPFDecodeError`.
+:class:`OSPFDecodeError`.  A flooded LSU is one bytes object handed to
+every full neighbour, and a hello one bytes object handed to every
+neighbour, so an experiment's daemons decode through one
+:class:`DecodedMessages` table: each wire is parsed once, and every
+LSDB that accepts an LSA from it holds the same :class:`RouterLSA`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 
@@ -330,3 +334,35 @@ def decode_ospf_message(data: bytes):
     if msg_type == TYPE_LS_UPDATE:
         return OSPFLinkStateUpdate.decode_body(router_id, data, HEADER.size)
     raise OSPFDecodeError(f"unknown OSPF message type {msg_type}")
+
+
+class DecodedMessages:
+    """Delivered wire bytes -> the message they decoded to.
+
+    Decoding is a function of the bytes alone, so bytes equal to ones
+    that decoded are that message: the first receiver of a flood pays
+    for the parse and the others get its objects, the way
+    :class:`~repro.bgp.messages.RouteValues` serves an experiment's BGP
+    speakers.  A message is shared, never changed by its receivers
+    (an LSA's lazily parsed body included).  Only bytes that decoded
+    are admitted, so garbage meets the decoder every time and leaves
+    the table as it was.  Bounded: a table that would outgrow
+    :attr:`BOUND` is emptied, never grown.
+    """
+
+    BOUND = 1 << 7
+
+    __slots__ = ("_by_wire",)
+
+    def __init__(self) -> None:
+        self._by_wire: Dict[bytes, object] = {}
+
+    def decode(self, data: bytes):
+        """:func:`decode_ospf_message` of ``data``, parsed once."""
+        message = self._by_wire.get(data)
+        if message is None:
+            message = decode_ospf_message(data)
+            if len(self._by_wire) >= self.BOUND:
+                self._by_wire.clear()
+            self._by_wire[data] = message
+        return message

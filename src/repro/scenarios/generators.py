@@ -11,7 +11,8 @@ The failure *patterns* are the classic control-plane stress shapes:
 * ``k-random-links``      — k distinct fabric links cut at random
   times, each repaired after a fixed outage;
 * ``flap-storm``          — several links flapping on independent
-  phases (convergence churn);
+  phases (data-plane churn: the default 3 s outages end before a
+  routing adjacency times out, so no adjacency drops);
 * ``rolling-maintenance`` — devices taken down and brought back one
   after another (upgrade wave);
 * ``gray-brownout``       — capacity degradations that routing never
@@ -116,7 +117,14 @@ def flap_storm(
     duty: float = 0.5,
     rng: "random.Random | None" = None,
 ) -> List[Injection]:
-    """Several links flapping on independent phases within ``spread``."""
+    """Several links flapping on independent phases within ``spread``.
+
+    Each flap is down for ``period * duty`` seconds (3 s by default).
+    That ends before the generator's 4 s OSPF dead interval and BGP's
+    90 s hold time, and a daemon hears of a cut only through those
+    timers: by default the storm churns the data plane and drops no
+    adjacency.
+    """
     rng = rng or random.Random(seed)
     chosen = _sample_links(topo, links, rng)
     injections: List[Injection] = []

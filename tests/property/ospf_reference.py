@@ -5,8 +5,14 @@ The eager decoder builds every ``LSALink``/``LSAPrefix`` of every LSA
 it is handed and the encoder packs them back object by object; the SPF
 confirms each link's back-link with a linear scan.  The shipped code
 must agree with them: byte for byte on the encoder, field by field on
-the decoder, route for route on the SPF.  Nothing under ``src/``
-imports this module.
+the decoder, route for route on the SPF.
+
+:class:`ReceivePathReference` is the daemon's receive path from before
+an experiment's daemons shared one decode table: every LSU is decoded
+by each receiver, and the last hello that decoded is cached per
+neighbour.  The shipped daemons must put the same bytes on every wire
+and end with the same LSDBs and FIBs.  Nothing under ``src/`` imports
+this module.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.netproto.addr import IPv4Address, IPv4Prefix
+from repro.ospf import packets
+from repro.ospf.daemon import OSPFDaemon
 from repro.ospf.packets import OSPFDecodeError
 from repro.ospf.spf import INFINITY, SPFResult
 
@@ -198,6 +206,38 @@ def decode_ospf_message(data: bytes):
     if msg_type == TYPE_LS_UPDATE:
         return OSPFLinkStateUpdate.decode_body(router_id, body)
     raise OSPFDecodeError(f"unknown OSPF message type {msg_type}")
+
+
+class ReceivePathReference(OSPFDaemon):
+    """An OSPF daemon that decodes every delivery itself, except a hello
+    byte-identical to the last one that decoded from the same neighbour."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # peer name -> (wire, message) of its last hello that decoded.
+        self.hellos: Dict[str, tuple] = {}
+
+    def receive(self, channel, data, metadata):
+        peer_name = self._channel_to_neighbor.get(channel.id)
+        if peer_name is None:
+            return
+        state = self.neighbors[peer_name]
+        cached = self.hellos.get(peer_name)
+        if cached is not None and data == cached[0]:
+            message = cached[1]
+        else:
+            try:
+                message = packets.decode_ospf_message(data)
+            except OSPFDecodeError:
+                self.decode_errors += 1
+                return
+            if message.msg_type == TYPE_HELLO:
+                self.hellos[peer_name] = (data, message)
+        state.last_heard = self._now()
+        if message.msg_type == TYPE_HELLO:
+            self._handle_hello(state, message)
+        else:
+            self._handle_lsu(state, message)
 
 
 def shortest_paths(lsdb: LinkStateDatabase, root_id: IPv4Address) -> SPFResult:

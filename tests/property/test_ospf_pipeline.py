@@ -4,24 +4,30 @@
 they were; the shipped SPF must return the same routes over any LSDB,
 and the shipped decoder must meet any bytes with a message or an
 ``OSPFDecodeError``.  (Codec parity lives with the other codecs in
-``test_codec_roundtrips.py``.)  The daemon's two hello caches are held
-to the same standard at the end: the reference encoder's bytes for
-every heard-set, and fail-closed on every mutant of a cached hello.
+``test_codec_roundtrips.py``.)  The daemon's two caches are held to the
+same standard at the end: the sender's encoded hello is the reference
+encoder's bytes for every heard-set, and no mutant of a tabled hello or
+LSU is served from the decode table.  Last, the shipped daemons run
+beside ``ospf_reference.ReceivePathReference``, the receive path the
+table replaced, through failure scenarios.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import ospf_reference as ospf_ref
+from repro.api import control_setup
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.dataplane.network import Network
 from repro.netproto.addr import IPv4Address, IPv4Prefix
-from repro.ospf import daemon as daemon_module
+from repro.ospf import packets as packets_module
 from repro.ospf.daemon import OSPFConfig, OSPFDaemon, OSPFPeerConfig
 from repro.ospf.lsdb import LinkStateDatabase
 from repro.ospf.packets import (
+    DecodedMessages,
     LSALink,
     LSAPrefix,
     OSPFDecodeError,
@@ -31,6 +37,7 @@ from repro.ospf.packets import (
     decode_ospf_message,
 )
 from repro.ospf.spf import shortest_paths
+from repro.scenarios import ScenarioRunner, TopologyRecipe, generate_scenario
 
 # --- SPF ------------------------------------------------------------------
 
@@ -173,12 +180,13 @@ def test_mutation_fuzz_raises_only_decode_errors():
     assert rejected > FUZZ_CASES // 4 and decoded > FUZZ_CASES // 20
 
 
-# --- the hello caches --------------------------------------------------------
+# --- the hello encoding and the decode table ----------------------------------
 
-# A hello that says nothing new is encoded once by its sender and
-# decoded once by each receiver.  Neither cache may be observable:
-# the wire is the reference encoder's for every heard-set, and bytes
-# that are not the validated hello meet the decoder as they always did.
+# A hello that says nothing new is encoded once by its sender, and a
+# wire is decoded once by the daemons that share a table.  Neither
+# cache may be observable: the wire is the reference encoder's for
+# every heard-set, and bytes that are not a tabled wire meet the
+# decoder as they always did.
 
 HELLO, DEAD = 0.5, 2.0
 
@@ -223,7 +231,7 @@ def _count_decodes(monkeypatch):
         calls.append(data)
         return decode_ospf_message(data)
 
-    monkeypatch.setattr(daemon_module, "decode_ospf_message", counting)
+    monkeypatch.setattr(packets_module, "decode_ospf_message", counting)
     return calls
 
 
@@ -300,14 +308,43 @@ def _decodes(data):
     return True
 
 
+def _assert_no_mutant_rides_the_table(daemon, channel, wire):
+    """Deliver every mutant of ``wire``, a tabled wire, to ``daemon``:
+    garbage leaves the table as it was, and what decodes is decoded,
+    not served from the table.  Returns the garbage."""
+    table = daemon.decoded._by_wire
+    message = table[wire]
+    mutants = list(_mutants(wire))
+    garbage = [m for m in mutants if not _decodes(m)]
+    before = dict(table)
+    errors = daemon.decode_errors
+    for mutant in garbage:
+        daemon.receive(channel, mutant, None)
+    assert daemon.decode_errors == errors + len(garbage)
+    assert table == before and table[wire] is message
+    for mutant in (m for m in mutants if _decodes(m)):
+        assert mutant not in table
+        errors = daemon.decode_errors
+        daemon.receive(channel, mutant, None)
+        assert daemon.decode_errors == errors
+        fresh = decode_ospf_message(mutant)
+        assert table[mutant].encode() == fresh.encode() == mutant
+        if isinstance(fresh, OSPFHello):
+            assert table[mutant].neighbor_ids == fresh.neighbor_ids
+        assert len(table) <= DecodedMessages.BOUND
+    return garbage
+
+
 def test_no_mutant_of_a_cached_hello_rides_the_cache():
     sim, daemons, channels = _wire_star(leaves=1)
     d1, d2 = daemons["r1"], daemons["r2"]
     channel = channels["r2"]
     sim.run(until=3.0)
     state = d1.neighbors["r2"]
-    wire = state.hello_wire
-    assert wire is not None and d2._hello_wire == wire  # a cached hit
+    table = d1.decoded._by_wire
+    wire = d2._hello_wire
+    assert wire in table                                # a tabled hello
+    message = table[wire]
     mutants = list(_mutants(wire))
     garbage = [m for m in mutants if not _decodes(m)]
     # Version, type, length and count bytes and every truncation are
@@ -318,24 +355,32 @@ def test_no_mutant_of_a_cached_hello_rides_the_cache():
     # r2 falls silent at t=3; a second later all the garbage arrives.
     d2.neighbors["r1"].channel = None
     silent_since = state.last_heard
+    before = dict(table)
     sim.scheduler.after(1.0, lambda: [channel.send(d2, m) for m in garbage])
     sim.run(until=4.5)
     assert d1.decode_errors == len(garbage)
     assert state.last_heard == silent_since
-    assert state.hello_wire is wire
+    assert table == before and table[wire] is message
     assert d1.full_neighbors() == ["r2"]
     sim.run(until=silent_since + DEAD + DEAD / 2 + 0.01)  # next dead check
     assert d1.full_neighbors() == []
 
     # What does decode is handled as a hello in its own right — and is
-    # decoded, not assumed: its bytes differ from the validated ones.
-    for mutant in (m for m in mutants if _decodes(m)):
-        errors = d1.decode_errors
-        d1.receive(channel, mutant, None)
-        assert d1.decode_errors == errors
-        assert state.hello_wire == mutant
-        assert state.hello.neighbor_ids == decode_ospf_message(
-            mutant).neighbor_ids
+    # decoded, not assumed: its bytes differ from the tabled ones.
+    _assert_no_mutant_rides_the_table(d1, channel, wire)
+
+
+def test_no_mutant_of_a_tabled_lsu_rides_the_table():
+    sim, daemons, channels = _wire_star(leaves=1)
+    d1 = daemons["r1"]
+    sim.run(until=3.0)
+    # The largest LSU r2 sent r1 while the adjacency came up.
+    wire = max((data for data in d1.decoded._by_wire if data[1] == 4),
+               key=len)
+    assert len(decode_ospf_message(wire).lsas) >= 1
+    garbage = _assert_no_mutant_rides_the_table(d1, channels["r2"], wire)
+    # Count, length and prefix-length bytes and every truncation.
+    assert len(garbage) >= 4 * 255 + len(wire)
 
 
 def test_a_byte_identical_hello_still_runs_the_two_way_logic(monkeypatch):
@@ -343,17 +388,123 @@ def test_a_byte_identical_hello_still_runs_the_two_way_logic(monkeypatch):
     d1, d2 = daemons["r1"], daemons["r2"]
     sim.run(until=3.0)
     state = d1.neighbors["r2"]
-    wire = state.hello_wire
+    table = d1.decoded._by_wire
+    wire = d2._hello_wire
+    message = table[wire]
     d1.neighbor_down("r2")            # heard and full are false now
     assert not state.heard and not state.full
     sequence = d1.lsdb.get(d1.config.router_id).sequence
     hellos_sent = d1.hellos_sent
     calls = _count_decodes(monkeypatch)
     sim.run(until=3.0 + HELLO + 0.002)   # r2's next hello: same bytes
-    assert state.hello_wire is wire
+    assert d2._hello_wire == wire and table[wire] is message
     assert not [data for data in calls if data[1] == 1
-                and data[4:8] == wire[4:8]]          # a cache hit …
+                and data[4:8] == wire[4:8]]          # a table hit …
     assert state.heard and state.full                # … that did its work:
     assert d1.lsdb.get(d1.config.router_id).sequence == sequence + 1
     assert d1.hellos_sent > hellos_sent + 1          # answered at once
     assert d1.full_neighbors() == ["r2"]
+
+
+# --- the decode table against the receive path it replaced ------------------
+
+# The same scenario is materialized twice: once with the shipped daemons,
+# which share one decode table, and once with daemons that decode every
+# delivery themselves.  Run in steps, the two must agree on every wire
+# byte, LSDB, FIB and FIB operation after each step.
+
+STEP = 0.5
+
+
+def _fabric(topology):
+    if topology == "fattree":
+        return TopologyRecipe("fattree", {"k": 4, "device": "router"})
+    return TopologyRecipe("wan", {})
+
+
+def _materialize(spec, monkeypatch, daemon_class):
+    with monkeypatch.context() as patch:
+        patch.setattr(control_setup, "OSPFDaemon", daemon_class)
+        exp, __ = ScenarioRunner().materialize(spec)
+    wire = []
+    exp.sim.cm.add_observer(
+        lambda channel, receiver, data: wire.append(
+            (channel.label, receiver.name, data)))
+    return exp, wire
+
+
+def _fibs(exp):
+    return {name: [(str(entry.prefix), entry.next_hops)
+                   for entry in exp.network.get_node(name).fib.entries()]
+            for name in exp.ospf_daemons}
+
+
+def _run_beside_the_reference(spec, monkeypatch):
+    shipped, shipped_wire = _materialize(spec, monkeypatch, OSPFDaemon)
+    reference, reference_wire = _materialize(
+        spec, monkeypatch, ospf_ref.ReceivePathReference)
+    tables = {daemon.decoded for daemon in shipped.ospf_daemons.values()}
+    assert len(tables) == 1                      # one per experiment
+    table = tables.pop()._by_wire
+    peak = 0
+    calls = _count_decodes(monkeypatch)
+    decodes = {"shipped": 0, "reference": 0}
+    steps = int(spec.duration / STEP)
+    for step in range(1, steps + 1):
+        until = step * STEP
+        for side, exp in (("shipped", shipped), ("reference", reference)):
+            calls.clear()
+            exp.sim.run(until=until)
+            decodes[side] += len(calls)
+        assert shipped_wire == reference_wire, until
+        for name, daemon in shipped.ospf_daemons.items():
+            twin = reference.ospf_daemons[name]
+            assert daemon.lsdb.all_lsas() == twin.lsdb.all_lsas(), until
+            assert daemon.full_neighbors() == twin.full_neighbors(), until
+        assert _fibs(shipped) == _fibs(reference), until
+        assert (shipped.sim.cm.stats()["route_installs"]
+                == reference.sim.cm.stats()["route_installs"]), until
+        assert len(table) <= DecodedMessages.BOUND
+        peak = max(peak, len(table))
+    # Flooded wires reached more than one daemon through the table.
+    assert 0 < decodes["shipped"] < decodes["reference"]
+    return shipped, reference, peak
+
+
+PATTERN_CASES = [(topology, pattern)
+                 for topology in ("fattree", "wan")
+                 for pattern in ("k-random-links", "rolling-maintenance")]
+
+
+@pytest.mark.parametrize("topology,pattern", PATTERN_CASES)
+def test_the_table_changes_nothing_a_run_does(topology, pattern, monkeypatch):
+    spec = generate_scenario(3, pattern=pattern, topology=_fabric(topology),
+                             duration=30.0)
+    shipped, reference, __ = _run_beside_the_reference(spec, monkeypatch)
+    ours = ScenarioRunner._diagnostics(shipped)["ospf"]
+    theirs = ScenarioRunner._diagnostics(reference)["ospf"]
+    # Every counter but one agrees; a body is parsed once per
+    # experiment, not once per LSDB.
+    assert ours["lsa_bodies_parsed"] < theirs["lsa_bodies_parsed"]
+    assert ({**ours, "lsa_bodies_parsed": 0}
+            == {**theirs, "lsa_bodies_parsed": 0})
+    # The receivers of one flood share its LSAs; the reference's LSDBs
+    # hold one object per entry.
+    entries = sum(len(d.lsdb) for d in reference.ospf_daemons.values())
+    assert _distinct_lsas(reference) == entries
+    assert _distinct_lsas(shipped) < entries
+
+
+def _distinct_lsas(exp):
+    return len({id(lsa) for daemon in exp.ospf_daemons.values()
+                for lsa in daemon.lsdb.all_lsas()})
+
+
+def test_a_table_that_fills_and_empties_changes_nothing(monkeypatch):
+    monkeypatch.setattr(DecodedMessages, "BOUND", 16)
+    spec = generate_scenario(4, pattern="rolling-maintenance",
+                             topology=_fabric("fattree"), duration=30.0)
+    shipped, __, peak = _run_beside_the_reference(spec, monkeypatch)
+    # 20 routers' hellos alone overfill 16 entries: the table emptied
+    # again and again, never grew past its bound, and nothing moved.
+    assert peak == 16
