@@ -313,10 +313,14 @@ class BGPDaemon:
     # -- update processing ----------------------------------------------------------------
 
     def _handle_update(self, state: _PeerState, message: BGPUpdate) -> None:
+        # A prefix is decided again unless the Loc-RIB can tell that the
+        # change cannot move its selection (LocRIB.holds).
         touched: Set[IPv4Prefix] = set()
         rib_in = state.adj_rib_in
+        holds = self.loc_rib.holds
         for prefix in message.withdrawn:
-            if rib_in.withdraw(prefix):
+            old = rib_in.withdraw(prefix)
+            if old is not None and not holds(prefix, old, None):
                 touched.add(prefix)
         if message.nlri:
             attrs = message.attributes
@@ -327,23 +331,23 @@ class BGPDaemon:
             # as a withdrawal of that route.
             looped = attrs.contains_as(self.config.asn)
             import_policy = state.config.import_policy
+            peer_name = state.config.peer_name
+            router_id = state.remote_router_id
+            values = self.values
             for prefix in message.nlri:
                 imported = (None if looped
                             else import_policy.apply(prefix, attrs))
                 if imported is None:
-                    if rib_in.withdraw(prefix):
-                        touched.add(prefix)
-                    continue
-                rib_in.update(
-                    RIBRoute(
-                        prefix=prefix,
-                        attributes=imported,
-                        peer_name=state.config.peer_name,
-                        peer_router_id=state.remote_router_id,
-                        values=self.values,
-                    )
-                )
-                touched.add(prefix)
+                    new = None
+                    old = rib_in.withdraw(prefix)
+                    if old is None:
+                        continue
+                else:
+                    new = RIBRoute(prefix, imported, peer_name, router_id,
+                                   values)
+                    old = rib_in.update(new)
+                if not holds(prefix, old, new):
+                    touched.add(prefix)
         if touched:
             self._reprocess(touched)
 

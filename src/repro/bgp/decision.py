@@ -20,6 +20,7 @@ routes tie on AS-path length and all get installed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - rib imports preference_key from here
@@ -54,9 +55,10 @@ def preference_key(route: RIBRoute) -> tuple:
     )
 
 
-def tie_break_key(route: RIBRoute) -> tuple:
-    """Step 6: deterministic final ordering inside an equal-cost group."""
-    return (int(route.peer_router_id), route.peer_name)
+#: Step 6: deterministic final ordering inside an equal-cost group,
+#: the key every :class:`~repro.bgp.rib.RIBRoute` carries as
+#: ``route.tie_break``.
+_tie_break = attrgetter("tie_break")
 
 
 def decide(candidates: Sequence[RIBRoute], max_paths: int = 1) -> RouteComparison:
@@ -79,6 +81,6 @@ def decide(candidates: Sequence[RIBRoute], max_paths: int = 1) -> RouteCompariso
     best_key = min([route.preference for route in candidates])
     equal_cost = [route for route in candidates if route.preference == best_key]
     if len(equal_cost) > 1:
-        equal_cost.sort(key=tie_break_key)
+        equal_cost.sort(key=_tie_break)
     return RouteComparison(best=equal_cost[0],
                            multipath=tuple(equal_cost[:max_paths]))

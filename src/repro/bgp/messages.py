@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netproto.addr import IPv4Address, IPv4Prefix
 
@@ -116,70 +116,6 @@ class PathAttributes:
         """Serialise to the RFC 4271 path-attribute list."""
         return encode_attributes(self, next_hop_attribute(self.next_hop))
 
-    @classmethod
-    def decode(cls, data: bytes) -> "PathAttributes":
-        """Parse a path-attribute list."""
-        fresh = RouteValues()
-        return cls._parse(data, 0, len(data), fresh, fresh)
-
-    @classmethod
-    def _parse(cls, data: bytes, offset: int, end: int,
-               known: "RouteValues", fresh: "RouteValues") -> "PathAttributes":
-        """Parse the attribute list in ``data[offset:end]``: the AS path
-        and the next hop are taken from ``known`` or ``fresh``, and new
-        ones are added to ``fresh``."""
-        origin = Origin.IGP
-        as_path: Tuple[int, ...] = ()
-        next_hop: Optional[IPv4Address] = None
-        med: Optional[int] = None
-        local_pref: Optional[int] = None
-
-        while offset < end:
-            if offset + 3 > end:
-                raise _malformed_update("truncated path attribute header")
-            flags, code, length = _ATTR_HEADER.unpack_from(data, offset)
-            body_start = offset + 3
-            if flags & FLAG_EXTENDED:
-                if offset + 4 > end:
-                    raise _malformed_update("truncated extended attribute length")
-                (length,) = _U16.unpack_from(data, offset + 2)
-                body_start = offset + 4
-            offset = body_start + length
-            if offset > end:
-                raise _malformed_update("truncated attribute body")
-
-            if code == ATTR_ORIGIN:
-                if length != 1 or data[body_start] > Origin.INCOMPLETE:
-                    raise _malformed_update("bad ORIGIN attribute")
-                origin = _ORIGINS[data[body_start]]
-            elif code == ATTR_AS_PATH:
-                wire = data[body_start:offset]
-                as_path = _known(known.as_paths, fresh.as_paths, wire)
-                if as_path is None:
-                    as_path = fresh.as_paths[wire] = _as_path(wire)
-            elif code in (ATTR_NEXT_HOP, ATTR_MED, ATTR_LOCAL_PREF):
-                if length != 4:
-                    raise _malformed_update(
-                        f"attribute {code} needs 4 bytes, got {length}")
-                if code == ATTR_NEXT_HOP:
-                    wire = data[body_start:offset]
-                    next_hop = _known(known.next_hops, fresh.next_hops, wire)
-                    if next_hop is None:
-                        next_hop = fresh.next_hops[wire] = (
-                            IPv4Address.from_bytes(wire))
-                elif code == ATTR_MED:
-                    (med,) = _U32.unpack_from(data, body_start)
-                else:
-                    (local_pref,) = _U32.unpack_from(data, body_start)
-            # Unknown attributes are silently skipped (optional transit).
-        return cls(
-            origin=origin,
-            as_path=as_path,
-            next_hop=next_hop,
-            med=med,
-            local_pref=local_pref,
-        )
-
     def __str__(self) -> str:
         path = " ".join(str(asn) for asn in self.as_path) or "(local)"
         return f"as_path=[{path}] next_hop={self.next_hop}"
@@ -270,41 +206,47 @@ def _as_path(wire: bytes) -> Tuple[int, ...]:
     return tuple(path)
 
 
-def decode_prefixes(data: bytes) -> List[IPv4Prefix]:
-    """Parse a run of NLRI-encoded prefixes."""
-    fresh: Dict[bytes, IPv4Prefix] = {}
-    return _parse_prefixes(data, 0, len(data), fresh, fresh)
+def _prefix(wire: bytes) -> IPv4Prefix:
+    """The prefix of one NLRI entry's wire bytes."""
+    network = int.from_bytes(wire[1:], "big") << (40 - 8 * len(wire))
+    return IPv4Prefix.from_network(network, wire[0])
 
 
-def _parse_prefixes(data: bytes, offset: int, end: int,
-                    known: Dict[bytes, IPv4Prefix],
-                    fresh: Dict[bytes, IPv4Prefix]) -> List[IPv4Prefix]:
-    """The prefixes encoded in ``data[offset:end]``, each taken from
-    ``known`` or ``fresh`` by its wire bytes; new ones go to ``fresh``."""
+def _stage(fresh: Optional[dict], wire: bytes,
+           build: Callable[[bytes], object]) -> Tuple[object, dict]:
+    """The value ``fresh`` stages for ``wire``, built and staged when it
+    has none; ``fresh`` is made on the first such miss.  Returns the
+    value and ``fresh``."""
+    if fresh is None:
+        fresh = {}
+    value = fresh.get(wire)
+    if value is None:
+        value = fresh[wire] = build(wire)
+    return value, fresh
+
+
+def _read_prefixes(data: bytes, offset: int, end: int,
+                   known: Dict[bytes, IPv4Prefix],
+                   fresh: Optional[Dict[bytes, IPv4Prefix]],
+                   ) -> Tuple[List[IPv4Prefix], Optional[Dict[bytes, IPv4Prefix]]]:
+    """The prefixes encoded in ``data[offset:end]``, each the one
+    ``known`` keeps for its wire bytes or else one staged in ``fresh``
+    (:func:`_stage`); returns the prefixes and ``fresh``."""
     prefixes: List[IPv4Prefix] = []
     while offset < end:
         length = data[offset]
         if length > 32:
             raise _malformed_update(f"prefix length {length} > 32")
-        start = offset + 1
-        stop = start + ((length + 7) >> 3)
+        stop = offset + 1 + ((length + 7) >> 3)
         if stop > end:
             raise _malformed_update("truncated NLRI prefix")
         wire = data[offset:stop]
-        prefix = _known(known, fresh, wire)
+        prefix = known.get(wire)
         if prefix is None:
-            network = (int.from_bytes(data[start:stop], "big")
-                       << (32 - 8 * (stop - start)))
-            prefix = fresh[wire] = IPv4Prefix.from_network(network, length)
+            prefix, fresh = _stage(fresh, wire, _prefix)
         prefixes.append(prefix)
         offset = stop
-    return prefixes
-
-
-def _known(known: dict, fresh: dict, wire: bytes):
-    """The value kept for ``wire``, or None when neither table has it."""
-    value = known.get(wire)
-    return fresh.get(wire) if value is None else value
+    return prefixes, fresh
 
 
 class RouteValues:
@@ -317,8 +259,8 @@ class RouteValues:
     it is met; every later UPDATE that carries those bytes, to whichever
     speaker, gets that very object and skips the unpack.  Configured
     networks go in first (:meth:`network`), so a decoded prefix is the
-    object that keys the Loc-RIB and the FIB; :meth:`preference` keeps
-    the decision process's keys the same way.  The way back, a prefix
+    object that keys the Loc-RIB and the FIB; :meth:`decision_key`
+    keeps the decision process's keys the same way.  The way back, a prefix
     to the NLRI bytes an UPDATE sends it as, is :meth:`prefix_bytes`:
     always the canonical encoding, never bytes a peer sent.
 
@@ -331,14 +273,14 @@ class RouteValues:
 
     BOUND = 1 << 16
 
-    __slots__ = ("prefixes", "as_paths", "next_hops", "preferences", "nlri",
+    __slots__ = ("prefixes", "as_paths", "next_hops", "decision_keys", "nlri",
                  "__weakref__")
 
     def __init__(self) -> None:
         self.prefixes: Dict[bytes, IPv4Prefix] = {}
         self.as_paths: Dict[bytes, Tuple[int, ...]] = {}
         self.next_hops: Dict[bytes, IPv4Address] = {}
-        self.preferences: Dict[tuple, tuple] = {}
+        self.decision_keys: Dict[tuple, tuple] = {}
         #: prefix -> its NLRI encoding, filled as speakers send.
         self.nlri: Dict[IPv4Prefix, bytes] = {}
 
@@ -347,9 +289,9 @@ class RouteValues:
         when it is the first)."""
         return self._keep(self.prefixes, encode_prefix(prefix), prefix)
 
-    def preference(self, key: tuple) -> tuple:
-        """The table's copy of a route preference key."""
-        return self._keep(self.preferences, key, key)
+    def decision_key(self, key: tuple) -> tuple:
+        """The table's copy of a route's preference or tie-break key."""
+        return self._keep(self.decision_keys, key, key)
 
     def prefix_bytes(self, prefix: IPv4Prefix) -> bytes:
         """:func:`encode_prefix` of ``prefix``, worked out once."""
@@ -366,13 +308,13 @@ class RouteValues:
             kept = table[key] = value
         return kept
 
-    def _absorb(self, fresh: "RouteValues") -> None:
-        """Keep what one well-formed UPDATE met for the first time."""
-        if not (fresh.prefixes or fresh.as_paths or fresh.next_hops):
-            return
-        for table, new in ((self.prefixes, fresh.prefixes),
-                           (self.as_paths, fresh.as_paths),
-                           (self.next_hops, fresh.next_hops)):
+    def _absorb(self, prefixes: Optional[dict], as_paths: Optional[dict],
+                next_hops: Optional[dict]) -> None:
+        """Keep what one well-formed UPDATE met for the first time (each
+        kind None when it met nothing new)."""
+        for table, new in ((self.prefixes, prefixes),
+                           (self.as_paths, as_paths),
+                           (self.next_hops, next_hops)):
             if new:
                 if len(table) + len(new) > self.BOUND:
                     table.clear()
@@ -447,36 +389,6 @@ class BGPUpdate(BGPMessage):
             b"" if attributes is None else attributes.encode(),
             b"".join(map(encode_prefix, self.nlri)))
 
-    @classmethod
-    def decode_body(cls, data: bytes,
-                    values: Optional[RouteValues] = None) -> "BGPUpdate":
-        """Parse an UPDATE body, through ``values`` when given."""
-        end = len(data)
-        if end < 4:
-            raise _malformed_update("truncated UPDATE")
-        (withdrawn_len,) = _U16.unpack_from(data)
-        attrs_at = 2 + withdrawn_len
-        if attrs_at + 2 > end:
-            raise _malformed_update("withdrawn routes overrun the UPDATE")
-        (attr_len,) = _U16.unpack_from(data, attrs_at)
-        nlri_at = attrs_at + 2 + attr_len
-        if nlri_at > end:
-            raise _malformed_update("path attributes overrun the UPDATE")
-        fresh = RouteValues()
-        known = fresh if values is None else values
-        withdrawn = _parse_prefixes(data, 2, attrs_at,
-                                    known.prefixes, fresh.prefixes)
-        attributes = (
-            PathAttributes._parse(data, attrs_at + 2, nlri_at, known, fresh)
-            if attr_len else None
-        )
-        nlri = _parse_prefixes(data, nlri_at, end, known.prefixes, fresh.prefixes)
-        if nlri and attributes is None:
-            raise _malformed_update("NLRI without path attributes")
-        if values is not None:
-            values._absorb(fresh)
-        return cls(withdrawn=withdrawn, attributes=attributes, nlri=nlri)
-
     def __str__(self) -> str:
         parts = []
         if self.nlri:
@@ -526,21 +438,23 @@ def decode_bgp_stream(data: bytes, values: Optional[RouteValues] = None,
     """Parse the first BGP message from a byte stream; returns (msg, rest).
 
     An UPDATE's prefixes, AS path and next hop come from ``values``
-    when given (see :class:`RouteValues`).
+    when given (see :class:`RouteValues`).  An UPDATE is parsed where it
+    lies in ``data``; ``rest`` is a slice only when bytes follow it.
     """
-    if len(data) < BGP_HEADER_LEN:
+    size = len(data)
+    if size < BGP_HEADER_LEN:
         raise BGPDecodeError("truncated BGP header")
     if not data.startswith(BGP_MARKER):
         raise BGPDecodeError("bad BGP marker")
     length, msg_type = _LENGTH_TYPE.unpack_from(data, 16)
-    if length < BGP_HEADER_LEN or length > len(data):
+    if length < BGP_HEADER_LEN or length > size:
         raise BGPDecodeError(f"bad BGP length {length}")
+    rest = b"" if length == size else data[length:]
+    if msg_type == TYPE_UPDATE:
+        return _decode_update(data, length, values), rest
     body = data[BGP_HEADER_LEN:length]
-    rest = data[length:]
     if msg_type == TYPE_OPEN:
         return BGPOpen.decode_body(body), rest
-    if msg_type == TYPE_UPDATE:
-        return BGPUpdate.decode_body(body, values), rest
     if msg_type == TYPE_KEEPALIVE:
         if body:
             raise BGPDecodeError("KEEPALIVE with a body")
@@ -548,3 +462,90 @@ def decode_bgp_stream(data: bytes, values: Optional[RouteValues] = None,
     if msg_type == TYPE_NOTIFICATION:
         return BGPNotification.decode_body(body), rest
     raise BGPDecodeError(f"unknown BGP message type {msg_type}")
+
+
+def _decode_update(data: bytes, end: int,
+                   values: Optional[RouteValues]) -> BGPUpdate:
+    """The UPDATE whose body is ``data[BGP_HEADER_LEN:end]``, read at
+    offsets into ``data``.
+
+    Each prefix, AS path and next hop is the one ``values`` keeps for
+    its wire bytes (a table of the message's own when None).  One the
+    table lacks is built and staged (:func:`_stage`); the staged values
+    join the table only once the whole UPDATE has parsed, so a malformed
+    one leaves the table as it was.
+    """
+    if end < BGP_HEADER_LEN + 4:
+        raise _malformed_update("truncated UPDATE")
+    (withdrawn_len,) = _U16.unpack_from(data, BGP_HEADER_LEN)
+    attrs_at = BGP_HEADER_LEN + 2 + withdrawn_len
+    if attrs_at + 2 > end:
+        raise _malformed_update("withdrawn routes overrun the UPDATE")
+    (attr_len,) = _U16.unpack_from(data, attrs_at)
+    offset = attrs_at + 2
+    nlri_at = offset + attr_len
+    if nlri_at > end:
+        raise _malformed_update("path attributes overrun the UPDATE")
+    if values is None:
+        values = RouteValues()
+    known_prefixes = values.prefixes
+    if withdrawn_len:
+        withdrawn, new_prefixes = _read_prefixes(
+            data, BGP_HEADER_LEN + 2, attrs_at, known_prefixes, None)
+    else:
+        withdrawn, new_prefixes = [], None
+    new_paths: Optional[Dict[bytes, Tuple[int, ...]]] = None
+    new_hops: Optional[Dict[bytes, IPv4Address]] = None
+    attributes: Optional[PathAttributes] = None
+    if attr_len:
+        origin = Origin.IGP
+        as_path: Optional[Tuple[int, ...]] = ()
+        next_hop: Optional[IPv4Address] = None
+        med: Optional[int] = None
+        local_pref: Optional[int] = None
+        while offset < nlri_at:
+            if offset + 3 > nlri_at:
+                raise _malformed_update("truncated path attribute header")
+            flags, code, length = _ATTR_HEADER.unpack_from(data, offset)
+            start = offset + 3
+            if flags & FLAG_EXTENDED:
+                if offset + 4 > nlri_at:
+                    raise _malformed_update("truncated extended attribute length")
+                (length,) = _U16.unpack_from(data, offset + 2)
+                start = offset + 4
+            offset = start + length
+            if offset > nlri_at:
+                raise _malformed_update("truncated attribute body")
+
+            if code == ATTR_ORIGIN:
+                if length != 1 or data[start] >= len(_ORIGINS):
+                    raise _malformed_update("bad ORIGIN attribute")
+                origin = _ORIGINS[data[start]]
+            elif code == ATTR_AS_PATH:
+                wire = data[start:offset]
+                as_path = values.as_paths.get(wire)
+                if as_path is None:
+                    as_path, new_paths = _stage(new_paths, wire, _as_path)
+            elif code in (ATTR_NEXT_HOP, ATTR_MED, ATTR_LOCAL_PREF):
+                if length != 4:
+                    raise _malformed_update(
+                        f"attribute {code} needs 4 bytes, got {length}")
+                if code == ATTR_NEXT_HOP:
+                    wire = data[start:offset]
+                    next_hop = values.next_hops.get(wire)
+                    if next_hop is None:
+                        next_hop, new_hops = _stage(
+                            new_hops, wire, IPv4Address.from_bytes)
+                elif code == ATTR_MED:
+                    (med,) = _U32.unpack_from(data, start)
+                else:
+                    (local_pref,) = _U32.unpack_from(data, start)
+            # Unknown attributes are silently skipped (optional transit).
+        attributes = PathAttributes(origin, as_path, next_hop, med, local_pref)
+    nlri, new_prefixes = _read_prefixes(
+        data, nlri_at, end, known_prefixes, new_prefixes)
+    if nlri and attributes is None:
+        raise _malformed_update("NLRI without path attributes")
+    if new_prefixes or new_paths or new_hops:
+        values._absorb(new_prefixes, new_paths, new_hops)
+    return BGPUpdate(TYPE_UPDATE, withdrawn, attributes, nlri)

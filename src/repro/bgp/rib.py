@@ -28,7 +28,8 @@ class RIBRoute:
 
     ``peer_name`` is empty for locally originated networks.  A daemon
     passes its :class:`~repro.bgp.messages.RouteValues` as ``values``,
-    and the route's preference key is then the table's copy.
+    and the route's preference and tie-break keys are then the table's
+    copies, one per distinct key rather than one per route.
     """
 
     prefix: IPv4Prefix
@@ -40,11 +41,18 @@ class RIBRoute:
     #: depends on the frozen fields alone, so it is worked out once here
     #: instead of in every decision the route takes part in.
     preference: tuple = field(init=False, repr=False, compare=False)
+    #: Step 6 of the decision ladder, ``(int(peer_router_id),
+    #: peer_name)``, worked out once here like ``preference``.
+    tie_break: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, values: Optional[RouteValues]) -> None:
-        key = preference_key(self)
-        object.__setattr__(self, "preference",
-                           key if values is None else values.preference(key))
+        preference = preference_key(self)
+        tie_break = (int(self.peer_router_id), self.peer_name)
+        if values is not None:
+            preference = values.decision_key(preference)
+            tie_break = values.decision_key(tie_break)
+        object.__setattr__(self, "preference", preference)
+        object.__setattr__(self, "tie_break", tie_break)
 
     @property
     def is_local(self) -> bool:
@@ -92,23 +100,30 @@ class AdjRIBIn:
         slots = self._table.get(prefix)
         return None if slots is None else slots[self._index]
 
-    def update(self, route: RIBRoute) -> None:
-        """Store/replace the peer's route for a prefix."""
+    def update(self, route: RIBRoute) -> Optional[RIBRoute]:
+        """Store/replace the peer's route for a prefix; returns the route
+        it replaced, if any."""
         slots = self._table.get(route.prefix)
         if slots is None:
             slots = self._table[route.prefix] = [None] * self._owner._width
-        if slots[self._index] is None:
+        index = self._index
+        old = slots[index]
+        if old is None:
             self._count += 1
-        slots[self._index] = route
+        slots[index] = route
+        return old
 
-    def withdraw(self, prefix: IPv4Prefix) -> bool:
-        """Remove the peer's route; True when one existed."""
+    def withdraw(self, prefix: IPv4Prefix) -> Optional[RIBRoute]:
+        """Remove the peer's route; returns it, or None when there was
+        none."""
         slots = self._table.get(prefix)
-        if slots is None or slots[self._index] is None:
-            return False
-        slots[self._index] = None
-        self._count -= 1
-        return True
+        if slots is None:
+            return None
+        old = slots[self._index]
+        if old is not None:
+            slots[self._index] = None
+            self._count -= 1
+        return old
 
     def prefixes(self) -> List[IPv4Prefix]:
         """All prefixes this peer advertised, sorted."""
@@ -157,6 +172,29 @@ class LocRIB:
         self._best[prefix] = best
         self._multipath[prefix] = multipath if multipath else (best,)
         return changed
+
+    def holds(self, prefix: IPv4Prefix, old: Optional[RIBRoute],
+              new: Optional[RIBRoute]) -> bool:
+        """Whether the prefix's selection stays as it is, with no
+        decision run, when a peer's route ``old`` gives way to ``new``
+        (either may be None).
+
+        It does when the prefix has a selection, ``old`` is not one of
+        its multipath routes, and ``new`` is absent or strictly less
+        preferred than the best route: a route worse than the best on
+        steps 1-5 of the ladder cannot win or join the multipath set,
+        and a route that was in neither leaves both as they are.  The
+        multipath routes are the Adj-RIB-In's own objects, so "not one
+        of them" is a test of identity.
+        """
+        best = self._best.get(prefix)
+        if best is None:
+            return False
+        if old is not None:
+            for route in self._multipath[prefix]:
+                if route is old:
+                    return False
+        return new is None or new.preference > best.preference
 
     def best(self, prefix: IPv4Prefix) -> Optional[RIBRoute]:
         """The single best route for a prefix."""

@@ -337,32 +337,58 @@ def decode_ospf_message(data: bytes):
 
 
 class DecodedMessages:
-    """Delivered wire bytes -> the message they decoded to.
+    """Delivered wire bytes -> the message they decoded to, and an LSA's
+    byte extent -> the :class:`RouterLSA` first decoded from it.
 
     Decoding is a function of the bytes alone, so bytes equal to ones
     that decoded are that message: the first receiver of a flood pays
     for the parse and the others get its objects, the way
     :class:`~repro.bgp.messages.RouteValues` serves an experiment's BGP
-    speakers.  A message is shared, never changed by its receivers
-    (an LSA's lazily parsed body included).  Only bytes that decoded
-    are admitted, so garbage meets the decoder every time and leaves
-    the table as it was.  Bounded: a table that would outgrow
-    :attr:`BOUND` is emptied, never grown.
+    speakers.  An LSA re-flooded by another router arrives in that
+    router's LSU, a different wire, and is decoded again; its extent is
+    the same, so the LSU is handed the LSA kept for it, and the LSDBs
+    that receive one advertisement hold one object.  A message is
+    shared, never changed by its receivers (an LSA's lazily parsed body
+    included).  Only bytes that decoded are admitted, wires and extents
+    alike: an extent joins once its whole LSU has decoded, so garbage
+    meets the decoder every time and leaves the table as it was.
+    Bounded: wires that would outgrow :attr:`BOUND`, or extents that
+    would outgrow :attr:`LSA_BOUND`, are emptied, never grown.  The
+    kinds are sized apart: a kept wire keeps a whole LSU alive after its
+    flood, a kept extent one LSA, and a fabric's convergence meets
+    more extents than it needs wires.
     """
 
     BOUND = 1 << 7
+    LSA_BOUND = 1 << 10
 
-    __slots__ = ("_by_wire",)
+    __slots__ = ("_by_wire", "_lsas")
 
     def __init__(self) -> None:
         self._by_wire: Dict[bytes, object] = {}
+        self._lsas: Dict[bytes, RouterLSA] = {}
 
     def decode(self, data: bytes):
         """:func:`decode_ospf_message` of ``data``, parsed once."""
         message = self._by_wire.get(data)
         if message is None:
             message = decode_ospf_message(data)
+            if message.msg_type == TYPE_LS_UPDATE:
+                self._share(message.lsas)
             if len(self._by_wire) >= self.BOUND:
                 self._by_wire.clear()
             self._by_wire[data] = message
         return message
+
+    def _share(self, lsas: List[RouterLSA]) -> None:
+        """Put the LSA kept for each extent in place of a decoded LSU's
+        own, and keep those met for the first time."""
+        kept = self._lsas
+        for index, lsa in enumerate(lsas):
+            first = kept.get(lsa._wire)
+            if first is not None:
+                lsas[index] = first
+                continue
+            if len(kept) >= self.LSA_BOUND:
+                kept.clear()
+            kept[lsa._wire] = lsa

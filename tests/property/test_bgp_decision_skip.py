@@ -8,8 +8,9 @@ which runs the full decision for every prefix an UPDATE touches: over
 random histories of announcements and withdrawals from 2-4 peers, with
 preference ties (equal keys broken by router id and peer name), a
 locally originated network and ``max_paths`` 1-4, wherever the rule
-fires the selection that follows is the one before.  The rule is not
-applied in ``src/``; this test records that it is sound.
+fires the selection that follows is the one before.  The daemon
+applies the rule (``LocRIB.holds``); ``test_bgp_rib_oracle.py`` holds
+the daemon that skips to the reference that does not.
 """
 
 from hypothesis import event, given, settings, strategies as st

@@ -1,13 +1,16 @@
 """Differential test: the shipped BGP RIBs against the per-peer reference.
 
 The daemon keeps one Adj-RIB-In entry per prefix (a slot per peer) and
-an Adj-RIB-Out of the attributes each advertisement was made from;
-:class:`bgp_reference.ProbingDaemon` probes a dict per peer and keeps
-exported copies.  Both are driven through one random history of UPDATE
-bytes, withdrawals, session teardowns and re-establishments and
-flushes, under import and export policies and ``max_paths`` 1-4, and
-must agree after every step on the Loc-RIB (best route and multipath
-order), the FIB installs and every byte either puts on a wire.
+an Adj-RIB-Out of the attributes each advertisement was made from, and
+skips a decision that cannot change the selection (``LocRIB.holds``);
+:class:`bgp_reference.ProbingDaemon` probes a dict per peer, keeps
+exported copies and decides every prefix an UPDATE touches.  Both are
+driven through one random history of UPDATE bytes, withdrawals, session
+teardowns and re-establishments and flushes, under import and export
+policies and ``max_paths`` 1-4, and must agree after every step on the
+Loc-RIB (best route and multipath order), the FIB installs and every
+byte either puts on a wire.  The shipped daemon never decides more
+often than the reference.
 """
 
 import dataclasses
@@ -20,6 +23,7 @@ from repro.bgp.daemon import BGPConfig, BGPDaemon, BGPPeerConfig
 from repro.bgp.messages import (
     BGPUpdate, Origin, PathAttributes, decode_bgp_message)
 from repro.bgp.policy import ExportPolicy, ImportPolicy
+from repro.bgp.rib import LocRIB
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.netproto.addr import IPv4Address, IPv4Prefix
@@ -167,8 +171,8 @@ def assert_same_selection(ours, theirs):
         assert ours.loc_rib.multipath(prefix) == theirs.loc_rib.multipath(prefix)
 
 
-def run_both(peers, max_paths, history):
-    ours, our_wires = build(BGPDaemon, peers, max_paths)
+def run_both(peers, max_paths, history, daemon_class=BGPDaemon):
+    ours, our_wires = build(daemon_class, peers, max_paths)
     theirs, their_wires = build(ProbingDaemon, peers, max_paths)
     for daemon in (ours, theirs):
         for state in daemon.peers.values():
@@ -186,7 +190,9 @@ def run_both(peers, max_paths, history):
         assert state.adj_rib_in.routes() == other.adj_rib_in.routes()
         assert len(state.adj_rib_in) == len(other.adj_rib_in)
         assert state.adj_rib_out.prefixes() == other.adj_rib_out.prefixes()
-    return ours, our_wires
+    assert ours.decisions <= theirs.decisions
+    assert ours.selection_changes == theirs.selection_changes
+    return ours, our_wires, theirs
 
 
 @given(data=st.data(),
@@ -242,7 +248,7 @@ def test_a_new_best_is_announced_when_its_export_differs(
             ("update", 1, BGPUpdate(attributes=second, nlri=[prefix]).encode()),
             ("flush", 0, None),
         ]
-    ours, wires = run_both([OPEN, OPEN], 2, history)
+    ours, wires, __ = run_both([OPEN, OPEN], 2, history)
     assert ours.loc_rib.best(prefix).attributes == second
     # The local network and the first best, then the second if at all.
     assert len(wires[0].sent) == 2 + updates
@@ -282,3 +288,60 @@ def test_a_refused_announcement_withdraws_the_peers_earlier_route(refusal):
         ("withdraw", prefix)]
     last = decode_bgp_message(wires[1].sent[-1])
     assert last.withdrawn == [prefix] and not last.nlri
+
+
+# p0's route is the best; p1 then offers one with a longer AS path, and
+# withdraws it again.  Neither UPDATE can move the selection.
+WORSE_ROUTE_HISTORY = [
+    ("update", 0, BGPUpdate(attributes=PathAttributes(
+        as_path=(64512,), next_hop=NEXT_HOPS[0]), nlri=[PREFIXES[3]]).encode()),
+    ("update", 1, BGPUpdate(attributes=PathAttributes(
+        as_path=(64513, 64512), next_hop=NEXT_HOPS[0]),
+        nlri=[PREFIXES[3]]).encode()),
+    ("update", 1, BGPUpdate(withdrawn=[PREFIXES[3]]).encode()),
+]
+
+
+def test_a_decision_that_cannot_change_is_skipped():
+    ours, __, theirs = run_both([OPEN, OPEN], 2, WORSE_ROUTE_HISTORY)
+    assert theirs.decisions == 3
+    assert ours.decisions == 1
+    assert ours.selection_changes == theirs.selection_changes == 1
+
+
+class NotBetterLocRIB(LocRIB):
+    """``LocRIB.holds`` with "not better" in place of "strictly worse":
+    a route that ties with the best is let through undecided."""
+
+    def holds(self, prefix, old, new):
+        best = self._best.get(prefix)
+        if best is None:
+            return False
+        if old is not None and any(route is old
+                                   for route in self._multipath[prefix]):
+            return False
+        return new is None or new.preference >= best.preference
+
+
+class NotBetterDaemon(BGPDaemon):
+    def __init__(self, router_name, config):
+        super().__init__(router_name, config)
+        self.loc_rib = NotBetterLocRIB()
+
+
+def test_the_rule_weakened_to_not_better_is_caught():
+    """p1's route ties with p0's on the ladder, so with two paths it
+    joins the multipath set: the weakened rule skips that decision, and
+    the comparison with the reference catches it."""
+    history = [
+        ("update", 0, BGPUpdate(attributes=PathAttributes(
+            as_path=(64512,), next_hop=NEXT_HOPS[0]),
+            nlri=[PREFIXES[3]]).encode()),
+        ("update", 1, BGPUpdate(attributes=PathAttributes(
+            as_path=(64513,), next_hop=NEXT_HOPS[0]),
+            nlri=[PREFIXES[3]]).encode()),
+    ]
+    ours, __, __ = run_both([OPEN, OPEN], 2, history)
+    assert len(ours.loc_rib.multipath(PREFIXES[3])) == 2
+    with pytest.raises(AssertionError):
+        run_both([OPEN, OPEN], 2, history, daemon_class=NotBetterDaemon)

@@ -12,6 +12,7 @@ from repro.bgp.messages import (
     Origin,
     PathAttributes,
     decode_bgp_message,
+    encode_update,
 )
 from repro.netproto.addr import IPv4Address, IPv4Prefix, MACAddress
 from repro.netproto.packet import (
@@ -62,7 +63,8 @@ path_attrs = st.builds(
 @given(path_attrs)
 @settings(max_examples=200, deadline=None)
 def test_path_attributes_roundtrip(attrs):
-    assert PathAttributes.decode(attrs.encode()) == attrs
+    update = decode_bgp_message(encode_update(b"", attrs.encode(), b""))
+    assert update.attributes == attrs
 
 
 @given(asns, st.integers(min_value=0, max_value=65535), ipv4)

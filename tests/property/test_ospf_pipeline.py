@@ -310,20 +310,27 @@ def _decodes(data):
 
 def _assert_no_mutant_rides_the_table(daemon, channel, wire):
     """Deliver every mutant of ``wire``, a tabled wire, to ``daemon``:
-    garbage leaves the table as it was, and what decodes is decoded,
-    not served from the table.  Returns the garbage."""
+    garbage leaves the table as it was, LSA extents included, and what
+    decodes is decoded, not served from the table.  An LSA of a mutant
+    is the tabled one only where its extent is a tabled extent.
+    Returns the garbage."""
     table = daemon.decoded._by_wire
+    extents = daemon.decoded._lsas
     message = table[wire]
     mutants = list(_mutants(wire))
     garbage = [m for m in mutants if not _decodes(m)]
     before = dict(table)
+    lsas_before = dict(extents)
     errors = daemon.decode_errors
     for mutant in garbage:
         daemon.receive(channel, mutant, None)
     assert daemon.decode_errors == errors + len(garbage)
     assert table == before and table[wire] is message
+    assert extents.keys() == lsas_before.keys()
+    assert all(extents[extent] is lsa for extent, lsa in lsas_before.items())
     for mutant in (m for m in mutants if _decodes(m)):
         assert mutant not in table
+        kept = dict(extents)
         errors = daemon.decode_errors
         daemon.receive(channel, mutant, None)
         assert daemon.decode_errors == errors
@@ -331,7 +338,16 @@ def _assert_no_mutant_rides_the_table(daemon, channel, wire):
         assert table[mutant].encode() == fresh.encode() == mutant
         if isinstance(fresh, OSPFHello):
             assert table[mutant].neighbor_ids == fresh.neighbor_ids
+        else:
+            for lsa, own in zip(table[mutant].lsas, fresh.lsas):
+                extent = own.encode()
+                assert lsa.encode() == extent
+                if extent in kept:
+                    assert lsa is kept[extent]
+                else:
+                    assert all(lsa is not other for other in kept.values())
         assert len(table) <= DecodedMessages.BOUND
+        assert len(extents) <= DecodedMessages.LSA_BOUND
     return garbage
 
 
@@ -378,6 +394,9 @@ def test_no_mutant_of_a_tabled_lsu_rides_the_table():
     wire = max((data for data in d1.decoded._by_wire if data[1] == 4),
                key=len)
     assert len(decode_ospf_message(wire).lsas) >= 1
+    # Its LSAs are tabled by their extents.
+    assert all(d1.decoded._lsas[lsa.encode()] is lsa
+               for lsa in d1.decoded._by_wire[wire].lsas)
     garbage = _assert_no_mutant_rides_the_table(d1, channels["r2"], wire)
     # Count, length and prefix-length bytes and every truncation.
     assert len(garbage) >= 4 * 255 + len(wire)
@@ -445,8 +464,9 @@ def _run_beside_the_reference(spec, monkeypatch):
         spec, monkeypatch, ospf_ref.ReceivePathReference)
     tables = {daemon.decoded for daemon in shipped.ospf_daemons.values()}
     assert len(tables) == 1                      # one per experiment
-    table = tables.pop()._by_wire
-    peak = 0
+    shared = tables.pop()
+    table, extents = shared._by_wire, shared._lsas
+    peak = [0, 0]
     calls = _count_decodes(monkeypatch)
     decodes = {"shipped": 0, "reference": 0}
     steps = int(spec.duration / STEP)
@@ -465,7 +485,8 @@ def _run_beside_the_reference(spec, monkeypatch):
         assert (shipped.sim.cm.stats()["route_installs"]
                 == reference.sim.cm.stats()["route_installs"]), until
         assert len(table) <= DecodedMessages.BOUND
-        peak = max(peak, len(table))
+        assert len(extents) <= DecodedMessages.LSA_BOUND
+        peak = [max(peak[0], len(table)), max(peak[1], len(extents))]
     # Flooded wires reached more than one daemon through the table.
     assert 0 < decodes["shipped"] < decodes["reference"]
     return shipped, reference, peak
@@ -488,11 +509,18 @@ def test_the_table_changes_nothing_a_run_does(topology, pattern, monkeypatch):
     assert ours["lsa_bodies_parsed"] < theirs["lsa_bodies_parsed"]
     assert ({**ours, "lsa_bodies_parsed": 0}
             == {**theirs, "lsa_bodies_parsed": 0})
-    # The receivers of one flood share its LSAs; the reference's LSDBs
-    # hold one object per entry.
+    # The LSDBs that hold one received advertisement hold one object,
+    # whichever router's LSU brought it; each originator keeps the one
+    # it built.  The reference's LSDBs hold one object per entry.
     entries = sum(len(d.lsdb) for d in reference.ospf_daemons.values())
     assert _distinct_lsas(reference) == entries
-    assert _distinct_lsas(shipped) < entries
+    received = [lsa for daemon in shipped.ospf_daemons.values()
+                for lsa in daemon.lsdb.all_lsas()
+                if lsa.originator != daemon._router_id]
+    extents = {lsa.encode() for lsa in received}
+    assert len({id(lsa) for lsa in received}) == len(extents)
+    assert _distinct_lsas(shipped) == len(extents) + len(
+        shipped.ospf_daemons) < entries
 
 
 def _distinct_lsas(exp):
@@ -502,9 +530,11 @@ def _distinct_lsas(exp):
 
 def test_a_table_that_fills_and_empties_changes_nothing(monkeypatch):
     monkeypatch.setattr(DecodedMessages, "BOUND", 16)
+    monkeypatch.setattr(DecodedMessages, "LSA_BOUND", 8)
     spec = generate_scenario(4, pattern="rolling-maintenance",
                              topology=_fabric("fattree"), duration=30.0)
     shipped, __, peak = _run_beside_the_reference(spec, monkeypatch)
-    # 20 routers' hellos alone overfill 16 entries: the table emptied
-    # again and again, never grew past its bound, and nothing moved.
-    assert peak == 16
+    # 20 routers' hellos alone overfill 16 entries, and their LSAs 8:
+    # each kind emptied again and again, never grew past its bound, and
+    # nothing moved.
+    assert peak == [16, 8]

@@ -4,7 +4,9 @@ import pytest
 
 from repro.bgp.decision import decide, preference_key
 from repro.bgp.fsm import BGPState, SessionFSM
-from repro.bgp.messages import Origin, PathAttributes, encode_attributes
+from repro.bgp.messages import (
+    Origin, PathAttributes, decode_bgp_message, encode_attributes,
+    encode_update)
 from repro.bgp.policy import ExportPolicy, ImportPolicy
 from repro.bgp.rib import AdjRIBIn, AdjRIBOut, LocRIB, RIBRoute
 from repro.netproto.addr import IPv4Address, IPv4Prefix
@@ -236,7 +238,8 @@ class TestPolicy:
         policy = ExportPolicy(prepend_count=2)
         wire = encode_attributes(PathAttributes(as_path=(9,)), b"", 65001,
                                  1 + policy.prepend_count)
-        assert PathAttributes.decode(wire).as_path == (65001,) * 3 + (9,)
+        update = decode_bgp_message(encode_update(b"", wire, b""))
+        assert update.attributes.as_path == (65001,) * 3 + (9,)
 
     def test_default_policies_pass_through(self):
         attrs = PathAttributes(as_path=(1,))

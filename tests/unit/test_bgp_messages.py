@@ -18,12 +18,23 @@ from repro.bgp.messages import (
     RouteValues,
     decode_bgp_message,
     decode_bgp_stream,
-    decode_prefixes,
     encode_attributes,
     encode_prefix,
+    encode_update,
     next_hop_attribute,
 )
 from repro.netproto.addr import IPv4Address, IPv4Prefix
+
+
+def withdrawn_prefixes(wire):
+    """The prefixes of an NLRI-encoded run, decoded as the withdrawn
+    routes of a whole UPDATE."""
+    return decode_bgp_message(encode_update(wire, b"", b"")).withdrawn
+
+
+def decoded_attributes(wire):
+    """A path-attribute list, decoded as part of a whole UPDATE."""
+    return decode_bgp_message(encode_update(b"", wire, b"")).attributes
 
 
 class TestHeader:
@@ -79,20 +90,20 @@ class TestPrefixEncoding:
         prefix = IPv4Prefix(text)
         wire = encode_prefix(prefix)
         assert len(wire) == 1 + octets
-        assert decode_prefixes(wire) == [prefix]
+        assert withdrawn_prefixes(wire) == [prefix]
 
     def test_run_of_prefixes(self):
         prefixes = [IPv4Prefix("10.0.0.0/8"), IPv4Prefix("192.168.1.0/24")]
         wire = b"".join(encode_prefix(p) for p in prefixes)
-        assert decode_prefixes(wire) == prefixes
+        assert withdrawn_prefixes(wire) == prefixes
 
     def test_bad_length_rejected(self):
         with pytest.raises(BGPDecodeError):
-            decode_prefixes(bytes([40]))
+            withdrawn_prefixes(bytes([40]))
 
     def test_truncated_rejected(self):
         with pytest.raises(BGPDecodeError):
-            decode_prefixes(bytes([24, 10]))
+            withdrawn_prefixes(bytes([24, 10]))
 
 
 class TestPathAttributes:
@@ -104,11 +115,11 @@ class TestPathAttributes:
             med=77,
             local_pref=200,
         )
-        assert PathAttributes.decode(attrs.encode()) == attrs
+        assert decoded_attributes(attrs.encode()) == attrs
 
     def test_minimal_roundtrip(self):
         attrs = PathAttributes()
-        decoded = PathAttributes.decode(attrs.encode())
+        decoded = decoded_attributes(attrs.encode())
         assert decoded.as_path == ()
         assert decoded.next_hop is None
         assert decoded.med is None
@@ -117,14 +128,14 @@ class TestPathAttributes:
         # The eBGP export: the speaker's own AS in front of the path.
         attrs = PathAttributes(as_path=(65002,))
         exported = encode_attributes(attrs, b"", 65001, 1)
-        assert PathAttributes.decode(exported).as_path == (65001, 65002)
+        assert decoded_attributes(exported).as_path == (65001, 65002)
         assert attrs.as_path == (65002,)
 
     def test_next_hop_self(self):
         attrs = PathAttributes(next_hop=IPv4Address("1.1.1.1"))
         exported = encode_attributes(
             attrs, next_hop_attribute(IPv4Address("2.2.2.2")))
-        assert PathAttributes.decode(exported).next_hop == IPv4Address("2.2.2.2")
+        assert decoded_attributes(exported).next_hop == IPv4Address("2.2.2.2")
 
     def test_loop_check(self):
         attrs = PathAttributes(as_path=(1, 2, 3))
@@ -133,7 +144,7 @@ class TestPathAttributes:
 
     def test_long_as_path(self):
         attrs = PathAttributes(as_path=tuple(range(1, 200)))
-        assert PathAttributes.decode(attrs.encode()).as_path == attrs.as_path
+        assert decoded_attributes(attrs.encode()).as_path == attrs.as_path
 
 
 class TestUpdate:
