@@ -6,15 +6,15 @@ tcpdump on Horse's management network.  Each record carries the send
 time, channel label, direction, protocol guess and a decoded summary
 ("BGP UPDATE announce 3", "OF FLOW_MOD ADD", "OSPF HELLO"...).
 
-Used by the convergence-metrics helpers and handy when debugging why
-an experiment stays in FTI mode longer than expected.
+``examples/control_plane_trace.py`` prints one; it is also handy when
+debugging why an experiment stays in FTI mode longer than expected.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.simulation import Simulation
@@ -154,12 +154,6 @@ class MessageTrace:
     def between(self, start: float, end: float) -> List[TraceRecord]:
         """Records in a time window."""
         return [r for r in self.records if start <= r.time <= end]
-
-    def last_activity(self) -> Optional[float]:
-        """Time of the most recent control-plane send, if any."""
-        if not self.records:
-            return None
-        return self.records[-1].time
 
     def activity_windows(self, quiet_gap: float) -> List[tuple]:
         """Contiguous bursts of control traffic, split at quiet gaps.

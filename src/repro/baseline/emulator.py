@@ -22,11 +22,11 @@ from __future__ import annotations
 import random
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.baseline.engine import PacketEngine
 from repro.core.errors import TopologyError
-from repro.netproto.hashing import ecmp_hash, five_tuple_hash
+from repro.netproto.hashing import ecmp_hash
 from repro.topology.paths import hop_distances, shortest_paths
 from repro.topology.topo import Topo
 
@@ -73,12 +73,6 @@ class EmulationReport:
     packets_delivered: int = 0
     events_processed: int = 0
     host_rx_bytes: Dict[str, float] = field(default_factory=dict)
-
-    def delivery_ratio(self) -> float:
-        """Fraction of packets that reached their destination."""
-        if self.packets_sent == 0:
-            return 0.0
-        return self.packets_delivered / self.packets_sent
 
 
 class PacketLevelEmulator:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 
 class BGPState(enum.Enum):
@@ -100,19 +100,6 @@ class SessionFSM:
     def established(self) -> bool:
         """Whether the session is up."""
         return self.state is BGPState.ESTABLISHED
-
-    def times_in_state(self, state: BGPState, end_time: float) -> float:
-        """Total seconds spent in ``state`` up to ``end_time``."""
-        total = 0.0
-        prev_time = 0.0
-        prev_state = BGPState.IDLE
-        for change in self.history:
-            if prev_state is state:
-                total += change.time - prev_time
-            prev_time, prev_state = change.time, change.to_state
-        if prev_state is state:
-            total += end_time - prev_time
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SessionFSM {self.peer_name} {self.state.value}>"

@@ -148,10 +148,6 @@ class GlobalFirstFit:
                 return path
         return None
 
-    def reserved_on(self, a: str, b: str) -> float:
-        """Current reservation on the directed link a -> b."""
-        return self._reserved.get((a, b), 0.0)
-
 
 @dataclass
 class _PollRound:

@@ -73,7 +73,3 @@ class LearningSwitchApp(ControllerApp):
             actions=[ActionOutput(PortNo.FLOOD)],
             in_port=message.in_port,
         )
-
-    def learned_port(self, switch_name: str, mac) -> "int | None":
-        """Test helper: the port a MAC was learned on, if any."""
-        return self.mac_tables.get((switch_name, int(mac)))

@@ -39,7 +39,6 @@ class TopologyView:
     def __init__(self, network: "Network"):
         self._ports: Dict[Tuple[str, str], int] = {}
         self._hosts_by_ip: Dict[int, HostLocation] = {}
-        self._hosts_by_mac: Dict[int, HostLocation] = {}
         self._path_cache: Dict[Tuple[str, str], List[List[str]]] = {}
         self._links_cache: Dict[Tuple[str, str], List[tuple]] = {}
         self._hops: Dict[Tuple[str, str], Tuple[str, str]] = {}
@@ -72,17 +71,12 @@ class TopologyView:
                 switch_port=peer.number,
             )
             self._hosts_by_ip[int(host.ip)] = location
-            self._hosts_by_mac[int(host.mac)] = location
 
     # -- hosts -----------------------------------------------------------------
 
     def locate_ip(self, ip: "IPv4Address | int | str") -> Optional[HostLocation]:
         """Where the host with this IP is attached, if known."""
         return self._hosts_by_ip.get(int(IPv4Address(ip)))
-
-    def locate_mac(self, mac: "MACAddress | int") -> Optional[HostLocation]:
-        """Where the host with this MAC is attached, if known."""
-        return self._hosts_by_mac.get(int(mac) if not isinstance(mac, int) else mac)
 
     def hosts(self) -> List[HostLocation]:
         """All known host locations, sorted by IP."""

@@ -17,7 +17,7 @@ convergence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.errors import ConfigurationError
@@ -150,11 +150,6 @@ class HybridClock:
                 f"clock cannot move backwards: now={self.now}, target={time}"
             )
         self.now = max(self.now, time)
-
-    def force_mode(self, mode: ClockMode, reason: str = "forced") -> None:
-        """Explicitly set the mode (used by the pure policies and tests)."""
-        if mode is not self._mode:
-            self._switch(mode, self.now, reason=reason)
 
     def _switch(self, mode: ClockMode, time: float, reason: str) -> None:
         self.transitions.append(

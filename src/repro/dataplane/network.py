@@ -27,7 +27,7 @@ missing flows, PACKET_OUT frames) hop by hop with per-link delays.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.errors import ConfigurationError, DataPlaneError, TopologyError
 from repro.dataplane.flow import FluidFlow, PathResult, PathStatus
@@ -408,11 +408,6 @@ class Network:
         else:
             in_port = 0
         switch.agent.packet_in(in_port, flow.first_packet(), now)
-
-    def _all_directions(self) -> Iterable[LinkDirection]:
-        for link in self.links:
-            yield link.forward
-            yield link.reverse
 
     # -- byte accounting -----------------------------------------------------------------
 

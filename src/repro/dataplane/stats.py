@@ -3,19 +3,17 @@
 The demo ends by plotting "the aggregated rate of all flows arriving at
 the hosts for each TE case".  :class:`StatsCollector` produces exactly
 that: a periodic sampler recording aggregate and per-host receive
-rates plus per-link utilisation, exportable as rows or CSV.
+rates plus per-link utilisation.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 from repro.core.events import PRIORITY_STATS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.scheduler import PeriodicTimer
     from repro.core.simulation import Simulation
     from repro.dataplane.network import Network
 
@@ -42,20 +40,13 @@ class StatsCollector:
         self.interval = interval
         self.record_links = record_links
         self.samples: List[Sample] = []
-        self._timer: Optional["PeriodicTimer"] = None
 
     def attach(self, sim: "Simulation") -> None:
         """Arm the periodic sampling timer (first sample after one interval)."""
-        self._timer = sim.scheduler.periodic(
+        sim.scheduler.periodic(
             self.interval, self.sample_now, priority=PRIORITY_STATS,
             label="stats sample",
         )
-
-    def detach(self) -> None:
-        """Stop sampling."""
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
 
     def sample_now(self) -> Sample:
         """Take one sample immediately (also used by the timer)."""
@@ -111,29 +102,3 @@ class StatsCollector:
         if not values:
             return 0.0
         return sum(values) / len(values)
-
-    def peak_aggregate_bps(self) -> float:
-        """Highest aggregate receive rate observed."""
-        return max((s.aggregate_rx_bps for s in self.samples), default=0.0)
-
-    def to_rows(self) -> List[dict]:
-        """Samples as flat dicts (time, aggregate, one column per host)."""
-        rows = []
-        for sample in self.samples:
-            row = {"time": sample.time, "aggregate_rx_bps": sample.aggregate_rx_bps,
-                   "active_flows": sample.active_flows}
-            for host, rate in sorted(sample.host_rx_bps.items()):
-                row[f"rx_{host}"] = rate
-            rows.append(row)
-        return rows
-
-    def to_csv(self, path: str) -> None:
-        """Write the sample rows to a CSV file."""
-        rows = self.to_rows()
-        if not rows:
-            return
-        fieldnames = list(rows[0].keys())
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)

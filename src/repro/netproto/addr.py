@@ -230,10 +230,6 @@ class IPv4Prefix:
         for value in range(start, stop):
             yield IPv4Address(value)
 
-    def num_addresses(self) -> int:
-        """Total number of addresses covered by the prefix."""
-        return 1 << (32 - self._length)
-
     def key(self) -> tuple:
         """A sortable (network, length) tuple, handy for deterministic RIB walks."""
         return (self._network, self._length)

@@ -1,7 +1,7 @@
 """The Internet checksum (RFC 1071).
 
-Used by the IPv4 header codec and by the UDP/TCP codecs when a caller
-asks for real checksums on control-plane packets.
+Used by the IPv4 header codec.  The UDP and TCP codecs write a zero
+checksum, which for UDP means "no checksum".
 """
 
 from __future__ import annotations
@@ -25,8 +25,3 @@ def internet_checksum(data: bytes) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
-
-
-def verify_checksum(data: bytes) -> bool:
-    """True when ``data`` (checksum field included) sums to zero."""
-    return internet_checksum(data) == 0

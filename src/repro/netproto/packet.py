@@ -48,16 +48,6 @@ class FiveTuple:
     src_port: int
     dst_port: int
 
-    def reversed(self) -> "FiveTuple":
-        """The same flow seen from the other direction."""
-        return FiveTuple(
-            src_ip=self.dst_ip,
-            dst_ip=self.src_ip,
-            protocol=self.protocol,
-            src_port=self.dst_port,
-            dst_port=self.src_port,
-        )
-
     def as_tuple(self) -> Tuple[int, int, int, int, int]:
         """Plain-int view, stable across processes (unlike ``hash``)."""
         return (
@@ -277,10 +267,6 @@ class TCPHeader:
         )
         return header, data[offset:]
 
-    def has_flag(self, flag: int) -> bool:
-        """Whether a given TCP_* flag bit is set."""
-        return bool(self.flags & flag)
-
 
 @dataclass
 class Packet:
@@ -381,27 +367,6 @@ def make_udp_packet(
         eth=EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4),
         ip=IPv4Header(src=src_ip, dst=dst_ip, protocol=IPPROTO_UDP),
         l4=UDPHeader(src_port=src_port, dst_port=dst_port),
-        payload=payload,
-        size=size,
-    )
-
-
-def make_tcp_packet(
-    src_mac: MACAddress,
-    dst_mac: MACAddress,
-    src_ip: IPv4Address,
-    dst_ip: IPv4Address,
-    src_port: int,
-    dst_port: int,
-    flags: int = TCP_ACK,
-    payload: bytes = b"",
-    size: int = 0,
-) -> Packet:
-    """Convenience constructor for a TCP segment frame."""
-    return Packet(
-        eth=EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4),
-        ip=IPv4Header(src=src_ip, dst=dst_ip, protocol=IPPROTO_TCP),
-        l4=TCPHeader(src_port=src_port, dst_port=dst_port, flags=flags),
         payload=payload,
         size=size,
     )

@@ -130,13 +130,6 @@ class Datapath:
                                match=match or Match()))
         return xid
 
-    def request_port_stats(self, port_no: int = 0xFFFFFFFF) -> int:
-        """Ask for port statistics; returns the request xid."""
-        xid = self.controller.next_xid()
-        self.send(StatsRequest(xid=xid, stats_type=StatsType.PORT,
-                               port_no=port_no))
-        return xid
-
     def barrier(self) -> None:
         """Send a barrier request."""
         self.send(BarrierRequest(xid=self.controller.next_xid()))
@@ -284,13 +277,6 @@ class Controller:
         """Monotonic transaction id."""
         self._xid += 1
         return self._xid
-
-    def ready_datapaths(self) -> List[Datapath]:
-        """Datapaths that completed the handshake, sorted by name."""
-        return sorted(
-            (dp for dp in self.datapaths.values() if dp.ready),
-            key=lambda dp: dp.name,
-        )
 
     def datapath_by_name(self, switch_name: str) -> Optional[Datapath]:
         """Find a datapath by its switch's name."""

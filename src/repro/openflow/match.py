@@ -95,11 +95,6 @@ class Match:
             tp_dst=flow.dst_port,
         )
 
-    @classmethod
-    def wildcard_all(cls) -> "Match":
-        """The match-everything entry (table-miss)."""
-        return cls()
-
     def matches_five_tuple(
         self,
         flow: FiveTuple,
@@ -202,20 +197,6 @@ class Match:
             if not mine.overlaps(theirs):
                 return False
         return True
-
-    def specificity(self) -> int:
-        """Count of constrained bits — a tie-break aid for diagnostics."""
-        score = 0
-        for value in (
-            self.in_port, self.dl_src, self.dl_dst, self.dl_type,
-            self.nw_proto, self.tp_src, self.tp_dst,
-        ):
-            if value is not None:
-                score += 8
-        for prefix in (self.nw_src, self.nw_dst):
-            if prefix is not None:
-                score += prefix.length
-        return score
 
     def __hash__(self) -> int:
         # Same fields ``__eq__`` compares; kept on the instance because

@@ -528,10 +528,6 @@ class ResultStore:
         entry = self._index.get(tuple(key))
         return entry is not None and entry.error
 
-    def errored_keys(self) -> List[Tuple[str, int]]:
-        """Keys whose current record is an error record."""
-        return [key for key in self._order if self._index[key].error]
-
     def entries(self) -> List[IndexEntry]:
         """Index entries in append order (no record parsing)."""
         return [self._index[key] for key in self._order]
@@ -661,14 +657,6 @@ class ResultStore:
 
         for record in self.iter_records():
             yield _csv_row(record)
-
-    def schema_versions(self) -> Dict[int, int]:
-        """schema_version -> record count (streaming scan)."""
-        versions: Dict[int, int] = {}
-        for record in self.iter_records():
-            version = record.get("schema_version", 1)
-            versions[version] = versions.get(version, 0) + 1
-        return versions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ResultStore {self.path!r} records={len(self)} "

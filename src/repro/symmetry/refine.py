@@ -218,10 +218,6 @@ class SymmetryMap:
             return 1.0
         return len(self.link_classes) / max(1, self.link_class_count)
 
-    def is_identity(self) -> bool:
-        """True when every class is a singleton (no symmetry found)."""
-        return len(self.classes) == self.node_count
-
     def digest(self) -> str:
         """Canonical digest of the whole partition — the cross-process
         determinism pin: same recipe, same digest, any process."""

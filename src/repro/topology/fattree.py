@@ -14,28 +14,15 @@ switch becomes a router with its own AS number, RFC 7938-style:
 * edge routers originate their host subnet ``10.p.e.0/24``.
 
 The class also exposes the structural metadata experiments need:
-layers, pods, host subnets, and AS numbers.
+layers, host subnets, and AS numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.core.errors import TopologyError
 from repro.topology.topo import GBPS, Topo
-
-
-@dataclass(frozen=True)
-class FatTreeHostInfo:
-    """Metadata for one host."""
-
-    name: str
-    ip: str
-    pod: int
-    edge_index: int
-    host_index: int
-    edge_switch: str
 
 
 class FatTreeTopo(Topo):
@@ -57,14 +44,11 @@ class FatTreeTopo(Topo):
         super().__init__(name=f"fattree-k{k}-{device}")
         self.k = k
         self.device = device
-        self.capacity_bps = capacity_bps
-        self.delay = delay
         half = k // 2
 
         self.core_switches: List[str] = []
         self.agg_switches: List[str] = []
         self.edge_switches: List[str] = []
-        self.host_info: List[FatTreeHostInfo] = []
         self.asn: Dict[str, int] = {}
         self.host_subnet: Dict[str, str] = {}  # edge switch -> originated /24
 
@@ -105,13 +89,6 @@ class FatTreeTopo(Topo):
                     ip = f"10.{pod}.{edge_index}.{host_index + 2}"
                     gateway = f"10.{pod}.{edge_index}.1"
                     self.add_host(host, ip, gateway)
-                    self.host_info.append(
-                        FatTreeHostInfo(
-                            name=host, ip=ip, pod=pod,
-                            edge_index=edge_index, host_index=host_index,
-                            edge_switch=edge,
-                        )
-                    )
                     self.add_link(host, edge,
                                   capacity_bps=capacity_bps, delay=delay)
 
@@ -146,20 +123,12 @@ class FatTreeTopo(Topo):
         """5k^2 / 4 (core + agg + edge)."""
         return 5 * self.k ** 2 // 4
 
-    def hosts_in_pod(self, pod: int) -> List[FatTreeHostInfo]:
-        """Host metadata for one pod."""
-        return [info for info in self.host_info if info.pod == pod]
-
     def layer_of(self, name: str) -> str:
         """'core', 'agg', 'edge' or 'host'."""
         if name in self.host_specs:
             return "host"
         prefix = name[0]
         return {"c": "core", "a": "agg", "e": "edge"}.get(prefix, "unknown")
-
-    def expected_bisection_bps(self) -> float:
-        """Full bisection bandwidth: every host can send at line rate."""
-        return self.num_hosts * self.capacity_bps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

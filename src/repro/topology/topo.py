@@ -8,8 +8,8 @@ one description drives both tools in the Figure 3 comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.errors import TopologyError
 from repro.netproto.addr import IPv4Address
@@ -120,10 +120,6 @@ class Topo:
     def node_count(self) -> int:
         """Total declared nodes."""
         return len(self.host_specs) + len(self.switch_specs)
-
-    def link_count(self) -> int:
-        """Total declared links."""
-        return len(self.link_specs)
 
     # -- realisation ---------------------------------------------------------------
 

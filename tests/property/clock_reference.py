@@ -9,14 +9,23 @@ every tick.  The shipped loop must agree with it bit for bit on
 ``clock.now``, ``fti_ticks``, ``des_jumps``, the transition log,
 ``time_in_modes()``, the firing order and the ``clock.now`` every event
 saw (``test_fti_runs.py``).  Nothing under ``src/`` imports this module.
+
+:func:`force_mode` lets that test's handlers switch the clock's mode
+mid-run; no shipped policy does.
 """
 
 from __future__ import annotations
 
 import time as _time
 
-from repro.core.clock import ClockMode, ClockPolicy
+from repro.core.clock import ClockMode, ClockPolicy, HybridClock
 from repro.core.simulation import Simulation
+
+
+def force_mode(clock: HybridClock, mode: ClockMode) -> None:
+    """Switch ``clock`` to ``mode`` now, logging a transition if it changes."""
+    if mode is not clock.mode:
+        clock._switch(mode, clock.now, reason="test")
 
 
 class TickByTickSimulation(Simulation):

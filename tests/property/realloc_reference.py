@@ -11,6 +11,13 @@ every direction, every flag, flow-id order.
 from repro.dataplane.arrays import CONTENTION_MARGIN
 
 
+def all_directions(network):
+    """Both directions of every link of ``network``, link order."""
+    for link in network.links:
+        yield link.forward
+        yield link.reverse
+
+
 def _delivered(engine):
     """The delivered cached walks, flow-id order."""
     return [entry for __, entry in sorted(engine._cache.items())
@@ -33,7 +40,7 @@ def loads(network):
     """``{direction: load}`` for every direction of the network: the
     rates of the delivered cached flows crossing it, a twice-crossed
     hop counted twice."""
-    out = {direction: 0.0 for direction in network._all_directions()}
+    out = {direction: 0.0 for direction in all_directions(network)}
     for entry in _delivered(network.realloc):
         for direction in entry.dirs:
             out[direction] += entry.flow.rate_bps
@@ -44,7 +51,7 @@ def contended(network):
     """Every flag from scratch, over every direction of the network:
     the demand offered by the delivered cached flows crossing it (each
     once) exceeds its capacity less the contention margin."""
-    offered = {direction: 0.0 for direction in network._all_directions()}
+    offered = {direction: 0.0 for direction in all_directions(network)}
     for entry in _delivered(network.realloc):
         for direction in dict.fromkeys(entry.dirs):
             offered[direction] += entry.flow.demand_bps

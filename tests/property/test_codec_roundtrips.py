@@ -16,12 +16,15 @@ from repro.bgp.messages import (
 )
 from repro.netproto.addr import IPv4Address, IPv4Prefix, MACAddress
 from repro.netproto.packet import (
+    ETHERTYPE_IPV4,
+    EthernetHeader,
     FiveTuple,
     IPPROTO_TCP,
     IPPROTO_UDP,
-    make_tcp_packet,
+    IPv4Header,
     make_udp_packet,
     Packet,
+    TCPHeader,
 )
 from repro.openflow.actions import ActionOutput, decode_actions, encode_actions
 from repro.openflow.constants import FlowModCommand
@@ -247,7 +250,11 @@ def test_udp_packet_roundtrip(src_mac, dst_mac, src_ip, dst_ip,
 @given(macs, macs, ipv4, ipv4, ports, ports)
 @settings(max_examples=100, deadline=None)
 def test_tcp_packet_roundtrip(src_mac, dst_mac, src_ip, dst_ip, sport, dport):
-    packet = make_tcp_packet(src_mac, dst_mac, src_ip, dst_ip, sport, dport)
+    packet = Packet(
+        eth=EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4),
+        ip=IPv4Header(src=src_ip, dst=dst_ip, protocol=IPPROTO_TCP),
+        l4=TCPHeader(src_port=sport, dst_port=dport),
+    )
     decoded = Packet.decode(packet.encode())
     assert decoded.five_tuple() == FiveTuple(src_ip, dst_ip, IPPROTO_TCP,
                                              sport, dport)

@@ -47,6 +47,7 @@ from repro.scenarios import (
 from repro.scenarios.runner import ScenarioRunner
 from repro.topology.fattree import FatTreeTopo
 
+from realloc_reference import all_directions
 from test_kernel_parity import _Driver, all_ones, dense_instances
 
 GBPS = 1_000_000_000
@@ -152,7 +153,7 @@ def assert_equals_unpruned(net, where=""):
     for flow in net.flows:
         # Stopped and undelivered flows hold 0 and are in no instance.
         assert flow.rate_bps == rates.get(flow.id, 0.0), (where, flow.name)
-    for direction in net._all_directions():
+    for direction in all_directions(net):
         assert direction.current_load_bps == loads.get(direction, 0.0), (
             where, direction)
     for host in net.hosts():
@@ -441,7 +442,7 @@ def _state(net):
              for flow in net.flows],
             [(host.rx_rate_bps, host.tx_rate_bps) for host in net.hosts()],
             [direction.current_load_bps
-             for direction in net._all_directions()])
+             for direction in all_directions(net)])
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -175,5 +175,5 @@ def test_fattree_structure_invariants(k):
     for core in ft.core_switches:
         pods = {n.split("_")[0][1:] for n in links_by_node[core]}
         assert len(pods) == k  # one agg in every pod
-    ips = [h.ip for h in ft.host_info]
+    ips = [h.ip for h in ft.host_specs.values()]
     assert len(set(ips)) == len(ips)

@@ -14,7 +14,7 @@ clock, the counters, the transition log, the firing order and the
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clock_reference import TickByTickSimulation
+from clock_reference import TickByTickSimulation, force_mode
 from repro.core import simulation as simulation_module
 from repro.core.clock import ClockMode, ClockPolicy
 from repro.core.config import SimulationConfig
@@ -116,9 +116,9 @@ def _drive(sim_class, scenario):
                         handler(1000 + label * 10 + index,
                                 "notify" if index % 2 else "plain", 0))
             elif kind == "force_des":
-                clock.force_mode(ClockMode.DES, reason="test")
+                force_mode(clock, ClockMode.DES)
             elif kind == "force_fti":
-                clock.force_mode(ClockMode.FTI, reason="test")
+                force_mode(clock, ClockMode.FTI)
         return fire
 
     for label, (tick, fraction, kind, param) in enumerate(scenario["events"]):
@@ -127,7 +127,7 @@ def _drive(sim_class, scenario):
         sim.scheduler.at(time, handler(label, kind, param),
                          priority=priority)
     if forced:
-        clock.force_mode(ClockMode.FTI, reason="test")
+        force_mode(clock, ClockMode.FTI)
 
     reports = []
     error = None

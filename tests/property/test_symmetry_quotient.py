@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from realloc_reference import all_directions
 from repro.scenarios import (
     CapacityDegrade,
     LinkFail,
@@ -286,7 +287,7 @@ class TestConcreteStateAfterMaterialize:
              for flow in net.flows],
             [(host.rx_rate_bps, host.tx_rate_bps) for host in net.hosts()],
             [direction.current_load_bps
-             for direction in net._all_directions()],
+             for direction in all_directions(net)],
             net.realloc.quotient,
         )
 
@@ -312,7 +313,7 @@ class TestConcreteStateAfterMaterialize:
         net.finalize_accounting()
         counters = [value for host in net.hosts()
                     for value in (host.rx_bytes, host.tx_bytes)]
-        for direction in net._all_directions():
+        for direction in all_directions(net):
             counters += [direction.bytes_carried,
                          direction.src_port.tx_bytes,
                          direction.dst_port.rx_bytes]

@@ -102,10 +102,6 @@ class TestIPv4Prefix:
     def test_hosts_slash31_keeps_both(self):
         assert len(list(IPv4Prefix("10.0.0.0/31").hosts())) == 2
 
-    def test_num_addresses(self):
-        assert IPv4Prefix("10.0.0.0/24").num_addresses() == 256
-        assert IPv4Prefix("10.0.0.0/32").num_addresses() == 1
-
     def test_rejects_bad_lengths(self):
         with pytest.raises(AddressError):
             IPv4Prefix("10.0.0.0/33")

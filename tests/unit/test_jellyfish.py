@@ -19,7 +19,7 @@ class TestStructure:
         assert len(topo.switches()) == 10
         assert len(topo.hosts()) == 20
         # fabric links: 10 * 4 / 2 = 20, plus 20 host links.
-        assert topo.link_count() == 40
+        assert len(topo.link_specs) == 40
 
     def test_regular_degree(self):
         topo = jellyfish_topo(num_switches=12, ports_per_switch=4,

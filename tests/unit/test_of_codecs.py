@@ -89,11 +89,6 @@ class TestMatchSemantics:
         match = Match.exact_five_tuple(flow())
         assert match.subsumes(match)
 
-    def test_specificity_monotonic(self):
-        assert Match().specificity() < Match(nw_proto=17).specificity()
-        assert (Match(nw_dst=IPv4Prefix("10.0.0.0/8")).specificity()
-                < Match(nw_dst=IPv4Prefix("10.0.0.0/24")).specificity())
-
 
 class TestMatchCodec:
     CASES = [

@@ -79,7 +79,8 @@ class TestHandshake:
 
     def test_ready_datapaths(self, rig):
         __, __, __, controller, *_ = rig
-        assert [dp.name for dp in controller.ready_datapaths()] == ["s1"]
+        ready = [dp.name for dp in controller.datapaths.values() if dp.ready]
+        assert ready == ["s1"]
 
 
 class TestFlowModPath:
@@ -176,7 +177,8 @@ class TestStats:
     def test_port_stats(self, rig):
         sim, net, s1, controller, agent, app, *_ = rig
         dp = controller.datapath_by_name("s1")
-        dp.request_port_stats()
+        dp.send(StatsRequest(xid=controller.next_xid(),
+                             stats_type=StatsType.PORT, port_no=0xFFFFFFFF))
         sim.run(until=sim.now + 0.01)
         __, reply = app.stats[-1]
         assert reply.stats_type is StatsType.PORT

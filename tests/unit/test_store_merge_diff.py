@@ -92,7 +92,7 @@ class TestMerge:
             assert target.merge_from(shards) == 1
             (record,) = list(target.iter_records())
             assert record["result"]["diagnostics"] == {}
-            assert not target.errored_keys()
+            assert not any(map(target.has_error, target.keys()))
 
     def test_merge_replaces_resident_error(self, tmp_path):
         """replace_errors: a healthy shard record supersedes an error
@@ -102,13 +102,13 @@ class TestMerge:
         shard = store_with(tmp_path / "shard", [fake_record(1)])
         assert target.merge_from([shard]) == 1
         assert len(target) == 1
-        assert not target.errored_keys()
+        assert not any(map(target.has_error, target.keys()))
         # without replace_errors the resident record stays
         target2 = store_with(tmp_path / "target2",
                              [fake_record(2, error="boom", slo="error")])
         shard2 = store_with(tmp_path / "shard2", [fake_record(2)])
         assert target2.merge_from([shard2], replace_errors=False) == 0
-        assert target2.errored_keys()
+        assert any(map(target2.has_error, target2.keys()))
 
     def test_merge_skips_existing_keys(self, tmp_path):
         target = store_with(tmp_path / "target", [fake_record(0)])

@@ -62,7 +62,7 @@ class TestTopo:
     def test_counts(self):
         topo = linear_topo(3, hosts_per_switch=2)
         assert topo.node_count() == 9
-        assert topo.link_count() == 8
+        assert len(topo.link_specs) == 8
 
 
 class TestFatTree:
@@ -76,7 +76,7 @@ class TestFatTree:
         assert len(ft.edge_switches) == k * k // 2
         # links: hosts + edge-agg mesh + agg-core
         expected_links = ft.num_hosts + k * (k // 2) ** 2 * 2
-        assert ft.link_count() == expected_links
+        assert len(ft.link_specs) == expected_links
 
     def test_odd_k_rejected(self):
         with pytest.raises(TopologyError):
@@ -86,14 +86,14 @@ class TestFatTree:
 
     def test_addressing_scheme(self):
         ft = FatTreeTopo(k=4)
-        info = ft.host_info[0]
-        assert info.ip == "10.0.0.2"
-        assert info.edge_switch == "e0_0"
+        assert ft.host_specs["h0_0_0"].ip == "10.0.0.2"
+        assert ("h0_0_0", "e0_0") in {
+            (spec.node_a, spec.node_b) for spec in ft.link_specs}
         assert ft.host_subnet["e0_0"] == "10.0.0.0/24"
 
     def test_unique_ips(self):
         ft = FatTreeTopo(k=6)
-        ips = [h.ip for h in ft.host_info]
+        ips = [h.ip for h in ft.host_specs.values()]
         assert len(set(ips)) == len(ips)
 
     def test_router_variant_asns(self):
@@ -123,13 +123,19 @@ class TestFatTree:
             assert len(net.get_node(name).neighbors()) == 4  # k pods
 
     def test_hosts_in_pod(self):
+        """Each pod's k/2 edge switches carry k/2 hosts each, all of that
+        pod's hosts."""
         ft = FatTreeTopo(k=4)
-        assert len(ft.hosts_in_pod(0)) == 4
-        assert all(h.pod == 0 for h in ft.hosts_in_pod(0))
+        pod0 = {spec.node_a for spec in ft.link_specs
+                if spec.node_a in ft.host_specs
+                and spec.node_b.startswith("e0_")}
+        assert pod0 == {"h0_0_0", "h0_0_1", "h0_1_0", "h0_1_1"}
 
     def test_bisection(self):
+        """Full bisection: every host link runs at line rate."""
         ft = FatTreeTopo(k=4)
-        assert ft.expected_bisection_bps() == 16e9
+        assert sum(spec.capacity_bps for spec in ft.link_specs
+                   if spec.node_a in ft.host_specs) == 16e9
 
 
 class TestBuilders:
@@ -142,7 +148,7 @@ class TestBuilders:
         topo = star_topo(5)
         assert len(topo.hosts()) == 5
         assert len(topo.switches()) == 1
-        assert topo.link_count() == 5
+        assert len(topo.link_specs) == 5
 
     def test_tree(self):
         topo = tree_topo(depth=2, fanout=2)
@@ -153,7 +159,7 @@ class TestBuilders:
         topo = leaf_spine_topo(num_spines=2, num_leaves=3, hosts_per_leaf=2)
         assert len(topo.switches()) == 5
         assert len(topo.hosts()) == 6
-        assert topo.link_count() == 2 * 3 + 6
+        assert len(topo.link_specs) == 2 * 3 + 6
 
     def test_wan(self):
         topo = wan_topo()

@@ -190,9 +190,9 @@ class TestMessageTrace:
     def test_last_activity(self):
         exp = two_router_bgp_exp()
         trace = MessageTrace(exp.sim)
-        assert trace.last_activity() is None
+        assert not trace.records
         exp.run(until=2.0)
-        assert trace.last_activity() == pytest.approx(
+        assert trace.records[-1].time == pytest.approx(
             exp.sim.clock.last_control_activity, abs=0.01
         )
 
