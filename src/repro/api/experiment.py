@@ -354,12 +354,10 @@ class Experiment:
 
     # -- statistics ---------------------------------------------------------------------
 
-    def add_stats(self, interval: "float | None" = None,
-                  record_links: bool = False) -> StatsCollector:
+    def add_stats(self, interval: "float | None" = None) -> StatsCollector:
         """Attach the periodic statistics sampler."""
         chosen = interval if interval is not None else self.sim.config.stats_interval
-        self.stats = StatsCollector(self.network, interval=chosen,
-                                    record_links=record_links)
+        self.stats = StatsCollector(self.network, interval=chosen)
         self.stats.attach(self.sim)
         return self.stats
 

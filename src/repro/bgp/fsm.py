@@ -8,16 +8,15 @@ The transport is the Connection Manager's reliable channel, so a
 connect never fails and the RFC's Active state (listening after a
 failed connect) has no place: "TCP comes up" is modelled as a
 configurable connect delay.  An OPEN on an ESTABLISHED session is the
-daemon's to answer (a NOTIFICATION and a teardown).  The FSM records
-every transition with its timestamp — the Figure 1 reproduction
-asserts the session passes OPEN exchange before updates flow.
+daemon's to answer (a NOTIFICATION and a teardown).  The FSM keeps
+its current state and the time the current session became
+ESTABLISHED, not a log of transitions.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 
 class BGPState(enum.Enum):
@@ -30,29 +29,16 @@ class BGPState(enum.Enum):
     ESTABLISHED = "established"
 
 
-@dataclass(frozen=True)
-class StateChange:
-    """One recorded FSM transition."""
-
-    time: float
-    from_state: BGPState
-    to_state: BGPState
-    event: str
-
-
 class SessionFSM:
-    """Per-peer session state with a transition log."""
+    """Per-peer session state."""
 
     def __init__(self, peer_name: str = ""):
         self.peer_name = peer_name
         self.state = BGPState.IDLE
-        self.history: List[StateChange] = []
         self.established_at: Optional[float] = None
 
     def _move(self, new_state: BGPState, event: str, now: float) -> None:
-        self.history.append(
-            StateChange(time=now, from_state=self.state, to_state=new_state, event=event)
-        )
+        """Every transition passes here; *event* names its cause."""
         self.state = new_state
         if new_state is BGPState.ESTABLISHED and self.established_at is None:
             self.established_at = now

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.netproto.addr import IPv4Address, MACAddress
+from repro.netproto.addr import IPv4Address
 from repro.topology.paths import hop_distances, shortest_paths
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -28,7 +28,6 @@ class HostLocation:
 
     host_name: str
     ip: IPv4Address
-    mac: MACAddress
     switch_name: str
     switch_port: int
 
@@ -66,7 +65,6 @@ class TopologyView:
             location = HostLocation(
                 host_name=host.name,
                 ip=host.ip,
-                mac=host.mac,
                 switch_name=peer.node.name,
                 switch_port=peer.number,
             )

@@ -45,29 +45,43 @@ is the engine's one delta path for both kernels:
   positive-rate segment).
 
 Everything degrades gracefully without numpy: the engine's one
-selection rule (``ReallocEngine.effective_kernel``) reads ``HAVE_NUMPY``
-and the instance size — no numpy, or fewer than ``ARRAYS_MIN_FLOWS``
-registered flows: no mirror, and every recompute runs the scalar
-``"heap"`` kernel.
+selection rule (``ReallocEngine.effective_kernel``) reads the instance
+size, then :func:`numpy_bound` — fewer than ``ARRAYS_MIN_FLOWS``
+registered flows, or no numpy: no mirror, numpy never imported, and
+every recompute runs the scalar ``"heap"`` kernel.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Dict, List, Sequence, TYPE_CHECKING
 
+from repro.core.errors import ConfigurationError
+from repro.core.numpy_loader import load_numpy
 from repro.dataplane.solver import EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.flow import FluidFlow
     from repro.dataplane.link import LinkDirection
 
-try:  # the container bakes numpy in; guard anyway (no hard dep)
-    import numpy as _np
+#: Whether numpy can back the mirror: found on the path (``find_spec``
+#: imports nothing, and finds nothing when ``sys.modules["numpy"] is
+#: None``), cleared if the first import fails.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+_np = None  # numpy, once numpy_bound() has bound it
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
-    HAVE_NUMPY = False
+
+def numpy_bound() -> bool:
+    """Whether numpy is usable, binding it on the first call while
+    ``HAVE_NUMPY`` holds; an import that fails clears ``HAVE_NUMPY``,
+    which leaves the engine on ``heap`` as a numpy-less install."""
+    global _np, HAVE_NUMPY
+    if HAVE_NUMPY and _np is None:
+        try:
+            _np = load_numpy("the 'arrays' kernel requires numpy")
+        except ConfigurationError:
+            HAVE_NUMPY = False
+    return HAVE_NUMPY
 
 _INF = float("inf")
 #: The flow id column's value for a row that is not live.
@@ -223,7 +237,7 @@ def bottleneck_filling_arrays(
     alive counts are derived from the incidence and the demand mask,
     which the contract makes equivalent.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - numpy-less fallback
+    if not numpy_bound():
         raise RuntimeError("the 'arrays' kernel requires numpy")
     np = _np
     demand_vec = np.asarray(demands, dtype=np.float64)
@@ -384,7 +398,7 @@ class ArraysState:
     """
 
     def __init__(self) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - callers gate on HAVE_NUMPY
+        if not numpy_bound():
             raise RuntimeError("ArraysState requires numpy")
         self.flows = FlowArrays()
         self.links = LinkArrays()
@@ -673,4 +687,5 @@ __all__ = [
     "FlowArrays",
     "LinkArrays",
     "bottleneck_filling_arrays",
+    "numpy_bound",
 ]

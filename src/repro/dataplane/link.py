@@ -79,12 +79,6 @@ class LinkDirection:
         """Whether the parent link is up."""
         return self.link.up
 
-    def utilization(self) -> float:
-        """Current load as a fraction of capacity (0..1)."""
-        if self.capacity_bps <= 0:
-            return 0.0
-        return self.current_load_bps / self.capacity_bps
-
     def key(self) -> tuple:
         """Hashable identity used by the fluid solver."""
         return (self.link.id, self.src_port is self.link.port_a)

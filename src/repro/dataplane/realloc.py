@@ -288,13 +288,14 @@ class ReallocEngine:
         self._kernel = _solver.check_kernel(name)
 
     def effective_kernel(self) -> str:
-        """The kernel concrete recomputes run: ``arrays`` when numpy
-        imports and the network has registered at least
-        ``ARRAYS_MIN_FLOWS`` flows, ``heap`` below that, without numpy
-        or when forced.  Flows are only ever added, so a run chooses
-        once or crosses heap → arrays once, never back."""
-        if (self._kernel == "heap" or not _arrays.HAVE_NUMPY
-                or len(self.network.flows) < _arrays.ARRAYS_MIN_FLOWS):
+        """The kernel concrete recomputes run: ``arrays`` from
+        ``ARRAYS_MIN_FLOWS`` registered flows on when numpy imports (the
+        count is read first: a smaller network never imports it),
+        ``heap`` otherwise or when forced.  Flows are only ever added,
+        so a run chooses once or crosses heap → arrays once, never back."""
+        if (self._kernel == "heap"
+                or len(self.network.flows) < _arrays.ARRAYS_MIN_FLOWS
+                or not _arrays.numpy_bound()):
             return "heap"
         return "arrays"
 

@@ -16,9 +16,10 @@ The fluid engine has two kernels and one rule between them:
   replays the same float arithmetic in saturation-level batches).
 
 The rule (:meth:`repro.dataplane.realloc.ReallocEngine.effective_kernel`):
-``arrays`` when numpy imports and the network has registered at least
-``repro.dataplane.arrays.ARRAYS_MIN_FLOWS`` flows, ``heap`` otherwise —
-a handful of flows never pays for the mirror.  It is not a user option
+``arrays`` when the network has registered at least
+``repro.dataplane.arrays.ARRAYS_MIN_FLOWS`` flows and numpy is
+installed (bound by the first mirror), ``heap`` otherwise — a handful
+of flows never pays for the mirror or for numpy.  It is not a user option
 — results are bit-for-bit equal either way.  What remains is the
 reference-path switch on an engine, ``ReallocEngine.kernel``: ``"auto"``
 (the rule) or ``"heap"`` (force the scalar path), which the parity tests

@@ -3,7 +3,7 @@
 The demo ends by plotting "the aggregated rate of all flows arriving at
 the hosts for each TE case".  :class:`StatsCollector` produces exactly
 that: a periodic sampler recording aggregate and per-host receive
-rates plus per-link utilisation.
+rates.
 """
 
 from __future__ import annotations
@@ -25,20 +25,17 @@ class Sample:
     time: float
     aggregate_rx_bps: float
     host_rx_bps: Dict[str, float] = field(default_factory=dict)
-    link_utilization: Dict[str, float] = field(default_factory=dict)
     active_flows: int = 0
 
 
 class StatsCollector:
     """Periodic sampler over a :class:`~repro.dataplane.network.Network`."""
 
-    def __init__(self, network: "Network", interval: float = 0.5,
-                 record_links: bool = False):
+    def __init__(self, network: "Network", interval: float = 0.5):
         if interval <= 0:
             raise ValueError("stats interval must be positive")
         self.network = network
         self.interval = interval
-        self.record_links = record_links
         self.samples: List[Sample] = []
 
     def attach(self, sim: "Simulation") -> None:
@@ -65,14 +62,6 @@ class StatsCollector:
             host_rx_bps=host_rx,
             active_flows=len(network.active_flows()),
         )
-        if self.record_links:
-            for link in network.links:
-                for direction in (link.forward, link.reverse):
-                    key = (
-                        f"{direction.src_port.node.name}->"
-                        f"{direction.dst_port.node.name}"
-                    )
-                    sample.link_utilization[key] = direction.utilization()
         self.samples.append(sample)
         return sample
 

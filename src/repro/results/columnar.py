@@ -61,9 +61,9 @@ from typing import (
 )
 
 from repro.core.errors import ConfigurationError
+from repro.core.numpy_loader import load_numpy
 from repro.obs.metrics import metrics
 from repro.obs.spans import span
-from repro.results import segment as segment_codec
 from repro.results.aggregate import (
     ROLLUP_METRICS,
     MetricRollup,
@@ -75,6 +75,7 @@ from repro.results.records import RESULT_SCHEMA_VERSION, record_key
 from repro.results.segment import (
     MASK_ABSENT,
     MASK_NUMBER,
+    NUMPY_REQUIRED,
     SEGMENT_SUFFIX,
     SegmentReader,
     write_segment,
@@ -151,7 +152,7 @@ class ColumnarResultStore(ResultStore):
                 raise ConfigurationError(
                     f"{path!r} already holds a JSONL result store; "
                     "use 'repro store convert' instead")
-            segment_codec._numpy()  # fail before any file is created
+            load_numpy(NUMPY_REQUIRED)  # fail before any file is created
             os.makedirs(os.path.join(self.path, SEGMENTS_DIR),
                         exist_ok=True)
             manifest = {"format": FORMAT_NAME, "version": 1,
@@ -163,7 +164,7 @@ class ColumnarResultStore(ResultStore):
                 handle.write("\n")
             os.replace(tmp, manifest_path)
         else:
-            segment_codec._numpy()
+            load_numpy(NUMPY_REQUIRED)
             try:
                 with open(manifest_path, "r", encoding="utf-8") as handle:
                     manifest = json.load(handle)
@@ -677,7 +678,7 @@ class ColumnarResultStore(ResultStore):
         no record parsing for sealed rows; the (small) tail streams
         through the scalar path.  Bit-for-bit identical to
         ``aggregate_records(self.iter_records())``."""
-        np = segment_codec._numpy()
+        np = load_numpy(NUMPY_REQUIRED)
         agg = StoreAggregate()
         column_values: Dict[str, List[Any]] = {name: []
                                                for name in ROLLUP_METRICS}

@@ -25,9 +25,10 @@ in ``RSEGEND1`` (or whose footer/blocks do not fit) is a crash's
 debris and is dropped exactly like a torn JSONL tail.
 
 numpy is required for the columnar format only — the JSONL store and
-the rest of the library stay stdlib-pure.  Importing this module
-without numpy raises :class:`~repro.core.errors.ConfigurationError`
-at first use, not at import time.
+the rest of the library stay stdlib-pure.  It is bound at first use
+through :func:`repro.core.numpy_loader.load_numpy`, not when this
+module loads; without numpy that first use raises
+:class:`~repro.core.errors.ConfigurationError` (:data:`NUMPY_REQUIRED`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import zlib
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
+from repro.core.numpy_loader import load_numpy
 from repro.results.records import record_error, record_slos
 
 MAGIC = b"RSEG0001"
@@ -74,21 +76,9 @@ MASK_PRESENT = 2     # present but not a rollup number (bool/None/str/...)
 
 _ZLIB_LEVEL = 6
 
-_np = None
-
-
-def _numpy():
-    """Import numpy lazily so the JSONL store works without it."""
-    global _np
-    if _np is None:
-        try:
-            import numpy
-        except ImportError as exc:  # pragma: no cover - env without numpy
-            raise ConfigurationError(
-                "the columnar store format requires numpy; install it or "
-                "use the default JSONL format") from exc
-        _np = numpy
-    return _np
+#: The error a columnar store raises without numpy.
+NUMPY_REQUIRED = ("the columnar store format requires numpy; install it "
+                  "or use the default JSONL format")
 
 
 def metric_cell(metrics: Dict[str, Any], name: str) -> Tuple[float, int]:
@@ -115,7 +105,7 @@ def _paged_blob(chunks: "List[bytes]",
     ``row_offsets`` is uint64[(rows)+1] offsets into the
     *uncompressed* concatenation (so a row's bytes are a slice of its
     decompressed page)."""
-    np = _numpy()
+    np = load_numpy(NUMPY_REQUIRED)
     rows = len(chunks)
     row_offsets = np.zeros(rows + 1, dtype=np.uint64)
     total = 0
@@ -143,7 +133,7 @@ def write_segment(path: str, records: "Sequence[Dict[str, Any]]", *,
     function fsyncs the file and its directory so the rename is the
     commit point.
     """
-    np = _numpy()
+    np = load_numpy(NUMPY_REQUIRED)
     if not records:
         raise ValueError("refusing to write an empty segment")
     rows = len(records)
@@ -355,7 +345,7 @@ class SegmentReader:
 
     def __init__(self, path: str):
         import mmap as _mmap
-        np = _numpy()
+        np = load_numpy(NUMPY_REQUIRED)
         self.path = path
         self._file = open(path, "rb")
         try:

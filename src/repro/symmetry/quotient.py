@@ -35,8 +35,8 @@ that follows it (:meth:`ReallocEngine.stop`): the stop splits its
 class, and with the recompute held back (``recompute_min_interval``)
 class accrual would keep crediting the stopped member until then.
 Those concrete recomputes run whichever kernel the engine's one rule
-picks (the arrays mirror when numpy imports and the network is big
-enough to repay it): the quotient drops
+picks (the arrays mirror when the network is big enough to repay it
+and numpy is installed; the first mirror binds it): the quotient drops
 the mirror when it takes over, since class-level rate and capacity
 changes never reach it, and the engine re-interns it from the cached
 walks after a materialize.

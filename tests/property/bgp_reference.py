@@ -27,16 +27,22 @@ daemon must agree with it on every Loc-RIB selection, every FIB install
 and every byte it sends.  It runs the receive path from before a
 decision was skipped when it could not change the selection
 (:meth:`ProbingDaemon._handle_update`): every prefix an UPDATE touches
-is decided.  Nothing under ``src/`` imports this module.
+is decided.
+
+:func:`record_transitions` logs every session FSM transition for a
+test: the shipped :class:`~repro.bgp.fsm.SessionFSM` keeps only its
+current state.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections import defaultdict
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.bgp.daemon import BGPDaemon
 from repro.bgp.decision import decide
+from repro.bgp.fsm import BGPState, SessionFSM
 from repro.bgp.messages import (
     ATTR_AS_PATH, ATTR_LOCAL_PREF, ATTR_MED, ATTR_NEXT_HOP, ATTR_ORIGIN,
     BGP_HEADER_LEN, BGP_MARKER, FLAG_EXTENDED, TYPE_KEEPALIVE, TYPE_OPEN,
@@ -51,6 +57,32 @@ _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _ATTR_HEADER = struct.Struct("!BBB")
 _ORIGINS = tuple(Origin)
+
+
+# --- the FSM's transitions ---------------------------------------------------
+
+class Transition(NamedTuple):
+    """One session FSM transition."""
+
+    time: float
+    from_state: BGPState
+    to_state: BGPState
+    event: str
+
+
+def record_transitions(monkeypatch) -> Dict[SessionFSM, List[Transition]]:
+    """Wrap ``SessionFSM._move``, through which every transition passes,
+    for one test; returns each FSM's transitions in order (an FSM that
+    has not moved maps to an empty list)."""
+    log: Dict[SessionFSM, List[Transition]] = defaultdict(list)
+    move = SessionFSM._move
+
+    def recording_move(fsm, new_state, event, now):
+        log[fsm].append(Transition(now, fsm.state, new_state, event))
+        move(fsm, new_state, event, now)
+
+    monkeypatch.setattr(SessionFSM, "_move", recording_move)
+    return log
 
 
 # --- the decoder ------------------------------------------------------------

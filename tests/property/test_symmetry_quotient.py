@@ -16,6 +16,7 @@ import os
 import pytest
 
 from realloc_reference import all_directions
+from repro.dataplane.stats import StatsCollector
 from repro.scenarios import (
     CapacityDegrade,
     LinkFail,
@@ -343,6 +344,21 @@ class TestConcreteStateAfterMaterialize:
         assert q_counters == pytest.approx(counters, rel=1e-12)
 
 
+class LoadSampler(StatsCollector):
+    """The periodic stats sampler, also reading every direction's load
+    at each sample."""
+
+    def __init__(self, network, interval):
+        super().__init__(network, interval)
+        self.loads = []
+
+    def sample_now(self):
+        sample = super().sample_now()
+        self.loads.append([direction.current_load_bps
+                           for direction in all_directions(self.network)])
+        return sample
+
+
 class TestRatesReadWhileTheQuotientHolds:
     """Loads and host rates read mid-run must be the concrete run's:
     they derive from the class rates while the quotient holds, not
@@ -352,10 +368,12 @@ class TestRatesReadWhileTheQuotientHolds:
     def _observed(symmetry):
         spec = degrade_spec(symmetry)
         exp, __ = ScenarioRunner().materialize(spec)
-        stats = exp.add_stats(record_links=True)
+        stats = exp.stats = LoadSampler(exp.network,
+                                        exp.sim.config.stats_interval)
+        stats.attach(exp.sim)
         result = exp.run(until=spec.duration)
-        samples = [(s.time, s.aggregate_rx_bps, s.host_rx_bps,
-                    s.link_utilization) for s in stats.samples]
+        samples = [(s.time, s.aggregate_rx_bps, s.host_rx_bps, loads)
+                   for s, loads in zip(stats.samples, stats.loads)]
         return samples, result.aggregate_rx_bps, exp.network.realloc.quotient
 
     def test_samples_and_result_equal_the_concrete_run(self):

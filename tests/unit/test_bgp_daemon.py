@@ -1,5 +1,8 @@
 """Unit tests: the BGP daemon over real channels."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bgp.daemon import BGPConfig, BGPDaemon, BGPPeerConfig
@@ -9,6 +12,16 @@ from repro.core.errors import ControlPlaneError
 from repro.core.simulation import Simulation
 from repro.dataplane.network import Network
 from repro.netproto.addr import IPv4Address, IPv4Prefix
+
+# The transition log is test-only code beside the property suites.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "property"))
+from bgp_reference import record_transitions  # noqa: E402
+
+
+@pytest.fixture
+def history(monkeypatch):
+    """Each session FSM's transitions during the test."""
+    return record_transitions(monkeypatch)
 
 
 def build_pair(hold=90.0, keepalive=30.0, net1=("10.1.0.0/24",),
@@ -145,19 +158,20 @@ class TestHoldTimeNegotiation:
         assert d1.session_state("r2") is BGPState.ESTABLISHED
 
     @pytest.mark.parametrize("offer", [1, 2])
-    def test_an_open_offering_one_or_two_seconds_is_refused(self, offer):
+    def test_an_open_offering_one_or_two_seconds_is_refused(self, history,
+                                                            offer):
         sim, net, d1, d2, __ = build_pair()
         # Past BGPPeerConfig's own check, as a foreign speaker would be.
         d2.peers["r1"].config.hold_time = float(offer)
         sim.run(until=1.0)
-        events = [change.event for change in d1.peers["r2"].fsm.history]
+        events = [change.event for change in history[d1.peers["r2"].fsm]]
         assert "unacceptable hold time" in events
         # The NOTIFICATION is Unacceptable Hold Time (2/6).
-        peer_events = [change.event for change in d2.peers["r1"].fsm.history]
+        peer_events = [change.event for change in history[d2.peers["r1"].fsm]]
         assert "notification 2/6" in peer_events
         for daemon, peer in ((d1, "r2"), (d2, "r1")):
             assert BGPState.ESTABLISHED not in [
-                change.to_state for change in daemon.peers[peer].fsm.history]
+                change.to_state for change in history[daemon.peers[peer].fsm]]
 
     def test_a_low_offer_lowers_one_session_not_the_configuration(self):
         sim, net, d1, d2, __ = build_pair(hold=90.0, keepalive=30.0)
@@ -177,7 +191,8 @@ class TestHoldTimeNegotiation:
         assert state.keepalive_timer.interval == 30.0
 
 
-    def test_a_longer_hold_is_not_cut_short_by_the_last_session(self):
+    def test_a_longer_hold_is_not_cut_short_by_the_last_session(
+            self, history):
         sim, net, d1, d2, __ = build_pair(hold=90.0, keepalive=30.0)
         for daemon, peer in ((d1, "r2"), (d2, "r1")):
             daemon.peers[peer].config.connect_retry = 1.0
@@ -190,7 +205,7 @@ class TestHoldTimeNegotiation:
         # still pending and fires while the peer is quiet.
         sim.run(until=20.0)
         assert d1.peers["r2"].hold_time == 90.0
-        events = [change.event for change in d1.peers["r2"].fsm.history]
+        events = [change.event for change in history[d1.peers["r2"].fsm]]
         assert "hold timer expired" not in events
         assert d1.session_state("r2") is BGPState.ESTABLISHED
 
@@ -247,7 +262,7 @@ class TestMalformedInput:
         (b"\xff" * 16 + b"\x00\x1e\x02\x00\x00\x00\x03"
          b"\x40\x01\x00" + b"\x18\x0a\x09\x00", 3),              # empty ORIGIN
     ])
-    def test_notification_and_teardown(self, wire, code):
+    def test_notification_and_teardown(self, history, wire, code):
         sim, net, d1, d2, channel = build_pair()
         sim.run(until=1.0)
         seen = self._notifications(sim)
@@ -257,7 +272,7 @@ class TestMalformedInput:
         sim.run(until=1.5)  # must not raise
         assert ("bgpd-r1", code) in seen
         # d2 dropped the session and everything learned over it ...
-        assert d2.peers["r1"].fsm.history[-1].event.startswith("malformed")
+        assert history[d2.peers["r1"].fsm][-1].event.startswith("malformed")
         assert d2.loc_rib.best(learned) is None
         assert net.get_node("r2").fib.lookup("10.1.0.5") is None
         # ... and the ordinary retry timer brings it back.
@@ -279,7 +294,7 @@ class TestMalformedInput:
         assert d2.stats()["updates_received"] == before + 1
         assert d2.session_state("r1") is not BGPState.ESTABLISHED
 
-    def test_an_open_on_an_established_session_resets_it(self):
+    def test_an_open_on_an_established_session_resets_it(self, history):
         """RFC 4271 6.6, RFC 6608: NOTIFICATION 5/3 and a teardown on
         both sides, the peer's identifier left as it was, and the
         connect-retry timer brings the session back."""
@@ -290,8 +305,8 @@ class TestMalformedInput:
         assert d1.loc_rib.best(learned) is not None
         channel.send(d2, BGPOpen(asn=65002).encode())  # lands at r1
         sim.run(until=1.5)  # must not raise
-        assert d1.peers["r2"].fsm.history[-1].event == "OPEN in established"
-        assert d2.peers["r1"].fsm.history[-1].event == "notification 5/3"
+        assert history[d1.peers["r2"].fsm][-1].event == "OPEN in established"
+        assert history[d2.peers["r1"].fsm][-1].event == "notification 5/3"
         assert d1.session_state("r2") is BGPState.IDLE
         assert d2.session_state("r1") is BGPState.IDLE
         assert d1.peers["r2"].remote_router_id == IPv4Address("2.2.2.2")

@@ -1,5 +1,8 @@
 """Unit tests: BGP FSM, RIBs, decision process, policy."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bgp.decision import decide, preference_key
@@ -10,6 +13,17 @@ from repro.bgp.messages import (
 from repro.bgp.policy import ExportPolicy, ImportPolicy
 from repro.bgp.rib import AdjRIBIn, AdjRIBOut, LocRIB, RIBRoute
 from repro.netproto.addr import IPv4Address, IPv4Prefix
+
+# The transition log is test-only code beside the property suites.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "property"))
+from bgp_reference import record_transitions  # noqa: E402
+
+
+@pytest.fixture
+def history(monkeypatch):
+    """Each session FSM's transitions during the test."""
+    return record_transitions(monkeypatch)
+
 
 P1 = IPv4Prefix("10.1.0.0/24")
 P2 = IPv4Prefix("10.2.0.0/24")
@@ -58,30 +72,30 @@ class TestFSM:
         assert fsm.state is BGPState.IDLE
         assert fsm.established_at is None
 
-    def test_start_idempotent_outside_idle(self):
+    def test_start_idempotent_outside_idle(self, history):
         fsm = SessionFSM("peer")
         fsm.start(0.0)
         fsm.start(0.5)  # no effect
-        assert len(fsm.history) == 1
+        assert len(history[fsm]) == 1
 
-    def test_keepalive_in_established_no_transition(self):
+    def test_keepalive_in_established_no_transition(self, history):
         fsm = SessionFSM("peer")
         fsm.start(0.0)
         fsm.transport_up(0.1)
         fsm.open_received(0.2)
         fsm.keepalive_received(0.3)
-        count = len(fsm.history)
+        count = len(history[fsm])
         fsm.keepalive_received(30.0)
-        assert len(fsm.history) == count
+        assert len(history[fsm]) == count
 
-    def test_times_in_state(self):
+    def test_times_in_state(self, history):
         """The transition log holds each state's entry time."""
         fsm = SessionFSM("peer")
         fsm.start(0.0)
         fsm.transport_up(1.0)
         fsm.open_received(2.0)
         fsm.keepalive_received(3.0)
-        assert [(change.time, change.to_state) for change in fsm.history] == [
+        assert [(change.time, change.to_state) for change in history[fsm]] == [
             (0.0, BGPState.CONNECT), (1.0, BGPState.OPEN_SENT),
             (2.0, BGPState.OPEN_CONFIRM), (3.0, BGPState.ESTABLISHED)]
 

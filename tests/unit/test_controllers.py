@@ -38,10 +38,12 @@ class TestTopologyView:
         assert view.locate_ip("99.9.9.9") is None
 
     def test_locate_by_mac(self, fat_tree_exp):
-        """A host's location carries its MAC."""
+        """A host's location names the host that carries its MAC."""
         view = fat_tree_exp.topology_view()
-        host = fat_tree_exp.network.get_node("h0_0_0")
-        assert view.locate_ip(host.ip).mac == host.mac
+        network = fat_tree_exp.network
+        host = network.get_node("h0_0_0")
+        located = network.get_node(view.locate_ip(host.ip).host_name)
+        assert located.mac == host.mac
 
     def test_switch_count(self, fat_tree_exp):
         view = fat_tree_exp.topology_view()
